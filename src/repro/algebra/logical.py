@@ -25,7 +25,48 @@ from repro.algebra.expressions import Expr
 from repro.datamodel.values import Bag
 
 
-class LogicalOp:
+class TextCachedNode:
+    """``to_text()`` rendered once per node -- while the text is short.
+
+    Operator nodes are immutable (every operator class is a frozen
+    dataclass; ``python -m repro.analysis`` refuses one that is not), so a
+    subtree's text never changes and can be kept on the node after its first
+    rendering.  The optimizer compares, hashes and dedupes plans by text, and
+    its alternatives share every node off the one path that was rewritten --
+    typically the pushed ``submit`` branches of a union, a hundred characters
+    each -- so each alternative pays for its own path only.
+
+    Long text is rebuilt on every call, as it always was.  What is long is
+    either the spine above the shared branches, which every alternative
+    builds anew anyway, or a subtree holding literal rows
+    (:class:`BagLiteral`, ``MkBag``): that text is the ``repr`` of every row,
+    and keeping it at the literal *and at each ancestor* would hold several
+    copies of a partial answer's data for as long as the plan is cached.
+    """
+
+    #: longest text a node keeps; the benchmark's pushed branches are 90-130
+    KEPT_TEXT_LIMIT = 256
+
+    #: the rendered text once kept; set on the instance, never on the class
+    _text: str | None = None
+
+    def to_text(self) -> str:
+        """Compact textual form, e.g. ``project(name, submit(r0, get(person0)))``."""
+        text = self._text
+        if text is None:
+            text = self._render()
+            if len(text) <= self.KEPT_TEXT_LIMIT:
+                # Not ``self.__dict__[...]``: touching ``__dict__`` makes CPython
+                # build a dict for the instance, ~100 bytes on every cached node.
+                object.__setattr__(self, "_text", text)
+        return text
+
+    def _render(self) -> str:
+        """Build the text (subclasses; reach sub-plans through ``to_text()``)."""
+        raise NotImplementedError
+
+
+class LogicalOp(TextCachedNode):
     """Base class for logical operator nodes."""
 
     #: operator name used by capability grammars and transformation rules
@@ -40,10 +81,6 @@ class LogicalOp:
         if children:
             raise ValueError(f"{self.op_name} takes no children")
         return self
-
-    def to_text(self) -> str:
-        """Compact textual form, e.g. ``project(name, submit(r0, get(person0)))``."""
-        raise NotImplementedError
 
     def operators_used(self) -> set[str]:
         """The set of operator names appearing in this subtree."""
@@ -66,18 +103,18 @@ class LogicalOp:
         return hash(self.to_text())
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Get(LogicalOp):
     """``get(collection)``: retrieve every object of a named collection."""
 
     collection: str
     op_name = "get"
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"get({self.collection})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Submit(LogicalOp):
     """``submit(source, expression)``: evaluate ``expression`` at ``source``.
 
@@ -98,11 +135,11 @@ class Submit(LogicalOp):
         (expression,) = children
         return Submit(self.source, expression, extent_name=self.extent_name)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"submit({self.source}, {self.expression.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Project(LogicalOp):
     """``project(attributes, child)``: keep only the named attributes."""
 
@@ -117,12 +154,12 @@ class Project(LogicalOp):
         (child,) = children
         return Project(self.attributes, child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         attrs = ",".join(self.attributes)
         return f"project({attrs}, {self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Select(LogicalOp):
     """``select(predicate, child)``: keep elements satisfying the predicate.
 
@@ -142,11 +179,11 @@ class Select(LogicalOp):
         (child,) = children
         return Select(self.variable, self.predicate, child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"select({self.variable}: {self.predicate.to_oql()}, {self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Apply(LogicalOp):
     """``apply(expr, child)``: compute ``expr`` for each element (mediator only)."""
 
@@ -162,11 +199,11 @@ class Apply(LogicalOp):
         (child,) = children
         return Apply(self.variable, self.expression, child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"apply({self.variable}: {self.expression.to_oql()}, {self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Rename(LogicalOp):
     """``rename(old as new, ..., child)``: project the input to aliased attributes.
 
@@ -196,14 +233,14 @@ class Rename(LogicalOp):
         """The attribute names this operator emits."""
         return tuple(new for _, new in self.pairs)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         aliased = ",".join(
             old if old == new else f"{old} as {new}" for old, new in self.pairs
         )
         return f"rename({aliased}, {self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Join(LogicalOp):
     """``join(left, right, attribute)``: equi-join on a shared attribute.
 
@@ -237,12 +274,12 @@ class Join(LogicalOp):
             return self.on
         return (self.on, self.on)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         on = self.on if isinstance(self.on, str) else f"{self.on[0]}={self.on[1]}"
         return f"join({self.left.to_text()}, {self.right.to_text()}, {on})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BindJoin(LogicalOp):
     """Mediator-side join over *variable bindings* (multi-variable ``from`` clauses).
 
@@ -277,7 +314,7 @@ class BindJoin(LogicalOp):
             condition=self.condition,
         )
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         condition = self.condition.to_oql() if self.condition is not None else "true"
         return (
             f"bindjoin({self.left_variable}: {self.left.to_text()}, "
@@ -285,7 +322,7 @@ class BindJoin(LogicalOp):
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Union(LogicalOp):
     """``union(e1, ..., en)``: n-ary additive bag union."""
 
@@ -298,11 +335,11 @@ class Union(LogicalOp):
     def with_children(self, children: Sequence[LogicalOp]) -> "Union":
         return Union(tuple(children))
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return "union(" + ", ".join(child.to_text() for child in self.inputs) + ")"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Flatten(LogicalOp):
     """``flatten(child)``: flatten a bag of bags one level."""
 
@@ -316,11 +353,11 @@ class Flatten(LogicalOp):
         (child,) = children
         return Flatten(child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"flatten({self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Distinct(LogicalOp):
     """``distinct(child)``: drop duplicate elements (the OQL ``select distinct``)."""
 
@@ -334,11 +371,11 @@ class Distinct(LogicalOp):
         (child,) = children
         return Distinct(child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"distinct({self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Limit(LogicalOp):
     """``limit(n, child)``: keep at most the first ``n`` elements.
 
@@ -360,11 +397,11 @@ class Limit(LogicalOp):
         (child,) = children
         return Limit(self.count, child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"limit({self.count}, {self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GroupBy(LogicalOp):
     """``groupby(keys; aggregates, child)``: grouped aggregation.
 
@@ -405,7 +442,7 @@ class GroupBy(LogicalOp):
             name for name, _func, _arg in self.aggregates
         )
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         keys = ",".join(f"{name}: {expr.to_oql()}" for name, expr in self.keys)
         aggs = ",".join(
             f"{name}: {func}({arg.to_oql()})" for name, func, arg in self.aggregates
@@ -413,7 +450,7 @@ class GroupBy(LogicalOp):
         return f"groupby({self.variable}: [{keys}] [{aggs}], {self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BagLiteral(LogicalOp):
     """Literal data inside a plan (the second argument of a partial answer)."""
 
@@ -429,7 +466,7 @@ class BagLiteral(LogicalOp):
         """Return the literal's contents as a bag."""
         return Bag(self.values)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return "Bag(" + ", ".join(repr(value) for value in self.values) + ")"
 
 

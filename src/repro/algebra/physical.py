@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.algebra.expressions import Expr
-from repro.algebra.logical import LogicalOp
+from repro.algebra.logical import LogicalOp, TextCachedNode
 
 
-class PhysicalOp:
+class PhysicalOp(TextCachedNode):
     """Base class for physical operator nodes."""
 
     algo_name: str = "physical"
@@ -46,10 +46,6 @@ class PhysicalOp:
             raise ValueError(f"{self.algo_name} takes no children")
         return self
 
-    def to_text(self) -> str:
-        """Compact textual form, e.g. ``mkproj(name, exec(field(r0), ...))``."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return self.to_text()
 
@@ -60,18 +56,18 @@ class PhysicalOp:
         return hash(self.to_text())
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Field(PhysicalOp):
     """``field(r)``: the physical form of ``get`` on a single object (a repository)."""
 
     name: str
     algo_name = "field"
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"field({self.name})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Exec(PhysicalOp):
     """``exec(field(source), logical_expression)``: one call to a wrapper.
 
@@ -84,11 +80,11 @@ class Exec(PhysicalOp):
     extent_name: str
     algo_name = "exec"
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"exec({self.source.to_text()}, {self.expression.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MkProj(PhysicalOp):
     """``mkproj(attributes, child)``: mediator-side projection."""
 
@@ -103,11 +99,11 @@ class MkProj(PhysicalOp):
         (child,) = children
         return MkProj(self.attributes, child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"mkproj({','.join(self.attributes)}, {self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MkRename(PhysicalOp):
     """``mkrename(old as new, ..., child)``: mediator-side project-with-aliases."""
 
@@ -122,14 +118,14 @@ class MkRename(PhysicalOp):
         (child,) = children
         return MkRename(self.pairs, child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         aliased = ",".join(
             old if old == new else f"{old} as {new}" for old, new in self.pairs
         )
         return f"mkrename({aliased}, {self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Filter(PhysicalOp):
     """``filter(predicate, child)``: mediator-side selection."""
 
@@ -145,11 +141,11 @@ class Filter(PhysicalOp):
         (child,) = children
         return Filter(self.variable, self.predicate, child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"filter({self.variable}: {self.predicate.to_oql()}, {self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MkApply(PhysicalOp):
     """``mkapply(expr, child)``: mediator-side per-element computation."""
 
@@ -165,11 +161,11 @@ class MkApply(PhysicalOp):
         (child,) = children
         return MkApply(self.variable, self.expression, child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"mkapply({self.variable}: {self.expression.to_oql()}, {self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HashJoin(PhysicalOp):
     """Hash equi-join, the default join algorithm."""
 
@@ -189,12 +185,12 @@ class HashJoin(PhysicalOp):
         """Return the ``(left_attribute, right_attribute)`` pair."""
         return self.on if isinstance(self.on, tuple) else (self.on, self.on)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         on = self.on if isinstance(self.on, str) else f"{self.on[0]}={self.on[1]}"
         return f"hashjoin({self.left.to_text()}, {self.right.to_text()}, {on})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class NestedLoopJoin(PhysicalOp):
     """Nested-loop equi-join: cheaper to set up, quadratic to run."""
 
@@ -214,12 +210,12 @@ class NestedLoopJoin(PhysicalOp):
         """Return the ``(left_attribute, right_attribute)`` pair."""
         return self.on if isinstance(self.on, tuple) else (self.on, self.on)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         on = self.on if isinstance(self.on, str) else f"{self.on[0]}={self.on[1]}"
         return f"nljoin({self.left.to_text()}, {self.right.to_text()}, {on})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MkBindJoin(PhysicalOp):
     """Mediator-side join over variable bindings (implements logical ``bindjoin``)."""
 
@@ -239,7 +235,7 @@ class MkBindJoin(PhysicalOp):
             left, right, self.left_variable, self.right_variable, condition=self.condition
         )
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         condition = self.condition.to_oql() if self.condition is not None else "true"
         return (
             f"mkbindjoin({self.left_variable}: {self.left.to_text()}, "
@@ -247,7 +243,7 @@ class MkBindJoin(PhysicalOp):
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProbeJoin(PhysicalOp):
     """Batched bind join: probe the right source with ``IN``-lists of left keys.
 
@@ -283,14 +279,14 @@ class ProbeJoin(PhysicalOp):
             self.condition,
         )
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return (
             f"probejoin({self.left_variable}: {self.left.to_text()}, "
             f"{self.right_variable}: {self.probe.to_text()}, {self.condition.to_oql()})"
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MkUnion(PhysicalOp):
     """``mkunion(children...)``: mediator-side bag union."""
 
@@ -303,11 +299,11 @@ class MkUnion(PhysicalOp):
     def with_children(self, children: Sequence[PhysicalOp]) -> "MkUnion":
         return MkUnion(tuple(children))
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return "mkunion(" + ", ".join(child.to_text() for child in self.inputs) + ")"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MkFlatten(PhysicalOp):
     """``mkflatten(child)``: mediator-side flatten."""
 
@@ -321,11 +317,11 @@ class MkFlatten(PhysicalOp):
         (child,) = children
         return MkFlatten(child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"mkflatten({self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MkDistinct(PhysicalOp):
     """``mkdistinct(child)``: mediator-side duplicate elimination."""
 
@@ -339,11 +335,11 @@ class MkDistinct(PhysicalOp):
         (child,) = children
         return MkDistinct(child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"mkdistinct({self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MkGroupBy(PhysicalOp):
     """``mkgroupby(keys; aggregates, child)``: mediator-side grouped aggregation.
 
@@ -366,7 +362,7 @@ class MkGroupBy(PhysicalOp):
         (child,) = children
         return MkGroupBy(self.variable, self.keys, self.aggregates, child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         keys = ",".join(f"{name}: {expr.to_oql()}" for name, expr in self.keys)
         aggs = ",".join(
             f"{name}: {func}({arg.to_oql()})" for name, func, arg in self.aggregates
@@ -374,7 +370,7 @@ class MkGroupBy(PhysicalOp):
         return f"mkgroupby({self.variable}: [{keys}] [{aggs}], {self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MkLimit(PhysicalOp):
     """``mklimit(n, child)``: stop after ``n`` elements (implements ``limit``).
 
@@ -394,18 +390,18 @@ class MkLimit(PhysicalOp):
         (child,) = children
         return MkLimit(self.count, child)
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return f"mklimit({self.count}, {self.child.to_text()})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MkBag(PhysicalOp):
     """``mkbag(values)``: literal data in a physical plan."""
 
     values: tuple[Any, ...] = ()
     algo_name = "mkbag"
 
-    def to_text(self) -> str:
+    def _render(self) -> str:
         return "mkbag(" + ", ".join(repr(value) for value in self.values) + ")"
 
 

@@ -22,6 +22,11 @@ from repro.algebra.rules import (
 )
 
 
+#: id(node) -> (node, its single-step variants); the node rides along so that
+#: its id cannot be reused by a later node while the entry exists
+_VariantMemo = dict[int, tuple[LogicalOp, list[LogicalOp]]]
+
+
 class Rewriter:
     """Applies transformation rules under a wrapper-capability resolver."""
 
@@ -62,12 +67,20 @@ class Rewriter:
 
         Always includes ``root`` itself; bounded by ``max_alternatives`` so a
         pathological rule set cannot blow up the search space.
+
+        The single-step variants of a plan -- every plan one rule application
+        at one node away, nodes in pre-order -- are built per *node* and
+        memoised by node identity for the duration of this call: a plan popped
+        from the frontier differs from the plan it was derived from along one
+        path, shares every other node with it, and so pays rule applications
+        for that path only.  The memo is a local: rules, capabilities and
+        schema are read afresh by the next call.
         """
+        memo: _VariantMemo = {}
         seen: dict[str, LogicalOp] = {root.to_text(): root}
         frontier: list[LogicalOp] = [root]
         while frontier and len(seen) < self.max_alternatives:
-            plan = frontier.pop()
-            for variant in self._single_step_variants(plan):
+            for variant in self._variants(frontier.pop(), memo):
                 key = variant.to_text()
                 if key not in seen:
                     seen[key] = variant
@@ -76,29 +89,22 @@ class Rewriter:
                     break
         return list(seen.values())
 
-    def _single_step_variants(self, root: LogicalOp) -> list[LogicalOp]:
-        """Every plan obtainable from ``root`` by one rule application at one node."""
-        variants: list[LogicalOp] = []
-        for path, node in self._nodes_with_paths(root, []):
-            for rule in self.rules:
-                for alternative in rule.apply(node, self.capabilities):
-                    variants.append(self._replace_at(root, path, alternative))
-        return variants
-
-    def _nodes_with_paths(
-        self, node: LogicalOp, path: list[int]
-    ) -> list[tuple[list[int], LogicalOp]]:
-        result: list[tuple[list[int], LogicalOp]] = [(path, node)]
-        for index, child in enumerate(node.children()):
-            result.extend(self._nodes_with_paths(child, path + [index]))
-        return result
-
-    def _replace_at(
-        self, root: LogicalOp, path: list[int], replacement: LogicalOp
-    ) -> LogicalOp:
-        if not path:
-            return replacement
-        children = list(root.children())
-        index = path[0]
-        children[index] = self._replace_at(children[index], path[1:], replacement)
-        return root.with_children(children)
+    def _variants(self, node: LogicalOp, memo: _VariantMemo) -> list[LogicalOp]:
+        """Every plan one rule application away from ``node``, nodes in pre-order:
+        the rewrites of ``node`` itself, then each child's variants lifted
+        through ``with_children``."""
+        known = memo.get(id(node))
+        if known is not None:
+            return known[1]
+        capabilities = self.capabilities
+        found = [
+            rewritten for rule in self.rules for rewritten in rule.apply(node, capabilities)
+        ]
+        children = node.children()
+        for index, child in enumerate(children):
+            for variant in self._variants(child, memo):
+                found.append(
+                    node.with_children(children[:index] + (variant,) + children[index + 1 :])
+                )
+        memo[id(node)] = (node, found)
+        return found

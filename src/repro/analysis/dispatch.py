@@ -14,7 +14,11 @@ module, so a subclass added anywhere is seen) and reports:
 * **stale-exemption** -- an exempted subclass the site now handles (the
   exemption list must shrink as coverage grows);
 * **unknown-class** -- spec drift: an exemption naming a class that no
-  longer exists.
+  longer exists;
+* **mutable-node** -- a member of a hierarchy the spec declares ``frozen``
+  that is not a ``@dataclass(frozen=True)``.  The algebra nodes keep their
+  rendered text (``to_text()`` is built once per node), which is only sound
+  while no node is ever edited in place.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ class Hierarchy:
     root: str  #: root class name, e.g. "LogicalOp"
     #: abstract intermediate bases that are not concrete dispatch targets
     abstract: tuple[str, ...] = ()
+    #: every member must be a ``@dataclass(frozen=True)`` (immutable nodes)
+    frozen: bool = False
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,42 @@ def collect_hierarchy(
     for abstract in hierarchy.abstract:
         members.pop(abstract, None)
     return members
+
+
+def _is_frozen_dataclass(cls: ast.ClassDef) -> bool:
+    for decorator in cls.decorator_list:
+        if isinstance(decorator, ast.Call) and tail_name(decorator.func) == "dataclass":
+            for keyword in decorator.keywords:
+                if keyword.arg == "frozen":
+                    return isinstance(keyword.value, ast.Constant) and keyword.value.value is True
+    return False
+
+
+def _check_frozen(
+    hierarchy: Hierarchy, members: dict[str, int], modules: list[SourceModule]
+) -> list[Finding]:
+    findings: list[Finding] = []
+    for module in modules:
+        for node in ast.walk(module.tree):
+            if (
+                isinstance(node, ast.ClassDef)
+                and members.get(node.name) == node.lineno
+                and not _is_frozen_dataclass(node)
+            ):
+                findings.append(
+                    Finding(
+                        checker="dispatch",
+                        rule="mutable-node",
+                        path=module.path,
+                        line=node.lineno,
+                        scope=node.name,
+                        message=f"`{node.name}` ({hierarchy.name} hierarchy) is not a "
+                        "`@dataclass(frozen=True)`: nodes keep their rendered text "
+                        "and must never be edited in place",
+                        detail=f"{node.name}@{hierarchy.name}",
+                    )
+                )
+    return findings
 
 
 def _functions_in(module: SourceModule, qualnames: tuple[str, ...]) -> list[ast.AST]:
@@ -175,6 +217,10 @@ def check_dispatch(spec: Spec, modules: list[SourceModule]) -> list[Finding]:
     members_cache: dict[str, dict[str, int]] = {
         name: collect_hierarchy(h, modules) for name, h in hierarchies.items()
     }
+
+    for name, hierarchy in hierarchies.items():
+        if hierarchy.frozen:
+            findings.extend(_check_frozen(hierarchy, members_cache[name], modules))
 
     for site in spec.dispatch_sites:
         module = by_path.get(site.module)

@@ -268,10 +268,13 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
 )
 
 # --------------------------------------------------------------------------- dispatch
+# Algebra nodes are immutable: `to_text()` is kept on the node after its
+# first rendering (see `TextCachedNode`), and the optimizer shares subtrees
+# between alternatives, so an in-place edit would go unseen under a stale text.
 HIERARCHIES: tuple[Hierarchy, ...] = (
-    Hierarchy(name="logical", module="src/repro/algebra/logical.py", root="LogicalOp"),
-    Hierarchy(name="physical", module="src/repro/algebra/physical.py", root="PhysicalOp"),
-    Hierarchy(name="expr", module="src/repro/algebra/expressions.py", root="Expr"),
+    Hierarchy(name="logical", module="src/repro/algebra/logical.py", root="LogicalOp", frozen=True),
+    Hierarchy(name="physical", module="src/repro/algebra/physical.py", root="PhysicalOp", frozen=True),
+    Hierarchy(name="expr", module="src/repro/algebra/expressions.py", root="Expr", frozen=True),
 )
 
 #: why Field never needs a dispatch arm (shared by several physical sites)
@@ -310,7 +313,7 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
         name="cost.estimate",
         module="src/repro/optimizer/cost.py",
         hierarchy="physical",
-        functions=("CostModel.estimate",),
+        functions=("CostModel._cost_of",),
         exempt=(("Field", _FIELD),),
     ),
     DispatchSite(

@@ -79,8 +79,17 @@ class QueryPlanner:
     def plan(self, text: str, use_cache: bool = True) -> PlannedQuery:
         """Parse, bind, translate and optimize ``text``."""
         version = self.registry.schema_version
-        if self.plan_cache is not None and use_cache:
-            cached = self.plan_cache.get(text, version)
+        cache = self.plan_cache if use_cache else None
+        ast: QueryNode | None = None
+        key: str | None = None
+        if cache is not None:
+            key = cache.known_key(text)
+            if key is None:
+                # First sight of this text: the parse that canonicalises the
+                # cache key is the parse that plans the query on a miss.
+                ast = parse_query(text)
+                key = cache.learn_key(text, ast.to_oql())
+            cached = cache.get(text, version, key=key)
             if cached is not None:
                 return PlannedQuery(
                     text=text,
@@ -91,14 +100,15 @@ class QueryPlanner:
                     is_scalar=cached.is_scalar,
                     from_cache=True,
                 )
-        ast = parse_query(text)
+        if ast is None:
+            ast = parse_query(text)
         planned = self.plan_ast(ast, text=text)
-        if self.plan_cache is not None and use_cache:
+        if cache is not None:
             # Store under the version snapshotted *before* planning, and only
             # if it still holds: a schema change mid-planning means this plan
             # may mix old and new resolutions -- don't cache it at all.
             if self.registry.schema_version == version:
-                self.plan_cache.put(text, version, planned)
+                cache.put(text, version, planned, key=key)
         return planned
 
     def plan_ast(self, ast: QueryNode, text: str | None = None) -> PlannedQuery:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.algebra import logical as log
 from repro.algebra import physical as phys
 from repro.errors import OptimizationError
-from repro.optimizer.history import ExecCallHistory
+from repro.optimizer.history import CostEstimate, ExecCallHistory, exact_signature
 
 
 def pushed_limit(expression: log.LogicalOp) -> int | None:
@@ -64,6 +64,26 @@ class Cost:
         return self.time
 
 
+class CostMemo:
+    """What one plan search has costed so far; a local of that search.
+
+    The physical plans of one ``Optimizer.optimize`` call share their
+    subtrees (see :func:`~repro.optimizer.implementation.implementation_alternatives`),
+    so a subtree's cost is kept by node identity, and an exec call's history
+    reading by its exact signature -- two rewrite orders can reach the same
+    pushed expression through different node objects.  Nothing here outlives
+    the search: an observation recorded after it is seen by the next one.
+    """
+
+    __slots__ = ("plans", "readings")
+
+    def __init__(self) -> None:
+        #: id(node) -> (node, cost); the node rides along so its id stays taken
+        self.plans: dict[int, tuple[phys.PhysicalOp, Cost]] = {}
+        #: exact signature -> what the history said
+        self.readings: dict[str, CostEstimate] = {}
+
+
 @dataclass
 class CostModel:
     """Cost estimation over physical plans.
@@ -95,55 +115,71 @@ class CostModel:
     #: rows (a keyless -- scalar -- aggregate ships exactly one).
     groupby_output_ratio: float = 0.05
 
-    def estimate(self, plan: phys.PhysicalOp) -> Cost:
-        """Estimate the cost of executing ``plan``."""
+    def estimate(self, plan: phys.PhysicalOp, memo: CostMemo | None = None) -> Cost:
+        """Estimate the cost of executing ``plan``.
+
+        A plan search passes the same ``memo`` for every alternative it costs
+        and drops it when it has chosen; without one the call stands alone.
+        """
+        return self._cost(plan, CostMemo() if memo is None else memo)
+
+    def _cost(self, plan: phys.PhysicalOp, memo: CostMemo) -> Cost:
+        known = memo.plans.get(id(plan))
+        if known is not None:
+            return known[1]
+        cost = self._cost_of(plan, memo)
+        memo.plans[id(plan)] = (plan, cost)
+        return cost
+
+    def _cost_of(self, plan: phys.PhysicalOp, memo: CostMemo) -> Cost:
+        """The cost function of each physical algorithm (children through ``_cost``)."""
         if isinstance(plan, phys.Exec):
-            return self._estimate_exec(plan)
+            return self._estimate_exec(plan, memo)
         if isinstance(plan, phys.MkBag):
             return Cost(time=0.0, rows=float(len(plan.values)))
         if isinstance(plan, (phys.MkProj, phys.MkRename)):
-            child = self.estimate(plan.child)
+            child = self._cost(plan.child, memo)
             time = child.time + self.mediator_operator_overhead + child.rows * self.mediator_row_cost
             return Cost(time, child.rows)
         if isinstance(plan, phys.MkApply):
-            child = self.estimate(plan.child)
+            child = self._cost(plan.child, memo)
             time = child.time + self.mediator_operator_overhead + child.rows * 2 * self.mediator_row_cost
             return Cost(time, child.rows)
         if isinstance(plan, phys.Filter):
-            child = self.estimate(plan.child)
+            child = self._cost(plan.child, memo)
             rows = child.rows * self.default_selectivity
             time = child.time + self.mediator_operator_overhead + child.rows * self.mediator_row_cost
             return Cost(time, rows)
         if isinstance(plan, phys.MkDistinct):
-            child = self.estimate(plan.child)
+            child = self._cost(plan.child, memo)
             time = child.time + self.mediator_operator_overhead + child.rows * self.mediator_row_cost
             return Cost(time, child.rows)
         if isinstance(plan, phys.MkLimit):
-            child = self.estimate(plan.child)
+            child = self._cost(plan.child, memo)
             rows = min(child.rows, float(plan.count))
             # The cap on output rows is what makes pushed-down limits pay off:
             # every operator above a limit is costed on at most `count` rows.
             time = child.time + self.mediator_operator_overhead + rows * self.mediator_row_cost
             return Cost(time, rows)
         if isinstance(plan, phys.MkGroupBy):
-            child = self.estimate(plan.child)
+            child = self._cost(plan.child, memo)
             rows = self._grouped_rows(child.rows, bool(plan.keys))
             # Two expression evaluations per input row (keys and aggregates),
             # like MkApply; the output is the (much smaller) group list.
             time = child.time + self.mediator_operator_overhead + child.rows * 2 * self.mediator_row_cost
             return Cost(time, rows)
         if isinstance(plan, phys.MkFlatten):
-            child = self.estimate(plan.child)
+            child = self._cost(plan.child, memo)
             time = child.time + self.mediator_operator_overhead + child.rows * self.mediator_row_cost
             return Cost(time, child.rows)
         if isinstance(plan, phys.MkUnion):
-            children = [self.estimate(child) for child in plan.inputs]
+            children = [self._cost(child, memo) for child in plan.inputs]
             time = sum(child.time for child in children)
             rows = sum(child.rows for child in children)
             return Cost(time, rows)
         if isinstance(plan, phys.HashJoin):
-            left = self.estimate(plan.left)
-            right = self.estimate(plan.right)
+            left = self._cost(plan.left, memo)
+            right = self._cost(plan.right, memo)
             time = (
                 left.time
                 + right.time
@@ -153,8 +189,8 @@ class CostModel:
             rows = max(left.rows, right.rows)
             return Cost(time, rows)
         if isinstance(plan, phys.NestedLoopJoin):
-            left = self.estimate(plan.left)
-            right = self.estimate(plan.right)
+            left = self._cost(plan.left, memo)
+            right = self._cost(plan.right, memo)
             # Quadratic: the right side is materialized once and re-scanned
             # per left row (see ``nested_loop_join_rows``, which shares that
             # one materialization however many times the plan is iterated).
@@ -172,16 +208,16 @@ class CostModel:
             rows = max(left.rows, right.rows)
             return Cost(time, rows)
         if isinstance(plan, phys.MkBindJoin):
-            left = self.estimate(plan.left)
-            right = self.estimate(plan.right)
+            left = self._cost(plan.left, memo)
+            right = self._cost(plan.right, memo)
             # The run-time system hash-joins when the condition allows it;
             # charge the hash-join cost plus a small setup factor.
             time = left.time + right.time + (left.rows + right.rows) * 2 * self.mediator_row_cost
             rows = max(left.rows, right.rows)
             return Cost(time, rows)
         if isinstance(plan, phys.ProbeJoin):
-            left = self.estimate(plan.left)
-            probe = self.history.estimate(plan.probe.extent_name, plan.probe.expression)
+            left = self._cost(plan.left, memo)
+            probe = self._reading(plan.probe, memo)
             right_rows = max(probe.rows, 0.0)
             # One set-valued submit per batch of distinct left keys; only the
             # matching right rows cross the wire (bounded by the smaller of
@@ -194,14 +230,22 @@ class CostModel:
                 + shipped * self.transfer_row_cost
                 + (left.rows + shipped) * self.mediator_row_cost
             )
-            availability = self.history.availability(plan.probe.extent_name)
-            if availability < 1.0:
-                time *= 1.0 + self.unavailability_penalty * (1.0 - availability)
+            if probe.availability < 1.0:
+                time *= 1.0 + self.unavailability_penalty * (1.0 - probe.availability)
             rows = max(left.rows, shipped)
             return Cost(time, rows)
         raise OptimizationError(f"no cost function for physical operator {plan.to_text()}")
 
-    def _estimate_exec(self, plan: phys.Exec) -> Cost:
+    def _reading(self, plan: phys.Exec, memo: CostMemo) -> CostEstimate:
+        """What the history says about ``plan``'s call, asked once per search."""
+        signature = exact_signature(plan.extent_name, plan.expression)
+        reading = memo.readings.get(signature)
+        if reading is None:
+            reading = self.history.estimate(plan.extent_name, plan.expression)
+            memo.readings[signature] = reading
+        return reading
+
+    def _estimate_exec(self, plan: phys.Exec, memo: CostMemo) -> Cost:
         """Estimate one exec call from its recorded history.
 
         Mid-stream deaths feed this estimate from both sides: a recovered
@@ -213,7 +257,7 @@ class CostModel:
         the cost of shipping it twice, which is what reopen-and-skip replays
         (and what keeps token capability worth declaring).
         """
-        estimate = self.history.estimate(plan.extent_name, plan.expression)
+        estimate = self._reading(plan, memo)
         rows = max(estimate.rows, 0.0)
         grouped = pushed_groupby(plan.expression)
         if grouped is not None:
@@ -229,11 +273,10 @@ class CostModel:
             # charge transferred rows, not scanned rows.
             rows = min(rows, float(cap))
         time = self.exec_call_overhead + estimate.time + rows * self.transfer_row_cost
-        availability = self.history.availability(plan.extent_name)
-        if availability < 1.0:
+        if estimate.availability < 1.0:
             # Expected retries/timeouts on a flaky source make its calls more
             # expensive than the happy-path history alone suggests.
-            time *= 1.0 + self.unavailability_penalty * (1.0 - availability)
+            time *= 1.0 + self.unavailability_penalty * (1.0 - estimate.availability)
         return Cost(time=time, rows=rows)
 
     def _grouped_rows(self, input_rows: float, has_keys: bool) -> float:

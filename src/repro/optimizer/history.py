@@ -46,12 +46,17 @@ DEFAULT_DATA_COST = 1.0
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """An estimated (time, rows) pair plus how it was obtained."""
+    """An estimated (time, rows) pair plus how it was obtained.
+
+    ``availability`` is the extent's success EWMA read in the same critical
+    section as the observations (see :meth:`ExecCallHistory.availability`).
+    """
 
     time: float
     rows: float
     kind: str  # "exact", "close" or "default"
     samples: int = 0
+    availability: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -212,36 +217,50 @@ class ExecCallHistory:
         """Estimate the cost of an exec call from history (exact, close or default).
 
         The signatures are computed outside the lock (they walk the
-        expression tree); the smoothing pass runs under it, so a concurrent
-        worker appending an observation can never mutate the deque
-        mid-iteration.
+        expression tree) and the close one only when the exact one has no
+        observations; each smoothing pass runs under the lock, so a
+        concurrent worker appending an observation can never mutate the deque
+        mid-iteration.  The extent's availability is read in the first
+        critical section and returned with the estimate.
         """
         exact_key = exact_signature(extent_name, expression)
-        close_key = close_signature(extent_name, expression)
         with self._lock:
+            availability = self._availability.get(extent_name, 1.0)
             exact = self._exact.get(exact_key)
             if exact:
                 time, rows = self._smooth(exact)
-                return CostEstimate(time=time, rows=rows, kind="exact", samples=len(exact))
+                return CostEstimate(
+                    time=time, rows=rows, kind="exact", samples=len(exact), availability=availability
+                )
+        close_key = close_signature(extent_name, expression)
+        with self._lock:
             close = self._close.get(close_key)
             if close:
                 time, rows = self._smooth(close)
-                return CostEstimate(time=time, rows=rows, kind="close", samples=len(close))
+                return CostEstimate(
+                    time=time, rows=rows, kind="close", samples=len(close), availability=availability
+                )
         return CostEstimate(
-            time=DEFAULT_TIME_COST, rows=DEFAULT_DATA_COST, kind="default", samples=0
+            time=DEFAULT_TIME_COST,
+            rows=DEFAULT_DATA_COST,
+            kind="default",
+            samples=0,
+            availability=availability,
         )
 
     def _smooth(self, observations: Deque[_Observation]) -> tuple[float, float]:
-        """Exponential smoothing over the recorded observations (oldest first)."""
-        time_estimate = observations[0].elapsed
-        rows_estimate = float(observations[0].rows)
-        for observation in list(observations)[1:]:
-            time_estimate = (
-                self.smoothing * observation.elapsed + (1 - self.smoothing) * time_estimate
-            )
-            rows_estimate = (
-                self.smoothing * observation.rows + (1 - self.smoothing) * rows_estimate
-            )
+        """Exponential smoothing over the recorded observations (oldest first).
+
+        The caller holds ``_lock``: the deque is iterated in place.
+        """
+        smoothing = self.smoothing
+        oldest_first = iter(observations)
+        first = next(oldest_first)
+        time_estimate = first.elapsed
+        rows_estimate = float(first.rows)
+        for observation in oldest_first:
+            time_estimate = smoothing * observation.elapsed + (1 - smoothing) * time_estimate
+            rows_estimate = smoothing * observation.rows + (1 - smoothing) * rows_estimate
         return time_estimate, rows_estimate
 
     # -- inspection ----------------------------------------------------------------------

@@ -95,23 +95,51 @@ def implement(node: log.LogicalOp) -> phys.PhysicalOp:
     raise OptimizationError(f"no implementation rule for {node.to_text()}")
 
 
-def implementation_alternatives(node: log.LogicalOp) -> list[phys.PhysicalOp]:
-    """Return every physical plan for ``node`` (join algorithm choices multiply)."""
+ImplementationMemo = dict[int, tuple[log.LogicalOp, list[phys.PhysicalOp]]]
+
+
+def implementation_alternatives(
+    node: log.LogicalOp, memo: ImplementationMemo | None = None
+) -> list[phys.PhysicalOp]:
+    """Return every physical plan for ``node`` (join algorithm choices multiply).
+
+    ``memo`` lets one plan search implement each logical subtree once: the
+    rewriter's alternatives share all but one path of their nodes, so passing
+    the same dict for every alternative makes their physical plans share the
+    physical subtrees too (and :meth:`CostModel.estimate` cost those once).
+    Keyed by node identity -- never by text, which a data-bearing subtree
+    would have to rebuild -- and meant to be dropped with the search.
+    Without a memo nothing is shared: every call builds its own nodes.
+    """
+    if memo is None:
+        return _alternatives_of(node, None)
+    known = memo.get(id(node))
+    if known is not None:
+        return known[1]
+    plans = _alternatives_of(node, memo)
+    # The node rides along so its id cannot be reused while the entry exists.
+    memo[id(node)] = (node, plans)
+    return plans
+
+
+def _alternatives_of(
+    node: log.LogicalOp, memo: ImplementationMemo | None
+) -> list[phys.PhysicalOp]:
     if isinstance(node, (log.Submit, log.BagLiteral)):
         # Submit keeps its argument as a logical expression (the wrapper
         # interface accepts logical expressions), so it is a physical leaf.
         return [implement(node)]
     if isinstance(node, log.Join):
-        lefts = implementation_alternatives(node.left)
-        rights = implementation_alternatives(node.right)
+        lefts = implementation_alternatives(node.left, memo)
+        rights = implementation_alternatives(node.right, memo)
         plans: list[phys.PhysicalOp] = []
         for left, right in product(lefts, rights):
             plans.append(phys.HashJoin(left, right, node.on))
             plans.append(phys.NestedLoopJoin(left, right, node.on))
         return plans
     if isinstance(node, log.BindJoin):
-        lefts = implementation_alternatives(node.left)
-        rights = implementation_alternatives(node.right)
+        lefts = implementation_alternatives(node.left, memo)
+        rights = implementation_alternatives(node.right, memo)
         plans = []
         for left, right in product(lefts, rights):
             plans.append(
@@ -131,7 +159,7 @@ def implementation_alternatives(node: log.LogicalOp) -> list[phys.PhysicalOp]:
     children = node.children()
     if not children:
         return [implement(node)]
-    children_alternatives = [implementation_alternatives(child) for child in children]
+    children_alternatives = [implementation_alternatives(child, memo) for child in children]
     plans = []
     for combination in product(*children_alternatives):
         plans.append(_rebuild(node, list(combination)))

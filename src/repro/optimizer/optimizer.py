@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.logical import LogicalOp
+from repro.algebra.logical import LogicalOp, transform_bottom_up, walk
 from repro.algebra.physical import PhysicalOp
 from repro.algebra.rewriter import Rewriter
 from repro.errors import OptimizationError
-from repro.optimizer.cost import Cost, CostModel
-from repro.optimizer.implementation import implementation_alternatives
+from repro.optimizer.cost import Cost, CostMemo, CostModel
+from repro.optimizer.implementation import ImplementationMemo, implementation_alternatives
 
 
 @dataclass(frozen=True)
@@ -42,21 +42,38 @@ class Optimizer:
         self.max_physical_alternatives = max_physical_alternatives
 
     def optimize(self, logical: LogicalOp) -> OptimizedPlan:
-        """Return the cheapest physical plan for ``logical``."""
+        """Return the cheapest physical plan for ``logical``.
+
+        The alternatives differ from one another along one path each and
+        share the rest of their nodes, so the search implements and costs
+        every distinct subtree once: two memos, locals of this call, carry
+        that across the alternatives.  Nothing survives the call -- a history
+        observation, a schema change or a swapped rule set is seen by the
+        next one exactly as if each alternative were walked in full.
+        """
+        nodes = list(walk(logical))
+        if len({id(node) for node in nodes}) < len(nodes):
+            # A hand-built plan using one node object in two places would come
+            # out of the shared memos with one Exec object in two places, and
+            # the engines key exec calls by node identity: rebuild it so that
+            # every position has its own nodes.
+            logical = transform_bottom_up(logical, lambda node: node)
         logical_alternatives = self.rewriter.alternatives(logical)
         # Always consider the maximal push-down plan, even when the bounded
         # closure above stopped before reaching it on a wide query.
         greedy = self.rewriter.rewrite_greedy(logical)
         if greedy not in logical_alternatives:
             logical_alternatives.append(greedy)
+        implemented: ImplementationMemo = {}
+        costed = CostMemo()
         best: tuple[Cost, LogicalOp, PhysicalOp] | None = None
         physical_count = 0
         for candidate in logical_alternatives:
-            for physical in implementation_alternatives(candidate):
+            for physical in implementation_alternatives(candidate, implemented):
                 physical_count += 1
                 if physical_count > self.max_physical_alternatives:
                     break
-                cost = self.cost_model.estimate(physical)
+                cost = self.cost_model.estimate(physical, costed)
                 if best is None or cost.total() < best[0].total():
                     best = (cost, candidate, physical)
             if physical_count > self.max_physical_alternatives:

@@ -13,7 +13,10 @@ case-of-keyword and formatting variants all hit the same entry; text that
 does not parse falls back to whitespace collapsing, so a malformed query
 still produces a stable key (and its ParseError is raised by the planner,
 not here).  Normalization results are memoized per text, so a cache hit
-costs one dict lookup, not a parse.
+costs one dict lookup, not a parse -- and on a miss the planner, which has to
+parse the text anyway, hands the canonical key in (``known_key`` /
+``learn_key``, then ``key=`` on ``get``/``put``) instead of having the cache
+parse it a second time.
 
 Lock discipline: one cache-wide :class:`threading.RLock` guards the entry
 map, the key memo and every counter -- the cache is shared by all the
@@ -110,23 +113,37 @@ class PlanCache:
         # RLock, not Lock: get()/put() are called from every serving thread.
         self._lock = threading.RLock()
 
-    def _key_for(self, query_text: str) -> str:
+    def known_key(self, query_text: str) -> str | None:
+        """The canonical key memoized for ``query_text``, or None on first sight."""
         with self._lock:
-            key = self._keys.get(query_text)
-        if key is not None:
-            return key
-        # Parse outside the lock: normalization is the expensive part, and
-        # two threads racing the same text derive the same key anyway.
-        key = normalize_query_text(query_text)
+            return self._keys.get(query_text)
+
+    def learn_key(self, query_text: str, key: str) -> str:
+        """Memoize ``key`` -- ``parse_query(query_text).to_oql()`` -- for ``query_text``.
+
+        For the caller that has parsed the text already.  Returns ``key``.
+        """
         with self._lock:
             if len(self._keys) >= 4 * self.capacity:
                 self._keys.clear()
             self._keys[query_text] = key
         return key
 
-    def get(self, query_text: str, schema_version: int) -> Any | None:
-        """Return the cached plan, or None when absent or stale."""
-        key = self._key_for(query_text)
+    def _key_for(self, query_text: str) -> str:
+        key = self.known_key(query_text)
+        if key is not None:
+            return key
+        # Parse outside the lock: normalization is the expensive part, and
+        # two threads racing the same text derive the same key anyway.
+        return self.learn_key(query_text, normalize_query_text(query_text))
+
+    def get(self, query_text: str, schema_version: int, key: str | None = None) -> Any | None:
+        """Return the cached plan, or None when absent or stale.
+
+        ``key`` is the text's canonical key when the caller already holds it.
+        """
+        if key is None:
+            key = self._key_for(query_text)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -141,9 +158,12 @@ class PlanCache:
             self.hits += 1
             return entry.plan
 
-    def put(self, query_text: str, schema_version: int, plan: Any) -> None:
-        """Store a plan built under ``schema_version``."""
-        key = self._key_for(query_text)
+    def put(
+        self, query_text: str, schema_version: int, plan: Any, key: str | None = None
+    ) -> None:
+        """Store a plan built under ``schema_version`` (``key`` as in :meth:`get`)."""
+        if key is None:
+            key = self._key_for(query_text)
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)

@@ -2,7 +2,10 @@ from repro.analysis import DispatchSite, Hierarchy, Spec
 
 SPEC = Spec(
     scan=(".",),
-    hierarchies=(Hierarchy(name="node", module="algebra.py", root="Node"),),
+    hierarchies=(
+        Hierarchy(name="node", module="algebra.py", root="Node"),
+        Hierarchy(name="leaf", module="algebra.py", root="Leaf", frozen=True),
+    ),
     dispatch_sites=(
         DispatchSite(
             name="render",

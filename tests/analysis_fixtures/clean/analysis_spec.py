@@ -12,7 +12,10 @@ SPEC = Spec(
             ),
         ),
     ),
-    hierarchies=(Hierarchy(name="node", module="good.py", root="Node"),),
+    hierarchies=(
+        Hierarchy(name="node", module="good.py", root="Node"),
+        Hierarchy(name="leaf", module="good.py", root="Leaf", frozen=True),
+    ),
     dispatch_sites=(
         DispatchSite(
             name="render",

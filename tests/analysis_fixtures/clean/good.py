@@ -1,6 +1,7 @@
 """Correct counterparts of every seeded fixture violation: zero findings."""
 
 import threading
+from dataclasses import dataclass
 
 from repro.runtime import cancellation
 from repro.runtime.backpressure import StreamClosed
@@ -16,6 +17,15 @@ class Add(Node):
 
 class Sub(Node):
     pass
+
+
+class Leaf:
+    pass
+
+
+@dataclass(frozen=True, eq=False)
+class Pinned(Leaf):
+    value: int
 
 
 def render(node):

@@ -1,0 +1,518 @@
+"""The memoised plan search finds the same plans as the naive one, only sooner.
+
+``Optimizer.optimize`` shares work across the rewriter's alternatives: rule
+applications per node, physical subtrees per logical subtree, costs per
+physical subtree, history readings per exec signature, and plan text per
+node.  The contract is *same alternatives in the same order, same costs, same
+chosen plan*, so the tests keep the old enumeration as a reference:
+
+* differential -- a test-local copy of the naive search (every rule at every
+  node of every popped plan; every alternative implemented and costed from
+  scratch) must agree with the real one on every query of the equivalence
+  harness's generator and on the six never-seen shapes of the benchmark;
+* counting, not timing -- how often rules and the exec-call history are
+  consulted during one search;
+* no leakage -- nothing a search learned is visible to the next;
+* concurrency -- planners racing a DBA get the plans of a quiet planner;
+* memory -- no node keeps text that embeds a partial answer's rows.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import sys
+import threading
+import time
+from collections import Counter
+
+import pytest
+
+from repro import Mediator, RelationalWrapper, SqlWrapper
+from repro.algebra import logical as log
+from repro.algebra import physical as phys
+from repro.algebra.capabilities import grammar_for
+from repro.algebra.expressions import Expr, walk_expr
+from repro.algebra.logical import LogicalOp, transform_bottom_up
+from repro.algebra.rewriter import Rewriter
+from repro.algebra.rules import DEFAULT_RULES
+from repro.baselines import GetOnlyWrapper
+from repro.optimizer.cost import CostModel
+from repro.optimizer.history import ExecCallHistory, exact_signature
+from repro.optimizer.implementation import implementation_alternatives
+from repro.optimizer.optimizer import Optimizer
+from repro.sources import RelationalEngine, SimulatedServer, generate_person_rows
+from repro.sources.sql.engine import SqlEngine
+from tests.test_engine_equivalence import build_mediator, random_query
+
+PERSON = [("id", "Long"), ("name", "String"), ("salary", "Short")]
+
+
+# -- the reference: the search as it was before it shared anything ----------------------
+
+
+def naive_alternatives(rewriter: Rewriter, root: LogicalOp) -> list[LogicalOp]:
+    """The closure of rule applications, every popped plan walked in full."""
+
+    def nodes_with_paths(node, path):
+        found = [(path, node)]
+        for index, child in enumerate(node.children()):
+            found.extend(nodes_with_paths(child, path + [index]))
+        return found
+
+    def replace_at(node, path, replacement):
+        if not path:
+            return replacement
+        children = list(node.children())
+        children[path[0]] = replace_at(children[path[0]], path[1:], replacement)
+        return node.with_children(children)
+
+    def single_step_variants(plan):
+        variants = []
+        for path, node in nodes_with_paths(plan, []):
+            for rule in rewriter.rules:
+                for alternative in rule.apply(node, rewriter.capabilities):
+                    variants.append(replace_at(plan, path, alternative))
+        return variants
+
+    seen = {root.to_text(): root}
+    frontier = [root]
+    while frontier and len(seen) < rewriter.max_alternatives:
+        plan = frontier.pop()
+        for variant in single_step_variants(plan):
+            key = variant.to_text()
+            if key not in seen:
+                seen[key] = variant
+                frontier.append(variant)
+            if len(seen) >= rewriter.max_alternatives:
+                break
+    return list(seen.values())
+
+
+def naive_optimize(optimizer: Optimizer, logical: LogicalOp):
+    """``(logical text, physical text, cost, #logical, #physical)``, nothing shared."""
+    candidates = naive_alternatives(optimizer.rewriter, logical)
+    greedy = optimizer.rewriter.rewrite_greedy(logical)
+    if greedy.to_text() not in {candidate.to_text() for candidate in candidates}:
+        candidates.append(greedy)
+    best = None
+    count = 0
+    for candidate in candidates:
+        for physical in implementation_alternatives(candidate):
+            count += 1
+            if count > optimizer.max_physical_alternatives:
+                break
+            cost = optimizer.cost_model.estimate(physical)
+            if best is None or cost.total() < best[0].total():
+                best = (cost, candidate, physical)
+        if count > optimizer.max_physical_alternatives:
+            break
+    cost, chosen_logical, chosen_physical = best
+    return (chosen_logical.to_text(), chosen_physical.to_text(), cost, len(candidates), count)
+
+
+def chosen(optimizer: Optimizer, logical: LogicalOp):
+    plan = optimizer.optimize(logical)
+    return (
+        plan.logical.to_text(),
+        plan.physical.to_text(),
+        plan.cost,
+        plan.logical_alternatives,
+        plan.physical_alternatives,
+    )
+
+
+def texts(plans: list[LogicalOp]) -> list[str]:
+    return [plan.to_text() for plan in plans]
+
+
+# -- federations ------------------------------------------------------------------------
+
+
+def build_fed8(extents: int = 8, rows: int = 12) -> tuple[Mediator, list[SimulatedServer]]:
+    """The benchmark's ``fed8`` in small: wrappers cycle Relational, Relational,
+    Sql, GetOnly over ``person0..``, plus ``dept0`` for joins."""
+    mediator = Mediator(name="fed8", timeout=60.0)
+    mediator.define_interface("Person", PERSON, extent_name="person")
+    mediator.define_interface(
+        "Dept", [("id", "Long"), ("dname", "String")], extent_name="dept"
+    )
+    servers = []
+    for index in range(extents):
+        servers.append(add_person_extent(mediator, index, rows))
+    engine = RelationalEngine(name="deptdb")
+    engine.create_table("dept0", rows=[{"id": i, "dname": f"d{i % 5}"} for i in range(40)])
+    server = SimulatedServer(name="depthost", store=engine)
+    mediator.register_wrapper("wdept", RelationalWrapper("wdept", server))
+    mediator.create_repository("r-wdept", host=server.name)
+    mediator.add_extent("dept0", "Dept", "wdept", "r-wdept")
+    return mediator, servers
+
+
+def add_person_extent(mediator: Mediator, index: int, rows: int) -> SimulatedServer:
+    kind = ("relational", "relational", "sql", "getonly")[index % 4]
+    data = generate_person_rows(rows, seed=index, id_offset=index * rows)
+    store = SqlEngine(name=f"db{index}") if kind == "sql" else RelationalEngine(name=f"db{index}")
+    store.create_table(f"person{index}", rows=data)
+    server = SimulatedServer(name=f"host{index}", store=store)
+    if kind == "sql":
+        wrapper = SqlWrapper(f"w{index}", server)
+    else:
+        wrapper = RelationalWrapper(f"w{index}", server)
+        if kind == "getonly":
+            wrapper = GetOnlyWrapper(wrapper)
+    mediator.register_wrapper(f"w{index}", wrapper)
+    mediator.create_repository(f"r{index}", host=server.name)
+    mediator.add_extent(f"person{index}", "Person", f"w{index}", f"r{index}")
+    return server
+
+
+#: the six shapes of the benchmark's never-seen texts (``adhoc_cold``)
+ADHOC_SHAPES = [
+    "select x.name from x in person where x.salary > 120 and x.id < 10000001",
+    "select struct(n: x.name, s: x.salary) from x in person where x.salary <= 260 and x.id < 10000002",
+    "select distinct x.salary from x in person where x.salary > 200 and x.id < 10000003",
+    "select x.name from x in person where x.salary > 240 and x.id < 10000004 limit 10",
+    "select struct(s: x.salary, n: count(x)) from x in person where x.salary > 280 "
+    "and x.id < 10000005 group by s: x.salary",
+    "select struct(n: x.name, d: d.dname) from x in person3, d in dept0 "
+    "where x.id = d.id and x.salary > 160 and d.id < 10000006",
+]
+
+
+def logical_plan(mediator: Mediator, text: str) -> LogicalOp:
+    planner = mediator.planner
+    from repro.oql.parser import parse_query
+
+    return planner.translator.translate(planner.binder.bind(parse_query(text)))
+
+
+# -- (a) differential ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def harness_plans():
+    """Logical plans of the equivalence generator's queries, over a history
+    with observations (so costs are not all the paper's default)."""
+    mediator, _ = build_mediator()
+    rng = random.Random(20260928)
+    queries = []
+    for _ in range(60):
+        text, limit = random_query(rng)
+        queries.append(text if limit is None else f"{text} limit {limit}")
+    for text in queries[:20]:
+        mediator.query(text).rows()
+    plans = [logical_plan(mediator, text) for text in dict.fromkeys(queries)]
+    yield mediator, plans
+    mediator.close()
+
+
+@pytest.fixture(scope="module")
+def adhoc_plans():
+    mediator, _ = build_fed8()
+    for text in ADHOC_SHAPES:
+        mediator.query(text.replace("1000000", "2000000")).rows()
+    plans = [logical_plan(mediator, text) for text in ADHOC_SHAPES]
+    yield mediator, plans
+    mediator.close()
+
+
+@pytest.mark.parametrize("max_alternatives", [4, 64])
+@pytest.mark.parametrize("source", ["harness_plans", "adhoc_plans"])
+def test_same_alternatives_in_the_same_order(source, max_alternatives, request):
+    mediator, plans = request.getfixturevalue(source)
+    rewriter = Rewriter(mediator.planner.rewriter.capabilities, max_alternatives=max_alternatives)
+    for plan in plans:
+        assert texts(rewriter.alternatives(plan)) == texts(naive_alternatives(rewriter, plan))
+
+
+@pytest.mark.parametrize("max_physical", [3, 256])
+@pytest.mark.parametrize("max_alternatives", [4, 64])
+@pytest.mark.parametrize("source", ["harness_plans", "adhoc_plans"])
+def test_same_chosen_plan_cost_and_counts(source, max_alternatives, max_physical, request):
+    mediator, plans = request.getfixturevalue(source)
+    planner = mediator.planner
+    rewriter = Rewriter(planner.rewriter.capabilities, max_alternatives=max_alternatives)
+    optimizer = Optimizer(rewriter, planner.cost_model, max_physical_alternatives=max_physical)
+    tripped = 0
+    for plan in plans:
+        expected = naive_optimize(optimizer, plan)
+        assert chosen(optimizer, plan) == expected
+        tripped += expected[4] > max_physical
+    if max_physical == 3:
+        assert tripped, "no query tripped the physical-alternatives bound"
+
+
+def test_a_plan_reusing_one_node_object_gets_one_exec_per_position():
+    """The engines key exec calls by node identity: sharing across the search's
+    alternatives must never put one Exec object at two places of one plan."""
+    submit = log.Submit("r0", log.Get("person0"), extent_name="person0")
+    optimizer = Optimizer(Rewriter(lambda _submit: grammar_for({"get"})), CostModel(ExecCallHistory()))
+    plan = optimizer.optimize(log.Union((submit, submit)))
+    execs = phys.execs_in(plan.physical)
+    assert len(execs) == 2 and execs[0] is not execs[1]
+
+
+# -- (b) counting ------------------------------------------------------------------------------
+
+
+class CountingRule:
+    """Forwards to a rule and counts ``apply`` per node object."""
+
+    def __init__(self, rule, calls: Counter, keep: list):
+        self.rule, self.name, self.calls, self.keep = rule, rule.name, calls, keep
+
+    def apply(self, node, capabilities):
+        self.keep.append(node)  # alive, so that ids are not reused
+        self.calls[(self.name, id(node))] += 1
+        return self.rule.apply(node, capabilities)
+
+
+def test_one_search_asks_each_question_once():
+    mediator, _ = build_fed8()
+    try:
+        plan = logical_plan(mediator, ADHOC_SHAPES[0])
+        planner = mediator.planner
+
+        applications: Counter = Counter()
+        keep: list = []
+        rules = [CountingRule(rule, applications, keep) for rule in DEFAULT_RULES]
+        counting = Rewriter(planner.rewriter.capabilities, rules=rules)
+        alternatives = counting.alternatives(plan)
+        assert len(alternatives) == 64
+        assert max(applications.values()) == 1  # each rule, once per distinct node
+        naive: Counter = Counter()
+        naive_alternatives(
+            Rewriter(planner.rewriter.capabilities, rules=[CountingRule(r, naive, keep) for r in DEFAULT_RULES]),
+            plan,
+        )
+        assert sum(applications.values()) * 4 < sum(naive.values())
+
+        readings: Counter = Counter()
+        history = planner.history
+        original = history.estimate
+
+        def estimate(extent_name, expression):
+            readings[exact_signature(extent_name, expression)] += 1
+            return original(extent_name, expression)
+
+        history.estimate = estimate
+        try:
+            planner.optimizer.optimize(plan)
+        finally:
+            del history.estimate
+        assert len(readings) >= 8  # eight branches, several pushdown shapes each
+        assert max(readings.values()) == 1  # once per distinct (extent, expression text)
+    finally:
+        mediator.close()
+
+
+# -- (c) no leakage --------------------------------------------------------------------------------
+
+
+def test_nothing_learned_by_one_search_is_seen_by_the_next():
+    mediator, _ = build_fed8()
+    try:
+        plan = logical_plan(mediator, ADHOC_SHAPES[0])
+        optimizer, history = mediator.planner.optimizer, mediator.planner.history
+        first = optimizer.optimize(plan)
+        for submit in log.submits_in(first.logical):
+            history.record(submit.extent_name, submit.expression, elapsed=0.25, rows=5000)
+        second = optimizer.optimize(plan)
+        assert second.cost != first.cost
+        assert chosen(optimizer, plan) == naive_optimize(optimizer, plan)
+    finally:
+        mediator.close()
+
+
+def test_swapped_rules_and_capabilities_are_honoured_by_the_next_search():
+    mediator, _ = build_fed8()
+    try:
+        plan = logical_plan(mediator, ADHOC_SHAPES[0])
+        rewriter, optimizer = mediator.planner.rewriter, mediator.planner.optimizer
+        assert optimizer.optimize(plan).logical_alternatives == 64
+
+        everything, rewriter.capabilities = rewriter.capabilities, lambda _submit: grammar_for({"get"})
+        held_back = optimizer.optimize(plan)
+        # Only the through-union rules still fire; nothing crosses a submit.
+        assert 1 < held_back.logical_alternatives < 64
+        assert all(submit.expression.op_name == "get" for submit in log.submits_in(held_back.logical))
+        rewriter.capabilities = everything
+        assert optimizer.optimize(plan).logical_alternatives == 64
+
+        rewriter.rules = ()
+        untouched = optimizer.optimize(plan)
+        assert untouched.logical_alternatives == 1
+        assert untouched.logical.to_text() == plan.to_text()
+    finally:
+        mediator.close()
+
+
+# -- (d) concurrency ---------------------------------------------------------------------------------
+
+
+def test_planners_racing_a_dba_get_the_plans_of_a_quiet_planner():
+    """12 threads plan (through the plan cache) while a DBA adds and drops a
+    ninth ``person`` extent; every plan made under a schema version that held
+    from before to after planning equals the single-threaded plan for that
+    version's schema."""
+    mediator, _ = build_fed8()
+    queries = ADHOC_SHAPES[:5]  # the shapes over the implicit ``person`` extent
+    planner, registry = mediator.planner, mediator.registry
+    # The ninth extent is registered once, then only added/dropped.
+    add_person_extent(mediator, 8, 12)
+    reference = {True: {}, False: {}}
+    for text in queries:
+        reference[True][text] = planner.plan(text, use_cache=False).optimized.physical.to_text()
+    mediator.drop_extent("person8")
+    for text in queries:
+        reference[False][text] = planner.plan(text, use_cache=False).optimized.physical.to_text()
+        assert reference[False][text] != reference[True][text]
+
+    present_at = {registry.schema_version: False}
+    samples: list[tuple[int, str, str]] = []
+    errors: list[BaseException] = []
+    stop = threading.Event()
+
+    def dba() -> None:
+        try:
+            present = False
+            while not stop.is_set():
+                if present:
+                    mediator.drop_extent("person8")
+                else:
+                    mediator.add_extent("person8", "Person", "w8", "r8")
+                present = not present
+                present_at[registry.schema_version] = present
+                time.sleep(0.002)
+        except BaseException as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    def plan_some(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            for _ in range(12):
+                text = rng.choice(queries)
+                before = registry.schema_version
+                planned = planner.plan(text)
+                if registry.schema_version == before:
+                    samples.append((before, text, planned.optimized.physical.to_text()))
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        writer = threading.Thread(target=dba)
+        planners = [threading.Thread(target=plan_some, args=(seed,)) for seed in range(12)]
+        writer.start()
+        for thread in planners:
+            thread.start()
+        for thread in planners:
+            thread.join(60)
+        stop.set()
+        writer.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+        mediator.close()
+    assert not writer.is_alive() and not any(thread.is_alive() for thread in planners)
+    assert errors == []
+    assert samples, "every plan raced a schema change; nothing to compare"
+    for version, text, physical in samples:
+        assert physical == reference[present_at[version]][text]
+
+
+# -- memory: no text kept over embedded rows ------------------------------------------------------------
+
+
+def kept_strings(node) -> list[str]:
+    """Strings a node holds besides its declared fields (i.e. cached text)."""
+    declared = {field.name for field in dataclasses.fields(node)}
+    return [v for k, v in vars(node).items() if k not in declared and isinstance(v, str)]
+
+
+def every_node(plan):
+    """Operator nodes of a logical or physical plan, and the expressions on them."""
+    pending = [plan]
+    while pending:
+        node = pending.pop()
+        yield node
+        if isinstance(node, Expr):
+            continue
+        pending.extend(node.children())
+        for field in dataclasses.fields(node):
+            value = getattr(node, field.name)
+            if isinstance(value, (LogicalOp, phys.PhysicalOp)) and value not in node.children():
+                pending.append(value)  # Exec.expression, ProbeJoin.probe
+            elif isinstance(value, Expr):
+                pending.extend(walk_expr(value))
+
+
+def test_no_node_keeps_text_that_embeds_a_partial_answers_rows():
+    marker = "zq_marker_"
+    mediator = Mediator(name="partial", timeout=60.0)
+    mediator.define_interface("Person", PERSON, extent_name="person")
+    servers = []
+    for index in range(2):
+        engine = RelationalEngine(name=f"db{index}")
+        engine.create_table(
+            f"person{index}",
+            rows=[{"id": i, "name": f"{marker}{index}_{i}", "salary": i % 50} for i in range(300)],
+        )
+        servers.append(SimulatedServer(name=f"host{index}", store=engine))
+        mediator.register_wrapper(f"w{index}", RelationalWrapper(f"w{index}", servers[-1]))
+        mediator.create_repository(f"r{index}", host=servers[-1].name)
+        mediator.add_extent(f"person{index}", "Person", f"w{index}", f"r{index}")
+    try:
+        servers[1].take_down()
+        partial = mediator.query("select x.name from x in person where x.salary >= 0")
+        assert partial.is_partial and marker in partial.partial_query
+        servers[1].bring_up()
+        assert len(mediator.resubmit(partial).rows()) == 600
+        # The partial answer is itself a query: planned, optimized, plan-cached.
+        assert len(mediator.query(partial.partial_query).rows()) == 600
+        cached = mediator.planner.plan(partial.partial_query)
+        assert cached.from_cache
+
+        plans = [partial.partial_plan, cached.logical, cached.optimized.logical, cached.optimized.physical]
+        bags = 0
+        for plan in plans:
+            plan.to_text()  # whatever would be kept is kept by now
+            for node in every_node(plan):
+                bags += isinstance(node, (log.BagLiteral, phys.MkBag))
+                for text in kept_strings(node):
+                    assert marker not in text, f"{type(node).__name__} keeps its rows' text"
+        assert bags >= len(plans)
+        for tree in (cached.ast, cached.bound):
+            tree.to_oql()
+            for item in getattr(tree, "items", ()):
+                for expression in walk_expr(item):
+                    for text in kept_strings(expression):
+                        assert marker not in text
+        # ... while plain subtrees do keep theirs (the point of the cache).
+        submit = next(n for n in every_node(cached.optimized.logical) if isinstance(n, log.Submit))
+        assert kept_strings(submit) == [submit.to_text()]
+    finally:
+        mediator.close()
+
+
+def test_text_is_kept_on_a_node_only_while_it_is_short():
+    limit = log.TextCachedNode.KEPT_TEXT_LIMIT
+    short = log.Submit("r0", log.Get("person0"), extent_name="person0")
+    assert short.to_text() is short.to_text()  # the same string object: kept
+    wide = log.Union(tuple(log.Submit(f"r{i}", log.Get(f"person{i}")) for i in range(40)))
+    assert len(wide.to_text()) > limit and kept_strings(wide) == []
+    assert wide.to_text() == wide.to_text() and wide.to_text() is not wide.to_text()
+    rows = log.BagLiteral(tuple({"id": i, "name": f"n{i}"} for i in range(limit)))
+    assert kept_strings(rows) == [] and kept_strings(log.Distinct(rows)) == []
+    assert kept_strings(phys.MkBag(rows.values)) == []
+
+
+def test_operator_nodes_are_immutable():
+    node = log.Select("x", None, log.Get("person0"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.variable = "y"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phys.MkLimit(3, phys.Field("r0")).count = 4
+    # with_children rebuilds; transform_bottom_up never edits in place
+    assert transform_bottom_up(node, lambda n: n) is not node
