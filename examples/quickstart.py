@@ -3,11 +3,11 @@
 Builds the two-source Person mediator of Sections 1.2-1.3, runs the
 introductory query, shows the optimizer's plan, takes one source down to
 demonstrate partial-answer semantics and re-submission, then kills a source
-*mid-stream* to show the streaming engine's resume-token recovery.
+*mid-stream* to show `query_stream()`'s resume-token recovery.
 
 Execution knobs (`ExecutorConfig`, see the README table): `timeout`,
-`max_parallel_calls`, `max_retries`, `retry_backoff`, `degrade_pushdown`,
-`resume_midstream`, `replay_resume`, `type_check`.  The first four are
+`max_parallel_calls`, `max_retries`, `max_resumes`, `retry_backoff`,
+`degrade_pushdown`, `replay_resume`, `type_check`.  The first four are
 `Mediator(...)` constructor arguments; everything is settable on
 `mediator.executor.config`.
 

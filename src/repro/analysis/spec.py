@@ -77,9 +77,9 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
             LockDecl(
                 attr="_active",
                 kind="Condition",
-                guards=("_dispatch_cancels", "_active_streams"),
+                guards=("_active_streams",),
                 rank=16,
-                guards_doc="dispatch/stream registries for `close()`",
+                guards_doc="registry of live runs (streams and `execute()` calls) for `close()`",
             ),
             LockDecl(
                 attr="_probe_lock",

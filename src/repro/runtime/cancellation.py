@@ -6,9 +6,9 @@ or waiting on a real socket.  Instead the dispatcher *signals* cancellation
 through a :class:`threading.Event`, and the blocking primitives on the call
 path check it cooperatively:
 
-* the executor (and the streaming engine) create one event per exec call and
-  set it when the call is written off (deadline expiry, query abort, or a
-  satisfied ``limit``);
+* the exec engine creates one event per exec call and sets it when the call
+  is written off (deadline expiry, query abort, ``close()``, or a satisfied
+  ``limit``);
 * the worker thread installs its event in a thread-local slot around the
   wrapper round trip (:func:`activate`) -- including mid-stream *reopens*,
   which run on the consumer thread but must still wake when the call is

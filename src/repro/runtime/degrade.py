@@ -22,11 +22,12 @@ where the work happens does.  Expressions whose top is a multi-leaf operator
 (a pushed ``join`` or ``union``) cannot be degraded further without splitting
 the call, so the ladder stops there.
 
-Both execution engines use this module: the barrier executor inside
-:meth:`Executor._run_exec` and the streaming engine when opening a call.
+The exec engine uses this module from its one attempt loop
+(``StreamingExecution._open_exec`` in :mod:`repro.runtime.streaming`), so
+``query()`` and ``query_stream()`` degrade and compensate identically.
 
-Interplay with mid-stream resume (the streaming engine's recovery of calls
-that die *after* delivering rows): compensation changes the relationship
+Interplay with mid-stream resume (a stream's recovery of calls that die
+*after* delivering rows): compensation changes the relationship
 between source cursor positions and delivered rows -- a stripped ``select``
 filters, a stripped ``flatten`` expands -- so a degraded call can never be
 resumed from a source-side token.  A degraded resubmission after partial
@@ -36,7 +37,7 @@ the ladder computes the same overall expression, so a deterministic source
 reproduces the identical output prefix whatever rung the reopen lands on)
 and the mediator skips the rows it already delivered.  Symmetrically, when a
 *reopen* itself hits a capability failure and degrades mid-recovery, the
-streaming engine abandons the token it was about to use and falls back to
+engine abandons the token it was about to use and falls back to
 replay-and-skip for the same reason.
 """
 
@@ -60,8 +61,8 @@ DEGRADABLE_ERRORS = (CapabilityError, WrapperError, NotImplementedError)
 #: mediator replays it, so aliased pushdowns degrade coherently.  ``groupby``
 #: is strippable too: a source without the terminal ships its (filtered) raw
 #: rows and the mediator re-aggregates them -- the partial-aggregation
-#: compensation, identical in both engines because both funnel through
-#: :func:`compensate_rows`.
+#: compensation, identical under both entry points because both funnel
+#: through :func:`compensate_rows`.
 _STRIPPABLE = (log.Limit, log.Project, log.Rename, log.Select, log.Flatten, log.GroupBy)
 
 #: leaf name standing for "the rows the degraded call returned" during

@@ -12,14 +12,18 @@ arguments, elapsed time and amount of data of every call are recorded in the
 Failed and timed-out calls are recorded too, with their true elapsed time, so
 the cost model learns from failures instead of seeing them as free.
 
-Dispatch semantics (the fault-isolating exec engine):
+Exec semantics (the fault-isolating exec engine: the per-call state machine
+of :mod:`repro.runtime.streaming`, entered through :meth:`Executor.execute`
+-- every call materialised, then a complete answer or a resubmittable
+partial one -- or :meth:`Executor.execute_stream` -- rows while sources are
+still answering):
 
 * every exec call of a plan is submitted to one long-lived thread pool shared
   by all queries of this executor (sized by
   :attr:`ExecutorConfig.max_parallel_calls`, released by :meth:`Executor.close`);
-* results are collected in *completion* order under a single global deadline
+* the calls run under a single global deadline
   (:attr:`ExecutorConfig.timeout` is a budget for the whole batch, not per
-  call), so one slow source never serializes the collection of the others;
+  call), and one slow source never serializes the transfers of the others;
 * *any* exception escaping a wrapper -- a clean
   :class:`~repro.errors.UnavailableSourceError`, a network hiccup, a crash on
   a bad row -- is treated as source unavailability: the query degrades into a
@@ -53,7 +57,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from concurrent.futures import FIRST_COMPLETED, CancelledError, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
 
@@ -69,8 +73,7 @@ from repro.optimizer.implementation import implement
 from repro.runtime import cancellation
 from repro.runtime import operators as ops
 from repro.runtime.admission import AdmissionController, AdmissionTicket
-from repro.runtime.degrade import compensate_rows, degrade_pushdown, is_capability_failure
-from repro.runtime.partial_eval import UNAVAILABLE, PartialAnswerBuilder, Unavailable
+from repro.runtime.degrade import is_capability_failure
 
 
 class RuntimeRegistry(Protocol):
@@ -87,8 +90,8 @@ def normalize_row(raw: Any, renames: Mapping[str, str]) -> Any:
     """One source row in mediator vocabulary: renamed and struct-ified.
 
     Non-mapping values (scalars from projected single columns, nested bags)
-    pass through unchanged.  Shared by the barrier and streaming engines so
-    malformed-row handling cannot diverge between them.
+    pass through unchanged.  Shared by exec calls, probe calls and the split
+    fallback so malformed-row handling cannot diverge between them.
     """
     if isinstance(raw, Mapping):
         return ops.as_struct(rename_row(raw, renames))
@@ -169,9 +172,9 @@ class ExecReport:
     error: str | None = None
     #: how many times the wrapper was actually called (> 1 under retry).
     attempts: int = 1
-    #: True when the streaming engine cancelled the call because its rows
-    #: were no longer needed (a satisfied ``limit``).  Cancelled calls are
-    #: not failures: they do not make the answer partial.
+    #: True when a stream cancelled the call because its rows were no longer
+    #: needed (a satisfied ``limit``, a client ``close()``).  Cancelled calls
+    #: are not failures: they do not make the answer partial.
     cancelled: bool = False
     #: text of the (source-namespace) expression the final attempt actually
     #: submitted, when the retry policy degraded the pushdown; ``None`` when
@@ -185,9 +188,9 @@ class ExecReport:
     #: number of successful mid-stream recoveries: the call died after
     #: delivering rows and was reopened (source-side resume token, or
     #: deterministic replay) without duplicating or dropping a row.  Always 0
-    #: on the barrier path, which materializes whole calls -- a barrier call
-    #: that dies mid-transfer is retried from scratch, nothing having been
-    #: delivered.
+    #: under ``query()``, which materializes whole calls on their workers --
+    #: a call that dies mid-transfer there is retried from scratch, nothing
+    #: having been delivered.
     resumed_calls: int = 0
     #: rows that were re-shipped by a replay reopen and silently dropped at
     #: the mediator because they had already been delivered (dedup by
@@ -195,8 +198,8 @@ class ExecReport:
     #: them and shipped only the remainder.
     replayed_rows: int = 0
     #: mid-stream reopen attempts charged to the dedicated ``max_resumes``
-    #: budget (successful or not).  0 when ``max_resumes`` is unset -- legacy
-    #: accounting charges reopens to ``attempts`` instead.
+    #: budget (successful or not).  0 when ``max_resumes`` is unset: reopens
+    #: are then charged to ``attempts``.
     resume_attempts: int = 0
     #: True when a probe join was re-planned mid-query: the observed probe
     #: cardinality blew past the cost model's estimate by more than
@@ -236,7 +239,7 @@ class ExecutorConfig:
         that have not answered when it expires are declared unavailable and
         the query degrades into a partial answer.  ``None`` waits
         indefinitely.  Per-query override: ``mediator.query(text,
-        timeout=...)``.  Under the streaming engine the same deadline also
+        timeout=...)``.  Under ``query_stream()`` the same deadline also
         bounds lazy cursor drains, not just call opens.
     ``max_parallel_calls``
         Size of the long-lived thread pool shared by every query this
@@ -262,19 +265,6 @@ class ExecutorConfig:
         repeating the expression that was just rejected; the stripped
         operators are replayed at the mediator.  Degrading retries skip the
         backoff sleep -- the failure was deterministic, not a load problem.
-    ``resume_midstream``
-        Streaming engine only.  When True (the default), a call that dies
-        *after delivering rows* is reopened with exactly-once row delivery
-        instead of being written off, provided retries remain in
-        ``max_retries`` and the wrapper declares resume support: ``token``
-        wrappers resume source-side (only the remaining rows are shipped),
-        ``replay`` wrappers are reopened and the mediator skips the
-        already-delivered prefix.  Wrappers declaring neither keep the
-        write-off -- without a token or a determinism guarantee, reopening a
-        half-consumed cursor risks duplicated or dropped rows.  Reopens draw
-        down ``max_retries`` unless ``max_resumes`` grants them a dedicated
-        budget; with the defaults (``max_retries=0``, ``max_resumes=None``)
-        there is no budget, so recovery stays off until one is granted.
     ``replay_resume``
         Permits the reopen-and-skip fallback (used by ``replay`` wrappers,
         and by ``token`` wrappers whose call was degraded or split, where
@@ -282,15 +272,21 @@ class ExecutorConfig:
         allow only true source-side token resumes -- e.g. when re-shipping
         already-delivered rows is costlier than losing the source.
     ``max_resumes``
-        Streaming engine only.  A *dedicated* per-call budget for mid-stream
-        reopens.  ``None`` (the default) keeps the legacy accounting: reopens
-        draw down the shared ``max_retries`` budget.  When set, a call that
-        dies after delivering rows may be reopened up to ``max_resumes``
-        times *without* consuming retries -- so ``max_retries=0,
-        max_resumes=2`` fails fresh calls fast yet still recovers a stream
-        that dies mid-transfer.  ``0`` disables mid-stream recovery outright
-        (equivalent to ``resume_midstream=False`` for budgeting purposes).
-        Reopens are accounted separately on :attr:`ExecReport.resume_attempts`.
+        ``query_stream()`` only: the per-call budget for reopening a call
+        that dies *after delivering rows*, with exactly-once row delivery,
+        provided the wrapper declares resume support -- ``token`` wrappers
+        resume source-side (only the remaining rows are shipped), ``replay``
+        wrappers are reopened and the mediator skips the already-delivered
+        prefix; wrappers declaring neither keep the write-off, since
+        reopening a half-consumed cursor without a token or a determinism
+        guarantee risks duplicated or dropped rows.  ``None`` (the default)
+        draws reopens from the shared ``max_retries`` budget, so with
+        ``max_retries=0`` recovery stays off until a budget is granted.  When
+        set, a call may be reopened up to ``max_resumes`` times *without*
+        consuming retries, counted on :attr:`ExecReport.resume_attempts` --
+        so ``max_retries=0, max_resumes=2`` fails fresh calls fast yet still
+        recovers a stream that dies mid-transfer.  ``0`` disables mid-stream
+        recovery outright.
     ``max_concurrent_queries``
         Admission control for the shared pool.  ``None`` (the default) admits
         every query immediately.  When set, at most this many queries execute
@@ -336,7 +332,6 @@ class ExecutorConfig:
     max_retries: int = 0
     retry_backoff: float = 0.05
     degrade_pushdown: bool = True
-    resume_midstream: bool = True
     replay_resume: bool = True
     max_resumes: int | None = None
     max_concurrent_queries: int | None = None
@@ -346,25 +341,13 @@ class ExecutorConfig:
     replan_blowup_factor: float | None = 8.0
 
 
-@dataclass
-class _CallOutcome:
-    """What one worker-thread exec call produced (never an exception)."""
-
-    rows: list[Any] | None
-    elapsed: float
-    attempts: int
-    error: str | None = None
-    degraded_to: str | None = None
-    split_calls: int = 0
-
-
 class _ProbeUnavailable(Exception):
     """A probe join's right-hand source failed terminally.
 
-    On the barrier path this aborts evaluation into a partial answer (the
-    probe side stays the ``submit`` it implements); the streaming path
-    swallows it -- the source simply contributes no further rows and the
-    failure surfaces on the probe's aggregated :class:`ExecReport`.
+    Under ``query()`` this aborts evaluation into a partial answer (the
+    probe side stays the ``submit`` it implements); a stream swallows it --
+    the source simply contributes no further rows and the failure surfaces
+    on the probe's aggregated :class:`ExecReport`.
     """
 
     def __init__(self, node: phys.Exec, error: str):
@@ -385,7 +368,7 @@ class _ProbeRunner:
     """Issues one probe join's wrapper calls: batching, caching, degrade, replan.
 
     One runner serves one :class:`~repro.algebra.physical.ProbeJoin` of one
-    query, on whichever engine composed it.  It owns:
+    query, from whichever entry point composed it.  It owns:
 
     * the **probe shape**: batches of distinct keys are submitted as one
       set-valued ``select(v: key in (...), expr)`` when the wrapper's grammar
@@ -408,16 +391,16 @@ class _ProbeRunner:
 
     The runner aggregates everything into one :class:`ExecReport` --
     ``attempts`` is the total number of wrapper calls issued -- so the two
-    engines stay report-shape comparable.
+    entry points stay report-shape comparable.
     """
 
     def __init__(
         self,
         executor: "Executor",
         plan: phys.ProbeJoin,
-        event: threading.Event | None = None,
-        remaining: Callable[[], float | None] | None = None,
-        raise_unavailable: bool = False,
+        event: threading.Event,
+        remaining: Callable[[], float | None],
+        raise_unavailable: bool,
     ):
         self._executor = executor
         self._plan = plan
@@ -581,14 +564,14 @@ class _ProbeRunner:
         self.replanned = self.replanned or replanned
 
     def _call(self, expression: log.LogicalOp) -> list[Any]:
-        """One wrapper round trip, with the barrier path's transient-retry policy."""
+        """One wrapper round trip, with the exec calls' transient-retry policy."""
         executor = self._executor
         config = executor.config
         node = self._plan.probe
         attempts = max(1, config.max_retries + 1)
         attempt = 0
         while True:
-            remaining = self._remaining() if self._remaining is not None else None
+            remaining = self._remaining()
             if remaining is not None and remaining <= 0:
                 self._error = "timed out during probe"
                 raise _ProbeUnavailable(node, self._error)
@@ -605,9 +588,8 @@ class _ProbeRunner:
                 call_elapsed = time.monotonic() - started
                 self.calls += 1
                 self.elapsed += call_elapsed
-                if self._event is not None and self._event.is_set():
-                    self.cancelled = True
-                    raise _ProbeCancelled from exc
+                if self._event.is_set():
+                    self._written_off(exc)
                 executor.history.record_failure(
                     node.extent_name, node.expression, call_elapsed
                 )
@@ -620,12 +602,8 @@ class _ProbeRunner:
                 backoff = config.retry_backoff * (2 ** (attempt - 1))
                 if remaining is not None:
                     backoff = min(backoff, remaining)
-                if self._event is not None:
-                    if self._event.wait(backoff):
-                        self.cancelled = True
-                        raise _ProbeCancelled from exc
-                else:
-                    cancellation.sleep(backoff)
+                if self._event.wait(backoff):
+                    self._written_off(exc)
                 continue
             call_elapsed = time.monotonic() - started
             self.calls += 1
@@ -638,6 +616,19 @@ class _ProbeRunner:
             if self._capability_degraded:
                 self._degraded_to = plan.expression.to_text()
             return rows
+
+    def _written_off(self, exc: BaseException) -> None:
+        """The run's cancellation event fired under a probe call.
+
+        A stream was closed or its limit satisfied: cancelled, not failed.
+        A materialising run has handed nothing over, so it cannot drop the
+        probe side silently -- and only ``Executor.close()`` sets its events.
+        """
+        if self._raise_unavailable:
+            self._error = "mediator closed"
+            raise _ProbeUnavailable(self._plan.probe, self._error) from exc
+        self.cancelled = True
+        raise _ProbeCancelled from exc
 
     # -- wrap-up --------------------------------------------------------------------------
     def finish(self) -> None:
@@ -696,18 +687,16 @@ class Executor:
                 max_inflight=self.config.max_concurrent_queries,
                 max_queue_depth=self.config.admission_queue_depth,
             )
-        # Active-work tracking for close(): per-dispatch cancel closures and
-        # the live streaming executions.  The condition is notified whenever
-        # a dispatch or a stream finishes, so a draining close can wait.
+        # Active-work tracking for close(): the live runs, streams and
+        # materialising ``execute()`` calls alike.  The condition is notified
+        # whenever a run finishes, so a draining close can wait.
         self._active = threading.Condition()
-        self._dispatch_cancels: dict[int, Callable[[], None]] = {}
         self._active_streams: "weakref.WeakSet[Any]" = weakref.WeakSet()
         # Probe-cache effectiveness counters, aggregated over every probe
         # join this executor has run (surfaced via Mediator.statistics()).
         self._probe_lock = threading.Lock()
         self.probe_cache_hits = 0
         self.probe_cache_misses = 0
-        self.partial_builder = PartialAnswerBuilder(subquery_evaluator=self.evaluate_subquery)
 
     # -- pool lifecycle ----------------------------------------------------------------------
     def _ensure_pool(self) -> ThreadPoolExecutor:
@@ -728,11 +717,12 @@ class Executor:
     def close(self, drain: bool = False, timeout: float | None = None) -> None:
         """Shut the shared pool down; a later query transparently recreates it.
 
-        ``drain=False`` (the default) *cancels*: every in-flight dispatch is
-        written off (its calls report "mediator closed" and the queries
-        degrade into partial answers), every live stream is finished, and
-        the pool is shut down waiting for its workers -- no leaked threads,
-        and no exception is ever raised into an unrelated query's worker.
+        ``drain=False`` (the default) *cancels*: every in-flight
+        ``execute()`` is written off (its calls report "mediator closed" and
+        the queries degrade into partial answers), every live stream is
+        finished, and the pool is shut down waiting for its workers -- no
+        leaked threads, and no exception is ever raised into an unrelated
+        query's worker.
 
         ``drain=True`` waits (up to ``timeout`` seconds, ``None`` = forever)
         for in-flight queries and streams to finish before taking the pool
@@ -740,19 +730,11 @@ class Executor:
         """
         if drain:
             with self._active:
-                self._active.wait_for(
-                    lambda: not self._dispatch_cancels and not self._live_streams(),
-                    timeout=timeout,
-                )
-        # Cancel whatever is (still) active: mark every dispatch's calls
-        # abandoned (their workers wake from sleeps and return write-off
-        # outcomes) and finish every live stream.
-        with self._active:
-            cancels = list(self._dispatch_cancels.values())
-        for cancel in cancels:
-            cancel()
+                self._active.wait_for(lambda: not self._live_streams(), timeout=timeout)
+        # Cancel whatever is (still) active: the runs' workers wake from
+        # their sleeps and return write-off outcomes.
         for stream in self._live_streams():
-            stream._finish()
+            stream._cancel()
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
@@ -760,20 +742,7 @@ class Executor:
             # the pool's threads are truly released, not leaked.
             pool.shutdown(wait=True, cancel_futures=True)
 
-    # -- admission ---------------------------------------------------------------------------
-    def _admit(self, priority: float, timeout: float | None) -> AdmissionTicket | None:
-        """Pass the admission gate (no-op when admission is off).
-
-        Raises :class:`~repro.errors.AdmissionError` on rejection or queue
-        timeout; on success the caller owns one in-flight slot and must
-        ``release()`` it when the query ends.
-        """
-        if self.admission is None:
-            return None
-        deadline = None if timeout is None else time.monotonic() + timeout
-        return self.admission.acquire(priority=priority, deadline=deadline)
-
-    # -- public entry point ------------------------------------------------------------------
+    # -- the two public entry points -----------------------------------------------------------
     def execute(
         self,
         plan: phys.PhysicalOp,
@@ -783,68 +752,17 @@ class Executor:
     ) -> ExecutionResult:
         """Execute ``plan``; unavailable or failing sources yield a partial answer.
 
+        A materialising run of the engine: every exec call is fetched whole,
+        in parallel, under one *global* deadline that covers the calls and
+        the evaluation alike (probe-join wrapper calls issued during
+        evaluation draw on whatever budget the calls left over).
+
         With admission control configured, the query first passes the gate
         (which may queue it, fairly, behind its ``priority`` class); queue
         wait is deducted from ``timeout``, so the deadline a caller sets is
         end-to-end, not execution-only.
         """
-        timeout = self.config.timeout if timeout is None else timeout
-        ticket = self._admit(priority, timeout)
-        if ticket is not None and timeout is not None:
-            timeout = max(timeout - ticket.queue_wait, 0.0)
-        try:
-            # One *global* deadline covers dispatch and evaluation alike:
-            # probe-join wrapper calls issued during evaluation draw on
-            # whatever budget the barrier wait left over.
-            deadline = None if timeout is None else time.monotonic() + timeout
-            remaining = (
-                None
-                if deadline is None
-                else lambda: max(deadline - time.monotonic(), 0.0)
-            )
-            exec_nodes = phys.execs_in(plan)
-            outcomes, reports = self._dispatch(exec_nodes, timeout)
-            unavailable = tuple(
-                report.extent_name for report in reports if not report.available
-            )
-            if unavailable:
-                partial_plan = self.partial_builder.build(plan, outcomes, base_env=base_env)
-                return ExecutionResult(
-                    data=Bag(),
-                    is_partial=True,
-                    partial_plan=partial_plan,
-                    partial_query=self.partial_builder.to_oql(partial_plan),
-                    unavailable_sources=unavailable,
-                    reports=tuple(reports),
-                )
-            probe_reports: list[ExecReport] = []
-            try:
-                values = list(
-                    self._evaluate(plan, outcomes, base_env, probe_reports, remaining)
-                )
-            except _ProbeUnavailable as failure:
-                # A probe join's right-hand source failed during evaluation:
-                # degrade into a partial answer whose probe side stays the
-                # submit it implements, over the left rows already obtained.
-                outcomes[id(failure.node)] = Unavailable(failure.error)
-                reports = reports + probe_reports
-                partial_plan = self.partial_builder.build(plan, outcomes, base_env=base_env)
-                return ExecutionResult(
-                    data=Bag(),
-                    is_partial=True,
-                    partial_plan=partial_plan,
-                    partial_query=self.partial_builder.to_oql(partial_plan),
-                    unavailable_sources=tuple(
-                        report.extent_name
-                        for report in reports
-                        if not report.available and not report.cancelled
-                    ),
-                    reports=tuple(reports),
-                )
-            return ExecutionResult(data=Bag(values), reports=tuple(reports + probe_reports))
-        finally:
-            if ticket is not None and self.admission is not None:
-                self.admission.release()
+        return self._open(plan, base_env, timeout, priority, materialise=True).materialised()
 
     def execute_stream(
         self,
@@ -853,7 +771,7 @@ class Executor:
         timeout: float | None = None,
         priority: float = 1.0,
     ):
-        """Execute ``plan`` with the streaming engine.
+        """Execute ``plan`` as a stream.
 
         Returns a :class:`~repro.runtime.streaming.StreamingExecution`: an
         iterable whose rows become available as sources answer (exec results
@@ -868,12 +786,40 @@ class Executor:
         slot until it finishes (fully drained, closed, or cancelled by
         ``Executor.close``), not merely until this call returns.
         """
+        return self._open(plan, base_env, timeout, priority, materialise=False)
+
+    def _open(
+        self,
+        plan: phys.PhysicalOp,
+        base_env: Mapping[str, Any] | None,
+        timeout: float | None,
+        priority: float,
+        materialise: bool,
+        enclosing: Any = None,
+    ):
+        """Admit one query and start its run (both entry points).
+
+        Passing the admission gate (a no-op when admission is off) raises
+        :class:`~repro.errors.AdmissionError` on rejection or queue timeout;
+        on success the run owns one in-flight slot and releases it when it
+        finishes.  ``enclosing`` is the run a nested subquery is evaluated
+        for: the subquery is part of that query, so it takes no admission
+        slot of its own (with one slot it would queue behind itself) and runs
+        on what is left of the enclosing deadline instead of a fresh
+        ``config.timeout``.
+        """
         from repro.runtime.streaming import StreamingExecution  # local: avoid cycle
 
-        timeout = self.config.timeout if timeout is None else timeout
-        ticket = self._admit(priority, timeout)
-        if ticket is not None and timeout is not None:
-            timeout = max(timeout - ticket.queue_wait, 0.0)
+        ticket: AdmissionTicket | None = None
+        if enclosing is not None:
+            timeout = enclosing._remaining()
+        else:
+            timeout = self.config.timeout if timeout is None else timeout
+            if self.admission is not None:
+                deadline = None if timeout is None else time.monotonic() + timeout
+                ticket = self.admission.acquire(priority=priority, deadline=deadline)
+                if timeout is not None:
+                    timeout = max(timeout - ticket.queue_wait, 0.0)
         released = threading.Event()
 
         def on_finish() -> None:
@@ -887,310 +833,20 @@ class Executor:
                 self._active.notify_all()
 
         try:
-            stream = StreamingExecution(
-                self, plan, base_env=base_env, timeout=timeout, on_finish=on_finish
+            run = StreamingExecution(
+                self,
+                plan,
+                base_env=base_env,
+                timeout=timeout,
+                on_finish=on_finish,
+                materialise=materialise,
             )
         except BaseException:
             on_finish()
             raise
         with self._active:
-            self._active_streams.add(stream)
-        return stream
-
-    # -- exec dispatch ------------------------------------------------------------------------
-    def _dispatch(
-        self, exec_nodes: list[phys.Exec], timeout: float | None
-    ) -> tuple[dict[int, Any], list[ExecReport]]:
-        outcomes: dict[int, Any] = {}
-        if not exec_nodes:
-            return outcomes, []
-        pool = self._ensure_pool()
-        started_at: dict[int, float] = {}
-        #: wrapper attempts each call has completed so far, kept current by
-        #: the workers so a write-off report can state the true count instead
-        #: of defaulting to 1 (the streaming engine tracks the same number on
-        #: its per-call state -- the two engines' attempt accounting must
-        #: agree, and the equivalence harness asserts it on report shape).
-        attempts_made: dict[int, int] = {}
-        abandoned: set[int] = set()
-        recorded: set[int] = set()
-        # One cooperative-cancellation event per call: set on write-off so a
-        # worker blocked in a latency sleep or a retry backoff wakes up
-        # immediately instead of holding its pool slot (zombie thread).
-        events = {id(node): threading.Event() for node in exec_nodes}
-        # Serializes the abandoned/recorded sets against worker-side history
-        # recording: a call's terminal observation comes from its worker or
-        # from the dispatcher's write-off, never both.
-        guard = threading.Lock()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        by_node: dict[int, ExecReport] = {}
-
-        def write_off(node: phys.Exec, error: str, elapsed: float = 0.0) -> None:
-            outcomes[id(node)] = Unavailable(error)
-            by_node[id(node)] = ExecReport(
-                extent_name=node.extent_name,
-                source=node.source.name,
-                expression=node.expression.to_text(),
-                elapsed=elapsed,
-                rows=0,
-                available=False,
-                error=error,
-                attempts=max(1, attempts_made.get(id(node), 1)),
-            )
-
-        futures: dict[Any, phys.Exec] = {}
-        for node in exec_nodes:
-            try:
-                future = pool.submit(
-                    self._run_exec,
-                    node,
-                    started_at,
-                    abandoned,
-                    recorded,
-                    guard,
-                    events[id(node)],
-                    attempts_made,
-                )
-            except RuntimeError:
-                # The pool shut down between _ensure_pool and this submit
-                # (mediator closing): the call degrades into an unavailable
-                # source instead of raising into the query.
-                write_off(node, "mediator closed")
-                continue
-            futures[future] = node
-
-        def cancel_dispatch() -> None:
-            """Write this dispatch's calls off (Executor.close cancel path)."""
-            with guard:
-                for node in exec_nodes:
-                    abandoned.add(id(node))
-            for node in exec_nodes:
-                events[id(node)].set()
-
-        token = object()
-        with self._active:
-            self._dispatch_cancels[id(token)] = cancel_dispatch
-        pending = set(futures)
-        try:
-            try:
-                while pending:
-                    remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
-                    done, pending = wait(pending, timeout=remaining, return_when=FIRST_COMPLETED)
-                    if not done:
-                        break  # global deadline expired with calls still in flight
-                    for future in done:
-                        node = futures[future]
-                        try:
-                            outcome = future.result()
-                        except CancelledError:
-                            # Cancelled before its worker ever started (the
-                            # mediator closed): unavailable, not a crash.
-                            write_off(node, "mediator closed")
-                            continue
-                        self._note_outcome(node, outcome, outcomes, by_node)
-            except BaseException:
-                # A mediator-side error (e.g. a failed type check) aborts the
-                # query; write off the surviving calls so their workers stop
-                # retrying and stop recording, and free the shared pool's queue.
-                with guard:
-                    for future in pending:
-                        abandoned.add(id(futures[future]))
-                for future in pending:
-                    events[id(futures[future])].set()
-                    future.cancel()
-                raise
-            now = time.monotonic()
-            for future in pending:
-                future.cancel()
-                node = futures[future]
-                error = f"timed out after {timeout:.4g}s"
-                with guard:
-                    # Mark the call abandoned and record its failure atomically,
-                    # so the zombie worker neither keeps retrying nor adds a
-                    # second observation for it when it finally returns.  A call
-                    # whose worker beat us to a terminal record (finished in the
-                    # instant after the deadline) is taken as completed instead.
-                    finished_late = id(node) in recorded
-                    if not finished_late:
-                        abandoned.add(id(node))
-                        events[id(node)].set()
-                        started = started_at.get(id(node))
-                        elapsed = 0.0 if started is None else now - started
-                        if started is not None:
-                            # The call really ran for this long before the
-                            # deadline cut it off; let the cost model see it.
-                            self.history.record_failure(node.extent_name, node.expression, elapsed)
-                if finished_late:
-                    self._note_outcome(node, future.result(), outcomes, by_node)
-                    continue
-                write_off(node, error, elapsed)
-        finally:
-            with self._active:
-                self._dispatch_cancels.pop(id(token), None)
-                self._active.notify_all()
-        # Reports in submission order, whatever order the calls finished in.
-        reports = [by_node[id(node)] for node in exec_nodes]
-        return outcomes, reports
-
-    def _note_outcome(
-        self,
-        node: phys.Exec,
-        outcome: _CallOutcome,
-        outcomes: dict[int, Any],
-        by_node: dict[int, ExecReport],
-    ) -> None:
-        """Fold one completed call's outcome into the outcome map and reports."""
-        if outcome.error is None and outcome.rows is not None:
-            outcomes[id(node)] = outcome.rows
-            by_node[id(node)] = ExecReport(
-                extent_name=node.extent_name,
-                source=node.source.name,
-                expression=node.expression.to_text(),
-                elapsed=outcome.elapsed,
-                rows=len(outcome.rows),
-                available=True,
-                attempts=outcome.attempts,
-                degraded_to=outcome.degraded_to,
-                split_calls=outcome.split_calls,
-            )
-        else:
-            outcomes[id(node)] = Unavailable(outcome.error)
-            by_node[id(node)] = ExecReport(
-                extent_name=node.extent_name,
-                source=node.source.name,
-                expression=node.expression.to_text(),
-                elapsed=outcome.elapsed,
-                rows=0,
-                available=False,
-                error=outcome.error,
-                attempts=outcome.attempts,
-                degraded_to=outcome.degraded_to,
-                split_calls=outcome.split_calls,
-            )
-
-    def _run_exec(
-        self,
-        node: phys.Exec,
-        started_at: dict[int, float],
-        abandoned: set[int],
-        recorded: set[int],
-        guard: threading.Lock,
-        event: threading.Event | None = None,
-        attempts_made: dict[int, int] | None = None,
-    ) -> _CallOutcome:
-        """One exec call with retries.  Wrapper failures become outcomes, not raises.
-
-        ``abandoned`` holds ids of exec nodes the dispatcher already wrote
-        off (deadline expired, or the query aborted): a zombie worker must
-        neither keep retrying nor add further history observations for its
-        call.  ``recorded`` holds ids whose worker reached a *terminal*
-        outcome, so the dispatcher's write-off can tell a just-finished call
-        from a still-running one.  ``guard`` makes every check-and-record
-        atomic against the write-off.  ``event`` is the call's cooperative
-        cancellation signal: it is installed around the wrapper round trip so
-        blocking primitives downstream (the simulated server's latency sleep)
-        return early once the dispatcher writes the call off.
-
-        When a failure looks like a capability/translation problem, the next
-        attempt submits a degraded pushdown (one operator stripped, down to a
-        bare ``get``) instead of the expression that was just rejected; the
-        stripped operators are replayed over the returned rows.  Once the
-        ladder is exhausted such a failure is terminal immediately --
-        repeating a deterministic rejection cannot succeed.
-        """
-        meta = self.registry.extent(node.extent_name)
-        wrapper = self.registry.wrapper_object(meta.wrapper)
-        self._check_types(meta, wrapper)
-        pushdown = node.expression
-        stripped: list[log.LogicalOp] = []
-        plan = self.namespace_plan(pushdown, meta, wrapper)
-        started_at[id(node)] = time.monotonic()
-        attempts = max(1, self.config.max_retries + 1)
-        attempt = 0
-        while True:
-            started = time.monotonic()
-            try:
-                with cancellation.activate(event):
-                    if plan.split is not None:
-                        # Refuse-to-push fallback: the wrapper cannot express
-                        # the aliases this colliding pushdown needs, so it is
-                        # split into per-leaf gets and recombined here.
-                        rows = list(self._split_pushdown(plan, wrapper))
-                    else:
-                        raw_rows = wrapper.submit(plan.expression)
-                        # Materialize and rename inside the try: a lazy result
-                        # that raises mid-iteration, or a malformed row, is a
-                        # source failure too, not a query crash.
-                        rows = [normalize_row(row, plan.reverse) for row in raw_rows]
-                    if stripped:
-                        rows = list(compensate_rows(stripped, rows))
-            except Exception as exc:
-                call_elapsed = time.monotonic() - started
-                attempt += 1
-                if attempts_made is not None:
-                    attempts_made[id(node)] = attempt
-                step = None
-                exhausted = attempt >= attempts
-                if self.config.degrade_pushdown and is_capability_failure(exc):
-                    step = degrade_pushdown(pushdown)
-                    if step is None:
-                        # Deterministic rejection with nothing left to strip:
-                        # further attempts are pointless, fail now.
-                        exhausted = True
-                with guard:
-                    written_off = id(node) in abandoned
-                    terminal = written_off or exhausted
-                    if not written_off:
-                        self.history.record_failure(
-                            node.extent_name, node.expression, call_elapsed
-                        )
-                        if terminal:
-                            recorded.add(id(node))
-                if not terminal:
-                    if step is not None:
-                        # Degrading retry: a strictly smaller pushdown, no
-                        # backoff -- the failure was deterministic, not load.
-                        # Re-planning the namespace per rung keeps the alias
-                        # layer coherent with whatever operators remain.
-                        pushdown, removed = step
-                        stripped.append(removed)
-                        plan = self.namespace_plan(pushdown, meta, wrapper)
-                        continue
-                    backoff = self.config.retry_backoff * (2 ** (attempt - 1))
-                    # An event-aware sleep: a write-off wakes the backoff
-                    # immediately instead of letting the zombie serve it out.
-                    if event is not None:
-                        event.wait(backoff)
-                    else:
-                        cancellation.sleep(backoff)
-                    with guard:
-                        written_off = id(node) in abandoned
-                    if not written_off:
-                        continue
-                return _CallOutcome(
-                    rows=None,
-                    elapsed=time.monotonic() - started_at[id(node)],
-                    attempts=attempt,
-                    error=f"{type(exc).__name__}: {exc}",
-                    degraded_to=plan.expression.to_text() if stripped else None,
-                    split_calls=len(plan.split or ()),
-                )
-            call_elapsed = time.monotonic() - started
-            with guard:
-                if id(node) not in abandoned:
-                    # Per-attempt latency for the cost model; the report below
-                    # carries the user-facing total including retries.
-                    self.history.record(
-                        node.extent_name, node.expression, call_elapsed, len(rows)
-                    )
-                    recorded.add(id(node))
-            return _CallOutcome(
-                rows=rows,
-                elapsed=time.monotonic() - started_at[id(node)],
-                attempts=attempt + 1,
-                degraded_to=plan.expression.to_text() if stripped else None,
-                split_calls=len(plan.split or ()),
-            )
+            self._active_streams.add(run)
+        return run
 
     # -- name-space translation (the local transformation map) ---------------------------------
     def _meta_for_collection(self, name: str, default: MetaExtent) -> MetaExtent | None:
@@ -1470,6 +1126,7 @@ class Executor:
         probe: Callable[[phys.ProbeJoin, Iterator[Any]], Iterable[Any]] | None = None,
         build: Callable[[Iterator[Any]], Iterable[Any]] | None = None,
         group: Callable[[phys.MkGroupBy, Iterator[Any]], Iterable[Any]] | None = None,
+        subquery: ops.SubqueryEvaluator | None = None,
     ) -> Iterator[Any]:
         """Compose the lazy operator pipeline for ``plan``.
 
@@ -1477,22 +1134,24 @@ class Executor:
         :mod:`repro.runtime.operators`): rows flow through the plan one at a
         time and nothing is materialized except join build sides and the
         distinct set.  ``leaf`` supplies the row iterator of each ``exec``
-        node -- a completed outcome for the barrier path, a live stream for
-        the streaming engine.  ``union`` optionally overrides how ``mkunion``
-        children are sequenced (the streaming engine interleaves them in
-        exec-completion order).  ``probe`` supplies the engine's probe-join
-        leaf -- the batching layer issuing set-valued submits over the left
-        rows; ``build`` optionally wraps a hash join's build side (the
-        streaming engine drains it eagerly on a dedicated thread); ``group``
-        optionally overrides mediator-side grouping (the streaming engine
-        suppresses grouped output computed over a known-incomplete input).
+        node -- a settled call's list under ``execute``, a live stream under
+        ``execute_stream``.  ``union`` optionally overrides how ``mkunion``
+        children are sequenced (a stream interleaves them in exec-completion
+        order).  ``probe`` supplies the run's probe-join leaf -- the batching
+        layer issuing set-valued submits over the left rows; ``build``
+        optionally wraps a hash join's build side (a stream drains it eagerly
+        on a dedicated thread); ``group`` optionally overrides mediator-side
+        grouping (a stream suppresses grouped output computed over a
+        known-incomplete input); ``subquery`` evaluates nested subqueries
+        (the run's own evaluator, so they share its slot and deadline).
 
         The pipeline structure (and every ``leaf`` iterator) is built
         eagerly, so structural errors surface immediately; only *row* flow is
         lazy.
         """
+        subquery = subquery or self.evaluate_subquery
         recurse = lambda child: self.compose_rows(  # noqa: E731
-            child, leaf, base_env, union, probe, build, group
+            child, leaf, base_env, union, probe, build, group, subquery
         )
         if isinstance(plan, phys.Exec):
             return iter(leaf(plan))
@@ -1508,7 +1167,7 @@ class Executor:
                 plan.variable,
                 plan.predicate,
                 base_env=base_env,
-                subquery_evaluator=self.evaluate_subquery,
+                subquery_evaluator=subquery,
             )
         if isinstance(plan, phys.MkApply):
             return ops.apply_rows(
@@ -1516,7 +1175,7 @@ class Executor:
                 plan.variable,
                 plan.expression,
                 base_env=base_env,
-                subquery_evaluator=self.evaluate_subquery,
+                subquery_evaluator=subquery,
             )
         if isinstance(plan, phys.HashJoin):
             right_rows = recurse(plan.right)
@@ -1539,7 +1198,7 @@ class Executor:
                 plan.right_variable,
                 plan.condition,
                 base_env=base_env,
-                subquery_evaluator=self.evaluate_subquery,
+                subquery_evaluator=subquery,
             )
         if isinstance(plan, phys.MkUnion):
             if union is not None:
@@ -1560,85 +1219,31 @@ class Executor:
                 plan.keys,
                 plan.aggregates,
                 base_env=base_env,
-                subquery_evaluator=self.evaluate_subquery,
+                subquery_evaluator=subquery,
             )
         raise QueryExecutionError(f"cannot evaluate physical operator {plan.to_text()}")
 
-    def _evaluate(
-        self,
-        plan: phys.PhysicalOp,
-        outcomes: dict[int, Any],
-        base_env: Mapping[str, Any] | None,
-        probe_reports: list[ExecReport] | None = None,
-        remaining: Callable[[], float | None] | None = None,
-    ) -> Iterator[Any]:
-        """The barrier-path pipeline: exec leaves read completed outcomes."""
-
-        def leaf(node: phys.Exec) -> Iterable[Any]:
-            rows = outcomes.get(id(node), UNAVAILABLE)
-            if isinstance(rows, Unavailable):
-                raise QueryExecutionError(
-                    f"exec for extent {node.extent_name!r} has no outcome"
-                )
-            return rows
-
-        sink = probe_reports if probe_reports is not None else []
-
-        def probe(plan: phys.ProbeJoin, left_rows: Iterator[Any]) -> Iterator[Any]:
-            return self._probe_rows_barrier(plan, left_rows, base_env, sink, remaining)
-
-        return self.compose_rows(plan, leaf, base_env, probe=probe)
-
-    def _probe_rows_barrier(
-        self,
-        plan: phys.ProbeJoin,
-        left_rows: Iterator[Any],
-        base_env: Mapping[str, Any] | None,
-        reports: list[ExecReport],
-        remaining: Callable[[], float | None] | None = None,
-    ) -> Iterator[Any]:
-        """Barrier-path probe-join leaf: a terminal source failure raises
-        :class:`_ProbeUnavailable`, degrading the query into a partial answer.
-        ``remaining`` is the query's global deadline budget: a probe call is
-        only issued while it is positive, so a timed-out query degrades into
-        a partial answer at most one wrapper round trip past the deadline."""
-        runner = _ProbeRunner(self, plan, remaining=remaining, raise_unavailable=True)
-        completed = False
-        try:
-            yield from ops.probe_join_rows(
-                left_rows,
-                plan.left_variable,
-                plan.right_variable,
-                plan.condition,
-                prober=runner.probe,
-                batch_size=self.config.bind_batch_size,
-                base_env=base_env,
-                subquery_evaluator=self.evaluate_subquery,
-            )
-            completed = True
-        finally:
-            runner.finish()
-            # A runner that never touched the source (empty left side, every
-            # key None) leaves no report: the barrier path skips evaluation
-            # entirely when an unrelated source is down, so an idle probe
-            # must stay invisible for the engines to stay shape-comparable.
-            if runner.calls or runner.cancelled or runner._error is not None:
-                reports.append(
-                    runner.report(cancelled=not completed and runner._error is None)
-                )
-
     # -- nested subqueries -------------------------------------------------------------------------
-    def evaluate_subquery(self, query: Any, env: Mapping[str, Any]) -> Any:
-        """Evaluate a nested (bound) subquery with the enclosing environment."""
+    def evaluate_subquery(
+        self, query: Any, env: Mapping[str, Any], enclosing: Any = None
+    ) -> Any:
+        """Evaluate a nested (bound) subquery with the enclosing environment.
+
+        ``enclosing`` is the run evaluating the outer query (``None`` for a
+        top-level scalar query, which is admitted like any other); see
+        :meth:`_open` for what the subquery inherits from it.
+        """
         from repro.oql.ast import ExprQuery  # local import to avoid a cycle
 
         if isinstance(query, ExprQuery):
-            return query.expression.evaluate(dict(env), self.evaluate_subquery)
+            nested = self.evaluate_subquery if enclosing is None else enclosing.evaluate_subquery
+            return query.expression.evaluate(dict(env), nested)
         if self._subquery_planner is None:
             raise QueryExecutionError("no subquery planner configured")
         logical = self._subquery_planner(query)
         physical = implement(logical)
-        result = self.execute(physical, base_env=env)
+        run = self._open(physical, env, None, 1.0, materialise=True, enclosing=enclosing)
+        result = run.materialised()
         if result.is_partial:
             raise UnavailableSourceError(
                 ",".join(result.unavailable_sources),

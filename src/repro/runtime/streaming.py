@@ -1,48 +1,58 @@
-"""The streaming (Volcano-style) execution engine.
+"""The exec engine: one per-call state machine behind two entry points.
 
-The barrier executor (:meth:`~repro.runtime.executor.Executor.execute`)
-collects every exec outcome before a single row reaches the caller -- the
-right shape for the paper's partial-answer semantics, where the answer must
-embed all obtained data.  This module is the other shape: rows flow to the
-caller *while* sources are still answering.
+Paper Section 4 has one exec semantics -- calls proceed in parallel, after
+the designated time period evaluation stops, and the partially evaluated
+plan with the obtained data embedded is the answer -- and this module
+implements it once.  A :class:`StreamingExecution` is one *run* of one
+physical plan: every exec call gets an :class:`_ExecState` and is opened on
+the executor's shared pool by the one attempt loop (``_open_exec``: retry
+with backoff, the degrading-pushdown ladder of :mod:`repro.runtime.degrade`,
+the split fallback, once-only history recording); ``_settle`` waits for it
+under the query deadline and writes it off when the deadline, or
+``Executor.close()``, gets there first.  The two public entry points differ
+in one internal argument, ``materialise``, which fixes three things:
 
-* Exec calls are dispatched to the executor's shared pool immediately; the
-  pipeline above them is the same lazy-generator composition the barrier
-  path uses (:meth:`Executor.compose_rows`).
-* A ``mkunion`` interleaves its children in *exec-completion order*: the
-  branch whose source answers first streams first, so the time to the first
-  row tracks the fastest source, not the slowest.
-* Early termination -- a satisfied ``mklimit``, or :meth:`close` -- closes
-  the pipeline and cancels the in-flight exec calls cooperatively (their
-  workers wake from latency sleeps instead of draining them).
-* A source that fails or times out contributes no further rows; the failure
-  is recorded on the per-call :class:`ExecReport` exactly like the barrier
-  path records it, and surfaces through :attr:`unavailable_sources` /
-  :meth:`errors` once the stream ends.  No resubmittable partial *query* is
-  built: rows already delivered cannot be embedded back into one.
-* A call that fails while being *opened* (no rows delivered yet) is retried
-  with the same policy as the barrier path (:attr:`ExecutorConfig.max_retries`
-  with backoff), including the degrading-pushdown ladder for
-  capability/translation failures (:mod:`repro.runtime.degrade`).
-* A call that dies *mid-stream* (after delivering rows) is recovered with
-  **exactly-once row delivery** when budget remains
-  (:attr:`ExecutorConfig.resume_midstream`) -- reopens draw from the shared
-  ``max_retries`` budget, or from the dedicated ``max_resumes`` budget when
-  one is configured (so a fail-fast ``max_retries=0`` mediator can still
-  recover streams that die mid-transfer).  Wrappers declaring the
-  ``token`` resume capability reopen *source-side*: the stream's last
-  :class:`~repro.wrappers.base.ResumableStream` token is handed back through
-  ``submit_stream(expr, resume_from=token)`` and the source ships only the
-  rows still owed.  Wrappers declaring deterministic ``replay`` (and token
-  wrappers whose call was degraded or split, where token positions no longer
-  line up) are reopened from scratch and the mediator skips the rows it
-  already delivered -- dedup by delivered-row count, counted as
-  ``ExecReport.replayed_rows``.  Wrappers declaring neither are written off
-  as before: without a token or a determinism guarantee, reopening a
-  half-consumed cursor risks duplicating or dropping rows.
+* **where rows are handed off.**  ``Executor.execute`` (``query()``)
+  materialises: each worker drains its call into a private list *inside*
+  the attempt, so transfers overlap and a death before hand-off is an
+  ordinary failed attempt.  Once every call has settled the run composes
+  the pipeline over the lists or, when a call is unavailable, hands
+  ``{exec -> rows | Unavailable}`` to the
+  :class:`~repro.runtime.partial_eval.PartialAnswerBuilder` without
+  composing anything (no probe is sent for a query that is already
+  partial).  ``Executor.execute_stream`` (``query_stream()``) hands rows to
+  the caller *while* sources are still answering: a ``mkunion`` interleaves
+  its children in exec-completion order, a satisfied ``mklimit`` or
+  :meth:`close` cancels the in-flight calls cooperatively, and no
+  resubmittable partial *query* is built, since rows already delivered
+  cannot be embedded back into one.
+* **probe failure.**  A probe join's right-hand source failing terminally
+  raises into a partial answer when materialising; a stream swallows it --
+  the source contributes no further rows and the failure surfaces on the
+  probe's aggregated :class:`ExecReport`.
+* **grouped output over incomplete input.**  A partial answer *embeds* the
+  grouping as a query over the obtained data; a stream *suppresses* it (an
+  aggregate over one union branch is a wrong number, not a sub-answer).
 
-Iteration is replayable: the execution buffers what it has yielded, so a
-second ``iter()`` (or :meth:`to_list` after a partial read) replays the
+A streamed call that dies *mid-stream* (after delivering rows) is recovered
+with **exactly-once row delivery** when budget remains -- reopens draw from
+the shared ``max_retries`` budget, or from the dedicated ``max_resumes``
+budget when one is configured.  Wrappers declaring the ``token`` resume
+capability reopen *source-side*: the stream's last
+:class:`~repro.wrappers.base.ResumableStream` token is handed back through
+``submit_stream(expr, resume_from=token)`` and the source ships only the
+rows still owed.  Wrappers declaring deterministic ``replay`` (and token
+wrappers whose call was degraded or split, where token positions no longer
+line up) are reopened from scratch and the mediator skips the rows it
+already delivered -- dedup by delivered-row count, counted as
+``ExecReport.replayed_rows``.  Wrappers declaring neither are written off:
+without a token or a determinism guarantee, reopening a half-consumed cursor
+risks duplicating or dropping rows.  The rule is "resume only what was
+delivered", which is why a materialising run retries whole calls and never
+resumes.
+
+Stream iteration is replayable: the execution buffers what it has yielded,
+so a second ``iter()`` (or :meth:`to_list` after a partial read) replays the
 prefix and continues the live tail -- the pipeline generators themselves are
 never consumed twice.
 """
@@ -51,7 +61,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from concurrent.futures import TimeoutError as _FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
@@ -62,24 +72,33 @@ from repro.runtime import cancellation
 from repro.runtime import operators as ops
 from repro.runtime.backpressure import StreamClosed
 from repro.runtime.degrade import compensate_rows, degrade_pushdown, is_capability_failure
+from repro.datamodel.values import Bag
 from repro.runtime.executor import (
     ExecReport,
+    ExecutionResult,
     _ProbeCancelled,
     _ProbeRunner,
+    _ProbeUnavailable,
     collect_errors,
     normalize_row,
 )
+from repro.runtime.partial_eval import PartialAnswerBuilder, Unavailable
 from repro.wrappers.base import RESUME_REPLAY, RESUME_TOKEN, ResumableStream
 
 
 @dataclass
 class _Opened:
-    """What the worker-side half of one streaming exec call produced."""
+    """What the worker-side half of one exec call produced.
+
+    A materialising run's ``rows`` is the call's whole answer as a list in
+    mediator vocabulary (``renames`` empty, ``sized`` its length); a
+    stream's is the open wrapper iterable, renamed as it is pulled.
+    """
 
     rows: Iterable[Any] | None = None
     renames: Mapping[str, str] = field(default_factory=dict)
-    #: row count when the wrapper answered with a sized sequence (history is
-    #: recorded in the worker then); None for lazy cursors (recorded at drain).
+    #: row count when the answer is a sized sequence (history is recorded in
+    #: the worker then); None for lazy cursors (recorded at drain).
     sized: int | None = None
     #: wall clock of the open round trip (worker side).
     elapsed: float = 0.0
@@ -124,7 +143,7 @@ class _ResumeRequest:
 
 
 class _ExecState:
-    """Book-keeping for one exec call of a streaming plan."""
+    """Book-keeping for one exec call of one run."""
 
     __slots__ = (
         "node",
@@ -149,14 +168,12 @@ class _ExecState:
         self.consumed = 0  # rows pulled by the consumer so far
         self.started: float | None = None
         # Serializes history recording between the worker and the consumer:
-        # one terminal observation per call, never both (the streaming
-        # counterpart of the barrier dispatcher's guard/abandoned/recorded).
+        # one terminal observation per call, from the worker or from the
+        # write-off, never both.
         self.lock = threading.Lock()
         self.recorded = False
         # Wrapper attempts completed so far, kept current by the worker so a
-        # write-off report states the true count -- the same number the
-        # barrier dispatcher tracks in ``attempts_made`` (the two engines'
-        # attempt accounting must agree; the equivalence harness asserts it).
+        # write-off report states the true count instead of defaulting to 1.
         # Mid-stream reopens consume attempts from the same budget.
         self.attempts = 0
         #: successful mid-stream recoveries (ExecReport.resumed_calls).
@@ -165,35 +182,46 @@ class _ExecState:
         #: during replay reopens (ExecReport.replayed_rows).
         self.replayed = 0
         #: reopen wrapper calls charged to the *dedicated* ``max_resumes``
-        #: budget (ExecReport.resume_attempts); stays 0 under the legacy
-        #: accounting where reopens draw from ``max_retries``.
+        #: budget (ExecReport.resume_attempts); stays 0 while reopens draw
+        #: from ``max_retries``.
         self.resume_opens = 0
 
 
 class StreamingExecution:
-    """One streaming query execution: iterate it to receive rows.
+    """One run of one physical plan (see the module docstring).
 
-    Produced by :meth:`Executor.execute_stream`; the surrounding
-    :class:`~repro.core.result.QueryResult` (see ``Mediator.query_stream``)
-    exposes it through ``iter_rows()``.
+    :meth:`Executor.execute_stream` returns it to the caller: iterate it to
+    receive rows; the surrounding :class:`~repro.core.result.QueryResult`
+    (see ``Mediator.query_stream``) exposes it through ``iter_rows()``.
+    :meth:`Executor.execute` builds one with ``materialise`` set and keeps
+    it to itself: :meth:`materialised` is its whole life.
     """
 
     def __init__(
-        self, executor, plan: phys.PhysicalOp, base_env=None, timeout=None, on_finish=None
+        self,
+        executor,
+        plan: phys.PhysicalOp,
+        base_env=None,
+        timeout=None,
+        on_finish=None,
+        materialise: bool = False,
     ):
         self._executor = executor
         self._plan = plan
         self._base_env = base_env
         self._timeout = timeout
+        #: the one internal switch, fixed by the entry point that built this
+        #: run: hand-off, probe failure, grouped output (module docstring).
+        self._materialise = materialise
         self._deadline = None if timeout is None else time.monotonic() + timeout
         #: executor callback run exactly once when the stream ends (releases
         #: the admission slot, wakes a draining close).
         self._on_finish = on_finish
-        exec_nodes = phys.execs_in(plan)
+        nodes = list(phys.walk(plan))
+        #: per-call state in plan order: the dispatched execs, then the probes.
         self._states: dict[int, _ExecState] = {
-            id(node): _ExecState(node) for node in exec_nodes
+            id(node): _ExecState(node) for node in nodes if isinstance(node, phys.Exec)
         }
-        self._order = [id(node) for node in exec_nodes]
         self._buffer: list[Any] = []
         self._finished = False
         #: a mediator-side error that aborted the pipeline; re-raised on any
@@ -211,23 +239,19 @@ class StreamingExecution:
                 future: Future = Future()
                 future.set_result(_Opened(error="mediator closed"))
                 state.future = future
-        # Probe joins hide their exec from execs_in -- it must NOT be opened
+        # Probe joins hide their exec from the walk -- it must NOT be opened
         # up front like the calls above (no probe key exists yet).  Each one
         # still gets a state, so its aggregated report and cancellation event
         # live with the rest; its ``future`` stays None.
-        for probe_plan in (n for n in phys.walk(plan) if isinstance(n, phys.ProbeJoin)):
-            self._states[id(probe_plan.probe)] = _ExecState(probe_plan.probe)
-            self._order.append(id(probe_plan.probe))
+        for node in nodes:
+            if isinstance(node, phys.ProbeJoin):
+                self._states[id(node.probe)] = _ExecState(node.probe)
+        if materialise:
+            # Composed by materialised(), over the settled calls' lists --
+            # and not at all when one of them is unavailable.
+            return
         try:
-            self._pipeline = executor.compose_rows(
-                plan,
-                leaf=self._exec_rows,
-                base_env=base_env,
-                union=self._union_in_completion_order,
-                probe=self._probe_rows,
-                build=self._eager_build,
-                group=self._grouped_rows,
-            )
+            self._pipeline = self._compose(plan)
         except BaseException:
             # Pipeline construction failed after the calls were dispatched:
             # write them off so no worker serves out a latency for a stream
@@ -305,9 +329,7 @@ class StreamingExecution:
     def reports(self) -> tuple[ExecReport, ...]:
         """Per-call reports, in plan order; grows as calls settle."""
         return tuple(
-            self._states[key].report
-            for key in self._order
-            if self._states[key].report is not None
+            state.report for state in self._states.values() if state.report is not None
         )
 
     @property
@@ -330,21 +352,30 @@ class StreamingExecution:
 
     # -- worker side ------------------------------------------------------------------------
     def _open_exec(self, state: _ExecState, resume: _ResumeRequest | None = None) -> _Opened:
-        """One wrapper round trip, opened as a row iterable.
+        """One exec call with retries: the engine's one attempt loop.
 
         Runs in the pool for the initial open; mid-stream reopens call it
         synchronously on the consumer thread with a ``resume`` request.
 
         Mediator-side failures (unknown extent, type-check conflict) raise --
-        they abort the query exactly as in the barrier path.  Wrapper
-        failures become error outcomes, after the same retry policy the
-        barrier path applies: transient failures re-submit with backoff,
-        capability/translation failures re-submit a degraded pushdown whose
-        stripped operators are replayed over the stream at the mediator.
-        For wrappers that answer with a sized sequence the call's history is
-        recorded here (the count is known); lazy cursors -- and degraded
-        calls, whose compensation wraps the iterable -- are recorded by the
-        consumer at drain time.
+        they abort the query.  *Any* exception escaping the wrapper becomes
+        an error outcome instead (this is the engine's fault-isolation
+        boundary), after the retry policy: transient failures re-submit with
+        backoff; capability/translation failures re-submit a degraded
+        pushdown (one operator stripped, down to a bare ``get``) whose
+        stripped operators are replayed over the returned rows at the
+        mediator, and once the ladder is exhausted such a failure is
+        terminal immediately -- repeating a deterministic rejection cannot
+        succeed.
+
+        A materialising run drains the answer into a list inside the attempt,
+        so a lazy result that raises mid-iteration, or a malformed row, is a
+        failed attempt like any other, and the transfer overlaps the other
+        calls' transfers.  A stream only opens here.  When the row count is
+        known (a list, or a wrapper that answered with a sized sequence) the
+        call's history is recorded here; lazy cursors -- and a stream's
+        degraded calls, whose compensation wraps the iterable -- are recorded
+        by the consumer at drain time.
 
         A reopen starts the attempt counter at :attr:`_ExecState.attempts`
         (the calls the dying segments already consumed) and, for a token
@@ -356,6 +387,7 @@ class StreamingExecution:
         """
         executor = self._executor
         config = executor.config
+        materialise = self._materialise
         node = state.node
         meta = executor.registry.extent(node.extent_name)
         wrapper = executor.registry.wrapper_object(meta.wrapper)
@@ -388,15 +420,27 @@ class StreamingExecution:
             try:
                 with cancellation.activate(state.event):
                     if plan.split is not None:
-                        # Refuse-to-push fallback: per-leaf gets are fetched
-                        # eagerly (so open failures retry exactly like the
-                        # barrier path); the recombination over them stays a
-                        # lazy mediator-vocabulary iterator.
+                        # Refuse-to-push fallback: the wrapper cannot express
+                        # the aliases this colliding pushdown needs, so it is
+                        # split into per-leaf gets, fetched eagerly (their
+                        # failures are attempt failures); the recombination
+                        # over them is a lazy mediator-vocabulary iterator.
                         rows = executor._split_pushdown(plan, wrapper)
+                    elif materialise:
+                        rows = wrapper.submit(plan.expression)
                     elif token is not None:
                         rows = wrapper.submit_stream(plan.expression, resume_from=token)
                     else:
                         rows = wrapper.submit_stream(plan.expression)
+                    if materialise:
+                        # One bulk pass, not the consumer's per-row timed
+                        # loop: on a 10k-row scan that loop costs 20-40%.
+                        if plan.split is None:
+                            reverse = plan.reverse
+                            rows = [normalize_row(row, reverse) for row in rows]
+                        if stripped:
+                            rows = compensate_rows(stripped, rows)
+                        rows = list(rows)
             except StreamClosed:
                 # The consumer is gone, not the source: nothing to retry,
                 # degrade, or record as a failure.
@@ -411,7 +455,14 @@ class StreamingExecution:
                 if config.degrade_pushdown and is_capability_failure(exc):
                     step = degrade_pushdown(pushdown)
                     if step is None:
-                        # Deterministic rejection, nothing left to strip.
+                        # Deterministic rejection with nothing left to strip:
+                        # further attempts are pointless, fail now.
+                        exhausted = True
+                    elif token is not None and not config.replay_resume:
+                        # The token indexed the previous pushdown's stream,
+                        # so degrading means replaying -- which the
+                        # configuration forbids.  Give up rather than
+                        # re-ship delivered rows.
                         exhausted = True
                 terminal = cancelled or exhausted
                 with state.lock:
@@ -433,18 +484,6 @@ class StreamingExecution:
                         terminal = True
                 if not terminal:
                     if step is not None:
-                        if token is not None and not config.replay_resume:
-                            # The token indexed the previous pushdown's
-                            # stream, so degrading means replaying -- which
-                            # the configuration forbids.  Give up rather than
-                            # re-ship delivered rows.
-                            return _Opened(
-                                error=f"{type(exc).__name__}: {exc}",
-                                elapsed=time.monotonic() - state.started,
-                                attempts=attempt,
-                                degraded_to=plan.expression.to_text() if stripped else None,
-                                split_calls=len(plan.split or ()),
-                            )
                         # Degrading retry: strictly smaller pushdown, no
                         # backoff -- the failure was deterministic, not load.
                         # Re-planning per rung keeps the alias layer coherent
@@ -478,12 +517,14 @@ class StreamingExecution:
                 )
             break
         state.attempts = attempt + 1
-        elapsed = time.monotonic() - (state.started if resume is None else open_started)
+        now = time.monotonic()
+        elapsed = now - (state.started if resume is None else open_started)
         degraded_to = plan.expression.to_text() if stripped else None
         stream = rows if isinstance(rows, ResumableStream) else None
-        # Split-pushdown rows arrive already in mediator vocabulary.
-        renames: dict = {} if plan.split is not None else dict(plan.reverse)
-        if stripped:
+        # Split-pushdown rows arrive already in mediator vocabulary (and a
+        # materialised list was renamed and compensated inside the attempt).
+        renames: dict = {} if plan.split is not None or materialise else dict(plan.reverse)
+        if stripped and not materialise:
             # Rename here (once), then replay the stripped operators lazily;
             # the consumer sees mediator-vocabulary rows and an empty map.
             # ``reverse_renames`` is never rebound, so the lazy generator
@@ -494,7 +535,9 @@ class StreamingExecution:
             )
             renames = {}
         sized = None
-        if resume is None and not stripped:
+        if materialise:
+            sized = len(rows)
+        elif resume is None and not stripped:
             if isinstance(rows, (list, tuple)):
                 sized = len(rows)
             elif stream is not None:
@@ -505,7 +548,12 @@ class StreamingExecution:
         if sized is not None:
             with state.lock:
                 if not state.recorded and not state.event.is_set():
-                    executor.history.record(node.extent_name, node.expression, elapsed, sized)
+                    # Per-attempt latency for the cost model (the failed
+                    # attempts recorded theirs); the report carries the
+                    # user-facing total including retries and backoff.
+                    executor.history.record(
+                        node.extent_name, node.expression, now - attempt_started, sized
+                    )
                     state.recorded = True
         return _Opened(
             rows=rows,
@@ -528,27 +576,114 @@ class StreamingExecution:
             return None
         return max(self._deadline - time.monotonic(), 0.0)
 
-    def _report(self, state: _ExecState, **overrides) -> ExecReport:
+    def _report(
+        self, state: _ExecState, opened: _Opened | None = None, **overrides
+    ) -> ExecReport:
+        """The one place an exec call's :class:`ExecReport` is built.
+
+        ``opened`` is the worker outcome the call ended on, when it has one;
+        a written-off call states the attempts its worker got to.
+        """
         node = state.node
-        elapsed = 0.0 if state.started is None else time.monotonic() - state.started
-        values = dict(
+        report = ExecReport(
             extent_name=node.extent_name,
             source=node.source.name,
             expression=node.expression.to_text(),
-            elapsed=elapsed,
+            elapsed=0.0 if state.started is None else time.monotonic() - state.started,
             rows=state.consumed,
             available=True,
+            attempts=max(1, state.attempts) if opened is None else opened.attempts,
+            degraded_to=None if opened is None else opened.degraded_to,
+            split_calls=0 if opened is None else opened.split_calls,
             resumed_calls=state.resumed,
             replayed_rows=state.replayed,
             resume_attempts=state.resume_opens,
         )
-        values.update(overrides)
-        return ExecReport(**values)
+        for name, value in overrides.items():
+            setattr(report, name, value)
+        return report
 
-    def _exec_rows(self, node: phys.Exec) -> Iterator[Any]:
-        """The leaf generator: wait for the call to open, then stream its rows."""
+    def _exec_rows(self, node: phys.Exec) -> Iterable[Any]:
+        """The exec leaf: the settled call's list, or its live row stream."""
         state = self._states[id(node)]
+        if self._materialise:
+            return state.future.result().rows  # settled before anything composes
         return self._stream_state(state)
+
+    def evaluate_subquery(self, query: Any, env: Mapping[str, Any]) -> Any:
+        """A nested subquery is part of this query: it runs under this run's
+        admission slot and what is left of its deadline."""
+        return self._executor.evaluate_subquery(query, env, enclosing=self)
+
+    def _compose(self, plan: phys.PhysicalOp) -> Iterator[Any]:
+        """The operator pipeline over this run's exec leaves.
+
+        A stream overlaps: unions follow exec-completion order, hash-join
+        build sides drain eagerly, grouped output is suppressed over an
+        incomplete input.  A materialising run has every list in hand before
+        it composes, so there is nothing to overlap and no incomplete input.
+        """
+        stream = not self._materialise
+        return self._executor.compose_rows(
+            plan,
+            leaf=self._exec_rows,
+            base_env=self._base_env,
+            union=self._union_in_completion_order if stream else None,
+            probe=self._probe_rows,
+            build=self._eager_build if stream else None,
+            group=self._grouped_rows if stream else None,
+            subquery=self.evaluate_subquery,
+        )
+
+    def materialised(self) -> ExecutionResult:
+        """Settle every call, then compose the answer or embed what arrived.
+
+        The whole life of a materialising run (``Executor.execute``): the
+        answer is complete data, or -- when any call is unavailable, or a
+        probe join's source fails while the pipeline runs -- the partial
+        answer: the plan with the obtained rows embedded, as a query.
+        """
+        try:
+            # Settled one by one, in plan order: a concurrent.futures.wait()
+            # over all of them holds every future's lock while it installs
+            # its waiter, which the finishing workers then queue behind
+            # (measured: 10x the involuntary context switches, +3% CPU per
+            # query on fed8).  They all run under the one deadline anyway.
+            outcomes: dict[int, Any] = {}
+            complete = True
+            for state in self._states.values():
+                if state.future is None:
+                    continue  # a probe join's exec: issued while composing
+                opened = self._settle(state)
+                if opened is None:
+                    outcomes[id(state.node)] = Unavailable(state.report.error)
+                    complete = False
+                else:
+                    state.consumed = opened.sized
+                    state.report = self._report(state, opened, elapsed=opened.elapsed)
+                    outcomes[id(state.node)] = opened.rows
+            if complete:
+                try:
+                    values = list(self._compose(self._plan))
+                    return ExecutionResult(data=Bag(values), reports=self.reports)
+                except _ProbeUnavailable as failure:
+                    # The probe side stays the submit it implements, over
+                    # the left rows already obtained.
+                    outcomes[id(failure.node)] = Unavailable(failure.error)
+            builder = PartialAnswerBuilder(subquery_evaluator=self.evaluate_subquery)
+            partial_plan = builder.build(self._plan, outcomes, base_env=self._base_env)
+            return ExecutionResult(
+                data=Bag(),
+                is_partial=True,
+                partial_plan=partial_plan,
+                partial_query=builder.to_oql(partial_plan),
+                unavailable_sources=self.unavailable_sources,
+                reports=self.reports,
+            )
+        finally:
+            # On the way out of an abort this writes the surviving calls off,
+            # so their workers stop retrying and free the shared pool.
+            self._finish()
 
     def _timeout_text(self) -> str:
         return "timed out after " + (
@@ -570,10 +705,11 @@ class StreamingExecution:
 
         Returns the reopened segment (possibly an error outcome whose
         attempts the caller folds into the failure report), or ``None`` when
-        the death is not recoverable: recovery disabled, no retry budget
-        left, the call written off, the deadline expired, or the wrapper
-        declares no resume support.  Runs synchronously on the consumer
-        thread -- the reopen happens exactly where the next row was needed.
+        the death is not recoverable: no reopen budget (``max_resumes=0``, or
+        the budget spent), the call written off, the deadline expired, or the
+        wrapper declares no resume support.  Runs synchronously on the
+        consumer thread -- the reopen happens exactly where the next row was
+        needed.
 
         Mode selection: a token resume needs a live token for the *same*
         stream the source produced -- a degraded or split call compensates or
@@ -585,8 +721,6 @@ class StreamingExecution:
         """
         executor = self._executor
         config = executor.config
-        if not config.resume_midstream:
-            return None
         if self._finished or state.event.is_set():
             return None
         remaining = self._remaining()
@@ -628,16 +762,12 @@ class StreamingExecution:
         backoff = config.retry_backoff * (2 ** (max(state.attempts, 1) - 1))
         if remaining is not None:
             backoff = min(backoff, remaining)
-        if state.event.wait(backoff):
-            # Written off during the backoff: the record above becomes the
-            # call's terminal observation (the caller must not add another).
-            with state.lock:
-                state.recorded = True
-            return None
+        written_off = state.event.wait(backoff)
         remaining = self._remaining()
-        if remaining is not None and remaining <= 0:
-            # The deadline expired during the backoff; the death report
-            # stands (the record above is the terminal observation).
+        if written_off or (remaining is not None and remaining <= 0):
+            # Written off, or the deadline expired, during the backoff: the
+            # death report stands and the record above becomes the call's
+            # terminal observation (the caller must not add another).
             with state.lock:
                 state.recorded = True
             return None
@@ -657,39 +787,53 @@ class StreamingExecution:
             )
         return self._open_exec(state, resume=request)
 
-    def _stream_state(self, state: _ExecState) -> Iterator[Any]:
-        node = state.node
-        executor = self._executor
+    def _settle(self, state: _ExecState) -> _Opened | None:
+        """Wait for the call's worker under the query deadline.
+
+        Returns the opened call, or ``None`` once its failure is on
+        ``state.report``: the worker ran out of attempts, the designated
+        time period expired first (the call is written off: its worker is
+        woken, stops retrying and adds no further history), or the mediator
+        closed under it.  A mediator-side error raised by the worker
+        re-raises here and aborts the query.
+        """
         try:
             opened = state.future.result(timeout=self._remaining())
+        except CancelledError:
+            # Still queued when the pool shut down: unavailable, not a crash.
+            opened = _Opened(error="mediator closed")
         except (_FuturesTimeoutError, TimeoutError):
-            with state.lock:
-                state.event.set()
-                if not state.recorded:
-                    if state.started is not None:
-                        executor.history.record_failure(
-                            node.extent_name, node.expression, time.monotonic() - state.started
-                        )
-                    state.recorded = True
+            # Once the event is set the zombie worker neither keeps retrying
+            # nor records (it checks the event under state.lock), so the
+            # write-off is the call's one terminal observation.
+            state.event.set()
+            if state.started is not None:
+                # The call really ran for this long before the deadline cut
+                # it off; let the cost model see it.
+                self._record_failure_once(state, time.monotonic() - state.started)
             state.future.cancel()
             state.report = self._report(
-                state,
-                rows=0,
-                available=False,
-                error=self._timeout_text(),
-                attempts=max(1, state.attempts),
+                state, rows=0, available=False, error=self._timeout_text()
             )
-            return
-        if opened.error is not None:
-            state.report = self._report(
-                state,
-                rows=0,
-                available=False,
-                error=opened.error,
-                attempts=opened.attempts,
-                degraded_to=opened.degraded_to,
-                split_calls=opened.split_calls,
-            )
+            return None
+        if opened.error is None:
+            return opened
+        error = opened.error
+        if self._materialise and state.event.is_set():
+            # Only Executor.close() writes off a call that _settle has not
+            # timed out: say so, not how the woken worker happened to fail.
+            error = "mediator closed"
+        state.report = self._report(
+            state, opened, rows=0, available=False, error=error, elapsed=opened.elapsed
+        )
+        return None
+
+    def _stream_state(self, state: _ExecState) -> Iterator[Any]:
+        """A stream's exec leaf: settle the call, then hand its rows over."""
+        node = state.node
+        executor = self._executor
+        opened = self._settle(state)
+        if opened is None:
             return
         # Time attributed to the *source*: the open round trips plus the time
         # spent inside its cursor pulls -- not the consumer wall clock, which
@@ -697,7 +841,7 @@ class StreamingExecution:
         # ``source_time`` spans the whole call (the success observation and
         # the user-facing elapsed); ``segment_time`` restarts per (re)opened
         # segment, so each failure observation charges only the time *its*
-        # segment wasted, matching the barrier path's per-attempt recording.
+        # segment wasted, matching the attempt loop's per-attempt recording.
         source_time = opened.elapsed
         while True:  # one iteration per (re)opened stream segment
             segment_time = opened.elapsed
@@ -716,12 +860,7 @@ class StreamingExecution:
                         state.event.set()
                         self._record_failure_once(state, segment_time)
                         state.report = self._report(
-                            state,
-                            available=False,
-                            error=self._timeout_text(),
-                            attempts=opened.attempts,
-                            degraded_to=opened.degraded_to,
-                            split_calls=opened.split_calls,
+                            state, opened, available=False, error=self._timeout_text()
                         )
                         return
                     pulled = time.monotonic()
@@ -763,15 +902,12 @@ class StreamingExecution:
                 # The reopen loop already recorded its own attempt failures.
                 if reopened is None:
                     self._record_failure_once(state, segment_time)
-                error = f"{type(died).__name__}: {died}"
-                attempts = opened.attempts if reopened is None else reopened.attempts
                 state.report = self._report(
                     state,
+                    opened,
                     available=False,
-                    error=error,
-                    attempts=attempts,
-                    degraded_to=opened.degraded_to,
-                    split_calls=opened.split_calls,
+                    error=f"{type(died).__name__}: {died}",
+                    attempts=(reopened or opened).attempts,
                 )
                 return
             state.resumed += 1
@@ -785,13 +921,7 @@ class StreamingExecution:
                     node.extent_name, node.expression, source_time, state.consumed
                 )
                 state.recorded = True
-        state.report = self._report(
-            state,
-            rows=opened.sized or state.consumed,
-            attempts=opened.attempts,
-            degraded_to=opened.degraded_to,
-            split_calls=opened.split_calls,
-        )
+        state.report = self._report(state, opened, rows=opened.sized or state.consumed)
 
     def _union_in_completion_order(
         self, inputs: tuple[phys.PhysicalOp, ...]
@@ -813,7 +943,7 @@ class StreamingExecution:
             if ready:
                 for entry in ready:
                     pending.remove(entry)
-                    yield from self._evaluate_branch(entry[0])
+                    yield from self._compose(entry[0])
                 continue
             outstanding = {f for _, futures in pending for f in futures if not f.done()}
             done, _ = wait(outstanding, timeout=self._remaining(), return_when=FIRST_COMPLETED)
@@ -821,19 +951,8 @@ class StreamingExecution:
                 # Deadline expired: drain the stragglers; each exec leaf will
                 # time out individually and report it.
                 for child, _ in pending:
-                    yield from self._evaluate_branch(child)
+                    yield from self._compose(child)
                 return
-
-    def _evaluate_branch(self, child: phys.PhysicalOp) -> Iterator[Any]:
-        return self._executor.compose_rows(
-            child,
-            leaf=self._exec_rows,
-            base_env=self._base_env,
-            union=self._union_in_completion_order,
-            probe=self._probe_rows,
-            build=self._eager_build,
-            group=self._grouped_rows,
-        )
 
     def _grouped_rows(
         self, plan: phys.MkGroupBy, child_rows: Iterator[Any]
@@ -847,83 +966,87 @@ class StreamingExecution:
         over a partial input is *not* a sub-answer of the true result (an
         ``avg`` over one union branch is simply a wrong number).  So when any
         exec under the grouping failed or timed out, the grouped output is
-        suppressed entirely: the failure is still reported, and the barrier
-        path's resubmittable partial answer is the recovery route.
+        suppressed entirely: the failure is still reported, and ``query()``'s
+        resubmittable partial answer (which embeds the grouping as a query
+        over the obtained rows) is the recovery route.
         """
-
-        def rows() -> Iterator[Any]:
-            grouped = list(
-                ops.group_rows(
-                    child_rows,
-                    plan.variable,
-                    plan.keys,
-                    plan.aggregates,
-                    base_env=self._base_env,
-                    subquery_evaluator=self._executor.evaluate_subquery,
-                )
+        grouped = list(
+            ops.group_rows(
+                child_rows,
+                plan.variable,
+                plan.keys,
+                plan.aggregates,
+                base_env=self._base_env,
+                subquery_evaluator=self.evaluate_subquery,
             )
-            keys = [id(node) for node in phys.execs_in(plan)]
-            keys.extend(
-                id(node.probe)
-                for node in phys.walk(plan)
-                if isinstance(node, phys.ProbeJoin)
-            )
-            for key in keys:
-                state = self._states.get(key)
-                report = state.report if state is not None else None
-                if report is not None and not report.available and not report.cancelled:
-                    return
-            yield from grouped
-
-        return rows()
+        )
+        keys = [id(node) for node in phys.execs_in(plan)]
+        keys.extend(
+            id(node.probe)
+            for node in phys.walk(plan)
+            if isinstance(node, phys.ProbeJoin)
+        )
+        for key in keys:
+            state = self._states.get(key)
+            report = state.report if state is not None else None
+            if report is not None and not report.available and not report.cancelled:
+                return
+        yield from grouped
 
     # -- probe joins ---------------------------------------------------------------------------
     def _probe_rows(self, plan: phys.ProbeJoin, left_rows: Iterator[Any]) -> Iterator[Any]:
         """The probe-join leaf: batched set-valued submits over the left rows.
 
         The probe's wrapper calls run lazily on the consumer thread, bounded
-        by the query deadline and woken by the state's cancellation event on
-        close.  A terminal source failure is swallowed -- the source simply
-        contributes no further rows, like any other streaming leaf -- and
-        surfaces on the probe's aggregated :class:`ExecReport`; an early
-        close (a satisfied limit) marks the report cancelled instead.
+        by the query deadline (a probe call is only issued while budget
+        remains, so a timed-out query ends at most one wrapper round trip
+        past the deadline) and woken by the state's cancellation event on
+        close.  A terminal source failure on a stream is swallowed -- the
+        source simply contributes no further rows, like any other streaming
+        leaf -- and surfaces on the probe's aggregated :class:`ExecReport`;
+        an early close (a satisfied limit) marks the report cancelled
+        instead.  A materialising run has handed nothing over yet, so there
+        the failure (or the mediator closing) raises
+        :class:`_ProbeUnavailable` into a partial answer.
         """
         executor = self._executor
         state = self._states[id(plan.probe)]
 
-        def rows() -> Iterator[Any]:
-            runner = _ProbeRunner(
-                executor, plan, event=state.event, remaining=self._remaining
+        runner = _ProbeRunner(
+            executor,
+            plan,
+            event=state.event,
+            remaining=self._remaining,
+            raise_unavailable=self._materialise,
+        )
+        state.started = time.monotonic()
+        completed = False
+        try:
+            yield from ops.probe_join_rows(
+                left_rows,
+                plan.left_variable,
+                plan.right_variable,
+                plan.condition,
+                prober=runner.probe,
+                batch_size=executor.config.bind_batch_size,
+                base_env=self._base_env,
+                subquery_evaluator=self.evaluate_subquery,
             )
-            state.started = time.monotonic()
-            completed = False
-            try:
-                yield from ops.probe_join_rows(
-                    left_rows,
-                    plan.left_variable,
-                    plan.right_variable,
-                    plan.condition,
-                    prober=runner.probe,
-                    batch_size=executor.config.bind_batch_size,
-                    base_env=self._base_env,
-                    subquery_evaluator=executor.evaluate_subquery,
+            completed = True
+        except _ProbeCancelled:
+            pass  # written off (close/limit): not a failure
+        finally:
+            runner.finish()
+            state.attempts = max(1, runner.calls)
+            # An idle runner (no call, no error, no cancel -- e.g. an
+            # empty left side) reports nothing: a materialising run
+            # skips probing entirely when an unrelated source failure
+            # makes the query partial, so an idle probe stays invisible
+            # for the two entry points to stay report-shape comparable.
+            if runner.calls or runner.cancelled or runner._error is not None:
+                state.report = runner.report(
+                    cancelled=not completed and runner._error is None
                 )
-                completed = True
-            except _ProbeCancelled:
-                pass  # written off (close/limit): not a failure
-            finally:
-                runner.finish()
-                state.attempts = max(1, runner.calls)
-                # An idle runner (no call, no error, no cancel -- e.g. an
-                # empty left side) reports nothing, mirroring the barrier
-                # path, which skips probing entirely when an unrelated
-                # source failure ends the query before evaluation.
-                if runner.calls or runner.cancelled or runner._error is not None:
-                    state.report = runner.report(
-                        cancelled=not completed and runner._error is None
-                    )
-
-        return rows()
 
     def _eager_build(self, rows: Iterator[Any]) -> Iterator[Any]:
         """Drain a hash join's build side eagerly on a dedicated thread.
@@ -963,6 +1086,19 @@ class StreamingExecution:
         return consume()
 
     # -- shutdown ------------------------------------------------------------------------------
+    def _cancel(self) -> None:
+        """``Executor.close()``: end this run from the closing thread."""
+        if not self._materialise:
+            self._finish()
+            return
+        # A materialising run's own thread is blocked on these calls and
+        # reports them itself ("mediator closed", with the attempts each
+        # worker got to): wake it, and leave the reports to it.
+        for state in self._states.values():
+            state.event.set()
+            if state.future is not None:
+                state.future.cancel()
+
     def _finish(self) -> None:
         if self._finished:
             return
@@ -985,10 +1121,7 @@ class StreamingExecution:
                 if state.report is None:
                     # Never (or only partly) consumed: written off, not failed.
                     state.event.set()
-                    overrides: dict = {
-                        "cancelled": True,
-                        "attempts": max(1, state.attempts),
-                    }
+                    opened = None
                     future = state.future
                     if future is not None:
                         future.cancel()
@@ -997,12 +1130,6 @@ class StreamingExecution:
                                 opened = future.result()
                             except BaseException:
                                 pass
-                            else:
-                                overrides.update(
-                                    attempts=opened.attempts,
-                                    degraded_to=opened.degraded_to,
-                                    split_calls=opened.split_calls,
-                                )
-                    state.report = self._report(state, **overrides)
+                    state.report = self._report(state, opened, cancelled=True)
             if self._on_finish is not None:
                 self._on_finish()

@@ -231,6 +231,25 @@ def test_probed_source_down_degrades_to_a_partial_answer():
         mediator.close()
 
 
+def test_outage_elsewhere_sends_no_probe():
+    """A ``query()`` that is already partial is never composed: the probed
+    source is not contacted, and stays the submit it implements."""
+    mediator, left, right = build_probe_mediator(range(6), batch_size=4)
+    try:
+        reference = values_of(mediator.query(QUERY).rows())
+        assert "probejoin" in mediator.query(QUERY).physical_plan
+        left.take_down()
+        before = right.statistics.requests
+        partial = mediator.query(QUERY)
+        assert partial.is_partial and partial.unavailable_sources == ("left0",)
+        assert right.statistics.requests == before
+        assert [report.extent_name for report in partial.reports] == ["left0"]
+        left.bring_up()
+        assert values_of(mediator.resubmit(partial).rows()) == reference
+    finally:
+        mediator.close()
+
+
 def test_streaming_probe_failure_reports_without_raising():
     """Streaming: the probed source contributes no rows; the failure surfaces
     on the aggregated report, not as an exception into the consumer."""

@@ -226,6 +226,37 @@ class TestCloseRaces:
             thread for thread in threading.enumerate() if thread.name.startswith("disco-exec")
         ]
 
+    def test_close_under_a_query_reports_mediator_closed_with_true_attempts(self):
+        """The write-off text and the attempt count come from the one engine:
+        the first attempt fails fast, the retry is asleep in the source's
+        latency when the mediator closes."""
+        from repro.sources import NetworkProfile
+
+        mediator, server = build_mediator(max_retries=2)
+        server.network = NetworkProfile(base_latency=5.0)
+        server.real_sleep = True
+        server.availability.fail_next(1)
+        results: list = []
+        thread = threading.Thread(
+            target=lambda: results.append(
+                mediator.query("select x.name from x in person0", timeout=30)
+            )
+        )
+        thread.start()
+        deadline = time.monotonic() + 5
+        while server.statistics.requests < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)  # until the retry has reached the source
+        started = time.monotonic()
+        mediator.close()
+        thread.join(10)
+        assert not thread.is_alive() and time.monotonic() - started < 4.0
+        (result,) = results
+        assert result.is_partial and result.unavailable_sources == ("person0",)
+        (report,) = result.reports
+        assert report.error == "mediator closed" and not report.available
+        assert report.attempts == 2 and not report.cancelled
+        assert result.errors() == {"person0": "mediator closed"}
+
     def test_drain_close_waits_for_completion(self):
         mediator, _ = build_mediator()
         results: list = []
@@ -241,6 +272,58 @@ class TestCloseRaces:
         mediator, _ = build_mediator()
         mediator.close()
         assert len(mediator.query("select x.name from x in person0").rows()) == 40
+        mediator.close()
+
+
+NESTED = (
+    "select struct(name: x.name, total: sum(select z.salary from z in person1 "
+    "where z.name = x.name)) from x in person0 where x.salary > 250"
+)
+
+
+def build_nested_mediator(**mediator_kwargs):
+    """person0 for the outer query, person1 (own server) for the subquery."""
+    mediator, _ = build_mediator(**mediator_kwargs)
+    engine = RelationalEngine(name="db1")
+    engine.create_table("person1", rows=[dict(row) for row in ROWS])
+    inner = SimulatedServer(name="h1", store=engine)
+    mediator.register_wrapper("w1", RelationalWrapper("w1", inner))
+    mediator.create_repository("r1")
+    mediator.add_extent("person1", "Person", "w1", "r1")
+    return mediator, inner
+
+
+class TestNestedSubqueries:
+    """A correlated subquery is part of the enclosing query: its slot, its clock."""
+
+    def test_subquery_runs_under_the_enclosing_admission_slot(self):
+        unlimited, _ = build_nested_mediator()
+        expected = Counter(map(repr, unlimited.query(NESTED).rows()))
+        unlimited.close()
+        assert sum(expected.values()) == 14
+        # One slot: before the fix the subquery queued behind its own query
+        # until the deadline and raised AdmissionError.
+        mediator, _ = build_nested_mediator(max_concurrent_queries=1, timeout=3.0)
+        result = mediator.query(NESTED)
+        assert not result.is_partial
+        assert Counter(map(repr, result.rows())) == expected
+        stats = mediator.statistics()["admission"]
+        assert stats["admitted"] == 1 and stats["inflight"] == 0
+        mediator.close()
+
+    def test_subquery_runs_on_the_enclosing_remaining_deadline(self):
+        from repro.errors import UnavailableSourceError
+        from repro.sources import NetworkProfile
+
+        # config.timeout is 60 s: before the fix every subquery got a fresh
+        # one, whatever the caller's per-query timeout said.
+        mediator, inner = build_nested_mediator(timeout=60.0)
+        inner.network = NetworkProfile(base_latency=5.0)
+        inner.real_sleep = True
+        started = time.monotonic()
+        with pytest.raises(UnavailableSourceError):
+            mediator.query(NESTED, timeout=0.3)
+        assert time.monotonic() - started < 1.5
         mediator.close()
 
 

@@ -1,7 +1,9 @@
-"""Differential testing: the barrier and streaming engines must agree.
+"""Differential testing: ``query()`` and ``query_stream()`` must agree.
 
-With two execution engines live, equivalence is enforced by tests rather
-than convention: ~100 seeded random OQL queries (joins, multi-variable bind
+There is one exec engine with two entry points -- a materialising run (the
+"barrier engine" below) and a streaming run (the "streaming engine") -- that
+differ in where rows are handed off, and this harness is what keeps that
+difference from leaking into answers: ~100 seeded random OQL queries (joins, multi-variable bind
 joins with batched probes, unions, distinct, limit, injected faults) are run
 through both ``Mediator.query()`` and ``Mediator.query_stream()`` and
 compared on row multisets, error reporting, and partial-answer shape.  The

@@ -168,23 +168,34 @@ class TestWriteOffPreserved:
         mediator.close()
 
     def test_resume_midstream_off_keeps_the_write_off(self):
-        mediator, server = build_relational_mediator(max_retries=3)
-        mediator.executor.config.resume_midstream = False
+        mediator, server = build_relational_mediator(max_retries=3, max_resumes=0)
         server.availability.kill_after(10)
         result = mediator.query_stream(QUERY)
         assert list(result.iter_rows()) == [f"p{i}" for i in range(10)]
         assert result.is_partial
         mediator.close()
 
-    def test_barrier_engine_retries_whole_calls_and_never_resumes(self):
-        """The barrier path materializes calls: a death is a whole-call retry."""
-        mediator, server = build_relational_mediator(max_retries=1)
-        server.availability.kill_after(10)
+    @pytest.mark.parametrize("source", ["killed server", "lazy cursor, no resume support"])
+    def test_barrier_engine_retries_whole_calls_and_never_resumes(self, source):
+        """``query()`` materializes calls on their workers: a death before
+        hand-off is an ordinary failed attempt, so the whole call is retried
+        -- also for a wrapper that could never be resumed mid-stream."""
+        if source == "killed server":
+            mediator, server = build_relational_mediator(max_retries=1)
+            server.availability.kill_after(10)
+        else:
+            scan = FlakyScan(len(EXPECTED), fail_at=10)
+            mediator = build_generator_mediator(scan, resume=None, max_retries=1)
         result = mediator.query(QUERY)
+        assert not result.is_partial
         assert sorted(result.rows()) == sorted(EXPECTED)
         report = result.reports[0]
         assert report.attempts == 2
         assert report.resumed_calls == 0 and report.replayed_rows == 0
+        # Once-only recording: the death and the retry's success, no more.
+        observations = [o for queue in mediator.history._exact.values() for o in queue]
+        assert mediator.history.failures == 1
+        assert [o.rows for o in observations if o.rows] == [len(EXPECTED)]
         mediator.close()
 
 
