@@ -16,6 +16,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError
+from repro.lexing import OQL
 
 Environment = Mapping[str, Any]
 
@@ -82,7 +83,7 @@ class Const(Expr):
 
     def to_oql(self) -> str:
         if isinstance(self.value, str):
-            return '"' + self.value.replace('"', '\\"') + '"'
+            return OQL.quote(self.value)
         if isinstance(self.value, bool):
             return "true" if self.value else "false"
         if self.value is None:

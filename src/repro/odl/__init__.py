@@ -13,7 +13,8 @@ Supported statements:
 
 The :class:`~repro.odl.loader.OdlLoader` applies parsed declarations to a
 mediator registry, producing exactly the MetaExtent side effects the paper
-describes.
+describes.  Keywords, operators and literal syntax are the ``ODL`` table of
+:mod:`repro.lexing`; its strings are OQL strings, because a view body is OQL.
 """
 
 from repro.odl.ast import (

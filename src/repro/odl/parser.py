@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.errors import ParseError
+from repro.lexing import ODL, TokenStream
 from repro.odl.ast import (
     AttributeDecl,
     DefineDecl,
@@ -10,59 +10,12 @@ from repro.odl.ast import (
     InterfaceDecl,
     RepositoryDecl,
 )
-from repro.odl.lexer import OdlLexer, OdlToken
 
 
-class OdlParser:
+class OdlParser(TokenStream):
     """Parse a sequence of ODL declarations."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self._tokens = OdlLexer(text).tokens()
-        self._index = 0
-
-    # -- token helpers --------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> OdlToken:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _advance(self) -> OdlToken:
-        token = self._tokens[self._index]
-        if token.kind != "EOF":
-            self._index += 1
-        return token
-
-    def _expect(self, kind: str, text: str | None = None) -> OdlToken:
-        token = self._advance()
-        if token.kind != kind or (text is not None and token.text != text):
-            raise ParseError(
-                f"expected {text or kind}, got {token.text!r}",
-                line=token.line,
-                column=token.column,
-            )
-        return token
-
-    def _expect_keyword(self, word: str) -> OdlToken:
-        token = self._advance()
-        if not token.is_keyword(word):
-            raise ParseError(
-                f"expected {word!r}, got {token.text!r}", line=token.line, column=token.column
-            )
-        return token
-
-    def _expect_op(self, text: str) -> OdlToken:
-        token = self._advance()
-        if not token.is_op(text):
-            raise ParseError(
-                f"expected {text!r}, got {token.text!r}", line=token.line, column=token.column
-            )
-        return token
-
-    def _match_op(self, text: str) -> bool:
-        if self._peek().is_op(text):
-            self._advance()
-            return True
-        return False
+    dialect = ODL
 
     # -- declarations ------------------------------------------------------------------
     def parse(self) -> list[object]:
@@ -82,9 +35,7 @@ class OdlParser:
             return self._define()
         if token.is_keyword("repository"):
             return self._repository()
-        raise ParseError(
-            f"expected a declaration, got {token.text!r}", line=token.line, column=token.column
-        )
+        raise self.error(f"expected a declaration, got {token.text!r}", token)
 
     def _interface(self) -> InterfaceDecl:
         self._expect_keyword("interface")
@@ -123,34 +74,26 @@ class OdlParser:
         wrapper = self._expect("IDENT").text
         self._expect_keyword("repository")
         repository = self._expect("IDENT").text
-        map_pairs: list[tuple[str, str]] = []
-        if self._peek().is_keyword("map"):
-            self._advance()
-            map_pairs = self._map_pairs()
+        # ``map ((a=b), (c=d), ...)`` -- the paper's list-of-strings map.
+        map_pairs: tuple[tuple[str, str], ...] = ()
+        if self._match_keyword("map"):
+            map_pairs = self._parenthesized(self._map_pair, allow_empty=False)
         self._expect_op(";")
         return ExtentDecl(
             name=name,
             interface=interface,
             wrapper=wrapper,
             repository=repository,
-            map_pairs=tuple(map_pairs),
+            map_pairs=map_pairs,
         )
 
-    def _map_pairs(self) -> list[tuple[str, str]]:
-        """Parse ``((a=b), (c=d), ...)`` -- the paper's list-of-strings map."""
+    def _map_pair(self) -> tuple[str, str]:
         self._expect_op("(")
-        pairs: list[tuple[str, str]] = []
-        while True:
-            self._expect_op("(")
-            left = self._expect("IDENT").text
-            self._expect_op("=")
-            right = self._expect("IDENT").text
-            self._expect_op(")")
-            pairs.append((left, right))
-            if not self._match_op(","):
-                break
+        left = self._expect("IDENT").text
+        self._expect_op("=")
+        right = self._expect("IDENT").text
         self._expect_op(")")
-        return pairs
+        return left, right
 
     def _define(self) -> DefineDecl:
         self._expect_keyword("define")
@@ -158,12 +101,12 @@ class OdlParser:
         as_token = self._expect_keyword("as")
         # The view body is raw OQL: slice the source text from just after
         # "as" to the terminating semicolon at nesting depth zero.
-        start = as_token.offset + len("as")
+        start = as_token.end
         depth = 0
         while True:
             token = self._peek()
             if token.kind == "EOF":
-                raise ParseError(f"unterminated define {name!r}", line=token.line)
+                raise self.error(f"unterminated define {name!r}", token)
             if token.is_op("("):
                 depth += 1
             elif token.is_op(")"):
@@ -184,10 +127,9 @@ class OdlParser:
                 self._expect_op("=")
                 token = self._advance()
                 if token.kind not in ("STRING", "IDENT", "NUMBER"):
-                    raise ParseError(
+                    raise self.error(
                         f"expected a value for repository property {key!r}, got {token.text!r}",
-                        line=token.line,
-                        column=token.column,
+                        token,
                     )
                 properties.append((key, token.text))
                 self._match_op(",")

@@ -10,13 +10,13 @@ Eviction is least-recently-*used*: ``get`` refreshes an entry's recency, so a
 hot query is never pushed out by a stream of one-off queries.  Keys are the
 query's *parsed* canonical form (``parse_query(text).to_oql()``), so comment,
 case-of-keyword and formatting variants all hit the same entry; text that
-does not parse falls back to whitespace collapsing, so a malformed query
-still produces a stable key (and its ParseError is raised by the planner,
-not here).  Normalization results are memoized per text, so a cache hit
-costs one dict lookup, not a parse -- and on a miss the planner, which has to
-parse the text anyway, hands the canonical key in (``known_key`` /
-``learn_key``, then ``key=`` on ``get``/``put``) instead of having the cache
-parse it a second time.
+does not parse falls back to its token spans joined by single spaces, so a
+malformed query still produces a stable key (and its ParseError is raised by
+the planner, not here).  Normalization results are memoized per text, so a
+cache hit costs one dict lookup, not a parse -- and on a miss the planner,
+which has to parse the text anyway, hands the canonical key in (``known_key``
+/ ``learn_key``, then ``key=`` on ``get``/``put``) instead of having the
+cache parse it a second time.
 
 Lock discipline: one cache-wide :class:`threading.RLock` guards the entry
 map, the key memo and every counter -- the cache is shared by all the
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ParseError
+from repro.lexing import OQL, tokenize
 
 
 @dataclass
@@ -49,8 +50,10 @@ def normalize_query_text(query_text: str) -> str:
     Parsing strips comments, collapses formatting and lowercases keywords
     while preserving the semantics (string literals, identifier case), so
     ``SELECT x FROM x IN person // hot path`` and ``select x from x in
-    person`` key the same slot.  Unparseable text falls back to whitespace
-    normalization.  Shared by the plan cache and the answer cache
+    person`` key the same slot.  Unparseable text falls back to its tokens'
+    source spans joined by one space (whitespace inside a string literal
+    stays significant), and to the raw text if it does not even tokenize.
+    Shared by the plan cache and the answer cache
     (:mod:`repro.runtime.answercache`), so both key the same canonical form
     and their hit/miss counters are directly comparable.
     """
@@ -59,40 +62,12 @@ def normalize_query_text(query_text: str) -> str:
     try:
         return parse_query(query_text).to_oql()
     except ParseError:
-        return _normalize_whitespace(query_text)
-
-
-def _normalize_whitespace(query_text: str) -> str:
-    """Collapse whitespace runs so reformatted query text keys the same slot.
-
-    Quoted string literals are kept verbatim -- whitespace inside them is
-    semantically significant, so ``x = "Mary  Smith"`` and ``x = "Mary Smith"``
-    must key *different* cache slots.
-    """
-    out: list[str] = []
-    i, n = 0, len(query_text)
-    while i < n:
-        ch = query_text[i]
-        if ch in "\"'":
-            end = i + 1
-            while end < n:
-                if query_text[end] == "\\":
-                    end += 2
-                    continue
-                if query_text[end] == ch:
-                    end += 1
-                    break
-                end += 1
-            out.append(query_text[i:end])
-            i = end
-        elif ch.isspace():
-            while i < n and query_text[i].isspace():
-                i += 1
-            out.append(" ")
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out).strip()
+        pass
+    try:
+        tokens = tokenize(OQL, query_text)
+    except ParseError:
+        return query_text
+    return " ".join(query_text[token.offset : token.end] for token in tokens[:-1])
 
 
 @dataclass

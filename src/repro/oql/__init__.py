@@ -11,9 +11,10 @@ The subset implements every construct the paper's examples use:
   nested selects -- the reconciliation functions of Section 2.2.3;
 * ``define <name> as <query>`` view definitions.
 
-Modules: :mod:`lexer`, :mod:`ast` (query nodes), :mod:`parser`,
-:mod:`printer` (AST -> text), :mod:`binder` (name resolution against a
-mediator registry) and :mod:`translator` (AST -> logical algebra).
+Modules: :mod:`ast` (query nodes), :mod:`parser`, :mod:`printer` (AST ->
+text), :mod:`binder` (name resolution against a mediator registry) and
+:mod:`translator` (AST -> logical algebra).  Keywords, operators and literal
+syntax are the ``OQL`` table of :mod:`repro.lexing`.
 """
 
 from repro.oql.parser import OqlParser, parse_query, parse_statement

@@ -18,7 +18,7 @@ from repro.algebra.expressions import (
     Subquery,
     Var,
 )
-from repro.errors import ParseError
+from repro.lexing import OQL, TokenStream, number_value
 from repro.oql.ast import (
     BagLiteralQuery,
     Binding,
@@ -30,18 +30,21 @@ from repro.oql.ast import (
     SelectQuery,
     UnionQuery,
 )
-from repro.oql.lexer import OqlLexer, Token
 
 _COMPARISON_OPS = ("=", "!=", "<>", "<", "<=", ">", ">=")
+#: the keywords that are literals (what ``Const.to_oql`` writes for them).
+_KEYWORD_VALUES = {"true": True, "false": False, "nil": None}
+#: the keywords (besides "(") that open a collection-valued query.
+_QUERY_KEYWORDS = ("select", "union", "flatten", "bag")
 
 
-class OqlParser:
+class OqlParser(TokenStream):
     """Parse OQL text into query AST nodes."""
 
+    dialect = OQL
+
     def __init__(self, text: str):
-        self.text = text
-        self._tokens = OqlLexer(text).tokens()
-        self._index = 0
+        super().__init__(text)
         #: >0 while parsing a from-clause collection expression.  ``and x in``
         #: continues the from clause only there; at depth 0 it is an in-list
         #: membership conjunct (``where flag and y in (1, 2)``).
@@ -54,9 +57,7 @@ class OqlParser:
         self._match_op(";")
         token = self._peek()
         if token.kind != "EOF":
-            raise ParseError(
-                f"unexpected trailing input {token.text!r}", line=token.line, column=token.column
-            )
+            raise self.error(f"unexpected trailing input {token.text!r}", token)
         return query
 
     def parse_statement(self) -> QueryNode:
@@ -70,55 +71,6 @@ class OqlParser:
             return DefineStatement(name=name, query=query)
         return self.parse_query()
 
-    # -- token helpers ----------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._index]
-        if token.kind != "EOF":
-            self._index += 1
-        return token
-
-    def _expect(self, kind: str, text: str | None = None) -> Token:
-        token = self._advance()
-        if token.kind != kind or (text is not None and token.text != text):
-            raise ParseError(
-                f"expected {text or kind}, got {token.text!r}",
-                line=token.line,
-                column=token.column,
-            )
-        return token
-
-    def _expect_keyword(self, word: str) -> Token:
-        token = self._advance()
-        if not token.is_keyword(word):
-            raise ParseError(
-                f"expected {word!r}, got {token.text!r}", line=token.line, column=token.column
-            )
-        return token
-
-    def _expect_op(self, text: str) -> Token:
-        token = self._advance()
-        if not token.is_op(text):
-            raise ParseError(
-                f"expected {text!r}, got {token.text!r}", line=token.line, column=token.column
-            )
-        return token
-
-    def _match_keyword(self, word: str) -> bool:
-        if self._peek().is_keyword(word):
-            self._advance()
-            return True
-        return False
-
-    def _match_op(self, text: str) -> bool:
-        if self._peek().is_op(text):
-            self._advance()
-            return True
-        return False
-
     # -- queries ------------------------------------------------------------------------
     def _query(self) -> QueryNode:
         token = self._peek()
@@ -126,12 +78,7 @@ class OqlParser:
             return self._select_query()
         if token.is_keyword("union"):
             self._advance()
-            self._expect_op("(")
-            parts = [self._query()]
-            while self._match_op(","):
-                parts.append(self._query())
-            self._expect_op(")")
-            return UnionQuery(tuple(parts))
+            return UnionQuery(self._parenthesized(self._query, allow_empty=False))
         if token.is_keyword("flatten"):
             self._advance()
             self._expect_op("(")
@@ -140,37 +87,24 @@ class OqlParser:
             return FlattenQuery(child)
         if token.is_keyword("bag"):
             self._advance()
-            self._expect_op("(")
-            items: list[Expr] = []
-            if not self._peek().is_op(")"):
-                items.append(self._expression_or_subquery())
-                while self._match_op(","):
-                    items.append(self._expression_or_subquery())
-            self._expect_op(")")
-            return BagLiteralQuery(tuple(items))
+            return BagLiteralQuery(self._parenthesized(self._expression_or_subquery))
         if token.is_op("("):
             self._advance()
             inner = self._query()
             self._expect_op(")")
             return inner
-        if token.kind == "IDENT":
-            # Either a bare collection reference or a scalar expression such as
-            # sum(select ...); a following "(" means a function call.
-            if self._peek(1).is_op("("):
-                return ExprQuery(self._expression())
-            if self._peek(1).is_op("."):
-                return ExprQuery(self._expression())
+        # An identifier is either a bare collection reference or the start of
+        # a scalar expression such as sum(select ...) or x.name; a following
+        # "(" means a function call, a "." a path.
+        following = self._peek(1)
+        if token.kind == "IDENT" and not (following.is_op("(") or following.is_op(".")):
             return self._collection_ref()
         # Anything else is a scalar expression used as a query.
         return ExprQuery(self._expression())
 
     def _collection_ref(self) -> CollectionRef:
         name = self._expect("IDENT").text
-        recursive = False
-        if self._peek().is_op("*"):
-            self._advance()
-            recursive = True
-        return CollectionRef(name=name, recursive=recursive)
+        return CollectionRef(name=name, recursive=self._match_op("*"))
 
     def _select_query(self) -> SelectQuery:
         self._expect_keyword("select")
@@ -178,21 +112,16 @@ class OqlParser:
         item = self._expression()
         self._expect_keyword("from")
         bindings = [self._binding()]
-        while True:
-            # A "," or "and" continues the from clause only when a binding
-            # (IDENT "in" ...) follows; otherwise it belongs to an enclosing
-            # construct such as union(select ..., select ...).
-            if self._peek().is_op(",") and self._looks_like_binding(1):
-                self._advance()
-                bindings.append(self._binding())
-                continue
-            # The paper also separates bindings with "and":
-            #   from x in person0 and y in person1
-            if self._peek().is_keyword("and") and self._looks_like_binding(1):
-                self._advance()
-                bindings.append(self._binding())
-                continue
-            break
+        # A "," or "and" continues the from clause only when a binding
+        # (IDENT "in" ...) follows; otherwise it belongs to an enclosing
+        # construct such as union(select ..., select ...).  The paper also
+        # separates bindings with "and":
+        #   from x in person0 and y in person1
+        while (
+            self._peek().is_op(",") or self._peek().is_keyword("and")
+        ) and self._looks_like_binding(1):
+            self._advance()
+            bindings.append(self._binding())
         where = None
         if self._match_keyword("where"):
             where = self._expression()
@@ -252,13 +181,10 @@ class OqlParser:
             return None
         self._advance()
         token = self._expect("NUMBER")
-        if "." in token.text:
-            raise ParseError(
-                f"limit takes a non-negative integer, got {token.text!r}",
-                line=token.line,
-                column=token.column,
-            )
-        return int(token.text)
+        limit = number_value(token.text)
+        if not isinstance(limit, int):
+            raise self.error(f"limit takes a non-negative integer, got {token.text!r}", token)
+        return limit
 
     def _looks_like_binding(self, offset: int) -> bool:
         return self._peek(offset).kind == "IDENT" and self._peek(offset + 1).is_keyword("in")
@@ -277,13 +203,7 @@ class OqlParser:
         token = self._peek()
         if token.kind == "IDENT" and not self._peek(1).is_op("("):
             return self._collection_ref()
-        if (
-            token.is_keyword("select")
-            or token.is_keyword("union")
-            or token.is_keyword("flatten")
-            or token.is_keyword("bag")
-            or token.is_op("(")
-        ):
+        if token.is_op("(") or (token.kind == "KEYWORD" and token.text in _QUERY_KEYWORDS):
             return self._query()
         return ExprQuery(self._expression())
 
@@ -333,14 +253,7 @@ class OqlParser:
         # remains a from-clause binding.
         if token.is_keyword("in") and self._peek(1).is_op("("):
             self._advance()
-            self._expect_op("(")
-            items: list[Expr] = []
-            if not self._peek().is_op(")"):
-                items.append(self._additive())
-                while self._match_op(","):
-                    items.append(self._additive())
-            self._expect_op(")")
-            return InList(left, tuple(items))
+            return InList(left, self._parenthesized(self._additive))
         return left
 
     def _additive(self) -> Expr:
@@ -363,40 +276,30 @@ class OqlParser:
         token = self._peek()
         if token.kind == "NUMBER":
             self._advance()
-            value = float(token.text) if "." in token.text else int(token.text)
-            return Const(value)
+            return Const(number_value(token.text))
+        if token.is_op("-"):
+            # Unary minus.  A negated numeric literal folds into the constant,
+            # so the "-200" a partial answer writes for a delivered row reads
+            # back as the same Const; anything else is 0 - operand.
+            self._advance()
+            if self._peek().kind == "NUMBER":
+                return Const(-number_value(self._advance().text))
+            return Arithmetic("-", Const(0), self._primary())
         if token.kind == "STRING":
             self._advance()
             return Const(token.text)
-        if token.is_keyword("true"):
+        if token.kind == "KEYWORD" and token.text in _KEYWORD_VALUES:
             self._advance()
-            return Const(True)
-        if token.is_keyword("false"):
-            self._advance()
-            return Const(False)
-        if token.is_keyword("nil"):
-            self._advance()
-            return Const(None)
+            return Const(_KEYWORD_VALUES[token.text])
         if token.is_keyword("struct"):
             return self._struct_expression()
         if token.is_keyword("bag"):
             self._advance()
-            self._expect_op("(")
-            items: list[Expr] = []
-            if not self._peek().is_op(")"):
-                items.append(self._expression_or_subquery())
-                while self._match_op(","):
-                    items.append(self._expression_or_subquery())
-            self._expect_op(")")
-            return BagExpr(tuple(items))
+            return BagExpr(self._parenthesized(self._expression_or_subquery))
         if token.is_keyword("union") or token.is_keyword("flatten"):
             name = self._advance().text
-            self._expect_op("(")
-            args = [self._expression_or_subquery()]
-            while self._match_op(","):
-                args.append(self._expression_or_subquery())
-            self._expect_op(")")
-            return FunctionCall(name, tuple(args))
+            args = self._parenthesized(self._expression_or_subquery, allow_empty=False)
+            return FunctionCall(name, args)
         if token.is_keyword("select"):
             return Subquery(self._select_query())
         if token.is_op("("):
@@ -409,22 +312,11 @@ class OqlParser:
             return inner
         if token.kind == "IDENT":
             return self._identifier_expression()
-        raise ParseError(
-            f"unexpected token {token.text!r} in expression",
-            line=token.line,
-            column=token.column,
-        )
+        raise self.error(f"unexpected token {token.text!r} in expression", token)
 
     def _struct_expression(self) -> Expr:
         self._expect_keyword("struct")
-        self._expect_op("(")
-        fields: list[tuple[str, Expr]] = []
-        if not self._peek().is_op(")"):
-            fields.append(self._struct_field())
-            while self._match_op(","):
-                fields.append(self._struct_field())
-        self._expect_op(")")
-        return StructExpr(tuple(fields))
+        return StructExpr(self._parenthesized(self._struct_field))
 
     def _struct_field(self) -> tuple[str, Expr]:
         name = self._expect("IDENT").text
@@ -434,19 +326,10 @@ class OqlParser:
     def _identifier_expression(self) -> Expr:
         name = self._expect("IDENT").text
         if self._peek().is_op("("):
-            self._advance()
-            args: list[Expr] = []
-            if not self._peek().is_op(")"):
-                args.append(self._expression_or_subquery())
-                while self._match_op(","):
-                    args.append(self._expression_or_subquery())
-            self._expect_op(")")
-            return FunctionCall(name, tuple(args))
+            return FunctionCall(name, self._parenthesized(self._expression_or_subquery))
         expression: Expr = Var(name)
-        while self._peek().is_op("."):
-            self._advance()
-            attribute = self._expect("IDENT").text
-            expression = Path(expression, attribute)
+        while self._match_op("."):
+            expression = Path(expression, self._expect("IDENT").text)
         return expression
 
 

@@ -1,4 +1,4 @@
-"""A miniature SQL dialect: lexer, parser and executor.
+"""A miniature SQL dialect: parser and executor.
 
 The paper's first wrapper example is ``WrapperPostgres()`` -- a wrapper around
 a relational database that speaks SQL.  To exercise the same code path (the
@@ -12,15 +12,14 @@ query language), this package implements a small but genuine SQL engine:
 
 The SQL wrapper (:mod:`repro.wrappers.sqlwrapper`) builds SQL text from
 algebra trees and sends it here, never touching the engine's tables directly.
+Keywords, operators and literal syntax are the ``SQL`` table of
+:mod:`repro.lexing`; wrapper and engine quote strings through it.
 """
 
-from repro.sources.sql.lexer import SqlLexer, SqlToken
 from repro.sources.sql.parser import SqlParser, SelectStatement, JoinClause
 from repro.sources.sql.engine import SqlEngine
 
 __all__ = [
-    "SqlLexer",
-    "SqlToken",
     "SqlParser",
     "SelectStatement",
     "JoinClause",

@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ParseError
-from repro.sources.sql.lexer import SqlLexer, SqlToken
+from repro.lexing import SQL, TokenStream, number_value
 
 
 # -- AST ---------------------------------------------------------------------------
@@ -88,8 +87,7 @@ class Literal:
         if isinstance(self.value, bool):
             return "TRUE" if self.value else "FALSE"
         if isinstance(self.value, str):
-            escaped = self.value.replace("'", "''")
-            return f"'{escaped}'"
+            return SQL.quote(self.value)
         return repr(self.value)
 
 
@@ -148,50 +146,10 @@ class SelectStatement:
 
 
 # -- parser -------------------------------------------------------------------------
-class SqlParser:
+class SqlParser(TokenStream):
     """Turn SQL text into a :class:`SelectStatement`."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self._tokens = SqlLexer(text).tokens()
-        self._index = 0
-
-    # -- token helpers -------------------------------------------------------------
-    def _peek(self) -> SqlToken:
-        return self._tokens[self._index]
-
-    def _advance(self) -> SqlToken:
-        token = self._tokens[self._index]
-        if token.kind != "EOF":
-            self._index += 1
-        return token
-
-    def _expect_keyword(self, word: str) -> SqlToken:
-        token = self._advance()
-        if not token.is_keyword(word):
-            raise ParseError(f"expected {word}, got {token.text!r}", column=token.position)
-        return token
-
-    def _expect(self, kind: str, text: str | None = None) -> SqlToken:
-        token = self._advance()
-        if token.kind != kind or (text is not None and token.text != text):
-            raise ParseError(
-                f"expected {text or kind}, got {token.text!r}", column=token.position
-            )
-        return token
-
-    def _match_keyword(self, word: str) -> bool:
-        if self._peek().is_keyword(word):
-            self._advance()
-            return True
-        return False
-
-    def _match_op(self, text: str) -> bool:
-        token = self._peek()
-        if token.kind == "OP" and token.text == text:
-            self._advance()
-            return True
-        return False
+    dialect = SQL
 
     # -- grammar ----------------------------------------------------------------------
     def parse(self) -> SelectStatement:
@@ -199,9 +157,7 @@ class SqlParser:
         statement = self._select()
         trailing = self._peek()
         if trailing.kind != "EOF":
-            raise ParseError(
-                f"unexpected trailing input {trailing.text!r}", column=trailing.position
-            )
+            raise self.error(f"unexpected trailing input {trailing.text!r}", trailing)
         return statement
 
     def _select(self) -> SelectStatement:
@@ -214,7 +170,7 @@ class SqlParser:
             join_table = self._table_ref()
             self._expect_keyword("ON")
             left = self._column()
-            self._expect("OP", "=")
+            self._expect_op("=")
             right = self._column()
             joins.append(JoinClause(table=join_table, left_column=left, right_column=right))
         where = None
@@ -230,12 +186,9 @@ class SqlParser:
         limit = None
         if self._match_keyword("LIMIT"):
             token = self._expect("NUMBER")
-            if "." in token.text or int(token.text) < 0:
-                raise ParseError(
-                    f"LIMIT takes a non-negative integer, got {token.text!r}",
-                    column=token.position,
-                )
-            limit = int(token.text)
+            limit = number_value(token.text)
+            if not isinstance(limit, int) or limit < 0:
+                raise self.error(f"LIMIT takes a non-negative integer, got {token.text!r}", token)
         return SelectStatement(
             columns=columns,
             table=table,
@@ -249,7 +202,7 @@ class SqlParser:
         """A table name, or a parenthesized derived table ``(SELECT ...)``."""
         if self._match_op("("):
             statement = self._select()
-            self._expect("OP", ")")
+            self._expect_op(")")
             return statement
         return self._expect("IDENT").text
 
@@ -263,12 +216,10 @@ class SqlParser:
 
     def _projection_item(self) -> ColumnRef | AggregateRef:
         token = self._peek()
-        following = self._tokens[min(self._index + 1, len(self._tokens) - 1)]
         if (
             token.kind == "IDENT"
             and token.text.upper() in AGGREGATE_FUNCTIONS
-            and following.kind == "OP"
-            and following.text == "("
+            and self._peek(1).is_op("(")
         ):
             return self._aggregate_item()
         column = self._column()
@@ -279,17 +230,14 @@ class SqlParser:
 
     def _aggregate_item(self) -> AggregateRef:
         func = self._expect("IDENT").text.upper()
-        self._expect("OP", "(")
+        self._expect_op("(")
         column: ColumnRef | None = None
         if self._match_op("*"):
             if func != "COUNT":
-                raise ParseError(
-                    f"{func}(*) is not valid; only COUNT takes '*'",
-                    column=self._peek().position,
-                )
+                raise self.error(f"{func}(*) is not valid; only COUNT takes '*'", self._peek())
         else:
             column = self._column()
-        self._expect("OP", ")")
+        self._expect_op(")")
         alias = None
         if self._match_keyword("AS"):
             alias = self._expect("IDENT").text
@@ -325,26 +273,17 @@ class SqlParser:
             return BooleanExpr(op="NOT", operands=(self._factor(),))
         if self._match_op("("):
             inner = self._expression()
-            self._expect("OP", ")")
+            self._expect_op(")")
             return inner
         return self._comparison()
 
     def _comparison(self) -> Comparison | InPredicate:
         left = self._operand()
         if self._match_keyword("IN"):
-            self._expect("OP", "(")
-            items: list[Literal] = []
-            if not (self._peek().kind == "OP" and self._peek().text == ")"):
-                items.append(self._literal())
-                while self._match_op(","):
-                    items.append(self._literal())
-            self._expect("OP", ")")
-            return InPredicate(operand=left, items=tuple(items))
+            return InPredicate(operand=left, items=self._parenthesized(self._literal))
         token = self._advance()
         if token.kind != "OP" or token.text not in ("=", "<>", "!=", "<", "<=", ">", ">="):
-            raise ParseError(
-                f"expected comparison operator, got {token.text!r}", column=token.position
-            )
+            raise self.error(f"expected comparison operator, got {token.text!r}", token)
         op = "<>" if token.text == "!=" else token.text
         right = self._operand()
         return Comparison(op=op, left=left, right=right)
@@ -352,10 +291,7 @@ class SqlParser:
     def _literal(self) -> Literal:
         operand = self._operand()
         if not isinstance(operand, Literal):
-            raise ParseError(
-                f"IN list items must be literals, got {operand!r}",
-                column=self._peek().position,
-            )
+            raise self.error(f"IN list items must be literals, got {operand!r}", self._peek())
         return operand
 
     def _operand(self) -> ColumnRef | Literal:
@@ -364,8 +300,7 @@ class SqlParser:
             return self._column()
         token = self._advance()
         if token.kind == "NUMBER":
-            text = token.text
-            return Literal(float(text) if "." in text else int(text))
+            return Literal(number_value(token.text))
         if token.kind == "STRING":
             return Literal(token.text)
         if token.is_keyword("TRUE"):
@@ -374,4 +309,4 @@ class SqlParser:
             return Literal(False)
         if token.is_keyword("NULL"):
             return Literal(None)
-        raise ParseError(f"expected operand, got {token.text!r}", column=token.position)
+        raise self.error(f"expected operand, got {token.text!r}", token)

@@ -41,6 +41,7 @@ from repro.algebra.logical import (
 from repro.errors import WrapperError
 from repro.sources.server import SimulatedServer
 from repro.sources.sql.engine import SqlEngine
+from repro.sources.sql.parser import Literal
 from repro.wrappers.base import RESUME_REPLAY, Row, Wrapper
 
 
@@ -242,15 +243,7 @@ class SqlWrapper(Wrapper):
         if isinstance(operand, Path) and isinstance(operand.base, Var):
             return operand.attribute
         if isinstance(operand, Const):
-            value = operand.value
-            if isinstance(value, str):
-                escaped = value.replace("'", "''")
-                return f"'{escaped}'"
-            if isinstance(value, bool):
-                return "TRUE" if value else "FALSE"
-            if value is None:
-                return "NULL"
-            return repr(value)
+            return Literal(operand.value).render()
         raise WrapperError(f"cannot translate operand {operand.to_oql()} to SQL")
 
     # -- meta-data ----------------------------------------------------------------------------

@@ -103,7 +103,11 @@ def build_mediator(
         schema=TableSchema.of(("id", int), ("name", str), ("salary", int)),
         rows=[
             {"id": i, "name": NAMES[i % len(NAMES)], "salary": i % 7} for i in range(12)
-        ],
+        ]
+        # Literal syntax on every seed: a partial answer embeds delivered rows
+        # as OQL text, and the harness re-parses it (a negative number, and a
+        # name holding both a backslash and a double quote).
+        + [{"id": 12, "name": 'o\\"neil', "salary": -3}],
     )
     engine0.create_table(
         "dept0",

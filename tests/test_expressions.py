@@ -1,6 +1,6 @@
 """Tests for the scalar expression language."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -19,8 +19,11 @@ from repro.algebra.expressions import (
     split_conjuncts,
     walk_expr,
 )
+from repro.algebra.logical import BagLiteral
+from repro.algebra.unparser import logical_to_oql
 from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError
+from repro.oql.parser import parse_query
 
 
 def x_salary() -> Path:
@@ -165,3 +168,28 @@ class TestConjunctions:
         assert Arithmetic("-", Const(a), Const(b)).evaluate({}) == a - b
         assert Arithmetic("*", Const(a), Const(b)).evaluate({}) == a * b
         assert Arithmetic("/", Const(a), Const(b)).evaluate({}) == a / b
+
+
+#: every value a delivered row can hold that OQL has a literal for (non-finite
+#: floats have none).
+LITERAL_VALUES = st.one_of(
+    st.text(), st.integers(), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+class TestLiteralRoundTrip:
+    """What the writer emits, the reader accepts: a partial answer *is* a query."""
+
+    @settings(derandomize=True)
+    @given(LITERAL_VALUES)
+    def test_const_text_parses_back_to_the_same_const(self, value):
+        assert parse_query(Const(value).to_oql()).expression == Const(value)
+
+    @settings(derandomize=True)
+    @given(st.lists(st.tuples(LITERAL_VALUES, LITERAL_VALUES), max_size=4))
+    def test_unparsed_bag_of_structs_parses_back_to_the_same_rows(self, pairs):
+        literal = BagLiteral(tuple(Struct({"a": a, "b": b}) for a, b in pairs))
+        parsed = parse_query(logical_to_oql(literal))
+        assert parsed.items == tuple(
+            StructExpr((("a", Const(a)), ("b", Const(b)))) for a, b in pairs
+        )

@@ -4,7 +4,7 @@ import pytest
 
 from repro import Bag, LocalTransformationMap, Mediator, RelationalWrapper, Struct
 from repro.errors import NameResolutionError, TypeConflictError
-from repro.sources import RelationalEngine, SimulatedServer
+from repro.sources import RelationalEngine, SimulatedServer, TableSchema
 from tests.conftest import build_paper_mediator, build_person_engine
 
 
@@ -85,6 +85,44 @@ class TestSection13PartialEvaluation:
         partial = mediator.query("select x.name from x in person where x.salary > 10")
         servers[0].bring_up()
         assert mediator.query(partial.partial_query).data == Bag(["Mary", "Sam"])
+
+    def test_partial_answer_text_survives_every_literal_a_row_can_hold(self):
+        """Delivered rows are written as OQL literals; the reader must accept
+        what the writer wrote -- negative numbers, exponents, quotes and
+        backslashes included -- or the partial answer is not a query."""
+        rows = [
+            {"id": 1, "name": "Mary", "salary": -200},
+            {"id": 2, "name": 'say "hi"', "salary": 1.5e20},
+            {"id": 3, "name": "C:\\new", "salary": 1e-07},
+            {"id": 4, "name": "trailing\\", "salary": 0},
+        ]
+        engine0 = RelationalEngine(name="persondb0")
+        engine0.create_table(
+            "person0",
+            schema=TableSchema.of(("id", int), ("name", str), ("salary", float)),
+            rows=rows,
+        )
+        server0 = SimulatedServer(name="host0", store=engine0)
+        _, server1 = build_person_engine(1, [{"id": 5, "name": "Sam", "salary": 50}])
+        with Mediator(name="literals") as mediator:
+            mediator.register_wrapper("w0", RelationalWrapper("w0", server0))
+            mediator.register_wrapper("w1", RelationalWrapper("w1", server1))
+            mediator.define_interface(
+                "Person", [("id", "Long"), ("name", "String"), ("salary", "Float")],
+                extent_name="person",
+            )
+            mediator.create_repository("r0", host="rodin")
+            mediator.create_repository("r1", host="umiacs")
+            mediator.add_extent("person0", "Person", "w0", "r0")
+            mediator.add_extent("person1", "Person", "w1", "r1")
+            query = "select struct(n: x.name, s: x.salary) from x in person"
+            full = mediator.query(query).data
+            assert len(full) == 5
+            server1.take_down()
+            partial = mediator.query(query)
+            assert partial.is_partial
+            server1.bring_up()
+            assert mediator.query(partial.partial_query).data == full
 
     def test_all_sources_down_returns_pure_query(self, paper_mediator_with_servers):
         mediator, servers = paper_mediator_with_servers

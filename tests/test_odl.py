@@ -111,6 +111,10 @@ class TestOdlParser:
         with pytest.raises(ParseError):
             parse_odl("table person (name);")
 
+    def test_unterminated_string_raises(self):
+        with pytest.raises(ParseError, match="unterminated ODL string literal"):
+            parse_odl('repository r0 (host="rodin);')
+
     def test_unterminated_define_raises(self):
         with pytest.raises(ParseError):
             parse_odl("define v as select x from x in person")
@@ -158,6 +162,21 @@ class TestOdlLoader:
     def test_view_is_registered(self):
         registry = self.load()
         assert registry.schema.has_view("double")
+
+    def test_view_body_with_an_escaped_quote_loads_and_answers(self, paper_mediator):
+        """The body of a define is OQL, so ODL reads strings the way OQL does:
+        ``\\"`` inside a literal does not end it (nor the define)."""
+        body = 'select x.name from x in person where x.name != "a\\"b;" and x.salary > 10'
+        (define,) = parse_odl(f"define loud as {body};")
+        assert define.query_text == body
+        paper_mediator.load_odl(f"define loud as {body};")
+        inline = paper_mediator.query(body).data
+        assert sorted(inline) == ["Mary", "Sam"]
+        assert paper_mediator.query("select y from y in loud").data == inline
+
+    def test_repository_property_values_are_unquoted_like_oql_strings(self):
+        (repository,) = parse_odl('repository r0 (host="ro\\"din", port=8080);')
+        assert repository.property_dict() == {"host": 'ro"din', "port": "8080"}
 
     def test_unknown_attribute_types_are_accepted_as_any(self):
         registry = Registry()

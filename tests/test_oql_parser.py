@@ -6,6 +6,7 @@ from repro.algebra.expressions import (
     Arithmetic,
     BooleanExpr,
     Comparison,
+    Const,
     FunctionCall,
     Path,
     StructExpr,
@@ -13,6 +14,7 @@ from repro.algebra.expressions import (
     Var,
 )
 from repro.errors import ParseError
+from repro.lexing import OQL, tokenize
 from repro.oql.ast import (
     BagLiteralQuery,
     CollectionRef,
@@ -22,36 +24,44 @@ from repro.oql.ast import (
     SelectQuery,
     UnionQuery,
 )
-from repro.oql.lexer import OqlLexer
 from repro.oql.parser import parse_query, parse_statement
 from repro.oql.printer import pretty, query_to_oql
 
 
 class TestLexer:
     def test_keywords_are_case_insensitive(self):
-        tokens = OqlLexer("SELECT x FROM x IN person").tokens()
+        tokens = tokenize(OQL, "SELECT x FROM x IN person")
         assert [t.kind for t in tokens[:2]] == ["KEYWORD", "IDENT"]
 
     def test_bag_capitalised_is_the_bag_keyword(self):
-        tokens = OqlLexer('Bag("Sam")').tokens()
+        tokens = tokenize(OQL, 'Bag("Sam")')
         assert tokens[0].is_keyword("bag")
 
     def test_string_escapes(self):
-        tokens = OqlLexer('"a\\"b"').tokens()
+        tokens = tokenize(OQL, '"a\\"b"')
         assert tokens[0].text == 'a"b'
 
     def test_comments_are_skipped(self):
-        tokens = OqlLexer("select x // comment\nfrom x in person").tokens()
+        tokens = tokenize(OQL, "select x // comment\nfrom x in person")
         assert any(t.is_keyword("from") for t in tokens)
 
     def test_unterminated_string_raises(self):
         with pytest.raises(ParseError):
-            OqlLexer('"oops').tokens()
+            tokenize(OQL, '"oops')
 
     def test_error_reports_position(self):
         with pytest.raises(ParseError) as excinfo:
-            OqlLexer("select @").tokens()
+            tokenize(OQL, "select @")
         assert excinfo.value.line == 1
+
+    def test_error_position_is_computed_from_the_offset(self):
+        with pytest.raises(ParseError) as excinfo:
+            tokenize(OQL, "select x from\nx in person where @")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 19)
+
+    def test_numbers_take_a_fraction_and_an_exponent_but_one_dot_only(self):
+        texts = [t.text for t in tokenize(OQL, "1 1. 1.5 1e-07 1.5e+20 1.2.3")]
+        assert texts == ["1", "1.", "1.5", "1e-07", "1.5e+20", "1.2", ".", "3", ""]
 
 
 class TestParserPaperQueries:
@@ -179,6 +189,24 @@ class TestParserGeneral:
         query = parse_query('select struct(a: 1, b: 2.5, c: "s", d: true, e: nil) from x in t')
         values = [value.value for _, value in query.item.fields]
         assert values == [1, 2.5, "s", True, None]
+
+    def test_signed_and_exponent_literals(self):
+        query = parse_query("select struct(a: -200, b: 1e-07, c: -1.5e+20, d: 1.) from x in t")
+        values = [value.value for _, value in query.item.fields]
+        assert values == [-200, 1e-07, -1.5e20, 1.0]
+        assert [type(value) for value in values] == [int, float, float, float]
+
+    def test_unary_minus_on_a_non_literal_is_zero_minus_it(self):
+        query = parse_query("select -x.salary from x in person where x.salary - -1 > 0")
+        assert query.item == Arithmetic("-", Const(0), Path(Var("x"), "salary"))
+        assert query.where.left == Arithmetic("-", Path(Var("x"), "salary"), Const(-1))
+
+    def test_malformed_number_is_a_positioned_parse_error(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_query("select x from x in person where x.salary > 1.2.3")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 47)
+        with pytest.raises(ParseError, match="limit takes a non-negative integer"):
+            parse_query("select x from x in person limit 1e3")
 
 
 class TestPrinter:

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro import Mediator, MediatorServer, RelationalWrapper, ServerConfig
-from repro.errors import AdmissionError
+from repro.errors import AdmissionError, ParseError
 from repro.runtime.admission import ADMITTED, CLOSED, QUEUE_TIMEOUT, REJECTED, QueueClosed
 from repro.sources import RelationalEngine, SimulatedServer
 
@@ -89,6 +89,18 @@ class TestSubmitAndResult:
             assert bad.report.error is not None
             # The worker survived the failure and served the next submission.
             assert len(good.result(timeout=10).rows()) == 40
+        mediator.close()
+
+    def test_malformed_number_reaches_the_client_as_a_parse_error(self):
+        """``1.2.3`` is a positioned ParseError (a DiscoError), not a bare
+        ValueError from ``float()`` escaping the front end."""
+        mediator, _ = build_mediator()
+        with MediatorServer(mediator, ServerConfig(workers=1)) as server:
+            bad = server.submit("select x.name from x in person0 where x.salary > 1.2.3")
+            with pytest.raises(ParseError, match="line 1, column 53"):
+                bad.result(timeout=10)
+            assert "ParseError" in bad.report.error
+            assert len(server.submit(QUERY).result(timeout=10).rows()) == 40
         mediator.close()
 
     def test_result_times_out_while_pending(self):

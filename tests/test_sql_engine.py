@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import ParseError, QueryExecutionError
+from repro.lexing import SQL, tokenize
 from repro.sources.relational_engine import RelationalEngine
-from repro.sources.sql import SqlEngine, SqlLexer, SqlParser
+from repro.sources.sql import SqlEngine, SqlParser
 from repro.sources.sql.parser import ColumnRef, Comparison, Literal
 
 
@@ -27,22 +28,28 @@ def sample_engine() -> SqlEngine:
 
 class TestSqlLexer:
     def test_tokenizes_keywords_operators_and_literals(self):
-        tokens = SqlLexer("SELECT name FROM t WHERE salary >= 10").tokens()
+        tokens = tokenize(SQL, "SELECT name FROM t WHERE salary >= 10")
         kinds = [token.kind for token in tokens]
         assert kinds == ["KEYWORD", "IDENT", "KEYWORD", "IDENT", "KEYWORD", "IDENT", "OP", "NUMBER", "EOF"]
 
     def test_string_literal_with_escaped_quote(self):
-        tokens = SqlLexer("SELECT * FROM t WHERE name = 'O''Brien'").tokens()
+        tokens = tokenize(SQL, "SELECT * FROM t WHERE name = 'O''Brien'")
         strings = [token.text for token in tokens if token.kind == "STRING"]
         assert strings == ["O'Brien"]
 
     def test_unterminated_string_raises(self):
         with pytest.raises(ParseError):
-            SqlLexer("SELECT * FROM t WHERE name = 'oops").tokens()
+            tokenize(SQL, "SELECT * FROM t WHERE name = 'oops")
 
     def test_unexpected_character_raises(self):
         with pytest.raises(ParseError):
-            SqlLexer("SELECT # FROM t").tokens()
+            tokenize(SQL, "SELECT # FROM t")
+
+    def test_error_position_is_a_real_line_and_column(self):
+        with pytest.raises(ParseError) as excinfo:
+            tokenize(SQL, "SELECT name FROM t\nWHERE salary >= #")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 17)
+        assert "line 2, column 17" in str(excinfo.value)
 
 
 class TestSqlParser:
@@ -72,6 +79,20 @@ class TestSqlParser:
     def test_trailing_input_raises(self):
         with pytest.raises(ParseError):
             SqlParser("SELECT * FROM t garbage").parse()
+
+    def test_numeric_literals_read_back_what_repr_writes(self):
+        for value in (-3, 1e-07, 1.5e20, -2.5e-09, 1.0):
+            statement = SqlParser(f"SELECT * FROM t WHERE a > {Literal(value).render()}").parse()
+            assert statement.where.right == Literal(value)
+            assert type(statement.where.right.value) is type(value)
+
+    def test_malformed_number_is_a_positioned_parse_error(self):
+        with pytest.raises(ParseError) as excinfo:
+            SqlParser("SELECT * FROM t WHERE a > 1.2.3").parse()
+        assert (excinfo.value.line, excinfo.value.column) == (1, 30)
+        for limit in ("1.5", "-1", "1e3"):
+            with pytest.raises(ParseError, match="LIMIT takes a non-negative integer"):
+                SqlParser(f"SELECT * FROM t LIMIT {limit}").parse()
 
     def test_literal_rendering_round_trip(self):
         assert Literal("O'Brien").render() == "'O''Brien'"

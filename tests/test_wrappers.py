@@ -144,6 +144,27 @@ class TestSqlWrapper:
         assert "'O''Brien'" in sql
 
 
+    def test_exponent_floats_are_pushed_not_degraded(self):
+        """The wrapper writes small and large floats the way ``repr`` does
+        (``1e-07``, ``1.5e+20``); the engine's reader accepts exactly that, so
+        the pushed select runs at the source instead of degrading to a scan."""
+        from repro import Mediator
+
+        rows = [{"id": 1, "v": 0.0}, {"id": 2, "v": 0.5}, {"id": 3, "v": 3e20}]
+        engine = SqlEngine(name="pg")
+        engine.create_table("m0", rows=rows)
+        with Mediator(name="floats") as mediator:
+            mediator.register_wrapper("w0", SqlWrapper("w0", SimulatedServer("pg-host", engine)))
+            mediator.define_interface("M", [("id", "Long"), ("v", "Float")], extent_name="m")
+            mediator.create_repository("r0", host="pg-host")
+            mediator.add_extent("m0", "M", "w0", "r0")
+            for bound, expected in (("0.0000001", [2, 3]), ("150000000000000000000.0", [3])):
+                result = mediator.query(f"select x.id from x in m0 where x.v > {bound}")
+                assert sorted(result.rows()) == expected
+                assert [report.degraded_to for report in result.reports] == [None]
+                assert result.reports[0].rows == len(expected)  # filtered at the source
+
+
 class TestKeyValueWrapper:
     def kv_server(self) -> SimulatedServer:
         store = KeyValueStore("kv")
