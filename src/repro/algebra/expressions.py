@@ -3,16 +3,20 @@
 Expressions are evaluated against an *environment*: a mapping from query
 variable names to the current element bound by the enclosing ``from`` clause
 (a :class:`~repro.datamodel.values.Struct` or plain dict).  Every node knows
-how to evaluate itself, report the variables and attribute paths it uses
-(needed by the optimizer to decide what can be pushed to a wrapper), rename
-attributes (needed by the local transformation maps of Section 2.2.2) and
-print itself back as OQL text (needed for partial answers, Section 4).
+how to ``compile`` itself into a closure over one environment (row loops
+compile once, before the loop; ``evaluate`` is compile-and-call for one-off
+callers; nothing is cached on a node), report the variables and attribute
+paths it uses (what the optimizer may push to a wrapper), rename attributes
+(the local transformation maps of Section 2.2.2) and print itself back as
+OQL text (partial answers, Section 4).
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError
@@ -20,20 +24,22 @@ from repro.lexing import OQL
 
 Environment = Mapping[str, Any]
 
+Compiled = Callable[[Environment], Any]
+
 COMPARISON_OPS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 ARITHMETIC_OPS: dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
 }
 
 AGGREGATE_FUNCTIONS = ("sum", "count", "min", "max", "avg")
@@ -42,9 +48,17 @@ AGGREGATE_FUNCTIONS = ("sum", "count", "min", "max", "avg")
 class Expr:
     """Base class for every scalar expression node."""
 
-    def evaluate(self, env: Environment, evaluator=None) -> Any:
-        """Evaluate under ``env``; ``evaluator`` runs nested subqueries."""
+    def compile(self, evaluator=None) -> Compiled:
+        """The closure evaluating this expression under one environment.
+
+        Built by one walk of the tree, so a row loop compiles before the loop;
+        ``evaluator`` runs nested subqueries; nothing is kept on the node.
+        """
         raise NotImplementedError
+
+    def evaluate(self, env: Environment, evaluator=None) -> Any:
+        """Evaluate once under ``env`` (the one-off callers' entry point)."""
+        return self.compile(evaluator)(env)
 
     def free_variables(self) -> set[str]:
         """Names of the query variables this expression references."""
@@ -78,8 +92,9 @@ class Const(Expr):
 
     value: Any
 
-    def evaluate(self, env: Environment, evaluator=None) -> Any:
-        return self.value
+    def compile(self, evaluator=None) -> Compiled:
+        value = self.value
+        return lambda env: value
 
     def to_oql(self) -> str:
         if isinstance(self.value, str):
@@ -97,10 +112,16 @@ class Var(Expr):
 
     name: str
 
-    def evaluate(self, env: Environment, evaluator=None) -> Any:
-        if self.name not in env:
-            raise QueryExecutionError(f"unbound variable {self.name!r}")
-        return env[self.name]
+    def compile(self, evaluator=None) -> Compiled:
+        name = self.name
+
+        def run(env: Environment) -> Any:
+            try:
+                return env[name]
+            except KeyError:
+                raise QueryExecutionError(f"unbound variable {name!r}") from None
+
+        return run
 
     def free_variables(self) -> set[str]:
         return {self.name}
@@ -116,18 +137,25 @@ class Path(Expr):
     base: Expr
     attribute: str
 
-    def evaluate(self, env: Environment, evaluator=None) -> Any:
-        value = self.base.evaluate(env, evaluator)
-        if isinstance(value, (Struct, Mapping)):
-            try:
-                return value[self.attribute]
-            except KeyError:
-                raise QueryExecutionError(
-                    f"object {value!r} has no attribute {self.attribute!r}"
-                ) from None
-        if hasattr(value, self.attribute):
-            return getattr(value, self.attribute)
-        raise QueryExecutionError(f"cannot access {self.attribute!r} on {value!r}")
+    def compile(self, evaluator=None) -> Compiled:
+        base = self.base.compile(evaluator)
+        attribute = self.attribute
+
+        def run(env: Environment) -> Any:
+            value = base(env)
+            kind = type(value)
+            if kind is Struct or kind is dict or isinstance(value, Mapping):
+                try:
+                    return value[attribute]
+                except KeyError:
+                    raise QueryExecutionError(
+                        f"object {value!r} has no attribute {attribute!r}"
+                    ) from None
+            if hasattr(value, attribute):
+                return getattr(value, attribute)
+            raise QueryExecutionError(f"cannot access {attribute!r} on {value!r}")
+
+        return run
 
     def free_variables(self) -> set[str]:
         return self.base.free_variables()
@@ -153,17 +181,23 @@ class Comparison(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, env: Environment, evaluator=None) -> bool:
-        if self.op not in COMPARISON_OPS:
-            raise QueryExecutionError(f"unknown comparison operator {self.op!r}")
-        left = self.left.evaluate(env, evaluator)
-        right = self.right.evaluate(env, evaluator)
-        if left is None or right is None:
-            return False
-        try:
-            return COMPARISON_OPS[self.op](left, right)
-        except TypeError:
-            return False
+    def compile(self, evaluator=None) -> Compiled:
+        compare = COMPARISON_OPS.get(self.op)
+        if compare is None:
+            return _raises(f"unknown comparison operator {self.op!r}")
+        left = self.left.compile(evaluator)
+        right = self.right.compile(evaluator)
+
+        def run(env: Environment) -> bool:
+            a, b = left(env), right(env)
+            if a is None or b is None:
+                return False
+            try:
+                return compare(a, b)
+            except TypeError:
+                return False
+
+        return run
 
     def free_variables(self) -> set[str]:
         return self.left.free_variables() | self.right.free_variables()
@@ -190,26 +224,48 @@ class InList(Expr):
     capability terminal when they can evaluate it (the SQL dialect renders it
     as ``IN (...)``).  Semantics mirror :class:`Comparison` equality: a None
     operand matches nothing, None items match nothing, incomparable types
-    are simply not equal.
+    are simply not equal -- whether the items were hashed or not.
     """
 
     operand: Expr
     items: tuple[Expr, ...]
 
-    def evaluate(self, env: Environment, evaluator=None) -> bool:
-        value = self.operand.evaluate(env, evaluator)
-        if value is None:
-            return False
-        for item in self.items:
-            candidate = item.evaluate(env, evaluator)
-            if candidate is None:
-                continue
+    def compile(self, evaluator=None) -> Compiled:
+        operand = self.operand.compile(evaluator)
+        items = [item.compile(evaluator) for item in self.items]
+        # All-constant items (every probe batch) are hashed once: a row costs
+        # one set probe, not one ``==`` per item.  Nil and NaN items equal
+        # nothing (a set would find a NaN by identity) and stay out; one
+        # unhashable item means no set, and every row is compared item by item.
+        members = None
+        if all(isinstance(item, Const) for item in self.items):
+            values = [item.value for item in self.items]
             try:
-                if value == candidate:
-                    return True
+                members = frozenset(v for v in values if v is not None and v == v)
             except TypeError:
-                continue
-        return False
+                pass
+
+        def run(env: Environment) -> bool:
+            value = operand(env)
+            if value is None:
+                return False
+            if members is not None:
+                try:
+                    return value in members
+                except TypeError:
+                    pass  # an unhashable operand value: compare one by one
+            for item in items:
+                candidate = item(env)
+                if candidate is None:
+                    continue
+                try:
+                    if value == candidate:
+                        return True
+                except TypeError:
+                    continue
+            return False
+
+        return run
 
     def free_variables(self) -> set[str]:
         result = set(self.operand.free_variables())
@@ -244,14 +300,22 @@ class BooleanExpr(Expr):
     op: str
     operands: tuple[Expr, ...]
 
-    def evaluate(self, env: Environment, evaluator=None) -> bool:
-        if self.op == "and":
-            return all(operand.evaluate(env, evaluator) for operand in self.operands)
-        if self.op == "or":
-            return any(operand.evaluate(env, evaluator) for operand in self.operands)
+    def compile(self, evaluator=None) -> Compiled:
+        if self.op not in ("and", "or", "not"):
+            return _raises(f"unknown boolean operator {self.op!r}")
+        parts = [operand.compile(evaluator) for operand in self.operands]
         if self.op == "not":
-            return not self.operands[0].evaluate(env, evaluator)
-        raise QueryExecutionError(f"unknown boolean operator {self.op!r}")
+            negated = parts[0]
+            return lambda env: not negated(env)
+        stop = self.op == "or"  # ``or`` ends at its first true operand, ``and`` at its first false
+
+        def run(env: Environment) -> bool:
+            for part in parts:
+                if bool(part(env)) is stop:
+                    return stop
+            return not stop
+
+        return run
 
     def free_variables(self) -> set[str]:
         result: set[str] = set()
@@ -283,15 +347,21 @@ class Arithmetic(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, env: Environment, evaluator=None) -> Any:
-        if self.op not in ARITHMETIC_OPS:
-            raise QueryExecutionError(f"unknown arithmetic operator {self.op!r}")
-        left = self.left.evaluate(env, evaluator)
-        right = self.right.evaluate(env, evaluator)
-        try:
-            return ARITHMETIC_OPS[self.op](left, right)
-        except (TypeError, ZeroDivisionError) as exc:
-            raise QueryExecutionError(f"cannot compute {self.to_oql()}: {exc}") from exc
+    def compile(self, evaluator=None) -> Compiled:
+        compute = ARITHMETIC_OPS.get(self.op)
+        if compute is None:
+            return _raises(f"unknown arithmetic operator {self.op!r}")
+        left = self.left.compile(evaluator)
+        right = self.right.compile(evaluator)
+
+        def run(env: Environment) -> Any:
+            a, b = left(env), right(env)
+            try:
+                return compute(a, b)
+            except (TypeError, ZeroDivisionError) as exc:
+                raise QueryExecutionError(f"cannot compute {self.to_oql()}: {exc}") from exc
+
+        return run
 
     def free_variables(self) -> set[str]:
         return self.left.free_variables() | self.right.free_variables()
@@ -314,8 +384,9 @@ class StructExpr(Expr):
 
     fields: tuple[tuple[str, Expr], ...]
 
-    def evaluate(self, env: Environment, evaluator=None) -> Struct:
-        return Struct({name: expr.evaluate(env, evaluator) for name, expr in self.fields})
+    def compile(self, evaluator=None) -> Compiled:
+        fields = [(name, expr.compile(evaluator)) for name, expr in self.fields]
+        return lambda env: Struct._adopt({name: field(env) for name, field in fields})
 
     def free_variables(self) -> set[str]:
         result: set[str] = set()
@@ -347,15 +418,20 @@ class BagExpr(Expr):
 
     items: tuple[Expr, ...]
 
-    def evaluate(self, env: Environment, evaluator=None) -> Bag:
-        result = Bag()
-        for item in self.items:
-            value = item.evaluate(env, evaluator)
-            if isinstance(value, Bag):
-                result.extend(value)
-            else:
-                result.add(value)
-        return result
+    def compile(self, evaluator=None) -> Compiled:
+        items = [item.compile(evaluator) for item in self.items]
+
+        def run(env: Environment) -> Bag:
+            result = Bag()
+            for item in items:
+                value = item(env)
+                if isinstance(value, Bag):
+                    result.extend(value)
+                else:
+                    result.add(value)
+            return result
+
+        return run
 
     def free_variables(self) -> set[str]:
         result: set[str] = set()
@@ -390,9 +466,12 @@ class FunctionCall(Expr):
     name: str
     args: tuple[Expr, ...]
 
-    def evaluate(self, env: Environment, evaluator=None) -> Any:
-        values = [arg.evaluate(env, evaluator) for arg in self.args]
+    def compile(self, evaluator=None) -> Compiled:
+        args = [arg.compile(evaluator) for arg in self.args]
         name = self.name.lower()
+        return lambda env: self._call(name, [arg(env) for arg in args])
+
+    def _call(self, name: str, values: list[Any]) -> Any:
         if name in AGGREGATE_FUNCTIONS:
             return self._aggregate(name, values)
         if name == "flatten":
@@ -468,10 +547,11 @@ class Subquery(Expr):
 
     query: Any
 
-    def evaluate(self, env: Environment, evaluator=None) -> Any:
+    def compile(self, evaluator=None) -> Compiled:
         if evaluator is None:
-            raise QueryExecutionError("no evaluator available for nested subquery")
-        return evaluator(self.query, env)
+            return _raises("no evaluator available for nested subquery")
+        query = self.query
+        return lambda env: evaluator(query, env)
 
     def free_variables(self) -> set[str]:
         free = getattr(self.query, "free_variables", None)
@@ -483,6 +563,15 @@ class Subquery(Expr):
 
 
 # -- helpers -----------------------------------------------------------------------
+def _raises(message: str) -> Compiled:
+    """A compiled expression that fails when (not before) a row reaches it."""
+
+    def run(env: Environment) -> Any:
+        raise QueryExecutionError(message)
+
+    return run
+
+
 def walk_expr(expr: Expr):
     """Yield ``expr`` and every sub-expression it contains (pre-order)."""
     yield expr

@@ -31,6 +31,13 @@ class Struct(Mapping):
         merged.update(kwargs)
         object.__setattr__(self, "_fields", merged)
 
+    @classmethod
+    def _adopt(cls, fields: dict[str, Any]) -> "Struct":
+        """Wrap a dict the caller just built and gives up: no copy (the per-row paths)."""
+        struct = cls.__new__(cls)
+        object.__setattr__(struct, "_fields", fields)
+        return struct
+
     # -- Mapping protocol -------------------------------------------------
     def __getitem__(self, key: str) -> Any:
         return self._fields[key]

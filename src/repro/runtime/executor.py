@@ -59,7 +59,8 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
+from collections.abc import Mapping
+from typing import Any, Callable, Iterable, Iterator, Protocol
 
 from repro.algebra import logical as log
 from repro.algebra import physical as phys
@@ -93,8 +94,8 @@ def normalize_row(raw: Any, renames: Mapping[str, str]) -> Any:
     pass through unchanged.  Shared by exec calls, probe calls and the split
     fallback so malformed-row handling cannot diverge between them.
     """
-    if isinstance(raw, Mapping):
-        return ops.as_struct(rename_row(raw, renames))
+    if type(raw) is dict or isinstance(raw, Mapping):
+        return rename_row(raw, renames)
     return raw
 
 
@@ -545,10 +546,10 @@ class _ProbeRunner:
 
     def _bucket(self, rows: list[Any]) -> dict[Any, list[Any]]:
         variable = self._plan.right_variable
+        right_key = self._right_expr.compile()
         buckets: dict[Any, list[Any]] = {}
         for row in rows:
-            key = self._right_expr.evaluate({variable: row})
-            buckets.setdefault(key, []).append(row)
+            buckets.setdefault(right_key({variable: row}), []).append(row)
         return buckets
 
     def _blown(self) -> bool:

@@ -6,6 +6,8 @@ variable environments produced by ``bindjoin`` for multi-variable queries.
 Predicates and select items are evaluated with an environment that merges the
 query's outer environment (for correlated subqueries), the element's own
 bindings (when it is an :class:`Env`) and the operator's bound variable.
+Each operator compiles its expressions and picks its environment builder
+*once per invocation*, before the row loop; the closures die with it.
 
 Every operator is a *lazy generator* (Volcano-style): it consumes its input
 iterator one element at a time and yields output elements as they are ready.
@@ -20,7 +22,8 @@ Callers that need a list simply wrap a pipeline in ``list(...)``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from collections.abc import Mapping
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.algebra.expressions import (
     Expr,
@@ -56,13 +59,18 @@ def env_bindings(element: Any, variable: str) -> dict[str, Any]:
     return {variable: element}
 
 
-def element_environment(
-    element: Any, variable: str, base_env: Mapping[str, Any] | None
-) -> dict[str, Any]:
-    """Build the evaluation environment for one element."""
-    env: dict[str, Any] = dict(base_env or {})
-    env.update(env_bindings(element, variable))
-    return env
+def environment_builder(
+    variable: str, base_env: Mapping[str, Any] | None
+) -> Callable[[Any], dict[str, Any]]:
+    """One operator's ``element -> evaluation environment``, chosen before its row loop.
+
+    Without an outer environment, and away from the reserved variable whose
+    mappings splat, that is one fresh single-entry dict per element.
+    """
+    if base_env or variable == ENV_VARIABLE:
+        outer = dict(base_env or {})
+        return lambda element: {**outer, **env_bindings(element, variable)}
+    return lambda element: dict(element) if isinstance(element, Env) else {variable: element}
 
 
 def as_struct(row: Any) -> Any:
@@ -89,7 +97,7 @@ def project_rows(elements: Iterable[Any], attributes: tuple[str, ...]) -> Iterat
             # translated plans, but fall back to the first binding for safety.
             row = next(iter(row.values())) if row else row
         if isinstance(row, Mapping):
-            yield Struct({attr: row.get(attr) for attr in attributes})
+            yield Struct._adopt({attr: row.get(attr) for attr in attributes})
         else:
             yield Struct({attr: getattr(row, attr, None) for attr in attributes})
 
@@ -103,7 +111,7 @@ def rename_rows(
         if isinstance(row, Env):
             row = next(iter(row.values())) if row else row
         if isinstance(row, Mapping):
-            yield Struct({new: row.get(old) for old, new in pairs})
+            yield Struct._adopt({new: row.get(old) for old, new in pairs})
         else:
             yield Struct({new: getattr(row, old, None) for old, new in pairs})
 
@@ -116,9 +124,10 @@ def filter_rows(
     subquery_evaluator: SubqueryEvaluator | None = None,
 ) -> Iterator[Any]:
     """Keep elements for which ``predicate`` evaluates to true."""
+    environment = environment_builder(variable, base_env)
+    holds = predicate.compile(subquery_evaluator)
     for element in elements:
-        env = element_environment(element, variable, base_env)
-        if predicate.evaluate(env, subquery_evaluator):
+        if holds(environment(element)):
             yield element
 
 
@@ -130,16 +139,17 @@ def apply_rows(
     subquery_evaluator: SubqueryEvaluator | None = None,
 ) -> Iterator[Any]:
     """Compute ``expression`` for every element."""
+    environment = environment_builder(variable, base_env)
+    compute = expression.compile(subquery_evaluator)
     for element in elements:
-        env = element_environment(element, variable, base_env)
-        yield expression.evaluate(env, subquery_evaluator)
+        yield compute(environment(element))
 
 
 def _merged_row(left_row: Any, right_row: Any) -> Struct:
     """Merge a matched pair; left values win on shared attribute names."""
     merged = dict(right_row if isinstance(right_row, Mapping) else right_row.fields())
     merged.update(dict(left_row if isinstance(left_row, Mapping) else left_row.fields()))
-    return Struct(merged)
+    return Struct._adopt(merged)
 
 
 def hash_join_rows(
@@ -154,10 +164,11 @@ def hash_join_rows(
     buckets: dict[Any, list[Any]] = {}
     for row in right:
         key = _attribute_value(row, right_attr)
-        buckets.setdefault(key, []).append(row)
+        if key is not None:  # ``=`` is nil-rejecting: a nil key matches nothing
+            buckets.setdefault(key, []).append(row)
     for row in left:
         key = _attribute_value(row, left_attr)
-        for match in buckets.get(key, []):
+        for match in buckets.get(key, ()):
             yield _merged_row(row, match)
 
 
@@ -189,6 +200,8 @@ def nested_loop_join_rows(
     right_rows = materialized(right)
     for row in left:
         left_key = _attribute_value(row, left_attr)
+        if left_key is None:
+            continue
         for match in right_rows:
             if _attribute_value(match, right_attr) == left_key:
                 yield _merged_row(row, match)
@@ -211,41 +224,25 @@ def bind_join_rows(
     left side streams.
     """
     equi = _find_equi_conjunct(condition, left_variable, right_variable) if condition else None
-
-    def make_env(left_element: Any, right_element: Any) -> Env:
-        env = Env(env_bindings(left_element, left_variable))
-        env[right_variable] = right_element
-        return env
-
-    def passes(env: Env) -> bool:
-        if condition is None:
-            return True
-        full_env = dict(base_env or {})
-        full_env.update(env)
-        return bool(condition.evaluate(full_env, subquery_evaluator))
+    pairs = _pairing(left_variable, right_variable, condition, base_env, subquery_evaluator)
 
     if equi is not None:
-        left_expr, right_expr = equi
+        left_key = equi[0].compile(subquery_evaluator)
+        right_key = equi[1].compile(subquery_evaluator)
+        left_environment = environment_builder(left_variable, base_env)
+        outer = dict(base_env or {})
         buckets: dict[Any, list[Any]] = {}
         for element in right:
-            env = make_env(Env(), element)
-            key = right_expr.evaluate({**(base_env or {}), **env}, subquery_evaluator)
+            key = right_key({**outer, right_variable: element})
             buckets.setdefault(key, []).append(element)
         for left_element in left:
-            left_env = env_bindings(left_element, left_variable)
-            key = left_expr.evaluate({**(base_env or {}), **left_env}, subquery_evaluator)
-            for right_element in buckets.get(key, []):
-                env = make_env(left_element, right_element)
-                if passes(env):
-                    yield env
+            key = left_key(left_environment(left_element))
+            yield from pairs(left_element, buckets.get(key, ()))
         return
 
     right_elements = materialized(right)
     for left_element in left:
-        for right_element in right_elements:
-            env = make_env(left_element, right_element)
-            if passes(env):
-                yield env
+        yield from pairs(left_element, right_elements)
 
 
 def probe_join_rows(
@@ -275,18 +272,10 @@ def probe_join_rows(
     equi = _find_equi_conjunct(condition, left_variable, right_variable)
     if equi is None:
         raise ValueError("probe join requires an equi-join conjunct")
-    left_expr, _ = equi
     batch_size = max(1, batch_size)
-
-    def make_env(left_element: Any, right_element: Any) -> Env:
-        env = Env(env_bindings(left_element, left_variable))
-        env[right_variable] = right_element
-        return env
-
-    def passes(env: Env) -> bool:
-        full_env = dict(base_env or {})
-        full_env.update(env)
-        return bool(condition.evaluate(full_env, subquery_evaluator))
+    environment = environment_builder(left_variable, base_env)
+    left_key = equi[0].compile(subquery_evaluator)
+    pairs = _pairing(left_variable, right_variable, condition, base_env, subquery_evaluator)
 
     batch: list[tuple[Any, Any]] = []  # (left element, its join key)
 
@@ -300,22 +289,38 @@ def probe_join_rows(
             keys.append(key)
         buckets = prober(keys) if keys else {}
         for element, key in batch:
-            if key is None:
-                continue
-            for right_element in buckets.get(key, ()):
-                env = make_env(element, right_element)
-                if passes(env):
-                    yield env
+            if key is not None:
+                yield from pairs(element, buckets.get(key, ()))
         batch.clear()
 
     for element in left:
-        env = element_environment(element, left_variable, base_env)
-        key = left_expr.evaluate(env, subquery_evaluator)
-        batch.append((element, key))
+        batch.append((element, left_key(environment(element))))
         if len(batch) >= batch_size:
             yield from flush()
     if batch:
         yield from flush()
+
+
+def _pairing(
+    left_variable: str,
+    right_variable: str,
+    condition: Expr | None,
+    base_env: Mapping[str, Any] | None,
+    subquery_evaluator: SubqueryEvaluator | None,
+) -> Callable[[Any, Iterable[Any]], Iterator[Env]]:
+    """One join's ``pairs(left_element, right_elements)``; the condition compiles once."""
+    outer = dict(base_env or {})
+    holds = condition.compile(subquery_evaluator) if condition is not None else None
+
+    def pairs(left_element: Any, right_elements: Iterable[Any]) -> Iterator[Env]:
+        bindings = env_bindings(left_element, left_variable)
+        for right_element in right_elements:
+            env = Env(bindings)
+            env[right_variable] = right_element
+            if holds is None or holds({**outer, **env} if outer else env):
+                yield env
+
+    return pairs
 
 
 # Re-exported under the historical private name; the implementation lives
@@ -327,8 +332,6 @@ _find_equi_conjunct = find_equi_conjunct
 def _attribute_value(row: Any, attribute: str) -> Any:
     if isinstance(row, Mapping):
         return row.get(attribute)
-    if isinstance(row, Struct):
-        return row[attribute] if attribute in row else None
     return getattr(row, attribute, None)
 
 
@@ -446,9 +449,12 @@ def group_rows(
     """
     groups: dict[tuple[Any, ...], tuple[Struct | None, list[_Accumulator]]] = {}
     order: list[tuple[Any, ...]] = []
+    environment = environment_builder(variable, base_env)
+    key_functions = [expr.compile(subquery_evaluator) for _, expr in keys]
+    arguments = [arg.compile(subquery_evaluator) for _, _, arg in aggregates]
     for element in elements:
-        env = element_environment(element, variable, base_env)
-        key_values = tuple(expr.evaluate(env, subquery_evaluator) for _, expr in keys)
+        env = environment(element)
+        key_values = tuple(key(env) for key in key_functions)
         hash_key = _group_hash_key(key_values)
         state = groups.get(hash_key)
         if state is None:
@@ -459,8 +465,8 @@ def group_rows(
             groups[hash_key] = state
             order.append(hash_key)
         accumulators = state[1]
-        for accumulator, (_, _, arg) in zip(accumulators, aggregates):
-            accumulator.add(arg.evaluate(env, subquery_evaluator))
+        for accumulator, argument in zip(accumulators, arguments):
+            accumulator.add(argument(env))
     if not keys and not groups:
         # The scalar-aggregate convention: an empty input still has a count.
         groups[()] = (Struct({}), [_Accumulator(func) for _, func, _ in aggregates])
@@ -470,7 +476,7 @@ def group_rows(
         row = dict(key_struct)
         for accumulator, (name, _, _) in zip(accumulators, aggregates):
             row[name] = accumulator.result()
-        yield Struct(row)
+        yield Struct._adopt(row)
 
 
 def limit_rows(elements: Iterable[Any], count: int) -> Iterator[Any]:

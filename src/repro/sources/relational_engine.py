@@ -104,10 +104,11 @@ class RelationalEngine:
             left_key = right_key = on
         buckets: dict[Any, list[Row]] = {}
         for row in right:
-            buckets.setdefault(row.get(right_key), []).append(row)
+            if row.get(right_key) is not None:  # NULL = NULL is not true: it matches nothing
+                buckets.setdefault(row[right_key], []).append(row)
         joined: list[Row] = []
         for row in left:
-            for match in buckets.get(row.get(left_key), []):
+            for match in buckets.get(row.get(left_key), ()):
                 merged = dict(match)
                 merged.update(row)
                 joined.append(merged)

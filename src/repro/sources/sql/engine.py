@@ -9,7 +9,8 @@ language and gets rows back from a foreign executor.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+import operator
+from typing import Any, Callable, Mapping
 
 from repro.errors import QueryExecutionError
 from repro.sources.relational_engine import RelationalEngine
@@ -25,6 +26,15 @@ from repro.sources.sql.parser import (
 )
 
 Row = dict[str, Any]
+
+_COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 class SqlEngine:
@@ -62,7 +72,8 @@ class SqlEngine:
                 rows, right_rows, on=(join.left_column.name, join.right_column.name)
             )
         if statement.where is not None:
-            rows = [row for row in rows if self._evaluate(statement.where, row)]
+            holds = self._predicate(statement.where)
+            rows = [row for row in rows if holds(row)]
         aggregates = any(
             isinstance(column, AggregateRef) for column in statement.columns or ()
         )
@@ -166,55 +177,61 @@ class SqlEngine:
         return self.engine.scan(table_ref)
 
     # -- predicate evaluation -------------------------------------------------------------
-    def _evaluate(self, expr: Any, row: Mapping[str, Any]) -> bool:
+    def _predicate(self, expr: Any) -> Callable[[Mapping[str, Any]], bool]:
+        """``expr`` as a row test, built once per statement, not walked per row."""
         if isinstance(expr, Comparison):
-            return self._compare(expr, row)
+            return lambda row: self._compare(expr, row)
         if isinstance(expr, InPredicate):
+            return self._in_test(expr)
+        if isinstance(expr, BooleanExpr):
+            parts = [self._predicate(operand) for operand in expr.operands]
+            if expr.op == "AND":
+                return lambda row: all(part(row) for part in parts)
+            if expr.op == "OR":
+                return lambda row: any(part(row) for part in parts)
+            if expr.op == "NOT":
+                return lambda row: not parts[0](row)
+        raise QueryExecutionError(f"cannot evaluate SQL expression {expr!r}")
+
+    def _in_test(self, expr: InPredicate) -> Callable[[Mapping[str, Any]], bool]:
+        """``operand IN (items)`` with the items hashed once, so a row is one probe."""
+        candidates = [item.value for item in expr.items if item.value is not None]  # NULL = nothing
+        try:  # NaN items stay out: a set would find one by identity, ``=`` never does
+            members = frozenset(value for value in candidates if value == value)
+        except TypeError:
+            members = None  # an unhashable item: every row is compared item by item
+
+        def test(row: Mapping[str, Any]) -> bool:
             value = self._operand_value(expr.operand, row)
             if value is None:
                 return False
-            for item in expr.items:
-                candidate = item.value
-                if candidate is None:
-                    continue
+            if members is not None:
+                try:
+                    return value in members
+                except TypeError:
+                    pass
+            for candidate in candidates:
                 try:
                     if value == candidate:
                         return True
                 except TypeError:
                     continue
             return False
-        if isinstance(expr, BooleanExpr):
-            if expr.op == "AND":
-                return all(self._evaluate(operand, row) for operand in expr.operands)
-            if expr.op == "OR":
-                return any(self._evaluate(operand, row) for operand in expr.operands)
-            if expr.op == "NOT":
-                return not self._evaluate(expr.operands[0], row)
-        raise QueryExecutionError(f"cannot evaluate SQL expression {expr!r}")
+
+        return test
 
     def _compare(self, comparison: Comparison, row: Mapping[str, Any]) -> bool:
         left = self._operand_value(comparison.left, row)
         right = self._operand_value(comparison.right, row)
-        op = comparison.op
         if left is None or right is None:
             # SQL three-valued logic collapsed to "unknown is false".
             return False
+        if comparison.op not in _COMPARISONS:
+            raise QueryExecutionError(f"unknown comparison operator {comparison.op!r}")
         try:
-            if op == "=":
-                return left == right
-            if op == "<>":
-                return left != right
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            if op == ">=":
-                return left >= right
+            return _COMPARISONS[comparison.op](left, right)
         except TypeError:
             return False
-        raise QueryExecutionError(f"unknown comparison operator {op!r}")
 
     def _operand_value(self, operand: Any, row: Mapping[str, Any]) -> Any:
         if isinstance(operand, Literal):

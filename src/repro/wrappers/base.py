@@ -245,12 +245,8 @@ class AlgebraEvaluator:
             )
         if isinstance(expression, Select):
             variable = expression.variable
-            predicate = expression.predicate
-            return (
-                row
-                for row in self.evaluate_stream(expression.child)
-                if predicate.evaluate({variable: row})
-            )
+            holds = expression.predicate.compile()
+            return (row for row in self.evaluate_stream(expression.child) if holds({variable: row}))
         if isinstance(expression, Join):
             return self._join_stream(expression)
         if isinstance(expression, Union):
@@ -267,9 +263,10 @@ class AlgebraEvaluator:
         left_attr, right_attr = expression.join_attributes()
         buckets: dict[Any, list[Row]] = {}
         for row in self.evaluate_stream(expression.right):
-            buckets.setdefault(row.get(right_attr), []).append(row)
+            if row.get(right_attr) is not None:  # a nil key matches nothing, as at the mediator
+                buckets.setdefault(row[right_attr], []).append(row)
         for row in self.evaluate_stream(expression.left):
-            for match in buckets.get(row.get(left_attr), []):
+            for match in buckets.get(row.get(left_attr), ()):
                 merged = dict(match)
                 merged.update(row)
                 yield merged

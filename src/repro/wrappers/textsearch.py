@@ -42,8 +42,8 @@ class TextSearchWrapper(Wrapper):
             # scanning: one round trip, no index assistance.
             rows = self.server.call(lambda store: store.scan(collection))
             variable = expression.variable
-            predicate = expression.predicate
-            return [row for row in rows if predicate.evaluate({variable: row})]
+            holds = expression.predicate.compile()
+            return [row for row in rows if holds({variable: row})]
         raise WrapperError(
             f"text-search wrapper {self.name!r} cannot evaluate {expression.to_text()}"
         )

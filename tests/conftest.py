@@ -46,6 +46,26 @@ def build_paper_mediator(**mediator_kwargs):
     return mediator, [server0, server1]
 
 
+class CountedKey:
+    """A value whose ``==`` is counted (and whose hash agrees with it).
+
+    The deterministic stand-in for a timing: an ``in``-list probed by hash
+    costs about one comparison per row, a linear one about half the list.
+    """
+
+    comparisons = 0
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def __eq__(self, other: object) -> bool:
+        CountedKey.comparisons += 1
+        return isinstance(other, CountedKey) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+
 @pytest.fixture
 def paper_mediator():
     """The paper's two-source Person mediator."""

@@ -365,3 +365,48 @@ def test_sql_wrapper_refuses_an_empty_in_list():
     wrapper = SqlWrapper("pg", SimulatedServer("pg-host", engine))
     with pytest.raises(WrapperError):
         wrapper.to_sql(Select("y", InList(Path(Var("y"), "id"), ()), Get("right0")))
+
+
+# -- the hash probe against the per-key probe it batches ------------------------------------------
+@pytest.mark.parametrize(
+    "odd_keys",
+    [
+        pytest.param([None, float("nan"), 900], id="nil-and-nan-hashed"),
+        pytest.param([None, float("nan"), [7]], id="one-unhashable-key-goes-linear"),
+    ],
+)
+def test_a_256_key_batch_buckets_like_256_per_key_probes(odd_keys):
+    """One ``in``-list submit returns, key for key, what ``=`` returns per key:
+    nil and NaN keys match nothing (not even the source's own nil and NaN
+    rows), and an unhashable key still matches by ``==``."""
+    from repro.algebra.expressions import Comparison, Const, InList, Path, Var
+    from repro.algebra.logical import Get, Select
+
+    nan = odd_keys[1]
+    engine = RelationalEngine(name="rdb")
+    engine.create_table(
+        "right0",
+        rows=[{"id": i, "value": i * 3} for i in range(400)]
+        + [{"id": None, "value": -1}, {"id": nan, "value": -2}, {"id": [7], "value": -3}],
+    )
+    wrapper = RelationalWrapper("wr", SimulatedServer(name="rhost", store=engine))
+    keys = list(range(0, 506, 2)) + odd_keys
+    assert len(keys) == 256
+    y_id = Path(Var("y"), "id")
+
+    def buckets(rows):
+        found: dict = {}
+        for row in rows:
+            found.setdefault(repr(row["id"]), []).append(row["value"])
+        return found
+
+    batched = wrapper.submit(
+        Select("y", InList(y_id, tuple(Const(key) for key in keys)), Get("right0"))
+    )
+    per_key = [
+        row
+        for key in keys
+        for row in wrapper.submit(Select("y", Comparison("=", y_id, Const(key)), Get("right0")))
+    ]
+    assert buckets(batched) == buckets(per_key)
+    assert len(batched) == 200 + (odd_keys[2] == [7])

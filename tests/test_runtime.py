@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro import Bag, LocalTransformationMap, Mediator, RelationalWrapper, Struct
-from repro.algebra.expressions import Comparison, Const, Path, Var
+from repro.algebra.expressions import Arithmetic, Comparison, Const, Path, StructExpr, Var
 from repro.algebra.logical import Get, Join, Project, Select, Submit, Union
 from repro.algebra.physical import Exec, Field, MkUnion
 from repro.optimizer.implementation import implement
@@ -13,12 +13,15 @@ from repro.runtime.operators import (
     Env,
     bind_join_rows,
     distinct_rows,
-    element_environment,
+    environment_builder,
+    apply_rows,
     filter_rows,
     flatten_rows,
+    group_rows,
     hash_join_rows,
     limit_rows,
     nested_loop_join_rows,
+    probe_join_rows,
     project_rows,
 )
 from repro.runtime.partial_eval import UNAVAILABLE, PartialAnswerBuilder
@@ -52,8 +55,13 @@ class TestRowOperators:
         assert list(filter_rows(envs, "_env", predicate)) == envs
 
     def test_element_environment_merges_base_env(self):
-        env = element_environment(self.ROWS[0], "x", {"outer": 42})
+        env = environment_builder("x", {"outer": 42})(self.ROWS[0])
         assert env["outer"] == 42 and env["x"] == self.ROWS[0]
+        assert environment_builder("x", None)(self.ROWS[0]) == {"x": self.ROWS[0]}
+        both = Env({"x": self.ROWS[0], "y": self.ROWS[1]})
+        assert environment_builder("z", None)(both) == dict(both)
+        # a struct bound to the reserved variable is an environment that lost its type
+        assert environment_builder("_env", None)(Struct(both)) == {"_env": Struct(both), **both}
 
     def test_operators_are_lazy_generators(self):
         """No input element is consumed before the output is iterated."""
@@ -78,6 +86,61 @@ class TestRowOperators:
         assert list(hash_join_rows(left, right, "id")) == list(
             nested_loop_join_rows(left, right, "id")
         )
+
+    def test_a_nil_join_key_matches_nothing_under_every_join_operator(self):
+        """``=`` is nil-rejecting, so which join the optimizer picked must not
+        decide whether two nil-keyed rows pair up."""
+        left = [{"id": None, "a": 1}, {"id": 2, "a": 2}]
+        right = [{"id": None, "b": 1}, {"id": 2, "b": 2}]
+        condition = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
+
+        def prober(keys):
+            assert None not in keys
+            return {key: [row for row in right if row["id"] == key] for key in keys}
+
+        merged = [Struct({"id": 2, "a": 2, "b": 2})]
+        assert list(hash_join_rows(left, right, "id")) == merged
+        assert list(nested_loop_join_rows(left, right, "id")) == merged
+        pair = [Env({"x": left[1], "y": right[1]})]
+        assert list(bind_join_rows(left, right, "x", "y", condition)) == pair
+        assert list(probe_join_rows(left, "x", "y", condition, prober, 10)) == pair
+
+    def test_row_loops_compile_once_per_operator_invocation(self, monkeypatch):
+        """However many rows flow, the expression tree is walked once -- and the
+        closure dies with the operator: nothing is left on the nodes."""
+        compiled = []
+        for kind in (Comparison, Arithmetic, StructExpr):
+            original = kind.compile
+
+            def spy(self, evaluator=None, original=original):
+                compiled.append(type(self).__name__)
+                return original(self, evaluator)
+
+            monkeypatch.setattr(kind, "compile", spy)
+        rows = [Struct({"id": i % 7, "salary": i}) for i in range(300)]
+        predicate = salary_filter(threshold=100)
+        double = Arithmetic("*", Path(Var("x"), "salary"), Const(2))
+        item = StructExpr((("s", Path(Var("x"), "salary")),))
+        condition = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
+
+        assert len(list(filter_rows(rows, "x", predicate))) == 199
+        assert compiled == ["Comparison"]
+        del compiled[:]
+        assert len(list(apply_rows(rows, "x", item))) == 300
+        assert compiled == ["StructExpr"]
+        del compiled[:]
+        keys = (("k", Arithmetic("+", Path(Var("x"), "id"), Const(0))),)
+        aggregates = (("n", "count", Var("x")), ("t", "sum", double))
+        assert len(list(group_rows(rows, "x", keys, aggregates))) == 7
+        assert compiled == ["Arithmetic", "Arithmetic"]
+        del compiled[:]
+        joined = probe_join_rows(
+            rows, "x", "y", condition, lambda keys: {key: [{"id": key}] for key in keys}, 16
+        )
+        assert len(list(joined)) == 300
+        assert compiled == ["Comparison"]  # the condition, once; not once per batch
+        for node in (predicate, double, item, condition):
+            assert set(vars(node)) == set(node.__dataclass_fields__)
 
     def test_hash_join_streams_the_probe_side(self):
         """Only the build (right) side is materialized."""

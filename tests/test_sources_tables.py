@@ -136,6 +136,14 @@ class TestRelationalEngine:
         )
         assert len(joined) == 2
 
+    def test_join_never_matches_a_null_key(self):
+        """NULL = NULL is not true, here as in the mediator's own joins."""
+        engine = self.engine()
+        employees = engine.scan("employee") + [{"name": "Nil", "dept": None, "salary": 1}]
+        managers = engine.scan("manager") + [{"name": "Nobody", "dept": None}]
+        joined = engine.join(employees, managers, on="dept")
+        assert {row["name"] for row in joined} == {"Mary", "Ana"}
+
     def test_union_is_additive(self):
         engine = self.engine()
         rows = engine.union(engine.scan("employee"), engine.scan("employee"))

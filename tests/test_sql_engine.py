@@ -6,7 +6,8 @@ from repro.errors import ParseError, QueryExecutionError
 from repro.lexing import SQL, tokenize
 from repro.sources.relational_engine import RelationalEngine
 from repro.sources.sql import SqlEngine, SqlParser
-from repro.sources.sql.parser import ColumnRef, Comparison, Literal
+from repro.sources.sql.parser import ColumnRef, Comparison, InPredicate, Literal, SelectStatement
+from tests.conftest import CountedKey
 
 
 def sample_engine() -> SqlEngine:
@@ -130,6 +131,52 @@ class TestSqlEngine:
             "SELECT name, dept FROM person0 JOIN dept ON id = id WHERE salary > 10"
         )
         assert {(row["name"], row["dept"]) for row in rows} == {("Mary", "db"), ("Sam", "os")}
+
+    def test_a_null_join_key_matches_nothing(self):
+        """``JOIN ... ON a = b`` is an equality: NULL = NULL is not true."""
+        engine = sample_engine()
+        engine.engine.table("person0").insert({"id": None, "name": "Nil", "salary": 1})
+        engine.engine.table("dept").insert({"id": None, "dept": "none"})
+        rows = engine.execute("SELECT name, dept FROM person0 JOIN dept ON id = id")
+        assert {(row["name"], row["dept"]) for row in rows} == {("Mary", "db"), ("Sam", "os")}
+
+    @pytest.mark.parametrize(
+        "value, member", [(1, True), (1.0, True), (True, True), ("1", True), (None, False), (2, False)]
+    )
+    def test_mixed_type_in_list(self, value, member):
+        """Hashing the items must answer what ``=`` answers: 1 = 1.0 = TRUE, '1' <> 1."""
+        storage = RelationalEngine("storage")
+        storage.create_table("t", rows=[{"v": value}])
+        rows = SqlEngine(storage).execute("SELECT * FROM t WHERE v IN (1, 1.0, TRUE, '1', NULL)")
+        assert rows == ([{"v": value}] if member else [])
+        assert SqlEngine(storage).execute("SELECT * FROM t WHERE v IN ('1')") == (
+            [{"v": value}] if value == "1" else []
+        )
+
+    def test_in_list_nan_and_unhashable_values_compare_one_by_one(self):
+        nan = float("nan")
+        storage = RelationalEngine("storage")
+        storage.create_table("t", rows=[{"v": nan}, {"v": [1, 2]}, {"v": 3}])
+
+        def matching(*items):
+            where = InPredicate(ColumnRef("v"), tuple(Literal(item) for item in items))
+            return SqlEngine(storage).execute_statement(SelectStatement(None, "t", where=where))
+
+        assert matching(nan, 3) == [{"v": 3}]  # the same NaN object still equals nothing
+        assert matching([1, 2], 3) == [{"v": [1, 2]}, {"v": 3}]  # an unhashable item
+        assert matching(4, 3) == [{"v": 3}]  # an unhashable column value against a set
+
+    def test_in_list_is_probed_by_hash_not_compared_item_by_item(self):
+        """500 rows against 256 items: about one ``==`` per row, not a hundred."""
+        storage = RelationalEngine("storage")
+        storage.create_table("t", rows=[{"k": CountedKey(i)} for i in range(500)])
+        items = tuple(Literal(CountedKey(2 * i)) for i in range(256))
+        statement = SelectStatement(None, "t", where=InPredicate(ColumnRef("k"), items))
+        CountedKey.comparisons = 0
+        rows = SqlEngine(storage).execute_statement(statement)
+        assert len(rows) == 250
+        # one self-comparison per item while the set is built, then one per matching row
+        assert CountedKey.comparisons <= len(items) + 500
 
     def test_comparison_with_unknown_column_raises(self):
         with pytest.raises(QueryExecutionError):

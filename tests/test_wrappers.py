@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra.capabilities import CapabilitySet
-from repro.algebra.expressions import BooleanExpr, Comparison, Const, Path, Var
+from repro.algebra.expressions import BooleanExpr, Comparison, Const, InList, Path, Var
 from repro.algebra.logical import Get, Join, Project, Select, Union
 from repro.baselines.no_pushdown import GetOnlyWrapper
 from repro.errors import CapabilityError, UnavailableSourceError, WrapperError
@@ -20,6 +20,7 @@ from repro.wrappers import (
     SqlWrapper,
     TextSearchWrapper,
 )
+from tests.conftest import CountedKey
 
 PERSON_ROWS = [
     {"id": 1, "name": "Mary", "salary": 200},
@@ -54,6 +55,27 @@ class TestRelationalWrapper:
         wrapper = RelationalWrapper("w0", relational_server())
         rows = wrapper.submit(Join(Get("person0"), Get("manager0"), "id"))
         assert {row["dept"] for row in rows} == {"db", "os"}
+
+    def test_pushed_join_never_matches_a_nil_key(self):
+        """The source joins as the mediator does: a pushed join and a
+        mediator-side one must not disagree on nil-keyed rows."""
+        server = relational_server()
+        server.store.table("person0").insert({"id": None, "name": "Nil", "salary": 1})
+        server.store.table("manager0").insert({"id": None, "dept": "none"})
+        rows = RelationalWrapper("w0", server).submit(Join(Get("person0"), Get("manager0"), "id"))
+        assert {(row["name"], row["dept"]) for row in rows} == {("Mary", "db"), ("Sam", "os")}
+
+    def test_pushed_in_list_is_probed_by_hash_not_compared_item_by_item(self):
+        """A 256-key probe batch over 500 rows: about one ``==`` per row, not a hundred."""
+        engine = RelationalEngine("db")
+        engine.create_table("t", rows=[{"k": CountedKey(i)} for i in range(500)])
+        wrapper = RelationalWrapper("w0", SimulatedServer("host", engine))
+        items = tuple(Const(CountedKey(2 * i)) for i in range(256))
+        probe = Select("x", InList(Path(Var("x"), "k"), items), Get("t"))
+        CountedKey.comparisons = 0
+        assert len(wrapper.submit(probe)) == 250
+        # one self-comparison per item while the set is built, then one per matching row
+        assert CountedKey.comparisons <= len(items) + 500
 
     def test_pushed_union(self):
         wrapper = RelationalWrapper("w0", relational_server())
