@@ -45,6 +45,43 @@ ARITHMETIC_OPS: dict[str, Callable[[Any, Any], Any]] = {
 AGGREGATE_FUNCTIONS = ("sum", "count", "min", "max", "avg")
 
 
+def literal_to_oql(value: Any) -> str:
+    """Write one value as the OQL literal that reads back as it.
+
+    The one literal writer: constants in predicates, the rows embedded in a
+    partial answer and the fields and items nested inside them all come
+    through here, so what the mediator writes is what ``parse_query`` reads.
+    A partial answer is a few hundred values, hence the dispatch on the exact
+    type, commonest first.  ``bool`` is tested before the numbers because
+    ``True`` is an ``int``: as a number it would be written ``True``, which
+    OQL reads as a name.  Collections, subclasses and foreign mappings take
+    the ``isinstance`` arms at the end.
+    """
+    kind = type(value)
+    if kind is str:
+        return OQL.quote(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "nil"
+    if kind is int or kind is float:
+        return str(value)
+    if kind is Struct:
+        fields = value._fields
+    elif kind is dict:
+        fields = value
+    elif isinstance(value, Mapping):
+        fields = dict(value)
+    elif isinstance(value, (Bag, list, tuple)):
+        return "bag(" + ", ".join(map(literal_to_oql, value)) + ")"
+    elif isinstance(value, str):
+        return OQL.quote(value)
+    else:
+        return str(value)
+    inner = ", ".join([f"{name}: {literal_to_oql(field)}" for name, field in fields.items()])
+    return f"struct({inner})"
+
+
 class Expr:
     """Base class for every scalar expression node."""
 
@@ -97,13 +134,7 @@ class Const(Expr):
         return lambda env: value
 
     def to_oql(self) -> str:
-        if isinstance(self.value, str):
-            return OQL.quote(self.value)
-        if isinstance(self.value, bool):
-            return "true" if self.value else "false"
-        if self.value is None:
-            return "nil"
-        return str(self.value)
+        return literal_to_oql(self.value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.algebra.expressions import Const, Expr, Path, Var
+from repro.algebra.expressions import Expr, Path, Var, literal_to_oql
 from repro.algebra.logical import (
     Apply,
     BagLiteral,
@@ -34,25 +34,6 @@ from repro.algebra.logical import (
 from repro.errors import QueryExecutionError
 
 
-def _render_value(value) -> str:
-    """Render one literal value the way OQL writes it.
-
-    Structs and nested collections are rendered with OQL constructors so that
-    a partial answer containing data rows remains parseable when re-submitted
-    as a query.
-    """
-    from collections.abc import Mapping
-
-    from repro.datamodel.values import Bag, Struct
-
-    if isinstance(value, (Struct, Mapping)):
-        inner = ", ".join(f"{name}: {_render_value(field)}" for name, field in dict(value).items())
-        return f"struct({inner})"
-    if isinstance(value, (Bag, list, tuple)):
-        return "bag(" + ", ".join(_render_value(item) for item in value) + ")"
-    return Const(value).to_oql()
-
-
 class _Unparser:
     """Stateful helper allocating fresh variable names while unparsing."""
 
@@ -69,7 +50,7 @@ class _Unparser:
     def unparse(self, node: LogicalOp) -> str:
         """Render ``node`` as an OQL expression producing a collection."""
         if isinstance(node, BagLiteral):
-            return "Bag(" + ", ".join(_render_value(value) for value in node.values) + ")"
+            return "Bag(" + ", ".join(map(literal_to_oql, node.values)) + ")"
         if isinstance(node, Union):
             return "union(" + ", ".join(self.unparse(child) for child in node.inputs) + ")"
         if isinstance(node, Flatten):

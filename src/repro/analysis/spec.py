@@ -173,10 +173,11 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
                 kind="Lock",
                 guards=("_exact", "_close", "_availability", "failures"),
                 rank=42,
-                guards_doc="the per-`(source, shape)` deques and availability "
-                "EWMAs",
+                guards_doc="the per-`(source, shape)` deques (two LRU tables "
+                "of at most `MAX_SIGNATURES`) and availability EWMAs",
                 notes="`record()` appends and `estimate()` aggregates under "
-                "the lock; the cost model reads through this interface only.",
+                "the lock; both render their signatures *before* taking it. "
+                "The cost model reads through this interface only.",
             ),
         ),
         held_in=(("_observe_availability", "_lock"),),

@@ -240,7 +240,7 @@ class Mediator:
             return QueryResult(
                 query_text=text,
                 data=Bag(rows),
-                logical_plan=planned.logical.to_text(),
+                logical=planned.logical,
                 from_answer_cache=True,
             )
         cache.note_miss()
@@ -291,7 +291,6 @@ class Mediator:
             self.answer_cache.drop(text)
             return None
         self.answer_cache.note_patch()
-        planned_logical = entry.partial_plan
         if not execution.is_partial:
             self.answer_cache.store_complete(
                 text,
@@ -319,8 +318,8 @@ class Mediator:
             partial_plan=execution.partial_plan,
             unavailable_sources=execution.unavailable_sources,
             reports=execution.reports,
-            logical_plan=planned_logical.to_text(),
-            physical_plan=physical.to_text(),
+            logical=entry.partial_plan,
+            physical=physical,
             from_answer_cache=True,
         )
 
@@ -370,8 +369,8 @@ class Mediator:
             query_text=planned.text,
             stream=stream,
             estimated_cost=planned.optimized.cost.total(),
-            logical_plan=planned.optimized.logical.to_text(),
-            physical_plan=planned.optimized.physical.to_text(),
+            logical=planned.optimized.logical,
+            physical=planned.optimized.physical,
             from_plan_cache=planned.from_cache,
         )
 
@@ -398,8 +397,8 @@ class Mediator:
             partial_plan=execution.partial_plan,
             unavailable_sources=execution.unavailable_sources,
             reports=execution.reports,
-            logical_plan=result.partial_plan.to_text(),
-            physical_plan=physical.to_text(),
+            logical=result.partial_plan,
+            physical=physical,
         )
 
     # -- internals -----------------------------------------------------------------------------------
@@ -425,8 +424,8 @@ class Mediator:
             unavailable_sources=execution.unavailable_sources,
             reports=execution.reports,
             estimated_cost=planned.optimized.cost.total(),
-            logical_plan=planned.optimized.logical.to_text(),
-            physical_plan=planned.optimized.physical.to_text(),
+            logical=planned.optimized.logical,
+            physical=planned.optimized.physical,
             from_plan_cache=planned.from_cache,
         )
 

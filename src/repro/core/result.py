@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.algebra.logical import LogicalOp
+from repro.algebra.physical import PhysicalOp
 from repro.datamodel.values import Bag
 from repro.runtime.executor import ExecReport, collect_errors
 
@@ -37,8 +38,10 @@ class QueryResult:
     unavailable_sources: tuple[str, ...] = ()
     reports: tuple[ExecReport, ...] = ()
     estimated_cost: float | None = None
-    logical_plan: str | None = None
-    physical_plan: str | None = None
+    #: the plans that ran (None when a cache answered without one); their
+    #: texts are the ``logical_plan`` / ``physical_plan`` views below.
+    logical: LogicalOp | None = field(default=None, repr=False)
+    physical: PhysicalOp | None = field(default=None, repr=False)
     from_plan_cache: bool = False
     #: True when the rows were served by the mediator's answer cache (an
     #: exact hit, a subsumption replay, or a patched partial answer) rather
@@ -48,6 +51,23 @@ class QueryResult:
     #: materialized results); excluded from equality -- two results are the
     #: same answer regardless of how the rows were delivered.
     stream: Any | None = field(default=None, repr=False, compare=False)
+
+    # -- plan text, rendered when read -----------------------------------------------------
+    @property
+    def logical_plan(self) -> str | None:
+        """Text of the logical plan that ran.
+
+        Rendered on each read, not when the result is built: the plans of a
+        resubmitted partial answer embed every row already obtained, and most
+        callers never look.  The result holds the plan objects themselves, so
+        the text is of the plan that ran whatever the DBA changed since.
+        """
+        return None if self.logical is None else self.logical.to_text()
+
+    @property
+    def physical_plan(self) -> str | None:
+        """Text of the physical plan that ran (see :attr:`logical_plan`)."""
+        return None if self.physical is None else self.physical.to_text()
 
     # -- the incremental surface ---------------------------------------------------------
     def iter_rows(self) -> Iterator[Any]:

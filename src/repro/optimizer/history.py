@@ -17,8 +17,8 @@ stripping constants from the expression signature.
 from __future__ import annotations
 
 import threading
-from collections import deque
-from dataclasses import dataclass, field
+from collections import OrderedDict, deque
+from dataclasses import dataclass
 from typing import Deque
 
 from repro.algebra.expressions import (
@@ -43,6 +43,11 @@ from repro.algebra.logical import (
 DEFAULT_TIME_COST = 0.0
 DEFAULT_DATA_COST = 1.0
 
+#: Most signatures kept per table (exact, close): a mediator fed never-seen
+#: query texts would otherwise keep one deque per text for ever.  The least
+#: recently recorded-or-matched signature goes first.
+MAX_SIGNATURES = 4096
+
 
 @dataclass(frozen=True)
 class CostEstimate:
@@ -63,6 +68,10 @@ class CostEstimate:
 class _Observation:
     elapsed: float
     rows: int
+
+
+#: signature -> its last ``window`` observations, least recently used first
+_SignatureTable = OrderedDict[str, Deque[_Observation]]
 
 
 def _strip_constants_expr(expression: Expr) -> Expr:
@@ -134,6 +143,10 @@ class ExecCallHistory:
     to penalize plans that depend on flaky sources -- a failure is not just
     lost time, it turns the whole answer partial.
 
+    Fixed-size in both directions: ``window`` observations per signature, and
+    :data:`MAX_SIGNATURES` signatures per table, the least recently recorded
+    or matched evicted first.  Availability is per extent and never evicted.
+
     Lock discipline: one history-wide lock guards every signature deque and
     the availability map, on the *read* paths too -- ``estimate`` smooths a
     deque that concurrent exec workers are appending to, and a deque mutated
@@ -154,8 +167,8 @@ class ExecCallHistory:
         self.window = window
         self.smoothing = smoothing
         self.availability_smoothing = availability_smoothing
-        self._exact: dict[str, Deque[_Observation]] = {}
-        self._close: dict[str, Deque[_Observation]] = {}
+        self._exact: _SignatureTable = OrderedDict()
+        self._close: _SignatureTable = OrderedDict()
         #: EWMA of call success per extent; absent means "never observed".
         self._availability: dict[str, float] = {}
         #: total number of failed or timed-out calls recorded
@@ -168,11 +181,7 @@ class ExecCallHistory:
         self, extent_name: str, expression: LogicalOp, elapsed: float, rows: int
     ) -> None:
         """Record the outcome of one successful exec call."""
-        observation = _Observation(elapsed=max(elapsed, 0.0), rows=max(rows, 0))
-        with self._lock:
-            self._append(self._exact, exact_signature(extent_name, expression), observation)
-            self._append(self._close, close_signature(extent_name, expression), observation)
-            self._observe_availability(extent_name, succeeded=True)
+        self._record(extent_name, expression, max(elapsed, 0.0), max(rows, 0), succeeded=True)
 
     def record_failure(
         self, extent_name: str, expression: LogicalOp, elapsed: float
@@ -185,12 +194,23 @@ class ExecCallHistory:
         seeing the attempt as free.  The extent's availability estimate moves
         towards 0.
         """
-        observation = _Observation(elapsed=max(elapsed, 0.0), rows=0)
+        self._record(extent_name, expression, max(elapsed, 0.0), 0, succeeded=False)
+
+    def _record(
+        self, extent_name: str, expression: LogicalOp, elapsed: float, rows: int, succeeded: bool
+    ) -> None:
+        observation = _Observation(elapsed=elapsed, rows=rows)
+        # Both signatures walk and render the expression: built before the
+        # lock is taken, as in ``estimate``, so one worker's long expression
+        # never holds up the other workers' appends.
+        exact_key = exact_signature(extent_name, expression)
+        close_key = close_signature(extent_name, expression)
         with self._lock:
-            self.failures += 1
-            self._append(self._exact, exact_signature(extent_name, expression), observation)
-            self._append(self._close, close_signature(extent_name, expression), observation)
-            self._observe_availability(extent_name, succeeded=False)
+            if not succeeded:
+                self.failures += 1
+            self._append(self._exact, exact_key, observation)
+            self._append(self._close, close_key, observation)
+            self._observe_availability(extent_name, succeeded)
 
     def _observe_availability(self, extent_name: str, succeeded: bool) -> None:
         # The caller holds ``_lock``.
@@ -208,8 +228,15 @@ class ExecCallHistory:
         with self._lock:
             return self._availability.get(extent_name, 1.0)
 
-    def _append(self, store: dict[str, Deque[_Observation]], key: str, observation: _Observation) -> None:
-        queue = store.setdefault(key, deque(maxlen=self.window))
+    def _append(self, store: _SignatureTable, key: str, observation: _Observation) -> None:
+        # The caller holds ``_lock``.
+        queue = store.get(key)
+        if queue is None:
+            if len(store) >= MAX_SIGNATURES:
+                store.popitem(last=False)
+            queue = store[key] = deque(maxlen=self.window)
+        else:
+            store.move_to_end(key)
         queue.append(observation)
 
     # -- estimation ----------------------------------------------------------------------
@@ -228,6 +255,7 @@ class ExecCallHistory:
             availability = self._availability.get(extent_name, 1.0)
             exact = self._exact.get(exact_key)
             if exact:
+                self._exact.move_to_end(exact_key)
                 time, rows = self._smooth(exact)
                 return CostEstimate(
                     time=time, rows=rows, kind="exact", samples=len(exact), availability=availability
@@ -236,6 +264,7 @@ class ExecCallHistory:
         with self._lock:
             close = self._close.get(close_key)
             if close:
+                self._close.move_to_end(close_key)
                 time, rows = self._smooth(close)
                 return CostEstimate(
                     time=time, rows=rows, kind="close", samples=len(close), availability=availability

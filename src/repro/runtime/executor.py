@@ -67,7 +67,7 @@ from repro.algebra import physical as phys
 from repro.algebra.expressions import Comparison, Const, Expr, InList
 from repro.datamodel.extent import MetaExtent
 from repro.datamodel.mapping import rename_row
-from repro.datamodel.values import Bag
+from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError, TypeConflictError, UnavailableSourceError
 from repro.optimizer.history import ExecCallHistory
 from repro.optimizer.implementation import implement
@@ -93,8 +93,18 @@ def normalize_row(raw: Any, renames: Mapping[str, str]) -> Any:
     Non-mapping values (scalars from projected single columns, nested bags)
     pass through unchanged.  Shared by exec calls, probe calls and the split
     fallback so malformed-row handling cannot diverge between them.
+
+    With nothing to rename (an identity map, or rows renamed already) no row
+    is rebuilt key by key: a ``Struct`` is immutable and is the row, a
+    ``dict`` is copied once -- the wrapper may keep and change its own.
     """
-    if type(raw) is dict or isinstance(raw, Mapping):
+    kind = type(raw)
+    if not renames:
+        if kind is Struct:
+            return raw
+        if kind is dict:
+            return Struct._adopt(dict(raw))
+    if kind is dict or isinstance(raw, Mapping):
         return rename_row(raw, renames)
     return raw
 

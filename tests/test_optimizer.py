@@ -1,5 +1,7 @@
 """Tests for the optimizer: history, cost model, implementation rules, search, plan cache."""
 
+import threading
+
 import pytest
 
 from repro.algebra import physical as phys
@@ -13,6 +15,7 @@ from repro.algebra.logical import (
     Flatten,
     Get,
     Join,
+    LogicalOp,
     Project,
     Select,
     Submit,
@@ -21,6 +24,7 @@ from repro.algebra.logical import (
 from repro.algebra.rewriter import Rewriter
 from repro.errors import OptimizationError
 from repro.optimizer.cost import CostModel
+from repro.optimizer import history as history_module
 from repro.optimizer.history import ExecCallHistory, close_signature, exact_signature
 from repro.optimizer.implementation import implement, implementation_alternatives
 from repro.optimizer.optimizer import Optimizer
@@ -107,6 +111,71 @@ class TestExecCallHistory:
             ExecCallHistory(window=0)
         with pytest.raises(ValueError):
             ExecCallHistory(smoothing=0.0)
+
+    @pytest.mark.parametrize("outcome", ["record", "record_failure"])
+    def test_a_slow_signature_does_not_hold_up_other_workers(self, outcome):
+        """Signatures are rendered before the lock is taken, not inside it."""
+        entered, release = threading.Event(), threading.Event()
+
+        class Stalled(LogicalOp):
+            op_name = "stalled"
+
+            def to_text(self):
+                entered.set()
+                assert release.wait(timeout=10)
+                return "stalled()"
+
+        history = ExecCallHistory()
+
+        def call(expression):
+            if outcome == "record":
+                history.record("person0", expression, 0.1, 1)
+            else:
+                history.record_failure("person0", expression, 0.1)
+
+        slow = threading.Thread(target=call, args=(Stalled(),))
+        fast = threading.Thread(target=call, args=(Get("person0"),))
+        slow.start()
+        try:
+            assert entered.wait(timeout=10)
+            fast.start()
+            fast.join(timeout=10)
+            assert not fast.is_alive()
+            assert slow.is_alive()
+            assert history.estimate("person0", Get("person0")).kind == "exact"
+        finally:
+            release.set()
+            slow.join(timeout=10)
+        assert not slow.is_alive()
+        assert history.recorded_calls() == 2
+
+    def test_signature_tables_are_bounded_least_recently_used_first(self, monkeypatch):
+        bound = 8
+        monkeypatch.setattr(history_module, "MAX_SIGNATURES", bound)
+        history = ExecCallHistory()
+        history.record_failure("person0", Get("person0"), 0.1)
+        history.record("person1", Get("person1"), 0.1, 1)
+        availability = (history.availability("person0"), history.availability("person1"))
+
+        def expression(index):
+            # Distinct exact *and* close signatures: the attribute differs.
+            return Project((f"a{index}",), Get("person2"))
+
+        for index in range(10 * bound):
+            history.record("person2", expression(index), 0.1, index)
+            # Matched after every record: the first signature is never the
+            # least recently used, so it outlives the 72 that came after it.
+            assert history.estimate("person2", expression(0)).kind == "exact"
+        assert history.recorded_calls() == bound
+        assert len(history._close) == bound
+        most_recent = range(10 * bound - (bound - 1), 10 * bound)
+        assert [history.estimate("person2", expression(i)).rows for i in most_recent] == [
+            float(i) for i in most_recent
+        ]
+        assert history.estimate("person2", expression(5)).kind == "default"
+        # Eviction forgets observations, never what is known about an extent.
+        assert (history.availability("person0"), history.availability("person1")) == availability
+        assert history.failures == 1
 
 
 class TestImplementationRules:

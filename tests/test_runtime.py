@@ -9,6 +9,7 @@ from repro.algebra.expressions import Arithmetic, Comparison, Const, Path, Struc
 from repro.algebra.logical import Get, Join, Project, Select, Submit, Union
 from repro.algebra.physical import Exec, Field, MkUnion
 from repro.optimizer.implementation import implement
+from repro.runtime.executor import normalize_row
 from repro.runtime.operators import (
     Env,
     bind_join_rows,
@@ -275,6 +276,57 @@ class TestExecutor:
         assert row["name"] == "Mary"
         assert row["dept"] == "cs"
         assert row["budget"] == 100
+
+    @pytest.mark.parametrize("engine", ["query", "query_stream"])
+    def test_delivered_rows_do_not_alias_the_dicts_a_wrapper_keeps(self, engine):
+        """Rows that need no rename are not rebuilt key by key -- and still
+        are the mediator's own: the wrapper may reuse what it returned."""
+
+        class KeepingWrapper(RelationalWrapper):
+            kept: list = []
+
+            def submit(self, expression):
+                self.kept = [dict(row) for row in super().submit(expression)]
+                return self.kept
+
+            def submit_stream(self, expression, resume_from=None):
+                return self.submit(expression)
+
+        mediator, servers = build_paper_mediator()
+        with mediator:
+            wrapper = KeepingWrapper("keeping", servers[0])
+            mediator.register_wrapper("keeping", wrapper)
+            mediator.add_extent(
+                "kept0", "Person", "keeping", "r0", source_collection="person0"
+            )
+            result = getattr(mediator, engine)("select x from x in kept0")
+            (row,) = result.rows()
+            assert type(row) is Struct
+            (kept,) = wrapper.kept
+            kept["name"] = "Mallory"
+            kept["extra"] = 1
+            assert row == Struct({"id": 1, "name": "Mary", "salary": 200})
+            assert result.rows() == [row]
+
+    def test_normalize_row_renames_only_when_there_is_something_to_rename(self):
+        row = {"n": "Mary", "s": 200}
+        renamed = normalize_row(row, {"n": "name", "s": "salary"})
+        assert type(renamed) is Struct and dict(renamed) == {"name": "Mary", "salary": 200}
+        struct = Struct({"n": "Mary"})
+        assert normalize_row(struct, {}) is struct  # immutable: it is the row
+        assert normalize_row(struct, {"n": "name"}) == Struct({"name": "Mary"})
+        copied = normalize_row(row, {})
+        assert type(copied) is Struct and copied == Struct(row)
+        row["n"] = "Mallory"
+        assert copied["n"] == "Mary"
+        # Off the two exact types nothing changed: an environment still comes
+        # back as a struct of its bindings, scalars and bags as they are.
+        env = Env({"x": struct})
+        assert type(normalize_row(env, {})) is Struct
+        assert normalize_row(env, {}) == Struct({"x": struct})
+        bag = Bag([1])
+        assert normalize_row("Mary", {}) == "Mary" and normalize_row(7, {"n": "m"}) == 7
+        assert normalize_row(bag, {}) is bag and normalize_row(None, {}) is None
 
     def test_exec_reports_and_history_are_recorded(self):
         mediator, _ = build_paper_mediator()

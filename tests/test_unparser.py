@@ -1,8 +1,23 @@
 """Tests for rendering logical plans back to OQL (needed for partial answers)."""
 
+import ast
+import inspect
+import textwrap
+from collections.abc import Mapping
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from repro.algebra.expressions import Comparison, Const, Path, Var
+from repro.algebra.expressions import (
+    BagExpr,
+    Comparison,
+    Const,
+    Path,
+    StructExpr,
+    Var,
+    literal_to_oql,
+)
 from repro.algebra.logical import (
     Apply,
     BagLiteral,
@@ -16,9 +31,12 @@ from repro.algebra.logical import (
     Union,
 )
 from repro.algebra.unparser import logical_to_oql
-from repro.datamodel.values import Struct
+from repro.algebra.physical import MkBag
+from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError
+from repro.lexing import OQL
 from repro.oql.parser import parse_query
+from tests.conftest import build_paper_mediator
 
 
 def salary_predicate(var="x"):
@@ -120,3 +138,216 @@ class TestUnparser:
 
         with pytest.raises(QueryExecutionError):
             logical_to_oql(Mystery())
+
+
+# -- the literal writer against the one it replaced -----------------------------------------------
+def reference_render_value(value) -> str:
+    """The parent's ``_render_value`` (and the ``Const.to_oql`` it ended in), verbatim.
+
+    Two imports per value, every struct copied through ``dict(value)``, a
+    ``Const`` per scalar: slow and obviously right.  ``literal_to_oql`` must
+    write the same bytes for every value.
+    """
+    from collections.abc import Mapping
+
+    from repro.datamodel.values import Bag, Struct
+
+    if isinstance(value, (Struct, Mapping)):
+        inner = ", ".join(
+            f"{name}: {reference_render_value(field)}" for name, field in dict(value).items()
+        )
+        return f"struct({inner})"
+    if isinstance(value, (Bag, list, tuple)):
+        return "bag(" + ", ".join(reference_render_value(item) for item in value) + ")"
+    if isinstance(value, str):
+        return OQL.quote(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "nil"
+    return str(value)
+
+
+class ForeignMapping(Mapping):
+    """A mapping that is neither ``dict`` nor ``Struct`` (a wrapper's own row type)."""
+
+    def __init__(self, fields):
+        self._fields = dict(fields)
+
+    def __getitem__(self, key):
+        return self._fields[key]
+
+    def __iter__(self):
+        return iter(self._fields)
+
+    def __len__(self):
+        return len(self._fields)
+
+
+class Label(str):
+    """A ``str`` subclass: off the exact-type arms, same text as a ``str``."""
+
+
+#: quotes and backslashes, densely: what ``OQL.quote`` has to escape
+ESCAPED_TEXT = st.text(alphabet="\"\\'a \n")
+
+SCALARS = st.one_of(
+    st.text(),
+    ESCAPED_TEXT,
+    ESCAPED_TEXT.map(Label),
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    # exponent forms, both signs of mantissa and exponent
+    st.sampled_from([1e16, 1e22, -2.5e300, 1e-07, -3e-05, 5e-324, 1.7976931348623157e308]),
+)
+
+FIELD_NAMES = st.sampled_from(["a", "b", "name", "salary", "k1"])
+
+
+def _containers(children):
+    fields = st.dictionaries(FIELD_NAMES, children, max_size=4)
+    items = st.lists(children, max_size=4)
+    return st.one_of(
+        fields.map(Struct),
+        fields,
+        fields.map(ForeignMapping),
+        items.map(Bag),
+        items,
+        items.map(tuple),
+    )
+
+
+VALUES = st.recursive(SCALARS, _containers, max_leaves=12)
+
+
+def shape(value):
+    """``value`` with every collection and scalar tagged by kind: ``1``, ``1.0``
+    and ``true`` are different literals although Python calls them equal."""
+    if isinstance(value, Mapping):
+        return ("struct", tuple((name, shape(field)) for name, field in dict(value).items()))
+    if isinstance(value, (Bag, list, tuple)):
+        return ("bag", tuple(shape(item) for item in value))
+    if isinstance(value, str):
+        return ("str", str(value))
+    return (type(value).__name__, value)
+
+
+def parsed_shape(expression):
+    """:func:`shape` of the value a parsed literal denotes (``bag(...)`` evaluation
+    flattens nested bags, so the comparison is on the constructor tree)."""
+    if isinstance(expression, StructExpr):
+        return ("struct", tuple((name, parsed_shape(field)) for name, field in expression.fields))
+    if isinstance(expression, BagExpr):
+        return ("bag", tuple(parsed_shape(item) for item in expression.items))
+    assert isinstance(expression, Const)
+    return shape(expression.value)
+
+
+class TestLiteralWriter:
+    """One writer for every literal: same bytes as before, and the reader reads them."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(VALUES)
+    def test_writes_what_the_replaced_writer_wrote(self, value):
+        assert literal_to_oql(value) == reference_render_value(value)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(VALUES)
+    def test_text_parses_back_to_the_same_value(self, value):
+        parsed = parse_query(f"struct(v: {literal_to_oql(value)})").expression
+        ((_name, expression),) = parsed.fields
+        assert parsed_shape(expression) == shape(value)
+
+    @settings(derandomize=True)
+    @given(st.lists(VALUES, max_size=4))
+    def test_bag_literal_rows_and_constants_share_the_writer(self, rows):
+        text = logical_to_oql(BagLiteral(tuple(rows)))
+        assert text == "Bag(" + ", ".join(reference_render_value(row) for row in rows) + ")"
+        assert [Const(row).to_oql() for row in rows] == [literal_to_oql(row) for row in rows]
+
+    def test_bool_is_written_as_a_keyword_not_as_a_number(self):
+        assert literal_to_oql(True) == "true"
+        assert literal_to_oql(Struct({"flag": False, "n": 0})) == "struct(flag: false, n: 0)"
+
+    def test_rendering_a_partial_answer_constructs_no_const(self, monkeypatch):
+        """The deterministic stand-in for a timing: the replaced writer built
+        one ``Const`` per scalar, 1800 of them here."""
+        rows = tuple(
+            Struct({"id": i, "name": f"person {i}", "salary": 10.5 * i}) for i in range(600)
+        )
+        plan = Union((Submit("r0", Get("person0"), "person0"), BagLiteral(rows)))
+        built = []
+        original = Const.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Const, "__init__", counting)
+        Const(1)
+        assert len(built) == 1  # the spy sees constructions
+        text = logical_to_oql(plan)
+        assert len(built) == 1
+        assert text.count("struct(") == 600
+
+    def test_writer_imports_nothing_per_value(self):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(literal_to_oql)))
+        assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+class TestPlanTextOnRead:
+    """``QueryResult.logical_plan`` / ``physical_plan`` render when read, not before."""
+
+    QUERY = "select x.name from x in person where x.salary > 10"
+
+    @pytest.fixture
+    def literal_renders(self, monkeypatch):
+        """Every ``to_text`` rendering of literal rows, logical or physical."""
+        rendered = []
+        for kind in (BagLiteral, MkBag):
+            original = kind._render
+
+            def spy(self, original=original):
+                rendered.append(type(self).__name__)
+                return original(self)
+
+            monkeypatch.setattr(kind, "_render", spy)
+        return rendered
+
+    def test_query_and_resubmit_render_no_embedded_rows(self, literal_renders):
+        mediator, servers = build_paper_mediator()
+        with mediator:
+            servers[0].take_down()
+            partial = mediator.query(self.QUERY)
+            assert partial.is_partial and 'Bag("Sam")' in partial.partial_query
+            servers[0].bring_up()
+            full = mediator.resubmit(partial)
+            assert full.data == Bag(["Mary", "Sam"])
+            assert literal_renders == []
+            # ... and the views still say what ran, once somebody looks.
+            assert "mkbag('Sam')" in full.physical_plan
+            assert "Bag('Sam')" in full.logical_plan
+            assert set(literal_renders) == {"BagLiteral", "MkBag"}
+
+    def test_views_are_read_only_and_none_without_a_plan(self):
+        mediator, _servers = build_paper_mediator()
+        with mediator:
+            result = mediator.query(self.QUERY)
+            assert result.logical_plan == result.logical.to_text()
+            assert result.physical_plan == result.physical.to_text()
+            with pytest.raises(AttributeError):
+                result.physical_plan = "something else"
+            scalar = mediator.query("1 + 1")
+            assert scalar.logical_plan is None and scalar.physical_plan is None
+
+    def test_physical_plan_read_after_a_dba_change_is_the_plan_that_ran(self):
+        mediator, _servers = build_paper_mediator()
+        with mediator:
+            expected = mediator.explain(self.QUERY).optimized.physical.to_text()
+            result = mediator.query(self.QUERY)
+            mediator.drop_extent("person1")
+            assert "person1" in expected
+            assert result.physical_plan == expected
+            assert "person1" not in mediator.query(self.QUERY).physical_plan
