@@ -1,20 +1,9 @@
 """Physical algorithms of the run-time system (paper Sections 3.1 and 3.3).
 
-Each logical operator has at least one physical algorithm implementing it:
-
-====================  =======================================
-logical               physical
-====================  =======================================
-``submit``            :class:`Exec` (calls the wrapper)
-``project``           :class:`MkProj`
-``select``            :class:`Filter`
-``apply``             :class:`MkApply`
-``join``              :class:`HashJoin`, :class:`NestedLoopJoin`
-``union``             :class:`MkUnion`
-``flatten``           :class:`MkFlatten`
-``bag`` literal       :class:`MkBag`
-``get`` (single obj)  :class:`Field`
-====================  =======================================
+Each logical operator has at least one physical algorithm implementing it;
+which implements which is stated once, in :data:`IMPLEMENTS` below (``join``
+and ``bindjoin`` have two each; ``get`` on a single object, a repository, is
+:class:`Field`).
 
 ``Exec`` keeps its argument as a *logical* expression because "the wrapper
 interface accepts a logical expression"; the run-time system applies the
@@ -24,9 +13,10 @@ inverse map to the rows that come back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Sequence
 
+from repro.algebra import logical as log
 from repro.algebra.expressions import Expr
 from repro.algebra.logical import LogicalOp, TextCachedNode
 
@@ -403,6 +393,81 @@ class MkBag(PhysicalOp):
 
     def _render(self) -> str:
         return "mkbag(" + ", ".join(repr(value) for value in self.values) + ")"
+
+
+#: Paper Section 4: "each physical operation has a corresponding logical
+#: operation" -- the one statement of which.  The first algorithm listed for
+#: a logical operator is its default implementation.  ``Field`` (the source
+#: placeholder inside ``Exec``) and ``Get`` (only ever evaluated inside a
+#: submit, at the source) have no counterpart.
+IMPLEMENTS: dict[type[PhysicalOp], type[LogicalOp]] = {
+    Exec: log.Submit,
+    MkBag: log.BagLiteral,
+    MkProj: log.Project,
+    MkRename: log.Rename,
+    Filter: log.Select,
+    MkApply: log.Apply,
+    HashJoin: log.Join,
+    NestedLoopJoin: log.Join,
+    MkBindJoin: log.BindJoin,
+    ProbeJoin: log.BindJoin,
+    MkUnion: log.Union,
+    MkFlatten: log.Flatten,
+    MkDistinct: log.Distinct,
+    MkLimit: log.Limit,
+    MkGroupBy: log.GroupBy,
+}
+
+#: the fields that hold operands; both hierarchies name them alike
+_OPERANDS = ("child", "left", "right", "inputs")
+
+
+def _builder(target: type, source: type) -> Callable[[Any, Sequence[Any]], Any]:
+    """Compile ``(node, children) -> target(...)`` for one pair of the table.
+
+    Each of ``target``'s fields is an operand, taken from ``children`` in
+    order (``inputs`` takes them all), or a field ``source`` carries under
+    the same name, taken from ``node``.  The first field ``source`` lacks
+    ends the list: ``Join``'s variable names, which no join algorithm keeps,
+    have defaults.  Compiled, like a dataclass ``__init__``: the optimizer
+    builds hundreds of nodes per plan search, and walking the field names
+    per call measured +50% on its own time (and -5% queries/s) on never-seen
+    query texts.
+    """
+    theirs = {f.name for f in fields(source)}
+    arguments: list[str] = []
+    operands = 0
+    for name in (f.name for f in fields(target)):
+        if name == "inputs":
+            arguments.append("tuple(children)")
+        elif name in _OPERANDS:
+            arguments.append(f"children[{operands}]")
+            operands += 1
+        elif name in theirs:
+            arguments.append(f"node.{name}")
+        else:
+            break
+    return eval(f"lambda node, children: target({', '.join(arguments)})", {"target": target})
+
+
+#: (class to build, class to build it from) -> builder, both ways round for
+#: every pair in the table; resolved here, once, not per node built
+_BUILDERS = {
+    pair: _builder(*pair)
+    for physical, logical in IMPLEMENTS.items()
+    for pair in ((physical, logical), (logical, physical))
+}
+
+
+def counterpart(target: type, node: Any, children: Sequence[Any]) -> Any:
+    """Build ``target`` -- ``node``'s class on the other side of :data:`IMPLEMENTS`.
+
+    Everything but the operands carries the same field name on both sides,
+    so the new node takes those fields from ``node`` and its operands from
+    ``children`` (already on ``target``'s side).  ``Exec``/``Submit`` differ
+    in shape and are built by their callers.
+    """
+    return _BUILDERS[target, type(node)](node, children)
 
 
 def walk(node: PhysicalOp):

@@ -1,10 +1,10 @@
 """Dispatch-completeness checker.
 
 The algebra is dispatched by ``isinstance`` ladders all over the codebase
-(unparser, cost model, implementation rules, partial-answer rebuilds, the
-wrapper-side evaluator, the mini-SQL renderer, the capability grammar, the
-degradation ladder...).  Each :class:`DispatchSite` names the functions (or
-the module-level tuple constant) making up one ladder, which class
+(unparser, cost model, the row composer, the wrapper-side evaluator, the
+mini-SQL renderer, the capability grammar, the degradation ladder...) and by
+one table (the logical<->physical correspondence).  Each :class:`DispatchSite`
+names the functions (or the module-level constant) making up one ladder, which class
 :class:`Hierarchy` it dispatches over, and which subclasses it
 **deliberately** does not handle -- with a justification.  The checker
 enumerates the hierarchy from the AST (transitively, across every scanned
@@ -58,7 +58,7 @@ class DispatchSite:
     #: function qualnames ("Class.method" or "function") forming the ladder;
     #: empty means "scan the whole module"
     functions: tuple[str, ...] = ()
-    #: module-level tuple/frozenset constant listing the handled classes
+    #: module-level constant (tuple, frozenset, dict) naming the handled classes
     constant: str = ""
     #: deliberately unhandled subclasses: ((class, justification), ...)
     exempt: tuple[tuple[str, str], ...] = ()

@@ -318,40 +318,26 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
         exempt=(("Field", _FIELD),),
     ),
     DispatchSite(
-        name="implementation.implement",
-        module="src/repro/optimizer/implementation.py",
-        hierarchy="logical",
-        functions=("implement",),
-    ),
-    DispatchSite(
-        name="implementation.rebuild",
-        module="src/repro/optimizer/implementation.py",
-        hierarchy="logical",
-        functions=("_rebuild",),
-        exempt=(
-            ("Get", "raw gets never survive planning; implement() raises on them first"),
-            ("Join", "joins are implemented whole by implement(); alternatives are enumerated, not rebuilt"),
-            ("BagLiteral", "leaf with no children to rebuild; implement() builds MkBag directly"),
-        ),
-    ),
-    DispatchSite(
-        name="partial_eval.to_logical",
-        module="src/repro/runtime/partial_eval.py",
+        name="correspondence.physical",
+        module="src/repro/algebra/physical.py",
         hierarchy="physical",
-        functions=("PartialAnswerBuilder.to_logical",),
+        constant="IMPLEMENTS",
         exempt=(("Field", _FIELD),),
     ),
     DispatchSite(
-        name="partial_eval.evaluate_logical",
-        module="src/repro/runtime/partial_eval.py",
+        name="correspondence.logical",
+        module="src/repro/algebra/physical.py",
         hierarchy="logical",
-        functions=("PartialAnswerBuilder.evaluate_logical",),
+        constant="IMPLEMENTS",
+        exempt=(
+            ("Get", "only ever evaluated inside a submit, at the source; implement() refuses a bare one"),
+        ),
     ),
     DispatchSite(
-        name="executor.compose_rows",
-        module="src/repro/runtime/executor.py",
+        name="operators.compose_rows",
+        module="src/repro/runtime/operators.py",
         hierarchy="physical",
-        functions=("Executor.compose_rows",),
+        functions=("compose_rows",),
         exempt=(("Field", _FIELD),),
     ),
     DispatchSite(

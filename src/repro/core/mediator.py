@@ -23,7 +23,8 @@ from repro.oql.ast import DefineStatement, ExprQuery
 from repro.oql.parser import parse_statement
 from repro.optimizer.history import ExecCallHistory
 from repro.optimizer.implementation import implement
-from repro.runtime.answercache import AnswerCache, CacheEntry, replay_deltas
+from repro.runtime.answercache import AnswerCache, CacheEntry
+from repro.runtime.degrade import compensate_rows
 from repro.runtime.executor import Executor, ExecutorConfig
 
 
@@ -233,7 +234,7 @@ class Mediator:
         subsumed = cache.find_subsumer(planned.logical, version)
         if subsumed is not None:
             superset, deltas = subsumed
-            rows = replay_deltas(deltas, superset.rows or ())
+            rows = list(compensate_rows(deltas, superset.rows or ()))
             # Promote the replayed answer to its own entry: the next
             # identical query is then an O(1) exact hit.
             cache.store_complete(text, planned.logical, superset.schema_version, rows)

@@ -3,18 +3,40 @@
 "Logical operations are transformed into physical expressions using
 implementation rules. DISCO has the usual transformation rules that implement
 join with merge-join."  Here ``join`` can be implemented by a hash join or a
-nested-loop join (two alternatives the optimizer costs); every other logical
-operator has exactly one physical algorithm.
+nested-loop join, and ``bindjoin`` by a batched probe join where eligible
+(alternatives the optimizer costs); every other logical operator has exactly
+one physical algorithm.  Which algorithm implements which operator is
+:data:`repro.algebra.physical.IMPLEMENTS`.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Sequence
 
 from repro.algebra import logical as log
 from repro.algebra import physical as phys
 from repro.algebra.expressions import find_equi_conjunct
 from repro.errors import OptimizationError
+
+
+#: each logical operator's default algorithm: the first the table lists for it
+_DEFAULT_ALGORITHM: dict[type[log.LogicalOp], type[phys.PhysicalOp]] = {}
+for _physical, _logical in phys.IMPLEMENTS.items():
+    _DEFAULT_ALGORITHM.setdefault(_logical, _physical)
+
+
+def _exec_for(submit: log.Submit) -> phys.Exec:
+    """``submit`` as the physical leaf that calls the wrapper.
+
+    The exec keeps the submit's argument as a *logical* expression (the
+    wrapper interface accepts logical expressions); it is not implemented.
+    """
+    return phys.Exec(
+        source=phys.Field(submit.source),
+        expression=submit.expression,
+        extent_name=submit.extent_name or submit.source,
+    )
 
 
 def _probe_join_for(
@@ -32,15 +54,9 @@ def _probe_join_for(
         return None
     if find_equi_conjunct(node.condition, node.left_variable, node.right_variable) is None:
         return None
-    submit = node.right
-    probe = phys.Exec(
-        source=phys.Field(submit.source),
-        expression=submit.expression,
-        extent_name=submit.extent_name or submit.source,
-    )
     return phys.ProbeJoin(
         left,
-        probe,
+        _exec_for(node.right),
         node.left_variable,
         node.right_variable,
         node.condition,
@@ -50,49 +66,21 @@ def _probe_join_for(
 def implement(node: log.LogicalOp) -> phys.PhysicalOp:
     """Return the default physical plan for ``node`` (hash joins everywhere)."""
     if isinstance(node, log.Submit):
-        return phys.Exec(
-            source=phys.Field(node.source),
-            expression=node.expression,
-            extent_name=node.extent_name or node.source,
-        )
-    if isinstance(node, log.BagLiteral):
-        return phys.MkBag(node.values)
-    if isinstance(node, log.Project):
-        return phys.MkProj(node.attributes, implement(node.child))
-    if isinstance(node, log.Select):
-        return phys.Filter(node.variable, node.predicate, implement(node.child))
-    if isinstance(node, log.Rename):
-        return phys.MkRename(node.pairs, implement(node.child))
-    if isinstance(node, log.Apply):
-        return phys.MkApply(node.variable, node.expression, implement(node.child))
-    if isinstance(node, log.Join):
-        return phys.HashJoin(implement(node.left), implement(node.right), node.on)
-    if isinstance(node, log.BindJoin):
-        return phys.MkBindJoin(
-            implement(node.left),
-            implement(node.right),
-            node.left_variable,
-            node.right_variable,
-            condition=node.condition,
-        )
-    if isinstance(node, log.Union):
-        return phys.MkUnion(tuple(implement(child) for child in node.inputs))
-    if isinstance(node, log.Flatten):
-        return phys.MkFlatten(implement(node.child))
-    if isinstance(node, log.Distinct):
-        return phys.MkDistinct(implement(node.child))
-    if isinstance(node, log.Limit):
-        return phys.MkLimit(node.count, implement(node.child))
-    if isinstance(node, log.GroupBy):
-        return phys.MkGroupBy(
-            node.variable, node.keys, node.aggregates, implement(node.child)
-        )
-    if isinstance(node, log.Get):
-        raise OptimizationError(
-            f"get({node.collection}) reached physical planning outside a submit; "
-            "extents must be accessed through submit/exec"
-        )
-    raise OptimizationError(f"no implementation rule for {node.to_text()}")
+        return _exec_for(node)
+    return _rebuild(node, [implement(child) for child in node.children()])
+
+
+def _rebuild(node: log.LogicalOp, children: Sequence[phys.PhysicalOp]) -> phys.PhysicalOp:
+    """The default algorithm for ``node`` over already-implemented children."""
+    algorithm = _DEFAULT_ALGORITHM.get(type(node))
+    if algorithm is None:
+        if isinstance(node, log.Get):
+            raise OptimizationError(
+                f"get({node.collection}) reached physical planning outside a submit; "
+                "extents must be accessed through submit/exec"
+            )
+        raise OptimizationError(f"no implementation rule for {node.to_text()}")
+    return phys.counterpart(algorithm, node, children)
 
 
 ImplementationMemo = dict[int, tuple[log.LogicalOp, list[phys.PhysicalOp]]]
@@ -125,77 +113,19 @@ def implementation_alternatives(
 def _alternatives_of(
     node: log.LogicalOp, memo: ImplementationMemo | None
 ) -> list[phys.PhysicalOp]:
-    if isinstance(node, (log.Submit, log.BagLiteral)):
-        # Submit keeps its argument as a logical expression (the wrapper
-        # interface accepts logical expressions), so it is a physical leaf.
-        return [implement(node)]
+    if isinstance(node, log.Submit):
+        return [_exec_for(node)]
+    per_child = [implementation_alternatives(child, memo) for child in node.children()]
     if isinstance(node, log.Join):
-        lefts = implementation_alternatives(node.left, memo)
-        rights = implementation_alternatives(node.right, memo)
-        plans: list[phys.PhysicalOp] = []
-        for left, right in product(lefts, rights):
-            plans.append(phys.HashJoin(left, right, node.on))
-            plans.append(phys.NestedLoopJoin(left, right, node.on))
-        return plans
+        return [
+            algorithm(left, right, node.on)
+            for left, right in product(*per_child)
+            for algorithm in (phys.HashJoin, phys.NestedLoopJoin)
+        ]
+    plans = [_rebuild(node, combination) for combination in product(*per_child)]
     if isinstance(node, log.BindJoin):
-        lefts = implementation_alternatives(node.left, memo)
-        rights = implementation_alternatives(node.right, memo)
-        plans = []
-        for left, right in product(lefts, rights):
-            plans.append(
-                phys.MkBindJoin(
-                    left,
-                    right,
-                    node.left_variable,
-                    node.right_variable,
-                    condition=node.condition,
-                )
-            )
-        for left in lefts:
+        for left in per_child[0]:
             probe_join = _probe_join_for(node, left)
             if probe_join is not None:
                 plans.append(probe_join)
-        return plans
-    children = node.children()
-    if not children:
-        return [implement(node)]
-    children_alternatives = [implementation_alternatives(child, memo) for child in children]
-    plans = []
-    for combination in product(*children_alternatives):
-        plans.append(_rebuild(node, list(combination)))
     return plans
-
-
-def _rebuild(node: log.LogicalOp, children: list[phys.PhysicalOp]) -> phys.PhysicalOp:
-    """Build the physical node for ``node`` given already-implemented children."""
-    if isinstance(node, log.Project):
-        return phys.MkProj(node.attributes, children[0])
-    if isinstance(node, log.Select):
-        return phys.Filter(node.variable, node.predicate, children[0])
-    if isinstance(node, log.Rename):
-        return phys.MkRename(node.pairs, children[0])
-    if isinstance(node, log.Apply):
-        return phys.MkApply(node.variable, node.expression, children[0])
-    if isinstance(node, log.BindJoin):
-        return phys.MkBindJoin(
-            children[0],
-            children[1],
-            node.left_variable,
-            node.right_variable,
-            condition=node.condition,
-        )
-    if isinstance(node, log.Union):
-        return phys.MkUnion(tuple(children))
-    if isinstance(node, log.Flatten):
-        return phys.MkFlatten(children[0])
-    if isinstance(node, log.Distinct):
-        return phys.MkDistinct(children[0])
-    if isinstance(node, log.Limit):
-        return phys.MkLimit(node.count, children[0])
-    if isinstance(node, log.GroupBy):
-        return phys.MkGroupBy(node.variable, node.keys, node.aggregates, children[0])
-    if isinstance(node, log.Submit):
-        # A submit has a logical child but the physical Exec keeps it as a
-        # logical argument (the wrapper interface accepts logical expressions).
-        return implement(node)
-    raise OptimizationError(f"no implementation rule for {node.to_text()}")

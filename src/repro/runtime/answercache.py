@@ -13,8 +13,8 @@ ways a query is served without (fully) re-contacting sources:
   operators on top (``limit``, ``distinct``, ``project``/``apply`` item
   computation, and ``select`` predicates -- including a conjunct appended to
   a cached selection).  The deltas are replayed mediator-side over the
-  cached rows via the degradation ladder's :func:`compensate_rows`
-  machinery, so the narrower answer is computed without any source call.
+  cached rows (:func:`repro.runtime.degrade.compensate_rows`, one lazy
+  pipeline), so the narrower answer is computed without any source call.
 * **partial patch** -- the DISCO twist.  A *partial* answer ("the answer is
   a query") is cached with its missing extents; an identical later query
   re-executes only the embedded partial plan, whose ``bag`` literals replay
@@ -59,8 +59,7 @@ from repro.algebra.expressions import (
     walk_expr,
 )
 from repro.optimizer.plancache import normalize_query_text
-from repro.runtime.degrade import compensate_rows
-from repro.runtime.operators import ENV_VARIABLE, apply_rows, as_struct, distinct_rows
+from repro.runtime.operators import ENV_VARIABLE
 
 #: deepest delta-operator stack the subsumption search will strip before
 #: giving up; translated plans are shallow (limit/distinct/item/select/base),
@@ -131,30 +130,6 @@ def _strippable_delta(op: log.LogicalOp) -> bool:
             and op.expression.free_variables() <= {op.variable}
         )
     return False
-
-
-def replay_deltas(
-    deltas: Iterable[log.LogicalOp], rows: Iterable[Any]
-) -> list[Any]:
-    """Apply stripped delta operators (outermost first) over cached rows.
-
-    ``limit``/``project``/``select`` reuse the degradation ladder's
-    :func:`compensate_rows`; ``distinct`` and ``apply`` -- which never cross
-    the wrapper boundary and therefore have no compensation arm -- are
-    replayed with the shared row operators directly.
-    """
-    out: list[Any] = list(rows)
-    for op in reversed(list(deltas)):
-        if isinstance(op, log.Distinct):
-            out = list(distinct_rows(out))
-        elif isinstance(op, log.Apply):
-            out = [
-                as_struct(value)
-                for value in apply_rows(out, op.variable, op.expression)
-            ]
-        else:
-            out = list(compensate_rows([op], out))
-    return out
 
 
 class AnswerCache:

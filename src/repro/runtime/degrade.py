@@ -47,16 +47,16 @@ from typing import Any, Iterable, Iterator
 
 from repro.algebra import logical as log
 from repro.errors import CapabilityError, WrapperError
-from repro.runtime.operators import as_struct
+from repro.optimizer.implementation import implement
+from repro.runtime.operators import as_struct, compose_rows
 
 #: exception types that indicate the *expression* was the problem, not the
 #: source's health: degrading the pushdown may succeed where repeating fails.
 DEGRADABLE_ERRORS = (CapabilityError, WrapperError, NotImplementedError)
 
-#: unary operators the mediator can replay over returned rows.  Exactly the
-#: unary members of the pushable vocabulary: ``distinct`` is absent because
-#: it never crosses the wrapper boundary (and the source-algebra evaluator
-#: used for compensation cannot replay it).  ``rename`` is strippable like
+#: unary operators the ladder strips from a pushdown.  Exactly the unary
+#: members of the pushable vocabulary: ``distinct`` is absent because it
+#: never crosses the wrapper boundary.  ``rename`` is strippable like
 #: ``project``: the ladder peels an alias layer off the pushdown and the
 #: mediator replays it, so aliased pushdowns degrade coherently.  ``groupby``
 #: is strippable too: a source without the terminal ships its (filtered) raw
@@ -117,16 +117,18 @@ def compensate_rows(
     predicates are self-contained by construction -- they mention only the
     select's own variable and constants -- so replaying them over the rows
     reproduces exactly what the source would have computed.
-    """
-    from repro.wrappers.base import AlgebraEvaluator  # local: avoid cycle
 
+    The answer cache replays a query's delta operators over a cached
+    superset's rows the same way; any unary mediator-side operator works.
+    One pipeline, pulled by the consumer: a ``limit`` stops reading ``rows``
+    (and closes them) as soon as it is satisfied.
+    """
     stripped = list(stripped)
     if not stripped:
         yield from rows
         return
-    expression: log.LogicalOp = log.Get(_DEGRADED_LEAF)
+    plan: log.LogicalOp = log.Submit(_DEGRADED_LEAF, log.Get(_DEGRADED_LEAF))
     for operator in reversed(stripped):
-        expression = operator.with_children([expression])
-    evaluator = AlgebraEvaluator(scan=lambda _name: rows)
-    for row in evaluator.evaluate_stream(expression):
+        plan = operator.with_children([plan])
+    for row in compose_rows(implement(plan), lambda _exec: rows):
         yield as_struct(row)

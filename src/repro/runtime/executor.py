@@ -64,11 +64,16 @@ from typing import Any, Callable, Iterable, Iterator, Protocol
 
 from repro.algebra import logical as log
 from repro.algebra import physical as phys
-from repro.algebra.expressions import Comparison, Const, Expr, InList
+from repro.algebra.expressions import Comparison, Const, Expr, InList, find_equi_conjunct
 from repro.datamodel.extent import MetaExtent
 from repro.datamodel.mapping import rename_row
 from repro.datamodel.values import Bag, Struct
-from repro.errors import QueryExecutionError, TypeConflictError, UnavailableSourceError
+from repro.errors import (
+    QueryExecutionError,
+    SchemaError,
+    TypeConflictError,
+    UnavailableSourceError,
+)
 from repro.optimizer.history import ExecCallHistory
 from repro.optimizer.implementation import implement
 from repro.runtime import cancellation
@@ -418,9 +423,7 @@ class _ProbeRunner:
         self._event = event
         self._remaining = remaining
         self._raise_unavailable = raise_unavailable
-        equi = ops._find_equi_conjunct(
-            plan.condition, plan.left_variable, plan.right_variable
-        )
+        equi = find_equi_conjunct(plan.condition, plan.left_variable, plan.right_variable)
         if equi is None:  # the planner only builds ProbeJoin with one
             raise QueryExecutionError("probe join requires an equi-join conjunct")
         self._right_expr: Expr = equi[1]
@@ -866,7 +869,7 @@ class Executor:
             return default
         try:
             return self.registry.extent(name)
-        except Exception:
+        except SchemaError:
             return None
 
     def _branch_vocabulary(self, node_meta: MetaExtent) -> dict[str, str]:
@@ -879,7 +882,7 @@ class Executor:
         vocabulary: dict[str, str] = {}
         try:
             interface_attributes = self.registry.interface_attributes(node_meta.interface)
-        except Exception:
+        except SchemaError:
             interface_attributes = []
         for attribute in interface_attributes:
             vocabulary[node_meta.map.attribute_to_source(attribute)] = attribute
@@ -1068,23 +1071,25 @@ class Executor:
         replayed at the mediator over the fetched rows.  Returns a lazy
         iterator of mediator-vocabulary rows.
         """
-        from repro.wrappers.base import AlgebraEvaluator  # local: avoid cycle
-
         fetched: dict[str, list[Any]] = {}
         for name, node_meta in plan.split or ():
             leaf = self.namespace_plan(log.Get(name), node_meta)
             raw_rows = wrapper.submit(leaf.expression)
             fetched[name] = [normalize_row(row, leaf.reverse) for row in raw_rows]
 
-        def scan(collection: str) -> Iterator[Any]:
-            if collection not in fetched:
-                raise QueryExecutionError(
-                    f"split pushdown references unknown collection {collection!r}"
-                )
-            return iter(fetched[collection])
+        def as_fetched(node: log.LogicalOp) -> log.LogicalOp:
+            return log.Submit(node.collection, node) if isinstance(node, log.Get) else node
 
-        evaluator = AlgebraEvaluator(scan=scan)
-        return (ops.as_struct(row) for row in evaluator.evaluate_stream(plan.expression))
+        def rows_of(node: phys.Exec) -> list[Any]:
+            if node.extent_name not in fetched:
+                raise QueryExecutionError(
+                    f"split pushdown references unknown collection {node.extent_name!r}"
+                )
+            return fetched[node.extent_name]
+
+        return ops.compose_rows(
+            implement(log.transform_bottom_up(plan.expression, as_fetched)), rows_of
+        )
 
     def _check_types(self, meta: MetaExtent, wrapper: Any) -> None:
         """Run-time type check: source attributes must cover the mediator type.
@@ -1127,113 +1132,6 @@ class Executor:
         with self._types_lock:
             self._type_checked_extents.clear()
 
-    # -- mediator-side evaluation -----------------------------------------------------------------
-    def compose_rows(
-        self,
-        plan: phys.PhysicalOp,
-        leaf: Callable[[phys.Exec], Iterable[Any]],
-        base_env: Mapping[str, Any] | None,
-        union: Callable[[tuple[phys.PhysicalOp, ...]], Iterable[Any]] | None = None,
-        probe: Callable[[phys.ProbeJoin, Iterator[Any]], Iterable[Any]] | None = None,
-        build: Callable[[Iterator[Any]], Iterable[Any]] | None = None,
-        group: Callable[[phys.MkGroupBy, Iterator[Any]], Iterable[Any]] | None = None,
-        subquery: ops.SubqueryEvaluator | None = None,
-    ) -> Iterator[Any]:
-        """Compose the lazy operator pipeline for ``plan``.
-
-        Every mediator-side operator is a generator (see
-        :mod:`repro.runtime.operators`): rows flow through the plan one at a
-        time and nothing is materialized except join build sides and the
-        distinct set.  ``leaf`` supplies the row iterator of each ``exec``
-        node -- a settled call's list under ``execute``, a live stream under
-        ``execute_stream``.  ``union`` optionally overrides how ``mkunion``
-        children are sequenced (a stream interleaves them in exec-completion
-        order).  ``probe`` supplies the run's probe-join leaf -- the batching
-        layer issuing set-valued submits over the left rows; ``build``
-        optionally wraps a hash join's build side (a stream drains it eagerly
-        on a dedicated thread); ``group`` optionally overrides mediator-side
-        grouping (a stream suppresses grouped output computed over a
-        known-incomplete input); ``subquery`` evaluates nested subqueries
-        (the run's own evaluator, so they share its slot and deadline).
-
-        The pipeline structure (and every ``leaf`` iterator) is built
-        eagerly, so structural errors surface immediately; only *row* flow is
-        lazy.
-        """
-        subquery = subquery or self.evaluate_subquery
-        recurse = lambda child: self.compose_rows(  # noqa: E731
-            child, leaf, base_env, union, probe, build, group, subquery
-        )
-        if isinstance(plan, phys.Exec):
-            return iter(leaf(plan))
-        if isinstance(plan, phys.MkBag):
-            return (ops.as_struct(value) for value in plan.values)
-        if isinstance(plan, phys.MkProj):
-            return ops.project_rows(recurse(plan.child), plan.attributes)
-        if isinstance(plan, phys.MkRename):
-            return ops.rename_rows(recurse(plan.child), plan.pairs)
-        if isinstance(plan, phys.Filter):
-            return ops.filter_rows(
-                recurse(plan.child),
-                plan.variable,
-                plan.predicate,
-                base_env=base_env,
-                subquery_evaluator=subquery,
-            )
-        if isinstance(plan, phys.MkApply):
-            return ops.apply_rows(
-                recurse(plan.child),
-                plan.variable,
-                plan.expression,
-                base_env=base_env,
-                subquery_evaluator=subquery,
-            )
-        if isinstance(plan, phys.HashJoin):
-            right_rows = recurse(plan.right)
-            if build is not None:
-                right_rows = build(right_rows)
-            return ops.hash_join_rows(recurse(plan.left), right_rows, plan.on)
-        if isinstance(plan, phys.NestedLoopJoin):
-            return ops.nested_loop_join_rows(recurse(plan.left), recurse(plan.right), plan.on)
-        if isinstance(plan, phys.ProbeJoin):
-            if probe is None:
-                raise QueryExecutionError(
-                    "probe join reached an engine without a probe runner"
-                )
-            return iter(probe(plan, recurse(plan.left)))
-        if isinstance(plan, phys.MkBindJoin):
-            return ops.bind_join_rows(
-                recurse(plan.left),
-                recurse(plan.right),
-                plan.left_variable,
-                plan.right_variable,
-                plan.condition,
-                base_env=base_env,
-                subquery_evaluator=subquery,
-            )
-        if isinstance(plan, phys.MkUnion):
-            if union is not None:
-                return iter(union(plan.inputs))
-            return ops.union_rows([recurse(child) for child in plan.inputs])
-        if isinstance(plan, phys.MkFlatten):
-            return ops.flatten_rows(recurse(plan.child))
-        if isinstance(plan, phys.MkDistinct):
-            return ops.distinct_rows(recurse(plan.child))
-        if isinstance(plan, phys.MkLimit):
-            return ops.limit_rows(recurse(plan.child), plan.count)
-        if isinstance(plan, phys.MkGroupBy):
-            if group is not None:
-                return iter(group(plan, recurse(plan.child)))
-            return ops.group_rows(
-                recurse(plan.child),
-                plan.variable,
-                plan.keys,
-                plan.aggregates,
-                base_env=base_env,
-                subquery_evaluator=subquery,
-            )
-        raise QueryExecutionError(f"cannot evaluate physical operator {plan.to_text()}")
-
     # -- nested subqueries -------------------------------------------------------------------------
     def evaluate_subquery(
         self, query: Any, env: Mapping[str, Any], enclosing: Any = None
@@ -1261,6 +1159,3 @@ class Executor:
                 "a nested subquery touched an unavailable data source",
             )
         return result.data
-
-    # Backwards-compatible alias for the pre-1.x private name.
-    _evaluate_subquery = evaluate_subquery

@@ -25,11 +25,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.algebra.expressions import (
-    Expr,
-    find_equi_conjunct,
-)
+from repro.algebra import physical as phys
+from repro.algebra.expressions import Expr, find_equi_conjunct
 from repro.datamodel.values import Bag, Struct
+from repro.errors import QueryExecutionError
 
 SubqueryEvaluator = Callable[[Any, Mapping[str, Any]], Any]
 
@@ -176,11 +175,10 @@ def materialized(rows: Iterable[Any]) -> "list[Any] | tuple[Any, ...]":
     """Return ``rows`` as a sequence, without copying one that already is.
 
     The inner side of a nested loop (and of the bind-join fallback) must be
-    re-scannable, but callers frequently hold a list already -- the barrier
-    engine's exec outcomes, ``evaluate_logical``'s materialized children.
-    Copying those into a fresh list per call site doubled peak memory for
-    zero benefit; sharing the one materialization is satellite work of the
-    probe-join PR (see the ``NestedLoopJoin`` cost comment).
+    re-scannable, but callers frequently hold a list already -- a
+    materialising run's settled exec outcomes.  Copying those into a fresh
+    list per call site doubled peak memory for zero benefit (see the
+    ``NestedLoopJoin`` cost comment).
     """
     if isinstance(rows, (list, tuple)):
         return rows
@@ -223,7 +221,7 @@ def bind_join_rows(
     the right side is materialized (as the build table / inner loop); the
     left side streams.
     """
-    equi = _find_equi_conjunct(condition, left_variable, right_variable) if condition else None
+    equi = find_equi_conjunct(condition, left_variable, right_variable) if condition else None
     pairs = _pairing(left_variable, right_variable, condition, base_env, subquery_evaluator)
 
     if equi is not None:
@@ -269,7 +267,7 @@ def probe_join_rows(
     match.  Keys repeated *within* a batch are probed once here; keys
     repeated *across* batches are the prober's per-query cache's job.
     """
-    equi = _find_equi_conjunct(condition, left_variable, right_variable)
+    equi = find_equi_conjunct(condition, left_variable, right_variable)
     if equi is None:
         raise ValueError("probe join requires an equi-join conjunct")
     batch_size = max(1, batch_size)
@@ -321,12 +319,6 @@ def _pairing(
                 yield env
 
     return pairs
-
-
-# Re-exported under the historical private name; the implementation lives
-# with the expression helpers so the optimizer can use it without importing
-# the runtime package (which would be circular).
-_find_equi_conjunct = find_equi_conjunct
 
 
 def _attribute_value(row: Any, attribute: str) -> Any:
@@ -502,3 +494,113 @@ def limit_rows(elements: Iterable[Any], count: int) -> Iterator[Any]:
         close = getattr(iterator, "close", None)
         if close is not None:
             close()
+
+
+def compose_rows(
+    plan: phys.PhysicalOp,
+    leaf: Callable[[phys.Exec], Iterable[Any]],
+    base_env: Mapping[str, Any] | None = None,
+    union: Callable[[tuple[phys.PhysicalOp, ...]], Iterable[Any]] | None = None,
+    probe: Callable[[phys.ProbeJoin, Iterator[Any]], Iterable[Any]] | None = None,
+    build: Callable[[Iterator[Any]], Iterable[Any]] | None = None,
+    group: Callable[[phys.MkGroupBy, Iterator[Any]], Iterable[Any]] | None = None,
+    subquery: SubqueryEvaluator | None = None,
+) -> Iterator[Any]:
+    """Compose the lazy operator pipeline for ``plan``.
+
+    The one way the mediator turns an operator tree plus rows in hand into
+    rows.  A logical plan is evaluated as ``compose_rows(implement(plan),
+    leaf, ...)`` -- a partial answer's data subtrees, a degraded call's
+    stripped operators, a split pushdown, a cached superset's deltas all go
+    this way.
+
+    Rows flow through the plan one at a time and nothing is materialized
+    except join build sides and the distinct set.  ``leaf`` supplies the row
+    iterator of each ``exec`` node -- a settled call's list under
+    ``execute``, a live stream under ``execute_stream``, the rows in hand
+    for a placeholder submit.  ``union``
+    optionally overrides how ``mkunion`` children are sequenced (a stream
+    interleaves them in exec-completion order).  ``probe`` supplies the
+    run's probe-join leaf -- the batching layer issuing set-valued submits
+    over the left rows; ``build`` optionally wraps a hash join's build side
+    (a stream drains it eagerly on a dedicated thread); ``group`` optionally
+    overrides mediator-side grouping (a stream suppresses grouped output
+    computed over a known-incomplete input); ``subquery`` evaluates nested
+    subqueries (a run passes its own evaluator, so they share its slot and
+    deadline).
+
+    The pipeline structure (and every ``leaf`` iterator) is built eagerly,
+    so structural errors surface immediately; only *row* flow is lazy.
+    """
+    recurse = lambda child: compose_rows(  # noqa: E731
+        child, leaf, base_env, union, probe, build, group, subquery
+    )
+    if isinstance(plan, phys.Exec):
+        return iter(leaf(plan))
+    if isinstance(plan, phys.MkBag):
+        return (as_struct(value) for value in plan.values)
+    if isinstance(plan, phys.MkProj):
+        return project_rows(recurse(plan.child), plan.attributes)
+    if isinstance(plan, phys.MkRename):
+        return rename_rows(recurse(plan.child), plan.pairs)
+    if isinstance(plan, phys.Filter):
+        return filter_rows(
+            recurse(plan.child),
+            plan.variable,
+            plan.predicate,
+            base_env=base_env,
+            subquery_evaluator=subquery,
+        )
+    if isinstance(plan, phys.MkApply):
+        return apply_rows(
+            recurse(plan.child),
+            plan.variable,
+            plan.expression,
+            base_env=base_env,
+            subquery_evaluator=subquery,
+        )
+    if isinstance(plan, phys.HashJoin):
+        right_rows = recurse(plan.right)
+        if build is not None:
+            right_rows = build(right_rows)
+        return hash_join_rows(recurse(plan.left), right_rows, plan.on)
+    if isinstance(plan, phys.NestedLoopJoin):
+        return nested_loop_join_rows(recurse(plan.left), recurse(plan.right), plan.on)
+    if isinstance(plan, phys.ProbeJoin):
+        if probe is None:
+            raise QueryExecutionError(
+                "probe join reached an engine without a probe runner"
+            )
+        return iter(probe(plan, recurse(plan.left)))
+    if isinstance(plan, phys.MkBindJoin):
+        return bind_join_rows(
+            recurse(plan.left),
+            recurse(plan.right),
+            plan.left_variable,
+            plan.right_variable,
+            plan.condition,
+            base_env=base_env,
+            subquery_evaluator=subquery,
+        )
+    if isinstance(plan, phys.MkUnion):
+        if union is not None:
+            return iter(union(plan.inputs))
+        return union_rows([recurse(child) for child in plan.inputs])
+    if isinstance(plan, phys.MkFlatten):
+        return flatten_rows(recurse(plan.child))
+    if isinstance(plan, phys.MkDistinct):
+        return distinct_rows(recurse(plan.child))
+    if isinstance(plan, phys.MkLimit):
+        return limit_rows(recurse(plan.child), plan.count)
+    if isinstance(plan, phys.MkGroupBy):
+        if group is not None:
+            return iter(group(plan, recurse(plan.child)))
+        return group_rows(
+            recurse(plan.child),
+            plan.variable,
+            plan.keys,
+            plan.aggregates,
+            base_env=base_env,
+            subquery_evaluator=subquery,
+        )
+    raise QueryExecutionError(f"cannot evaluate physical operator {plan.to_text()}")

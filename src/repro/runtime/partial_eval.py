@@ -27,6 +27,7 @@ from repro.algebra import physical as phys
 from repro.algebra.unparser import logical_to_oql
 from repro.datamodel.values import Struct
 from repro.errors import QueryExecutionError
+from repro.optimizer.implementation import implement
 from repro.runtime import operators as ops
 
 ExecOutcome = dict[int, Any]  # id(Exec node) -> list of rows, or an Unavailable marker
@@ -54,6 +55,13 @@ class Unavailable:
 UNAVAILABLE = Unavailable()
 
 
+def _refuse_submit(node: phys.Exec) -> Any:
+    raise QueryExecutionError(
+        "cannot evaluate a submit at the mediator; partial evaluation should "
+        "have kept it as a query"
+    )
+
+
 class PartialAnswerBuilder:
     """Builds the partial-answer logical plan and its OQL text."""
 
@@ -70,58 +78,17 @@ class PartialAnswerBuilder:
                     plan.source.name, plan.expression, extent_name=plan.extent_name
                 )
             return log.BagLiteral(tuple(outcome))
-        if isinstance(plan, phys.MkBag):
-            return log.BagLiteral(plan.values)
-        if isinstance(plan, phys.MkProj):
-            return log.Project(plan.attributes, self.to_logical(plan.child, outcomes))
-        if isinstance(plan, phys.Filter):
-            return log.Select(plan.variable, plan.predicate, self.to_logical(plan.child, outcomes))
-        if isinstance(plan, phys.MkRename):
-            return log.Rename(plan.pairs, self.to_logical(plan.child, outcomes))
-        if isinstance(plan, phys.MkApply):
-            return log.Apply(plan.variable, plan.expression, self.to_logical(plan.child, outcomes))
-        if isinstance(plan, (phys.HashJoin, phys.NestedLoopJoin)):
-            return log.Join(
-                self.to_logical(plan.left, outcomes),
-                self.to_logical(plan.right, outcomes),
-                plan.on,
-            )
-        if isinstance(plan, phys.MkBindJoin):
-            return log.BindJoin(
-                self.to_logical(plan.left, outcomes),
-                self.to_logical(plan.right, outcomes),
-                plan.left_variable,
-                plan.right_variable,
-                condition=plan.condition,
-            )
+        logical = phys.IMPLEMENTS.get(type(plan))
+        if logical is None:
+            raise QueryExecutionError(f"cannot convert {plan.to_text()} back to logical form")
+        children = [self.to_logical(child, outcomes) for child in plan.children()]
         if isinstance(plan, phys.ProbeJoin):
             # The probe exec is not a child (execs_in must not dispatch it
             # eagerly) but it is still an exec: batched rows recorded under it
             # collapse to data, an unprobed/unavailable right side stays the
             # submit it implements -- the ordinary bindjoin partial answer.
-            return log.BindJoin(
-                self.to_logical(plan.left, outcomes),
-                self.to_logical(plan.probe, outcomes),
-                plan.left_variable,
-                plan.right_variable,
-                condition=plan.condition,
-            )
-        if isinstance(plan, phys.MkUnion):
-            return log.Union(tuple(self.to_logical(child, outcomes) for child in plan.inputs))
-        if isinstance(plan, phys.MkFlatten):
-            return log.Flatten(self.to_logical(plan.child, outcomes))
-        if isinstance(plan, phys.MkDistinct):
-            return log.Distinct(self.to_logical(plan.child, outcomes))
-        if isinstance(plan, phys.MkLimit):
-            return log.Limit(plan.count, self.to_logical(plan.child, outcomes))
-        if isinstance(plan, phys.MkGroupBy):
-            return log.GroupBy(
-                plan.variable,
-                plan.keys,
-                plan.aggregates,
-                self.to_logical(plan.child, outcomes),
-            )
-        raise QueryExecutionError(f"cannot convert {plan.to_text()} back to logical form")
+            children.append(self.to_logical(plan.probe, outcomes))
+        return phys.counterpart(logical, plan, children)
 
     # -- collapsing available subtrees ---------------------------------------------------
     def simplify(self, plan: log.LogicalOp, base_env: Mapping[str, Any] | None = None) -> log.LogicalOp:
@@ -181,89 +148,11 @@ class PartialAnswerBuilder:
         them (partial answers embed finite data), which also keeps errors --
         like a stray ``submit`` -- eager.
         """
-        if isinstance(plan, log.BagLiteral):
-            return [ops.as_struct(value) for value in plan.values]
-        if isinstance(plan, log.Project):
-            return list(
-                ops.project_rows(self.evaluate_logical(plan.child, base_env), plan.attributes)
+        return list(
+            ops.compose_rows(
+                implement(plan), _refuse_submit, base_env, subquery=self._subquery_evaluator
             )
-        if isinstance(plan, log.Select):
-            return list(
-                ops.filter_rows(
-                    self.evaluate_logical(plan.child, base_env),
-                    plan.variable,
-                    plan.predicate,
-                    base_env=base_env,
-                    subquery_evaluator=self._subquery_evaluator,
-                )
-            )
-        if isinstance(plan, log.Rename):
-            return list(
-                ops.rename_rows(self.evaluate_logical(plan.child, base_env), plan.pairs)
-            )
-        if isinstance(plan, log.Apply):
-            return list(
-                ops.apply_rows(
-                    self.evaluate_logical(plan.child, base_env),
-                    plan.variable,
-                    plan.expression,
-                    base_env=base_env,
-                    subquery_evaluator=self._subquery_evaluator,
-                )
-            )
-        if isinstance(plan, log.Join):
-            return list(
-                ops.hash_join_rows(
-                    self.evaluate_logical(plan.left, base_env),
-                    self.evaluate_logical(plan.right, base_env),
-                    plan.on,
-                )
-            )
-        if isinstance(plan, log.BindJoin):
-            return list(
-                ops.bind_join_rows(
-                    self.evaluate_logical(plan.left, base_env),
-                    self.evaluate_logical(plan.right, base_env),
-                    plan.left_variable,
-                    plan.right_variable,
-                    plan.condition,
-                    base_env=base_env,
-                    subquery_evaluator=self._subquery_evaluator,
-                )
-            )
-        if isinstance(plan, log.Union):
-            return list(
-                ops.union_rows(
-                    [self.evaluate_logical(child, base_env) for child in plan.inputs]
-                )
-            )
-        if isinstance(plan, log.Flatten):
-            return list(ops.flatten_rows(self.evaluate_logical(plan.child, base_env)))
-        if isinstance(plan, log.Distinct):
-            return list(ops.distinct_rows(self.evaluate_logical(plan.child, base_env)))
-        if isinstance(plan, log.Limit):
-            return self.evaluate_logical(plan.child, base_env)[: max(plan.count, 0)]
-        if isinstance(plan, log.GroupBy):
-            return list(
-                ops.group_rows(
-                    self.evaluate_logical(plan.child, base_env),
-                    plan.variable,
-                    plan.keys,
-                    plan.aggregates,
-                    base_env=base_env,
-                    subquery_evaluator=self._subquery_evaluator,
-                )
-            )
-        if isinstance(plan, log.Submit):
-            raise QueryExecutionError(
-                "cannot evaluate a submit at the mediator; partial evaluation should "
-                "have kept it as a query"
-            )
-        if isinstance(plan, log.Get):
-            raise QueryExecutionError(
-                f"get({plan.collection}) outside a submit cannot be evaluated at the mediator"
-            )
-        raise QueryExecutionError(f"cannot evaluate logical operator {plan.to_text()}")
+        )
 
     # -- the public assembly step --------------------------------------------------------
     def build(

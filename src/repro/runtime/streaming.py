@@ -624,7 +624,7 @@ class StreamingExecution:
         it composes, so there is nothing to overlap and no incomplete input.
         """
         stream = not self._materialise
-        return self._executor.compose_rows(
+        return ops.compose_rows(
             plan,
             leaf=self._exec_rows,
             base_env=self._base_env,

@@ -23,6 +23,7 @@ from repro.algebra import logical as log
 from repro.algebra.expressions import Comparison, Const, FunctionCall, Path, Var
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
 
+from tests.conftest import CountedKey
 from tests.test_engine_equivalence import build_mediator, multiset
 
 
@@ -177,6 +178,28 @@ def test_refuses_non_subsumable_predicates_and_items():
     assert cache.find_subsumer(foreign, 3) is None
     env_item = log.Apply("_env", Path(Var("x"), "name"), BASE)
     assert cache.find_subsumer(env_item, 3) is None
+
+
+def test_a_limit_delta_stops_the_replay_instead_of_filtering_the_whole_superset():
+    """The deltas run as one pipeline over the cached rows: a ``limit`` above
+    a ``select`` ends it after three matches, not after 10 000 predicates."""
+    engine = RelationalEngine(name="db0")
+    engine.create_table("person0", rows=[{"id": i, "k": CountedKey(i)} for i in range(10_000)])
+    mediator = Mediator(name="lazy-replay", answer_cache=True)
+    mediator.register_wrapper("w0", RelationalWrapper("w0", SimulatedServer(name="h0", store=engine)))
+    mediator.create_repository("r0")
+    mediator.define_interface("Person", [("id", "Long"), ("k", "Long")], extent_name="person")
+    mediator.add_extent("person0", "Person", "w0", "r0")
+    try:
+        assert len(mediator.query("select x from x in person0").rows()) == 10_000
+        CountedKey.comparisons = 0
+        narrower = mediator.query("select x from x in person0 where x.id != 1 and x.k != 1 limit 3")
+        assert narrower.from_answer_cache
+        assert mediator.statistics()["answer_cache_subsumption_hits"] == 1
+        assert [row["id"] for row in narrower.rows()] == [0, 2, 3]
+        assert CountedKey.comparisons <= 4  # not one per cached row
+    finally:
+        mediator.close()
 
 
 def test_aggregate_queries_still_get_exact_hits():

@@ -12,16 +12,18 @@ import pytest
 
 from repro import Mediator
 from repro.algebra.capabilities import CapabilitySet
-from repro.algebra.logical import Get, Limit, Project, Select
+from repro.algebra.logical import Flatten, Get, GroupBy, Limit, Project, Rename, Select
 from repro.algebra.expressions import Comparison, Const, Path, Var
 from repro.errors import UnavailableSourceError, WrapperError
 from repro.runtime.degrade import (
+    _STRIPPABLE,
     compensate_rows,
     degradation_ladder,
     degrade_pushdown,
     is_capability_failure,
 )
-from repro.wrappers.base import Wrapper
+from repro.runtime.operators import as_struct
+from repro.wrappers.base import AlgebraEvaluator, Wrapper
 
 ROWS = [{"id": i, "name": f"p{i}", "salary": i * 10} for i in range(10)]
 QUERY = "select x.name from x in person0 where x.salary > 40 limit 2"
@@ -105,6 +107,72 @@ class TestLadder:
             step = degrade_pushdown(expr)
         compensated = list(compensate_rows(stripped, [dict(r) for r in ROWS]))
         assert [row["name"] for row in compensated] == EXPECTED
+
+
+ABOVE_40 = Comparison(">", Path(Var("x"), "salary"), Const(40))
+#: every strippable operator over the leaf the source's evaluator scans, and
+#: the stacked ladder of ``TestLadder``
+STRIPPED = {
+    Limit: Limit(3, Get("person0")),
+    Project: Project(("name", "missing"), Get("person0")),
+    Rename: Rename((("name", "n"), ("id", "id")), Get("person0")),
+    Select: Select("x", ABOVE_40, Get("person0")),
+    Flatten: Flatten(Get("person0")),
+    GroupBy: GroupBy(
+        "x",
+        (("band", Path(Var("x"), "band")),),
+        (("n", "count", Var("x")), ("top", "max", Path(Var("x"), "salary"))),
+        Get("person0"),
+    ),
+    "stacked": Limit(2, Project(("name",), Select("x", ABOVE_40, Get("person0")))),
+}
+
+
+class TestCompensationAgainstTheSourceEvaluator:
+    """What the mediator replays is what the source would have computed:
+    ``AlgebraEvaluator`` over a ``get`` leaf is the reference."""
+
+    ROWS = [{"id": i, "name": f"p{i}", "salary": i * 10, "band": i % 3} for i in range(10)]
+
+    def test_every_strippable_operator_has_a_case(self):
+        assert {key for key in STRIPPED if key != "stacked"} == set(_STRIPPABLE)
+
+    @pytest.mark.parametrize("case", STRIPPED, ids=lambda key: getattr(key, "op_name", key))
+    def test_compensated_rows_equal_the_source_side_evaluation(self, case):
+        expression = STRIPPED[case]
+        rows = self.ROWS
+        if case is Flatten:
+            rows = [rows[:2], rows[2], tuple(rows[3:5]), []]
+        at_source = AlgebraEvaluator(scan=lambda _name: rows).evaluate(expression)
+        stripped = []
+        step = degrade_pushdown(expression)
+        while step is not None:
+            expression, removed = step
+            stripped.append(removed)
+            step = degrade_pushdown(expression)
+        assert expression == Get("person0")
+        compensated = list(compensate_rows(stripped, rows))
+        assert compensated == [as_struct(row) for row in at_source]
+        assert compensated, "the case compares two empty answers"
+
+    def test_a_stripped_limit_stops_the_scan_and_closes_it(self):
+        pulled = []
+        closed = []
+
+        def endless():
+            try:
+                number = 0
+                while True:
+                    pulled.append(number)
+                    yield {"id": number}
+                    number += 1
+            finally:
+                closed.append(True)
+
+        compensated = compensate_rows([Limit(3, Get("person0"))], endless())
+        assert pulled == []  # nothing is read before the consumer pulls
+        assert [row["id"] for row in compensated] == [0, 1, 2]
+        assert len(pulled) <= 4 and closed == [True]
 
 
 @pytest.mark.parametrize("engine", ["query", "query_stream"])

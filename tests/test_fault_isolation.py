@@ -237,11 +237,6 @@ class TestSharedPool:
 
 
 class TestPublicSubqueryApi:
-    def test_evaluate_subquery_is_public_and_aliased(self):
-        from repro.runtime.executor import Executor
-
-        assert Executor._evaluate_subquery is Executor.evaluate_subquery
-
     def test_scalar_queries_use_the_public_entry_point(self):
         mediator, _ = build_paper_mediator()
         result = mediator.query("count(select x.name from x in person)")

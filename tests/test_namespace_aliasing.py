@@ -19,6 +19,7 @@ Covers the full surface of the multi-extent reverse-rename fix:
   two engines agree on retry-attempt accounting under write-off.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -30,6 +31,7 @@ from repro.algebra.unparser import logical_to_oql
 from repro.datamodel.mapping import LocalTransformationMap
 from repro.oql.parser import parse_query
 from repro.optimizer.implementation import implement
+from repro.runtime.backpressure import StreamClosed
 from repro.runtime.degrade import compensate_rows, degradation_ladder
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
 from repro.sources.sql.engine import SqlEngine
@@ -151,6 +153,27 @@ class TestNamespacePlan:
             assert not plan.aliased and plan.split is None
             assert not any(isinstance(n, Rename) for n in _walk(plan.expression))
             assert plan.reverse == {"nm": "name"}
+        finally:
+            mediator.close()
+
+    @pytest.mark.parametrize("probe", ["extent", "interface_attributes"])
+    def test_stream_closed_inside_a_registry_probe_propagates(self, probe, monkeypatch):
+        """Only an unknown name (``SchemaError``) means "no extent" / "no
+        vocabulary"; the consumer hanging up mid-probe is not that."""
+        mediator, _ = build_relational_collider()
+        try:
+            executor = mediator.executor
+            meta = mediator.registry.extent("emp0")
+            assert executor._meta_for_collection("no_such_extent", meta) is None
+            unknown = dataclasses.replace(meta, interface="NoSuchInterface")
+            assert executor._branch_vocabulary(unknown) == {"nm": "name"}
+
+            def hang_up(name):
+                raise StreamClosed("consumer closed the stream")
+
+            monkeypatch.setattr(mediator.registry, probe, hang_up)
+            with pytest.raises(StreamClosed):
+                executor.namespace_plan(JOIN_PLAN.expression, meta)
         finally:
             mediator.close()
 

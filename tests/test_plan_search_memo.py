@@ -15,6 +15,10 @@ chosen plan*, so the tests keep the old enumeration as a reference:
 * no leakage -- nothing a search learned is visible to the next;
 * concurrency -- planners racing a DBA get the plans of a quiet planner;
 * memory -- no node keeps text that embeds a partial answer's rows.
+
+The implementation rules are now read off ``physical.IMPLEMENTS``; the two
+``isinstance`` ladders they replaced are kept here the same way, and must
+give the same physical plans in the same order.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -32,14 +37,15 @@ from repro import Mediator, RelationalWrapper, SqlWrapper
 from repro.algebra import logical as log
 from repro.algebra import physical as phys
 from repro.algebra.capabilities import grammar_for
-from repro.algebra.expressions import Expr, walk_expr
+from repro.algebra.expressions import Expr, find_equi_conjunct, walk_expr
 from repro.algebra.logical import LogicalOp, transform_bottom_up
 from repro.algebra.rewriter import Rewriter
 from repro.algebra.rules import DEFAULT_RULES
 from repro.baselines import GetOnlyWrapper
+from repro.errors import OptimizationError
 from repro.optimizer.cost import CostModel
 from repro.optimizer.history import ExecCallHistory, exact_signature
-from repro.optimizer.implementation import implementation_alternatives
+from repro.optimizer.implementation import implement, implementation_alternatives
 from repro.optimizer.optimizer import Optimizer
 from repro.sources import RelationalEngine, SimulatedServer, generate_person_rows
 from repro.sources.sql.engine import SqlEngine
@@ -87,6 +93,140 @@ def naive_alternatives(rewriter: Rewriter, root: LogicalOp) -> list[LogicalOp]:
             if len(seen) >= rewriter.max_alternatives:
                 break
     return list(seen.values())
+
+
+def reference_implement(node):
+    """``implement`` as it was: one arm per logical operator (kept verbatim)."""
+    implement = reference_implement
+    if isinstance(node, log.Submit):
+        return phys.Exec(
+            source=phys.Field(node.source),
+            expression=node.expression,
+            extent_name=node.extent_name or node.source,
+        )
+    if isinstance(node, log.BagLiteral):
+        return phys.MkBag(node.values)
+    if isinstance(node, log.Project):
+        return phys.MkProj(node.attributes, implement(node.child))
+    if isinstance(node, log.Select):
+        return phys.Filter(node.variable, node.predicate, implement(node.child))
+    if isinstance(node, log.Rename):
+        return phys.MkRename(node.pairs, implement(node.child))
+    if isinstance(node, log.Apply):
+        return phys.MkApply(node.variable, node.expression, implement(node.child))
+    if isinstance(node, log.Join):
+        return phys.HashJoin(implement(node.left), implement(node.right), node.on)
+    if isinstance(node, log.BindJoin):
+        return phys.MkBindJoin(
+            implement(node.left),
+            implement(node.right),
+            node.left_variable,
+            node.right_variable,
+            condition=node.condition,
+        )
+    if isinstance(node, log.Union):
+        return phys.MkUnion(tuple(implement(child) for child in node.inputs))
+    if isinstance(node, log.Flatten):
+        return phys.MkFlatten(implement(node.child))
+    if isinstance(node, log.Distinct):
+        return phys.MkDistinct(implement(node.child))
+    if isinstance(node, log.Limit):
+        return phys.MkLimit(node.count, implement(node.child))
+    if isinstance(node, log.GroupBy):
+        return phys.MkGroupBy(
+            node.variable, node.keys, node.aggregates, implement(node.child)
+        )
+    if isinstance(node, log.Get):
+        raise OptimizationError(
+            f"get({node.collection}) reached physical planning outside a submit; "
+            "extents must be accessed through submit/exec"
+        )
+    raise OptimizationError(f"no implementation rule for {node.to_text()}")
+
+
+def reference_rebuild(node, children):
+    """``_rebuild`` as it was: the same arms again, over given children (kept verbatim)."""
+    if isinstance(node, log.Project):
+        return phys.MkProj(node.attributes, children[0])
+    if isinstance(node, log.Select):
+        return phys.Filter(node.variable, node.predicate, children[0])
+    if isinstance(node, log.Rename):
+        return phys.MkRename(node.pairs, children[0])
+    if isinstance(node, log.Apply):
+        return phys.MkApply(node.variable, node.expression, children[0])
+    if isinstance(node, log.BindJoin):
+        return phys.MkBindJoin(
+            children[0],
+            children[1],
+            node.left_variable,
+            node.right_variable,
+            condition=node.condition,
+        )
+    if isinstance(node, log.Union):
+        return phys.MkUnion(tuple(children))
+    if isinstance(node, log.Flatten):
+        return phys.MkFlatten(children[0])
+    if isinstance(node, log.Distinct):
+        return phys.MkDistinct(children[0])
+    if isinstance(node, log.Limit):
+        return phys.MkLimit(node.count, children[0])
+    if isinstance(node, log.GroupBy):
+        return phys.MkGroupBy(node.variable, node.keys, node.aggregates, children[0])
+    if isinstance(node, log.Submit):
+        return reference_implement(node)
+    raise OptimizationError(f"no implementation rule for {node.to_text()}")
+
+
+def reference_implementation_alternatives(node):
+    """The enumeration as it was over those two ladders, nothing shared."""
+    alternatives = reference_implementation_alternatives
+    if isinstance(node, (log.Submit, log.BagLiteral)):
+        return [reference_implement(node)]
+    if isinstance(node, log.Join):
+        lefts = alternatives(node.left)
+        rights = alternatives(node.right)
+        plans = []
+        for left, right in product(lefts, rights):
+            plans.append(phys.HashJoin(left, right, node.on))
+            plans.append(phys.NestedLoopJoin(left, right, node.on))
+        return plans
+    if isinstance(node, log.BindJoin):
+        lefts = alternatives(node.left)
+        rights = alternatives(node.right)
+        plans = []
+        for left, right in product(lefts, rights):
+            plans.append(
+                phys.MkBindJoin(
+                    left,
+                    right,
+                    node.left_variable,
+                    node.right_variable,
+                    condition=node.condition,
+                )
+            )
+        for left in lefts:
+            if node.condition is None or not isinstance(node.right, log.Submit):
+                continue
+            if find_equi_conjunct(node.condition, node.left_variable, node.right_variable) is None:
+                continue
+            plans.append(
+                phys.ProbeJoin(
+                    left,
+                    reference_implement(node.right),
+                    node.left_variable,
+                    node.right_variable,
+                    node.condition,
+                )
+            )
+        return plans
+    children = node.children()
+    if not children:
+        return [reference_implement(node)]
+    children_alternatives = [alternatives(child) for child in children]
+    plans = []
+    for combination in product(*children_alternatives):
+        plans.append(reference_rebuild(node, list(combination)))
+    return plans
 
 
 def naive_optimize(optimizer: Optimizer, logical: LogicalOp):
@@ -224,6 +364,30 @@ def test_same_alternatives_in_the_same_order(source, max_alternatives, request):
     rewriter = Rewriter(mediator.planner.rewriter.capabilities, max_alternatives=max_alternatives)
     for plan in plans:
         assert texts(rewriter.alternatives(plan)) == texts(naive_alternatives(rewriter, plan))
+
+
+@pytest.mark.parametrize("source", ["harness_plans", "adhoc_plans"])
+def test_the_table_gives_the_physical_plans_the_ladders_gave(source, request):
+    mediator, plans = request.getfixturevalue(source)
+    rewriter = Rewriter(mediator.planner.rewriter.capabilities, max_alternatives=64)
+    # OQL never translates to ``join``, ``rename`` or ``flatten``: one plan by
+    # hand, a generated plan among the join's operands so the choices multiply.
+    people = log.Union((log.Submit("r0", log.Get("person0")), log.Submit("r1", log.Get("person1"))))
+    others = log.Union((plans[-1], log.BagLiteral((7,))))
+    candidates = [
+        log.Flatten(log.Rename((("name", "n"),), log.Join(people, others, ("id", "boss"))))
+    ]
+    for plan in plans:
+        candidates.extend(rewriter.alternatives(plan))
+    seen = Counter()
+    for candidate in candidates:
+        expected = texts(reference_implementation_alternatives(candidate))
+        assert texts(implementation_alternatives(candidate)) == expected
+        assert texts(implementation_alternatives(candidate, {})) == expected
+        assert implement(candidate).to_text() == reference_implement(candidate).to_text()
+        for physical in reference_implementation_alternatives(candidate):
+            seen.update(type(node) for node in phys.walk(physical))
+    assert set(seen) == set(phys.IMPLEMENTS), "an algorithm no plan reached"
 
 
 @pytest.mark.parametrize("max_physical", [3, 256])

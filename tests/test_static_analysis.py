@@ -52,9 +52,10 @@ def test_cli_exits_zero_on_the_repo():
 
 
 def test_new_operator_without_dispatch_arms_is_flagged(tmp_path):
-    """A logical/physical operator added without touching the unparser, cost
-    model, implementation, and composer ladders must surface as missing-arm
-    findings -- the machine-checked half of the "extend the ladders" rule."""
+    """A logical/physical operator added without touching the unparser, the
+    cost model, the logical<->physical table and the row evaluator must
+    surface as missing-arm findings -- the machine-checked half of the
+    "extend the ladders" rule."""
     shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro")
     logical = tmp_path / "src" / "repro" / "algebra" / "logical.py"
     physical = tmp_path / "src" / "repro" / "algebra" / "physical.py"
@@ -76,9 +77,21 @@ def test_new_operator_without_dispatch_arms_is_flagged(tmp_path):
     shuffle_sites = {scope for scope, cls in flagged if cls == "Shuffle"}
     mkshuffle_sites = {scope for scope, cls in flagged if cls == "MkShuffle"}
     assert "unparser.unparse" in shuffle_sites, sorted(flagged)
-    assert "implementation.implement" in shuffle_sites, sorted(flagged)
+    assert "correspondence.logical" in shuffle_sites, sorted(flagged)
+    assert "correspondence.physical" in mkshuffle_sites, sorted(flagged)
     assert "cost.estimate" in mkshuffle_sites, sorted(flagged)
-    assert "executor.compose_rows" in mkshuffle_sites, sorted(flagged)
+    assert "operators.compose_rows" in mkshuffle_sites, sorted(flagged)
+
+
+def test_runtime_does_not_borrow_the_source_side_evaluator():
+    """`AlgebraEvaluator` is the simulated *source's* evaluator; the mediator
+    evaluates rows with `runtime.operators.compose_rows` only."""
+    offenders = [
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in sorted((REPO_ROOT / "src" / "repro" / "runtime").rglob("*.py"))
+        if "AlgebraEvaluator" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
 
 
 def test_dispatch_checker_covers_every_declared_hierarchy():
