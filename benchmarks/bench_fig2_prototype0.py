@@ -90,9 +90,9 @@ def test_fig2_execute(benchmark):
 def test_fig2_whole_pipeline(benchmark):
     """Parse -> bind -> translate -> optimize -> execute, plan cache disabled."""
     mediator = build_person_federation(sources=2, rows_per_source=10, seed=3)
-    mediator.planner.plan_cache = None
 
     def run():
+        mediator.planner.plan_cache.clear()
         return mediator.query(PAPER_QUERY)
 
     result = benchmark(run)

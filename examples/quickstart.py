@@ -5,11 +5,10 @@ introductory query, shows the optimizer's plan, takes one source down to
 demonstrate partial-answer semantics and re-submission, then kills a source
 *mid-stream* to show `query_stream()`'s resume-token recovery.
 
-Execution knobs (`ExecutorConfig`, see the README table): `timeout`,
-`max_parallel_calls`, `max_retries`, `max_resumes`, `retry_backoff`,
-`degrade_pushdown`, `replay_resume`, `type_check`.  The first four are
-`Mediator(...)` constructor arguments; everything is settable on
-`mediator.executor.config`.
+Execution knobs are the fields of `ExecutorConfig` (the README table is the
+list): `Mediator(name, **config)` forwards its keywords to it, and everything
+stays settable on `mediator.executor.config`.  A bounded concurrency budget
+is not a knob here but the serving layer: `mediator.serve(workers=...)`.
 
 Run with:  python examples/quickstart.py
 """

@@ -211,13 +211,6 @@ def class_fields(cls: ast.ClassDef) -> list[str]:
     return fields
 
 
-def function_params(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
-    """Positional/keyword parameter names, excluding ``self``."""
-    args = func.args
-    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-    return [n for n in names if n != "self"]
-
-
 def isinstance_classes(node: ast.Call) -> list[str]:
     """Class simple names named by an ``isinstance(x, ...)`` call."""
     names: list[str] = []

@@ -8,8 +8,6 @@ docs honest against the code (and the lock spec):
   vs the README knob table, both directions;
 * **report-undocumented** -- every `ExecReport` field is mentioned in the
   README (backticked or as ``field=``);
-* **ctor-undocumented** -- every `Mediator.__init__` keyword is mentioned
-  in the README;
 * **config-undocumented** -- every `ServerConfig` field is named in its own
   class docstring;
 * **lockmap-drift** -- the generated lock table (from the machine-readable
@@ -30,7 +28,6 @@ from repro.analysis.core import (
     Spec,
     class_fields,
     find_class,
-    function_params,
 )
 from repro.analysis.lockspec import (
     LOCK_TABLE_BEGIN,
@@ -47,7 +44,6 @@ class DriftSpec:
     architecture: str = "docs/ARCHITECTURE.md"
     executor_config: tuple[str, str] = ("src/repro/runtime/executor.py", "ExecutorConfig")
     exec_report: tuple[str, str] = ("src/repro/runtime/executor.py", "ExecReport")
-    mediator: tuple[str, str] = ("src/repro/core/mediator.py", "Mediator")
     server_config: tuple[str, str] = ("src/repro/serving/server.py", "ServerConfig")
 
 
@@ -156,32 +152,6 @@ def check_drift(spec: Spec, modules: list[SourceModule], root: Path) -> list[Fin
                         line,
                         drift.exec_report[1],
                         f"ExecReport field `{name}` is never mentioned in the README",
-                        name,
-                    )
-                )
-
-    # -- Mediator constructor keywords mentioned in the README -------------------------
-    module = by_path.get(drift.mediator[0])
-    cls = find_class(module.tree, drift.mediator[1]) if module else None
-    init = None
-    if cls is not None:
-        for stmt in cls.body:
-            if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
-                init = stmt
-                break
-    if init is None:
-        spec_error(drift.mediator[0], "Mediator.__init__ not found", "no-mediator")
-    else:
-        for name in function_params(init):
-            if not _mentioned(readme, name):
-                findings.append(
-                    Finding(
-                        "drift",
-                        "ctor-undocumented",
-                        drift.mediator[0],
-                        init.lineno,
-                        "Mediator.__init__",
-                        f"constructor keyword `{name}` is never mentioned in the README",
                         name,
                     )
                 )

@@ -27,9 +27,9 @@ from repro.analysis.lockspec import LockComponent, LockDecl
 
 # --------------------------------------------------------------------------- locks
 #
-# Rank convention: 10-19 engine/serving front doors, 20-29 admission, 30-39
-# scheduling queues, 40-49 catalog/optimizer state and row transport, 50+
-# source simulation leaves.  No call path should acquire downward.
+# Rank convention: 10-19 engine/serving front doors, 30-39 scheduling
+# queues, 40-49 catalog/optimizer state and row transport, 50+ source
+# simulation leaves.  No call path should acquire downward.
 LOCK_COMPONENTS: tuple[LockComponent, ...] = (
     LockComponent(
         module="src/repro/serving/server.py",
@@ -94,21 +94,6 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
     ),
     LockComponent(
         module="src/repro/runtime/admission.py",
-        cls="AdmissionController",
-        locks=(
-            LockDecl(
-                attr="_lock",
-                kind="Lock",
-                guards=("_inflight", "_closed", "stats"),
-                rank=20,
-                guards_doc="in-flight count, closed flag, admission counters",
-            ),
-        ),
-        notes="promotion polls its FairQueue non-blockingly (`timeout=0`) "
-        "under the lock; waiters block on their own events, never on it.",
-    ),
-    LockComponent(
-        module="src/repro/runtime/admission.py",
         cls="FairQueue",
         locks=(
             LockDecl(
@@ -119,8 +104,8 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
                 guards_doc="priority classes, depth, closed flag, high-water mark",
             ),
         ),
-        notes="`pop` blocks only on its own condition; waiters are promoted "
-        "in weighted-fair order.",
+        notes="`pop` blocks only on its own condition; entries leave in "
+        "weighted-fair order.",
     ),
     LockComponent(
         module="src/repro/core/registry.py",

@@ -34,18 +34,11 @@ class Mediator:
     def __init__(
         self,
         name: str = "disco",
-        timeout: float | None = 5.0,
-        type_check: bool = True,
-        use_plan_cache: bool = True,
-        max_parallel_calls: int = 16,
-        max_retries: int = 0,
-        max_resumes: int | None = None,
-        max_concurrent_queries: int | None = None,
-        admission_queue_depth: int | None = None,
-        bind_batch_size: int = 256,
-        replan_blowup_factor: float | None = 8.0,
         answer_cache: "AnswerCache | bool | None" = None,
+        **config: Any,
     ):
+        """``config`` populates :class:`~repro.runtime.executor.ExecutorConfig`
+        (``timeout``, ``max_retries``, ...: the README's knob table)."""
         self.name = name
         # answer_cache=True builds one with defaults; an AnswerCache instance
         # is used as-is (and may be shared); None/False turns caching off.
@@ -56,23 +49,11 @@ class Mediator:
         self.answer_cache: AnswerCache | None = answer_cache
         self.registry = Registry()
         self.history = ExecCallHistory()
-        self.planner = QueryPlanner(
-            self.registry, history=self.history, use_plan_cache=use_plan_cache
-        )
+        self.planner = QueryPlanner(self.registry, history=self.history)
         self.executor = Executor(
             self.registry,
             history=self.history,
-            config=ExecutorConfig(
-                timeout=timeout,
-                type_check=type_check,
-                max_parallel_calls=max_parallel_calls,
-                max_retries=max_retries,
-                max_resumes=max_resumes,
-                max_concurrent_queries=max_concurrent_queries,
-                admission_queue_depth=admission_queue_depth,
-                bind_batch_size=bind_batch_size,
-                replan_blowup_factor=replan_blowup_factor,
-            ),
+            config=ExecutorConfig(**config),
             subquery_planner=self.planner.logical_for_bound,
         )
         self.odl_loader = OdlLoader(self.registry)
@@ -98,9 +79,11 @@ class Mediator:
         """Start a :class:`~repro.serving.MediatorServer` over this mediator.
 
         Keyword arguments populate :class:`~repro.serving.ServerConfig`
-        (worker count, queue depth, stream buffering, ...).  The server owns
-        admission and fairness for concurrent clients; close it before (or
-        instead of) closing the mediator.
+        (worker count, queue depth, stream buffering).  The server is the one
+        admission path -- bounded in-flight budget, load shedding, fair
+        scheduling by priority, end-to-end deadlines -- for concurrent
+        clients and for a direct caller who wants a budget alike; close it
+        before (or instead of) closing the mediator.
         """
         from repro.serving import MediatorServer, ServerConfig  # local: avoid cycle
 
@@ -194,15 +177,11 @@ class Mediator:
         return self.query(text)
 
     # -- application interface: queries ------------------------------------------------------------
-    def query(
-        self, text: str, timeout: float | None = None, priority: float = 1.0
-    ) -> QueryResult:
+    def query(self, text: str, timeout: float | None = None) -> QueryResult:
         """Evaluate an OQL query and return its (possibly partial) answer.
 
-        ``priority`` matters only under admission control
-        (``max_concurrent_queries``): queued queries are scheduled
-        weighted-fair by priority class, and higher priorities get
-        proportionally more slots under contention.
+        Runs at once on the calling thread; to queue, shed or prioritise
+        queries, submit them through :meth:`serve`.
 
         With an answer cache configured (``answer_cache=``), the query is
         first served from cached answers: an exact hit or a subsumption
@@ -213,7 +192,7 @@ class Mediator:
         cache = self.answer_cache
         if cache is None:
             planned = self.planner.plan(text)
-            return self._run(planned, timeout=timeout, priority=priority)
+            return self._run(planned, timeout=timeout)
         version = self.registry.schema_version
         entry = cache.get_exact(text, version)
         if entry is not None:
@@ -221,16 +200,14 @@ class Mediator:
                 return QueryResult(
                     query_text=text, data=Bag(entry.rows), from_answer_cache=True
                 )
-            patched = self._patch_partial(
-                text, entry, timeout=timeout, priority=priority
-            )
+            patched = self._patch_partial(text, entry, timeout=timeout)
             if patched is not None:
                 return patched
             version = self.registry.schema_version
         planned = self.planner.plan(text)
         if planned.is_scalar or planned.logical is None:
             # Scalars have no row answer to cache; run them directly.
-            return self._run(planned, timeout=timeout, priority=priority)
+            return self._run(planned, timeout=timeout)
         subsumed = cache.find_subsumer(planned.logical, version)
         if subsumed is not None:
             superset, deltas = subsumed
@@ -245,7 +222,7 @@ class Mediator:
                 from_answer_cache=True,
             )
         cache.note_miss()
-        result = self._run(planned, timeout=timeout, priority=priority)
+        result = self._run(planned, timeout=timeout)
         # Store under the version snapshotted *before* planning, and only if
         # it still holds (the planner's own discipline): a schema change
         # mid-flight means the answer may mix old and new resolutions.
@@ -266,11 +243,7 @@ class Mediator:
         return result
 
     def _patch_partial(
-        self,
-        text: str,
-        entry: CacheEntry,
-        timeout: float | None = None,
-        priority: float = 1.0,
+        self, text: str, entry: CacheEntry, timeout: float | None = None
     ) -> QueryResult | None:
         """Repair a cached partial answer by re-running only its missing extents.
 
@@ -286,7 +259,7 @@ class Mediator:
             self.answer_cache.drop(text)
             return None
         physical = implement(entry.partial_plan)
-        execution = self.executor.execute(physical, timeout=timeout, priority=priority)
+        execution = self.executor.execute(physical, timeout=timeout)
         if self.registry.schema_version != entry.schema_version:
             # Mutated mid-patch: the rows just computed straddle two schemas.
             self.answer_cache.drop(text)
@@ -324,9 +297,7 @@ class Mediator:
             from_answer_cache=True,
         )
 
-    def query_stream(
-        self, text: str, timeout: float | None = None, priority: float = 1.0
-    ) -> QueryResult:
+    def query_stream(self, text: str, timeout: float | None = None) -> QueryResult:
         """Evaluate an OQL query with the streaming engine.
 
         Returns immediately; the result's :meth:`~QueryResult.iter_rows`
@@ -363,9 +334,7 @@ class Mediator:
             return self._run_scalar(planned, timeout=timeout)
         if planned.optimized is None or planned.logical is None:
             raise QueryExecutionError(f"query {planned.text!r} produced no plan")
-        stream = self.executor.execute_stream(
-            planned.optimized.physical, timeout=timeout, priority=priority
-        )
+        stream = self.executor.execute_stream(planned.optimized.physical, timeout=timeout)
         return QueryResult(
             query_text=planned.text,
             stream=stream,
@@ -403,19 +372,12 @@ class Mediator:
         )
 
     # -- internals -----------------------------------------------------------------------------------
-    def _run(
-        self,
-        planned: PlannedQuery,
-        timeout: float | None = None,
-        priority: float = 1.0,
-    ) -> QueryResult:
+    def _run(self, planned: PlannedQuery, timeout: float | None = None) -> QueryResult:
         if planned.is_scalar:
             return self._run_scalar(planned, timeout=timeout)
         if planned.optimized is None or planned.logical is None:
             raise QueryExecutionError(f"query {planned.text!r} produced no plan")
-        execution = self.executor.execute(
-            planned.optimized.physical, timeout=timeout, priority=priority
-        )
+        execution = self.executor.execute(planned.optimized.physical, timeout=timeout)
         return QueryResult(
             query_text=planned.text,
             data=execution.data,
@@ -446,15 +408,14 @@ class Mediator:
 
     def statistics(self) -> dict[str, Any]:
         """Operational statistics: recorded exec signatures, plan-cache state."""
-        cache = self.planner.plan_cache
-        cache_stats = cache.stats() if cache is not None else {}
+        cache_stats = self.planner.plan_cache.stats()
         stats = {
             "exec_signatures": self.history.recorded_calls(),
-            "plan_cache_entries": cache_stats.get("entries", 0),
-            "plan_cache_hits": cache_stats.get("hits", 0),
-            "plan_cache_misses": cache_stats.get("misses", 0),
-            "plan_cache_invalidations": cache_stats.get("invalidations", 0),
-            "plan_cache_evictions": cache_stats.get("evictions", 0),
+            "plan_cache_entries": cache_stats["entries"],
+            "plan_cache_hits": cache_stats["hits"],
+            "plan_cache_misses": cache_stats["misses"],
+            "plan_cache_invalidations": cache_stats["invalidations"],
+            "plan_cache_evictions": cache_stats["evictions"],
             "schema_version": self.registry.schema_version,
             # Probe-join cache effectiveness (batched bind joins): a hit is a
             # join key served from the per-query cache without re-hitting the
@@ -465,15 +426,4 @@ class Mediator:
         if self.answer_cache is not None:
             for key, value in self.answer_cache.stats().items():
                 stats[f"answer_cache_{key}"] = value
-        admission = self.executor.admission
-        if admission is not None:
-            stats["admission"] = {
-                "admitted": admission.stats.admitted,
-                "rejected": admission.stats.rejected,
-                "timed_out": admission.stats.timed_out,
-                "inflight": admission.inflight,
-                "queued": admission.queued,
-                "max_inflight_seen": admission.stats.max_inflight_seen,
-                "max_queue_depth": admission.stats.max_queue_depth,
-            }
         return stats

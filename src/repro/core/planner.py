@@ -52,7 +52,6 @@ class QueryPlanner:
         registry: Registry,
         history: ExecCallHistory | None = None,
         cost_model: CostModel | None = None,
-        use_plan_cache: bool = True,
     ):
         self.registry = registry
         self.history = history or ExecCallHistory()
@@ -61,7 +60,7 @@ class QueryPlanner:
         self.translator = Translator(metaextent_rows=registry.metaextent_rows)
         self.rewriter = Rewriter(self._capabilities_for_submit)
         self.optimizer = Optimizer(self.rewriter, self.cost_model)
-        self.plan_cache = PlanCache() if use_plan_cache else None
+        self.plan_cache = PlanCache()
 
     # -- capability resolution ------------------------------------------------------------
     def _capabilities_for_submit(self, submit: Submit) -> CapabilityGrammar:
@@ -77,38 +76,41 @@ class QueryPlanner:
 
     # -- the pipeline -----------------------------------------------------------------------
     def plan(self, text: str, use_cache: bool = True) -> PlannedQuery:
-        """Parse, bind, translate and optimize ``text``."""
+        """Parse, bind, translate and optimize ``text``.
+
+        ``use_cache=False`` plans from scratch and leaves the plan cache
+        untouched (``Mediator.explain``).
+        """
+        if not use_cache:
+            return self.plan_ast(parse_query(text), text=text)
         version = self.registry.schema_version
-        cache = self.plan_cache if use_cache else None
+        cache = self.plan_cache
         ast: QueryNode | None = None
-        key: str | None = None
-        if cache is not None:
-            key = cache.known_key(text)
-            if key is None:
-                # First sight of this text: the parse that canonicalises the
-                # cache key is the parse that plans the query on a miss.
-                ast = parse_query(text)
-                key = cache.learn_key(text, ast.to_oql())
-            cached = cache.get(text, version, key=key)
-            if cached is not None:
-                return PlannedQuery(
-                    text=text,
-                    ast=cached.ast,
-                    bound=cached.bound,
-                    logical=cached.logical,
-                    optimized=cached.optimized,
-                    is_scalar=cached.is_scalar,
-                    from_cache=True,
-                )
+        key = cache.known_key(text)
+        if key is None:
+            # First sight of this text: the parse that canonicalises the
+            # cache key is the parse that plans the query on a miss.
+            ast = parse_query(text)
+            key = cache.learn_key(text, ast.to_oql())
+        cached = cache.get(text, version, key=key)
+        if cached is not None:
+            return PlannedQuery(
+                text=text,
+                ast=cached.ast,
+                bound=cached.bound,
+                logical=cached.logical,
+                optimized=cached.optimized,
+                is_scalar=cached.is_scalar,
+                from_cache=True,
+            )
         if ast is None:
             ast = parse_query(text)
         planned = self.plan_ast(ast, text=text)
-        if cache is not None:
-            # Store under the version snapshotted *before* planning, and only
-            # if it still holds: a schema change mid-planning means this plan
-            # may mix old and new resolutions -- don't cache it at all.
-            if self.registry.schema_version == version:
-                cache.put(text, version, planned, key=key)
+        # Store under the version snapshotted *before* planning, and only if
+        # it still holds: a schema change mid-planning means this plan may
+        # mix old and new resolutions -- don't cache it at all.
+        if self.registry.schema_version == version:
+            cache.put(text, version, planned, key=key)
         return planned
 
     def plan_ast(self, ast: QueryNode, text: str | None = None) -> PlannedQuery:

@@ -76,12 +76,12 @@ class WrapperError(DiscoError):
 class AdmissionError(DiscoError):
     """A query was refused by admission control instead of being executed.
 
-    Raised by the serving layer (and by an :class:`~repro.runtime.admission.
-    AdmissionController`-equipped executor) when the in-flight budget and the
-    wait queue are both full, or when a query's deadline expires while it is
-    still queued.  ``verdict`` is the machine-readable reason -- one of
-    ``"rejected"`` (queue full) or ``"queue timeout"`` (deadline passed
-    before a slot freed up).
+    Raised by the serving layer (:class:`~repro.serving.MediatorServer`, the
+    one admission path) when every worker is busy and the wait queue is
+    full, when a query's deadline expires while it is still queued, or when
+    the server closes first.  ``verdict`` is the machine-readable reason --
+    ``"rejected"`` (queue full), ``"queue timeout"`` (deadline passed before
+    a worker freed up) or ``"closed"``.
     """
 
     def __init__(self, message: str, verdict: str = "rejected"):

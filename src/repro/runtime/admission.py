@@ -1,30 +1,18 @@
-"""Admission control for a shared mediator: budgets, fairness, verdicts.
+"""The weighted-fair queue the serving layer schedules with, and its verdicts.
 
-One long-lived mediator serving many concurrent clients needs three things
-the single-query code path never did:
+One long-lived mediator serving many concurrent clients needs a **bounded
+wait queue** -- beyond a depth limit new work is *rejected* immediately (the
+caller gets a verdict, not a hang), so memory stays bounded under overload --
+and **weighted-fair scheduling** -- the next query is chosen by stride
+scheduling over priority classes, so a flood of low-priority queries cannot
+starve a high-priority one.  :class:`FairQueue` is both; the in-flight budget
+(the worker count), the deadline accounting and the counters live with its
+one user, :class:`repro.serving.MediatorServer`.
 
-* a **bounded in-flight budget** -- at most N queries executing at once, so
-  a traffic burst queues instead of oversubscribing the shared thread pool;
-* a **bounded wait queue** -- beyond a depth limit new work is *rejected*
-  immediately (the caller gets a verdict, not a hang), so memory stays
-  bounded under overload;
-* **weighted-fair scheduling** -- when a slot frees up, the next query is
-  chosen by stride scheduling over priority classes, so a flood of
-  low-priority queries cannot starve a high-priority one and one
-  pathological client cannot monopolize the pool.
-
-:class:`FairQueue` is the scheduling core: a thread-safe queue whose
-``pop`` interleaves priority classes in proportion to their weights.
-:class:`AdmissionController` layers the budget semantics on top:
-``acquire`` blocks (fairly) for a slot, respecting per-query deadlines, and
-``release`` hands the slot to the next waiter.  Both are engine-agnostic;
-the serving layer (:mod:`repro.serving`) and the executor use the same
-machinery.
-
-Lock discipline: each class owns one :class:`threading.Condition` guarding
+Lock discipline: the queue owns one :class:`threading.Condition` guarding
 all of its mutable state; no call path holds it while blocking on anything
-except the condition itself, and neither class calls out to user code under
-the lock.
+except the condition itself, and it never calls out to user code under the
+lock.
 """
 
 from __future__ import annotations
@@ -46,7 +34,7 @@ CLOSED = "closed"
 
 
 class QueueClosed(AdmissionError):
-    """The queue/controller was closed while the caller was waiting on it."""
+    """The queue was closed while the caller was waiting on it."""
 
     def __init__(self, message: str = "admission queue closed"):
         super().__init__(message, verdict=CLOSED)
@@ -142,18 +130,6 @@ class FairQueue:
             self._size -= 1
             return chosen.entries.popleft()
 
-    def remove(self, item: Any) -> bool:
-        """Withdraw a queued item (a waiter giving up); True when found."""
-        with self._condition:
-            for entry_class in self._classes.values():
-                try:
-                    entry_class.entries.remove(item)
-                except ValueError:
-                    continue
-                self._size -= 1
-                return True
-            return False
-
     def close(self) -> list[Any]:
         """Close the queue; return (and drop) everything still queued."""
         with self._condition:
@@ -165,160 +141,3 @@ class FairQueue:
             self._size = 0
             self._condition.notify_all()
             return drained
-
-
-@dataclass
-class AdmissionStats:
-    """Counters accumulated by one :class:`AdmissionController`."""
-
-    admitted: int = 0
-    rejected: int = 0
-    timed_out: int = 0
-    #: total seconds admitted queries spent waiting for a slot.
-    queue_wait: float = 0.0
-    max_queue_depth: int = 0
-    max_inflight_seen: int = 0
-
-
-class _Waiter:
-    """One thread blocked in :meth:`AdmissionController.acquire`."""
-
-    __slots__ = ("event",)
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-
-
-@dataclass(frozen=True)
-class AdmissionTicket:
-    """Proof of admission: how long the query queued, under which priority."""
-
-    priority: float
-    queue_wait: float
-    verdict: str = ADMITTED
-
-
-class AdmissionController:
-    """Bounded in-flight budget with weighted-fair queuing of waiters.
-
-    ``acquire(priority, deadline)`` returns an :class:`AdmissionTicket` once
-    a slot is free, choosing among concurrent waiters by the
-    :class:`FairQueue` discipline.  It raises :class:`AdmissionError` with
-    verdict ``"rejected"`` when the wait queue is full, ``"queue timeout"``
-    when ``deadline`` (a ``time.monotonic`` instant) passes first, and
-    :class:`QueueClosed` when the controller shuts down.  Every successful
-    ``acquire`` must be paired with exactly one ``release``.
-    """
-
-    def __init__(self, max_inflight: int, max_queue_depth: int | None = None):
-        if max_inflight <= 0:
-            raise ValueError("max_inflight must be positive")
-        self.max_inflight = max_inflight
-        self._queue = FairQueue(capacity=max_queue_depth)
-        self._lock = threading.Lock()
-        self._inflight = 0
-        self._closed = False
-        self.stats = AdmissionStats()
-
-    # -- the admission path ------------------------------------------------------------
-    def acquire(self, priority: float = 1.0, deadline: float | None = None) -> AdmissionTicket:
-        """Block (fairly) until a slot is free; return the admission ticket."""
-        started = time.monotonic()
-        with self._lock:
-            if self._closed:
-                raise QueueClosed("admission controller closed")
-            if self._inflight < self.max_inflight and len(self._queue) == 0:
-                self._inflight += 1
-                self.stats.admitted += 1
-                self.stats.max_inflight_seen = max(
-                    self.stats.max_inflight_seen, self._inflight
-                )
-                return AdmissionTicket(priority=priority, queue_wait=0.0)
-        waiter = _Waiter()
-        try:
-            self._queue.push(waiter, priority)
-        except AdmissionError as exc:
-            with self._lock:
-                if exc.verdict == REJECTED:
-                    self.stats.rejected += 1
-            raise
-        with self._lock:
-            self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(self._queue))
-        # A slot may have freed between the fast path and the push; make sure
-        # somebody wakes the queue head.
-        self._promote()
-        remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
-        if waiter.event.wait(remaining):
-            with self._lock:
-                if self._closed:
-                    # Promoted and closed in the same instant: hand the slot back.
-                    self._inflight -= 1
-                    raise QueueClosed("admission controller closed")
-            queue_wait = time.monotonic() - started
-            with self._lock:
-                self.stats.admitted += 1
-                self.stats.queue_wait += queue_wait
-                self.stats.max_inflight_seen = max(
-                    self.stats.max_inflight_seen, self._inflight
-                )
-            return AdmissionTicket(priority=priority, queue_wait=queue_wait)
-        # Deadline expired while queued: withdraw.  Losing the removal race
-        # means a promotion already granted us the slot -- give it back.
-        if self._queue.remove(waiter):
-            with self._lock:
-                self.stats.timed_out += 1
-            raise AdmissionError(
-                f"deadline expired after {time.monotonic() - started:.4g}s in the "
-                "admission queue",
-                verdict=QUEUE_TIMEOUT,
-            )
-        waiter.event.wait()  # the promotion is committed; take the slot...
-        self.release()  # ...and return it immediately.
-        with self._lock:
-            self.stats.timed_out += 1
-        raise AdmissionError(
-            "deadline expired while being admitted", verdict=QUEUE_TIMEOUT
-        )
-
-    def release(self) -> None:
-        """Free one slot and promote the fairest waiter, if any."""
-        with self._lock:
-            self._inflight -= 1
-        self._promote()
-
-    def _promote(self) -> None:
-        """Grant free slots to queued waiters in weighted-fair order."""
-        while True:
-            with self._lock:
-                if self._closed or self._inflight >= self.max_inflight:
-                    return
-                try:
-                    waiter = self._queue.pop(timeout=0)
-                except (TimeoutError, QueueClosed):
-                    return
-                self._inflight += 1
-            waiter.event.set()
-
-    # -- introspection / shutdown -----------------------------------------------------
-    @property
-    def inflight(self) -> int:
-        """Queries currently holding a slot."""
-        with self._lock:
-            return self._inflight
-
-    @property
-    def queued(self) -> int:
-        """Waiters currently queued for a slot."""
-        return len(self._queue)
-
-    def close(self) -> None:
-        """Refuse new work and wake every queued waiter with a closed verdict."""
-        with self._lock:
-            self._closed = True
-        for waiter in self._queue.close():
-            # Waking without granting: their acquire() re-checks _closed...
-            # except the event *is* the grant signal.  Mark the grant and let
-            # acquire() observe _closed and hand the slot back.
-            with self._lock:
-                self._inflight += 1
-            waiter.event.set()

@@ -137,19 +137,12 @@ class AnswerCache:
 
     ``max_entries`` bounds the entry count and ``max_rows`` the *total*
     number of cached rows across entries (a single answer larger than the
-    row budget is never stored).  ``subsumption=False`` turns the delta
-    search off, leaving exact hits and partial repair.
+    row budget is never stored).
     """
 
-    def __init__(
-        self,
-        max_entries: int = 128,
-        max_rows: int = 100_000,
-        subsumption: bool = True,
-    ):
+    def __init__(self, max_entries: int = 128, max_rows: int = 100_000):
         self.max_entries = max_entries
         self.max_rows = max_rows
-        self.subsumption = subsumption
         #: canonical query text -> entry, in LRU order (front = coldest).
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         #: translated-plan text -> canonical text of a *complete* entry.
@@ -216,8 +209,6 @@ class AnswerCache:
         prefixes, so ``where p and q`` is served from a cached ``where p``.
         Returns ``(entry, deltas)`` with ``deltas`` outermost-first, or None.
         """
-        if not self.subsumption:
-            return None
         deltas: list[log.LogicalOp] = []
         current = plan
         for depth in range(MAX_STRIP_DEPTH):

@@ -78,7 +78,6 @@ from repro.optimizer.history import ExecCallHistory
 from repro.optimizer.implementation import implement
 from repro.runtime import cancellation
 from repro.runtime import operators as ops
-from repro.runtime.admission import AdmissionController, AdmissionTicket
 from repro.runtime.degrade import is_capability_failure
 
 
@@ -247,7 +246,11 @@ class ExecutionResult:
 
 @dataclass
 class ExecutorConfig:
-    """Execution knobs.
+    """Execution knobs (``Mediator(**config)`` builds one from its keywords).
+
+    There is no concurrency budget here: a bounded number of in-flight
+    queries, load shedding and fair scheduling are the serving layer's
+    (``Mediator.serve(workers=..., max_queue_depth=...)``).
 
     ``timeout``
         The paper's "designated time period": one *global* deadline, in
@@ -303,20 +306,6 @@ class ExecutorConfig:
         so ``max_retries=0, max_resumes=2`` fails fresh calls fast yet still
         recovers a stream that dies mid-transfer.  ``0`` disables mid-stream
         recovery outright.
-    ``max_concurrent_queries``
-        Admission control for the shared pool.  ``None`` (the default) admits
-        every query immediately.  When set, at most this many queries execute
-        at once; excess queries wait in a weighted-fair queue (stride
-        scheduling over ``priority`` classes, so a flood of low-priority
-        queries cannot starve the rest) and their queue wait is deducted from
-        their timeout before execution starts.  A query whose deadline
-        expires while queued fails with
-        :class:`~repro.errors.AdmissionError` (verdict "queue timeout").
-    ``admission_queue_depth``
-        Bound on the admission *wait queue* (only meaningful with
-        ``max_concurrent_queries``).  When the queue is full, further queries
-        are rejected immediately with verdict "rejected" instead of waiting
-        -- the load-shedding knob.  ``None`` queues without bound.
     ``type_check``
         Whether the mediator checks source attribute names against the
         mediator interface (the run-time type check of Section 2.1).
@@ -350,8 +339,6 @@ class ExecutorConfig:
     degrade_pushdown: bool = True
     replay_resume: bool = True
     max_resumes: int | None = None
-    max_concurrent_queries: int | None = None
-    admission_queue_depth: int | None = None
     type_check: bool = True
     bind_batch_size: int = 256
     replan_blowup_factor: float | None = 8.0
@@ -694,13 +681,6 @@ class Executor:
         self._types_lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
-        #: shared-pool admission gate; ``None`` when admission is off.
-        self.admission: AdmissionController | None = None
-        if self.config.max_concurrent_queries is not None:
-            self.admission = AdmissionController(
-                max_inflight=self.config.max_concurrent_queries,
-                max_queue_depth=self.config.admission_queue_depth,
-            )
         # Active-work tracking for close(): the live runs, streams and
         # materialising ``execute()`` calls alike.  The condition is notified
         # whenever a run finishes, so a draining close can wait.
@@ -762,7 +742,6 @@ class Executor:
         plan: phys.PhysicalOp,
         base_env: Mapping[str, Any] | None = None,
         timeout: float | None = None,
-        priority: float = 1.0,
     ) -> ExecutionResult:
         """Execute ``plan``; unavailable or failing sources yield a partial answer.
 
@@ -770,20 +749,14 @@ class Executor:
         in parallel, under one *global* deadline that covers the calls and
         the evaluation alike (probe-join wrapper calls issued during
         evaluation draw on whatever budget the calls left over).
-
-        With admission control configured, the query first passes the gate
-        (which may queue it, fairly, behind its ``priority`` class); queue
-        wait is deducted from ``timeout``, so the deadline a caller sets is
-        end-to-end, not execution-only.
         """
-        return self._open(plan, base_env, timeout, priority, materialise=True).materialised()
+        return self._open(plan, base_env, timeout, materialise=True).materialised()
 
     def execute_stream(
         self,
         plan: phys.PhysicalOp,
         base_env: Mapping[str, Any] | None = None,
         timeout: float | None = None,
-        priority: float = 1.0,
     ):
         """Execute ``plan`` as a stream.
 
@@ -795,72 +768,45 @@ class Executor:
         out contribute no rows; the failures are reported on the execution
         object once the stream ends (no resubmittable partial query is built,
         since delivered rows cannot be embedded back into one).
-
-        With admission control configured the stream holds its in-flight
-        slot until it finishes (fully drained, closed, or cancelled by
-        ``Executor.close``), not merely until this call returns.
         """
-        return self._open(plan, base_env, timeout, priority, materialise=False)
+        return self._open(plan, base_env, timeout, materialise=False)
 
     def _open(
         self,
         plan: phys.PhysicalOp,
         base_env: Mapping[str, Any] | None,
         timeout: float | None,
-        priority: float,
         materialise: bool,
         enclosing: Any = None,
     ):
-        """Admit one query and start its run (both entry points).
+        """Start one query's run (both entry points).
 
-        Passing the admission gate (a no-op when admission is off) raises
-        :class:`~repro.errors.AdmissionError` on rejection or queue timeout;
-        on success the run owns one in-flight slot and releases it when it
-        finishes.  ``enclosing`` is the run a nested subquery is evaluated
-        for: the subquery is part of that query, so it takes no admission
-        slot of its own (with one slot it would queue behind itself) and runs
-        on what is left of the enclosing deadline instead of a fresh
-        ``config.timeout``.
+        ``enclosing`` is the run a nested subquery is evaluated for: the
+        subquery is part of that query, so it runs on what is left of the
+        enclosing deadline instead of a fresh ``config.timeout``.
         """
         from repro.runtime.streaming import StreamingExecution  # local: avoid cycle
 
-        ticket: AdmissionTicket | None = None
         if enclosing is not None:
             timeout = enclosing._remaining()
-        else:
-            timeout = self.config.timeout if timeout is None else timeout
-            if self.admission is not None:
-                deadline = None if timeout is None else time.monotonic() + timeout
-                ticket = self.admission.acquire(priority=priority, deadline=deadline)
-                if timeout is not None:
-                    timeout = max(timeout - ticket.queue_wait, 0.0)
-        released = threading.Event()
-
-        def on_finish() -> None:
-            # _finish runs exactly once, but be idempotent anyway: the slot
-            # must never be double-released.
-            if ticket is not None and self.admission is not None:
-                if not released.is_set():
-                    released.set()
-                    self.admission.release()
-            with self._active:
-                self._active.notify_all()
-
-        try:
-            run = StreamingExecution(
-                self,
-                plan,
-                base_env=base_env,
-                timeout=timeout,
-                on_finish=on_finish,
-                materialise=materialise,
-            )
-        except BaseException:
-            on_finish()
-            raise
+        elif timeout is None:
+            timeout = self.config.timeout
+        run = StreamingExecution(
+            self,
+            plan,
+            base_env=base_env,
+            timeout=timeout,
+            on_finish=self._run_finished,
+            materialise=materialise,
+        )
         with self._active:
             self._active_streams.add(run)
         return run
+
+    def _run_finished(self) -> None:
+        """A run ended: wake a draining :meth:`close`."""
+        with self._active:
+            self._active.notify_all()
 
     # -- name-space translation (the local transformation map) ---------------------------------
     def _meta_for_collection(self, name: str, default: MetaExtent) -> MetaExtent | None:
@@ -1139,8 +1085,8 @@ class Executor:
         """Evaluate a nested (bound) subquery with the enclosing environment.
 
         ``enclosing`` is the run evaluating the outer query (``None`` for a
-        top-level scalar query, which is admitted like any other); see
-        :meth:`_open` for what the subquery inherits from it.
+        top-level scalar query); see :meth:`_open` for what the subquery
+        inherits from it.
         """
         from repro.oql.ast import ExprQuery  # local import to avoid a cycle
 
@@ -1151,7 +1097,7 @@ class Executor:
             raise QueryExecutionError("no subquery planner configured")
         logical = self._subquery_planner(query)
         physical = implement(logical)
-        run = self._open(physical, env, None, 1.0, materialise=True, enclosing=enclosing)
+        run = self._open(physical, env, None, materialise=True, enclosing=enclosing)
         result = run.materialised()
         if result.is_partial:
             raise UnavailableSourceError(

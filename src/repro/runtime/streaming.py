@@ -214,8 +214,8 @@ class StreamingExecution:
         #: run: hand-off, probe failure, grouped output (module docstring).
         self._materialise = materialise
         self._deadline = None if timeout is None else time.monotonic() + timeout
-        #: executor callback run exactly once when the stream ends (releases
-        #: the admission slot, wakes a draining close).
+        #: executor callback run exactly once when the stream ends (wakes a
+        #: draining close).
         self._on_finish = on_finish
         nodes = list(phys.walk(plan))
         #: per-call state in plan order: the dispatched execs, then the probes.
@@ -611,8 +611,8 @@ class StreamingExecution:
         return self._stream_state(state)
 
     def evaluate_subquery(self, query: Any, env: Mapping[str, Any]) -> Any:
-        """A nested subquery is part of this query: it runs under this run's
-        admission slot and what is left of its deadline."""
+        """A nested subquery is part of this query: it runs on what is left
+        of this run's deadline."""
         return self._executor.evaluate_subquery(query, env, enclosing=self)
 
     def _compose(self, plan: phys.PhysicalOp) -> Iterator[Any]:

@@ -36,6 +36,7 @@ or while blocking on a client (the backpressure queue has its own).
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import dataclass
@@ -44,13 +45,16 @@ from typing import Any, Iterator
 from repro.errors import AdmissionError
 from repro.runtime.admission import (
     ADMITTED,
-    CLOSED,
     QUEUE_TIMEOUT,
     REJECTED,
     FairQueue,
     QueueClosed,
 )
 from repro.runtime.backpressure import BoundedRowQueue, StreamClosed
+
+#: the one place a query is turned away logs here (no handler or level is
+#: configured by the library).
+logger = logging.getLogger("repro.serving")
 
 
 @dataclass
@@ -64,15 +68,6 @@ class ServerConfig:
         Bound on the admission queue.  A submission arriving with this many
         already waiting is refused immediately with verdict ``"rejected"``
         (load shedding); ``None`` queues without bound.
-    ``default_timeout``
-        End-to-end deadline, in seconds, for submissions that do not pass
-        their own: queue wait plus execution.  ``None`` defers to the
-        mediator's configured timeout (queue wait then unbounded).
-    ``default_priority``
-        Priority class for submissions that do not pass their own.  Under
-        contention a class of priority 3 is scheduled three times as often
-        as a class of priority 1 (stride scheduling); within a class,
-        submissions run FIFO.
     ``stream_buffer_rows``
         Capacity of the per-submission row queue used by streamed
         submissions: how many rows a serving worker may run ahead of a slow
@@ -81,8 +76,6 @@ class ServerConfig:
 
     workers: int = 4
     max_queue_depth: int | None = 64
-    default_timeout: float | None = None
-    default_priority: float = 1.0
     stream_buffer_rows: int = 256
 
 
@@ -243,18 +236,23 @@ class MediatorServer:
         self,
         text: str,
         timeout: float | None = None,
-        priority: float | None = None,
+        priority: float = 1.0,
         stream: bool = False,
     ) -> ServerFuture:
         """Queue one query; returns immediately with its future.
+
+        ``timeout`` is the end-to-end deadline in seconds, queue wait plus
+        execution; ``None`` defers to the mediator's configured timeout
+        (queue wait then unbounded).  Under contention a class of
+        ``priority`` 3 is scheduled three times as often as a class of
+        priority 1 (stride scheduling); within a class, submissions run
+        FIFO.
 
         Raises :class:`~repro.errors.AdmissionError` with verdict
         ``"rejected"`` when the admission queue is full and ``"closed"``
         after :meth:`close` -- refusals are synchronous, so a caller that
         got a future knows the query is queued.
         """
-        timeout = self.config.default_timeout if timeout is None else timeout
-        priority = self.config.default_priority if priority is None else priority
         now = time.monotonic()
         submission = _Submission(
             text=text,
@@ -265,16 +263,17 @@ class MediatorServer:
             stream=stream,
             future=ServerFuture(text),
         )
-        with self._state:
-            if self._closed:
-                raise QueueClosed("server closed")
-            self._submitted += 1
         try:
+            with self._state:
+                if self._closed:
+                    raise QueueClosed("server closed")
+                self._submitted += 1
             self._queue.push(submission, priority)
         except AdmissionError as exc:
-            with self._state:
-                if exc.verdict == REJECTED:
+            if exc.verdict == REJECTED:
+                with self._state:
                     self._rejected += 1
+            self._refuse(submission, exc)
             raise
         return submission.future
 
@@ -325,7 +324,7 @@ class MediatorServer:
                 )
         # Refuse whatever is still queued (nothing, after a complete drain).
         for submission in self._queue.close():
-            self._refuse(submission, QueueClosed("server closed"), CLOSED)
+            self._refuse(submission, QueueClosed("server closed"))
         for worker in self._workers:
             remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
             worker.join(remaining)
@@ -352,13 +351,20 @@ class MediatorServer:
                     self._inflight -= 1
                     self._state.notify_all()
 
-    def _refuse(self, submission: _Submission, error: AdmissionError, verdict: str) -> None:
+    def _refuse(self, submission: _Submission, error: AdmissionError) -> None:
         report = ServerReport(
             query=submission.text,
-            verdict=verdict,
+            verdict=error.verdict,
             priority=submission.priority,
             queue_wait=time.monotonic() - submission.submitted_at,
             error=str(error),
+        )
+        logger.warning(
+            "refused (%s): priority %g, %.4gs queued: %s",
+            report.verdict,
+            report.priority,
+            report.queue_wait,
+            report.query,
         )
         submission.future._settle(None, error, report)
 
@@ -377,7 +383,6 @@ class MediatorServer:
                     f"deadline expired after {queue_wait:.4g}s in the serving queue",
                     verdict=QUEUE_TIMEOUT,
                 ),
-                QUEUE_TIMEOUT,
             )
             return
         # Deadline propagation: what is left after the queue wait is the

@@ -1,4 +1,4 @@
-"""Concurrency safety of the mediator core, plus admission and backpressure.
+"""Concurrency safety of the mediator core, plus the fair queue and backpressure.
 
 The serving-layer contract (ISSUE 6): one mediator shared by many threads
 must produce, per query, exactly the answer a single-threaded run produces --
@@ -6,7 +6,8 @@ no cross-query row leakage, no corrupted plan cache, no history races -- and
 close() must never leak pool threads or raise into an unrelated query.
 
 The stress tests run real thread fleets; the unit tests pin the fairness
-(stride scheduling), admission-verdict and bounded-queue semantics directly.
+(stride scheduling) and bounded-queue semantics directly; the admission
+verdicts are the serving layer's (``tests/test_serving.py``).
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ import pytest
 
 from repro import Mediator, RelationalWrapper
 from repro.errors import AdmissionError
-from repro.runtime.admission import (
-    CLOSED,
-    QUEUE_TIMEOUT,
-    REJECTED,
-    AdmissionController,
-    FairQueue,
-    QueueClosed,
-)
+from repro.runtime.admission import REJECTED, FairQueue, QueueClosed
 from repro.runtime.backpressure import BoundedRowQueue, StreamClosed
 from repro.sources import RelationalEngine, SimulatedServer
 
@@ -294,22 +288,7 @@ def build_nested_mediator(**mediator_kwargs):
 
 
 class TestNestedSubqueries:
-    """A correlated subquery is part of the enclosing query: its slot, its clock."""
-
-    def test_subquery_runs_under_the_enclosing_admission_slot(self):
-        unlimited, _ = build_nested_mediator()
-        expected = Counter(map(repr, unlimited.query(NESTED).rows()))
-        unlimited.close()
-        assert sum(expected.values()) == 14
-        # One slot: before the fix the subquery queued behind its own query
-        # until the deadline and raised AdmissionError.
-        mediator, _ = build_nested_mediator(max_concurrent_queries=1, timeout=3.0)
-        result = mediator.query(NESTED)
-        assert not result.is_partial
-        assert Counter(map(repr, result.rows())) == expected
-        stats = mediator.statistics()["admission"]
-        assert stats["admitted"] == 1 and stats["inflight"] == 0
-        mediator.close()
+    """A correlated subquery is part of the enclosing query: it runs on its clock."""
 
     def test_subquery_runs_on_the_enclosing_remaining_deadline(self):
         from repro.errors import UnavailableSourceError
@@ -324,107 +303,6 @@ class TestNestedSubqueries:
         with pytest.raises(UnavailableSourceError):
             mediator.query(NESTED, timeout=0.3)
         assert time.monotonic() - started < 1.5
-        mediator.close()
-
-
-class TestAdmissionController:
-    def test_inflight_budget_is_enforced(self):
-        mediator, _ = build_mediator(max_concurrent_queries=2)
-        peak = []
-
-        def worker(index: int) -> None:
-            for _ in range(5):
-                result = mediator.query("select x.name from x in person0")
-                assert not result.is_partial
-
-        run_fleet(worker, 6)
-        stats = mediator.statistics()["admission"]
-        assert stats["max_inflight_seen"] <= 2
-        assert stats["admitted"] == 6 * 5
-        assert stats["inflight"] == 0 and stats["queued"] == 0
-        mediator.close()
-
-    def test_full_queue_rejects_with_verdict(self):
-        controller = AdmissionController(max_inflight=1, max_queue_depth=0)
-        controller.acquire()
-        with pytest.raises(AdmissionError) as excinfo:
-            controller.acquire(deadline=time.monotonic() + 5)
-        assert excinfo.value.verdict == REJECTED
-        controller.release()
-        controller.close()
-
-    def test_expired_deadline_times_out_in_queue(self):
-        controller = AdmissionController(max_inflight=1)
-        controller.acquire()
-        started = time.monotonic()
-        with pytest.raises(AdmissionError) as excinfo:
-            controller.acquire(deadline=time.monotonic() + 0.05)
-        assert excinfo.value.verdict == QUEUE_TIMEOUT
-        assert time.monotonic() - started < 5.0
-        assert controller.stats.timed_out == 1
-        controller.release()
-        assert controller.inflight == 0
-        controller.close()
-
-    def test_close_wakes_queued_waiters(self):
-        controller = AdmissionController(max_inflight=1)
-        controller.acquire()
-        verdicts: list[str] = []
-
-        def waiter() -> None:
-            try:
-                controller.acquire()
-            except AdmissionError as exc:
-                verdicts.append(exc.verdict)
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.05)
-        controller.close()
-        thread.join(5)
-        assert not thread.is_alive()
-        assert verdicts == [CLOSED]
-
-    def test_queue_wait_is_deducted_from_the_execution_timeout(self):
-        # A query admitted after waiting w seconds executes with timeout-w:
-        # hold the only slot long enough that the remaining budget cannot
-        # cover the source latency, and the queued query must come back
-        # partial (its deadline was end-to-end, not execution-only).
-        from repro.sources import NetworkProfile
-
-        engine = RelationalEngine(name="db0")
-        engine.create_table("person0", rows=[dict(row) for row in ROWS])
-        server = SimulatedServer(
-            name="h0", store=engine, network=NetworkProfile(base_latency=0.3), real_sleep=True
-        )
-        mediator = Mediator(name="deadline", max_concurrent_queries=1, timeout=1.0)
-        mediator.register_wrapper("w0", RelationalWrapper("w0", server))
-        mediator.create_repository("r0")
-        mediator.define_interface(
-            "Person",
-            [("id", "Long"), ("name", "String"), ("salary", "Short")],
-            extent_name="person",
-        )
-        mediator.add_extent("person0", "Person", "w0", "r0")
-        outcomes: dict[str, object] = {}
-
-        def first() -> None:
-            outcomes["first"] = mediator.query("select x.name from x in person0", timeout=5.0)
-
-        def second() -> None:
-            outcomes["second"] = mediator.query("select x.name from x in person0", timeout=0.4)
-
-        first_thread = threading.Thread(target=first)
-        first_thread.start()
-        time.sleep(0.05)  # first holds the slot, in its 0.3s latency
-        second_thread = threading.Thread(target=second)
-        second_thread.start()
-        first_thread.join(10)
-        second_thread.join(10)
-        assert not outcomes["first"].is_partial
-        # second waited ~0.25s of its 0.4s budget in the queue; the ~0.15s
-        # left cannot cover the 0.3s source latency.
-        assert outcomes["second"].is_partial
         mediator.close()
 
 

@@ -174,10 +174,10 @@ class TestConjunctions:
         assert Arithmetic("/", Const(a), Const(b)).evaluate({}) == a / b
 
 
-#: every value a delivered row can hold that OQL has a literal for (non-finite
-#: floats have none).
+#: every value a delivered row can hold that OQL has a literal for (``nan``
+#: has none; an infinity is written as an overflowing exponent).
 LITERAL_VALUES = st.one_of(
-    st.text(), st.integers(), st.floats(allow_nan=False, allow_infinity=False)
+    st.text(), st.integers(), st.floats(allow_nan=False, allow_infinity=True)
 )
 
 

@@ -88,13 +88,16 @@ class TestSection13PartialEvaluation:
 
     def test_partial_answer_text_survives_every_literal_a_row_can_hold(self):
         """Delivered rows are written as OQL literals; the reader must accept
-        what the writer wrote -- negative numbers, exponents, quotes and
-        backslashes included -- or the partial answer is not a query."""
+        what the writer wrote -- negative numbers, exponents, infinities,
+        quotes and backslashes included -- or the partial answer is not a
+        query."""
         rows = [
             {"id": 1, "name": "Mary", "salary": -200},
             {"id": 2, "name": 'say "hi"', "salary": 1.5e20},
             {"id": 3, "name": "C:\\new", "salary": 1e-07},
             {"id": 4, "name": "trailing\\", "salary": 0},
+            {"id": 6, "name": "unbounded", "salary": float("inf")},
+            {"id": 7, "name": "bottomless", "salary": float("-inf")},
         ]
         engine0 = RelationalEngine(name="persondb0")
         engine0.create_table(
@@ -117,7 +120,7 @@ class TestSection13PartialEvaluation:
             mediator.add_extent("person1", "Person", "w1", "r1")
             query = "select struct(n: x.name, s: x.salary) from x in person"
             full = mediator.query(query).data
-            assert len(full) == 5
+            assert len(full) == 7
             server1.take_down()
             partial = mediator.query(query)
             assert partial.is_partial

@@ -9,15 +9,17 @@ latency involved.  Reading the blocker's rows releases the worker.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro import Mediator, MediatorServer, RelationalWrapper, ServerConfig
 from repro.errors import AdmissionError, ParseError
 from repro.runtime.admission import ADMITTED, CLOSED, QUEUE_TIMEOUT, REJECTED, QueueClosed
-from repro.sources import RelationalEngine, SimulatedServer
+from repro.sources import NetworkProfile, RelationalEngine, SimulatedServer
 
 ROWS = [{"id": i, "name": f"p{i}", "salary": i * 10} for i in range(40)]
 QUERY = "select x.name from x in person0"
@@ -203,6 +205,115 @@ class TestAdmission:
         beaten = sum(high.report.queue_wait < f.report.queue_wait for f in low)
         assert beaten >= 4
         server.close()
+        mediator.close()
+
+
+    def test_queue_wait_is_deducted_from_the_execution_budget(self):
+        # A submission picked up after waiting w seconds executes with
+        # timeout - w: the first holds the only worker for the source's 0.3 s,
+        # so the second has ~0.15 s of its 0.4 s left -- admitted, but too
+        # little for the source: partial, not refused and not complete.
+        mediator, source = build_mediator()
+        source.network = NetworkProfile(base_latency=0.3)
+        source.real_sleep = True
+        with MediatorServer(mediator, ServerConfig(workers=1)) as server:
+            first = server.submit(QUERY, timeout=5.0)
+            time.sleep(0.05)  # first is in its 0.3 s latency
+            second = server.submit(QUERY, timeout=0.4)
+            assert not first.result(timeout=10).is_partial
+            assert second.result(timeout=10).is_partial
+            assert second.report.verdict == ADMITTED
+            assert 0.1 < second.report.queue_wait < 0.4
+        mediator.close()
+
+    def test_worker_count_is_the_inflight_budget(self):
+        class ProbeWrapper(RelationalWrapper):
+            """Records how many submits are inside the wrapper at once."""
+
+            def __init__(self, name, server):
+                super().__init__(name, server)
+                self.live = self.peak = 0
+                self.lock = threading.Lock()
+
+            def submit(self, expression):
+                with self.lock:
+                    self.live += 1
+                    self.peak = max(self.peak, self.live)
+                try:
+                    time.sleep(0.002)  # long enough for clients to overlap
+                    return super().submit(expression)
+                finally:
+                    with self.lock:
+                        self.live -= 1
+
+        mediator, source = build_mediator()
+        probe = ProbeWrapper("probe", source)
+        mediator.register_wrapper("probe", probe)
+        mediator.add_extent("probed", "Person", "probe", "r0", source_collection="person0")
+        probed = "select x.name from x in probed"
+        failures: list[BaseException] = []
+        with MediatorServer(mediator, ServerConfig(workers=2)) as server:
+
+            def client() -> None:
+                try:
+                    for _ in range(5):
+                        assert len(server.submit(probed).result(timeout=30).rows()) == 40
+                except BaseException as exc:  # noqa: BLE001 - surfaced below
+                    failures.append(exc)
+
+            clients = [threading.Thread(target=client) for _ in range(6)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in clients)
+            assert not failures
+            assert 1 <= probe.peak <= 2
+            stats = server.stats()
+            assert stats["completed"] == 6 * 5
+            assert stats["inflight"] == 0 and stats["queued"] == 0
+        mediator.close()
+
+    def test_nested_subquery_never_reenters_the_queue(self):
+        # One worker: a subquery that had to be admitted again would wait
+        # behind the very submission it belongs to.
+        nested = (
+            "select struct(name: x.name, total: sum(select z.salary from z in person0 "
+            "where z.name = x.name)) from x in person0 where x.salary > 250"
+        )
+        mediator, _ = build_mediator(timeout=3.0)
+        expected = Counter(map(repr, mediator.query(nested).rows()))
+        assert sum(expected.values()) == 14
+        with MediatorServer(mediator, ServerConfig(workers=1)) as server:
+            result = server.submit(nested).result(timeout=10)
+            assert not result.is_partial
+            assert Counter(map(repr, result.rows())) == expected
+        mediator.close()
+
+    def test_every_refusal_is_logged_once_and_admissions_never(self, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.serving")
+        mediator, _ = build_mediator()
+        server = MediatorServer(
+            mediator, ServerConfig(workers=1, max_queue_depth=1, stream_buffer_rows=4)
+        )
+        server.submit(QUERY).result(timeout=10)
+        blocker = park_worker(server, 4)
+        doomed = server.submit(QUERY, timeout=0.05)  # fills the queue
+        assert not caplog.records  # three admissions so far, no line
+        with pytest.raises(AdmissionError):
+            server.submit(QUERY, priority=3.0)
+        time.sleep(0.15)  # doomed's deadline lapses while queued
+        list(blocker.rows())
+        with pytest.raises(AdmissionError):
+            doomed.result(timeout=10)
+        server.close()
+        with pytest.raises(QueueClosed):
+            server.submit(QUERY)
+        records = [r for r in caplog.records if r.name == "repro.serving"]
+        assert [r.levelno for r in records] == [logging.WARNING] * 3
+        assert [r.args[0] for r in records] == [REJECTED, QUEUE_TIMEOUT, CLOSED]
+        assert "priority 3" in records[0].getMessage()
+        assert all(QUERY in r.getMessage() for r in records)
         mediator.close()
 
 

@@ -1,13 +1,18 @@
 """The repo itself passes `python -m repro.analysis`, and the suite catches
 a synthetic operator that skips the dispatch ladders it must extend."""
 
+import ast
 import dataclasses
+import inspect
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro import Mediator
 from repro.analysis import (
     load_modules,
     render_lock_table,
@@ -17,6 +22,7 @@ from repro.analysis.baseline import Baseline
 from repro.analysis.dispatch import check_dispatch
 from repro.analysis.drift import extract_lock_block
 from repro.analysis.spec import repo_spec
+from repro.runtime.executor import ExecutorConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,6 +97,41 @@ def test_runtime_does_not_borrow_the_source_side_evaluator():
         for path in sorted((REPO_ROOT / "src" / "repro" / "runtime").rglob("*.py"))
         if "AlgebraEvaluator" in path.read_text(encoding="utf-8")
     ]
+    assert offenders == []
+
+
+def test_mediator_does_not_mirror_the_executor_knobs():
+    """`ExecutorConfig` is the one knob list: the constructor forwards to it
+    instead of naming its fields, so a knob is settable at construction the
+    day it exists and a deleted one is refused by the dataclass."""
+    assert list(inspect.signature(Mediator.__init__).parameters) == [
+        "self",
+        "name",
+        "answer_cache",
+        "config",
+    ]
+    mediator = Mediator(retry_backoff=0.001)
+    assert mediator.executor.config == ExecutorConfig(retry_backoff=0.001)
+    for gone in ("max_concurrent_queries", "no_such_knob"):
+        with pytest.raises(TypeError):
+            Mediator(**{gone: 1})
+
+
+def test_priority_is_a_parameter_of_the_serving_door_only():
+    """Admission is the serving layer's: nothing below it takes a scheduling
+    class to thread down to a second gate."""
+    src = REPO_ROOT / "src" / "repro"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        relative = path.relative_to(src).as_posix()
+        if relative.startswith("serving/") or relative == "runtime/admission.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "priority" in names:
+                    offenders.append(f"{relative}:{node.lineno}")
     assert offenders == []
 
 

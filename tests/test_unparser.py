@@ -221,6 +221,15 @@ def _containers(children):
 
 VALUES = st.recursive(SCALARS, _containers, max_leaves=12)
 
+#: the one value the writer spells differently from the one it replaced: an
+#: infinity is the overflowing exponent the number scanner reads back, not the
+#: name ``inf`` (``nan`` has no literal form and stays out).
+READABLE_VALUES = st.recursive(
+    st.one_of(SCALARS, st.floats(allow_nan=False, allow_infinity=True)),
+    _containers,
+    max_leaves=12,
+)
+
 
 def shape(value):
     """``value`` with every collection and scalar tagged by kind: ``1``, ``1.0``
@@ -254,7 +263,7 @@ class TestLiteralWriter:
         assert literal_to_oql(value) == reference_render_value(value)
 
     @settings(derandomize=True, max_examples=300)
-    @given(VALUES)
+    @given(READABLE_VALUES)
     def test_text_parses_back_to_the_same_value(self, value):
         parsed = parse_query(f"struct(v: {literal_to_oql(value)})").expression
         ((_name, expression),) = parsed.fields
@@ -266,6 +275,12 @@ class TestLiteralWriter:
         text = logical_to_oql(BagLiteral(tuple(rows)))
         assert text == "Bag(" + ", ".join(reference_render_value(row) for row in rows) + ")"
         assert [Const(row).to_oql() for row in rows] == [literal_to_oql(row) for row in rows]
+
+    def test_infinities_are_written_as_numbers_not_as_a_name(self):
+        assert literal_to_oql(float("inf")) == "1e999"
+        assert literal_to_oql(Struct({"lo": float("-inf")})) == "struct(lo: -1e999)"
+        text = "select x from x in bag(1e999, -1e999)"
+        assert parse_query(text).to_oql() == text
 
     def test_bool_is_written_as_a_keyword_not_as_a_number(self):
         assert literal_to_oql(True) == "true"
