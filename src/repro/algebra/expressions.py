@@ -443,10 +443,6 @@ class StructExpr(Expr):
         inner = ", ".join(f"{name}: {expr.to_oql()}" for name, expr in self.fields)
         return f"struct({inner})"
 
-    def field_names(self) -> list[str]:
-        """Names of the struct fields in declaration order."""
-        return [name for name, _ in self.fields]
-
 
 @dataclass(frozen=True, eq=False)
 class BagExpr(Expr):

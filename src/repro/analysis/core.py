@@ -148,30 +148,6 @@ def self_attr(node: ast.expr) -> str | None:
     return None
 
 
-def self_attr_root(node: ast.expr) -> str | None:
-    """The first attribute of any ``self.a.b.c...`` chain (-> ``a``)."""
-    while isinstance(node, ast.Attribute):
-        if isinstance(node.value, ast.Name) and node.value.id == "self":
-            return node.attr
-        node = node.value
-    return None
-
-
-@dataclass
-class ScopedNode:
-    """An AST statement/expression with its enclosing context attached."""
-
-    node: ast.AST
-    cls: str | None  #: enclosing class name (innermost)
-    func: str | None  #: enclosing function qualname within the class/module
-
-    @property
-    def qualname(self) -> str:
-        if self.cls and self.func:
-            return f"{self.cls}.{self.func}"
-        return self.func or self.cls or "<module>"
-
-
 def iter_functions(
     tree: ast.Module,
 ) -> Iterator[tuple[str | None, str, ast.FunctionDef | ast.AsyncFunctionDef]]:

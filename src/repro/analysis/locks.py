@@ -342,15 +342,6 @@ class _FunctionChecker(ast.NodeVisitor):
             self._blocking(node, f".{method}(timeout=...)", f".{method}")
 
 
-def _component_for(spec: Spec, path: str, cls: str | None) -> LockComponent | None:
-    if cls is None:
-        return None
-    for comp in spec.lock_components:
-        if comp.module == path and comp.cls == cls:
-            return comp
-    return None
-
-
 def _iter_class_functions(
     cls: ast.ClassDef,
 ) -> Iterable[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:

@@ -80,8 +80,3 @@ def render_lock_table(components: tuple[LockComponent, ...]) -> str:
         notes = " ".join(p for p in notes_parts if p)
         lines.append(f"| `{module}` `{comp.cls}` | {locks} | {guards} | {notes} |")
     return "\n".join(lines)
-
-
-def render_lock_block(components: tuple[LockComponent, ...]) -> str:
-    """The full marker-delimited block embedded in docs/ARCHITECTURE.md."""
-    return "\n".join([LOCK_TABLE_BEGIN, render_lock_table(components), LOCK_TABLE_END])

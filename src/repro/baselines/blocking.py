@@ -7,7 +7,7 @@ the system declines as the number of databases rises."
 
 This baseline wraps a DISCO mediator but discards partial answers: a query is
 either complete or it fails.  It also provides the analytical model
-``p ** n`` used by experiment E2 to show the decline the paper describes.
+``p ** n`` of the decline that Section 1 describes.
 """
 
 from __future__ import annotations

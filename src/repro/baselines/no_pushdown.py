@@ -3,8 +3,8 @@
 Wrapping every wrapper in :class:`GetOnlyWrapper` makes its capability
 grammar advertise only ``get``, so the optimizer cannot push selections,
 projections or joins: every row travels to the mediator and all work happens
-there.  Experiment E4 uses this to quantify the benefit of DISCO's
-capability-aware push-down.
+there.  It is the zero point against which the benefit of DISCO's
+capability-aware push-down (paper Section 3.2) is counted in rows shipped.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The paper's related-work section: "Scalability was not explicitly addressed,
 and will pose problems, since the unified schema must be substantially
 modified as new sources are integrated."  This module models that process so
-experiment E3 can compare DBA effort: every new source must be reconciled
+the DBA's effort can be compared: every new source must be reconciled
 against every virtual class already in the global schema, and the global
 population queries (which union all sources of a class) must be rewritten.
 

@@ -207,9 +207,9 @@ class Schema:
     def statement_count(self) -> int:
         """Number of DBA-level definitions currently in the schema.
 
-        Used by the integration-effort experiment (E3) to compare how many
-        definitions a DBA touches when adding a data source in DISCO versus a
-        unified-schema system.
+        The unit of the integration-effort comparison (paper Sections 1.2, 2):
+        how many definitions a DBA touches when adding a data source in DISCO
+        versus a unified-schema system.
         """
         return (
             len(self.types.names())

@@ -88,23 +88,3 @@ class Optimizer:
             logical_alternatives=len(logical_alternatives),
             physical_alternatives=physical_count,
         )
-
-    def optimize_greedy(self, logical: LogicalOp) -> OptimizedPlan:
-        """Skip the search: maximal push-down, default implementations.
-
-        This is the plan shape the paper's 0/1 default cost model converges to;
-        it is also what the no-cost-information baseline of experiment E5 uses.
-        """
-        rewritten = self.rewriter.rewrite_greedy(logical)
-        candidates = implementation_alternatives(rewritten)
-        if not candidates:
-            raise OptimizationError("the optimizer produced no physical plan")
-        costed = [(self.cost_model.estimate(plan), plan) for plan in candidates]
-        cost, physical = min(costed, key=lambda pair: pair[0].total())
-        return OptimizedPlan(
-            logical=rewritten,
-            physical=physical,
-            cost=cost,
-            logical_alternatives=1,
-            physical_alternatives=len(candidates),
-        )

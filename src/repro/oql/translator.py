@@ -387,8 +387,3 @@ def _check_grouped_item(item: Expr, variable: str, outputs: set[str]) -> None:
         children = item.items if isinstance(item, BagExpr) else item.args
         for child in children:
             _check_grouped_item(child, variable, outputs)
-
-
-def submit_for(meta) -> Submit:
-    """Convenience used in tests: the canonical submit plan for one extent."""
-    return Submit(meta.repository.name, Get(meta.name), extent_name=meta.name)

@@ -315,7 +315,7 @@ class ExecutorConfig:
         to the right-hand source as *one* set-valued submit --
         ``select(v: key in (k1, ..., kn), expr)`` -- instead of one call per
         binding.  ``1`` degenerates to per-binding probing (the pre-batching
-        behaviour, and the baseline the E14 benchmark measures against).
+        behaviour, which ``tests/test_bind_batching.py`` counts calls against).
     ``replan_blowup_factor``
         Mid-query re-planning trigger for probe joins.  The optimizer picked
         the probe join because the cost model estimated the probed

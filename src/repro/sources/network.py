@@ -162,7 +162,3 @@ class AvailabilityModel:
                 raise UnavailableSourceError(
                     source_name, f"{source_name!r}: transient network failure"
                 )
-
-    def would_fail(self) -> bool:
-        """Non-destructive peek used by analytical availability models."""
-        return not self.available

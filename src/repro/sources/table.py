@@ -54,10 +54,6 @@ class TableSchema:
         """Return column names in order."""
         return [column.name for column in self.columns]
 
-    def has_column(self, name: str) -> bool:
-        """Return True when the schema declares ``name``."""
-        return any(column.name == name for column in self.columns)
-
     def validate_row(self, row: Mapping[str, Any]) -> None:
         """Raise when ``row`` is missing a column or has a badly typed value."""
         for column in self.columns:

@@ -5,7 +5,7 @@ architecture permits DBAs to develop mediators independently and permits
 mediators to be combined".  A mediator exposed through this wrapper looks to
 its parent exactly like any other data source: the pushed logical expression
 is turned back into OQL text (the child mediator's query language) and run
-there; its (possibly partial) answer comes back as rows.
+there; a complete answer comes back as rows, a partial one as unavailability.
 """
 
 from __future__ import annotations
@@ -41,6 +41,16 @@ class MediatorWrapper(Wrapper):
             raise UnavailableSourceError(self.name)
         oql = logical_to_oql(expression)
         result = self.mediator.query(oql)
+        if getattr(result, "is_partial", False):
+            # A partial answer's bag is empty, not the child's answer: to the
+            # parent the child did not answer, and the parent degrades into
+            # its own resubmittable partial answer.
+            missing = ", ".join(result.unavailable_sources)
+            raise UnavailableSourceError(
+                self.name,
+                f"child mediator {self.name!r} answered only partially: "
+                f"unavailable in the child: {missing}",
+            )
         answer = getattr(result, "data", result)
         if isinstance(answer, Bag):
             rows: list[Row] = []

@@ -6,6 +6,10 @@ import pytest
 
 from repro import Mediator, RelationalWrapper
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
+from repro.sources.workload import WorkloadConfig, build_person_sources
+
+
+PERSON_ATTRIBUTES = [("id", "Long"), ("name", "String"), ("salary", "Short")]
 
 
 def build_person_engine(index: int, rows: list[dict]) -> tuple[RelationalEngine, SimulatedServer]:
@@ -38,12 +42,42 @@ def build_paper_mediator(**mediator_kwargs):
     mediator.create_repository("r1", host="umiacs")
     mediator.define_interface(
         "Person",
-        [("id", "Long"), ("name", "String"), ("salary", "Short")],
+        PERSON_ATTRIBUTES,
         extent_name="person",
     )
     mediator.add_extent("person0", "Person", "w0", "r0")
     mediator.add_extent("person1", "Person", "w1", "r1")
     return mediator, [server0, server1]
+
+
+def build_person_federation(
+    sources, rows_per_source=50, failure_probability=0.0, capabilities=None, **mediator_kwargs
+):
+    """``sources`` seeded Person databases of ``repro.sources.workload`` under one mediator.
+
+    Member extents ``person0`` .. ``person<sources-1>`` of the implicit extent
+    ``person``, one relational wrapper ``w<i>`` (declaring ``capabilities``)
+    and one repository ``r<i>`` each.  Returns (mediator, servers).
+    """
+    servers = build_person_sources(
+        WorkloadConfig(
+            sources=sources,
+            rows_per_source=rows_per_source,
+            failure_probability=failure_probability,
+        )
+    )
+    mediator = Mediator(name=f"fed{sources}", **mediator_kwargs)
+    mediator.define_interface(
+        "Person",
+        PERSON_ATTRIBUTES,
+        extent_name="person",
+    )
+    for index, server in enumerate(servers):
+        wrapper = RelationalWrapper(f"w{index}", server, capabilities=capabilities)
+        mediator.register_wrapper(f"w{index}", wrapper)
+        mediator.create_repository(f"r{index}", host=server.name)
+        mediator.add_extent(f"person{index}", "Person", f"w{index}", f"r{index}")
+    return mediator, servers
 
 
 class CountedKey:

@@ -14,6 +14,7 @@ differential harness (``tests/test_engine_equivalence.py``).
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -23,7 +24,8 @@ from repro.algebra import logical as log
 from repro.algebra.expressions import Comparison, Const, FunctionCall, Path, Var
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
 
-from tests.conftest import CountedKey
+from benchmarks.spine.workloads import templates, zipfian_ops
+from tests.conftest import CountedKey, build_person_federation
 from tests.test_engine_equivalence import build_mediator, multiset
 
 
@@ -342,6 +344,31 @@ def test_partial_patch_is_pinned_to_the_entry_schema_version():
         assert servers[0].statistics.requests > healthy_calls
         assert mediator.statistics()["answer_cache_patches"] == 0
         assert mediator.statistics()["answer_cache_invalidations"] >= 1
+    finally:
+        mediator.close()
+
+
+# -- a skewed session -------------------------------------------------------------------
+def test_zipfian_session_is_mostly_served_without_a_source_call():
+    """400 draws at Zipfian(1.1) frequencies over the spine's 64 templates (a
+    dashboard: a few queries dominate): four answers in five come from the
+    cache, exactly or by subsumption, and none of those moves a source's
+    request counter."""
+    sequence = [op.text for op in zipfian_ops(templates(), 400, random.Random(1996))]
+    mediator, servers = build_person_federation(
+        4, rows_per_source=60, answer_cache=AnswerCache(max_entries=256)
+    )
+    try:
+        served = 0
+        for text in sequence:
+            before = sum(server.statistics.requests for server in servers)
+            if mediator.query(text).from_answer_cache:
+                served += 1
+                assert sum(server.statistics.requests for server in servers) == before
+        stats = mediator.statistics()
+        assert served == stats["answer_cache_hits"] + stats["answer_cache_subsumption_hits"]
+        assert stats["answer_cache_subsumption_hits"] > 0
+        assert served >= 0.80 * len(sequence)
     finally:
         mediator.close()
 

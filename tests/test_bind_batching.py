@@ -9,6 +9,8 @@ telemetry surfaced through ``ExecReport`` and ``Mediator.statistics()``.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import Mediator, RelationalWrapper
@@ -20,6 +22,9 @@ QUERY = (
     "select struct(name: x.name, value: y.value) "
     "from x in left0, y in right0 where x.id = y.id"
 )
+
+#: outer rows of the headline probe join; the nightly CI job sets 100000.
+FANOUT = int(os.environ.get("DISCO_E14_FANOUT", "10000"))
 
 #: everything except the set-membership terminal: probes degrade to per-key.
 NO_IN_CAPS = CapabilitySet.of(
@@ -107,6 +112,31 @@ def test_probe_calls_flush_at_batch_boundaries(run):
         assert report.degraded_to is None
     finally:
         mediator.close()
+
+
+@pytest.mark.parametrize("run", ENGINES)
+def test_probe_calls_track_batches_not_bindings(run):
+    """The communication claim as call counts: one round trip per binding
+    without batching, ceil(fanout / 256) with the default batch -- 50x fewer
+    at the headline fanout."""
+
+    def probe_calls(fanout, batch_size):
+        mediator, _left, right = build_probe_mediator(
+            range(fanout), right_rows=1_000, batch_size=batch_size
+        )
+        try:
+            rows, _result = run(mediator)
+            assert len(rows) == min(fanout, 1_000)
+            return right.statistics.requests
+        finally:
+            mediator.close()
+
+    assert probe_calls(1_000, batch_size=1) == 1_000
+    assert probe_calls(1_000, batch_size=256) == 4
+    batched = probe_calls(FANOUT, batch_size=256)
+    assert batched == -(-FANOUT // 256)
+    # Per binding the count is the fanout itself (first line), so:
+    assert batched * 50 <= FANOUT
 
 
 @pytest.mark.parametrize("run", ENGINES)

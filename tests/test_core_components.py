@@ -10,7 +10,8 @@ from repro.baselines import (
     complete_answer_probability,
 )
 from repro.errors import NameResolutionError, SchemaError, UnavailableSourceError
-from tests.conftest import build_paper_mediator, build_person_engine
+from repro.sources.workload import WorkloadConfig, build_person_sources
+from tests.conftest import build_paper_mediator, build_person_engine, build_person_federation
 
 
 class TestRegistry:
@@ -44,8 +45,8 @@ class TestRegistry:
 
     def test_plan_cache_is_invalidated_by_schema_change(self, paper_mediator):
         query = "select x.name from x in person"
-        paper_mediator.query(query)
-        paper_mediator.query(query)
+        assert not paper_mediator.query(query).from_plan_cache
+        assert paper_mediator.query(query).from_plan_cache
         stats = paper_mediator.statistics()
         assert stats["plan_cache_hits"] >= 1
         _, server = build_person_engine(2, [{"id": 5, "name": "Olga", "salary": 20}])
@@ -53,6 +54,7 @@ class TestRegistry:
         paper_mediator.create_repository("r2")
         paper_mediator.add_extent("person2", "Person", "w2", "r2")
         result = paper_mediator.query(query)
+        assert not result.from_plan_cache
         assert result.data == Bag(["Mary", "Sam", "Olga"])
 
     def test_duplicate_definitions_are_rejected(self, paper_mediator):
@@ -138,6 +140,50 @@ class TestBaselines:
         assert len(integrator.cumulative_statements()) == 10
         assert integrator.classes()[0].member_sources == [f"s{i}" for i in range(10)]
 
+    def test_the_kth_source_costs_disco_a_constant_and_a_unified_schema_more(self):
+        """Sections 1.2 and 2: one more source of a known type is one wrapper,
+        one repository and one extent, whatever is already integrated, and the
+        query that was running keeps answering -- now with the new rows too."""
+        mediator, _ = build_person_federation(1, rows_per_source=5)
+        unified = UnifiedSchemaIntegrator()
+        disco_costs, unified_costs = [], []
+        servers = build_person_sources(WorkloadConfig(sources=12, rows_per_source=5))
+        for index, server in enumerate(servers[1:], start=1):
+            before = mediator.registry.statement_count()
+            mediator.register_wrapper(f"w{index}", RelationalWrapper(f"w{index}", server))
+            mediator.create_repository(f"r{index}", host=server.name)
+            mediator.add_extent(f"person{index}", "Person", f"w{index}", f"r{index}")
+            disco_costs.append(mediator.registry.statement_count() - before)
+            report = unified.integrate_source(f"s{index}", "Person", ("id", "name", "salary"))
+            unified_costs.append(report.statements_touched)
+            result = mediator.query("select x.name from x in person")
+            assert len(result.rows()) == 5 * (index + 1)
+            assert result.sources_contacted() == index + 1
+        assert len(set(disco_costs)) == 1
+        # The first source founds the global class; every later one costs more
+        # than the one before it.
+        assert all(a < b for a, b in zip(unified_costs[1:], unified_costs[2:]))
+        assert unified_costs[-1] > unified_costs[0] and unified_costs[-1] > disco_costs[-1]
+        mediator.close()
+
+    def test_every_attempt_is_answered_when_calls_fail_one_time_in_ten(self):
+        """Section 1: with many sources some are always missing; DISCO still
+        returns an answer every time, the complete one or a partial one."""
+        healthy, _ = build_person_federation(8, rows_per_source=20)
+        flaky, _ = build_person_federation(8, rows_per_source=20, failure_probability=0.1)
+        query = "select x.name from x in person where x.salary > 250"
+        complete = healthy.query(query).data
+        results = [flaky.query(query) for _ in range(20)]
+        for result in results:
+            if result.is_partial:
+                assert result.unavailable_sources and result.partial_query
+            else:
+                assert result.data == complete
+        # The per-source failure draws are seeded: both outcomes occur.
+        assert 0 < sum(result.is_partial for result in results) < 20
+        healthy.close()
+        flaky.close()
+
     def test_unified_schema_counts_conflicts(self):
         integrator = UnifiedSchemaIntegrator()
         report = integrator.integrate_source(
@@ -147,33 +193,49 @@ class TestBaselines:
 
 
 class TestDistributedMediators:
-    def test_mediator_wrapper_composes_mediators(self, paper_mediator):
-        """Figure 1: a parent mediator federates a child mediator as one source."""
+    @staticmethod
+    def parent_over(child):
+        """A parent whose one extent mirrors the child's *implicit* extent
+        ``person``, which unions the child's own data sources."""
         parent = Mediator(name="parent")
-        parent.register_wrapper("child", MediatorWrapper("child", paper_mediator))
-        parent.create_repository("child_repo", host="child-host")
+        parent.register_wrapper("child", MediatorWrapper("child", child))
+        parent.create_repository("child_repo")
         parent.define_interface(
             "Person", [("id", "Long"), ("name", "String"), ("salary", "Short")],
             extent_name="person",
         )
-        # The parent extent mirrors the child's *implicit* extent "person",
-        # which unions the child's own data sources.
         parent.add_extent("child_people", "Person", "child", "child_repo",
                           source_collection="person")
+        return parent
+
+    def test_mediator_wrapper_composes_mediators(self, paper_mediator):
+        """Figure 1: a parent mediator federates a child mediator as one source."""
+        parent = self.parent_over(paper_mediator)
         result = parent.query("select x.name from x in person where x.salary > 10")
         assert result.data == Bag(["Mary", "Sam"])
 
     def test_child_mediator_unavailability_yields_partial_answer(self, paper_mediator):
-        parent = Mediator(name="parent")
-        wrapper = MediatorWrapper("child", paper_mediator)
-        parent.register_wrapper("child", wrapper)
-        parent.create_repository("child_repo")
-        parent.define_interface("Person", [("name", "String")], extent_name="person")
-        parent.add_extent("child_people", "Person", "child", "child_repo",
-                          source_collection="person")
+        parent = self.parent_over(paper_mediator)
+        wrapper = parent.registry.wrapper_object("child")
         wrapper.set_available(False)
         result = parent.query("select x.name from x in person")
         assert result.is_partial
         wrapper.set_available(True)
         recovered = parent.resubmit(result)
         assert recovered.data == Bag(["Mary", "Sam"])
+
+    @pytest.mark.parametrize("entry", ["query", "query_stream"])
+    def test_partial_child_answer_is_an_unavailable_child_not_an_empty_one(self, entry):
+        """A child with one source down answers partially; the parent must not
+        read that empty bag as the child's complete answer."""
+        child, servers = build_paper_mediator()
+        parent = self.parent_over(child)
+        servers[1].take_down()
+        result = getattr(parent, entry)("select x.name from x in person")
+        assert result.rows() == []  # no rows invented, none half-reported
+        assert result.is_partial
+        assert result.unavailable_sources == ("child_people",)
+        assert "person1" in result.errors()["child_people"]
+        servers[1].bring_up()
+        if entry == "query":  # a stream builds no resubmittable partial query
+            assert parent.resubmit(result).data == Bag(["Mary", "Sam"])

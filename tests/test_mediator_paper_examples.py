@@ -5,7 +5,7 @@ import pytest
 from repro import Bag, LocalTransformationMap, Mediator, RelationalWrapper, Struct
 from repro.errors import NameResolutionError, TypeConflictError
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
-from tests.conftest import build_paper_mediator, build_person_engine
+from tests.conftest import build_paper_mediator, build_person_engine, build_person_federation
 
 
 class TestSection12DataModel:
@@ -135,6 +135,21 @@ class TestSection13PartialEvaluation:
         assert result.is_partial
         assert set(result.unavailable_sources) == {"person0", "person1"}
         assert "person0" in result.partial_query and "person1" in result.partial_query
+
+    @pytest.mark.parametrize("down", [1, 2, 4])
+    def test_some_of_many_sources_down_are_each_named_and_recovered(self, down):
+        mediator, servers = build_person_federation(8, rows_per_source=40)
+        query = "select x.name from x in person where x.salary > 250"
+        complete = mediator.query(query).data
+        for server in servers[:down]:
+            server.take_down()
+        partial = mediator.query(query)
+        assert partial.is_partial and partial.sources_contacted() == 8
+        assert sorted(partial.unavailable_sources) == [f"person{i}" for i in range(down)]
+        for server in servers[:down]:
+            server.bring_up()
+        assert mediator.resubmit(partial).data == complete
+        mediator.close()
 
     def test_resubmitting_a_complete_result_is_a_no_op(self, paper_mediator):
         result = paper_mediator.query("select x.name from x in person")

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro import Bag, LocalTransformationMap, Mediator, RelationalWrapper, Struct
+from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.expressions import Arithmetic, Comparison, Const, Path, StructExpr, Var
 from repro.algebra.logical import (
     Apply,
@@ -54,7 +55,7 @@ from repro.runtime.operators import (
 from repro.runtime.partial_eval import UNAVAILABLE, PartialAnswerBuilder
 from repro.sources import RelationalEngine, SimulatedServer
 from repro.sources.network import NetworkProfile
-from tests.conftest import build_paper_mediator
+from tests.conftest import build_paper_mediator, build_person_federation
 
 
 def salary_filter(var="x", threshold=10):
@@ -381,6 +382,33 @@ class TestExecutor:
         )
         assert result.is_partial
         assert result.unavailable_sources == ("person0",)
+
+    def test_rows_shipped_shrink_as_wrappers_declare_more(self):
+        """Section 3.2: what a wrapper declares decides what crosses it.  One
+        query per fresh mediator: with no recorded call yet the plan is chosen
+        from the default costs, which push all a wrapper accepts."""
+        query = "select x.name from x in person where x.salary > 480"
+        shipped, answer_sizes = {}, set()
+        for label, capabilities in [
+            ("get", CapabilitySet.get_only()),
+            ("project", CapabilitySet.of("get", "project")),
+            ("select", CapabilitySet.of("get", "project", "select")),
+            ("full", CapabilitySet.full()),
+        ]:
+            mediator, servers = build_person_federation(
+                2, rows_per_source=200, capabilities=capabilities
+            )
+            result = mediator.query(query)
+            assert not result.is_partial
+            shipped[label] = sum(server.statistics.rows_returned for server in servers)
+            assert shipped[label] == sum(report.rows for report in result.reports)
+            answer_sizes.add(len(result.rows()))
+            mediator.close()
+        [answer_rows] = answer_sizes  # the same answer whatever the wrappers declare
+        assert shipped["get"] == 2 * 200  # everything crosses, the mediator filters
+        assert shipped["full"] == answer_rows  # only the matching rows cross
+        assert shipped["full"] <= shipped["select"] <= shipped["project"] <= shipped["get"]
+        assert shipped["full"] < shipped["get"]
 
     def test_type_check_runs_once_per_extent(self):
         mediator, servers = build_paper_mediator()

@@ -10,6 +10,7 @@ latency involved.  Reading the blocker's rows releases the worker.
 from __future__ import annotations
 
 import logging
+import os
 import threading
 import time
 from collections import Counter
@@ -20,6 +21,10 @@ from repro import Mediator, MediatorServer, RelationalWrapper, ServerConfig
 from repro.errors import AdmissionError, ParseError
 from repro.runtime.admission import ADMITTED, CLOSED, QUEUE_TIMEOUT, REJECTED, QueueClosed
 from repro.sources import NetworkProfile, RelationalEngine, SimulatedServer
+from tests.conftest import build_person_federation
+
+#: client counts per wave; the nightly CI job raises this to 64,1024.
+WAVE_CLIENTS = [int(c) for c in os.environ.get("DISCO_E13_CLIENTS", "64,256").split(",")]
 
 ROWS = [{"id": i, "name": f"p{i}", "salary": i * 10} for i in range(40)]
 QUERY = "select x.name from x in person0"
@@ -362,6 +367,48 @@ class TestClose:
         ]
         # The mediator itself stays usable after its server closes.
         assert len(mediator.query(QUERY).rows()) == 40
+        mediator.close()
+
+
+class TestWaveUnderFaults:
+    @pytest.mark.parametrize("stream", [False, True], ids=["barrier", "streamed"])
+    @pytest.mark.parametrize("clients", WAVE_CLIENTS)
+    def test_faults_degrade_answers_but_never_cross_them(self, clients, stream):
+        """One wave of clients over four sources whose every call fails one
+        time in twenty (two retries): four distinguishable queries, two
+        priority classes.  A leaked, duplicated or torn row would put an answer
+        outside its own query's fault-free reference."""
+        queries = [
+            f"select x.name from x in person where x.salary > {threshold}"
+            for threshold in (50, 150, 250, 350)
+        ]
+        healthy, _ = build_person_federation(4, rows_per_source=60)
+        references = {query: Counter(healthy.query(query).rows()) for query in queries}
+        healthy.close()
+        mediator, servers = build_person_federation(
+            4, rows_per_source=60, failure_probability=0.05, max_retries=2, retry_backoff=0.0
+        )
+        # Unbounded queue: the wave is the arrival bound; streams settle unread.
+        config = ServerConfig(workers=8, max_queue_depth=None, stream_buffer_rows=4 * 60 + 16)
+        with MediatorServer(mediator, config) as server:
+            futures = [
+                server.submit(
+                    queries[client % 4], stream=stream, priority=3.0 if client % 8 < 2 else 1.0
+                )
+                for client in range(clients)
+            ]
+            incomplete = 0
+            for client, future in enumerate(futures):
+                rows = list(future.rows()) if stream else future.result(timeout=120).rows()
+                future.result(timeout=120)
+                assert future.report.verdict == ADMITTED
+                reference = references[queries[client % 4]]
+                assert not Counter(rows) - reference
+                incomplete += Counter(rows) != reference
+            stats = server.stats()
+            assert stats["submitted"] == stats["completed"] == clients
+            assert incomplete * 4 <= clients  # two retries recover most answers
+        assert all(source.statistics.failures for source in servers)  # the faults did strike
         mediator.close()
 
 

@@ -9,6 +9,7 @@ through ``errors()``.
 """
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -211,6 +212,28 @@ class TestLimitExecution:
         assert report.cancelled and report.available
         assert not result.is_partial and result.errors() == {}
         mediator.close()
+
+    def test_early_termination_allocates_by_the_batch_not_by_the_extent(self):
+        """The same mediator-side limit over 10^5 lazy rows, through both entry
+        points: the materialising run drains the cursor into a list first, the
+        streaming run never holds more than the pipeline's lookahead."""
+        query = "select x.name from x in person where x.salary > 10 limit 10"
+        peak, pulled = {}, {}
+        for entry in ("query_stream", "query"):
+            scan = ScanCounter(100_000)
+            mediator = build_generator_mediator(
+                scan, capabilities=CapabilitySet.of("get", "project", "select")
+            )
+            tracemalloc.start()
+            try:
+                assert len(getattr(mediator, entry)(query).rows()) == 10
+                peak[entry] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                mediator.close()
+            pulled[entry] = scan.yielded
+        assert pulled["query_stream"] < 1_000 and pulled["query"] == 100_000
+        assert peak["query_stream"] * 10 < peak["query"]
 
     def test_pushed_limit_ends_the_scan_without_cancellation(self):
         # With the limit capability the cap crosses the submit boundary: the
