@@ -139,20 +139,62 @@ class Production:
         return f"{self.head} :- {self.operator} OPEN " + " ".join(parts) + " CLOSE"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CapabilityGrammar:
     """A grammar over logical operator trees.
 
     ``accepts(expr)`` decides whether the wrapper can evaluate ``expr`` --
     exactly the legality check the mediator performs before pushing an
-    expression through ``submit``.
+    expression through ``submit``.  A grammar never changes once built, so a
+    verdict on an (equally immutable) expression holds for as long as both
+    objects do: :meth:`admits` keeps it on the expression.
     """
 
     start: str = "a"
     productions: tuple[Production, ...] = ()
+    #: ``productions`` by head, in declaration order
+    _by_head: dict[str, tuple[Production, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    #: operator names appearing in any production
+    _operators: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    def _productions_for(self, head: str) -> list[Production]:
-        return [production for production in self.productions if production.head == head]
+    def __post_init__(self) -> None:
+        by_head: dict[str, list[Production]] = {}
+        for production in self.productions:
+            by_head.setdefault(production.head, []).append(production)
+        object.__setattr__(
+            self, "_by_head", {head: tuple(group) for head, group in by_head.items()}
+        )
+        object.__setattr__(
+            self,
+            "_operators",
+            frozenset(p.operator for p in self.productions if p.operator is not None),
+        )
+
+    def _productions_for(self, head: str) -> tuple[Production, ...]:
+        return self._by_head.get(head, ())
+
+    def admits(self, expr: LogicalOp) -> bool:
+        """``accepts(expr)`` from the start symbol, walked once per tree.
+
+        The grammars that accepted a tree are remembered *on the tree*, by
+        identity, and nowhere else: an expression this very grammar object
+        has not accepted before is walked in full, and the memory lives and
+        dies with the expression.  (Grammars, plural: a wrapper delegating to
+        an inner wrapper checks the same tree against both.)  Refusals are
+        not remembered.
+        """
+        admitted_by = expr._admitted_by
+        for grammar in admitted_by:
+            if grammar is self:
+                return True
+        accepted = self.accepts(expr)
+        if accepted:
+            # Unlocked: a racing thread's entry may be lost, and is walked
+            # for again.
+            object.__setattr__(expr, "_admitted_by", admitted_by + (self,))
+        return accepted
 
     def accepts(self, expr: LogicalOp, symbol: str | None = None) -> bool:
         """Return True when ``expr`` is derivable from ``symbol`` (default: start)."""
@@ -224,11 +266,11 @@ class CapabilityGrammar:
 
     def supported_operators(self) -> set[str]:
         """Operator names appearing in any production (the flat view)."""
-        return {p.operator for p in self.productions if p.operator is not None}
+        return set(self._operators)
 
     def supports(self, operator: str) -> bool:
         """Return True when some production mentions ``operator``."""
-        return operator in self.supported_operators()
+        return operator in self._operators
 
     def render(self) -> str:
         """Render every production, one per line, in the paper's notation."""

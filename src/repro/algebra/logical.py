@@ -72,6 +72,10 @@ class LogicalOp(TextCachedNode):
     #: operator name used by capability grammars and transformation rules
     op_name: str = "logical"
 
+    #: the capability grammar objects that accepted this whole tree, by
+    #: identity (``CapabilityGrammar.admits``); set on the instance, never the class
+    _admitted_by: tuple[Any, ...] = ()
+
     def children(self) -> tuple["LogicalOp", ...]:
         """Child operators, left to right."""
         return ()

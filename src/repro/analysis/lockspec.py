@@ -72,10 +72,13 @@ def render_lock_table(components: tuple[LockComponent, ...]) -> str:
     ]
     for comp in components:
         module = comp.module.removeprefix("src/repro/")
+        # A component with no lock declares why its shared state needs none.
         locks = "; ".join(
             f"`{d.attr}` {d.kind} ({d.rank})" for d in comp.locks
-        )
-        guards = "; ".join(d.guards_doc or ", ".join(f"`{g}`" for g in d.guards) for d in comp.locks)
+        ) or "none"
+        guards = "; ".join(
+            d.guards_doc or ", ".join(f"`{g}`" for g in d.guards) for d in comp.locks
+        ) or "--"
         notes_parts = [comp.notes] + [d.notes for d in comp.locks if d.notes]
         notes = " ".join(p for p in notes_parts if p)
         lines.append(f"| `{module}` `{comp.cls}` | {locks} | {guards} | {notes} |")

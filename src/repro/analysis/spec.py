@@ -150,6 +150,20 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
         ),
     ),
     LockComponent(
+        module="src/repro/optimizer/optimizer.py",
+        cls="OptimizedPlan",
+        locks=(),
+        notes="`exec_calls`, the run-time system's compiled-call slot "
+        "(`Executor.compile_call`), is lock-free: each exec node's entry is "
+        "written once per schema version, by whichever run gets to the node "
+        "first; two runs racing a cached plan's first execution compile equal "
+        "values from the same immutable node and the same schema, each "
+        "store is one dict assignment, and the later one changes nothing -- "
+        "the argument `_check_types` makes for its verdict set.  Nothing "
+        "but the plan refers to the slot, so dropping the plan (eviction, "
+        "a schema change, the mediator going away) drops what was compiled.",
+    ),
+    LockComponent(
         module="src/repro/optimizer/history.py",
         cls="ExecCallHistory",
         locks=(
@@ -263,6 +277,9 @@ HIERARCHIES: tuple[Hierarchy, ...] = (
     Hierarchy(name="expr", module="src/repro/algebra/expressions.py", root="Expr", frozen=True),
 )
 
+# Not a site: `runtime/namespace.py` `_translate` (the ladder behind
+# `to_source_namespace`) renames what it knows and rebuilds every other
+# operator through `with_children`, so a new operator cannot fall out of it.
 #: why Field never needs a dispatch arm (shared by several physical sites)
 _FIELD = "Field is the source placeholder inside Exec, never a plan root"
 #: the operators that only exist above the wrapper boundary

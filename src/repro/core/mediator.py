@@ -334,7 +334,9 @@ class Mediator:
             return self._run_scalar(planned, timeout=timeout)
         if planned.optimized is None or planned.logical is None:
             raise QueryExecutionError(f"query {planned.text!r} produced no plan")
-        stream = self.executor.execute_stream(planned.optimized.physical, timeout=timeout)
+        stream = self.executor.execute_stream(
+            planned.optimized.physical, timeout=timeout, calls=self._compiled_calls(planned)
+        )
         return QueryResult(
             query_text=planned.text,
             stream=stream,
@@ -372,12 +374,27 @@ class Mediator:
         )
 
     # -- internals -----------------------------------------------------------------------------------
+    @staticmethod
+    def _compiled_calls(planned: PlannedQuery) -> dict | None:
+        """The plan's compiled-call slot, once the text has come back.
+
+        A plan served from the plan cache is one somebody asked for twice:
+        its exec calls are compiled into the plan's own slot and every later
+        run reads them.  The run that *made* the plan compiles for itself
+        alone -- most never-seen texts never return, and up to a plan
+        cache's worth of them would otherwise each hold compiled calls
+        nobody reads again.
+        """
+        return planned.optimized.exec_calls if planned.from_cache else None
+
     def _run(self, planned: PlannedQuery, timeout: float | None = None) -> QueryResult:
         if planned.is_scalar:
             return self._run_scalar(planned, timeout=timeout)
         if planned.optimized is None or planned.logical is None:
             raise QueryExecutionError(f"query {planned.text!r} produced no plan")
-        execution = self.executor.execute(planned.optimized.physical, timeout=timeout)
+        execution = self.executor.execute(
+            planned.optimized.physical, timeout=timeout, calls=self._compiled_calls(planned)
+        )
         return QueryResult(
             query_text=planned.text,
             data=execution.data,

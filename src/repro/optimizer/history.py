@@ -134,6 +134,16 @@ def close_signature(extent_name: str, expression: LogicalOp) -> str:
     return f"{extent_name}|{stripped.to_text()}"
 
 
+def signature_pair(extent_name: str, expression: LogicalOp) -> tuple[str, str]:
+    """The ``(exact, close)`` pair one observation is recorded under.
+
+    A function of the extent name and an immutable expression: a caller that
+    records the same exec call again and again (a cached plan's) builds the
+    pair once and hands it to :meth:`ExecCallHistory.record`.
+    """
+    return exact_signature(extent_name, expression), close_signature(extent_name, expression)
+
+
 class ExecCallHistory:
     """Fixed-size history of exec calls, per exact and per close signature.
 
@@ -178,13 +188,28 @@ class ExecCallHistory:
 
     # -- recording -----------------------------------------------------------------------
     def record(
-        self, extent_name: str, expression: LogicalOp, elapsed: float, rows: int
+        self,
+        extent_name: str,
+        expression: LogicalOp,
+        elapsed: float,
+        rows: int,
+        signatures: tuple[str, str] | None = None,
     ) -> None:
-        """Record the outcome of one successful exec call."""
-        self._record(extent_name, expression, max(elapsed, 0.0), max(rows, 0), succeeded=True)
+        """Record the outcome of one successful exec call.
+
+        ``signatures`` is :func:`signature_pair` of the same extent and
+        expression when the caller holds it already.
+        """
+        self._record(
+            extent_name, expression, max(elapsed, 0.0), max(rows, 0), True, signatures
+        )
 
     def record_failure(
-        self, extent_name: str, expression: LogicalOp, elapsed: float
+        self,
+        extent_name: str,
+        expression: LogicalOp,
+        elapsed: float,
+        signatures: tuple[str, str] | None = None,
     ) -> None:
         """Record a failed or timed-out exec call with its true elapsed time.
 
@@ -194,17 +219,22 @@ class ExecCallHistory:
         seeing the attempt as free.  The extent's availability estimate moves
         towards 0.
         """
-        self._record(extent_name, expression, max(elapsed, 0.0), 0, succeeded=False)
+        self._record(extent_name, expression, max(elapsed, 0.0), 0, False, signatures)
 
     def _record(
-        self, extent_name: str, expression: LogicalOp, elapsed: float, rows: int, succeeded: bool
+        self,
+        extent_name: str,
+        expression: LogicalOp,
+        elapsed: float,
+        rows: int,
+        succeeded: bool,
+        keys: tuple[str, str] | None,
     ) -> None:
         observation = _Observation(elapsed=elapsed, rows=rows)
         # Both signatures walk and render the expression: built before the
         # lock is taken, as in ``estimate``, so one worker's long expression
         # never holds up the other workers' appends.
-        exact_key = exact_signature(extent_name, expression)
-        close_key = close_signature(extent_name, expression)
+        exact_key, close_key = keys or signature_pair(extent_name, expression)
         with self._lock:
             if not succeeded:
                 self.failures += 1

@@ -7,7 +7,8 @@ expression with the lowest cost."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 from repro.algebra.logical import LogicalOp, transform_bottom_up, walk
 from repro.algebra.physical import PhysicalOp
@@ -26,6 +27,12 @@ class OptimizedPlan:
     cost: Cost
     logical_alternatives: int
     physical_alternatives: int
+    #: the run-time system's slot: what it compiled for each ``exec`` node of
+    #: ``physical`` (``Executor.compile_call``) on the first run of the plan
+    #: as a *cached* plan.
+    #: Owned by the plan, so whatever drops the plan -- a plan-cache
+    #: eviction, a schema change, the mediator going away -- drops it too.
+    exec_calls: dict[Any, Any] = field(default_factory=dict, compare=False, repr=False)
 
 
 class Optimizer:

@@ -6,6 +6,9 @@
   ``exec`` call in parallel, applies local transformation maps, records call
   costs in the history, evaluates the mediator-side operators and assembles
   the answer;
+* :mod:`repro.runtime.namespace` -- name-space planning: a pushdown into the
+  source's vocabulary and its rows back into the mediator's (the local
+  transformation maps of Section 2.1), functions of a registry;
 * :mod:`repro.runtime.partial_eval` -- when some sources are unavailable,
   transforms the partially evaluated physical plan back into a logical plan
   and then into OQL text: the answer to the query is itself a query.

@@ -40,16 +40,18 @@ still answering):
   -- ultimately down to a bare ``get`` -- and the stripped operators are
   replayed at the mediator over the rows that come back.
 
-Name-space planning (:meth:`Executor.namespace_plan`): a pushdown referencing
-several extents of one source is translated per branch, and when two extents
-collide on a source attribute name (both call a column ``nm``, say, but map it
-to different mediator attributes) a per-branch ``rename`` alias is injected
-into the submitted expression, so rows cross the submit boundary already
-uniquely named and the reverse (source-to-mediator) map is collision-free by
-construction.  Wrappers that cannot express the aliases never receive such a
-pushdown: the call is split into per-leaf ``get``\\ s recombined at the
-mediator (the refuse-to-push fallback) rather than ever returning mis-renamed
-rows.
+Compiled calls (:class:`CompiledCall`): what an exec call needs that depends
+only on its plan node and the schema version -- the resolved extent and
+wrapper, the run-time type check, the name-space plan of
+:mod:`repro.runtime.namespace`, the history signatures -- is derived once per
+node by :meth:`Executor.compile_call` and kept *with the plan*: the mediator
+hands ``OptimizedPlan.exec_calls`` in with a plan served from the plan cache,
+so a plan-cache eviction, a schema change or dropping the mediator drops the
+compiled calls with it, and nothing else ever holds one.  A run given no slot
+(a plan just made, a hand-built plan, a resubmitted partial answer, a nested
+subquery) compiles into a dict of its own that dies with the run; expressions that did not exist when the plan
+was compiled (a rung of the degrade ladder, a per-batch probe) are planned at
+call time and kept by nothing.
 """
 
 from __future__ import annotations
@@ -58,100 +60,49 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Mapping
-from typing import Any, Callable, Iterable, Iterator, Protocol
+from typing import Any, Callable, Iterator, MutableMapping
 
 from repro.algebra import logical as log
 from repro.algebra import physical as phys
 from repro.algebra.expressions import Comparison, Const, Expr, InList, find_equi_conjunct
 from repro.datamodel.extent import MetaExtent
-from repro.datamodel.mapping import rename_row
-from repro.datamodel.values import Bag, Struct
-from repro.errors import (
-    QueryExecutionError,
-    SchemaError,
-    TypeConflictError,
-    UnavailableSourceError,
-)
-from repro.optimizer.history import ExecCallHistory
+from repro.datamodel.values import Bag
+from repro.errors import QueryExecutionError, TypeConflictError, UnavailableSourceError
+from repro.optimizer.history import ExecCallHistory, signature_pair
 from repro.optimizer.implementation import implement
-from repro.runtime import cancellation
+from repro.runtime import cancellation, namespace
 from repro.runtime import operators as ops
 from repro.runtime.degrade import is_capability_failure
+from repro.runtime.namespace import NamespacePlan, RuntimeRegistry, _wrapper_accepts
 
 
-class RuntimeRegistry(Protocol):
-    """What the executor needs from the mediator's internal database."""
+@dataclass(frozen=True, slots=True, weakref_slot=True)
+class CompiledCall:
+    """What one ``exec`` node's calls share, derived once (module docstring).
 
-    def extent(self, name: str) -> MetaExtent: ...
-
-    def wrapper_object(self, name: str) -> Any: ...
-
-    def interface_attributes(self, interface_name: str) -> list[str]: ...
-
-
-def normalize_row(raw: Any, renames: Mapping[str, str]) -> Any:
-    """One source row in mediator vocabulary: renamed and struct-ified.
-
-    Non-mapping values (scalars from projected single columns, nested bags)
-    pass through unchanged.  Shared by exec calls, probe calls and the split
-    fallback so malformed-row handling cannot diverge between them.
-
-    With nothing to rename (an identity map, or rows renamed already) no row
-    is rebuilt key by key: a ``Struct`` is immutable and is the row, a
-    ``dict`` is copied once -- the wrapper may keep and change its own.
-    """
-    kind = type(raw)
-    if not renames:
-        if kind is Struct:
-            return raw
-        if kind is dict:
-            return Struct._adopt(dict(raw))
-    if kind is dict or isinstance(raw, Mapping):
-        return rename_row(raw, renames)
-    return raw
-
-
-def _wrapper_accepts(wrapper: Any, expression: log.LogicalOp) -> bool:
-    """True when the wrapper's declared grammar accepts ``expression``."""
-    try:
-        grammar = wrapper.submit_functionality()
-        return bool(grammar.accepts(expression))
-    except Exception:
-        return False
-
-
-@dataclass(frozen=True)
-class _BranchAliases:
-    """Alias assignment for one extent branch of an aliased pushdown."""
-
-    #: ``(source attribute, output name)`` pairs covering the branch's whole
-    #: vocabulary -- the argument of the injected ``rename`` operator.
-    pairs: tuple[tuple[str, str], ...]
-    #: mediator attribute -> output name, for translating references above.
-    mediator_to_output: dict[str, str]
-
-
-@dataclass
-class NamespacePlan:
-    """How one pushdown crosses the submit boundary (name-space planning).
-
-    ``expression`` is what is actually given to the wrapper: the pushdown in
-    the source's vocabulary, with a per-branch ``rename`` injected wherever
-    extents collide on a source attribute name.  ``reverse`` maps returned
-    row attributes (source names or aliases) back to mediator vocabulary;
-    with aliasing it is collision-free by construction.  When the wrapper
-    cannot express the aliases, ``split`` lists the extents to fetch with
-    bare per-leaf ``get`` calls instead (the refuse-to-push fallback);
-    ``expression`` then stays the *mediator*-namespace pushdown, to be
-    replayed at the mediator over the fetched rows.
+    Every field is a function of the node and of the schema as it stood at
+    ``schema_version``; a run that finds the registry at another version --
+    or the type check switched on since -- compiles the node again.  The
+    wrapper's ``submit`` is *not* here: it is looked up on the wrapper at
+    call time, so an instance attribute shadowing it (a tracer's shim, a
+    test's stub) is the one called.
     """
 
-    expression: log.LogicalOp
-    reverse: dict[str, str] = field(default_factory=dict)
-    aliased: bool = False
-    split: tuple[tuple[str, MetaExtent], ...] | None = None
+    schema_version: int
+    meta: MetaExtent
+    wrapper: Any
+    #: whether the run-time type check was performed (``config.type_check``)
+    type_checked: bool
+    #: how the node's own expression crosses the submit boundary
+    plan: NamespacePlan
+    #: the ``(exact, close)`` history signatures of the node's expression
+    signatures: tuple[str, str]
+
+
+#: a plan's compiled-call slot: exec node -> its compiled call
+CompiledCalls = MutableMapping[phys.Exec, CompiledCall]
 
 
 def collect_errors(reports) -> dict[str, str]:
@@ -401,12 +352,15 @@ class _ProbeRunner:
         self,
         executor: "Executor",
         plan: phys.ProbeJoin,
+        compiled: Callable[[phys.Exec], CompiledCall],
         event: threading.Event,
         remaining: Callable[[], float | None],
         raise_unavailable: bool,
     ):
         self._executor = executor
         self._plan = plan
+        #: the run's compiled-call lookup, consulted at the first fetch
+        self._compiled = compiled
         self._event = event
         self._remaining = remaining
         self._raise_unavailable = raise_unavailable
@@ -414,8 +368,7 @@ class _ProbeRunner:
         if equi is None:  # the planner only builds ProbeJoin with one
             raise QueryExecutionError("probe join requires an equi-join conjunct")
         self._right_expr: Expr = equi[1]
-        self._meta: MetaExtent | None = None
-        self._wrapper: Any = None
+        self._probe_call: CompiledCall | None = None
         self._estimate_rows = 1.0
         #: None until the first fetch; then "in" | "per-key" | "ship".
         self._mode: str | None = None
@@ -503,17 +456,27 @@ class _ProbeRunner:
                 self._capability_degraded = True
 
     def _resolve(self) -> None:
-        if self._wrapper is not None:
+        if self._probe_call is not None:
             return
-        executor = self._executor
         node = self._plan.probe
-        self._meta = executor.registry.extent(node.extent_name)
-        self._wrapper = executor.registry.wrapper_object(self._meta.wrapper)
         # Mediator-side planning errors (type conflicts) raise, as for any
         # exec; they are not source unavailability.
-        executor._check_types(self._meta, self._wrapper)
-        estimate = executor.history.estimate(node.extent_name, node.expression)
+        self._probe_call = self._compiled(node)
+        estimate = self._executor.history.estimate(node.extent_name, node.expression)
         self._estimate_rows = max(estimate.rows, 1.0)
+
+    def _namespace_plan(self, expression: log.LogicalOp) -> NamespacePlan:
+        """The probed expression's own plan; a probe shape's is planned now.
+
+        Probe expressions carry the batch's keys: they are new objects by
+        nature, planned at call time and kept by nothing.
+        """
+        call = self._probe_call
+        if expression is self._plan.probe.expression:
+            return call.plan
+        return namespace.namespace_plan(
+            self._executor.registry, expression, call.meta, call.wrapper
+        )
 
     def _select_mode(self, keys: list[Any]) -> None:
         """Pick the largest probe shape the wrapper's grammar accepts."""
@@ -527,10 +490,10 @@ class _ProbeRunner:
             self._capability_degraded = True
 
     def _accepts(self, expression: log.LogicalOp) -> bool:
-        plan = self._executor.namespace_plan(expression, self._meta, self._wrapper)
+        plan = self._namespace_plan(expression)
         if plan.split is not None:
             return False
-        return _wrapper_accepts(self._wrapper, plan.expression)
+        return _wrapper_accepts(self._probe_call.wrapper, plan.expression)
 
     def _in_expression(self, keys: list[Any]) -> log.LogicalOp:
         predicate = InList(self._right_expr, tuple(Const(key) for key in keys))
@@ -569,6 +532,7 @@ class _ProbeRunner:
         executor = self._executor
         config = executor.config
         node = self._plan.probe
+        wrapper = self._probe_call.wrapper
         attempts = max(1, config.max_retries + 1)
         attempt = 0
         while True:
@@ -579,12 +543,11 @@ class _ProbeRunner:
             started = time.monotonic()
             try:
                 with cancellation.activate(self._event):
-                    plan = executor.namespace_plan(expression, self._meta, self._wrapper)
+                    plan = self._namespace_plan(expression)
                     if plan.split is not None:
-                        rows = list(executor._split_pushdown(plan, self._wrapper))
+                        rows = list(executor._split_pushdown(plan, wrapper))
                     else:
-                        raw_rows = self._wrapper.submit(plan.expression)
-                        rows = [normalize_row(row, plan.reverse) for row in raw_rows]
+                        rows = list(map(plan.normalise, wrapper.submit(plan.expression)))
             except Exception as exc:
                 call_elapsed = time.monotonic() - started
                 self.calls += 1
@@ -592,7 +555,7 @@ class _ProbeRunner:
                 if self._event.is_set():
                     self._written_off(exc)
                 executor.history.record_failure(
-                    node.extent_name, node.expression, call_elapsed
+                    node.extent_name, node.expression, call_elapsed, self._probe_call.signatures
                 )
                 if is_capability_failure(exc):
                     raise _ProbeCapability(f"{type(exc).__name__}: {exc}") from exc
@@ -613,7 +576,13 @@ class _ProbeRunner:
             # Satellite: probe calls are first-class history observations
             # under the probed extent (the in-list close signature collapses
             # every batch size onto one entry).
-            executor.history.record(node.extent_name, expression, call_elapsed, len(rows))
+            executor.history.record(
+                node.extent_name,
+                expression,
+                call_elapsed,
+                len(rows),
+                self._probe_call.signatures if expression is node.expression else None,
+            )
             if self._capability_degraded:
                 self._degraded_to = plan.expression.to_text()
             return rows
@@ -742,6 +711,7 @@ class Executor:
         plan: phys.PhysicalOp,
         base_env: Mapping[str, Any] | None = None,
         timeout: float | None = None,
+        calls: CompiledCalls | None = None,
     ) -> ExecutionResult:
         """Execute ``plan``; unavailable or failing sources yield a partial answer.
 
@@ -749,14 +719,19 @@ class Executor:
         in parallel, under one *global* deadline that covers the calls and
         the evaluation alike (probe-join wrapper calls issued during
         evaluation draw on whatever budget the calls left over).
+
+        ``calls`` is the compiled-call slot of whoever owns ``plan``
+        (``OptimizedPlan.exec_calls``): read, and filled by the first run
+        given it.  Without one the run compiles for itself alone.
         """
-        return self._open(plan, base_env, timeout, materialise=True).materialised()
+        return self._open(plan, base_env, timeout, materialise=True, calls=calls).materialised()
 
     def execute_stream(
         self,
         plan: phys.PhysicalOp,
         base_env: Mapping[str, Any] | None = None,
         timeout: float | None = None,
+        calls: CompiledCalls | None = None,
     ):
         """Execute ``plan`` as a stream.
 
@@ -767,9 +742,10 @@ class Executor:
         the in-flight exec calls cooperatively.  Sources that fail or time
         out contribute no rows; the failures are reported on the execution
         object once the stream ends (no resubmittable partial query is built,
-        since delivered rows cannot be embedded back into one).
+        since delivered rows cannot be embedded back into one).  ``calls``
+        as for :meth:`execute`.
         """
-        return self._open(plan, base_env, timeout, materialise=False)
+        return self._open(plan, base_env, timeout, materialise=False, calls=calls)
 
     def _open(
         self,
@@ -778,6 +754,7 @@ class Executor:
         timeout: float | None,
         materialise: bool,
         enclosing: Any = None,
+        calls: CompiledCalls | None = None,
     ):
         """Start one query's run (both entry points).
 
@@ -798,6 +775,7 @@ class Executor:
             timeout=timeout,
             on_finish=self._run_finished,
             materialise=materialise,
+            calls=calls,
         )
         with self._active:
             self._active_streams.add(run)
@@ -808,205 +786,30 @@ class Executor:
         with self._active:
             self._active.notify_all()
 
-    # -- name-space translation (the local transformation map) ---------------------------------
-    def _meta_for_collection(self, name: str, default: MetaExtent) -> MetaExtent | None:
-        """The MetaExtent a ``get(name)`` refers to, or None for a non-extent name."""
-        if name == default.name:
-            return default
-        try:
-            return self.registry.extent(name)
-        except SchemaError:
-            return None
+    # -- compiled calls ------------------------------------------------------------------------
+    def compile_call(self, node: phys.Exec) -> CompiledCall:
+        """Derive what every call of ``node`` shares (see :class:`CompiledCall`).
 
-    def _branch_vocabulary(self, node_meta: MetaExtent) -> dict[str, str]:
-        """One extent's source-to-mediator attribute vocabulary, in stable order.
-
-        The keys are the attribute names the source's rows carry (interface
-        attributes translated through the local transformation map, plus any
-        further map pairs); the values are the mediator names they stand for.
+        Mediator-side errors -- an unknown extent, a type conflict -- raise,
+        and nothing is compiled.  The schema version is read *before* the
+        registry is consulted, so a DBA racing this can only make the result
+        look older than it is (and be compiled again), never newer.
         """
-        vocabulary: dict[str, str] = {}
-        try:
-            interface_attributes = self.registry.interface_attributes(node_meta.interface)
-        except SchemaError:
-            interface_attributes = []
-        for attribute in interface_attributes:
-            vocabulary[node_meta.map.attribute_to_source(attribute)] = attribute
-        for source, mediator in node_meta.map.source_to_mediator.items():
-            vocabulary.setdefault(source, mediator)
-        return vocabulary
+        registry = self.registry
+        version = registry.schema_version
+        meta = registry.extent(node.extent_name)
+        wrapper = registry.wrapper_object(meta.wrapper)
+        self._check_types(meta, wrapper)
+        return CompiledCall(
+            schema_version=version,
+            meta=meta,
+            wrapper=wrapper,
+            type_checked=self.config.type_check,
+            plan=namespace.namespace_plan(registry, node.expression, meta, wrapper),
+            signatures=signature_pair(node.extent_name, node.expression),
+        )
 
-    def _colliding_attributes(self, metas: Iterable[MetaExtent]) -> set[str]:
-        """Source attribute names that different extents map to different mediator names."""
-        mediator_names: dict[str, set[str]] = {}
-        for node_meta in metas:
-            for source, mediator in self._branch_vocabulary(node_meta).items():
-                mediator_names.setdefault(source, set()).add(mediator)
-        return {source for source, names in mediator_names.items() if len(names) > 1}
-
-    def _alias_plan(
-        self, metas: Iterable[MetaExtent], colliding: set[str]
-    ) -> tuple[dict[str, "_BranchAliases"], dict[str, str]]:
-        """Per-extent alias assignments plus the merged (collision-free) reverse map.
-
-        Every extent touching a colliding attribute gets a ``rename`` branch
-        covering its *whole* vocabulary, with unique output names for the
-        colliding attributes; the reverse map then keys on those outputs, so
-        no two extents can claim the same row attribute.
-        """
-        metas = list(metas)
-        taken: set[str] = set()
-        for node_meta in metas:
-            vocabulary = self._branch_vocabulary(node_meta)
-            taken.update(vocabulary)
-            taken.update(vocabulary.values())
-        aliases: dict[str, _BranchAliases] = {}
-        reverse: dict[str, str] = {}
-        for node_meta in metas:
-            vocabulary = self._branch_vocabulary(node_meta)
-            pairs: list[tuple[str, str]] = []
-            mediator_to_output: dict[str, str] = {}
-            for source, mediator in vocabulary.items():
-                output = source
-                if source in colliding:
-                    output = f"{source}__{node_meta.name}"
-                    while output in taken:
-                        output += "_"
-                    taken.add(output)
-                pairs.append((source, output))
-                mediator_to_output[mediator] = output
-                reverse[output] = mediator
-            aliases[node_meta.name] = _BranchAliases(tuple(pairs), mediator_to_output)
-        return aliases, reverse
-
-    def namespace_plan(
-        self,
-        expression: log.LogicalOp,
-        meta: MetaExtent,
-        wrapper: Any = None,
-    ) -> "NamespacePlan":
-        """Plan how ``expression`` crosses the submit boundary for one source.
-
-        Detects source attribute names that collide across the extents the
-        pushdown actually references (only the ``get`` nodes present -- the
-        submit's default extent contributes nothing unless referenced) and
-        disambiguates them by injecting a per-branch :class:`~repro.algebra.
-        logical.Rename` into the submitted expression, so the reverse map is
-        collision-free by construction.  When ``wrapper`` is given and its
-        grammar cannot express the aliased expression, the plan instead calls
-        for the refuse-to-push fallback: per-leaf ``get`` calls recombined at
-        the mediator (never mis-renamed rows).
-        """
-        resolved: dict[str, MetaExtent] = {}
-        for node in log.walk(expression):
-            if isinstance(node, log.Get):
-                node_meta = self._meta_for_collection(node.collection, meta)
-                if node_meta is not None and node_meta.name not in resolved:
-                    resolved[node_meta.name] = node_meta
-        colliding = self._colliding_attributes(resolved.values())
-        if not colliding:
-            reverse: dict[str, str] = {}
-            for node_meta in resolved.values():
-                reverse.update(node_meta.map.source_to_mediator)
-            return NamespacePlan(self.to_source_namespace(expression, meta), reverse)
-        aliases, reverse = self._alias_plan(resolved.values(), colliding)
-        translated = self.to_source_namespace(expression, meta, aliases=aliases)
-        if wrapper is not None and not _wrapper_accepts(wrapper, translated):
-            return NamespacePlan(
-                expression, aliased=True, split=tuple(resolved.items())
-            )
-        return NamespacePlan(translated, reverse, aliased=True)
-
-    def to_source_namespace(
-        self,
-        expression: log.LogicalOp,
-        meta: MetaExtent,
-        aliases: Mapping[str, "_BranchAliases"] | None = None,
-    ) -> log.LogicalOp:
-        """Rename collections and attributes from mediator to source vocabulary.
-
-        A pushed-down expression may reference several extents of the same
-        wrapper (e.g. a join pushed to one source); each subtree is renamed
-        with the map of the extent(s) *it* references, so the two sides of a
-        join can carry different local transformation maps.  ``aliases``
-        (from :meth:`namespace_plan`) additionally wraps each listed extent's
-        ``get`` in a :class:`~repro.algebra.logical.Rename`, and every
-        attribute reference above it then uses the branch's output names.
-        """
-
-        def visit(node: log.LogicalOp) -> tuple[log.LogicalOp, dict[str, str]]:
-            """Translate ``node``; also return the renames its subtree is under."""
-            if isinstance(node, log.Get):
-                node_meta = self._meta_for_collection(node.collection, meta)
-                if node_meta is None:
-                    return node, {}
-                source_get = log.Get(node_meta.e.source_name())
-                branch = (aliases or {}).get(node_meta.name)
-                if branch is None:
-                    return source_get, dict(node_meta.map.mediator_to_source)
-                return log.Rename(branch.pairs, source_get), dict(branch.mediator_to_output)
-            visited = [visit(child) for child in node.children()]
-            children = [translated for translated, _ in visited]
-            if isinstance(node, log.Join):
-                (left, left_renames), (right, right_renames) = visited
-                left_attr, right_attr = node.join_attributes()
-                return (
-                    log.Join(
-                        left,
-                        right,
-                        (
-                            left_renames.get(left_attr, left_attr),
-                            right_renames.get(right_attr, right_attr),
-                        ),
-                        left_variable=node.left_variable,
-                        right_variable=node.right_variable,
-                    ),
-                    {**left_renames, **right_renames},
-                )
-            renames: dict[str, str] = {}
-            for _, child_renames in visited:
-                renames.update(child_renames)
-            if isinstance(node, log.Project):
-                return (
-                    log.Project(
-                        tuple(renames.get(attr, attr) for attr in node.attributes), children[0]
-                    ),
-                    renames,
-                )
-            if isinstance(node, log.Rename):
-                # A rename already present in the pushdown: translate the old
-                # names it reads; above it only its own outputs are visible.
-                pairs = tuple((renames.get(old, old), new) for old, new in node.pairs)
-                return log.Rename(pairs, children[0]), {new: new for _, new in node.pairs}
-            if isinstance(node, log.Select):
-                return (
-                    log.Select(node.variable, node.predicate.rename_attributes(renames), children[0]),
-                    renames,
-                )
-            if isinstance(node, log.GroupBy):
-                # Key and aggregate expressions read the child's (source)
-                # attribute names; above the groupby only its own output
-                # names -- chosen at the mediator -- are visible, mirroring
-                # the Rename case.
-                keys = tuple(
-                    (name, expr.rename_attributes(renames)) for name, expr in node.keys
-                )
-                aggregates = tuple(
-                    (name, func, arg.rename_attributes(renames))
-                    for name, func, arg in node.aggregates
-                )
-                return (
-                    log.GroupBy(node.variable, keys, aggregates, children[0]),
-                    {name: name for name in node.output_attributes()},
-                )
-            if not children:
-                return node, renames
-            return node.with_children(children), renames
-
-        translated, _ = visit(expression)
-        return translated
-
-    def _split_pushdown(self, plan: "NamespacePlan", wrapper: Any) -> Iterator[Any]:
+    def _split_pushdown(self, plan: NamespacePlan, wrapper: Any) -> Iterator[Any]:
         """Refuse-to-push fallback: per-leaf ``get`` calls, recombined at the mediator.
 
         The wrapper cannot express the aliases a colliding multi-extent
@@ -1019,9 +822,8 @@ class Executor:
         """
         fetched: dict[str, list[Any]] = {}
         for name, node_meta in plan.split or ():
-            leaf = self.namespace_plan(log.Get(name), node_meta)
-            raw_rows = wrapper.submit(leaf.expression)
-            fetched[name] = [normalize_row(row, leaf.reverse) for row in raw_rows]
+            leaf = namespace.namespace_plan(self.registry, log.Get(name), node_meta)
+            fetched[name] = list(map(leaf.normalise, wrapper.submit(leaf.expression)))
 
         def as_fetched(node: log.LogicalOp) -> log.LogicalOp:
             return log.Submit(node.collection, node) if isinstance(node, log.Get) else node

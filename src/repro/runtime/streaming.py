@@ -22,10 +22,12 @@ in one internal argument, ``materialise``, which fixes three things:
   composing anything (no probe is sent for a query that is already
   partial).  ``Executor.execute_stream`` (``query_stream()``) hands rows to
   the caller *while* sources are still answering: a ``mkunion`` interleaves
-  its children in exec-completion order, a satisfied ``mklimit`` or
-  :meth:`close` cancels the in-flight calls cooperatively, and no
-  resubmittable partial *query* is built, since rows already delivered
-  cannot be embedded back into one.
+  its children in exec-completion order (and a call that starts once
+  another has answered lets the consumer take that answer first:
+  ``_open_behind_consumer``), a satisfied ``mklimit`` or :meth:`close`
+  cancels the in-flight calls cooperatively, and no resubmittable partial
+  *query* is built, since rows already delivered cannot be embedded back
+  into one.
 * **probe failure.**  A probe join's right-hand source failing terminally
   raises into a partial answer when materialising; a stream swallows it --
   the source contributes no further rows and the failure surfaces on the
@@ -63,27 +65,32 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from concurrent.futures import TimeoutError as _FuturesTimeoutError
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.algebra import logical as log
 from repro.algebra import physical as phys
-from repro.runtime import cancellation
+from repro.runtime import cancellation, namespace
 from repro.runtime import operators as ops
 from repro.runtime.backpressure import StreamClosed
 from repro.runtime.degrade import compensate_rows, degrade_pushdown, is_capability_failure
 from repro.datamodel.values import Bag
 from repro.runtime.executor import (
+    CompiledCall,
+    CompiledCalls,
     ExecReport,
     ExecutionResult,
     _ProbeCancelled,
     _ProbeRunner,
     _ProbeUnavailable,
     collect_errors,
-    normalize_row,
 )
 from repro.runtime.partial_eval import PartialAnswerBuilder, Unavailable
 from repro.wrappers.base import RESUME_REPLAY, RESUME_TOKEN, ResumableStream
+
+
+#: the row function for rows that carry the mediator's attribute names
+_MEDIATOR_ROW = namespace.row_normaliser({})
 
 
 @dataclass
@@ -91,12 +98,15 @@ class _Opened:
     """What the worker-side half of one exec call produced.
 
     A materialising run's ``rows`` is the call's whole answer as a list in
-    mediator vocabulary (``renames`` empty, ``sized`` its length); a
-    stream's is the open wrapper iterable, renamed as it is pulled.
+    mediator vocabulary (``sized`` its length); a stream's is the open
+    wrapper iterable, taken to mediator vocabulary by ``normalise`` as it is
+    pulled.
     """
 
     rows: Iterable[Any] | None = None
-    renames: Mapping[str, str] = field(default_factory=dict)
+    #: the row function of the call's name-space plan, unless the rows are
+    #: in mediator vocabulary already.
+    normalise: Callable[[Any], Any] = _MEDIATOR_ROW
     #: row count when the answer is a sized sequence (history is recorded in
     #: the worker then); None for lazy cursors (recorded at drain).
     sized: int | None = None
@@ -205,9 +215,15 @@ class StreamingExecution:
         timeout=None,
         on_finish=None,
         materialise: bool = False,
+        calls: CompiledCalls | None = None,
     ):
         self._executor = executor
         self._plan = plan
+        #: the plan owner's compiled-call slot, or this run's own.
+        self._calls: CompiledCalls = {} if calls is None else calls
+        #: the schema the run started under: a call compiled under another
+        #: is compiled again (read once per run, not once per call).
+        self._schema_version = executor.registry.schema_version
         self._base_env = base_env
         self._timeout = timeout
         #: the one internal switch, fixed by the entry point that built this
@@ -228,10 +244,14 @@ class StreamingExecution:
         #: later consumption so an aborted stream never looks complete.
         self._failure: BaseException | None = None
         self._pipeline: Iterator[Any] | None = None
+        #: a stream's call has answered: the calls that start after it give
+        #: the consumer a turn first (:meth:`_open_behind_consumer`).
+        self._answered = False
         pool = executor._ensure_pool()
+        opener = self._open_exec if materialise else self._open_behind_consumer
         for state in self._states.values():
             try:
-                state.future = pool.submit(self._open_exec, state)
+                state.future = pool.submit(opener, state)
             except RuntimeError:
                 # The pool shut down between _ensure_pool and this submit
                 # (mediator closing): the call degrades into an unavailable
@@ -351,12 +371,57 @@ class StreamingExecution:
         return collect_errors(self.reports)
 
     # -- worker side ------------------------------------------------------------------------
+    def _compiled(self, node: phys.Exec) -> CompiledCall:
+        """The node's compiled call: the slot's, or compiled now and stored.
+
+        The slot is written without a lock: two runs racing a cached plan's first
+        execution compile the same value from the same node and schema, and
+        whichever store lands last changes nothing.
+        """
+        call = self._calls.get(node)
+        if (
+            call is None
+            or call.schema_version != self._schema_version
+            or (self._executor.config.type_check and not call.type_checked)
+        ):
+            call = self._calls[node] = self._executor.compile_call(node)
+        return call
+
+    def _open_behind_consumer(self, state: _ExecState) -> _Opened:
+        """A stream's pool-side open: :meth:`_open_exec`, after the consumer's turn.
+
+        The workers of one run and its consumer share one interpreter lock,
+        handed over in arrival order.  The workers have been in line since
+        the calls were dispatched; the consumer joins the line when the first
+        answer wakes it -- behind every worker that has not run yet.  With
+        sources that answer from memory (nothing in the call blocks) it would
+        see the fastest source's rows only once *every* call had finished, or
+        after a whole switch interval (5 ms), whichever came first: the first
+        row tracked the sum of the calls, not the fastest of them, and sat on
+        either side of the interval from one run to the next.  So a call that
+        starts once another has answered steps out of the line once; when
+        every queued worker has done so the consumer is at its head.  A
+        materialising run delivers nothing before its last answer and is
+        dispatched to :meth:`_open_exec` directly.
+        """
+        if self._answered:
+            time.sleep(0)  # releases the interpreter lock, waits for nothing
+        try:
+            return self._open_exec(state)
+        finally:
+            self._answered = True
+
     def _open_exec(self, state: _ExecState, resume: _ResumeRequest | None = None) -> _Opened:
         """One exec call with retries: the engine's one attempt loop.
 
         Runs in the pool for the initial open; mid-stream reopens call it
         synchronously on the consumer thread with a ``resume`` request.
 
+        What the call needs that only depends on its node -- extent, wrapper,
+        type check, the name-space plan of the node's own expression, history
+        signatures -- is read from its compiled call (:meth:`_compiled`);
+        only a pushdown other than the node's own (a degraded rung, here or
+        in the segment a reopen continues) is planned in this loop.
         Mediator-side failures (unknown extent, type-check conflict) raise --
         they abort the query.  *Any* exception escaping the wrapper becomes
         an error outcome instead (this is the engine's fault-isolation
@@ -389,9 +454,10 @@ class StreamingExecution:
         config = executor.config
         materialise = self._materialise
         node = state.node
-        meta = executor.registry.extent(node.extent_name)
-        wrapper = executor.registry.wrapper_object(meta.wrapper)
-        executor._check_types(meta, wrapper)
+        call = self._compiled(node)
+        meta = call.meta
+        wrapper = call.wrapper
+        signatures = call.signatures
         if resume is not None and resume.pushdown is not None:
             pushdown = resume.pushdown
             stripped = list(resume.stripped)
@@ -400,7 +466,11 @@ class StreamingExecution:
             stripped = []
         token = resume.token if resume is not None and resume.mode == RESUME_TOKEN else None
         skip = resume.skip if resume is not None else 0
-        plan = executor.namespace_plan(pushdown, meta, wrapper)
+        if pushdown is node.expression:
+            plan = call.plan
+        else:
+            # A reopen at the degraded rung its dying segment ran at.
+            plan = namespace.namespace_plan(executor.registry, pushdown, meta, wrapper)
         if state.started is None:
             state.started = time.monotonic()
         # A reopen under a dedicated ``max_resumes`` budget does not draw
@@ -436,8 +506,7 @@ class StreamingExecution:
                         # One bulk pass, not the consumer's per-row timed
                         # loop: on a 10k-row scan that loop costs 20-40%.
                         if plan.split is None:
-                            reverse = plan.reverse
-                            rows = [normalize_row(row, reverse) for row in rows]
+                            rows = map(plan.normalise, rows)
                         if stripped:
                             rows = compensate_rows(stripped, rows)
                         rows = list(rows)
@@ -470,7 +539,7 @@ class StreamingExecution:
                     # to learn from; every real attempt records its elapsed.
                     if not state.recorded and not state.event.is_set():
                         executor.history.record_failure(
-                            node.extent_name, node.expression, call_elapsed
+                            node.extent_name, node.expression, call_elapsed, signatures
                         )
                         if terminal:
                             state.recorded = True
@@ -499,7 +568,9 @@ class StreamingExecution:
                             # certainly replay).
                             token = None
                             skip = state.consumed
-                        plan = executor.namespace_plan(pushdown, meta, wrapper)
+                        plan = namespace.namespace_plan(
+                            executor.registry, pushdown, meta, wrapper
+                        )
                         continue
                     backoff = config.retry_backoff * (2 ** (attempt - 1))
                     if resume is not None and remaining is not None:
@@ -523,17 +594,12 @@ class StreamingExecution:
         stream = rows if isinstance(rows, ResumableStream) else None
         # Split-pushdown rows arrive already in mediator vocabulary (and a
         # materialised list was renamed and compensated inside the attempt).
-        renames: dict = {} if plan.split is not None or materialise else dict(plan.reverse)
+        normalise = _MEDIATOR_ROW if plan.split is not None or materialise else plan.normalise
         if stripped and not materialise:
             # Rename here (once), then replay the stripped operators lazily;
-            # the consumer sees mediator-vocabulary rows and an empty map.
-            # ``reverse_renames`` is never rebound, so the lazy generator
-            # below cannot capture the emptied map by mistake.
-            reverse_renames = renames
-            rows = compensate_rows(
-                stripped, (normalize_row(row, reverse_renames) for row in rows)
-            )
-            renames = {}
+            # the consumer sees mediator-vocabulary rows.
+            rows = compensate_rows(stripped, map(normalise, rows))
+            normalise = _MEDIATOR_ROW
         sized = None
         if materialise:
             sized = len(rows)
@@ -552,12 +618,16 @@ class StreamingExecution:
                     # attempts recorded theirs); the report carries the
                     # user-facing total including retries and backoff.
                     executor.history.record(
-                        node.extent_name, node.expression, now - attempt_started, sized
+                        node.extent_name,
+                        node.expression,
+                        now - attempt_started,
+                        sized,
+                        signatures,
                     )
                     state.recorded = True
         return _Opened(
             rows=rows,
-            renames=renames,
+            normalise=normalise,
             sized=sized,
             elapsed=elapsed,
             attempts=attempt + 1,
@@ -845,7 +915,7 @@ class StreamingExecution:
         source_time = opened.elapsed
         while True:  # one iteration per (re)opened stream segment
             segment_time = opened.elapsed
-            renames = opened.renames
+            normalise = opened.normalise
             iterator = iter(opened.rows)
             #: rows of this segment that were already delivered before a
             #: replay reopen; dropped silently (dedup by delivered-row count).
@@ -866,7 +936,7 @@ class StreamingExecution:
                     pulled = time.monotonic()
                     try:
                         raw = iterator.__next__()
-                        row = normalize_row(raw, renames)
+                        row = normalise(raw)
                     except StopIteration:
                         break
                     except StreamClosed:
@@ -918,7 +988,11 @@ class StreamingExecution:
                 # Lazy cursor fully drained: one success observation with the
                 # source's own time (sized wrappers recorded at open).
                 executor.history.record(
-                    node.extent_name, node.expression, source_time, state.consumed
+                    node.extent_name,
+                    node.expression,
+                    source_time,
+                    state.consumed,
+                    self._calls[node].signatures,  # stored by the open
                 )
                 state.recorded = True
         state.report = self._report(state, opened, rows=opened.sized or state.consumed)
@@ -1015,6 +1089,7 @@ class StreamingExecution:
         runner = _ProbeRunner(
             executor,
             plan,
+            compiled=self._compiled,
             event=state.event,
             remaining=self._remaining,
             raise_unavailable=self._materialise,

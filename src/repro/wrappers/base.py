@@ -113,7 +113,9 @@ class Wrapper:
 
         The expression is re-checked against the capability grammar: an
         illegal expression indicates an optimizer bug or a hand-built plan, so
-        it fails loudly instead of silently changing query semantics.
+        it fails loudly instead of silently changing query semantics.  The
+        grammar walks a tree it has not accepted before in full
+        (:meth:`~repro.algebra.capabilities.CapabilityGrammar.admits`).
         """
         self._check_capability(expression)
         return self._execute(expression)
@@ -148,7 +150,7 @@ class Wrapper:
 
     def _check_capability(self, expression: LogicalOp) -> None:
         """Fail loudly when ``expression`` is outside the wrapper's grammar."""
-        if not self._grammar.accepts(expression):
+        if not self._grammar.admits(expression):
             raise CapabilityError(
                 f"wrapper {self.name!r} does not accept expression {expression.to_text()}"
             )

@@ -9,7 +9,7 @@ here both source tables call the column ``nm`` but one extent maps it to
 one entry, and the joined rows came back with one of the mediator attributes
 missing or mis-valued.
 
-The namespace planner (:meth:`Executor.namespace_plan`) now detects the
+The namespace planner (:func:`repro.runtime.namespace.namespace_plan`) detects the
 collision and injects a per-branch ``rename`` alias into the submitted
 expression, so rows cross the submit boundary already uniquely named and the
 reverse map is collision-free by construction.  These tests pin the fixed

@@ -33,6 +33,7 @@ from repro.oql.parser import parse_query
 from repro.optimizer.implementation import implement
 from repro.runtime.backpressure import StreamClosed
 from repro.runtime.degrade import compensate_rows, degradation_ladder
+from repro.runtime.namespace import _branch_vocabulary, _meta_for_collection, namespace_plan
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
 from repro.sources.sql.engine import SqlEngine
 from repro.wrappers import GeneratorWrapper, SqlWrapper
@@ -123,10 +124,9 @@ class TestNamespacePlan:
     def test_injects_per_branch_renames_and_collision_free_reverse_map(self):
         mediator, _ = build_relational_collider()
         try:
-            executor = mediator.executor
             meta = mediator.registry.extent("emp0")
             wrapper = mediator.registry.wrapper_object("w0")
-            plan = executor.namespace_plan(JOIN_PLAN.expression, meta, wrapper)
+            plan = namespace_plan(mediator.registry, JOIN_PLAN.expression, meta, wrapper)
             assert plan.aliased and plan.split is None
             renames = [
                 node for node in _walk(plan.expression) if isinstance(node, Rename)
@@ -147,9 +147,8 @@ class TestNamespacePlan:
     def test_no_aliases_without_a_collision(self):
         mediator, _ = build_relational_collider()
         try:
-            executor = mediator.executor
             meta = mediator.registry.extent("emp0")
-            plan = executor.namespace_plan(Get("emp0"), meta)
+            plan = namespace_plan(mediator.registry, Get("emp0"), meta)
             assert not plan.aliased and plan.split is None
             assert not any(isinstance(n, Rename) for n in _walk(plan.expression))
             assert plan.reverse == {"nm": "name"}
@@ -162,18 +161,18 @@ class TestNamespacePlan:
         vocabulary"; the consumer hanging up mid-probe is not that."""
         mediator, _ = build_relational_collider()
         try:
-            executor = mediator.executor
-            meta = mediator.registry.extent("emp0")
-            assert executor._meta_for_collection("no_such_extent", meta) is None
+            registry = mediator.registry
+            meta = registry.extent("emp0")
+            assert _meta_for_collection(registry, "no_such_extent", meta) is None
             unknown = dataclasses.replace(meta, interface="NoSuchInterface")
-            assert executor._branch_vocabulary(unknown) == {"nm": "name"}
+            assert _branch_vocabulary(registry, unknown) == {"nm": "name"}
 
             def hang_up(name):
                 raise StreamClosed("consumer closed the stream")
 
             monkeypatch.setattr(mediator.registry, probe, hang_up)
             with pytest.raises(StreamClosed):
-                executor.namespace_plan(JOIN_PLAN.expression, meta)
+                namespace_plan(mediator.registry, JOIN_PLAN.expression, meta)
         finally:
             mediator.close()
 
@@ -248,10 +247,9 @@ class TestCollidingPushdowns:
     def test_sql_wrapper_renders_aliases_as_AS(self):
         mediator, server = build_sql_collider()
         try:
-            executor = mediator.executor
             meta = mediator.registry.extent("emp0")
             wrapper = mediator.registry.wrapper_object("w0")
-            plan = executor.namespace_plan(JOIN_PLAN.expression, meta, wrapper)
+            plan = namespace_plan(mediator.registry, JOIN_PLAN.expression, meta, wrapper)
             sql = wrapper.to_sql(plan.expression)
             assert "AS nm__emp0" in sql and "AS nm__dept0" in sql
             assert sql.count("JOIN") == 1

@@ -36,7 +36,7 @@ from repro.algebra.physical import (
 from repro.errors import DiscoError, QueryExecutionError
 from repro.optimizer.implementation import implement
 from repro.runtime import operators as ops
-from repro.runtime.executor import normalize_row
+from repro.runtime.namespace import row_normaliser, to_source_namespace
 from repro.runtime.operators import (
     Env,
     bind_join_rows,
@@ -248,7 +248,7 @@ class TestExecutor:
         mediator.add_extent("personprime0", "PersonPrime", "w0", "r0", map=mapping)
         meta = mediator.registry.extent("personprime0")
         expression = Project(("n",), Select("x", Comparison(">", Path(Var("x"), "s"), Const(10)), Get("personprime0")))
-        translated = mediator.executor.to_source_namespace(expression, meta)
+        translated = to_source_namespace(mediator.registry, expression, meta)
         assert translated.to_text() == (
             "project(name, select(x: x.salary > 10, get(person0)))"
         )
@@ -287,7 +287,7 @@ class TestExecutor:
         mediator = self.build_hr_mediator()
         meta = mediator.registry.extent("emp0")
         expression = Join(Get("emp0"), Get("dept0"), ("dept", "dept"))
-        translated = mediator.executor.to_source_namespace(expression, meta)
+        translated = to_source_namespace(mediator.registry, expression, meta)
         assert translated.to_text() == (
             "join(get(employees), get(departments), edept=ddept)"
         )
@@ -336,6 +336,9 @@ class TestExecutor:
             assert result.rows() == [row]
 
     def test_normalize_row_renames_only_when_there_is_something_to_rename(self):
+        def normalize_row(raw, renames):
+            return row_normaliser(renames)(raw)
+
         row = {"n": "Mary", "s": 200}
         renamed = normalize_row(row, {"n": "name", "s": "salary"})
         assert type(renamed) is Struct and dict(renamed) == {"name": "Mary", "salary": 200}
@@ -645,8 +648,15 @@ class TestPartialAnswerBuilder:
     def test_round_trip_physical_to_logical_for_every_operator(self):
         """By enumeration: a new logical operator without a sample fails here."""
         builder = PartialAnswerBuilder()
-        assert set(ROUND_TRIPS) == set(LogicalOp.__subclasses__()) - {Get}
-        assert set(IMPLEMENTS) == set(PhysicalOp.__subclasses__()) - {Field}
+
+        def operators_of(root):
+            # The library's own: a test-local subclass (test_optimizer's
+            # ``Stalled``) stays listed for as long as anything holds an
+            # instance of it, which is up to the garbage collector.
+            return {cls for cls in root.__subclasses__() if cls.__module__.startswith("repro.")}
+
+        assert set(ROUND_TRIPS) == operators_of(LogicalOp) - {Get}
+        assert set(IMPLEMENTS) == operators_of(PhysicalOp) - {Field}
         assert set(IMPLEMENTS.values()) == set(ROUND_TRIPS)
         for cls, (logical, physical_text) in ROUND_TRIPS.items():
             physical = implement(logical)

@@ -21,7 +21,7 @@ from repro.optimizer.history import ExecCallHistory
 from repro.optimizer.plancache import PlanCache
 from repro.sources import RelationalEngine, SimulatedServer
 from repro.sources.network import NetworkProfile
-from tests.conftest import build_paper_mediator
+from tests.conftest import build_paper_mediator, build_person_federation
 
 
 class ScanCounter:
@@ -295,6 +295,20 @@ class TestCompletionOrderUnion:
         assert not result.is_partial
         cancelled = [r for r in result.reports if r.cancelled]
         assert any(r.extent_name == "person0" for r in cancelled)
+        mediator.close()
+
+    def test_calls_started_behind_an_answer_give_the_consumer_a_turn(self, monkeypatch):
+        # One pool thread: the four calls run one after another, so which of
+        # them start once another has answered is fixed -- all but the first.
+        mediator, _ = build_person_federation(4, rows_per_source=5, max_parallel_calls=1)
+        turns = []
+        sleep = time.sleep
+        monkeypatch.setattr(time, "sleep", lambda s: turns.append(s) if s == 0 else sleep(s))
+        assert len(mediator.query_stream("select x.name from x in person").rows()) == 20
+        assert turns == [0, 0, 0]
+        # A materialising run hands nothing over before its last answer.
+        assert len(mediator.query("select x.name from x in person").rows()) == 20
+        assert turns == [0, 0, 0]
         mediator.close()
 
 
