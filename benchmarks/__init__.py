@@ -1,1 +1,2 @@
-"""Benchmark harness package (one module per paper experiment; see DESIGN.md)."""
+"""Benchmark harness package: one harness, ``benchmarks.spine``
+(``python3 -m benchmarks.spine``; see ``benchmarks/spine/README.md``)."""

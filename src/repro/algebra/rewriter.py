@@ -1,30 +1,177 @@
-"""The rule engine that drives logical-plan rewriting.
+"""The rule engine: equivalence groups of logical subtrees (paper Section 3.2).
 
-Two modes, both used by the optimizer:
-
-* :meth:`Rewriter.rewrite_greedy` applies the rules bottom-up until no rule
-  fires anywhere -- this yields the "maximum push-down" plan the paper's
-  default cost model favours (everything done at a data source costs 0);
-* :meth:`Rewriter.alternatives` enumerates the closure of single-rule
-  applications (bounded), which is the search space handed to the cost-based
-  optimizer.
+:meth:`Rewriter.alternatives` sorts every subtree the rules reach from a plan
+into **groups** of interchangeable subtrees (Volcano/Cascades in miniature),
+so the rules see each distinct subtree once, not once per whole plan it
+appears in; the optimizer then costs each group once.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import product
+from operator import is_
 from typing import Iterable
 
-from repro.algebra.logical import LogicalOp, transform_bottom_up
+from repro.algebra.logical import Get, LogicalOp, Submit, transform_bottom_up
 from repro.algebra.rules import (
     DEFAULT_RULES,
     CapabilityResolver,
     TransformationRule,
 )
 
+#: a group member: a node whose operands are members of the listed groups
+Member = tuple[LogicalOp, tuple[int, ...]]
 
-#: id(node) -> (node, its single-step variants); the node rides along so that
-#: its id cannot be reused by a later node while the entry exists
-_VariantMemo = dict[int, tuple[LogicalOp, list[LogicalOp]]]
+
+def _operands(node: LogicalOp) -> tuple[LogicalOp, ...]:
+    """A node's subtrees that are groups of their own: never a submit's
+    argument, which is the wrapper's -- the rules that move work across the
+    boundary check the wrapper accepts what they build, nothing rewrites below."""
+    return () if isinstance(node, Submit) else node.children()
+
+
+class Memo:
+    """The groups of one :meth:`Rewriter.alternatives` call, numbered from 0.
+
+    A member's key is its text with each operand written as its group's slot
+    (``get(#n)``: OQL cannot name such an extent), so a key never embeds a
+    subtree -- a union spine, a partial answer's rows -- and two rewrites
+    reaching one operator over the same groups reach one member.  A node
+    seen before is found by identity.  Groups refer to each other by number,
+    so the memo is freed the moment its search drops it.
+    """
+
+    def __init__(
+        self, root: LogicalOp, rules: tuple[TransformationRule, ...], capabilities: CapabilityResolver
+    ):
+        #: members explored
+        self.size = 0
+        self._members: list[list[Member]] = []
+        #: per group: (group, member, its operand groups, position) of each member over it
+        self._parents: list[list[tuple[int, LogicalOp, tuple[int, ...], int]]] = []
+        self._merged: list[int] = []
+        self._slots: list[Get] = []
+        self._keys: dict[str, tuple[int, LogicalOp, LogicalOp]] = {}
+        #: id(node) -> (group, the member it equals, node: keeps the id taken)
+        self._seen: dict[int, tuple[int, LogicalOp, LogicalOp]] = {}
+        self._pending: deque[tuple[int, LogicalOp]] = deque()
+        group, _ = self._insert(root)
+        pending, insert, find = self._pending, self._insert, self.find
+        while pending:
+            into, binding = pending.popleft()
+            for rule in rules:
+                for rewritten in rule.apply(binding, capabilities):
+                    insert(rewritten, find(into))
+        self.root = find(group)
+
+    def find(self, group: int) -> int:
+        """The group ``group`` is now part of (itself unless merged)."""
+        while self._merged[group] != group:
+            group = self._merged[group]
+        return group
+
+    def members(self, group: int) -> list[Member]:
+        """The members of ``group`` and of every group merged with it."""
+        return self._members[self.find(group)]
+
+    def _insert(self, node: LogicalOp, into: int | None = None) -> tuple[int, LogicalOp]:
+        """The group and member ``node`` equals, new if need be; ``into`` merges."""
+        seen = self._seen.get(id(node))
+        if seen is None:
+            children = _operands(node)
+            placed = [self._insert(child) for child in children]
+            operands = tuple([group for group, _ in placed])
+            key = self._key(node, operands)
+            seen = self._keys.get(key)
+            if seen is None:
+                equals = [member for _, member in placed]
+                member = node if all(map(is_, equals, children)) else node.with_children(equals)
+                if into is None:
+                    into = len(self._members)
+                    self._members.append([])
+                    self._parents.append([])
+                    self._merged.append(into)
+                    self._slots.append(Get(f"#{into}"))
+                self._keys[key] = self._seen[id(node)] = (into, member, node)
+                self._add(into, member, operands)
+                return into, member
+            self._seen[id(node)] = (seen[0], seen[1], node)
+        group = self.find(seen[0])
+        if into is not None and group != into:
+            group = self._merge(into, group)
+        return group, seen[1]
+
+    def _add(self, group: int, member: LogicalOp, operands: tuple[int, ...]) -> None:
+        self.size += 1
+        self._members[group].append((member, operands))
+        for parent in self._parents[group]:
+            self._bind(*parent, member)
+        for position, operand in enumerate(operands):
+            self._parents[operand].append((group, member, operands, position))
+        self._bind(group, member, operands, -1, None)
+
+    def _key(self, node: LogicalOp, operands: tuple[int, ...]) -> str:
+        if not operands:
+            return node.to_text()
+        return node.with_children([self._slots[self.find(g)] for g in operands]).to_text()
+
+    def _merge(self, into: int, other: int) -> int:
+        """Make ``other`` part of ``into``; then, since a member over ``other``
+        is now one over ``into``, key such members anew: one whose key a kept
+        member holds is dropped, and the two members' groups merge too.  The
+        dropped one was shown with ``other``'s members; its twin is not again."""
+        merged, pending = into, [(into, other)]
+        members, parents = self._members, self._parents
+        while pending:
+            into, other = map(self.find, pending.pop())
+            if into == other:
+                continue
+            self._merged[other] = into
+            dropped, twins = set(), set()
+            for group, member, operands, _ in parents[other]:
+                kept = self._keys.setdefault(self._key(member, operands), (group, member, member))
+                if kept[1] is not member:
+                    dropped.add(id(member))
+                    twins.add(id(kept[1]))
+                    pending.append((kept[0], group))
+            if dropped:
+                for group in range(len(members)):
+                    members[group] = [m for m in members[group] if id(m[0]) not in dropped]
+                    parents[group] = [p for p in parents[group] if id(p[1]) not in dropped]
+            for over, under in ((parents[into], members[other]), (parents[other], members[into])):
+                for parent in over:
+                    if id(parent[1]) not in twins:
+                        for member, _ in under:
+                            self._bind(*parent, member)
+            members[into] += members[other]
+            parents[into] += parents[other]
+        return self.find(merged)
+
+    def _bind(
+        self, group: int, member: LogicalOp, operands: tuple[int, ...], position: int, new: LogicalOp | None
+    ) -> None:
+        """Queue ``member`` for the rules over operand members not yet shown with it.
+
+        Rules look one level down (``select`` over ``submit``), so a member
+        is shown with each new member of an operand's group at its
+        ``position``, beside every member of its other operand (a join's
+        two operands vary together) -- a union's other operands stay its
+        own, never the product of its branches.  Position -1: a new member.
+        """
+        children = _operands(member)
+        choices = [
+            (new,) if index == position
+            else [equal for equal, _ in self.members(operand)] if len(children) <= 2
+            else (child,)
+            for index, (operand, child) in enumerate(zip(operands, children))
+        ]
+        pending = self._pending
+        for combination in product(*choices):
+            if all(map(is_, combination, children)):
+                pending.append((group, member))
+            else:
+                pending.append((group, member.with_children(combination)))
 
 
 class Rewriter:
@@ -34,11 +181,9 @@ class Rewriter:
         self,
         capabilities: CapabilityResolver,
         rules: Iterable[TransformationRule] | None = None,
-        max_alternatives: int = 64,
     ):
         self.capabilities = capabilities
         self.rules: tuple[TransformationRule, ...] = tuple(rules or DEFAULT_RULES)
-        self.max_alternatives = max_alternatives
 
     # -- greedy fixpoint -------------------------------------------------------------
     def rewrite_greedy(self, root: LogicalOp) -> LogicalOp:
@@ -61,50 +206,12 @@ class Rewriter:
 
         return transform_bottom_up(root, visit)
 
-    # -- exhaustive enumeration ---------------------------------------------------------
-    def alternatives(self, root: LogicalOp) -> list[LogicalOp]:
-        """Return the closure of rule applications starting from ``root``.
+    # -- equivalence groups ------------------------------------------------------------
+    def alternatives(self, root: LogicalOp) -> Memo:
+        """The groups of every subtree the rules reach from ``root``.
 
-        Always includes ``root`` itself; bounded by ``max_alternatives`` so a
-        pathological rule set cannot blow up the search space.
-
-        The single-step variants of a plan -- every plan one rule application
-        at one node away, nodes in pre-order -- are built per *node* and
-        memoised by node identity for the duration of this call: a plan popped
-        from the frontier differs from the plan it was derived from along one
-        path, shares every other node with it, and so pays rule applications
-        for that path only.  The memo is a local: rules, capabilities and
-        schema are read afresh by the next call.
+        Each rule sees a member once per combination of operand members; a
+        rewrite whose key names another group merges the two.  Nothing is
+        kept: rules, capabilities and schema are read afresh by the next call.
         """
-        memo: _VariantMemo = {}
-        seen: dict[str, LogicalOp] = {root.to_text(): root}
-        frontier: list[LogicalOp] = [root]
-        while frontier and len(seen) < self.max_alternatives:
-            for variant in self._variants(frontier.pop(), memo):
-                key = variant.to_text()
-                if key not in seen:
-                    seen[key] = variant
-                    frontier.append(variant)
-                if len(seen) >= self.max_alternatives:
-                    break
-        return list(seen.values())
-
-    def _variants(self, node: LogicalOp, memo: _VariantMemo) -> list[LogicalOp]:
-        """Every plan one rule application away from ``node``, nodes in pre-order:
-        the rewrites of ``node`` itself, then each child's variants lifted
-        through ``with_children``."""
-        known = memo.get(id(node))
-        if known is not None:
-            return known[1]
-        capabilities = self.capabilities
-        found = [
-            rewritten for rule in self.rules for rewritten in rule.apply(node, capabilities)
-        ]
-        children = node.children()
-        for index, child in enumerate(children):
-            for variant in self._variants(child, memo):
-                found.append(
-                    node.with_children(children[:index] + (variant,) + children[index + 1 :])
-                )
-        memo[id(node)] = (node, found)
-        return found
+        return Memo(root, self.rules, self.capabilities)

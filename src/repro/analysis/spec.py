@@ -269,8 +269,8 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
 
 # --------------------------------------------------------------------------- dispatch
 # Algebra nodes are immutable: `to_text()` is kept on the node after its
-# first rendering (see `TextCachedNode`), and the optimizer shares subtrees
-# between alternatives, so an in-place edit would go unseen under a stale text.
+# first rendering (see `TextCachedNode`), and the optimizer's groups share
+# subtrees between plans, so an in-place edit would go unseen under a stale text.
 HIERARCHIES: tuple[Hierarchy, ...] = (
     Hierarchy(name="logical", module="src/repro/algebra/logical.py", root="LogicalOp", frozen=True),
     Hierarchy(name="physical", module="src/repro/algebra/physical.py", root="PhysicalOp", frozen=True),

@@ -68,7 +68,7 @@ class CostMemo:
     """What one plan search has costed so far; a local of that search.
 
     The physical plans of one ``Optimizer.optimize`` call share their
-    subtrees (see :func:`~repro.optimizer.implementation.implementation_alternatives`),
+    subtrees (each group's points are built once, see ``optimizer._Search``),
     so a subtree's cost is kept by node identity, and an exec call's history
     reading by its exact signature -- two rewrite orders can reach the same
     pushed expression through different node objects.  Nothing here outlives

@@ -83,49 +83,31 @@ def _rebuild(node: log.LogicalOp, children: Sequence[phys.PhysicalOp]) -> phys.P
     return phys.counterpart(algorithm, node, children)
 
 
-ImplementationMemo = dict[int, tuple[log.LogicalOp, list[phys.PhysicalOp]]]
-
-
-def implementation_alternatives(
-    node: log.LogicalOp, memo: ImplementationMemo | None = None
-) -> list[phys.PhysicalOp]:
-    """Return every physical plan for ``node`` (join algorithm choices multiply).
-
-    ``memo`` lets one plan search implement each logical subtree once: the
-    rewriter's alternatives share all but one path of their nodes, so passing
-    the same dict for every alternative makes their physical plans share the
-    physical subtrees too (and :meth:`CostModel.estimate` cost those once).
-    Keyed by node identity -- never by text, which a data-bearing subtree
-    would have to rebuild -- and meant to be dropped with the search.
-    Without a memo nothing is shared: every call builds its own nodes.
-    """
-    if memo is None:
-        return _alternatives_of(node, None)
-    known = memo.get(id(node))
-    if known is not None:
-        return known[1]
-    plans = _alternatives_of(node, memo)
-    # The node rides along so its id cannot be reused while the entry exists.
-    memo[id(node)] = (node, plans)
-    return plans
-
-
-def _alternatives_of(
-    node: log.LogicalOp, memo: ImplementationMemo | None
-) -> list[phys.PhysicalOp]:
-    if isinstance(node, log.Submit):
-        return [_exec_for(node)]
-    per_child = [implementation_alternatives(child, memo) for child in node.children()]
-    if isinstance(node, log.Join):
-        return [
-            algorithm(left, right, node.on)
-            for left, right in product(*per_child)
-            for algorithm in (phys.HashJoin, phys.NestedLoopJoin)
-        ]
-    plans = [_rebuild(node, combination) for combination in product(*per_child)]
+def implementation_alternatives(node: log.LogicalOp) -> list[phys.PhysicalOp]:
+    """Return every physical plan for ``node`` (join algorithm choices multiply)."""
+    operands = () if isinstance(node, log.Submit) else node.children()
+    per_child = [implementation_alternatives(child) for child in operands]
+    plans = _alternatives_of(node, per_child)
     if isinstance(node, log.BindJoin):
         for left in per_child[0]:
             probe_join = _probe_join_for(node, left)
             if probe_join is not None:
                 plans.append(probe_join)
     return plans
+
+
+def _alternatives_of(
+    node: log.LogicalOp, per_child: Sequence[Sequence[phys.PhysicalOp]]
+) -> list[phys.PhysicalOp]:
+    """Every physical plan for ``node`` over the given candidates per operand
+    (a submit has none: it is one exec of its own expression).  A probe join
+    is not among them: its probe is no child (see :func:`_probe_join_for`)."""
+    if isinstance(node, log.Submit):
+        return [_exec_for(node)]
+    if isinstance(node, log.Join):
+        return [
+            algorithm(left, right, node.on)
+            for left, right in product(*per_child)
+            for algorithm in (phys.HashJoin, phys.NestedLoopJoin)
+        ]
+    return [_rebuild(node, combination) for combination in product(*per_child)]

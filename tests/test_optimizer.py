@@ -20,6 +20,7 @@ from repro.algebra.logical import (
     Select,
     Submit,
     Union,
+    walk,
 )
 from repro.algebra.rewriter import Rewriter
 from repro.errors import OptimizationError
@@ -313,9 +314,11 @@ class TestOptimizerSearch:
         assert plan.cost.total() > 0
 
     def test_optimize_reports_search_space_size(self):
-        plan = self.optimizer().optimize(self.paper_plan())
-        assert plan.logical_alternatives > 1
-        assert plan.physical_alternatives >= plan.logical_alternatives
+        """Group members explored and implementations costed."""
+        logical = self.paper_plan()
+        plan = self.optimizer().optimize(logical)
+        assert plan.logical_alternatives > len({node.to_text() for node in walk(logical)})
+        assert plan.physical_alternatives > 1
 
     def test_join_algorithm_choice_uses_history(self):
         history = ExecCallHistory()

@@ -1,8 +1,10 @@
 """Tests for the transformation rules and the rewrite engine."""
 
+from itertools import product
+
 from repro.algebra.capabilities import grammar_for
 from repro.algebra.expressions import Comparison, Const, Path, Subquery, Var
-from repro.algebra.logical import Get, Join, Project, Select, Submit, Union
+from repro.algebra.logical import Get, Join, Limit, Project, Select, Submit, Union
 from repro.algebra.rewriter import Rewriter
 from repro.algebra.rules import (
     CommuteSelectProject,
@@ -105,6 +107,27 @@ class TestPushdownRules:
         assert CommuteSelectProject().apply(narrow, full_capabilities) == []
 
 
+def trees(memo, group):
+    """Every tree a memo group holds: each member over its operands' trees."""
+    found = {}
+    for member, operands in memo.members(group):
+        for combination in product(*(trees(memo, operand) for operand in operands)):
+            tree = member.with_children(combination) if operands else member
+            found.setdefault(tree.to_text(), tree)
+    return list(found.values())
+
+
+def groups(memo):
+    """The groups reachable from a memo's root, each once."""
+    found, pending = [], [memo.root]
+    while pending:
+        group = memo.find(pending.pop())
+        if group not in found:
+            found.append(group)
+            pending.extend(operand for _, operands in memo.members(group) for operand in operands)
+    return found
+
+
 class TestRewriter:
     def paper_query_plan(self):
         """project over select over union of two submits (the translated query)."""
@@ -155,17 +178,37 @@ class TestRewriter:
     def test_alternatives_contains_original_and_rewrites(self):
         rewriter = Rewriter(full_capabilities)
         plan = self.paper_query_plan()
-        alternatives = rewriter.alternatives(plan)
-        texts = {alt.to_text() for alt in alternatives}
+        memo = rewriter.alternatives(plan)
+        texts = {tree.to_text() for tree in trees(memo, memo.root)}
         assert plan.to_text() in texts
-        assert len(alternatives) > 1
+        assert rewriter.rewrite_greedy(plan).to_text() in texts
+        assert len(texts) > 1
 
-    def test_alternatives_is_bounded(self):
-        rewriter = Rewriter(full_capabilities, max_alternatives=4)
-        assert len(rewriter.alternatives(self.paper_query_plan())) <= 4
+    def test_alternatives_keep_each_subtree_once(self):
+        """One member per distinct subtree: a union branch's rewrites are not
+        repeated for every whole plan the branch appears in."""
+        union = Union(
+            tuple(Submit(f"r{i}", Get(f"person{i}"), extent_name=f"person{i}") for i in range(4))
+        )
+        memo = Rewriter(full_capabilities).alternatives(
+            Project(("name",), Select("x", salary_predicate(), union))
+        )
+        assert memo.size * 2 < len(trees(memo, memo.root))
 
     def test_alternatives_are_unique(self):
-        rewriter = Rewriter(full_capabilities)
-        alternatives = rewriter.alternatives(self.paper_query_plan())
-        texts = [alt.to_text() for alt in alternatives]
-        assert len(texts) == len(set(texts))
+        """No two members are one operator over the same groups -- also after
+        collapsing nested limits merges groups, which turns a member over the
+        merged-away group into one over the group it joined."""
+        limits = grammar_for({"get", "select", "project", "limit"})
+        nested = Limit(5, Limit(10, Limit(10, Union((submit0(), Submit("r1", Get("dept0")), submit0())))))
+        for capabilities, plan in ((full_capabilities, self.paper_query_plan()), (lambda _s: limits, nested)):
+            memo = Rewriter(capabilities).alternatives(plan)
+            keys = [
+                member.with_children([Get(f"#{memo.find(o)}") for o in operands]).to_text()
+                if operands else member.to_text()
+                for group in groups(memo)
+                for member, operands in memo.members(group)
+            ]
+            assert len(keys) == len(set(keys))
+        merged = [g for g in groups(memo) for _, operands in memo.members(g) if g in map(memo.find, operands)]
+        assert merged, "no group became its own operand"
