@@ -352,7 +352,7 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
             ("Submit", "the degradation ladder runs *inside* one submit"),
             ("Apply", "computed attributes cannot be compensated row-wise without the source's rows"),
             ("Join", "multi-leaf pushdown: degrading means splitting, handled by the refuse-to-push path"),
-            ("BindJoin", "probe shape is degraded by the probe runner, not the ladder"),
+            ("BindJoin", "never pushed whole: a probe submits select shapes, which the ladder strips"),
             ("Union", "multi-leaf pushdown: degraded by per-branch splitting, not stripping"),
             ("Distinct", "stripping distinct would re-ship duplicate rows the mediator cannot attribute"),
             ("BagLiteral", "literal leaf: nothing smaller to submit"),

@@ -70,11 +70,14 @@ def normalize_query_text(query_text: str) -> str:
     return " ".join(query_text[token.offset : token.end] for token in tokens[:-1])
 
 
+#: plans a :class:`PlanCache` keeps before evicting the least recently used
+PLAN_CACHE_CAPACITY = 128
+
+
 @dataclass
 class PlanCache:
     """A small query-text -> optimized-plan LRU cache (thread-safe)."""
 
-    capacity: int = 128
     _entries: OrderedDict[str, _CachedPlan] = field(default_factory=OrderedDict)
     #: memo of text -> canonical key, so repeated queries skip the parse
     _keys: dict[str, str] = field(default_factory=dict)
@@ -99,7 +102,7 @@ class PlanCache:
         For the caller that has parsed the text already.  Returns ``key``.
         """
         with self._lock:
-            if len(self._keys) >= 4 * self.capacity:
+            if len(self._keys) >= 4 * PLAN_CACHE_CAPACITY:
                 self._keys.clear()
             self._keys[query_text] = key
         return key
@@ -142,7 +145,7 @@ class PlanCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            elif len(self._entries) >= self.capacity:
+            elif len(self._entries) >= PLAN_CACHE_CAPACITY:
                 # Evict the least recently used entry to stay within capacity.
                 self._entries.popitem(last=False)
                 self.evictions += 1

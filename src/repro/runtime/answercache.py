@@ -132,17 +132,20 @@ def _strippable_delta(op: log.LogicalOp) -> bool:
     return False
 
 
+#: the *total* number of rows an :class:`AnswerCache` holds across entries
+#: (a single answer larger than this is never stored)
+MAX_CACHED_ROWS = 100_000
+
+
 class AnswerCache:
     """Thread-safe LRU cache of materialized (and partial) query answers.
 
-    ``max_entries`` bounds the entry count and ``max_rows`` the *total*
-    number of cached rows across entries (a single answer larger than the
-    row budget is never stored).
+    ``max_entries`` bounds the entry count and :data:`MAX_CACHED_ROWS` the
+    total number of cached rows.
     """
 
-    def __init__(self, max_entries: int = 128, max_rows: int = 100_000):
+    def __init__(self, max_entries: int = 128):
         self.max_entries = max_entries
-        self.max_rows = max_rows
         #: canonical query text -> entry, in LRU order (front = coldest).
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         #: translated-plan text -> canonical text of a *complete* entry.
@@ -289,7 +292,7 @@ class AnswerCache:
         available (a patched partial answer keeps its original tags).
         """
         materialized = tuple(rows)
-        if len(materialized) > self.max_rows:
+        if len(materialized) > MAX_CACHED_ROWS:
             return
         if extents is None:
             extents = _extents_of(plan) if plan is not None else frozenset()
@@ -338,7 +341,7 @@ class AnswerCache:
             self.stores += 1
             while self._entries and (
                 len(self._entries) > self.max_entries
-                or self._total_rows > self.max_rows
+                or self._total_rows > MAX_CACHED_ROWS
             ):
                 coldest, _ = next(iter(self._entries.items()))
                 self._remove_entry(coldest)

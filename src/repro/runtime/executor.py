@@ -37,8 +37,9 @@ still answering):
 * retry is *adaptive*: a failure that looks like a capability/translation
   problem (see :mod:`repro.runtime.degrade`) is deterministic, so instead of
   re-submitting the same expression the retry degrades the pushdown one rung
-  -- ultimately down to a bare ``get`` -- and the stripped operators are
-  replayed at the mediator over the rows that come back.
+  -- ultimately down to a bare ``get``, or, for a pushed ``join`` or
+  ``union``, to per-leaf calls -- and the stripped operators are replayed at
+  the mediator over the rows that come back.
 
 Compiled calls (:class:`CompiledCall`): what an exec call needs that depends
 only on its plan node and the schema version -- the resolved extent and
@@ -57,7 +58,6 @@ call time and kept by nothing.
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -74,7 +74,6 @@ from repro.optimizer.history import ExecCallHistory, signature_pair
 from repro.optimizer.implementation import implement
 from repro.runtime import cancellation, namespace
 from repro.runtime import operators as ops
-from repro.runtime.degrade import is_capability_failure
 from repro.runtime.namespace import NamespacePlan, RuntimeRegistry, _wrapper_accepts
 
 
@@ -163,14 +162,10 @@ class ExecReport:
     #: delivered-row count).  0 for token resumes: the source itself skipped
     #: them and shipped only the remainder.
     replayed_rows: int = 0
-    #: mid-stream reopen attempts charged to the dedicated ``max_resumes``
-    #: budget (successful or not).  0 when ``max_resumes`` is unset: reopens
-    #: are then charged to ``attempts``.
-    resume_attempts: int = 0
     #: True when a probe join was re-planned mid-query: the observed probe
     #: cardinality blew past the cost model's estimate by more than
-    #: ``ExecutorConfig.replan_blowup_factor``, so the runner flipped from
-    #: batched probing to one full ship of the right side hash-joined at the
+    #: :data:`REPLAN_BLOWUP_FACTOR`, so the runner flipped from batched
+    #: probing to one full ship of the right side hash-joined at the
     #: mediator.  Always False for ordinary exec calls.
     replanned: bool = False
 
@@ -219,44 +214,20 @@ class ExecutorConfig:
     ``max_retries``
         Extra wrapper calls attempted after a failure before the source is
         declared unavailable.  ``0`` (the default) fails fast.  This is the
-        *whole* per-call budget: transient re-submissions, degrading-pushdown
-        rungs and mid-stream reopens all draw from it, so give flaky,
-        mis-declared or mid-stream-dying sources a budget at least as deep as
-        the recovery they need.
+        *one* per-call budget: transient re-submissions, the rungs of the
+        degrading-pushdown ladder (:mod:`repro.runtime.degrade`; the split
+        into per-leaf calls is its last rung) and ``query_stream()``'s
+        mid-stream reopens all draw from it, so give flaky, mis-declared or
+        mid-stream-dying sources a budget at least as deep as the recovery
+        they need.  A degrading retry skips the backoff sleep (the failure
+        was deterministic, not a load problem); a mid-stream reopen is
+        exactly-once when the wrapper declares ``token`` or ``replay``
+        resume support and is written off otherwise.
     ``retry_backoff``
         Sleep before the first retry, in seconds; doubled for each further
         attempt.  The sleep is cancellation-aware: a written-off call wakes
         immediately instead of serving it out.  Also applied before a
         mid-stream reopen (the death was transient, not deterministic).
-    ``degrade_pushdown``
-        When True (the default), a retry after a capability/translation
-        failure re-submits a strictly smaller pushdown (stripping the
-        outermost operator, ultimately down to a bare ``get``) instead of
-        repeating the expression that was just rejected; the stripped
-        operators are replayed at the mediator.  Degrading retries skip the
-        backoff sleep -- the failure was deterministic, not a load problem.
-    ``replay_resume``
-        Permits the reopen-and-skip fallback (used by ``replay`` wrappers,
-        and by ``token`` wrappers whose call was degraded or split, where
-        token positions no longer match the delivered stream).  Turn off to
-        allow only true source-side token resumes -- e.g. when re-shipping
-        already-delivered rows is costlier than losing the source.
-    ``max_resumes``
-        ``query_stream()`` only: the per-call budget for reopening a call
-        that dies *after delivering rows*, with exactly-once row delivery,
-        provided the wrapper declares resume support -- ``token`` wrappers
-        resume source-side (only the remaining rows are shipped), ``replay``
-        wrappers are reopened and the mediator skips the already-delivered
-        prefix; wrappers declaring neither keep the write-off, since
-        reopening a half-consumed cursor without a token or a determinism
-        guarantee risks duplicated or dropped rows.  ``None`` (the default)
-        draws reopens from the shared ``max_retries`` budget, so with
-        ``max_retries=0`` recovery stays off until a budget is granted.  When
-        set, a call may be reopened up to ``max_resumes`` times *without*
-        consuming retries, counted on :attr:`ExecReport.resume_attempts` --
-        so ``max_retries=0, max_resumes=2`` fails fresh calls fast yet still
-        recovers a stream that dies mid-transfer.  ``0`` disables mid-stream
-        recovery outright.
     ``type_check``
         Whether the mediator checks source attribute names against the
         mediator interface (the run-time type check of Section 2.1).
@@ -267,32 +238,14 @@ class ExecutorConfig:
         ``select(v: key in (k1, ..., kn), expr)`` -- instead of one call per
         binding.  ``1`` degenerates to per-binding probing (the pre-batching
         behaviour, which ``tests/test_bind_batching.py`` counts calls against).
-    ``replan_blowup_factor``
-        Mid-query re-planning trigger for probe joins.  The optimizer picked
-        the probe join because the cost model estimated the probed
-        expression small; when the rows actually fetched by probing exceed
-        this factor times that estimate, the estimate was wrong and batched
-        probing is fetching the extent the hard way.  The runner then flips
-        to one full ship of the right side and finishes the join against a
-        mediator-side hash table, recording the flip on
-        :attr:`ExecReport.replanned`.  ``None`` disables re-planning.  Note
-        the paper's no-history default estimate is 1 row, so an uninformed
-        mediator flips as soon as a probe stream returns more than this many
-        rows -- by design: with no evidence that probing pays, one cheap
-        ship is the safer plan, and the history the probes just recorded
-        informs the next query.
     """
 
     timeout: float | None = 5.0
     max_parallel_calls: int = 16
     max_retries: int = 0
     retry_backoff: float = 0.05
-    degrade_pushdown: bool = True
-    replay_resume: bool = True
-    max_resumes: int | None = None
     type_check: bool = True
     bind_batch_size: int = 256
-    replan_blowup_factor: float | None = 8.0
 
 
 class _ProbeUnavailable(Exception):
@@ -310,42 +263,51 @@ class _ProbeUnavailable(Exception):
         self.error = error
 
 
-class _ProbeCancelled(Exception):
-    """A probe call was cancelled cooperatively (stream closed/written off)."""
-
-
-class _ProbeCapability(Exception):
-    """A probe submit failed deterministically: drop one probe-shape rung."""
+#: Mid-query re-planning trigger for probe joins.  The optimizer picked the
+#: probe join because the cost model estimated the probed expression small;
+#: when the rows actually fetched by probing exceed this factor times that
+#: estimate, the estimate was wrong and batched probing is fetching the
+#: extent the hard way, so the runner flips to one full ship of the right
+#: side joined against a mediator-side hash table
+#: (:attr:`ExecReport.replanned`).  The paper's no-history default estimate
+#: is 1 row, so an uninformed mediator flips as soon as a probe join has
+#: fetched more than 8 rows -- by design: with no evidence that probing
+#: pays, one cheap ship is the safer plan, and the history the probes just
+#: recorded informs the next query.
+REPLAN_BLOWUP_FACTOR = 8.0
 
 
 class _ProbeRunner:
-    """Issues one probe join's wrapper calls: batching, caching, degrade, replan.
+    """Shapes, caches and buckets one probe join's wrapper calls.
 
     One runner serves one :class:`~repro.algebra.physical.ProbeJoin` of one
-    query, from whichever entry point composed it.  It owns:
+    query, from whichever entry point composed it.  Every wrapper round trip
+    is one synchronous call of the run's attempt loop (``attempt_loop``:
+    ``StreamingExecution._open_exec`` on the consumer thread), so retry,
+    backoff, the query deadline, the degrading ladder, write-off and history
+    recording (once per round trip, under the probe expression: the
+    ``in``-list close signature collapses all batch sizes onto one history
+    entry) are the exec calls' own.  The runner owns what is specific to
+    probing:
 
-    * the **probe shape**: batches of distinct keys are submitted as one
-      set-valued ``select(v: key in (...), expr)`` when the wrapper's grammar
-      has the ``in`` terminal; otherwise the runner degrades to one ``=``
-      probe per key, and a wrapper that cannot even evaluate a selection gets
-      one full ship of ``expr`` hash-joined at the mediator.  A submit that
-      still fails with a capability error drops a rung the same way
-      (:func:`~repro.runtime.degrade.is_capability_failure`).
+    * the **probe shape**, chosen by the wrapper's grammar: batches of
+      distinct keys are submitted as one set-valued
+      ``select(v: key in (...), expr)`` when the grammar has the ``in``
+      terminal; otherwise one ``=`` probe per key, and a wrapper that cannot
+      even evaluate a selection gets one full ship of ``expr``.  A shape the
+      wrapper refuses at call time goes down the ordinary ladder: its
+      ``select`` is stripped and replayed at the mediator.
     * the **per-query probe cache**: a key probed once is never sent to the
       source again, whatever batch it reappears in; hit/miss counts aggregate
       onto the executor for ``Mediator.statistics()``.
-    * **adaptive re-planning**: when the rows fetched by probing exceed
-      ``replan_blowup_factor`` times the cost model's estimate of the probed
-      expression, the runner flips to the full-ship shape mid-query
-      (:attr:`ExecReport.replanned`).
-    * **history**: every wrapper round trip is recorded in the exec-call
-      history under the probed extent, so the cost model learns real probe
-      latencies and cardinalities (the ``in``-list close signature collapses
-      all batch sizes onto one history entry).
+    * **bucketing** the fetched rows by join key.
+    * **adaptive re-planning**: past :data:`REPLAN_BLOWUP_FACTOR` times the
+      cost model's estimate of the probed expression, the runner flips to
+      the full-ship shape mid-query (:attr:`ExecReport.replanned`).
 
-    The runner aggregates everything into one :class:`ExecReport` --
-    ``attempts`` is the total number of wrapper calls issued -- so the two
-    entry points stay report-shape comparable.
+    It aggregates everything into one :class:`ExecReport` -- ``attempts`` is
+    the total number of wrapper calls issued -- so the two entry points stay
+    report-shape comparable.
     """
 
     def __init__(
@@ -353,6 +315,7 @@ class _ProbeRunner:
         executor: "Executor",
         plan: phys.ProbeJoin,
         compiled: Callable[[phys.Exec], CompiledCall],
+        attempt_loop: Callable[[log.LogicalOp], Any],
         event: threading.Event,
         remaining: Callable[[], float | None],
         raise_unavailable: bool,
@@ -361,6 +324,8 @@ class _ProbeRunner:
         self._plan = plan
         #: the run's compiled-call lookup, consulted at the first fetch
         self._compiled = compiled
+        #: the run's attempt loop for one expression, returning its outcome
+        self._attempt_loop = attempt_loop
         self._event = event
         self._remaining = remaining
         self._raise_unavailable = raise_unavailable
@@ -374,7 +339,6 @@ class _ProbeRunner:
         self._mode: str | None = None
         self._cache: dict[Any, list[Any]] = {}
         self._ship_buckets: dict[Any, list[Any]] | None = None
-        self._capability_degraded = False
         self._degraded_to: str | None = None
         self._error: str | None = None
         self.cancelled = False
@@ -387,32 +351,16 @@ class _ProbeRunner:
 
     # -- the prober closure handed to ops.probe_join_rows ---------------------------------
     def probe(self, keys: list[Any]) -> dict[Any, list[Any]]:
-        """Rows for each requested key, from the cache or the source."""
-        buckets: dict[Any, list[Any]] = {}
-        if self._error is not None:
-            return buckets  # dead source: contributes no further rows
-        missing: list[Any] = []
-        for key in keys:
-            if self._ship_buckets is not None:
-                buckets[key] = self._ship_buckets.get(key, [])
-            elif key in self._cache:
-                self.cache_hits += 1
-                buckets[key] = self._cache[key]
-            else:
-                self.cache_misses += 1
-                missing.append(key)
-        if missing and self._ship_buckets is None:
-            try:
-                self._fetch(missing)
-            except _ProbeUnavailable:
-                if self._raise_unavailable:
-                    raise
-            for key in missing:
-                if self._ship_buckets is not None:
-                    buckets[key] = self._ship_buckets.get(key, [])
-                else:
-                    buckets[key] = self._cache.get(key, [])
-        return buckets
+        """Rows for each requested (distinct) key, from the cache or the source."""
+        if self._error is not None or self.cancelled:
+            return {}  # dead or written off: contributes no further rows
+        if self._ship_buckets is None:
+            missing = [key for key in keys if key not in self._cache]
+            self.cache_hits += len(keys) - len(missing)
+            self.cache_misses += len(missing)
+            self._fetch(missing)
+        found = self._cache if self._ship_buckets is None else self._ship_buckets
+        return {key: found.get(key, []) for key in keys}
 
     # -- fetching -------------------------------------------------------------------------
     def _fetch(self, keys: list[Any]) -> None:
@@ -424,36 +372,23 @@ class _ProbeRunner:
             # guard keeps hand-driven runners safe too.
             return
         self._resolve()
-        pending = list(keys)
-        while True:
-            if self._mode is None:
-                self._select_mode(pending)
-            try:
-                if self._mode == "ship":
-                    self._ship(replanned=False)
-                    return
-                if self._mode == "per-key":
-                    while pending:
-                        rows = self._call(self._per_key_expression(pending[0]))
-                        self._cache[pending.pop(0)] = rows
-                        if self._blown():
-                            self._ship(replanned=True)
-                            return
-                    return
-                rows = self._call(self._in_expression(pending))
-                bucketed = self._bucket(rows)
-                for key in pending:
-                    self._cache[key] = bucketed.get(key, [])
-                if self._blown():
-                    self._ship(replanned=True)
+        if self._mode is None:
+            self._select_mode(keys)
+        if self._mode == "ship":
+            self._ship(replanned=False)
+            return
+        # One round trip for the whole batch, or one per key.
+        batches = [keys] if self._mode == "in" else [[key] for key in keys]
+        for batch in batches:
+            rows = self._round_trip(self._probe_expression(batch))
+            if rows is None:
                 return
-            except _ProbeCapability as exc:
-                if self._mode == "ship":
-                    # Even the bare expression is rejected: out of rungs.
-                    self._error = str(exc)
-                    raise _ProbeUnavailable(self._plan.probe, self._error)
-                self._mode = "per-key" if self._mode == "in" else "ship"
-                self._capability_degraded = True
+            bucketed = self._bucket(rows)
+            for key in batch:
+                self._cache[key] = bucketed.get(key, [])
+            if self._blown():
+                self._ship(replanned=True)
+                return
 
     def _resolve(self) -> None:
         if self._probe_call is not None:
@@ -465,44 +400,29 @@ class _ProbeRunner:
         estimate = self._executor.history.estimate(node.extent_name, node.expression)
         self._estimate_rows = max(estimate.rows, 1.0)
 
-    def _namespace_plan(self, expression: log.LogicalOp) -> NamespacePlan:
-        """The probed expression's own plan; a probe shape's is planned now.
-
-        Probe expressions carry the batch's keys: they are new objects by
-        nature, planned at call time and kept by nothing.
-        """
-        call = self._probe_call
-        if expression is self._plan.probe.expression:
-            return call.plan
-        return namespace.namespace_plan(
-            self._executor.registry, expression, call.meta, call.wrapper
-        )
-
     def _select_mode(self, keys: list[Any]) -> None:
         """Pick the largest probe shape the wrapper's grammar accepts."""
-        if self._accepts(self._in_expression(keys[:1])):
-            self._mode = "in"
-        elif self._accepts(self._per_key_expression(keys[0])):
-            self._mode = "per-key"
-            self._capability_degraded = True
-        else:
-            self._mode = "ship"
-            self._capability_degraded = True
+        for mode in ("in", "per-key"):
+            self._mode = mode
+            if self._accepts(self._probe_expression(keys[:1])):
+                return
+        self._mode = "ship"
 
     def _accepts(self, expression: log.LogicalOp) -> bool:
-        plan = self._namespace_plan(expression)
-        if plan.split is not None:
-            return False
-        return _wrapper_accepts(self._probe_call.wrapper, plan.expression)
-
-    def _in_expression(self, keys: list[Any]) -> log.LogicalOp:
-        predicate = InList(self._right_expr, tuple(Const(key) for key in keys))
-        return log.Select(
-            self._plan.right_variable, predicate, self._plan.probe.expression
+        # Probe expressions carry the batch's keys: new objects by nature,
+        # planned at call time and kept by nothing.
+        call = self._probe_call
+        plan = namespace.namespace_plan(
+            self._executor.registry, expression, call.meta, call.wrapper
         )
+        return plan.split is None and _wrapper_accepts(call.wrapper, plan.expression)
 
-    def _per_key_expression(self, key: Any) -> log.LogicalOp:
-        predicate = Comparison("=", self._right_expr, Const(key))
+    def _probe_expression(self, keys: list[Any]) -> log.LogicalOp:
+        """``select(v: key in (...), e)``, or ``select(v: key = k, e)`` per key."""
+        if self._mode == "in":
+            predicate = InList(self._right_expr, tuple(Const(key) for key in keys))
+        else:
+            predicate = Comparison("=", self._right_expr, Const(keys[0]))
         return log.Select(
             self._plan.right_variable, predicate, self._plan.probe.expression
         )
@@ -516,89 +436,49 @@ class _ProbeRunner:
         return buckets
 
     def _blown(self) -> bool:
-        factor = self._executor.config.replan_blowup_factor
-        if factor is None or self._ship_buckets is not None:
-            return False
-        return self.rows_fetched > factor * self._estimate_rows
+        return (
+            self._ship_buckets is None
+            and self.rows_fetched > REPLAN_BLOWUP_FACTOR * self._estimate_rows
+        )
 
     def _ship(self, replanned: bool) -> None:
         """Fetch the whole right side once; later batches join locally."""
-        rows = self._call(self._plan.probe.expression)
-        self._ship_buckets = self._bucket(rows)
-        self.replanned = self.replanned or replanned
+        rows = self._round_trip(self._plan.probe.expression)
+        if rows is not None:
+            self._ship_buckets = self._bucket(rows)
+            self.replanned = self.replanned or replanned
 
-    def _call(self, expression: log.LogicalOp) -> list[Any]:
-        """One wrapper round trip, with the exec calls' transient-retry policy."""
-        executor = self._executor
-        config = executor.config
-        node = self._plan.probe
-        wrapper = self._probe_call.wrapper
-        attempts = max(1, config.max_retries + 1)
-        attempt = 0
-        while True:
-            remaining = self._remaining()
-            if remaining is not None and remaining <= 0:
-                self._error = "timed out during probe"
-                raise _ProbeUnavailable(node, self._error)
-            started = time.monotonic()
-            try:
-                with cancellation.activate(self._event):
-                    plan = self._namespace_plan(expression)
-                    if plan.split is not None:
-                        rows = list(executor._split_pushdown(plan, wrapper))
-                    else:
-                        rows = list(map(plan.normalise, wrapper.submit(plan.expression)))
-            except Exception as exc:
-                call_elapsed = time.monotonic() - started
-                self.calls += 1
-                self.elapsed += call_elapsed
-                if self._event.is_set():
-                    self._written_off(exc)
-                executor.history.record_failure(
-                    node.extent_name, node.expression, call_elapsed, self._probe_call.signatures
-                )
-                if is_capability_failure(exc):
-                    raise _ProbeCapability(f"{type(exc).__name__}: {exc}") from exc
-                attempt += 1
-                if attempt >= attempts:
-                    self._error = f"{type(exc).__name__}: {exc}"
-                    raise _ProbeUnavailable(node, self._error) from exc
-                backoff = config.retry_backoff * (2 ** (attempt - 1))
-                if remaining is not None:
-                    backoff = min(backoff, remaining)
-                if self._event.wait(backoff):
-                    self._written_off(exc)
-                continue
-            call_elapsed = time.monotonic() - started
-            self.calls += 1
-            self.elapsed += call_elapsed
-            self.rows_fetched += len(rows)
-            # Satellite: probe calls are first-class history observations
-            # under the probed extent (the in-list close signature collapses
-            # every batch size onto one entry).
-            executor.history.record(
-                node.extent_name,
-                expression,
-                call_elapsed,
-                len(rows),
-                self._probe_call.signatures if expression is node.expression else None,
-            )
-            if self._capability_degraded:
-                self._degraded_to = plan.expression.to_text()
-            return rows
+    def _round_trip(self, expression: log.LogicalOp) -> list[Any] | None:
+        """One wrapper round trip through the run's attempt loop.
 
-    def _written_off(self, exc: BaseException) -> None:
-        """The run's cancellation event fired under a probe call.
-
-        A stream was closed or its limit satisfied: cancelled, not failed.
-        A materialising run has handed nothing over, so it cannot drop the
-        probe side silently -- and only ``Executor.close()`` sets its events.
+        Returns the rows, or ``None`` once the source contributes no further
+        rows: it failed, or the call was written off (a closed stream, a
+        satisfied limit: cancelled, not failed).  A materialising run has
+        handed nothing over, so a failure there -- or the mediator closing,
+        the only write-off it knows -- raises :class:`_ProbeUnavailable`.
         """
+        remaining = self._remaining()
+        if remaining is not None and remaining <= 0:
+            return self._fail("timed out during probe")
+        opened = self._attempt_loop(expression)
+        self.calls += opened.attempts
+        self.elapsed += opened.elapsed
+        if opened.error is None:
+            self.rows_fetched += len(opened.rows)
+            if opened.degraded_to is not None or self._mode != "in":
+                self._degraded_to = opened.degraded_to or expression.to_text()
+            return opened.rows
+        if not self._event.is_set():
+            return self._fail(opened.error)
         if self._raise_unavailable:
-            self._error = "mediator closed"
-            raise _ProbeUnavailable(self._plan.probe, self._error) from exc
+            return self._fail("mediator closed")
         self.cancelled = True
-        raise _ProbeCancelled from exc
+        return None
+
+    def _fail(self, error: str) -> None:
+        self._error = error
+        if self._raise_unavailable:
+            raise _ProbeUnavailable(self._plan.probe, error)
 
     # -- wrap-up --------------------------------------------------------------------------
     def finish(self) -> None:
@@ -813,12 +693,13 @@ class Executor:
         """Refuse-to-push fallback: per-leaf ``get`` calls, recombined at the mediator.
 
         The wrapper cannot express the aliases a colliding multi-extent
-        pushdown needs, so submitting the expression whole would return
-        mis-renamed rows.  Instead every referenced extent is fetched with a
-        bare ``get`` (always within capability), each leaf's rows are renamed
-        into mediator vocabulary with its *own* map, and the full pushdown is
-        replayed at the mediator over the fetched rows.  Returns a lazy
-        iterator of mediator-vocabulary rows.
+        pushdown needs (submitting the expression whole would return
+        mis-renamed rows), or it refused a multi-leaf pushdown at call time
+        (the degrade ladder's last rung).  Instead every referenced extent
+        is fetched with a bare ``get`` (always within capability), each
+        leaf's rows are renamed into mediator vocabulary with its *own* map,
+        and the full pushdown is replayed at the mediator over the fetched
+        rows.  Returns a lazy iterator of mediator-vocabulary rows.
         """
         fetched: dict[str, list[Any]] = {}
         for name, node_meta in plan.split or ():

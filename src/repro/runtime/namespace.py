@@ -204,6 +204,35 @@ def _alias_plan(
     return aliases, reverse
 
 
+def _referenced_extents(
+    registry: RuntimeRegistry, expression: log.LogicalOp, meta: MetaExtent
+) -> dict[str, MetaExtent]:
+    """The extents the pushdown's ``get`` nodes name, in first-seen order."""
+    resolved: dict[str, MetaExtent] = {}
+    for node in log.walk(expression):
+        if isinstance(node, log.Get):
+            node_meta = _meta_for_collection(registry, node.collection, meta)
+            if node_meta is not None and node_meta.name not in resolved:
+                resolved[node_meta.name] = node_meta
+    return resolved
+
+
+def split_plan(
+    registry: RuntimeRegistry, expression: log.LogicalOp, meta: MetaExtent
+) -> NamespacePlan | None:
+    """The degrade ladder's last rung: split a refused multi-leaf pushdown.
+
+    A pushed ``join`` or ``union`` the wrapper rejected at call time has no
+    operator left to strip; it is fetched as per-leaf ``get`` calls and
+    replayed at the mediator -- the refuse-to-push fallback planning uses
+    for alias collisions.  ``None`` for any other pushdown.
+    """
+    if not isinstance(expression, (log.Join, log.Union)):
+        return None
+    extents = _referenced_extents(registry, expression, meta)
+    return NamespacePlan(expression, split=tuple(extents.items()))
+
+
 def namespace_plan(
     registry: RuntimeRegistry,
     expression: log.LogicalOp,
@@ -222,12 +251,7 @@ def namespace_plan(
     for the refuse-to-push fallback: per-leaf ``get`` calls recombined at
     the mediator (never mis-renamed rows).
     """
-    resolved: dict[str, MetaExtent] = {}
-    for node in log.walk(expression):
-        if isinstance(node, log.Get):
-            node_meta = _meta_for_collection(registry, node.collection, meta)
-            if node_meta is not None and node_meta.name not in resolved:
-                resolved[node_meta.name] = node_meta
+    resolved = _referenced_extents(registry, expression, meta)
     # One extent cannot collide with itself: the common single-leaf pushdown
     # skips the vocabulary scan (and its registry round trip).
     colliding = _colliding_attributes(registry, resolved.values()) if len(resolved) > 1 else None

@@ -6,11 +6,16 @@ plan with the obtained data embedded is the answer -- and this module
 implements it once.  A :class:`StreamingExecution` is one *run* of one
 physical plan: every exec call gets an :class:`_ExecState` and is opened on
 the executor's shared pool by the one attempt loop (``_open_exec``: retry
-with backoff, the degrading-pushdown ladder of :mod:`repro.runtime.degrade`,
-the split fallback, once-only history recording); ``_settle`` waits for it
-under the query deadline and writes it off when the deadline, or
-``Executor.close()``, gets there first.  The two public entry points differ
-in one internal argument, ``materialise``, which fixes three things:
+with backoff, the degrading-pushdown ladder of :mod:`repro.runtime.degrade`
+ending in the split fallback, write-off, once-only history recording, all
+under one ``max_retries`` budget); ``_settle`` waits for it under the query
+deadline and writes it off when the deadline, or ``Executor.close()``, gets
+there first.  Every other wrapper round trip is a synchronous call of the
+same loop on the consumer thread, bounded by the query deadline: a
+mid-stream reopen, and each round trip of a probe join (its shapes, key
+cache and re-plan flip are the executor's ``_ProbeRunner``).  The two public
+entry points differ in one internal argument, ``materialise``, which fixes
+three things:
 
 * **where rows are handed off.**  ``Executor.execute`` (``query()``)
   materialises: each worker drains its call into a private list *inside*
@@ -37,15 +42,14 @@ in one internal argument, ``materialise``, which fixes three things:
   aggregate over one union branch is a wrong number, not a sub-answer).
 
 A streamed call that dies *mid-stream* (after delivering rows) is recovered
-with **exactly-once row delivery** when budget remains -- reopens draw from
-the shared ``max_retries`` budget, or from the dedicated ``max_resumes``
-budget when one is configured.  Wrappers declaring the ``token`` resume
-capability reopen *source-side*: the stream's last
-:class:`~repro.wrappers.base.ResumableStream` token is handed back through
-``submit_stream(expr, resume_from=token)`` and the source ships only the
-rows still owed.  Wrappers declaring deterministic ``replay`` (and token
-wrappers whose call was degraded or split, where token positions no longer
-line up) are reopened from scratch and the mediator skips the rows it
+with **exactly-once row delivery** when budget remains -- one budget:
+reopens draw from ``max_retries`` like every other attempt.  Wrappers
+declaring the ``token`` resume capability reopen *source-side*: the
+stream's last :class:`~repro.wrappers.base.ResumableStream` token is handed
+back through ``submit_stream(expr, resume_from=token)`` and the source ships
+only the rows still owed.  Wrappers declaring deterministic ``replay`` (and
+token wrappers whose call was degraded or split, where token positions no
+longer line up) are reopened from scratch and the mediator skips the rows it
 already delivered -- dedup by delivered-row count, counted as
 ``ExecReport.replayed_rows``.  Wrappers declaring neither are written off:
 without a token or a determinism guarantee, reopening a half-consumed cursor
@@ -80,7 +84,6 @@ from repro.runtime.executor import (
     CompiledCalls,
     ExecReport,
     ExecutionResult,
-    _ProbeCancelled,
     _ProbeRunner,
     _ProbeUnavailable,
     collect_errors,
@@ -138,18 +141,20 @@ class _Opened:
 
 
 @dataclass(frozen=True)
-class _ResumeRequest:
-    """Consumer-side decision to reopen a call that died mid-stream."""
+class _ConsumerCall:
+    """A synchronous call of the attempt loop on the consumer thread: a
+    mid-stream reopen or one probe round trip, bounded by the query deadline."""
 
-    #: ``token`` -- restart the source past ``token``; ``replay`` -- reopen
-    #: from scratch, the consumer drops the first ``skip`` delivered rows.
-    mode: str
+    #: what the call answers, and its history key
+    expression: log.LogicalOp
+    #: the rung to submit first and the operators already stripped off it
+    pushdown: log.LogicalOp
+    stripped: tuple = ()
+    #: restart a ``token`` source past here; else drop the first ``skip`` rows
     token: Any = None
     skip: int = 0
-    #: the pushdown rung (and its stripped operators) the dying segment was
-    #: running at; the reopen starts there instead of re-climbing the ladder.
-    pushdown: log.LogicalOp | None = None
-    stripped: tuple = ()
+    #: list the rows inside the attempt (a probe), not stream them
+    listed: bool = False
 
 
 class _ExecState:
@@ -167,13 +172,13 @@ class _ExecState:
         "attempts",
         "resumed",
         "replayed",
-        "resume_opens",
     )
 
-    def __init__(self, node: phys.Exec):
+    def __init__(self, node: phys.Exec, event: threading.Event | None = None):
         self.node = node
         self.future: Future | None = None
-        self.event = threading.Event()
+        #: a probe round trip shares its probe join's event
+        self.event = threading.Event() if event is None else event
         self.report: ExecReport | None = None
         self.consumed = 0  # rows pulled by the consumer so far
         self.started: float | None = None
@@ -191,10 +196,6 @@ class _ExecState:
         #: already-delivered rows re-shipped and skipped at the mediator
         #: during replay reopens (ExecReport.replayed_rows).
         self.replayed = 0
-        #: reopen wrapper calls charged to the *dedicated* ``max_resumes``
-        #: budget (ExecReport.resume_attempts); stays 0 while reopens draw
-        #: from ``max_retries``.
-        self.resume_opens = 0
 
 
 class StreamingExecution:
@@ -411,17 +412,18 @@ class StreamingExecution:
         finally:
             self._answered = True
 
-    def _open_exec(self, state: _ExecState, resume: _ResumeRequest | None = None) -> _Opened:
+    def _open_exec(self, state: _ExecState, sync: _ConsumerCall | None = None) -> _Opened:
         """One exec call with retries: the engine's one attempt loop.
 
-        Runs in the pool for the initial open; mid-stream reopens call it
-        synchronously on the consumer thread with a ``resume`` request.
+        Runs in the pool for the initial open; mid-stream reopens and probe
+        round trips call it synchronously on the consumer thread (``sync``).
 
         What the call needs that only depends on its node -- extent, wrapper,
         type check, the name-space plan of the node's own expression, history
         signatures -- is read from its compiled call (:meth:`_compiled`);
         only a pushdown other than the node's own (a degraded rung, here or
-        in the segment a reopen continues) is planned in this loop.
+        in the segment a reopen continues; a probe shape) is planned in this
+        loop.
         Mediator-side failures (unknown extent, type-check conflict) raise --
         they abort the query.  *Any* exception escaping the wrapper becomes
         an error outcome instead (this is the engine's fault-isolation
@@ -429,11 +431,13 @@ class StreamingExecution:
         backoff; capability/translation failures re-submit a degraded
         pushdown (one operator stripped, down to a bare ``get``) whose
         stripped operators are replayed over the returned rows at the
-        mediator, and once the ladder is exhausted such a failure is
-        terminal immediately -- repeating a deterministic rejection cannot
-        succeed.
+        mediator; a refused ``join`` or ``union`` is split into per-leaf
+        calls as the last rung; once the ladder is exhausted such a failure
+        is terminal immediately -- repeating a deterministic rejection
+        cannot succeed.
 
-        A materialising run drains the answer into a list inside the attempt,
+        A materialising run (and a probe round trip) drains the answer into
+        a list inside the attempt,
         so a lazy result that raises mid-iteration, or a malformed row, is a
         failed attempt like any other, and the transfer overlaps the other
         calls' transfers.  A stream only opens here.  When the row count is
@@ -442,6 +446,7 @@ class StreamingExecution:
         degraded calls, whose compensation wraps the iterable -- are recorded
         by the consumer at drain time.
 
+        History is recorded under ``sync.expression`` for a consumer call.
         A reopen starts the attempt counter at :attr:`_ExecState.attempts`
         (the calls the dying segments already consumed) and, for a token
         resume, passes the token through ``submit_stream(resume_from=...)``.
@@ -452,40 +457,36 @@ class StreamingExecution:
         """
         executor = self._executor
         config = executor.config
-        materialise = self._materialise
         node = state.node
         call = self._compiled(node)
         meta = call.meta
         wrapper = call.wrapper
-        signatures = call.signatures
-        if resume is not None and resume.pushdown is not None:
-            pushdown = resume.pushdown
-            stripped = list(resume.stripped)
-        else:
-            pushdown = node.expression
+        if sync is None:
+            subject = pushdown = node.expression
             stripped = []
-        token = resume.token if resume is not None and resume.mode == RESUME_TOKEN else None
-        skip = resume.skip if resume is not None else 0
+            token = None
+            skip = 0
+            materialise = self._materialise
+        else:
+            subject = sync.expression
+            pushdown = sync.pushdown
+            stripped = list(sync.stripped)
+            token = sync.token
+            skip = sync.skip
+            materialise = sync.listed
+        signatures = call.signatures if subject is node.expression else None
         if pushdown is node.expression:
             plan = call.plan
         else:
-            # A reopen at the degraded rung its dying segment ran at.
+            # A probe shape, or a reopen at the degraded rung its dying
+            # segment ran at.
             plan = namespace.namespace_plan(executor.registry, pushdown, meta, wrapper)
         if state.started is None:
             state.started = time.monotonic()
-        # A reopen under a dedicated ``max_resumes`` budget does not draw
-        # down ``max_retries``: its attempt bound is however many reopens the
-        # call still has left, on top of the attempts already made.
-        dedicated = resume is not None and config.max_resumes is not None
-        if dedicated:
-            attempts = state.attempts + max(0, config.max_resumes - state.resume_opens)
-        else:
-            attempts = max(1, config.max_retries + 1)
+        attempts = max(1, config.max_retries + 1)
         attempt = state.attempts
         open_started = time.monotonic()
         while True:
-            if dedicated:
-                state.resume_opens += 1
             attempt_started = time.monotonic()
             try:
                 with cancellation.activate(state.event):
@@ -519,46 +520,47 @@ class StreamingExecution:
                 state.attempts = attempt
                 call_elapsed = time.monotonic() - attempt_started
                 cancelled = state.event.is_set()
-                step = None
+                step = split = None
                 exhausted = attempt >= attempts
-                if config.degrade_pushdown and is_capability_failure(exc):
+                if is_capability_failure(exc):
                     step = degrade_pushdown(pushdown)
-                    if step is None:
-                        # Deterministic rejection with nothing left to strip:
-                        # further attempts are pointless, fail now.
-                        exhausted = True
-                    elif token is not None and not config.replay_resume:
-                        # The token indexed the previous pushdown's stream,
-                        # so degrading means replaying -- which the
-                        # configuration forbids.  Give up rather than
-                        # re-ship delivered rows.
-                        exhausted = True
+                    if step is None and plan.split is None:
+                        split = namespace.split_plan(executor.registry, pushdown, meta)
+                    # Deterministic rejection with nothing left to strip or
+                    # split: further attempts are pointless, fail now.
+                    exhausted = exhausted or (step is None and split is None)
                 terminal = cancelled or exhausted
                 with state.lock:
                     # Cancelled or already-written-off calls are not failures
                     # to learn from; every real attempt records its elapsed.
                     if not state.recorded and not state.event.is_set():
                         executor.history.record_failure(
-                            node.extent_name, node.expression, call_elapsed, signatures
+                            node.extent_name, subject, call_elapsed, signatures
                         )
                         if terminal:
                             state.recorded = True
-                if resume is not None:
-                    # Reopens run synchronously on the consumer thread: the
-                    # query deadline must bound their retry loop too (the
-                    # initial open is bounded by the consumer's
-                    # future.result(timeout=...) instead).
+                if sync is not None:
+                    # Consumer calls run synchronously: the query deadline
+                    # must bound their retry loop too (the initial open is
+                    # bounded by the consumer's future.result(timeout=...)
+                    # instead).
                     remaining = self._remaining()
                     if remaining is not None and remaining <= 0:
                         terminal = True
                 if not terminal:
-                    if step is not None:
-                        # Degrading retry: strictly smaller pushdown, no
-                        # backoff -- the failure was deterministic, not load.
-                        # Re-planning per rung keeps the alias layer coherent
-                        # with whatever operators remain.
-                        pushdown, removed = step
-                        stripped.append(removed)
+                    if step is not None or split is not None:
+                        # Degrading retry: strictly smaller pushdown (or the
+                        # split), no backoff -- the failure was deterministic,
+                        # not load.  Re-planning per rung keeps the alias
+                        # layer coherent with whatever operators remain.
+                        if step is None:
+                            plan = split
+                        else:
+                            pushdown, removed = step
+                            stripped.append(removed)
+                            plan = namespace.namespace_plan(
+                                executor.registry, pushdown, meta, wrapper
+                            )
                         if token is not None:
                             # The token indexed the *previous* pushdown's
                             # stream; a degraded stream has different
@@ -568,12 +570,9 @@ class StreamingExecution:
                             # certainly replay).
                             token = None
                             skip = state.consumed
-                        plan = namespace.namespace_plan(
-                            executor.registry, pushdown, meta, wrapper
-                        )
                         continue
                     backoff = config.retry_backoff * (2 ** (attempt - 1))
-                    if resume is not None and remaining is not None:
+                    if sync is not None and remaining is not None:
                         backoff = min(backoff, remaining)
                     # Event-aware: a write-off wakes the backoff immediately.
                     state.event.wait(backoff)
@@ -589,7 +588,7 @@ class StreamingExecution:
             break
         state.attempts = attempt + 1
         now = time.monotonic()
-        elapsed = now - (state.started if resume is None else open_started)
+        elapsed = now - (state.started if sync is None else open_started)
         degraded_to = plan.expression.to_text() if stripped else None
         stream = rows if isinstance(rows, ResumableStream) else None
         # Split-pushdown rows arrive already in mediator vocabulary (and a
@@ -603,7 +602,7 @@ class StreamingExecution:
         sized = None
         if materialise:
             sized = len(rows)
-        elif resume is None and not stripped:
+        elif sync is None and not stripped:
             if isinstance(rows, (list, tuple)):
                 sized = len(rows)
             elif stream is not None:
@@ -619,7 +618,7 @@ class StreamingExecution:
                     # user-facing total including retries and backoff.
                     executor.history.record(
                         node.extent_name,
-                        node.expression,
+                        subject,
                         now - attempt_started,
                         sized,
                         signatures,
@@ -667,7 +666,6 @@ class StreamingExecution:
             split_calls=0 if opened is None else opened.split_calls,
             resumed_calls=state.resumed,
             replayed_rows=state.replayed,
-            resume_attempts=state.resume_opens,
         )
         for name, value in overrides.items():
             setattr(report, name, value)
@@ -775,11 +773,10 @@ class StreamingExecution:
 
         Returns the reopened segment (possibly an error outcome whose
         attempts the caller folds into the failure report), or ``None`` when
-        the death is not recoverable: no reopen budget (``max_resumes=0``, or
-        the budget spent), the call written off, the deadline expired, or the
-        wrapper declares no resume support.  Runs synchronously on the
-        consumer thread -- the reopen happens exactly where the next row was
-        needed.
+        the death is not recoverable: the ``max_retries`` budget spent, the
+        call written off, the deadline expired, or the wrapper declares no
+        resume support.  Runs synchronously on the consumer thread -- the
+        reopen happens exactly where the next row was needed.
 
         Mode selection: a token resume needs a live token for the *same*
         stream the source produced -- a degraded or split call compensates or
@@ -796,15 +793,8 @@ class StreamingExecution:
         remaining = self._remaining()
         if remaining is not None and remaining <= 0:
             return None
-        if config.max_resumes is not None:
-            # Dedicated reopen budget: independent of max_retries, so a
-            # fail-fast configuration can still recover mid-stream deaths.
-            if state.resume_opens >= config.max_resumes:
-                return None
-        else:
-            budget = max(1, config.max_retries + 1)
-            if state.attempts >= budget:
-                return None
+        if state.attempts >= max(1, config.max_retries + 1):
+            return None
         mode = opened.resume_mode
         if mode not in (RESUME_TOKEN, RESUME_REPLAY):
             return None
@@ -814,8 +804,6 @@ class StreamingExecution:
             and not opened.stripped
             and not opened.split_calls
         )
-        if not clean_token and not config.replay_resume:
-            return None
         # The death itself is a (non-terminal) failure observation charging
         # the dying segment's own time: the cost model should learn the
         # source is flaky even when recovery succeeds.
@@ -841,21 +829,16 @@ class StreamingExecution:
             with state.lock:
                 state.recorded = True
             return None
-        if clean_token:
-            request = _ResumeRequest(
-                mode=RESUME_TOKEN,
-                token=opened.stream.token,
-                pushdown=opened.pushdown,
-                stripped=opened.stripped,
-            )
-        else:
-            request = _ResumeRequest(
-                mode=RESUME_REPLAY,
-                skip=state.consumed,
-                pushdown=opened.pushdown,
-                stripped=opened.stripped,
-            )
-        return self._open_exec(state, resume=request)
+        return self._open_exec(
+            state,
+            _ConsumerCall(
+                state.node.expression,
+                opened.pushdown,
+                opened.stripped,
+                token=opened.stream.token if clean_token else None,
+                skip=0 if clean_token else state.consumed,
+            ),
+        )
 
     def _settle(self, state: _ExecState) -> _Opened | None:
         """Wait for the call's worker under the query deadline.
@@ -1071,11 +1054,12 @@ class StreamingExecution:
     def _probe_rows(self, plan: phys.ProbeJoin, left_rows: Iterator[Any]) -> Iterator[Any]:
         """The probe-join leaf: batched set-valued submits over the left rows.
 
-        The probe's wrapper calls run lazily on the consumer thread, bounded
-        by the query deadline (a probe call is only issued while budget
-        remains, so a timed-out query ends at most one wrapper round trip
-        past the deadline) and woken by the state's cancellation event on
-        close.  A terminal source failure on a stream is swallowed -- the
+        The probe's wrapper round trips run lazily on the consumer thread,
+        each one a synchronous call of :meth:`_open_exec` bounded by the
+        query deadline (a round trip is only issued while budget remains, so
+        a timed-out query ends at most one wrapper round trip past the
+        deadline) and woken by the state's cancellation event on close.  A
+        terminal source failure on a stream is swallowed -- the
         source simply contributes no further rows, like any other streaming
         leaf -- and surfaces on the probe's aggregated :class:`ExecReport`;
         an early close (a satisfied limit) marks the report cancelled
@@ -1086,10 +1070,17 @@ class StreamingExecution:
         executor = self._executor
         state = self._states[id(plan.probe)]
 
+        def attempt_loop(expression):
+            # One probe round trip is one call: its own attempts and its own
+            # once-only history observation, under the run's cancellation.
+            trip = _ExecState(plan.probe, state.event)
+            return self._open_exec(trip, _ConsumerCall(expression, expression, listed=True))
+
         runner = _ProbeRunner(
             executor,
             plan,
             compiled=self._compiled,
+            attempt_loop=attempt_loop,
             event=state.event,
             remaining=self._remaining,
             raise_unavailable=self._materialise,
@@ -1108,11 +1099,8 @@ class StreamingExecution:
                 subquery_evaluator=self.evaluate_subquery,
             )
             completed = True
-        except _ProbeCancelled:
-            pass  # written off (close/limit): not a failure
         finally:
             runner.finish()
-            state.attempts = max(1, runner.calls)
             # An idle runner (no call, no error, no cancel -- e.g. an
             # empty left side) reports nothing: a materialising run
             # skips probing entirely when an unrelated source failure

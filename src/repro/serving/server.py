@@ -56,6 +56,11 @@ from repro.runtime.backpressure import BoundedRowQueue, StreamClosed
 #: configured by the library).
 logger = logging.getLogger("repro.serving")
 
+#: capacity of the per-submission row queue of a streamed submission: how
+#: many rows a serving worker may run ahead of a slow client before it
+#: stalls (backpressure).
+STREAM_BUFFER_ROWS = 256
+
 
 @dataclass
 class ServerConfig:
@@ -68,15 +73,10 @@ class ServerConfig:
         Bound on the admission queue.  A submission arriving with this many
         already waiting is refused immediately with verdict ``"rejected"``
         (load shedding); ``None`` queues without bound.
-    ``stream_buffer_rows``
-        Capacity of the per-submission row queue used by streamed
-        submissions: how many rows a serving worker may run ahead of a slow
-        client before it stalls (backpressure).
     """
 
     workers: int = 4
     max_queue_depth: int | None = 64
-    stream_buffer_rows: int = 256
 
 
 @dataclass
@@ -423,7 +423,7 @@ class MediatorServer:
     ) -> None:
         """Drain a streaming query into the client's bounded row queue."""
         started = time.monotonic()
-        rows = BoundedRowQueue(capacity=self.config.stream_buffer_rows)
+        rows = BoundedRowQueue(capacity=STREAM_BUFFER_ROWS)
         result = self.mediator.query_stream(submission.text, timeout=remaining)
         submission.future._start_stream(rows)
         delivered = 0

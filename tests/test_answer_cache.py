@@ -22,6 +22,7 @@ import pytest
 from repro import AnswerCache, Mediator, RelationalWrapper
 from repro.algebra import logical as log
 from repro.algebra.expressions import Comparison, Const, FunctionCall, Path, Var
+from repro.runtime import answercache
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
 
 from benchmarks.spine.workloads import templates, zipfian_ops
@@ -246,8 +247,9 @@ def test_extent_reregistration_evicts_eagerly():
         mediator.close()
 
 
-def test_lru_eviction_under_the_row_budget():
-    cache = AnswerCache(max_entries=128, max_rows=30)
+def test_lru_eviction_under_the_row_budget(monkeypatch):
+    monkeypatch.setattr(answercache, "MAX_CACHED_ROWS", 30)
+    cache = AnswerCache(max_entries=128)
     mediator, _server = make_mediator(answer_cache=cache, rows=12)
     try:
         mediator.query("select x from x in person0")  # 12 rows
@@ -263,8 +265,9 @@ def test_lru_eviction_under_the_row_budget():
         mediator.close()
 
 
-def test_oversized_answers_are_never_stored():
-    cache = AnswerCache(max_rows=5)
+def test_oversized_answers_are_never_stored(monkeypatch):
+    monkeypatch.setattr(answercache, "MAX_CACHED_ROWS", 5)
+    cache = AnswerCache()
     mediator, _server = make_mediator(answer_cache=cache, rows=12)
     try:
         mediator.query("select x from x in person0")

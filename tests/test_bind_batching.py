@@ -3,18 +3,23 @@
 Pins the E14 behaviours on both engines: batch-boundary flushes, key
 deduplication against the per-query probe cache, the degrade ladder
 (``in`` -> per-key ``=`` -> full ship), the adaptive replan flip, failure
-semantics (partial answers whose probe side stays a submit), and the
+semantics (partial answers whose probe side stays a submit; retries and
+call-time refusals through the exec calls' one attempt loop), and the
 telemetry surfaced through ``ExecReport`` and ``Mediator.statistics()``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import pytest
 
-from repro import Mediator, RelationalWrapper
+from repro import CapabilityError, Mediator, RelationalWrapper
 from repro.algebra.capabilities import CapabilitySet
+from repro.algebra.expressions import InList
+from repro.algebra.logical import Select, walk
+from repro.runtime import executor as executor_module
 from repro.oql.parser import parse_query
 from repro.sources import RelationalEngine, SimulatedServer
 
@@ -34,12 +39,29 @@ NO_IN_CAPS = CapabilitySet.of(
 GET_ONLY_CAPS = CapabilitySet.of("get")
 
 
+class InRefusingWrapper(RelationalWrapper):
+    """Declares the ``in`` terminal but rejects an ``in``-list at call time."""
+
+    def submit(self, expression):
+        for node in walk(expression):
+            if isinstance(node, Select) and isinstance(node.predicate, InList):
+                raise CapabilityError("in-list refused at call time")
+        return super().submit(expression)
+
+
+@pytest.fixture
+def no_replan(monkeypatch):
+    """Batching, not re-planning, is under test: never flip to a ship."""
+    monkeypatch.setattr(executor_module, "REPLAN_BLOWUP_FACTOR", math.inf)
+
+
 def build_probe_mediator(
     left_ids,
     right_rows: int = 50,
     batch_size: int = 4,
-    replan_blowup_factor: float | None = None,
     right_capabilities: CapabilitySet | None = None,
+    right_wrapper=RelationalWrapper,
+    **config,
 ):
     """An outer extent with the given join keys probing a ``right_rows`` inner."""
     left_engine = RelationalEngine(name="ldb")
@@ -52,14 +74,10 @@ def build_probe_mediator(
     )
     left_server = SimulatedServer(name="lhost", store=left_engine)
     right_server = SimulatedServer(name="rhost", store=right_engine)
-    mediator = Mediator(
-        name="batch",
-        bind_batch_size=batch_size,
-        replan_blowup_factor=replan_blowup_factor,
-    )
+    mediator = Mediator(name="batch", bind_batch_size=batch_size, **config)
     mediator.register_wrapper("wl", RelationalWrapper("wl", left_server))
     mediator.register_wrapper(
-        "wr", RelationalWrapper("wr", right_server, capabilities=right_capabilities)
+        "wr", right_wrapper("wr", right_server, capabilities=right_capabilities)
     )
     mediator.create_repository("rl", host=left_server.name)
     mediator.create_repository("rr", host=right_server.name)
@@ -98,6 +116,7 @@ def values_of(rows):
 
 
 # -- batching -------------------------------------------------------------------------------------
+@pytest.mark.usefixtures("no_replan")
 @pytest.mark.parametrize("run", ENGINES)
 def test_probe_calls_flush_at_batch_boundaries(run):
     """10 distinct keys at batch 4 -> ceil(10/4) = 3 set-valued submits."""
@@ -114,6 +133,7 @@ def test_probe_calls_flush_at_batch_boundaries(run):
         mediator.close()
 
 
+@pytest.mark.usefixtures("no_replan")
 @pytest.mark.parametrize("run", ENGINES)
 def test_probe_calls_track_batches_not_bindings(run):
     """The communication claim as call counts: one round trip per binding
@@ -210,34 +230,36 @@ def test_wrapper_without_select_ships_the_extent_once(run):
 # -- adaptive re-planning -------------------------------------------------------------------------
 @pytest.mark.parametrize("run", ENGINES)
 def test_blowup_past_the_estimate_flips_to_ship(run):
-    """With no history the estimate is ~1 row: the first batch blows through a
-    factor of 1.0 and the runner re-plans into one full ship mid-query."""
-    mediator, _left, right = build_probe_mediator(
-        range(20), batch_size=4, replan_blowup_factor=1.0
-    )
+    """With no history the estimate is ~1 row: once the batches have fetched
+    more than ``REPLAN_BLOWUP_FACTOR`` (8) x 1 rows, the runner re-plans into
+    one full ship mid-query."""
+    assert executor_module.REPLAN_BLOWUP_FACTOR == 8.0
+    mediator, _left, right = build_probe_mediator(range(20), batch_size=4)
     try:
         rows, result = run(mediator)
         assert values_of(rows) == [i * 3 for i in range(20)]
-        # Call 1: the first in-list batch (4 rows > 1.0 x 1 row estimate).
-        # Call 2: the re-planned ship.  Remaining batches join locally.
-        assert right.statistics.requests == 2
+        # Calls 1-3: in-list batches fetching 4, 8, then 12 rows (12 > 8).
+        # Call 4: the re-planned ship.  The last two batches join locally.
+        assert right.statistics.requests == 4
         report = probe_report(result)
         assert report.replanned
-        assert report.attempts == 2
+        assert report.attempts == 4
     finally:
         mediator.close()
 
 
 @pytest.mark.parametrize("run", ENGINES)
-def test_no_replan_when_factor_disabled(run):
-    """``replan_blowup_factor=None`` never flips, whatever the blow-up."""
-    mediator, _left, right = build_probe_mediator(
-        range(20), batch_size=4, replan_blowup_factor=None
-    )
+def test_no_replan_up_to_the_fixed_factor(run):
+    """Batches that fetch at most ``REPLAN_BLOWUP_FACTOR`` x the ~1 row
+    estimate (4, then 8 rows) keep probing: no flip to a ship."""
+    mediator, _left, right = build_probe_mediator(range(8), batch_size=4)
     try:
-        _rows, result = run(mediator)
-        assert right.statistics.requests == 5  # ceil(20/4), no ship
-        assert not probe_report(result).replanned
+        rows, result = run(mediator)
+        assert values_of(rows) == [i * 3 for i in range(8)]
+        assert right.statistics.requests == 2  # ceil(8/4), no ship
+        report = probe_report(result)
+        assert not report.replanned
+        assert report.attempts == 2
     finally:
         mediator.close()
 
@@ -292,6 +314,69 @@ def test_streaming_probe_failure_reports_without_raising():
         assert "right0" in result.unavailable_sources
         report = probe_report(result)
         assert not report.available and report.error is not None
+    finally:
+        mediator.close()
+
+
+@pytest.mark.parametrize("run", ENGINES)
+def test_a_failed_probe_call_is_retried_within_max_retries(run):
+    """A probe round trip is an exec call of the one attempt loop: a transient
+    failure is retried on the ``max_retries`` budget, the aggregated report
+    counts both wrapper calls, and the history learns one failure and one
+    success for the probed extent."""
+    mediator, _left, right = build_probe_mediator(range(6), batch_size=8, max_retries=1)
+    try:
+        right.availability.fail_next(1)
+        rows, result = run(mediator)
+        assert values_of(rows) == [i * 3 for i in range(6)]
+        assert not result.is_partial
+        report = probe_report(result)
+        assert report.available and report.attempts == 2
+        assert mediator.history.failures == 1
+        # Availability is an EWMA (alpha 0.3) from 1.0: a failure, then a success.
+        assert mediator.history.availability("right0") == pytest.approx(0.3 + 0.7 * 0.7)
+    finally:
+        mediator.close()
+
+
+@pytest.mark.parametrize("run", ENGINES)
+def test_an_in_list_refused_at_call_time_goes_down_the_ladder(run):
+    """The wrapper declares ``in`` but rejects it when called: the degrading
+    retry strips the probe's ``select``, ships the bare expression and
+    replays the in-list at the mediator -- the full answer, not a partial."""
+    mediator, _left, right = build_probe_mediator(
+        range(6), batch_size=8, right_wrapper=InRefusingWrapper, max_retries=1
+    )
+    try:
+        rows, result = run(mediator)
+        assert values_of(rows) == [i * 3 for i in range(6)]
+        assert not result.is_partial
+        assert right.statistics.requests == 1  # the refusal never reached it
+        report = probe_report(result)
+        assert report.available and report.attempts == 2
+        assert report.degraded_to == "get(right0)"
+    finally:
+        mediator.close()
+
+
+@pytest.mark.parametrize("run", ENGINES)
+def test_a_probe_source_that_stays_down_spends_max_retries(run):
+    """A dead probed source is retried like any exec call -- ``max_retries``
+    extra calls, each a failure observation -- and then written off into a
+    partial answer on both engines."""
+    mediator, _left, right = build_probe_mediator(
+        range(6), batch_size=8, max_retries=2, retry_backoff=0.001
+    )
+    try:
+        right.take_down()
+        rows, result = run(mediator)
+        assert rows == []
+        assert result.is_partial and result.unavailable_sources == ("right0",)
+        report = probe_report(result)
+        assert not report.available and report.attempts == 3
+        assert right.statistics.requests == 3
+        assert mediator.history.failures == 3
+        assert mediator.history.availability("right0") == pytest.approx(0.7**3)
     finally:
         mediator.close()
 

@@ -27,6 +27,7 @@ from repro.algebra.logical import Get, Select, Submit
 from repro.baselines import GetOnlyWrapper
 from repro.datamodel.mapping import LocalTransformationMap
 from repro.optimizer import history as history_module
+from repro.optimizer import plancache
 from repro.optimizer.implementation import implement
 from repro.runtime import namespace
 from repro.runtime.executor import CompiledCall, Executor
@@ -341,10 +342,10 @@ def all_dead(references) -> bool:
     return all(reference() is None for reference in references)
 
 
-def test_a_plan_cache_eviction_drops_the_compiled_calls():
+def test_a_plan_cache_eviction_drops_the_compiled_calls(monkeypatch):
+    monkeypatch.setattr(plancache, "PLAN_CACHE_CAPACITY", 1)
     mediator, _ = build_remappable()
     try:
-        mediator.planner.plan_cache.capacity = 1
         references = compiled_calls_of(mediator, "select x.name from x in person0")
         assert not all_dead(references)  # the cache entry holds them
         mediator.query("select x.id from x in person0").rows()

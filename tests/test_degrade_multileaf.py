@@ -1,32 +1,25 @@
-"""Executable documentation of the degradation ladder's multi-leaf stop.
+"""The degradation ladder's multi-leaf rung: a refused join is split.
 
 The ladder (``runtime/degrade.py``) strips *unary* mediator-compensable
 operators off a failing pushdown, one rung per retry.  A pushdown whose top
 is **multi-leaf** -- a pushed ``join`` or ``union`` -- cannot be degraded by
 stripping: recovering from a source-side capability failure there means
 *splitting* the one exec call into per-leaf calls plus a mediator-side
-recombine.  The namespace planner's refuse-to-push split
-(``Executor._split_pushdown``) is most of that machinery already, but it
-only runs at *planning* time (alias collisions); a capability failure
-discovered at *call* time still dead-ends (see ROADMAP "Known smaller
-gaps").
+recombine.  That split is the ladder's last rung: a call-time refusal takes
+the same refuse-to-push path planning uses for alias collisions
+(``namespace.split_plan`` -> ``Executor._split_pushdown``), and draws on the
+call's ``max_retries`` budget like any other degrading retry.
 
-The strict xfail below pins the gap: when the split lands, the first test
-starts passing (and the xfail fails the build until the marker is removed),
-while the second test keeps the currently-promised behaviour -- a partial
-answer, never a wrong one -- from regressing in the meantime.
+The first test pins the recovery; the second keeps the promise for a split
+that cannot finish -- a partial answer, never a wrong one.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro import CapabilityError, Mediator, RelationalWrapper
 from repro.algebra.logical import Get, Join, Submit, walk
 from repro.optimizer.implementation import implement
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
-
-from tests.test_engine_equivalence import multiset
 
 
 class JoinRefusingWrapper(RelationalWrapper):
@@ -67,23 +60,17 @@ def build_join_refusing_mediator():
     mediator.define_interface("B", [("id", "Long"), ("tag", "String")], extent_name="bb")
     mediator.add_extent("t_a", "A", "w0", "r0")
     mediator.add_extent("t_b", "B", "w0", "r0")
-    return mediator
+    return mediator, server
 
 
 PUSHED_JOIN = Submit("r0", Join(Get("t_a"), Get("t_b"), "id"), extent_name="t_a")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="degradation ladder stops at multi-leaf pushdowns: a call-time "
-    "capability failure on a pushed join is not yet split into per-leaf "
-    "calls with a mediator-side recombine (ROADMAP known smaller gap)",
-)
 def test_calltime_join_refusal_splits_per_leaf_and_recombines():
-    mediator = build_join_refusing_mediator()
+    mediator, _server = build_join_refusing_mediator()
     try:
         result = mediator.executor.execute(implement(PUSHED_JOIN))
-        # The desired end state: per-leaf gets succeed, the mediator joins.
+        # Per-leaf gets succeed, the mediator joins.
         assert not result.is_partial
         rows = result.data.to_list()
         assert len(rows) == 4  # ids 0..3 match
@@ -92,28 +79,29 @@ def test_calltime_join_refusal_splits_per_leaf_and_recombines():
         mediator.close()
 
 
-def test_calltime_join_refusal_degrades_to_a_partial_answer_today():
-    """Until the split exists, the promised behaviour: partial, never wrong."""
-    mediator = build_join_refusing_mediator()
+def test_a_split_whose_leaves_fail_is_partial_never_wrong():
+    """The source is down under the split: the answer is partial, never a
+    join computed over whatever a leaf managed to return."""
+    mediator, server = build_join_refusing_mediator()
     try:
+        mediator.executor.config.retry_backoff = 0.001
+        server.take_down()
         result = mediator.executor.execute(implement(PUSHED_JOIN))
         assert result.is_partial
         assert result.data.to_list() == []
         assert "t_a" in result.unavailable_sources
-        # Control: the same wrapper answers single-leaf pushdowns, so the
-        # failure really is the multi-leaf shape, not the source's health.
-        single = mediator.executor.execute(
-            implement(Submit("r0", Get("t_a"), extent_name="t_a"))
-        )
-        assert not single.is_partial
-        assert len(single.data.to_list()) == 6
+        # Control: back up, the same split answers in full.
+        server.bring_up()
+        recovered = mediator.executor.execute(implement(PUSHED_JOIN))
+        assert not recovered.is_partial
+        assert len(recovered.data.to_list()) == 4
     finally:
         mediator.close()
 
 
 def test_multileaf_is_minimal_for_the_ladder():
-    """The static half of the pin: ``degrade_pushdown`` has no rung below a
-    multi-leaf top -- matching the spec exemptions for Join/Union."""
+    """``degrade_pushdown`` strips nothing off a multi-leaf top (the split is
+    the attempt loop's rung) -- matching the spec exemptions for Join/Union."""
     from repro.runtime.degrade import degrade_pushdown
 
     assert degrade_pushdown(Join(Get("t_a"), Get("t_b"), "id")) is None

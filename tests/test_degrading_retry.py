@@ -273,14 +273,20 @@ class TestDegradingRetryEndToEnd:
         assert wrapper.submitted[-1] == "get(t0)"
         mediator.close()
 
-    def test_degradation_can_be_disabled(self, engine):
-        wrapper = LyingWrapper("w0", ROWS)
-        mediator = build_mediator(wrapper, max_retries=2)
-        mediator.executor.config.degrade_pushdown = False
+    @pytest.mark.parametrize("max_retries", [3, 4])
+    def test_transient_and_degrading_retries_share_one_budget(self, engine, max_retries):
+        # One transient outage, then three refused rungs before the bare get:
+        # four retries in all, drawn from the one ``max_retries`` budget.
+        wrapper = LyingWrapper("w0", ROWS, fail_transiently=1)
+        mediator = build_mediator(wrapper, max_retries=max_retries)
         mediator.executor.config.retry_backoff = 0.001
         result, rows = self.run(mediator, engine)
-        # Legacy policy: the same rejected expression is repeated verbatim.
-        assert result.is_partial
-        assert len(set(wrapper.submitted)) == 1
-        assert len(wrapper.submitted) == 3
+        assert wrapper.submitted[0] == wrapper.submitted[1]  # transient: same expression
+        assert len(wrapper.submitted) == max_retries + 1
+        if max_retries == 4:
+            assert rows == EXPECTED and not result.is_partial
+            assert wrapper.submitted[-1] == "get(person0)"
+        else:
+            assert rows == [] and result.is_partial
+            assert result.unavailable_sources == ("person0",)
         mediator.close()

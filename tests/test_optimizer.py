@@ -29,6 +29,7 @@ from repro.optimizer import history as history_module
 from repro.optimizer.history import ExecCallHistory, close_signature, exact_signature
 from repro.optimizer.implementation import implement, implementation_alternatives
 from repro.optimizer.optimizer import Optimizer
+from repro.optimizer import plancache
 from repro.optimizer.plancache import PlanCache
 from repro.sources.workload import generate_person_rows
 
@@ -330,6 +331,12 @@ class TestOptimizerSearch:
         assert isinstance(plan.physical, phys.HashJoin)
 
 
+@pytest.fixture
+def two_plan_cache(monkeypatch):
+    """Plan caches hold two plans: eviction after the third."""
+    monkeypatch.setattr(plancache, "PLAN_CACHE_CAPACITY", 2)
+
+
 class TestPlanCache:
     def test_hit_and_miss(self):
         cache = PlanCache()
@@ -346,17 +353,17 @@ class TestPlanCache:
         assert cache.invalidations == 1
         assert len(cache) == 0
 
-    def test_capacity_is_bounded(self):
-        cache = PlanCache(capacity=2)
+    def test_capacity_is_bounded(self, two_plan_cache):
+        cache = PlanCache()
         cache.put("a", 1, "A")
         cache.put("b", 1, "B")
         cache.put("c", 1, "C")
         assert len(cache) == 2
         assert cache.get("a", 1) is None
 
-    def test_get_refreshes_recency(self):
+    def test_get_refreshes_recency(self, two_plan_cache):
         """True LRU: a recently *used* entry survives eviction."""
-        cache = PlanCache(capacity=2)
+        cache = PlanCache()
         cache.put("a", 1, "A")
         cache.put("b", 1, "B")
         cache.get("a", 1)  # "a" becomes most recently used
@@ -364,8 +371,8 @@ class TestPlanCache:
         assert cache.get("a", 1) == "A"
         assert cache.get("b", 1) is None
 
-    def test_put_refreshes_recency_of_existing_keys(self):
-        cache = PlanCache(capacity=2)
+    def test_put_refreshes_recency_of_existing_keys(self, two_plan_cache):
+        cache = PlanCache()
         cache.put("a", 1, "A")
         cache.put("b", 1, "B")
         cache.put("a", 1, "A2")  # refresh, not insert: nothing is evicted

@@ -12,6 +12,7 @@ The streaming engine's last structural failure-matrix gap: a source that dies
 * wrappers declaring no resume support -- and configurations without retry
   budget -- keep the documented write-off;
 * a persistent mid-stream fault exhausts the budget instead of looping;
+* fresh-call retries, degrading retries and reopens share that one budget;
 * a degraded (compensated) call recovers through the replay path, because
   token positions no longer line up with mediator-compensated rows.
 """
@@ -134,16 +135,6 @@ class TestReplayResume:
         assert server.statistics.rows_returned == 40
         mediator.close()
 
-    def test_replay_disabled_keeps_the_write_off(self):
-        mediator, server = build_relational_mediator(resume="replay", max_retries=1)
-        mediator.executor.config.replay_resume = False
-        server.availability.kill_after(10)
-        result = mediator.query_stream(QUERY)
-        assert list(result.iter_rows()) == [f"p{i}" for i in range(10)]
-        assert result.is_partial
-        assert result.reports[0].resumed_calls == 0
-        mediator.close()
-
 
 class TestWriteOffPreserved:
     def test_no_resume_support_keeps_the_write_off(self):
@@ -165,14 +156,6 @@ class TestWriteOffPreserved:
         assert result.is_partial
         assert result.reports[0].resumed_calls == 0
         assert result.reports[0].attempts == 1
-        mediator.close()
-
-    def test_resume_midstream_off_keeps_the_write_off(self):
-        mediator, server = build_relational_mediator(max_retries=3, max_resumes=0)
-        server.availability.kill_after(10)
-        result = mediator.query_stream(QUERY)
-        assert list(result.iter_rows()) == [f"p{i}" for i in range(10)]
-        assert result.is_partial
         mediator.close()
 
     @pytest.mark.parametrize("source", ["killed server", "lazy cursor, no resume support"])
@@ -377,20 +360,6 @@ class TestReopenEdgeCases:
         assert report.degraded_to is not None
         mediator.close()
 
-    def test_token_reopen_that_degrades_respects_replay_resume_off(self):
-        """replay_resume=False forbids re-shipping delivered rows; a reopen
-        that can only proceed by replaying must give up instead."""
-        mediator, server = self.build_drifting(max_retries=3)
-        mediator.executor.config.replay_resume = False
-        server.availability.kill_after(10)
-        result = mediator.query_stream(self.QUERY)
-        assert list(result.iter_rows()) == [f"p{i}" for i in range(10)]
-        assert result.is_partial
-        assert result.reports[0].resumed_calls == 0
-        # Nothing was ever re-shipped: one killed call, one rejected reopen.
-        assert server.statistics.rows_returned == 10
-        mediator.close()
-
     def test_reopen_backoff_is_bounded_by_the_deadline(self):
         """Reopens run on the consumer thread: a huge retry backoff must not
         block iter_rows() past the query's designated time period."""
@@ -470,73 +439,79 @@ class TestResumableStreamProtocol:
         mediator.close()
 
 
-class TestDedicatedResumeBudget:
-    """``max_resumes``: mid-stream reopens get their own budget.
+class TestOneRetryBudget:
+    """Fresh-call retries, degrading retries and mid-stream reopens draw from
+    the one ``max_retries`` budget: whatever one of them spends, the others
+    no longer have."""
 
-    The shared accounting makes fail-fast mediators unrecoverable: with
-    ``max_retries=0`` a stream that dies mid-transfer is written off even
-    though the source could resume it.  ``max_resumes`` decouples the two
-    budgets -- fresh-call failures still fail fast, reopens draw from their
-    own allowance, and ``ExecReport.resume_attempts`` accounts for them.
-    """
-
-    def test_fail_fast_mediator_still_recovers_midstream(self):
-        # max_retries=0 (fresh calls fail fast) + max_resumes=2: previously
-        # impossible -- the headline configuration this knob exists for.
-        mediator, server = build_relational_mediator(max_retries=0, max_resumes=2)
-        server.availability.kill_after(10)
-        result = mediator.query_stream(QUERY)
-        assert list(result.iter_rows()) == EXPECTED
-        report = result.reports[0]
-        assert report.available
-        assert report.resumed_calls == 1
-        assert report.resume_attempts == 1  # charged to the dedicated budget
-        assert server.statistics.rows_skipped == 10
-        mediator.close()
-
-    def test_resumes_do_not_draw_down_retries(self):
-        # One retry, one resume: a killed stream consumes the resume budget
-        # and the attempt counter still shows the retry untouched (attempts
-        # stays at the initial open).
-        mediator, server = build_relational_mediator(max_retries=1, max_resumes=1)
-        server.availability.kill_after(10)
-        result = mediator.query_stream(QUERY)
-        assert list(result.iter_rows()) == EXPECTED
-        report = result.reports[0]
-        assert report.resumed_calls == 1
-        assert report.resume_attempts == 1
-        mediator.close()
-
-    def test_budget_exhaustion_writes_off(self):
-        mediator, server = build_relational_mediator(max_retries=0, max_resumes=1)
-        server.availability.kill_after(5)
-        server.availability.kill_after(5)  # second death: no budget left
-        result = mediator.query_stream(QUERY)
-        rows = list(result.iter_rows())
-        assert rows == [f"p{i}" for i in range(10)]  # 5 + 5 delivered, then cut
-        assert result.is_partial
-        report = result.reports[0]
-        assert report.resumed_calls == 1
-        assert report.resume_attempts == 1
-        mediator.close()
-
-    def test_zero_disables_recovery_outright(self):
-        mediator, server = build_relational_mediator(max_retries=3, max_resumes=0)
-        server.availability.kill_after(5)
-        result = mediator.query_stream(QUERY)
-        assert list(result.iter_rows()) == [f"p{i}" for i in range(5)]
-        assert result.is_partial
-        assert result.reports[0].resume_attempts == 0
-        mediator.close()
-
-    def test_legacy_accounting_reports_zero_resume_attempts(self):
-        # Without max_resumes the reopen is charged to attempts, exactly as
-        # before this knob existed; resume_attempts stays 0.
+    def test_a_failed_open_spends_the_retry_a_reopen_would_need(self):
         mediator, server = build_relational_mediator(max_retries=1)
-        server.availability.kill_after(10)
+        server.availability.fail_next(1)  # the open fails once first
+        server.availability.kill_after(10)  # the retried open dies mid-stream
+        result = mediator.query_stream(QUERY)
+        assert list(result.iter_rows()) == [f"p{i}" for i in range(10)]
+        assert result.is_partial
+        report = result.reports[0]
+        assert report.resumed_calls == 0
+        assert report.attempts == 2
+        mediator.close()
+
+    def test_a_second_death_past_a_one_retry_budget_writes_off(self):
+        mediator, server = build_relational_mediator(max_retries=1)
+        server.availability.kill_after(5)
+        server.availability.kill_after(5)  # dies again 5 rows into the resume
+        result = mediator.query_stream(QUERY)
+        assert list(result.iter_rows()) == [f"p{i}" for i in range(10)]
+        assert result.is_partial
+        report = result.reports[0]
+        assert report.resumed_calls == 1
+        assert report.attempts == 2
+        mediator.close()
+
+    def test_replay_reopens_draw_from_the_same_budget(self):
+        mediator, server = build_relational_mediator(resume="replay", max_retries=2)
+        server.availability.kill_after(5)
+        server.availability.kill_after(20)  # the replay re-ships 5, delivers 15
         result = mediator.query_stream(QUERY)
         assert list(result.iter_rows()) == EXPECTED
         report = result.reports[0]
-        assert report.attempts == 2
-        assert report.resume_attempts == 0
+        assert report.resumed_calls == 2
+        assert report.attempts == 3
+        mediator.close()
+
+    def test_a_degraded_call_needs_a_retry_left_to_reopen(self):
+        """The two degrading retries (strip ``project``, then ``select``)
+        spend the budget: the later death of the degraded stream is written
+        off, not replayed."""
+        engine = RelationalEngine(name="db0")
+        engine.create_table("person0", rows=[dict(row) for row in ROWS])
+        server = SimulatedServer(name="h0", store=engine)
+        mediator = Mediator(name="degres", max_retries=2)
+        mediator.register_wrapper("w0", LyingRelationalWrapper("w0", server))
+        mediator.create_repository("r0")
+        mediator.define_interface(
+            "Person",
+            [("id", "Long"), ("name", "String"), ("salary", "Short")],
+            extent_name="person",
+        )
+        mediator.add_extent("person0", "Person", "w0", "r0")
+        server.availability.kill_after(10, count=1)
+        result = mediator.query_stream("select x.name from x in person0 where x.salary >= 0")
+        assert list(result.iter_rows()) == [f"p{i}" for i in range(10)]
+        assert result.is_partial
+        report = result.reports[0]
+        assert report.degraded_to == "get(person0)"
+        assert report.resumed_calls == 0
+        assert report.attempts == 3
+        mediator.close()
+
+    def test_a_reopen_that_must_degrade_needs_two_retries(self):
+        """The token reopen is refused (one retry) and its degraded replay is
+        a second: with one retry the stream is written off after its prefix."""
+        mediator, server = TestReopenEdgeCases().build_drifting(max_retries=1)
+        server.availability.kill_after(10)
+        result = mediator.query_stream(TestReopenEdgeCases.QUERY)
+        assert list(result.iter_rows()) == [f"p{i}" for i in range(10)]
+        assert result.is_partial
+        assert result.reports[0].resumed_calls == 0
         mediator.close()

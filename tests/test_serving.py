@@ -20,6 +20,7 @@ import pytest
 from repro import Mediator, MediatorServer, RelationalWrapper, ServerConfig
 from repro.errors import AdmissionError, ParseError
 from repro.runtime.admission import ADMITTED, CLOSED, QUEUE_TIMEOUT, REJECTED, QueueClosed
+from repro.serving import server as server_module
 from repro.sources import NetworkProfile, RelationalEngine, SimulatedServer
 from tests.conftest import build_person_federation
 
@@ -28,6 +29,15 @@ WAVE_CLIENTS = [int(c) for c in os.environ.get("DISCO_E13_CLIENTS", "64,256").sp
 
 ROWS = [{"id": i, "name": f"p{i}", "salary": i * 10} for i in range(40)]
 QUERY = "select x.name from x in person0"
+
+#: the streamed submissions' row-queue capacity under test: small, so one
+#: unread stream parks its worker after a few rows.
+PARKED_ROWS = 4
+
+
+@pytest.fixture(autouse=True)
+def small_stream_buffer(monkeypatch):
+    monkeypatch.setattr(server_module, "STREAM_BUFFER_ROWS", PARKED_ROWS)
 
 
 def build_mediator(**mediator_kwargs):
@@ -46,15 +56,15 @@ def build_mediator(**mediator_kwargs):
     return mediator, server
 
 
-def park_worker(server, buffer_rows):
+def park_worker(server):
     """Occupy one worker with a stream nobody reads; returns the blocker future.
 
-    The worker stalls once the client-side row queue holds ``buffer_rows``
+    The worker stalls once the client-side row queue holds ``PARKED_ROWS``
     rows.  Release it with ``list(blocker.rows())`` or ``blocker.close()``.
     """
     blocker = server.submit(QUERY, stream=True)
     deadline = time.monotonic() + 5
-    while blocker.stream_depth < buffer_rows:
+    while blocker.stream_depth < PARKED_ROWS:
         assert time.monotonic() < deadline, "worker never stalled on the stream"
         time.sleep(0.002)
     return blocker
@@ -112,8 +122,8 @@ class TestSubmitAndResult:
 
     def test_result_times_out_while_pending(self):
         mediator, _ = build_mediator()
-        server = MediatorServer(mediator, ServerConfig(workers=1, stream_buffer_rows=4))
-        blocker = park_worker(server, 4)
+        server = MediatorServer(mediator, ServerConfig(workers=1))
+        blocker = park_worker(server)
         queued = server.submit(QUERY)
         with pytest.raises(TimeoutError):
             queued.result(timeout=0.05)
@@ -133,7 +143,7 @@ class TestStreaming:
     def test_streamed_rows_with_backpressure(self):
         mediator, _ = build_mediator()
         with MediatorServer(
-            mediator, ServerConfig(workers=1, stream_buffer_rows=4)
+            mediator, ServerConfig(workers=1)
         ) as server:
             future = server.submit(QUERY, stream=True)
             rows = []
@@ -149,8 +159,8 @@ class TestStreaming:
 
     def test_client_close_cancels_a_stalled_worker(self):
         mediator, _ = build_mediator()
-        server = MediatorServer(mediator, ServerConfig(workers=1, stream_buffer_rows=2))
-        blocker = park_worker(server, 2)
+        server = MediatorServer(mediator, ServerConfig(workers=1))
+        blocker = park_worker(server)
         blocker.close()  # give up without reading
         # The worker is released and serves the next submission.
         assert len(server.submit(QUERY).result(timeout=10).rows()) == 40
@@ -163,9 +173,9 @@ class TestAdmission:
     def test_full_queue_rejects_synchronously(self):
         mediator, _ = build_mediator()
         server = MediatorServer(
-            mediator, ServerConfig(workers=1, max_queue_depth=1, stream_buffer_rows=4)
+            mediator, ServerConfig(workers=1, max_queue_depth=1)
         )
-        blocker = park_worker(server, 4)
+        blocker = park_worker(server)
         server.submit(QUERY)  # fills the queue
         with pytest.raises(AdmissionError) as excinfo:
             server.submit(QUERY)
@@ -177,8 +187,8 @@ class TestAdmission:
 
     def test_deadline_expiring_in_queue_refuses_with_verdict(self):
         mediator, _ = build_mediator()
-        server = MediatorServer(mediator, ServerConfig(workers=1, stream_buffer_rows=4))
-        blocker = park_worker(server, 4)
+        server = MediatorServer(mediator, ServerConfig(workers=1))
+        blocker = park_worker(server)
         doomed = server.submit(QUERY, timeout=0.05)
         time.sleep(0.15)  # let the deadline lapse while queued
         list(blocker.rows())  # release the worker; it must now refuse `doomed`
@@ -196,8 +206,8 @@ class TestAdmission:
         # priority-3: stride scheduling serves the high class second, not
         # last, despite it arriving after every low submission.
         mediator, _ = build_mediator()
-        server = MediatorServer(mediator, ServerConfig(workers=1, stream_buffer_rows=4))
-        blocker = park_worker(server, 4)
+        server = MediatorServer(mediator, ServerConfig(workers=1))
+        blocker = park_worker(server)
         low = [server.submit(QUERY, priority=1.0) for _ in range(5)]
         high = server.submit(QUERY, priority=3.0)
         list(blocker.rows())
@@ -299,10 +309,10 @@ class TestAdmission:
         caplog.set_level(logging.WARNING, logger="repro.serving")
         mediator, _ = build_mediator()
         server = MediatorServer(
-            mediator, ServerConfig(workers=1, max_queue_depth=1, stream_buffer_rows=4)
+            mediator, ServerConfig(workers=1, max_queue_depth=1)
         )
         server.submit(QUERY).result(timeout=10)
-        blocker = park_worker(server, 4)
+        blocker = park_worker(server)
         doomed = server.submit(QUERY, timeout=0.05)  # fills the queue
         assert not caplog.records  # three admissions so far, no line
         with pytest.raises(AdmissionError):
@@ -337,8 +347,8 @@ class TestClose:
 
     def test_immediate_close_refuses_queued_work_with_verdict(self):
         mediator, _ = build_mediator()
-        server = MediatorServer(mediator, ServerConfig(workers=1, stream_buffer_rows=4))
-        blocker = park_worker(server, 4)
+        server = MediatorServer(mediator, ServerConfig(workers=1))
+        blocker = park_worker(server)
         queued = [server.submit(QUERY) for _ in range(3)]
         blocker.close()  # release the worker so close() can join it
         server.close(drain=False, timeout=30)
@@ -373,7 +383,7 @@ class TestClose:
 class TestWaveUnderFaults:
     @pytest.mark.parametrize("stream", [False, True], ids=["barrier", "streamed"])
     @pytest.mark.parametrize("clients", WAVE_CLIENTS)
-    def test_faults_degrade_answers_but_never_cross_them(self, clients, stream):
+    def test_faults_degrade_answers_but_never_cross_them(self, clients, stream, monkeypatch):
         """One wave of clients over four sources whose every call fails one
         time in twenty (two retries): four distinguishable queries, two
         priority classes.  A leaked, duplicated or torn row would put an answer
@@ -389,7 +399,8 @@ class TestWaveUnderFaults:
             4, rows_per_source=60, failure_probability=0.05, max_retries=2, retry_backoff=0.0
         )
         # Unbounded queue: the wave is the arrival bound; streams settle unread.
-        config = ServerConfig(workers=8, max_queue_depth=None, stream_buffer_rows=4 * 60 + 16)
+        monkeypatch.setattr(server_module, "STREAM_BUFFER_ROWS", 4 * 60 + 16)
+        config = ServerConfig(workers=8, max_queue_depth=None)
         with MediatorServer(mediator, config) as server:
             futures = [
                 server.submit(
