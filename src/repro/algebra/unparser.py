@@ -11,8 +11,10 @@ logical -> OQL half of that round trip; the physical -> logical half lives in
 from __future__ import annotations
 
 import itertools
+import os
+from dataclasses import fields, replace
 
-from repro.algebra.expressions import Expr, Path, Var, literal_to_oql
+from repro.algebra.expressions import Const, Expr, Subquery, Var, literal_to_oql
 from repro.algebra.logical import (
     Apply,
     BagLiteral,
@@ -34,11 +36,20 @@ from repro.algebra.logical import (
 from repro.errors import QueryExecutionError
 
 
-class _Unparser:
-    """Stateful helper allocating fresh variable names while unparsing."""
+#: brackets the number of a ``Bag(...)`` whose values are not written yet;
+#: drawn per process, so no name or constant in a plan spells it
+_HOLE = f"\x00{os.urandom(8).hex()}\x00"
 
-    def __init__(self) -> None:
+
+class _Unparser:
+    """Stateful helper allocating fresh variable names while unparsing.
+
+    Given a ``bags`` list, a ``Bag(...)`` is appended to it and written as
+    its number there, between two holes, instead of its values."""
+
+    def __init__(self, bags: list[BagLiteral] | None = None) -> None:
         self._counter = itertools.count()
+        self._bags = bags
 
     def fresh_variable(self, preferred: str | None = None) -> str:
         """Return ``preferred`` or a fresh ``xN`` variable name."""
@@ -50,6 +61,9 @@ class _Unparser:
     def unparse(self, node: LogicalOp) -> str:
         """Render ``node`` as an OQL expression producing a collection."""
         if isinstance(node, BagLiteral):
+            if self._bags is not None:
+                self._bags.append(node)
+                return f"Bag({_HOLE}{len(self._bags) - 1}{_HOLE})"
             return "Bag(" + ", ".join(map(literal_to_oql, node.values)) + ")"
         if isinstance(node, Union):
             return "union(" + ", ".join(self.unparse(child) for child in node.inputs) + ")"
@@ -252,59 +266,72 @@ class _Unparser:
 
 
 def _substitute_variable(expression: Expr, old: str, new: str) -> Expr:
-    """Return ``expression`` with every reference to ``old`` replaced by ``new``."""
-    from repro.algebra.expressions import (
-        Arithmetic,
-        BagExpr,
-        BooleanExpr,
-        Comparison,
-        FunctionCall,
-        InList,
-        StructExpr,
-    )
+    """Return ``expression`` with every reference to ``old`` replaced by ``new``.
 
+    Every expression is a dataclass whose operands are expressions or tuples
+    of them (``StructExpr``'s are ``(name, expression)`` pairs); constants
+    and subqueries are left as they are.
+    """
     if isinstance(expression, Var):
         return Var(new) if expression.name == old else expression
-    if isinstance(expression, Path):
-        return Path(_substitute_variable(expression.base, old, new), expression.attribute)
-    if isinstance(expression, Comparison):
-        return Comparison(
-            expression.op,
-            _substitute_variable(expression.left, old, new),
-            _substitute_variable(expression.right, old, new),
-        )
-    if isinstance(expression, Arithmetic):
-        return Arithmetic(
-            expression.op,
-            _substitute_variable(expression.left, old, new),
-            _substitute_variable(expression.right, old, new),
-        )
-    if isinstance(expression, BooleanExpr):
-        return BooleanExpr(
-            expression.op,
-            tuple(_substitute_variable(operand, old, new) for operand in expression.operands),
-        )
-    if isinstance(expression, InList):
-        return InList(
-            _substitute_variable(expression.operand, old, new),
-            tuple(_substitute_variable(item, old, new) for item in expression.items),
-        )
-    if isinstance(expression, StructExpr):
-        return StructExpr(
-            tuple(
-                (name, _substitute_variable(value, old, new)) for name, value in expression.fields
-            )
-        )
-    if isinstance(expression, BagExpr):
-        return BagExpr(tuple(_substitute_variable(item, old, new) for item in expression.items))
-    if isinstance(expression, FunctionCall):
-        return FunctionCall(
-            expression.name,
-            tuple(_substitute_variable(arg, old, new) for arg in expression.args),
-        )
-    return expression
+    if isinstance(expression, tuple):
+        return tuple(_substitute_variable(item, old, new) for item in expression)
+    if not isinstance(expression, Expr) or isinstance(expression, (Const, Subquery)):
+        return expression
+    operands = {
+        field.name: _substitute_variable(getattr(expression, field.name), old, new)
+        for field in fields(expression)
+    }
+    return replace(expression, **operands)
 
 
 def logical_to_oql(node: LogicalOp) -> str:
     """Render a logical plan as OQL text (entry point used for partial answers)."""
     return _Unparser().unparse(node)
+
+
+class OQLText:
+    """A logical plan's OQL text, its literal data written when first read.
+
+    The plan's shape is written at once, so a plan with no faithful
+    rendering fails where it was built; each ``Bag(...)``'s values -- a
+    partial answer's rows -- are written by the first ``str()``, and kept.
+    The text is :func:`logical_to_oql`'s, byte for byte.
+    """
+
+    __slots__ = ("_pieces", "_bags", "_text")
+
+    def __init__(self, node: LogicalOp) -> None:
+        self._bags: list[BagLiteral] = []
+        #: every other piece is the number of a bag in ``_bags``
+        self._pieces = _Unparser(self._bags).unparse(node).split(_HOLE)
+        self._text: str | None = None
+
+    def __str__(self) -> str:
+        if self._text is None:
+            self._text = "".join(
+                ", ".join(map(literal_to_oql, self._bags[int(piece)].values)) if at % 2 else piece
+                for at, piece in enumerate(self._pieces)
+            )
+        return self._text
+
+
+def _written(value: str | OQLText | None) -> str | None:
+    return str(value) if isinstance(value, OQLText) else value
+
+
+def written_when_read(*names: str):
+    """Class decorator: each dataclass field in ``names`` may be given an
+    :class:`OQLText` and reads back as its text, written on that read (once
+    for every holder of the same :class:`OQLText`).  ``_<name>`` keeps the
+    value as given: what one holder hands on to the next."""
+
+    def install(cls: type) -> type:
+        for name in names:
+            slot = "_" + name
+            read = lambda holder, slot=slot: _written(getattr(holder, slot))  # noqa: E731
+            store = lambda holder, value, slot=slot: setattr(holder, slot, value)  # noqa: E731
+            setattr(cls, name, property(read, store))
+        return cls
+
+    return install

@@ -299,20 +299,6 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
         functions=("_Unparser._decompose",),
     ),
     DispatchSite(
-        name="unparser.substitute-variable",
-        module="src/repro/algebra/unparser.py",
-        hierarchy="expr",
-        functions=("_substitute_variable",),
-        exempt=(
-            ("Const", "constants carry no variable references; the fall-through is the arm"),
-            (
-                "Subquery",
-                "subquery predicates are never pushed (the capability vocabulary "
-                "refuses them), so alias substitution cannot meet one",
-            ),
-        ),
-    ),
-    DispatchSite(
         name="cost.estimate",
         module="src/repro/optimizer/cost.py",
         hierarchy="physical",

@@ -237,7 +237,6 @@ class Mediator:
                     planned.logical,
                     version,
                     partial_plan=result.partial_plan,
-                    partial_query=result.partial_query,
                     unavailable_sources=result.unavailable_sources,
                 )
         return result
@@ -273,25 +272,18 @@ class Mediator:
                 tuple(execution.data.to_list()),
                 extents=entry.extents,
             )
-        else:
-            if execution.partial_plan is not None:
-                self.answer_cache.store_partial(
-                    text,
-                    None,
-                    entry.schema_version,
-                    partial_plan=execution.partial_plan,
-                    partial_query=execution.partial_query,
-                    unavailable_sources=execution.unavailable_sources,
-                    extents=entry.extents,
-                )
-        return QueryResult(
-            query_text=text,
-            data=execution.data,
-            is_partial=execution.is_partial,
-            partial_query=execution.partial_query,
-            partial_plan=execution.partial_plan,
-            unavailable_sources=execution.unavailable_sources,
-            reports=execution.reports,
+        elif execution.partial_plan is not None:
+            self.answer_cache.store_partial(
+                text,
+                None,
+                entry.schema_version,
+                partial_plan=execution.partial_plan,
+                unavailable_sources=execution.unavailable_sources,
+                extents=entry.extents,
+            )
+        return QueryResult.of(
+            text,
+            execution,
             logical=entry.partial_plan,
             physical=physical,
             from_answer_cache=True,
@@ -361,14 +353,10 @@ class Mediator:
             return result
         physical = implement(result.partial_plan)
         execution = self.executor.execute(physical, timeout=timeout)
-        return QueryResult(
-            query_text=result.partial_query or result.query_text,
-            data=execution.data,
-            is_partial=execution.is_partial,
-            partial_query=execution.partial_query,
-            partial_plan=execution.partial_plan,
-            unavailable_sources=execution.unavailable_sources,
-            reports=execution.reports,
+        return QueryResult.of(
+            # Its text is the partial answer's, passed on unwritten.
+            result._partial_query or result._query_text,
+            execution,
             logical=result.partial_plan,
             physical=physical,
         )
@@ -395,14 +383,9 @@ class Mediator:
         execution = self.executor.execute(
             planned.optimized.physical, timeout=timeout, calls=self._compiled_calls(planned)
         )
-        return QueryResult(
-            query_text=planned.text,
-            data=execution.data,
-            is_partial=execution.is_partial,
-            partial_query=execution.partial_query,
-            partial_plan=execution.partial_plan,
-            unavailable_sources=execution.unavailable_sources,
-            reports=execution.reports,
+        return QueryResult.of(
+            planned.text,
+            execution,
             estimated_cost=planned.optimized.cost.total(),
             logical=planned.optimized.logical,
             physical=planned.optimized.physical,

@@ -22,18 +22,25 @@ from typing import Any, Iterator
 
 from repro.algebra.logical import LogicalOp
 from repro.algebra.physical import PhysicalOp
+from repro.algebra.unparser import OQLText, written_when_read
 from repro.datamodel.values import Bag
-from repro.runtime.executor import ExecReport, collect_errors
+from repro.runtime.executor import ExecReport, ExecutionResult, collect_errors
 
 
+@written_when_read("query_text", "partial_query")
 @dataclass
 class QueryResult:
-    """The answer returned by :meth:`Mediator.query` / :meth:`Mediator.query_stream`."""
+    """The answer returned by :meth:`Mediator.query` / :meth:`Mediator.query_stream`.
 
-    query_text: str
+    ``partial_query`` (and a resubmitted answer's ``query_text``, the partial
+    answer it resubmitted) embeds every row obtained; those rows are written
+    on its first read (:class:`~repro.algebra.unparser.OQLText`).
+    """
+
+    query_text: str | OQLText
     data: Any = field(default_factory=Bag)
     is_partial: bool = False
-    partial_query: str | None = None
+    partial_query: str | OQLText | None = None
     partial_plan: LogicalOp | None = None
     unavailable_sources: tuple[str, ...] = ()
     reports: tuple[ExecReport, ...] = ()
@@ -51,6 +58,20 @@ class QueryResult:
     #: materialized results); excluded from equality -- two results are the
     #: same answer regardless of how the rows were delivered.
     stream: Any | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, query_text: str | OQLText, execution: ExecutionResult, **fields: Any) -> "QueryResult":
+        """The result of one execution; its partial answer's text is passed on unwritten."""
+        return cls(
+            query_text,
+            data=execution.data,
+            is_partial=execution.is_partial,
+            partial_query=execution._partial_query,
+            partial_plan=execution.partial_plan,
+            unavailable_sources=execution.unavailable_sources,
+            reports=execution.reports,
+            **fields,
+        )
 
     # -- plan text, rendered when read -----------------------------------------------------
     @property

@@ -81,7 +81,6 @@ class CacheEntry:
     extents: frozenset[str]  #: extent names referenced, for eager eviction
     rows: tuple[Any, ...] | None = None  #: complete entries only
     partial_plan: log.LogicalOp | None = None  #: partial entries only
-    partial_query: str | None = None
     unavailable_sources: tuple[str, ...] = ()
 
     @property
@@ -311,7 +310,6 @@ class AnswerCache:
         plan: log.LogicalOp | None,
         schema_version: int,
         partial_plan: log.LogicalOp,
-        partial_query: str | None,
         unavailable_sources: tuple[str, ...],
         extents: frozenset[str] | None = None,
     ) -> None:
@@ -324,7 +322,6 @@ class AnswerCache:
             schema_version=schema_version,
             extents=extents | _extents_of(partial_plan),
             partial_plan=partial_plan,
-            partial_query=partial_query,
             unavailable_sources=tuple(unavailable_sources),
         )
         self._insert(entry)

@@ -67,6 +67,7 @@ from typing import Any, Callable, Iterator, MutableMapping
 from repro.algebra import logical as log
 from repro.algebra import physical as phys
 from repro.algebra.expressions import Comparison, Const, Expr, InList, find_equi_conjunct
+from repro.algebra.unparser import OQLText, written_when_read
 from repro.datamodel.extent import MetaExtent
 from repro.datamodel.values import Bag
 from repro.errors import QueryExecutionError, TypeConflictError, UnavailableSourceError
@@ -170,14 +171,15 @@ class ExecReport:
     replanned: bool = False
 
 
+@written_when_read("partial_query")
 @dataclass
 class ExecutionResult:
-    """The answer to one query execution."""
+    """The answer to one query execution (``partial_query``: see ``QueryResult``)."""
 
     data: Bag
     is_partial: bool = False
     partial_plan: log.LogicalOp | None = None
-    partial_query: str | None = None
+    partial_query: str | OQLText | None = None
     unavailable_sources: tuple[str, ...] = ()
     reports: tuple[ExecReport, ...] = ()
 

@@ -509,8 +509,9 @@ def compose_rows(
     """Compose the lazy operator pipeline for ``plan``.
 
     The one way the mediator turns an operator tree plus rows in hand into
-    rows.  A logical plan is evaluated as ``compose_rows(implement(plan),
-    leaf, ...)`` -- a partial answer's data subtrees, a degraded call's
+    rows.  A partial answer's data subtrees are composed as they stand, over
+    the settled calls' lists; a logical plan is evaluated as
+    ``compose_rows(implement(plan), leaf, ...)`` -- a degraded call's
     stripped operators, a split pushdown, a cached superset's deltas all go
     this way.
 

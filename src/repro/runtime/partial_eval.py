@@ -5,17 +5,14 @@ level query.  This transformation is possible because each physical operation
 has a corresponding logical operation, and each logical operation has a
 corresponding OQL expression."
 
-Concretely:
-
-* every ``exec`` call that *succeeded* becomes a :class:`BagLiteral` holding
-  the rows it returned;
-* every ``exec`` call that was *unavailable* becomes the ``submit`` logical
-  operator it implements (i.e. stays a query);
-* every other physical operator becomes its logical counterpart;
-* finally, any subtree that contains no ``submit`` is fully evaluable at the
-  mediator and is collapsed into data, so the answer has the paper's two-part
-  shape: a query over the unavailable sources unioned with the data already
-  obtained.
+One pass over the physical plan and the settled calls does it: per-element
+operators distribute over ``mkunion``; every subtree that reads no
+*unavailable* ``exec`` becomes one :class:`BagLiteral`, its rows composed by
+:func:`~repro.runtime.operators.compose_rows` straight over the calls' row
+lists; each unavailable ``exec`` stays the ``submit`` it implements, and the
+operators between become their logical counterparts.  So the answer has the
+paper's two-part shape: a query over the unavailable sources unioned with
+the data already obtained.  Its text (``OQLText``) is written when read.
 """
 
 from __future__ import annotations
@@ -24,10 +21,6 @@ from typing import Any, Callable, Mapping
 
 from repro.algebra import logical as log
 from repro.algebra import physical as phys
-from repro.algebra.unparser import logical_to_oql
-from repro.datamodel.values import Struct
-from repro.errors import QueryExecutionError
-from repro.optimizer.implementation import implement
 from repro.runtime import operators as ops
 
 ExecOutcome = dict[int, Any]  # id(Exec node) -> list of rows, or an Unavailable marker
@@ -54,117 +47,95 @@ class Unavailable:
 #: build outcome maps by hand.
 UNAVAILABLE = Unavailable()
 
+#: the per-element operators, which distribute over ``mkunion``
+_PER_ELEMENT = (phys.MkApply, phys.MkProj, phys.MkRename, phys.Filter, phys.MkFlatten)
 
-def _refuse_submit(node: phys.Exec) -> Any:
-    raise QueryExecutionError(
-        "cannot evaluate a submit at the mediator; partial evaluation should "
-        "have kept it as a query"
-    )
+
+def _distributed(node: phys.PhysicalOp) -> phys.PhysicalOp:
+    """Distribute per-element operators over ``mkunion``, cascades fully.
+
+    ``mkapply(f, mkunion(q, data))`` becomes ``mkunion(mkapply(f, q),
+    mkapply(f, data))``, so the data branch collapses to plain values.  Only
+    per-element operators distribute: ``distinct`` must deduplicate across
+    branches (a row in both the data and the recovered source would survive
+    resubmission twice), ``groupby`` must aggregate every branch (per-branch
+    groups double-count once the branch recovers; the sound two-phase split
+    is the optimizer's rewrite), and ``limit`` stays put too.
+    """
+    if not isinstance(node, _PER_ELEMENT):
+        return node
+    child = _distributed(node.child)
+    if isinstance(child, phys.MkUnion):
+        return phys.MkUnion(
+            tuple(_distributed(node.with_children([part])) for part in child.inputs)
+        )
+    return node if child is node.child else node.with_children([child])
 
 
 class PartialAnswerBuilder:
-    """Builds the partial-answer logical plan and its OQL text."""
+    """Builds the partial-answer logical plan from a run's settled calls."""
 
     def __init__(self, subquery_evaluator: ops.SubqueryEvaluator | None = None):
         self._subquery_evaluator = subquery_evaluator
 
-    # -- physical -> logical -------------------------------------------------------------
-    def to_logical(self, plan: phys.PhysicalOp, outcomes: ExecOutcome) -> log.LogicalOp:
-        """Convert a partially executed physical plan back to a logical plan."""
-        if isinstance(plan, phys.Exec):
-            outcome = outcomes.get(id(plan), UNAVAILABLE)
-            if isinstance(outcome, Unavailable):
-                return log.Submit(
-                    plan.source.name, plan.expression, extent_name=plan.extent_name
-                )
-            return log.BagLiteral(tuple(outcome))
-        logical = phys.IMPLEMENTS.get(type(plan))
-        if logical is None:
-            raise QueryExecutionError(f"cannot convert {plan.to_text()} back to logical form")
-        children = [self.to_logical(child, outcomes) for child in plan.children()]
-        if isinstance(plan, phys.ProbeJoin):
-            # The probe exec is not a child (execs_in must not dispatch it
-            # eagerly) but it is still an exec: batched rows recorded under it
-            # collapse to data, an unprobed/unavailable right side stays the
-            # submit it implements -- the ordinary bindjoin partial answer.
-            children.append(self.to_logical(plan.probe, outcomes))
-        return phys.counterpart(logical, plan, children)
-
-    # -- collapsing available subtrees ---------------------------------------------------
-    def simplify(self, plan: log.LogicalOp, base_env: Mapping[str, Any] | None = None) -> log.LogicalOp:
-        """Evaluate every submit-free subtree and replace it with its data."""
-        plan = self._distribute_over_union(plan)
-        if isinstance(plan, log.Submit):
-            # The whole submit stays a query: its argument belongs to the
-            # unavailable source and cannot be evaluated at the mediator.
-            return plan
-        if not plan.contains_submit():
-            values = self.evaluate_logical(plan, base_env=base_env)
-            return log.BagLiteral(tuple(values))
-        children = plan.children()
-        if not children:
-            return plan
-        simplified = [self.simplify(child, base_env=base_env) for child in children]
-        return plan.with_children(simplified)
-
-    def _distribute_over_union(self, plan: log.LogicalOp) -> log.LogicalOp:
-        """Distribute per-element operators over ``union``.
-
-        ``apply(f, union(q, data))`` becomes ``union(apply(f, q), apply(f,
-        data))`` so that the data branch collapses to plain values and the
-        answer keeps the paper's ``union(<query>, Bag(<data>))`` shape.
-        Cascades such as ``apply(project(union(...)))`` distribute fully.
-
-        Only *per-element* operators distribute.  ``distinct`` does not:
-        ``distinct(union(a, b))`` must deduplicate across branches, so
-        per-branch distincts would let a row present in both the data and the
-        recovered source survive resubmission twice.  It stays above the
-        union (its submit-free branches still collapse during
-        :meth:`simplify`).  ``limit`` likewise stays put, and so does
-        ``groupby``: a group must aggregate rows from *every* branch, so
-        per-branch grouping would double-count rows once the unavailable
-        branch is recovered (the two-phase split that *is* sound lives in
-        the optimizer's push-groupby-through-union rewrite, which emits
-        combinable partials -- not here).
-        """
-        if isinstance(plan, (log.Apply, log.Project, log.Rename, log.Select, log.Flatten)):
-            child = self._distribute_over_union(plan.child)
-            if isinstance(child, log.Union):
-                distributed = tuple(
-                    self._distribute_over_union(plan.with_children([part]))
-                    for part in child.inputs
-                )
-                return log.Union(distributed)
-            return plan.with_children([child])
-        return plan
-
-    # -- logical evaluation over data (no submits) ------------------------------------------
-    def evaluate_logical(
-        self, plan: log.LogicalOp, base_env: Mapping[str, Any] | None = None
-    ) -> list[Any]:
-        """Evaluate a submit-free logical plan at the mediator.
-
-        The row operators are lazy generators; this entry point materializes
-        them (partial answers embed finite data), which also keeps errors --
-        like a stray ``submit`` -- eager.
-        """
-        return list(
-            ops.compose_rows(
-                implement(plan), _refuse_submit, base_env, subquery=self._subquery_evaluator
-            )
-        )
-
-    # -- the public assembly step --------------------------------------------------------
     def build(
         self,
         plan: phys.PhysicalOp,
         outcomes: ExecOutcome,
         base_env: Mapping[str, Any] | None = None,
     ) -> log.LogicalOp:
-        """Physical plan + exec outcomes -> simplified partial-answer logical plan."""
-        logical = self.to_logical(plan, outcomes)
-        return self.simplify(logical, base_env=base_env)
+        """Physical plan + exec outcomes -> the partial answer's logical plan.
 
-    def to_oql(self, partial_plan: log.LogicalOp) -> str:
-        """Render the partial answer as OQL text (the answer *is* a query)."""
-        return logical_to_oql(partial_plan)
+        An exec missing from ``outcomes`` is unavailable (a probe join's,
+        never settled up front, keeps its join a ``bindjoin``)."""
+
+        def rows(node: phys.Exec) -> Any:
+            return map(ops.as_struct, outcomes[id(node)])
+
+        def probed(join: phys.ProbeJoin, left: Any) -> Any:
+            return ops.bind_join_rows(
+                left,
+                rows(join.probe),
+                join.left_variable,
+                join.right_variable,
+                join.condition,
+                base_env=base_env,
+                subquery_evaluator=self._subquery_evaluator,
+            )
+
+        def collapse(node: phys.PhysicalOp) -> log.BagLiteral:
+            subquery = self._subquery_evaluator
+            return log.BagLiteral(
+                tuple(ops.compose_rows(node, rows, base_env, probe=probed, subquery=subquery))
+            )
+
+        partial = _skeleton(plan, outcomes, collapse)
+        return collapse(plan) if partial is None else partial
+
+
+def _skeleton(
+    node: phys.PhysicalOp, outcomes: ExecOutcome, collapse: Callable[[phys.PhysicalOp], log.BagLiteral]
+) -> log.LogicalOp | None:
+    """The logical form of a subtree that reads an unavailable call; None for
+    one that does not, which its parent collapses whole.
+
+    A module function, not a closure in ``build``: a closure that calls
+    itself is a reference cycle, and would keep the run it was built from
+    alive until the cycle collector found it."""
+    if isinstance(node, phys.Exec):
+        if not isinstance(outcomes.get(id(node), UNAVAILABLE), Unavailable):
+            return None
+        return log.Submit(node.source.name, node.expression, extent_name=node.extent_name)
+    node = _distributed(node)
+    operands = node.children()
+    if isinstance(node, phys.ProbeJoin):
+        # The probe exec is not a child (execs_in must not dispatch it
+        # eagerly) but it is the join's right operand here.
+        operands += (node.probe,)
+    converted = [_skeleton(operand, outcomes, collapse) for operand in operands]
+    if all(part is None for part in converted):
+        return None
+    children = [
+        collapse(operand) if part is None else part for operand, part in zip(operands, converted)
+    ]
+    return phys.counterpart(phys.IMPLEMENTS[type(node)], node, children)

@@ -23,9 +23,10 @@ three things:
   ordinary failed attempt.  Once every call has settled the run composes
   the pipeline over the lists or, when a call is unavailable, hands
   ``{exec -> rows | Unavailable}`` to the
-  :class:`~repro.runtime.partial_eval.PartialAnswerBuilder` without
-  composing anything (no probe is sent for a query that is already
-  partial).  ``Executor.execute_stream`` (``query_stream()``) hands rows to
+  :class:`~repro.runtime.partial_eval.PartialAnswerBuilder`, which
+  composes only what reads no unavailable call, in one pass over the lists
+  (no probe is sent for a query that is already partial).
+  ``Executor.execute_stream`` (``query_stream()``) hands rows to
   the caller *while* sources are still answering: a ``mkunion`` interleaves
   its children in exec-completion order (and a call that starts once
   another has answered lets the consumer take that answer first:
@@ -74,6 +75,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.algebra import logical as log
 from repro.algebra import physical as phys
+from repro.algebra.unparser import OQLText
 from repro.runtime import cancellation, namespace
 from repro.runtime import operators as ops
 from repro.runtime.backpressure import StreamClosed
@@ -709,7 +711,8 @@ class StreamingExecution:
         The whole life of a materialising run (``Executor.execute``): the
         answer is complete data, or -- when any call is unavailable, or a
         probe join's source fails while the pipeline runs -- the partial
-        answer: the plan with the obtained rows embedded, as a query.
+        answer: the plan with the obtained rows embedded, as a query.  Its
+        shape is written as OQL here; its rows are not (``OQLText``).
         """
         try:
             # Settled one by one, in plan order: a concurrent.futures.wait()
@@ -744,7 +747,7 @@ class StreamingExecution:
                 data=Bag(),
                 is_partial=True,
                 partial_plan=partial_plan,
-                partial_query=builder.to_oql(partial_plan),
+                partial_query=OQLText(partial_plan),  # fails here if it cannot render
                 unavailable_sources=self.unavailable_sources,
                 reports=self.reports,
             )

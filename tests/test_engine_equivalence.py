@@ -50,7 +50,8 @@ import pytest
 
 from repro import Mediator, RelationalWrapper
 from repro.algebra.capabilities import PUSHABLE_OPERATORS, CapabilitySet
-from repro.algebra.logical import Get, Join, Select, Submit
+from repro.algebra.logical import BagLiteral, Get, Join, Select, Submit
+from repro.algebra.unparser import logical_to_oql
 from repro.datamodel.mapping import LocalTransformationMap
 from repro.datamodel.values import Bag, Struct
 from repro.optimizer.implementation import implement
@@ -325,6 +326,15 @@ def multiset(rows) -> Counter:
     return Counter(canon(row) for row in rows)
 
 
+def assert_collapsed(plan) -> None:
+    """Each maximal submit-free subtree of a partial plan is one ``Bag``."""
+    if not plan.contains_submit():
+        assert isinstance(plan, BagLiteral), plan.to_text()
+    elif not isinstance(plan, Submit):
+        for child in plan.children():
+            assert_collapsed(child)
+
+
 def report_shape(reports) -> dict:
     """Per-call attempt accounting, comparable across the two engines.
 
@@ -447,6 +457,8 @@ def test_engines_agree(seed):
             from repro.oql.parser import parse_query
 
             parse_query(barrier.partial_query)  # the answer *is* a query
+            assert_collapsed(barrier.partial_plan)
+            assert barrier.partial_query == logical_to_oql(barrier.partial_plan)
             if limit is None:
                 # Once the source recovers, resubmitting the partial answer
                 # yields exactly the full answer.

@@ -1,5 +1,6 @@
 """Tests for the run-time system: executor, maps, parallelism, partial evaluation."""
 
+import gc
 import time
 
 import pytest
@@ -24,6 +25,7 @@ from repro.algebra.logical import (
     Submit,
     Union,
 )
+from repro.algebra.unparser import logical_to_oql
 from repro.algebra.physical import (
     IMPLEMENTS,
     Exec,
@@ -35,11 +37,11 @@ from repro.algebra.physical import (
 )
 from repro.errors import DiscoError, QueryExecutionError
 from repro.optimizer.implementation import implement
-from repro.runtime import operators as ops
 from repro.runtime.namespace import row_normaliser, to_source_namespace
 from repro.runtime.operators import (
     Env,
     bind_join_rows,
+    compose_rows,
     distinct_rows,
     environment_builder,
     apply_rows,
@@ -422,20 +424,6 @@ class TestExecutor:
         assert servers[0].statistics.requests == requests_after_first + 1
 
 
-def _logical_walk(plan):
-    yield plan
-    for child in plan.children():
-        yield from _logical_walk(child)
-
-
-def outcome(evaluate):
-    """The rows, or the error that stopped them."""
-    try:
-        return ("rows", evaluate())
-    except DiscoError as exc:
-        return ("error", type(exc).__name__, str(exc))
-
-
 LEAF0 = Submit("r0", Get("person0"), extent_name="person0")
 LEAF1 = Submit("r1", Get("person1"))
 SAME_ID = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
@@ -483,23 +471,33 @@ ROUND_TRIPS = {
     BagLiteral: (BagLiteral((Struct({"name": "Sam"}), 7)), "mkbag(struct(name: 'Sam'), 7)"),
 }
 
-PEOPLE = BagLiteral(
-    (
+#: the rows each source returns once it is up; ``b``, ``d`` and ``e`` are
+#: down when the partial answer is built
+SOURCE_ROWS = {
+    "a": [
         Struct({"id": 1, "name": "Mary", "salary": 200, "boss": None}),
         {"id": 2, "name": "Sam", "salary": 50, "boss": 1},
+    ],
+    "b": [
         Struct({"id": None, "name": "Nil", "salary": 70, "boss": 2}),
         Struct({"id": 4, "name": "Ann", "salary": 50, "boss": 1}),
-    )
-)
-NOBODY = BagLiteral(())
+        {"id": 2, "name": "Sam", "salary": 50, "boss": 1},
+    ],
+    "c": [(1, 2), [3]],
+    "d": [4, Bag([5, 6])],
+    "e": [],
+}
+DOWN = {"b", "d", "e"}
+UP_A, DOWN_B = Submit("a", Get("pa")), Submit("b", Get("pb"))
+PEOPLE = Union((UP_A, DOWN_B))
 ABOVE_FLOOR = Comparison(">", Path(Var("x"), "salary"), Var("floor"))  # ``floor``: outer variable
 HEADCOUNT = (("n", "count", Var("x")), ("top", "max", Path(Var("x"), "salary")))
-PAIRS = BindJoin(PEOPLE, PEOPLE, "x", "y", Comparison("=", Path(Var("x"), "boss"), Path(Var("y"), "id")))
+PAIRS = BindJoin(PEOPLE, UP_A, "x", "y", Comparison("=", Path(Var("x"), "boss"), Path(Var("y"), "id")))
 
-#: submit-free plans, every operator at least once, on the inputs that have
-#: gone wrong before
-EVALUATED = {
-    "bag": PEOPLE,
+#: every logical operator at least once over a source that is down, on the
+#: inputs that have gone wrong before
+RESUBMITTED = {
+    "union": PEOPLE,
     "project": Project(("name", "missing"), PEOPLE),
     "select": Select("x", salary_filter(threshold=60), PEOPLE),
     "select-outer-variable": Select("x", ABOVE_FLOOR, PEOPLE),
@@ -515,92 +513,32 @@ EVALUATED = {
             PAIRS, PEOPLE, "_env", "z", Comparison("=", Path(Var("x"), "id"), Path(Var("z"), "boss"))
         ),
     ),
-    "union-nested": Union((PEOPLE, Union((NOBODY, Limit(1, PEOPLE))), BagLiteral((7,)))),
-    "flatten": Flatten(BagLiteral(((1, 2), [3], 4, Bag([5, 6])))),
+    "union-nested": Union((UP_A, Union((BagLiteral(()), Limit(1, PEOPLE))), BagLiteral((7,)))),
+    "flatten": Flatten(Union((Submit("c", Get("pc")), Submit("d", Get("pd"))))),
     "distinct": Distinct(Project(("salary",), Union((PEOPLE, PEOPLE)))),
     "limit-zero": Limit(0, PEOPLE),
     "limit-negative": Limit(-1, PEOPLE),
-    "limit": Limit(2, Select("x", salary_filter(threshold=60), PEOPLE)),
+    "limit": Limit(2, Select("x", salary_filter(threshold=60), Union((DOWN_B, UP_A)))),
     "groupby": GroupBy("x", (("s", Path(Var("x"), "salary")),), HEADCOUNT, PEOPLE),
-    "groupby-keyless-empty": GroupBy("x", (), HEADCOUNT, NOBODY),
+    "groupby-keyless-empty": GroupBy("x", (), HEADCOUNT, Submit("e", Get("pe"))),
     "groupby-outer-variable": GroupBy("x", (("f", Var("floor")),), HEADCOUNT, PEOPLE),
 }
 
 
-def reference_evaluate_logical(plan, base_env=None, subquery_evaluator=None):
-    """``PartialAnswerBuilder.evaluate_logical`` as it was: its own ladder over
-    the logical operators, every child materialized (kept verbatim)."""
-    recurse = lambda child: reference_evaluate_logical(child, base_env, subquery_evaluator)  # noqa: E731
-    if isinstance(plan, BagLiteral):
-        return [ops.as_struct(value) for value in plan.values]
-    if isinstance(plan, Project):
-        return list(ops.project_rows(recurse(plan.child), plan.attributes))
-    if isinstance(plan, Select):
-        return list(
-            ops.filter_rows(
-                recurse(plan.child),
-                plan.variable,
-                plan.predicate,
-                base_env=base_env,
-                subquery_evaluator=subquery_evaluator,
-            )
-        )
-    if isinstance(plan, Rename):
-        return list(ops.rename_rows(recurse(plan.child), plan.pairs))
-    if isinstance(plan, Apply):
-        return list(
-            ops.apply_rows(
-                recurse(plan.child),
-                plan.variable,
-                plan.expression,
-                base_env=base_env,
-                subquery_evaluator=subquery_evaluator,
-            )
-        )
-    if isinstance(plan, Join):
-        return list(ops.hash_join_rows(recurse(plan.left), recurse(plan.right), plan.on))
-    if isinstance(plan, BindJoin):
-        return list(
-            ops.bind_join_rows(
-                recurse(plan.left),
-                recurse(plan.right),
-                plan.left_variable,
-                plan.right_variable,
-                plan.condition,
-                base_env=base_env,
-                subquery_evaluator=subquery_evaluator,
-            )
-        )
-    if isinstance(plan, Union):
-        return list(ops.union_rows([recurse(child) for child in plan.inputs]))
-    if isinstance(plan, Flatten):
-        return list(ops.flatten_rows(recurse(plan.child)))
-    if isinstance(plan, Distinct):
-        return list(ops.distinct_rows(recurse(plan.child)))
-    if isinstance(plan, Limit):
-        return recurse(plan.child)[: max(plan.count, 0)]
-    if isinstance(plan, GroupBy):
-        return list(
-            ops.group_rows(
-                recurse(plan.child),
-                plan.variable,
-                plan.keys,
-                plan.aggregates,
-                base_env=base_env,
-                subquery_evaluator=subquery_evaluator,
-            )
-        )
-    if isinstance(plan, Submit):
-        raise QueryExecutionError(
-            "cannot evaluate a submit at the mediator; partial evaluation should "
-            "have kept it as a query"
-        )
-    if isinstance(plan, Get):
-        raise QueryExecutionError(
-            f"get({plan.collection}) outside a submit cannot be evaluated at the mediator"
-        )
-    raise QueryExecutionError(f"cannot evaluate logical operator {plan.to_text()}")
+def _execs(plan):
+    if isinstance(plan, Exec):
+        yield plan
+    for child in plan.children():
+        yield from _execs(child)
 
+
+def _evaluated(plan, base_env):
+    """The rows of ``plan`` with every source up, or the error that stopped them."""
+    leaf = lambda node: SOURCE_ROWS[node.source.name]  # noqa: E731
+    try:
+        return ("rows", list(compose_rows(implement(plan), leaf, base_env)))
+    except DiscoError as exc:
+        return ("error", type(exc).__name__, str(exc))
 
 class TestPartialAnswerBuilder:
     def physical_plan(self):
@@ -611,23 +549,37 @@ class TestPartialAnswerBuilder:
             )
         )
 
-    def test_to_logical_replaces_available_exec_with_data(self):
-        builder = PartialAnswerBuilder()
-        plan = self.physical_plan()
-        execs = plan.inputs
-        outcomes = {id(execs[0]): UNAVAILABLE, id(execs[1]): [Struct({"name": "Sam"})]}
-        logical = builder.to_logical(plan, outcomes)
-        assert "submit(r0" in logical.to_text()
-        assert "Bag" in logical.to_text()
-
     def test_build_collapses_available_branches(self):
         builder = PartialAnswerBuilder()
         plan = self.physical_plan()
         execs = plan.inputs
         outcomes = {id(execs[0]): UNAVAILABLE, id(execs[1]): [Struct({"name": "Sam"})]}
         partial = builder.build(plan, outcomes)
-        text = builder.to_oql(partial)
+        assert partial == Union(
+            (
+                Submit("r0", Project(("name",), Get("person0")), extent_name="person0"),
+                BagLiteral((Struct({"name": "Sam"}),)),
+            )
+        )
+        text = logical_to_oql(partial)
         assert text == 'union(select x0.name from x0 in person0, Bag(struct(name: "Sam")))'
+
+    def test_a_partial_answer_leaves_no_reference_cycle(self):
+        """The run and its calls are freed by reference counting once the
+        answer is built: a cycle through them would keep every row and lock
+        alive until a collection, which then lands on some later query."""
+        mediator, servers = build_paper_mediator()
+        with mediator:
+            mediator.query("select x.name from x in person")
+            servers[0].take_down()
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(3):
+                    assert mediator.query("select x.name from x in person").is_partial
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
     def test_fully_available_plan_collapses_to_data(self):
         builder = PartialAnswerBuilder()
@@ -639,11 +591,6 @@ class TestPartialAnswerBuilder:
         }
         partial = builder.build(plan, outcomes)
         assert not partial.contains_submit()
-
-    def test_evaluate_logical_refuses_submit(self):
-        builder = PartialAnswerBuilder()
-        with pytest.raises(Exception):
-            builder.evaluate_logical(Submit("r0", Get("person0")))
 
     def test_round_trip_physical_to_logical_for_every_operator(self):
         """By enumeration: a new logical operator without a sample fails here."""
@@ -662,7 +609,7 @@ class TestPartialAnswerBuilder:
             physical = implement(logical)
             assert IMPLEMENTS[type(physical)] is cls
             assert physical.to_text() == physical_text
-            back = builder.to_logical(physical, {})
+            back = builder.build(physical, {})
             assert type(back) is cls
             assert back == logical and back.to_text() == logical.to_text()
         nested = Union(
@@ -671,39 +618,67 @@ class TestPartialAnswerBuilder:
                 Submit("r1", Get("person1"), extent_name="person1"),
             )
         )
-        assert builder.to_logical(implement(nested), {}) == nested
+        assert builder.build(implement(nested), {}) == nested
 
     def test_algorithms_that_are_not_the_default_convert_back_too(self):
         builder = PartialAnswerBuilder()
         left, right = implement(LEAF0), implement(LEAF1)
-        assert builder.to_logical(NestedLoopJoin(left, right, "id"), {}).to_text() == (
+        assert builder.build(NestedLoopJoin(left, right, "id"), {}).to_text() == (
             "join(submit(r0, get(person0)), submit(r1, get(person1)), id)"
         )
         probe_join = ProbeJoin(left, right, "x", "y", SAME_ID)
-        assert builder.to_logical(probe_join, {}).to_text() == (
+        assert builder.build(probe_join, {}).to_text() == (
             "bindjoin(x: submit(r0, get(person0)), y: submit(r1, get(person1)), x.id = y.id)"
         )
         # The probe exec is not a child, but rows recorded under it are data.
-        probed = builder.to_logical(probe_join, {id(right): [Struct({"id": 1})]})
+        probed = builder.build(probe_join, {id(right): [Struct({"id": 1})]})
         assert probed.to_text() == (
             "bindjoin(x: submit(r0, get(person0)), y: Bag(struct(id: 1)), x.id = y.id)"
         )
-        with pytest.raises(QueryExecutionError, match="cannot convert field"):
-            builder.to_logical(Field("r0"), {})
+        with pytest.raises(QueryExecutionError, match=r"field\(r0\)"):
+            builder.build(Field("r0"), {})
 
-    @pytest.mark.parametrize("base_env", [None, {"floor": 60}], ids=["no-env", "base-env"])
-    @pytest.mark.parametrize("name", sorted(EVALUATED))
-    def test_evaluate_logical_agrees_with_the_ladder_it_replaced(self, name, base_env):
-        plan = EVALUATED[name]
-        builder = PartialAnswerBuilder()
-        assert outcome(lambda: builder.evaluate_logical(plan, base_env=base_env)) == outcome(
-            lambda: reference_evaluate_logical(plan, base_env)
+    def test_a_probe_join_over_settled_calls_collapses_like_any_subtree(self):
+        """One collapse path: a probe join whose probe rows are in hand is
+        composed as the bind join it implements, straight into data."""
+        left, right = implement(LEAF0), implement(LEAF1)
+        probe_join = ProbeJoin(left, right, "x", "y", SAME_ID)
+        people = [Struct({"id": 1, "name": "Mary"}), {"id": 2, "name": "Sam"}]
+        outcomes = {id(left): people, id(right): [{"id": 2, "boss": 1}]}
+        # The union's second branch is an exec nobody settled: unavailable.
+        collapsed = PartialAnswerBuilder().build(MkUnion((probe_join, implement(LEAF0))), outcomes)
+        assert collapsed.to_text() == (
+            "union(Bag({'x': struct(id: 2, name: 'Sam'), 'y': struct(id: 2, boss: 1)}), "
+            "submit(r0, get(person0)))"
         )
 
-    def test_every_logical_operator_is_evaluated_against_the_reference(self):
-        covered = {type(node) for plan in EVALUATED.values() for node in _logical_walk(plan)}
-        assert covered == set(LogicalOp.__subclasses__()) - {Get, Submit}
+    @pytest.mark.parametrize("base_env", [None, {"floor": 60}], ids=["no-env", "base-env"])
+    @pytest.mark.parametrize("name", sorted(RESUBMITTED))
+    def test_a_resubmitted_partial_answer_is_the_full_answer(self, name, base_env):
+        """The collapse is sound for every operator: the partial answer built
+        while some sources are down, evaluated once they are up, gives the
+        rows (or the error) the original plan gives."""
+        plan = RESUBMITTED[name]
+        physical = implement(plan)
+        outcomes = {
+            id(node): SOURCE_ROWS[node.source.name]
+            for node in _execs(physical)
+            if node.source.name not in DOWN
+        }
+        try:
+            partial = PartialAnswerBuilder().build(physical, outcomes, base_env=base_env)
+        except DiscoError as exc:
+            resubmitted = ("error", type(exc).__name__, str(exc))
+        else:
+            assert partial.contains_submit()
+            resubmitted = _evaluated(partial, base_env)
+        assert resubmitted == _evaluated(plan, base_env)
 
-    def test_evaluate_logical_refuses_a_bare_get(self):
-        with pytest.raises(DiscoError, match=r"get\(person0\) .* outside a submit"):
-            PartialAnswerBuilder().evaluate_logical(Project(("name",), Get("person0")))
+    def test_every_logical_operator_is_resubmitted(self):
+        def walk(plan):
+            yield plan
+            for child in plan.children():
+                yield from walk(child)
+
+        covered = {type(node) for plan in RESUBMITTED.values() for node in walk(plan)}
+        assert covered >= set(LogicalOp.__subclasses__()) - {Get}

@@ -488,8 +488,7 @@ class TestPartialAnswersWithLimit:
                 )
             ),
         )
-        builder = PartialAnswerBuilder()
-        assert builder.to_logical(implement(logical), {}) == logical
+        assert PartialAnswerBuilder().build(implement(logical), {}) == logical
 
 
 class TestAbortedStreams:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from repro.algebra import expressions, unparser
 from repro.algebra.expressions import (
     BagExpr,
     Comparison,
@@ -26,16 +27,18 @@ from repro.algebra.logical import (
     Join,
     LogicalOp,
     Project,
+    Rename,
     Select,
     Submit,
     Union,
 )
-from repro.algebra.unparser import logical_to_oql
+from repro.algebra.unparser import OQLText, logical_to_oql
 from repro.algebra.physical import MkBag
 from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError
 from repro.lexing import OQL
 from repro.oql.parser import parse_query
+from repro.optimizer.implementation import implement
 from tests.conftest import build_paper_mediator
 
 
@@ -366,3 +369,86 @@ class TestPlanTextOnRead:
             assert "person1" in expected
             assert result.physical_plan == expected
             assert "person1" not in mediator.query(self.QUERY).physical_plan
+
+
+class TestPartialTextOnRead:
+    """A partial answer's rows are written into its OQL text when it is read."""
+
+    QUERY = "select struct(n: x.name, s: x.salary) from x in person where x.salary > 10"
+
+    @pytest.fixture
+    def row_writes(self, monkeypatch):
+        """Every row a literal writer is asked to write (the rows are structs;
+        the constants in the plan's predicates are not)."""
+        written = []
+        original = expressions.literal_to_oql
+
+        def spy(value):
+            if isinstance(value, Struct):
+                written.append(value)
+            return original(value)
+
+        monkeypatch.setattr(expressions, "literal_to_oql", spy)
+        monkeypatch.setattr(unparser, "literal_to_oql", spy)
+        return written
+
+    def test_query_and_resubmit_write_no_embedded_row(self, row_writes):
+        mediator, servers = build_paper_mediator()
+        with mediator:
+            servers[0].take_down()
+            partial = mediator.query(self.QUERY)
+            assert partial.is_partial
+            servers[0].bring_up()
+            full = mediator.resubmit(partial)
+            assert len(full.data) == 2
+            assert row_writes == []
+            # The resubmitted answer's text is the partial answer; reading
+            # it writes the one embedded row, and the partial answer shares
+            # that writing.
+            assert full.query_text == 'union(select struct(n: x0.name, s: x0.salary) ' \
+                'from x0 in person0 where x0.salary > 10, Bag(struct(n: "Sam", s: 50)))'
+            assert partial.partial_query == full.query_text
+            assert row_writes == [Struct({"n": "Sam", "s": 50})]
+
+    def test_reading_twice_writes_each_row_once(self, row_writes):
+        mediator, servers = build_paper_mediator()
+        with mediator:
+            servers[0].take_down()
+            partial = mediator.query(self.QUERY)
+            first = partial.partial_query
+            assert partial.partial_query is first
+            assert len(row_writes) == 1
+            assert first == logical_to_oql(partial.partial_plan)
+
+    def test_a_plan_with_no_rendering_fails_the_run_that_built_it(self):
+        """Only the rows wait for a reader: the shape is written with the
+        answer, so a rename over a two-source join fails the query itself."""
+        mediator, servers = build_paper_mediator()
+        with mediator:
+            plan = implement(
+                Rename(
+                    (("name", "n"), ("id", "id")),
+                    Join(
+                        Submit("r0", Get("person0"), extent_name="person0"),
+                        Submit("r1", Get("person1"), extent_name="person1"),
+                        "id",
+                    ),
+                )
+            )
+            assert mediator.executor.execute(plan).data == Bag([Struct({"n": "Mary", "id": 1})])
+            servers[0].take_down()
+            with pytest.raises(QueryExecutionError, match="multi-source"):
+                mediator.executor.execute(plan)
+
+    def test_a_plan_holding_the_hole_character_is_written_at_once(self):
+        plan = Union(
+            (
+                Submit(
+                    "r0",
+                    Select("x", Comparison("=", Path(Var("x"), "name"), Const("\x000\x00")), Get("p")),
+                    extent_name="p",
+                ),
+                BagLiteral((Struct({"name": "Sam"}),)),
+            )
+        )
+        assert str(OQLText(plan)) == logical_to_oql(plan)
