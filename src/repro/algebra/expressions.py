@@ -179,17 +179,12 @@ class Path(Expr):
 
         def run(env: Environment) -> Any:
             value = base(env)
-            kind = type(value)
-            if kind is Struct or kind is dict or isinstance(value, Mapping):
+            if type(value) is Struct:
                 try:
-                    return value[attribute]
+                    return value._fields[attribute]
                 except KeyError:
-                    raise QueryExecutionError(
-                        f"object {value!r} has no attribute {attribute!r}"
-                    ) from None
-            if hasattr(value, attribute):
-                return getattr(value, attribute)
-            raise QueryExecutionError(f"cannot access {attribute!r} on {value!r}")
+                    pass
+            return read_attribute(value, attribute)
 
         return run
 
@@ -595,6 +590,19 @@ class Subquery(Expr):
 
 
 # -- helpers -----------------------------------------------------------------------
+def read_attribute(value: Any, attribute: str) -> Any:
+    """``value.attribute``: a mapping's entry, else an object's attribute (path
+    reads take a :class:`Struct`'s fields themselves, and the rest here)."""
+    if type(value) is dict or isinstance(value, Mapping):
+        try:
+            return value[attribute]
+        except KeyError:
+            raise QueryExecutionError(f"object {value!r} has no attribute {attribute!r}") from None
+    if hasattr(value, attribute):
+        return getattr(value, attribute)
+    raise QueryExecutionError(f"cannot access {attribute!r} on {value!r}")
+
+
 def _raises(message: str) -> Compiled:
     """A compiled expression that fails when (not before) a row reaches it."""
 

@@ -14,6 +14,7 @@ inverse map to the rows that come back.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 from repro.algebra import logical as log
@@ -423,31 +424,34 @@ _OPERANDS = ("child", "left", "right", "inputs")
 
 
 def _builder(target: type, source: type) -> Callable[[Any, Sequence[Any]], Any]:
-    """Compile ``(node, children) -> target(...)`` for one pair of the table.
+    """Build ``(node, children) -> target(...)`` for one pair of the table.
 
     Each of ``target``'s fields is an operand, taken from ``children`` in
     order (``inputs`` takes them all), or a field ``source`` carries under
     the same name, taken from ``node``.  The first field ``source`` lacks
     ends the list: ``Join``'s variable names, which no join algorithm keeps,
-    have defaults.  Compiled, like a dataclass ``__init__``: the optimizer
-    builds hundreds of nodes per plan search, and walking the field names
-    per call measured +50% on its own time (and -5% queries/s) on never-seen
-    query texts.
+    have defaults.  The operands come first (the joins) or last (the rest).
+    Resolved here, like a dataclass ``__init__``: the optimizer builds
+    hundreds of nodes per plan search, and walking the field names per call
+    measured +50% on its own time (and -5% queries/s) on never-seen texts.
     """
     theirs = {f.name for f in fields(source)}
-    arguments: list[str] = []
-    operands = 0
-    for name in (f.name for f in fields(target)):
-        if name == "inputs":
-            arguments.append("tuple(children)")
-        elif name in _OPERANDS:
-            arguments.append(f"children[{operands}]")
-            operands += 1
-        elif name in theirs:
-            arguments.append(f"node.{name}")
-        else:
-            break
-    return eval(f"lambda node, children: target({', '.join(arguments)})", {"target": target})
+    names = [f.name for f in fields(target)]
+    if names == ["inputs"]:
+        return lambda node, children: target(tuple(children))
+    carried: list[str] = []
+    for name in names:
+        if name not in _OPERANDS:
+            if name not in theirs:
+                break
+            carried.append(name)
+    if len(carried) == 1:
+        take = lambda node, get=attrgetter(carried[0]): (get(node),)  # noqa: E731
+    else:
+        take = attrgetter(*carried) if carried else lambda node: ()
+    if names[0] in _OPERANDS:
+        return lambda node, children: target(*children, *take(node))
+    return lambda node, children: target(*take(node), *children)
 
 
 #: (class to build, class to build it from) -> builder, both ways round for

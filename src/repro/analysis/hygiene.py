@@ -22,6 +22,9 @@ Scope is ``Spec.hygiene_scan`` path prefixes.  (The third hygiene rule from
 the issue -- generators holding a lock across ``yield`` -- is enforced by
 the lock checker's ``lock-across-yield`` rule, which has the lock-tracking
 machinery.)
+
+* **dynamic-code** -- in every module: builtin ``exec``/``eval``/``compile``
+  outside :data:`DYNAMIC_CODE_HOME` (the row-kernel emitter).  Never baselined.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ BROAD = frozenset({"Exception", "BaseException"})
 #: cancellation signals; a try that handles one of these *before* its broad
 #: handler has already routed cancellation explicitly
 CANCELLATION = frozenset({"StreamClosed", "CancelledError", "QueueClosed"})
+
+#: the one module that may turn text into code, and the builtins that do
+DYNAMIC_CODE_HOME = "src/repro/runtime/kernels.py"
+DYNAMIC = frozenset({"exec", "eval", "compile", "builtins.exec", "builtins.eval", "builtins.compile"})
 
 
 def _is_broad(handler: ast.ExceptHandler) -> str | None:
@@ -90,8 +97,7 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
 def check_hygiene(spec: Spec, modules: list[SourceModule]) -> list[Finding]:
     findings: list[Finding] = []
     for module in modules:
-        if not any(module.path.startswith(p) for p in spec.hygiene_scan):
-            continue
+        scoped = any(module.path.startswith(p) for p in spec.hygiene_scan)
         # map every node to its enclosing function qualname for scopes
         scope_of: dict[ast.AST, str] = {}
         for cls, qual, func in iter_functions(module.tree):
@@ -108,7 +114,7 @@ def check_hygiene(spec: Spec, modules: list[SourceModule]) -> list[Finding]:
             return counters[(rule, where)]
 
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Try):
+            if scoped and isinstance(node, ast.Try):
                 earlier: set[str] = set()
                 for handler in node.handlers:
                     broad = _is_broad(handler)
@@ -138,7 +144,11 @@ def check_hygiene(spec: Spec, modules: list[SourceModule]) -> list[Finding]:
                     earlier |= _handler_names(handler)
             elif isinstance(node, ast.Call):
                 name = dotted_name(node.func)
-                if name == "time.sleep":
+                if name in DYNAMIC and module.path != DYNAMIC_CODE_HOME:
+                    message = f"builtin `{name}` outside {DYNAMIC_CODE_HOME}: build code from values, not text"
+                    where = scope(node)
+                    findings.append(Finding("hygiene", "dynamic-code", module.path, node.lineno, where, message, name))
+                if scoped and name == "time.sleep":
                     where = scope(node)
                     findings.append(
                         Finding(

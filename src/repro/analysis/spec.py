@@ -159,7 +159,11 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
         "first; two runs racing a cached plan's first execution compile equal "
         "values from the same immutable node and the same schema, each "
         "store is one dict assignment, and the later one changes nothing -- "
-        "the argument `_check_types` makes for its verdict set.  Nothing "
+        "the argument `_check_types` makes for its verdict set.  The "
+        "kernel of each per-element chain (`runtime.kernels.chain_kernel`, "
+        "keyed by the chain's top node) is stored the same way: two racing "
+        "runs bind equal kernels from the same node, and a kernel holds "
+        "nothing of a run, so either store serves both.  Nothing "
         "but the plan refers to the slot, so dropping the plan (eviction, "
         "a schema change, the mediator going away) drops what was compiled.",
     ),
@@ -284,6 +288,10 @@ HIERARCHIES: tuple[Hierarchy, ...] = (
 _FIELD = "Field is the source placeholder inside Exec, never a plan root"
 #: the operators that only exist above the wrapper boundary
 _MEDIATOR_ONLY = "mediator-side only: the planner never pushes it below the wrapper boundary"
+#: why an operator is a kernel's input or consumer, never part of its chain
+_NOT_PER_ELEMENT = "not one element in, at most one out, without state: compose_rows runs it"
+#: why an expression kind runs its compile() closure inside a kernel
+_DELEGATED = "run through its own compile() closure, made once per kernel run"
 
 DISPATCH_SITES: tuple[DispatchSite, ...] = (
     DispatchSite(
@@ -327,6 +335,31 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
         hierarchy="physical",
         functions=("compose_rows",),
         exempt=(("Field", _FIELD),),
+    ),
+    DispatchSite(
+        name="kernels.chain",
+        module="src/repro/runtime/kernels.py",
+        hierarchy="physical",
+        functions=("_shape",),
+        exempt=(("Field", _FIELD),)
+        + tuple(
+            (name, _NOT_PER_ELEMENT)
+            for name in ("Exec", "MkBag", "HashJoin", "NestedLoopJoin", "MkBindJoin", "ProbeJoin")
+            + ("MkUnion", "MkFlatten", "MkDistinct", "MkGroupBy", "MkLimit")
+        ),
+    ),
+    DispatchSite(
+        name="kernels.expr",
+        module="src/repro/runtime/kernels.py",
+        hierarchy="expr",
+        functions=("_expr_shape",),
+        exempt=(
+            ("InList", _DELEGATED + " (which hashes all-constant items once)"),
+            ("Arithmetic", _DELEGATED + " (its error message renders the node)"),
+            ("BagExpr", _DELEGATED + " (builds a collection, no per-row branch to save)"),
+            ("FunctionCall", _DELEGATED + " (dispatches on the function name)"),
+            ("Subquery", _DELEGATED + " (the run's evaluator is a kernel argument)"),
+        ),
     ),
     DispatchSite(
         name="degrade.strippable",

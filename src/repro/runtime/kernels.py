@@ -1,0 +1,226 @@
+"""Per-element operator chains, compiled into one generated row loop.
+
+A maximal chain of ``filter``, ``mkapply``, ``mkproj`` and ``mkrename`` runs as
+one generator written for it (data-centric pipeline compilation, Neumann,
+VLDB 2011): one loop over its input, the element in a local, and ``Const``/
+``Var``/``Path``/``Comparison``/``BooleanExpr``/``StructExpr`` written out as
+statements with their ``compile()`` closures' semantics; any other expression
+calls its own closure.  The source holds only names the emitter invents, so it
+is a function of the chain's *shape* (:func:`_shape`), compiled once per
+process.  A cached plan keeps its kernels in its compiled-call slot, keyed by
+each chain's top node; a kernel binds nothing of a run.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from functools import lru_cache
+from typing import Any, Callable, Iterable, Iterator
+
+from repro.algebra import physical as phys
+from repro.algebra.expressions import BooleanExpr, Comparison, Const, Expr, Path, StructExpr, Var, read_attribute
+from repro.datamodel.values import Struct
+from repro.errors import QueryExecutionError
+
+CODE_CAPACITY = 256  #: distinct chain shapes whose compiled factories the process keeps
+CHAIN = (phys.Filter, phys.MkApply, phys.MkProj, phys.MkRename)  #: what a kernel runs
+#: ``kernel(rows, base_env, subquery_evaluator) -> rows``
+Kernel = Callable[[Iterable[Any], "Mapping[str, Any] | None", Any], Iterator[Any]]
+#: The OQL translator folds multi-variable ``from`` clauses into bind joins
+#: whose elements are environments bound to this reserved variable name.
+ENV_VARIABLE = "_env"
+_MAX_DEPTH = 60  # nested and/or deeper than this call their closure: Python stops at 100
+_COMPARISONS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+
+class Env(dict):
+    """A variable environment element: maps variable names to their rows."""
+
+
+def env_bindings(element: Any, variable: str) -> dict[str, Any]:
+    """The variable bindings one element contributes to an environment.
+
+    An :class:`Env` contributes its entries.  A *mapping* bound to the
+    reserved environment variable is an environment that lost its type --
+    partial answers embed half-joined environments as ``struct`` literals,
+    and the text round trip reparses them as structs -- so its fields splat
+    back into variables.  Anything else binds ``variable`` alone.
+    """
+    if isinstance(element, Env):
+        return dict(element)
+    if variable == ENV_VARIABLE and isinstance(element, Mapping):
+        return {variable: element, **dict(element)}
+    return {variable: element}
+
+
+def _variable(env: Mapping[str, Any] | None, name: str) -> Any:
+    """A variable read off an element's environment (``None``: only the operator's own)."""
+    if env is not None and name in env:
+        return env[name]
+    raise QueryExecutionError(f"unbound variable {name!r}")
+
+
+def _getter(row: Any) -> Callable[[str], Any]:
+    """``name -> value`` of a projected element that is not a :class:`Struct`."""
+    if isinstance(row, Env):
+        # Projection over an environment is ambiguous; it never occurs in
+        # translated plans, but fall back to the first binding for safety.
+        row = next(iter(row.values())) if row else row
+    if isinstance(row, Mapping):
+        return row.get
+    return lambda name: getattr(row, name, None)
+
+
+_HELPERS = {"Struct": Struct, "Env": Env, "read": read_attribute, "var": _variable}
+_HELPERS.update(bindings=env_bindings, getter=_getter, adopt=Struct._adopt)
+
+
+# -- shapes: the nodes with each value replaced by its argument's index ---------------------------
+def _value(values: list[Any], value: Any) -> int:
+    values.append(value)
+    return len(values) - 1
+
+
+def _shape(top: phys.PhysicalOp) -> tuple[tuple, list[Any]]:
+    """The shape of the chain headed by ``top`` (operators input first), and its values."""
+    values: list[Any] = []
+    ops = []
+    while isinstance(top, CHAIN):
+        if isinstance(top, (phys.MkProj, phys.MkRename)):
+            pairs = [(a, a) for a in top.attributes] if isinstance(top, phys.MkProj) else top.pairs
+            ops.append(("row", tuple([(_value(values, new), _value(values, old)) for old, new in pairs])))
+        else:
+            expr = top.predicate if isinstance(top, phys.Filter) else top.expression
+            name, splat = _value(values, top.variable), _value(values, top.variable == ENV_VARIABLE)
+            kind = "apply" if isinstance(top, phys.MkApply) else "filter"
+            ops.append((kind, name, splat, _expr_shape(expr, top.variable, values, 0)))
+        top = top.child
+    ops.reverse()
+    return (len(values), tuple(ops)), values
+
+
+def _expr_shape(node: Expr, variable: str, values: list[Any], depth: int) -> tuple:
+    if depth > _MAX_DEPTH:
+        return ("call", _value(values, node))
+    if isinstance(node, Path):
+        return ("path", _expr_shape(node.base, variable, values, depth), _value(values, node.attribute))
+    if isinstance(node, Var):
+        return ("var", None if node.name == variable else _value(values, node.name))
+    if isinstance(node, Const):
+        return ("const", _value(values, node.value))
+    if isinstance(node, Comparison) and node.op in _COMPARISONS:
+        left = _expr_shape(node.left, variable, values, depth)
+        return ("compare", _COMPARISONS[node.op], left, _expr_shape(node.right, variable, values, depth))
+    if isinstance(node, BooleanExpr) and (node.op in ("and", "or") or node.op == "not" and node.operands):
+        operands = node.operands[:1] if node.op == "not" else node.operands
+        return (node.op, *[_expr_shape(o, variable, values, depth + 1) for o in operands])
+    if isinstance(node, StructExpr):
+        return ("struct", *[(_value(values, n), _expr_shape(e, variable, values, depth)) for n, e in node.fields])
+    return ("call", _value(values, node))
+
+
+# -- the emitter: a shape's source --------------------------------------------------------------
+class _Emitter:
+    """The row loop of one chain shape."""
+
+    temps, depth, outer = 0, 3, False
+
+    def __init__(self) -> None:
+        self.setup: list[str] = []
+        self.body: list[str] = []
+
+    def line(self, text: str) -> None:
+        pad = "    " * self.depth
+        self.body.append(pad + text.replace("\n", "\n" + pad))
+
+    def operator(self, op: tuple, k: int) -> list[str]:
+        """Append operator ``k`` (counted from the chain's input); return its setup lines."""
+        self.setup = []
+        if op[0] == "row":
+            fields = ", ".join([f"a{new}: g(a{old})" for new, old in op[1]])
+            self.line(f"g = el._fields.get if type(el) is Struct else getter(el)\nel = adopt({{{fields}}})")
+            return self.setup
+        kind, name, splat, expr = op
+        self.env, self.name, self.used, start = f"e{k}", f"a{name}", False, len(self.body)
+        if kind == "apply":
+            self.line(f"el = {self.expr(expr)}")
+        else:  # a conjunction drops the element at its first false operand
+            for conjunct in expr[1:] if expr[0] == "and" else (expr,):
+                self.line(f"if not {self.expr(conjunct)}:\n    continue")
+        if self.used:
+            # An Env element is its own environment unless an outer one lies
+            # under it; an outer environment or the reserved variable needs a
+            # dict built; any other element is simply its variable.
+            self.outer = True
+            self.setup.append(f"s{k} = a{splat} or bool(outer)")
+            merged = f"{{**outer, **bindings(el, {self.name})}}"
+            bind = f"el if not outer and isinstance(el, Env) else {merged} if s{k} else None"
+            self.body.insert(start, "    " * self.depth + f"e{k} = {bind}")
+        return self.setup
+
+    def expr(self, e: tuple) -> str:
+        """Emit ``e``'s statements; return the name that holds its value."""
+        self.temps += 1
+        kind, env, t = e[0], self.env, f"t{self.temps}"
+        if kind == "const":
+            return f"a{e[1]}"
+        if kind == "var":
+            self.used = True
+            own = e[1] is None
+            self.line(f"{t} = el if {env} is None else var({env}, {self.name})" if own else f"{t} = var({env}, a{e[1]})")
+        elif kind == "path":
+            b, a = self.expr(e[1]), f"a{e[2]}"
+            self.line(f"if type({b}) is Struct:\n    try:\n        {t} = {b}._fields[{a}]\n    except KeyError:\n"
+                      f"        {t} = read({b}, {a})\nelse:\n    {t} = read({b}, {a})")
+        elif kind == "compare":
+            left, right = self.expr(e[2]), self.expr(e[3])
+            self.line(f"if {left} is None or {right} is None:\n    {t} = False\nelse:\n    try:\n"
+                      f"        {t} = {left} {e[1]} {right}\n    except TypeError:\n        {t} = False")
+        elif kind == "not":
+            self.line(f"{t} = not {self.expr(e[1])}")
+        elif kind in ("and", "or"):
+            # ``or`` ends at its first true operand, ``and`` at its first
+            # false: each later operand runs only while the result is open.
+            stop = kind == "or"
+            self.line(f"{t} = {not stop}")
+            for i, operand in enumerate(e[1:]):
+                if i:
+                    self.line(f"if {'not ' if stop else ''}{t}:")
+                    self.depth += 1
+                self.line(f"if {'' if stop else 'not '}{self.expr(operand)}:\n    {t} = {stop}")
+                self.depth -= 1 if i else 0
+        elif kind == "struct":
+            fields = ", ".join([f"a{name}: {self.expr(field)}" for name, field in e[1:]])
+            self.line(f"{t} = adopt({{{fields}}})")
+        else:  # any other kind runs its own closure, over a real environment
+            self.used = True
+            self.setup.append(f"d{t} = a{e[1]}.compile(subquery)")
+            self.line(f"{t} = d{t}({env} if {env} is not None else {{{self.name}: el}})")
+        return t
+
+
+def emit(shape: tuple) -> str:
+    """The source of a chain shape: ``make(helpers..., a0, a1, ...) -> kernel``."""
+    count, ops = shape
+    emitter = _Emitter()
+    setups = [emitter.operator(op, k) for k, op in enumerate(ops)]
+    # Set up the top operator first, as the generator stack it replaces did.
+    setup = ["outer = dict(base_env) if base_env else {}"] if emitter.outer else []
+    setup += [line for lines in reversed(setups) for line in lines]
+    head = [f"def make({', '.join([*_HELPERS, *(f'a{i}' for i in range(count))])}):"]
+    head += ["    def kernel(src, base_env, subquery):", *("        " + line for line in setup)]
+    return "\n".join(head + ["        for el in src:", *emitter.body, "            yield el", "    return kernel"])
+
+
+@lru_cache(maxsize=CODE_CAPACITY)
+def _factory(shape: tuple) -> Callable[..., Kernel]:
+    """Emit and compile one chain shape into its kernel factory."""
+    namespace: dict[str, Any] = {}
+    exec(compile(emit(shape), "<row kernel>", "exec"), namespace)
+    return namespace["make"]
+
+
+def chain_kernel(top: phys.PhysicalOp) -> Kernel:
+    """The kernel of the chain headed by ``top`` (see the module docstring)."""
+    shape, values = _shape(top)
+    return _factory(shape)(*_HELPERS.values(), *values)

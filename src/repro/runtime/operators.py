@@ -6,8 +6,11 @@ variable environments produced by ``bindjoin`` for multi-variable queries.
 Predicates and select items are evaluated with an environment that merges the
 query's outer environment (for correlated subqueries), the element's own
 bindings (when it is an :class:`Env`) and the operator's bound variable.
-Each operator compiles its expressions and picks its environment builder
-*once per invocation*, before the row loop; the closures die with it.
+
+A chain of the per-element operators (``filter``, ``mkapply``, ``mkproj``,
+``mkrename``) runs as one generated loop, its kernel (:mod:`~repro.runtime.kernels`),
+held by a cached plan.  The other operators compile their expressions and
+pick their environment builder *once per invocation*, before the row loop.
 
 Every operator is a *lazy generator* (Volcano-style): it consumes its input
 iterator one element at a time and yields output elements as they are ready.
@@ -22,40 +25,16 @@ Callers that need a list simply wrap a pipeline in ``list(...)``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, MutableMapping
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.algebra import physical as phys
 from repro.algebra.expressions import Expr, find_equi_conjunct
 from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError
+from repro.runtime.kernels import CHAIN, ENV_VARIABLE, Env, Kernel, chain_kernel, env_bindings
 
 SubqueryEvaluator = Callable[[Any, Mapping[str, Any]], Any]
-
-
-class Env(dict):
-    """A variable environment element: maps variable names to their rows."""
-
-
-#: The OQL translator folds multi-variable ``from`` clauses into bind joins
-#: whose elements are environments bound to this reserved variable name.
-ENV_VARIABLE = "_env"
-
-
-def env_bindings(element: Any, variable: str) -> dict[str, Any]:
-    """The variable bindings one element contributes to an environment.
-
-    An :class:`Env` contributes its entries.  A *mapping* bound to the
-    reserved environment variable is an environment that lost its type --
-    partial answers embed half-joined environments as ``struct`` literals,
-    and the text round trip reparses them as structs -- so its fields splat
-    back into variables.  Anything else binds ``variable`` alone.
-    """
-    if isinstance(element, Env):
-        return dict(element)
-    if variable == ENV_VARIABLE and isinstance(element, Mapping):
-        return {variable: element, **dict(element)}
-    return {variable: element}
 
 
 def environment_builder(
@@ -85,63 +64,6 @@ def as_struct(row: Any) -> Any:
     if isinstance(row, dict):
         return Struct(row)
     return row
-
-
-def project_rows(elements: Iterable[Any], attributes: tuple[str, ...]) -> Iterator[Any]:
-    """Keep only ``attributes`` of each record (records stay records)."""
-    for element in elements:
-        row = element
-        if isinstance(row, Env):
-            # Projection over an environment is ambiguous; it never occurs in
-            # translated plans, but fall back to the first binding for safety.
-            row = next(iter(row.values())) if row else row
-        if isinstance(row, Mapping):
-            yield Struct._adopt({attr: row.get(attr) for attr in attributes})
-        else:
-            yield Struct({attr: getattr(row, attr, None) for attr in attributes})
-
-
-def rename_rows(
-    elements: Iterable[Any], pairs: tuple[tuple[str, str], ...]
-) -> Iterator[Any]:
-    """Project each record to the ``(old, new)`` aliased attributes."""
-    for element in elements:
-        row = element
-        if isinstance(row, Env):
-            row = next(iter(row.values())) if row else row
-        if isinstance(row, Mapping):
-            yield Struct._adopt({new: row.get(old) for old, new in pairs})
-        else:
-            yield Struct({new: getattr(row, old, None) for old, new in pairs})
-
-
-def filter_rows(
-    elements: Iterable[Any],
-    variable: str,
-    predicate: Expr,
-    base_env: Mapping[str, Any] | None = None,
-    subquery_evaluator: SubqueryEvaluator | None = None,
-) -> Iterator[Any]:
-    """Keep elements for which ``predicate`` evaluates to true."""
-    environment = environment_builder(variable, base_env)
-    holds = predicate.compile(subquery_evaluator)
-    for element in elements:
-        if holds(environment(element)):
-            yield element
-
-
-def apply_rows(
-    elements: Iterable[Any],
-    variable: str,
-    expression: Expr,
-    base_env: Mapping[str, Any] | None = None,
-    subquery_evaluator: SubqueryEvaluator | None = None,
-) -> Iterator[Any]:
-    """Compute ``expression`` for every element."""
-    environment = environment_builder(variable, base_env)
-    compute = expression.compile(subquery_evaluator)
-    for element in elements:
-        yield compute(environment(element))
 
 
 def _merged_row(left_row: Any, right_row: Any) -> Struct:
@@ -377,51 +299,71 @@ def _group_hash_key(values: tuple[Any, ...]) -> tuple[Any, ...]:
     return tuple(parts)
 
 
-class _Accumulator:
+class _Count:
     """Running state of one aggregate over one group.
 
     The NULL semantics here are shared with the mini-SQL engine so pushed and
     mediator-compensated aggregation agree: ``count`` counts rows whose
     argument is not None (a bare variable argument counts every row, like
     ``COUNT(*)``); the other aggregates skip None values and yield None when
-    no value survives.
+    no value survives.  Each aggregate is its own class (:data:`_ACCUMULATORS`).
     """
 
-    __slots__ = ("func", "count", "total", "extreme", "seen")
+    __slots__ = ("count", "total")
 
-    def __init__(self, func: str):
-        self.func = func
+    def __init__(self) -> None:
         self.count = 0
-        self.total: Any = None
-        self.extreme: Any = None
-        self.seen = False
+        self.total: Any = None  # the sum, or the extreme so far
 
     def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.count += 1
-        if self.func == "count":
-            return
-        if self.func in ("sum", "avg"):
-            self.total = value if self.total is None else self.total + value
-            return
-        if not self.seen:
-            self.extreme = value
-            self.seen = True
-        elif self.func == "min":
-            if value < self.extreme:
-                self.extreme = value
-        elif value > self.extreme:
-            self.extreme = value
+        if value is not None:
+            self.count += 1
 
     def result(self) -> Any:
-        if self.func == "count":
-            return self.count
-        if self.func == "sum":
-            return self.total
-        if self.func == "avg":
-            return None if self.count == 0 else self.total / self.count
-        return self.extreme
+        return self.count
+
+
+class _Sum(_Count):
+    __slots__ = ()
+
+    def add(self, value: Any) -> None:
+        if value is not None:
+            self.count += 1
+            self.total = value if self.total is None else self.total + value
+
+    def result(self) -> Any:
+        return self.total
+
+
+class _Avg(_Sum):
+    __slots__ = ()
+
+    def result(self) -> Any:
+        return None if self.count == 0 else self.total / self.count
+
+
+class _Min(_Sum):
+    __slots__ = ()
+
+    def add(self, value: Any) -> None:
+        if value is not None:
+            self.count += 1
+            if self.count == 1 or value < self.total:
+                self.total = value
+
+
+class _Max(_Sum):
+    __slots__ = ()
+
+    def add(self, value: Any) -> None:
+        if value is not None:
+            self.count += 1
+            if self.count == 1 or value > self.total:
+                self.total = value
+
+
+#: aggregate name -> its accumulator (any other name keeps the largest value)
+_ACCUMULATORS = {"count": _Count, "sum": _Sum, "avg": _Avg, "min": _Min, "max": _Max}
 
 
 def group_rows(
@@ -439,11 +381,12 @@ def group_rows(
     row).  With no keys the operator is a scalar aggregate and always emits
     exactly one row, even over an empty input (``count`` 0, the rest None).
     """
-    groups: dict[tuple[Any, ...], tuple[Struct | None, list[_Accumulator]]] = {}
+    groups: dict[tuple[Any, ...], tuple[Struct | None, list[_Count]]] = {}
     order: list[tuple[Any, ...]] = []
     environment = environment_builder(variable, base_env)
     key_functions = [expr.compile(subquery_evaluator) for _, expr in keys]
     arguments = [arg.compile(subquery_evaluator) for _, _, arg in aggregates]
+    kinds = [_ACCUMULATORS.get(func, _Max) for _, func, _ in aggregates]
     for element in elements:
         env = environment(element)
         key_values = tuple(key(env) for key in key_functions)
@@ -453,7 +396,7 @@ def group_rows(
             key_struct = Struct(
                 {name: value for (name, _), value in zip(keys, key_values)}
             )
-            state = (key_struct, [_Accumulator(func) for _, func, _ in aggregates])
+            state = (key_struct, [kind() for kind in kinds])
             groups[hash_key] = state
             order.append(hash_key)
         accumulators = state[1]
@@ -461,7 +404,7 @@ def group_rows(
             accumulator.add(argument(env))
     if not keys and not groups:
         # The scalar-aggregate convention: an empty input still has a count.
-        groups[()] = (Struct({}), [_Accumulator(func) for _, func, _ in aggregates])
+        groups[()] = (Struct({}), [kind() for kind in kinds])
         order.append(())
     for hash_key in order:
         key_struct, accumulators = groups[hash_key]
@@ -505,6 +448,7 @@ def compose_rows(
     build: Callable[[Iterator[Any]], Iterable[Any]] | None = None,
     group: Callable[[phys.MkGroupBy, Iterator[Any]], Iterable[Any]] | None = None,
     subquery: SubqueryEvaluator | None = None,
+    kernels: MutableMapping[phys.PhysicalOp, Any] | None = None,
 ) -> Iterator[Any]:
     """Compose the lazy operator pipeline for ``plan``.
 
@@ -528,38 +472,31 @@ def compose_rows(
     overrides mediator-side grouping (a stream suppresses grouped output
     computed over a known-incomplete input); ``subquery`` evaluates nested
     subqueries (a run passes its own evaluator, so they share its slot and
-    deadline).
+    deadline).  ``kernels`` is where the chains' kernels are kept, keyed by
+    each chain's top node (a run passes its compiled-call slot); without
+    it each chain is bound for this pipeline alone.
 
     The pipeline structure (and every ``leaf`` iterator) is built eagerly,
     so structural errors surface immediately; only *row* flow is lazy.
     """
     recurse = lambda child: compose_rows(  # noqa: E731
-        child, leaf, base_env, union, probe, build, group, subquery
+        child, leaf, base_env, union, probe, build, group, subquery, kernels
     )
     if isinstance(plan, phys.Exec):
         return iter(leaf(plan))
     if isinstance(plan, phys.MkBag):
         return (as_struct(value) for value in plan.values)
-    if isinstance(plan, phys.MkProj):
-        return project_rows(recurse(plan.child), plan.attributes)
-    if isinstance(plan, phys.MkRename):
-        return rename_rows(recurse(plan.child), plan.pairs)
-    if isinstance(plan, phys.Filter):
-        return filter_rows(
-            recurse(plan.child),
-            plan.variable,
-            plan.predicate,
-            base_env=base_env,
-            subquery_evaluator=subquery,
-        )
-    if isinstance(plan, phys.MkApply):
-        return apply_rows(
-            recurse(plan.child),
-            plan.variable,
-            plan.expression,
-            base_env=base_env,
-            subquery_evaluator=subquery,
-        )
+    if isinstance(plan, (phys.Filter, phys.MkApply, phys.MkProj, phys.MkRename)):
+        below = plan.child  # the chain's input: the first operator below not in it
+        while isinstance(below, CHAIN):
+            below = below.child
+        rows = recurse(below)
+        kernel: Kernel | None = None if kernels is None else kernels.get(plan)
+        if kernel is None:
+            kernel = chain_kernel(plan)
+            if kernels is not None:
+                kernels[plan] = kernel
+        return kernel(rows, base_env, subquery)
     if isinstance(plan, phys.HashJoin):
         right_rows = recurse(plan.right)
         if build is not None:

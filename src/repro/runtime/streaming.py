@@ -703,6 +703,7 @@ class StreamingExecution:
             build=self._eager_build if stream else None,
             group=self._grouped_rows if stream else None,
             subquery=self.evaluate_subquery,
+            kernels=self._calls,
         )
 
     def materialised(self) -> ExecutionResult:

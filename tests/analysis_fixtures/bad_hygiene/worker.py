@@ -16,6 +16,10 @@ def raw_backoff():
     time.sleep(0.5)  # seed: raw-sleep
 
 
+def lambda_from_text(body):
+    return eval(f"lambda row: {body}")  # seed: dynamic-code
+
+
 def cancellation_aware(queue):
     # Not a finding: StreamClosed is routed explicitly before the broad catch.
     try:

@@ -129,7 +129,7 @@ def test_baseline_suppresses_known_findings(tmp_path):
     baseline.write_text(text)
     proc = cli(root, "--baseline", str(baseline))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 baselined, 0 new" in proc.stdout
+    assert "3 baselined, 0 new" in proc.stdout
 
 
 def test_stale_baseline_entries_fail_the_run(tmp_path):

@@ -29,7 +29,7 @@ from repro.datamodel.mapping import LocalTransformationMap
 from repro.optimizer import history as history_module
 from repro.optimizer import plancache
 from repro.optimizer.implementation import implement
-from repro.runtime import namespace
+from repro.runtime import kernels, namespace
 from repro.runtime.executor import CompiledCall, Executor
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
 from tests.test_bind_batching import QUERY as PROBE_QUERY
@@ -112,7 +112,11 @@ def test_hundred_runs_of_a_cached_plan_compile_each_exec_node_once(monkeypatch):
         assert delegating == 2
         # ... while every run really called every source.
         assert sum(server.statistics.requests for server in fed.servers) == requests + 800
-        assert set(planned.optimized.exec_calls) == set(execs)
+        slot = planned.optimized.exec_calls
+        assert {node for node in slot if isinstance(node, phys.Exec)} == set(execs)
+        # ... beside the kernels of the get-only branches' per-element chains
+        assert all(isinstance(node, (phys.Exec, *kernels.CHAIN)) for node in slot)
+        assert len(slot) > len(execs)
     finally:
         fed.close()
 
@@ -333,7 +337,10 @@ def compiled_calls_of(mediator, text) -> list[weakref.ref]:
     mediator.query(text).rows()
     optimized = mediator.planner.plan(text).optimized
     assert optimized.exec_calls, "the run compiled nothing into the plan's slot"
-    assert all(type(call) is CompiledCall for call in optimized.exec_calls.values())
+    assert all(
+        type(call) is CompiledCall or isinstance(node, kernels.CHAIN)
+        for node, call in optimized.exec_calls.items()
+    )
     return [weakref.ref(optimized)] + [weakref.ref(call) for call in optimized.exec_calls.values()]
 
 

@@ -30,6 +30,8 @@ from repro.algebra.physical import (
     IMPLEMENTS,
     Exec,
     Field,
+    Filter,
+    MkProj,
     MkUnion,
     NestedLoopJoin,
     PhysicalOp,
@@ -37,6 +39,7 @@ from repro.algebra.physical import (
 )
 from repro.errors import DiscoError, QueryExecutionError
 from repro.optimizer.implementation import implement
+from repro.runtime import kernels
 from repro.runtime.namespace import row_normaliser, to_source_namespace
 from repro.runtime.operators import (
     Env,
@@ -44,15 +47,12 @@ from repro.runtime.operators import (
     compose_rows,
     distinct_rows,
     environment_builder,
-    apply_rows,
-    filter_rows,
     flatten_rows,
     group_rows,
     hash_join_rows,
     limit_rows,
     nested_loop_join_rows,
     probe_join_rows,
-    project_rows,
 )
 from repro.runtime.partial_eval import UNAVAILABLE, PartialAnswerBuilder
 from repro.sources import RelationalEngine, SimulatedServer
@@ -64,6 +64,15 @@ def salary_filter(var="x", threshold=10):
     return Comparison(">", Path(Var(var), "salary"), Const(threshold))
 
 
+#: a placeholder exec: the leaf of a hand-built chain, its rows the test's
+ROWS_IN = Exec(Field("r"), Get("rows"), "rows")
+
+
+def chained(top, rows):
+    """``rows`` through the per-element chain ``top`` built over :data:`ROWS_IN`."""
+    return compose_rows(top, lambda _exec: rows)
+
+
 class TestRowOperators:
     """The operators are lazy generators; tests materialize with list()."""
 
@@ -73,16 +82,17 @@ class TestRowOperators:
     ]
 
     def test_project_rows_keeps_records(self):
-        projected = list(project_rows(self.ROWS, ("name",)))
+        projected = list(chained(MkProj(("name",), ROWS_IN), self.ROWS))
         assert projected == [Struct({"name": "Mary"}), Struct({"name": "Sam"})]
 
     def test_filter_rows_binds_the_variable(self):
-        assert list(filter_rows(self.ROWS, "x", salary_filter(threshold=100))) == [self.ROWS[0]]
+        top = Filter("x", salary_filter(threshold=100), ROWS_IN)
+        assert list(chained(top, self.ROWS)) == [self.ROWS[0]]
 
     def test_filter_rows_with_env_elements(self):
         envs = [Env({"x": self.ROWS[0], "y": self.ROWS[1]})]
         predicate = Comparison("=", Path(Var("x"), "id"), Const(1))
-        assert list(filter_rows(envs, "_env", predicate)) == envs
+        assert list(chained(Filter("_env", predicate, ROWS_IN), envs)) == envs
 
     def test_element_environment_merges_base_env(self):
         env = environment_builder("x", {"outer": 42})(self.ROWS[0])
@@ -102,9 +112,8 @@ class TestRowOperators:
                 consumed.append(row)
                 yield row
 
-        pipeline = project_rows(
-            filter_rows(source(), "x", salary_filter(threshold=0)), ("name",)
-        )
+        top = MkProj(("name",), Filter("x", salary_filter(threshold=0), ROWS_IN))
+        pipeline = chained(top, source())
         assert consumed == []
         first = next(iter(pipeline))
         assert first == Struct({"name": "Mary"})
@@ -136,10 +145,11 @@ class TestRowOperators:
         assert list(probe_join_rows(left, "x", "y", condition, prober, 10)) == pair
 
     def test_row_loops_compile_once_per_operator_invocation(self, monkeypatch):
-        """However many rows flow, the expression tree is walked once -- and the
-        closure dies with the operator: nothing is left on the nodes."""
+        """However many rows flow, a grouping's or a probe join's expression
+        tree is walked once -- and the closure dies with the operator: nothing
+        is left on the nodes.  (Per-element chains: ``TestKernelCounts``.)"""
         compiled = []
-        for kind in (Comparison, Arithmetic, StructExpr):
+        for kind in (Comparison, Arithmetic):
             original = kind.compile
 
             def spy(self, evaluator=None, original=original):
@@ -148,17 +158,9 @@ class TestRowOperators:
 
             monkeypatch.setattr(kind, "compile", spy)
         rows = [Struct({"id": i % 7, "salary": i}) for i in range(300)]
-        predicate = salary_filter(threshold=100)
         double = Arithmetic("*", Path(Var("x"), "salary"), Const(2))
-        item = StructExpr((("s", Path(Var("x"), "salary")),))
         condition = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
 
-        assert len(list(filter_rows(rows, "x", predicate))) == 199
-        assert compiled == ["Comparison"]
-        del compiled[:]
-        assert len(list(apply_rows(rows, "x", item))) == 300
-        assert compiled == ["StructExpr"]
-        del compiled[:]
         keys = (("k", Arithmetic("+", Path(Var("x"), "id"), Const(0))),)
         aggregates = (("n", "count", Var("x")), ("t", "sum", double))
         assert len(list(group_rows(rows, "x", keys, aggregates))) == 7
@@ -169,7 +171,7 @@ class TestRowOperators:
         )
         assert len(list(joined)) == 300
         assert compiled == ["Comparison"]  # the condition, once; not once per batch
-        for node in (predicate, double, item, condition):
+        for node in (double, condition):
             assert set(vars(node)) == set(node.__dataclass_fields__)
 
     def test_hash_join_streams_the_probe_side(self):
@@ -539,6 +541,80 @@ def _evaluated(plan, base_env):
         return ("rows", list(compose_rows(implement(plan), leaf, base_env)))
     except DiscoError as exc:
         return ("error", type(exc).__name__, str(exc))
+
+class TestKernelCounts:
+    """A chain's kernel source is emitted once per cached plan and compiled
+    once per chain shape; deterministic counts, never timings."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        emitted, compiled = [], []
+        emit, compile_source = kernels.emit, compile
+
+        def counting_emit(shape):
+            emitted.append(shape)
+            return emit(shape)
+
+        def counting_compile(*args):
+            compiled.append(args[0])
+            return compile_source(*args)
+
+        monkeypatch.setattr(kernels, "emit", counting_emit)
+        monkeypatch.setattr(kernels, "compile", counting_compile, raising=False)
+        kernels._factory.cache_clear()
+        yield emitted, compiled
+        kernels._factory.cache_clear()
+
+    def test_a_plan_cache_hit_emits_no_source_and_compiles_nothing(self, counts, monkeypatch):
+        from benchmarks.spine import federation, workloads
+
+        emitted, compiled = counts
+        fed = federation.build(federation.FED8, seed=3)
+        try:
+            text = workloads.templates()[1].text  # get-only branches filter at the mediator
+            expected = sorted(fed.mediator.query(text).rows())
+            assert sorted(fed.mediator.query(text).rows()) == expected  # binds into the slot
+            slot = fed.mediator.planner.plan(text).optimized.exec_calls
+            assert any(isinstance(node, kernels.CHAIN) for node in slot)
+            del emitted[:], compiled[:]
+            bound = []
+            monkeypatch.setattr("repro.runtime.operators.chain_kernel", bound.append)
+            for entry in ("query", "query_stream") * 25:
+                result = getattr(fed.mediator, entry)(text)
+                assert result.from_plan_cache and sorted(result.rows()) == expected
+            assert emitted == [] and compiled == [] and bound == []
+        finally:
+            fed.close()
+
+    def test_fifty_never_seen_texts_of_one_shape_compile_one_code_object(self, counts):
+        import random
+
+        from benchmarks.spine import federation, workloads
+
+        emitted, compiled = counts
+        # Every source get-only: the plan cannot vary with the cost model's
+        # latency samples, so each text's plan has the one chain shape.
+        spec = federation.FederationSpec("getonly4", 4, 60, 480, ("getonly",))
+        fed = federation.build(spec, seed=3)
+        try:
+            texts = workloads.AdhocTexts(spec, random.Random(1), first_serial=0)
+            for _ in range(50):
+                result = fed.mediator.query(texts.next("filter").text)
+                assert not result.from_plan_cache and result.rows()
+            assert len(emitted) == len(compiled) == 1
+        finally:
+            fed.close()
+
+    def test_the_code_table_never_exceeds_its_bound(self, counts):
+        _, compiled = counts
+        rows = [Struct({f"c{i}": i for i in range(kernels.CODE_CAPACITY + 20)})]
+        for width in range(1, kernels.CODE_CAPACITY + 21):
+            top = MkProj(tuple(f"c{i}" for i in range(width)), ROWS_IN)
+            assert list(chained(top, rows)) == [Struct({f"c{i}": i for i in range(width)})]
+            assert kernels._factory.cache_info().currsize <= kernels.CODE_CAPACITY
+        assert len(compiled) == kernels.CODE_CAPACITY + 20
+        assert kernels._factory.cache_info().currsize == kernels.CODE_CAPACITY
+
 
 class TestPartialAnswerBuilder:
     def physical_plan(self):
