@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import isinf
 from typing import Any, Callable, Iterable
 
+from repro.algebra.nodes import Node, walk
 from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError
 from repro.lexing import OQL
@@ -26,6 +27,10 @@ from repro.lexing import OQL
 Environment = Mapping[str, Any]
 
 Compiled = Callable[[Environment], Any]
+
+#: ``expr`` and every sub-expression in it, pre-order; a ``Subquery``'s body is
+#: an OQL AST, not an operand, so nested queries are not entered
+walk_expr = walk
 
 COMPARISON_OPS: dict[str, Callable[[Any, Any], bool]] = {
     "=": operator.eq,
@@ -87,8 +92,8 @@ def literal_to_oql(value: Any) -> str:
     return f"struct({inner})"
 
 
-class Expr:
-    """Base class for every scalar expression node."""
+class Expr(Node):
+    """Base class for every scalar expression node (operands: the fields typed ``Expr``)."""
 
     def compile(self, evaluator=None) -> Compiled:
         """The closure evaluating this expression under one environment.
@@ -104,15 +109,26 @@ class Expr:
 
     def free_variables(self) -> set[str]:
         """Names of the query variables this expression references."""
-        return set()
+        result: set[str] = set()
+        for operand in self.children():
+            result |= operand.free_variables()
+        return result
 
     def attribute_paths(self) -> set[tuple[str, str]]:
         """``(variable, attribute)`` pairs accessed by this expression."""
-        return set()
+        result: set[tuple[str, str]] = set()
+        for operand in self.children():
+            result |= operand.attribute_paths()
+        return result
 
     def rename_attributes(self, renames: Mapping[str, str]) -> "Expr":
         """Return a copy with attribute names substituted (map application)."""
-        return self
+        return self.map_operands(lambda operand: operand.rename_attributes(renames))
+
+    def map_operands(self, visit: Callable[["Expr"], "Expr"]) -> "Expr":
+        """This node over ``visit(operand)`` in place of each operand; a leaf is itself."""
+        operands = self.children()
+        return self.with_children([visit(operand) for operand in operands]) if operands else self
 
     def to_oql(self) -> str:
         """Render back to OQL text."""
@@ -188,9 +204,6 @@ class Path(Expr):
 
         return run
 
-    def free_variables(self) -> set[str]:
-        return self.base.free_variables()
-
     def attribute_paths(self) -> set[tuple[str, str]]:
         paths = set(self.base.attribute_paths())
         if isinstance(self.base, Var):
@@ -229,17 +242,6 @@ class Comparison(Expr):
                 return False
 
         return run
-
-    def free_variables(self) -> set[str]:
-        return self.left.free_variables() | self.right.free_variables()
-
-    def attribute_paths(self) -> set[tuple[str, str]]:
-        return self.left.attribute_paths() | self.right.attribute_paths()
-
-    def rename_attributes(self, renames: Mapping[str, str]) -> "Expr":
-        return Comparison(
-            self.op, self.left.rename_attributes(renames), self.right.rename_attributes(renames)
-        )
 
     def to_oql(self) -> str:
         return f"{self.left.to_oql()} {self.op} {self.right.to_oql()}"
@@ -298,24 +300,6 @@ class InList(Expr):
 
         return run
 
-    def free_variables(self) -> set[str]:
-        result = set(self.operand.free_variables())
-        for item in self.items:
-            result |= item.free_variables()
-        return result
-
-    def attribute_paths(self) -> set[tuple[str, str]]:
-        result = set(self.operand.attribute_paths())
-        for item in self.items:
-            result |= item.attribute_paths()
-        return result
-
-    def rename_attributes(self, renames: Mapping[str, str]) -> "Expr":
-        return InList(
-            self.operand.rename_attributes(renames),
-            tuple(item.rename_attributes(renames) for item in self.items),
-        )
-
     def to_oql(self) -> str:
         return (
             f"{self.operand.to_oql()} in ("
@@ -348,21 +332,6 @@ class BooleanExpr(Expr):
 
         return run
 
-    def free_variables(self) -> set[str]:
-        result: set[str] = set()
-        for operand in self.operands:
-            result |= operand.free_variables()
-        return result
-
-    def attribute_paths(self) -> set[tuple[str, str]]:
-        result: set[tuple[str, str]] = set()
-        for operand in self.operands:
-            result |= operand.attribute_paths()
-        return result
-
-    def rename_attributes(self, renames: Mapping[str, str]) -> "Expr":
-        return BooleanExpr(self.op, tuple(o.rename_attributes(renames) for o in self.operands))
-
     def to_oql(self) -> str:
         if self.op == "not":
             return f"not ({self.operands[0].to_oql()})"
@@ -394,17 +363,6 @@ class Arithmetic(Expr):
 
         return run
 
-    def free_variables(self) -> set[str]:
-        return self.left.free_variables() | self.right.free_variables()
-
-    def attribute_paths(self) -> set[tuple[str, str]]:
-        return self.left.attribute_paths() | self.right.attribute_paths()
-
-    def rename_attributes(self, renames: Mapping[str, str]) -> "Expr":
-        return Arithmetic(
-            self.op, self.left.rename_attributes(renames), self.right.rename_attributes(renames)
-        )
-
     def to_oql(self) -> str:
         return f"{self.left.to_oql()} {self.op} {self.right.to_oql()}"
 
@@ -418,21 +376,6 @@ class StructExpr(Expr):
     def compile(self, evaluator=None) -> Compiled:
         fields = [(name, expr.compile(evaluator)) for name, expr in self.fields]
         return lambda env: Struct._adopt({name: field(env) for name, field in fields})
-
-    def free_variables(self) -> set[str]:
-        result: set[str] = set()
-        for _, expr in self.fields:
-            result |= expr.free_variables()
-        return result
-
-    def attribute_paths(self) -> set[tuple[str, str]]:
-        result: set[tuple[str, str]] = set()
-        for _, expr in self.fields:
-            result |= expr.attribute_paths()
-        return result
-
-    def rename_attributes(self, renames: Mapping[str, str]) -> "Expr":
-        return StructExpr(tuple((name, expr.rename_attributes(renames)) for name, expr in self.fields))
 
     def to_oql(self) -> str:
         inner = ", ".join(f"{name}: {expr.to_oql()}" for name, expr in self.fields)
@@ -459,21 +402,6 @@ class BagExpr(Expr):
             return result
 
         return run
-
-    def free_variables(self) -> set[str]:
-        result: set[str] = set()
-        for item in self.items:
-            result |= item.free_variables()
-        return result
-
-    def attribute_paths(self) -> set[tuple[str, str]]:
-        result: set[tuple[str, str]] = set()
-        for item in self.items:
-            result |= item.attribute_paths()
-        return result
-
-    def rename_attributes(self, renames: Mapping[str, str]) -> "Expr":
-        return BagExpr(tuple(item.rename_attributes(renames) for item in self.items))
 
     def to_oql(self) -> str:
         return "bag(" + ", ".join(item.to_oql() for item in self.items) + ")"
@@ -544,21 +472,6 @@ class FunctionCall(Expr):
             return sum(items) / len(items)
         raise QueryExecutionError(f"unknown aggregate {name!r}")
 
-    def free_variables(self) -> set[str]:
-        result: set[str] = set()
-        for arg in self.args:
-            result |= arg.free_variables()
-        return result
-
-    def attribute_paths(self) -> set[tuple[str, str]]:
-        result: set[tuple[str, str]] = set()
-        for arg in self.args:
-            result |= arg.attribute_paths()
-        return result
-
-    def rename_attributes(self, renames: Mapping[str, str]) -> "Expr":
-        return FunctionCall(self.name, tuple(arg.rename_attributes(renames) for arg in self.args))
-
     def to_oql(self) -> str:
         return f"{self.name}(" + ", ".join(arg.to_oql() for arg in self.args) + ")"
 
@@ -610,35 +523,6 @@ def _raises(message: str) -> Compiled:
         raise QueryExecutionError(message)
 
     return run
-
-
-def walk_expr(expr: Expr):
-    """Yield ``expr`` and every sub-expression it contains (pre-order)."""
-    yield expr
-    if isinstance(expr, Path):
-        yield from walk_expr(expr.base)
-    elif isinstance(expr, (Comparison, Arithmetic)):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, BooleanExpr):
-        for operand in expr.operands:
-            yield from walk_expr(operand)
-    elif isinstance(expr, InList):
-        yield from walk_expr(expr.operand)
-        for item in expr.items:
-            yield from walk_expr(item)
-    elif isinstance(expr, StructExpr):
-        for _, value in expr.fields:
-            yield from walk_expr(value)
-    elif isinstance(expr, (BagExpr, FunctionCall)):
-        children = expr.items if isinstance(expr, BagExpr) else expr.args
-        for child in children:
-            yield from walk_expr(child)
-
-
-def walk_expr_for_subqueries(expr: Expr):
-    """Alias of :func:`walk_expr`; rules use it to detect nested subqueries."""
-    return walk_expr(expr)
 
 
 def contains_subquery(expr: Expr) -> bool:

@@ -18,11 +18,11 @@ pushed to a wrapper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any
 
 from repro.algebra.expressions import Expr
-from repro.datamodel.values import Bag
+from repro.algebra.nodes import Node, walk
 
 
 class TextCachedNode:
@@ -66,8 +66,8 @@ class TextCachedNode:
         raise NotImplementedError
 
 
-class LogicalOp(TextCachedNode):
-    """Base class for logical operator nodes."""
+class LogicalOp(TextCachedNode, Node):
+    """Base class for logical operator nodes (children: the fields typed ``LogicalOp``)."""
 
     #: operator name used by capability grammars and transformation rules
     op_name: str = "logical"
@@ -75,27 +75,6 @@ class LogicalOp(TextCachedNode):
     #: the capability grammar objects that accepted this whole tree, by
     #: identity (``CapabilityGrammar.admits``); set on the instance, never the class
     _admitted_by: tuple[Any, ...] = ()
-
-    def children(self) -> tuple["LogicalOp", ...]:
-        """Child operators, left to right."""
-        return ()
-
-    def with_children(self, children: Sequence["LogicalOp"]) -> "LogicalOp":
-        """Return a copy of this node with ``children`` substituted."""
-        if children:
-            raise ValueError(f"{self.op_name} takes no children")
-        return self
-
-    def operators_used(self) -> set[str]:
-        """The set of operator names appearing in this subtree."""
-        used = {self.op_name}
-        for child in self.children():
-            used |= child.operators_used()
-        return used
-
-    def contains_submit(self) -> bool:
-        """Return True when a ``submit`` appears anywhere in the subtree."""
-        return "submit" in self.operators_used()
 
     def __repr__(self) -> str:
         return self.to_text()
@@ -132,12 +111,6 @@ class Submit(LogicalOp):
     extent_name: str | None = None
     op_name = "submit"
 
-    def children(self) -> tuple[LogicalOp, ...]:
-        return (self.expression,)
-
-    def with_children(self, children: Sequence[LogicalOp]) -> "Submit":
-        (expression,) = children
-        return Submit(self.source, expression, extent_name=self.extent_name)
 
     def _render(self) -> str:
         return f"submit({self.source}, {self.expression.to_text()})"
@@ -151,12 +124,6 @@ class Project(LogicalOp):
     child: LogicalOp
     op_name = "project"
 
-    def children(self) -> tuple[LogicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOp]) -> "Project":
-        (child,) = children
-        return Project(self.attributes, child)
 
     def _render(self) -> str:
         attrs = ",".join(self.attributes)
@@ -176,12 +143,6 @@ class Select(LogicalOp):
     child: LogicalOp
     op_name = "select"
 
-    def children(self) -> tuple[LogicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOp]) -> "Select":
-        (child,) = children
-        return Select(self.variable, self.predicate, child)
 
     def _render(self) -> str:
         return f"select({self.variable}: {self.predicate.to_oql()}, {self.child.to_text()})"
@@ -196,12 +157,6 @@ class Apply(LogicalOp):
     child: LogicalOp
     op_name = "apply"
 
-    def children(self) -> tuple[LogicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOp]) -> "Apply":
-        (child,) = children
-        return Apply(self.variable, self.expression, child)
 
     def _render(self) -> str:
         return f"apply({self.variable}: {self.expression.to_oql()}, {self.child.to_text()})"
@@ -226,16 +181,6 @@ class Rename(LogicalOp):
     child: LogicalOp
     op_name = "rename"
 
-    def children(self) -> tuple[LogicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOp]) -> "Rename":
-        (child,) = children
-        return Rename(self.pairs, child)
-
-    def output_attributes(self) -> tuple[str, ...]:
-        """The attribute names this operator emits."""
-        return tuple(new for _, new in self.pairs)
 
     def _render(self) -> str:
         aliased = ",".join(
@@ -259,28 +204,9 @@ class Join(LogicalOp):
     right_variable: str = "r"
     op_name = "join"
 
-    def children(self) -> tuple[LogicalOp, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[LogicalOp]) -> "Join":
-        left, right = children
-        return Join(
-            left,
-            right,
-            self.on,
-            left_variable=self.left_variable,
-            right_variable=self.right_variable,
-        )
-
-    def join_attributes(self) -> tuple[str, str]:
-        """Return the ``(left_attribute, right_attribute)`` pair."""
-        if isinstance(self.on, tuple):
-            return self.on
-        return (self.on, self.on)
 
     def _render(self) -> str:
-        on = self.on if isinstance(self.on, str) else f"{self.on[0]}={self.on[1]}"
-        return f"join({self.left.to_text()}, {self.right.to_text()}, {on})"
+        return f"join({self.left.to_text()}, {self.right.to_text()}, {join_on(self.on)[2]})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,18 +231,6 @@ class BindJoin(LogicalOp):
     condition: Expr | None = None
     op_name = "bindjoin"
 
-    def children(self) -> tuple[LogicalOp, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[LogicalOp]) -> "BindJoin":
-        left, right = children
-        return BindJoin(
-            left,
-            right,
-            self.left_variable,
-            self.right_variable,
-            condition=self.condition,
-        )
 
     def _render(self) -> str:
         condition = self.condition.to_oql() if self.condition is not None else "true"
@@ -333,11 +247,6 @@ class Union(LogicalOp):
     inputs: tuple[LogicalOp, ...]
     op_name = "union"
 
-    def children(self) -> tuple[LogicalOp, ...]:
-        return self.inputs
-
-    def with_children(self, children: Sequence[LogicalOp]) -> "Union":
-        return Union(tuple(children))
 
     def _render(self) -> str:
         return "union(" + ", ".join(child.to_text() for child in self.inputs) + ")"
@@ -350,12 +259,6 @@ class Flatten(LogicalOp):
     child: LogicalOp
     op_name = "flatten"
 
-    def children(self) -> tuple[LogicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOp]) -> "Flatten":
-        (child,) = children
-        return Flatten(child)
 
     def _render(self) -> str:
         return f"flatten({self.child.to_text()})"
@@ -368,12 +271,6 @@ class Distinct(LogicalOp):
     child: LogicalOp
     op_name = "distinct"
 
-    def children(self) -> tuple[LogicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOp]) -> "Distinct":
-        (child,) = children
-        return Distinct(child)
 
     def _render(self) -> str:
         return f"distinct({self.child.to_text()})"
@@ -394,12 +291,6 @@ class Limit(LogicalOp):
     child: LogicalOp
     op_name = "limit"
 
-    def children(self) -> tuple[LogicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOp]) -> "Limit":
-        (child,) = children
-        return Limit(self.count, child)
 
     def _render(self) -> str:
         return f"limit({self.count}, {self.child.to_text()})"
@@ -433,12 +324,6 @@ class GroupBy(LogicalOp):
     child: LogicalOp
     op_name = "groupby"
 
-    def children(self) -> tuple[LogicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOp]) -> "GroupBy":
-        (child,) = children
-        return GroupBy(self.variable, self.keys, self.aggregates, child)
 
     def output_attributes(self) -> tuple[str, ...]:
         """The attribute names this operator emits (keys first)."""
@@ -461,25 +346,21 @@ class BagLiteral(LogicalOp):
     values: tuple[Any, ...] = ()
     op_name = "bag"
 
-    @classmethod
-    def from_bag(cls, bag: Bag | Iterable[Any]) -> "BagLiteral":
-        """Build a literal from an existing bag or iterable."""
-        return cls(tuple(bag))
-
-    def to_bag(self) -> Bag:
-        """Return the literal's contents as a bag."""
-        return Bag(self.values)
-
     def _render(self) -> str:
         return "Bag(" + ", ".join(repr(value) for value in self.values) + ")"
 
 
 # -- tree utilities ------------------------------------------------------------------
-def walk(node: LogicalOp) -> Iterable[LogicalOp]:
-    """Yield every node of the tree, parents before children."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+def join_on(on: str | tuple[str, str]) -> tuple[str, str, str]:
+    """A join's ``on`` as ``(left attribute, right attribute, text)``.
+
+    One name joins that attribute on both sides and is written as it is; a
+    pair is written ``left=right``, even when the two names are equal.
+    """
+    if isinstance(on, str):
+        return on, on, on
+    left, right = on
+    return left, right, f"{left}={right}"
 
 
 def transform_bottom_up(node: LogicalOp, visit) -> LogicalOp:
@@ -494,7 +375,3 @@ def submits_in(node: LogicalOp) -> list[Submit]:
     """Return every ``submit`` node in the tree, in pre-order."""
     return [candidate for candidate in walk(node) if isinstance(candidate, Submit)]
 
-
-def sources_referenced(node: LogicalOp) -> set[str]:
-    """Names of every repository referenced by ``submit`` nodes in the tree."""
-    return {submit.source for submit in submits_in(node)}

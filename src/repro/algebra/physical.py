@@ -13,29 +13,19 @@ inverse map to the rows that come back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 from repro.algebra import logical as log
 from repro.algebra.expressions import Expr
 from repro.algebra.logical import LogicalOp, TextCachedNode
+from repro.algebra.nodes import Node, builder, walk
 
 
-class PhysicalOp(TextCachedNode):
-    """Base class for physical operator nodes."""
+class PhysicalOp(TextCachedNode, Node):
+    """Base class for physical operator nodes (children: the fields typed ``PhysicalOp``)."""
 
     algo_name: str = "physical"
-
-    def children(self) -> tuple["PhysicalOp", ...]:
-        """Child operators, left to right."""
-        return ()
-
-    def with_children(self, children: Sequence["PhysicalOp"]) -> "PhysicalOp":
-        """Return a copy with ``children`` substituted."""
-        if children:
-            raise ValueError(f"{self.algo_name} takes no children")
-        return self
 
     def __repr__(self) -> str:
         return self.to_text()
@@ -83,12 +73,6 @@ class MkProj(PhysicalOp):
     child: PhysicalOp
     algo_name = "mkproj"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "MkProj":
-        (child,) = children
-        return MkProj(self.attributes, child)
 
     def _render(self) -> str:
         return f"mkproj({','.join(self.attributes)}, {self.child.to_text()})"
@@ -102,12 +86,6 @@ class MkRename(PhysicalOp):
     child: PhysicalOp
     algo_name = "mkrename"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "MkRename":
-        (child,) = children
-        return MkRename(self.pairs, child)
 
     def _render(self) -> str:
         aliased = ",".join(
@@ -125,12 +103,6 @@ class Filter(PhysicalOp):
     child: PhysicalOp
     algo_name = "filter"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "Filter":
-        (child,) = children
-        return Filter(self.variable, self.predicate, child)
 
     def _render(self) -> str:
         return f"filter({self.variable}: {self.predicate.to_oql()}, {self.child.to_text()})"
@@ -145,12 +117,6 @@ class MkApply(PhysicalOp):
     child: PhysicalOp
     algo_name = "mkapply"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "MkApply":
-        (child,) = children
-        return MkApply(self.variable, self.expression, child)
 
     def _render(self) -> str:
         return f"mkapply({self.variable}: {self.expression.to_oql()}, {self.child.to_text()})"
@@ -165,20 +131,9 @@ class HashJoin(PhysicalOp):
     on: str | tuple[str, str]
     algo_name = "hashjoin"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "HashJoin":
-        left, right = children
-        return HashJoin(left, right, self.on)
-
-    def join_attributes(self) -> tuple[str, str]:
-        """Return the ``(left_attribute, right_attribute)`` pair."""
-        return self.on if isinstance(self.on, tuple) else (self.on, self.on)
 
     def _render(self) -> str:
-        on = self.on if isinstance(self.on, str) else f"{self.on[0]}={self.on[1]}"
-        return f"hashjoin({self.left.to_text()}, {self.right.to_text()}, {on})"
+        return f"hashjoin({self.left.to_text()}, {self.right.to_text()}, {log.join_on(self.on)[2]})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,20 +145,9 @@ class NestedLoopJoin(PhysicalOp):
     on: str | tuple[str, str]
     algo_name = "nljoin"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "NestedLoopJoin":
-        left, right = children
-        return NestedLoopJoin(left, right, self.on)
-
-    def join_attributes(self) -> tuple[str, str]:
-        """Return the ``(left_attribute, right_attribute)`` pair."""
-        return self.on if isinstance(self.on, tuple) else (self.on, self.on)
 
     def _render(self) -> str:
-        on = self.on if isinstance(self.on, str) else f"{self.on[0]}={self.on[1]}"
-        return f"nljoin({self.left.to_text()}, {self.right.to_text()}, {on})"
+        return f"nljoin({self.left.to_text()}, {self.right.to_text()}, {log.join_on(self.on)[2]})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,14 +161,6 @@ class MkBindJoin(PhysicalOp):
     condition: Expr | None = None
     algo_name = "mkbindjoin"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "MkBindJoin":
-        left, right = children
-        return MkBindJoin(
-            left, right, self.left_variable, self.right_variable, condition=self.condition
-        )
 
     def _render(self) -> str:
         condition = self.condition.to_oql() if self.condition is not None else "true"
@@ -257,18 +193,6 @@ class ProbeJoin(PhysicalOp):
     condition: Expr
     algo_name = "probejoin"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.left,)
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "ProbeJoin":
-        (left,) = children
-        return ProbeJoin(
-            left,
-            self.probe,
-            self.left_variable,
-            self.right_variable,
-            self.condition,
-        )
 
     def _render(self) -> str:
         return (
@@ -284,11 +208,6 @@ class MkUnion(PhysicalOp):
     inputs: tuple[PhysicalOp, ...]
     algo_name = "mkunion"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return self.inputs
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "MkUnion":
-        return MkUnion(tuple(children))
 
     def _render(self) -> str:
         return "mkunion(" + ", ".join(child.to_text() for child in self.inputs) + ")"
@@ -301,12 +220,6 @@ class MkFlatten(PhysicalOp):
     child: PhysicalOp
     algo_name = "mkflatten"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "MkFlatten":
-        (child,) = children
-        return MkFlatten(child)
 
     def _render(self) -> str:
         return f"mkflatten({self.child.to_text()})"
@@ -319,12 +232,6 @@ class MkDistinct(PhysicalOp):
     child: PhysicalOp
     algo_name = "mkdistinct"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "MkDistinct":
-        (child,) = children
-        return MkDistinct(child)
 
     def _render(self) -> str:
         return f"mkdistinct({self.child.to_text()})"
@@ -346,12 +253,6 @@ class MkGroupBy(PhysicalOp):
     child: PhysicalOp
     algo_name = "mkgroupby"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "MkGroupBy":
-        (child,) = children
-        return MkGroupBy(self.variable, self.keys, self.aggregates, child)
 
     def _render(self) -> str:
         keys = ",".join(f"{name}: {expr.to_oql()}" for name, expr in self.keys)
@@ -374,12 +275,6 @@ class MkLimit(PhysicalOp):
     child: PhysicalOp
     algo_name = "mklimit"
 
-    def children(self) -> tuple[PhysicalOp, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[PhysicalOp]) -> "MkLimit":
-        (child,) = children
-        return MkLimit(self.count, child)
 
     def _render(self) -> str:
         return f"mklimit({self.count}, {self.child.to_text()})"
@@ -419,45 +314,10 @@ IMPLEMENTS: dict[type[PhysicalOp], type[LogicalOp]] = {
     MkGroupBy: log.GroupBy,
 }
 
-#: the fields that hold operands; both hierarchies name them alike
-_OPERANDS = ("child", "left", "right", "inputs")
-
-
-def _builder(target: type, source: type) -> Callable[[Any, Sequence[Any]], Any]:
-    """Build ``(node, children) -> target(...)`` for one pair of the table.
-
-    Each of ``target``'s fields is an operand, taken from ``children`` in
-    order (``inputs`` takes them all), or a field ``source`` carries under
-    the same name, taken from ``node``.  The first field ``source`` lacks
-    ends the list: ``Join``'s variable names, which no join algorithm keeps,
-    have defaults.  The operands come first (the joins) or last (the rest).
-    Resolved here, like a dataclass ``__init__``: the optimizer builds
-    hundreds of nodes per plan search, and walking the field names per call
-    measured +50% on its own time (and -5% queries/s) on never-seen texts.
-    """
-    theirs = {f.name for f in fields(source)}
-    names = [f.name for f in fields(target)]
-    if names == ["inputs"]:
-        return lambda node, children: target(tuple(children))
-    carried: list[str] = []
-    for name in names:
-        if name not in _OPERANDS:
-            if name not in theirs:
-                break
-            carried.append(name)
-    if len(carried) == 1:
-        take = lambda node, get=attrgetter(carried[0]): (get(node),)  # noqa: E731
-    else:
-        take = attrgetter(*carried) if carried else lambda node: ()
-    if names[0] in _OPERANDS:
-        return lambda node, children: target(*children, *take(node))
-    return lambda node, children: target(*take(node), *children)
-
-
 #: (class to build, class to build it from) -> builder, both ways round for
 #: every pair in the table; resolved here, once, not per node built
 _BUILDERS = {
-    pair: _builder(*pair)
+    pair: builder(*pair)
     for physical, logical in IMPLEMENTS.items()
     for pair in ((physical, logical), (logical, physical))
 }
@@ -472,13 +332,6 @@ def counterpart(target: type, node: Any, children: Sequence[Any]) -> Any:
     in shape and are built by their callers.
     """
     return _BUILDERS[target, type(node)](node, children)
-
-
-def walk(node: PhysicalOp):
-    """Yield every node of the physical tree, parents before children."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
 
 
 def execs_in(node: PhysicalOp) -> list[Exec]:

@@ -26,7 +26,7 @@ from repro.algebra.expressions import (
     conjunction,
     contains_subquery,
     split_conjuncts,
-    walk_expr_for_subqueries,
+    walk_expr,
 )
 from repro.algebra.logical import (
     Apply,
@@ -65,7 +65,7 @@ def _predicate_is_pushable(select: Select) -> bool:
     predicate = select.predicate
     if predicate.free_variables() - {select.variable}:
         return False
-    for node in walk_expr_for_subqueries(predicate):
+    for node in walk_expr(predicate):
         if isinstance(node, Subquery):
             return False
     return True

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import fields, replace
 
-from repro.algebra.expressions import Const, Expr, Subquery, Var, literal_to_oql
+from repro.algebra.expressions import Expr, Var, literal_to_oql
 from repro.algebra.logical import (
     Apply,
     BagLiteral,
@@ -31,6 +30,7 @@ from repro.algebra.logical import (
     Select,
     Submit,
     Union,
+    join_on,
     walk,
 )
 from repro.errors import QueryExecutionError
@@ -212,7 +212,7 @@ class _Unparser:
         if isinstance(node, Join):
             left_sources, left_predicates = self._join_operand(node.left)
             right_sources, right_predicates = self._join_operand(node.right)
-            left_attr, right_attr = node.join_attributes()
+            left_attr, right_attr, _ = join_on(node.on)
             left_var = left_sources[0][0]
             right_var = right_sources[0][0]
             item = f"struct(left: {left_var}, right: {right_var})"
@@ -266,23 +266,10 @@ class _Unparser:
 
 
 def _substitute_variable(expression: Expr, old: str, new: str) -> Expr:
-    """Return ``expression`` with every reference to ``old`` replaced by ``new``.
-
-    Every expression is a dataclass whose operands are expressions or tuples
-    of them (``StructExpr``'s are ``(name, expression)`` pairs); constants
-    and subqueries are left as they are.
-    """
+    """Return ``expression`` with every reference to ``old`` replaced by ``new``."""
     if isinstance(expression, Var):
         return Var(new) if expression.name == old else expression
-    if isinstance(expression, tuple):
-        return tuple(_substitute_variable(item, old, new) for item in expression)
-    if not isinstance(expression, Expr) or isinstance(expression, (Const, Subquery)):
-        return expression
-    operands = {
-        field.name: _substitute_variable(getattr(expression, field.name), old, new)
-        for field in fields(expression)
-    }
-    return replace(expression, **operands)
+    return expression.map_operands(lambda operand: _substitute_variable(operand, old, new))
 
 
 def logical_to_oql(node: LogicalOp) -> str:

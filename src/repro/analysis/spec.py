@@ -427,27 +427,6 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
             ("Distinct", "no `distinct` capability terminal exists"),
         ),
     ),
-    DispatchSite(
-        name="expressions.walk",
-        module="src/repro/algebra/expressions.py",
-        hierarchy="expr",
-        functions=("walk_expr",),
-        exempt=(
-            ("Const", "leaf: yielded, nothing to recurse into"),
-            ("Var", "leaf: yielded, nothing to recurse into"),
-            ("Subquery", "deliberately opaque: rules that expand subqueries walk their bodies themselves"),
-        ),
-    ),
-    DispatchSite(
-        name="history.strip-constants",
-        module="src/repro/optimizer/history.py",
-        hierarchy="expr",
-        functions=("_strip_constants_expr",),
-        exempt=(
-            ("Var", "variables carry no constants; the fall-through is the arm"),
-            ("Subquery", "never appears in recorded pushdown shapes (not pushable)"),
-        ),
-    ),
 )
 
 # --------------------------------------------------------------------------- assembly

@@ -21,18 +21,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Deque
 
-from repro.algebra.expressions import (
-    Arithmetic,
-    BagExpr,
-    BooleanExpr,
-    Comparison,
-    Const,
-    Expr,
-    FunctionCall,
-    InList,
-    Path,
-    StructExpr,
-)
+from repro.algebra.expressions import Const, Expr, InList
 from repro.algebra.logical import (
     Apply,
     LogicalOp,
@@ -78,41 +67,12 @@ def _strip_constants_expr(expression: Expr) -> Expr:
     """Replace every constant in ``expression`` by a placeholder."""
     if isinstance(expression, Const):
         return Const("?")
-    if isinstance(expression, Path):
-        return Path(_strip_constants_expr(expression.base), expression.attribute)
-    if isinstance(expression, Comparison):
-        return Comparison(
-            expression.op,
-            _strip_constants_expr(expression.left),
-            _strip_constants_expr(expression.right),
-        )
-    if isinstance(expression, Arithmetic):
-        return Arithmetic(
-            expression.op,
-            _strip_constants_expr(expression.left),
-            _strip_constants_expr(expression.right),
-        )
-    if isinstance(expression, BooleanExpr):
-        return BooleanExpr(
-            expression.op,
-            tuple(_strip_constants_expr(operand) for operand in expression.operands),
-        )
     if isinstance(expression, InList):
         # Collapse the item list to one placeholder so every probe batch of
         # the same shape -- regardless of batch size or key values -- shares a
         # single close signature.
         return InList(_strip_constants_expr(expression.operand), (Const("?"),))
-    if isinstance(expression, StructExpr):
-        return StructExpr(
-            tuple((name, _strip_constants_expr(value)) for name, value in expression.fields)
-        )
-    if isinstance(expression, BagExpr):
-        return BagExpr(tuple(_strip_constants_expr(item) for item in expression.items))
-    if isinstance(expression, FunctionCall):
-        return FunctionCall(
-            expression.name, tuple(_strip_constants_expr(arg) for arg in expression.args)
-        )
-    return expression
+    return expression.map_operands(_strip_constants_expr)
 
 
 def exact_signature(extent_name: str, expression: LogicalOp) -> str:

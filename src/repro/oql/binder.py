@@ -20,20 +20,10 @@ the mediator registry is the production implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
-from repro.algebra.expressions import (
-    Arithmetic,
-    BagExpr,
-    BooleanExpr,
-    Comparison,
-    Expr,
-    FunctionCall,
-    Path,
-    StructExpr,
-    Subquery,
-)
+from repro.algebra.expressions import Expr, Subquery
 from repro.datamodel.extent import MetaExtent
 from repro.errors import NameResolutionError, ViewDefinitionError
 from repro.oql.ast import (
@@ -149,39 +139,4 @@ class Binder:
     def _bind_expr(self, expression: Expr, expanding: frozenset[str]) -> Expr:
         if isinstance(expression, Subquery):
             return Subquery(self.bind(expression.query, expanding))
-        if isinstance(expression, Path):
-            return Path(self._bind_expr(expression.base, expanding), expression.attribute)
-        if isinstance(expression, Comparison):
-            return Comparison(
-                expression.op,
-                self._bind_expr(expression.left, expanding),
-                self._bind_expr(expression.right, expanding),
-            )
-        if isinstance(expression, Arithmetic):
-            return Arithmetic(
-                expression.op,
-                self._bind_expr(expression.left, expanding),
-                self._bind_expr(expression.right, expanding),
-            )
-        if isinstance(expression, BooleanExpr):
-            return BooleanExpr(
-                expression.op,
-                tuple(self._bind_expr(operand, expanding) for operand in expression.operands),
-            )
-        if isinstance(expression, StructExpr):
-            return StructExpr(
-                tuple(
-                    (name, self._bind_expr(value, expanding))
-                    for name, value in expression.fields
-                )
-            )
-        if isinstance(expression, BagExpr):
-            return BagExpr(
-                tuple(self._bind_expr(item, expanding) for item in expression.items)
-            )
-        if isinstance(expression, FunctionCall):
-            return FunctionCall(
-                expression.name,
-                tuple(self._bind_expr(arg, expanding) for arg in expression.args),
-            )
-        return expression
+        return expression.map_operands(lambda operand: self._bind_expr(operand, expanding))

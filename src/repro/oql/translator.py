@@ -18,14 +18,9 @@ from typing import Mapping
 
 from repro.algebra.expressions import (
     AGGREGATE_FUNCTIONS,
-    Arithmetic,
     BagExpr,
-    BooleanExpr,
-    Comparison,
-    Const,
     Expr,
     FunctionCall,
-    InList,
     Path,
     StructExpr,
     Subquery,
@@ -301,47 +296,7 @@ def _replace_expressions(expression: Expr, replacements: Mapping[Expr, Expr]) ->
     replaced = replacements.get(expression)
     if replaced is not None:
         return replaced
-    if isinstance(expression, Path):
-        return Path(_replace_expressions(expression.base, replacements), expression.attribute)
-    if isinstance(expression, Comparison):
-        return Comparison(
-            expression.op,
-            _replace_expressions(expression.left, replacements),
-            _replace_expressions(expression.right, replacements),
-        )
-    if isinstance(expression, Arithmetic):
-        return Arithmetic(
-            expression.op,
-            _replace_expressions(expression.left, replacements),
-            _replace_expressions(expression.right, replacements),
-        )
-    if isinstance(expression, BooleanExpr):
-        return BooleanExpr(
-            expression.op,
-            tuple(_replace_expressions(operand, replacements) for operand in expression.operands),
-        )
-    if isinstance(expression, InList):
-        return InList(
-            _replace_expressions(expression.operand, replacements),
-            tuple(_replace_expressions(item, replacements) for item in expression.items),
-        )
-    if isinstance(expression, StructExpr):
-        return StructExpr(
-            tuple(
-                (name, _replace_expressions(value, replacements))
-                for name, value in expression.fields
-            )
-        )
-    if isinstance(expression, BagExpr):
-        return BagExpr(
-            tuple(_replace_expressions(item, replacements) for item in expression.items)
-        )
-    if isinstance(expression, FunctionCall):
-        return FunctionCall(
-            expression.name,
-            tuple(_replace_expressions(arg, replacements) for arg in expression.args),
-        )
-    return expression
+    return expression.map_operands(lambda operand: _replace_expressions(operand, replacements))
 
 
 def _check_grouped_item(item: Expr, variable: str, outputs: set[str]) -> None:
@@ -368,22 +323,5 @@ def _check_grouped_item(item: Expr, variable: str, outputs: set[str]) -> None:
             f"the select item of a grouped query may reference {variable!r} "
             "only inside grouping keys or aggregate calls"
         )
-    if isinstance(item, Path):
-        _check_grouped_item(item.base, variable, outputs)
-    elif isinstance(item, (Comparison, Arithmetic)):
-        _check_grouped_item(item.left, variable, outputs)
-        _check_grouped_item(item.right, variable, outputs)
-    elif isinstance(item, BooleanExpr):
-        for operand in item.operands:
-            _check_grouped_item(operand, variable, outputs)
-    elif isinstance(item, InList):
-        _check_grouped_item(item.operand, variable, outputs)
-        for element in item.items:
-            _check_grouped_item(element, variable, outputs)
-    elif isinstance(item, StructExpr):
-        for _, value in item.fields:
-            _check_grouped_item(value, variable, outputs)
-    elif isinstance(item, (BagExpr, FunctionCall)):
-        children = item.items if isinstance(item, BagExpr) else item.args
-        for child in children:
-            _check_grouped_item(child, variable, outputs)
+    for operand in item.children():
+        _check_grouped_item(operand, variable, outputs)

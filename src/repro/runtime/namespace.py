@@ -314,7 +314,7 @@ def _translate(
     same_children = all(new is old for new, old in zip(children, node.children()))
     if isinstance(node, log.Join):
         (left, left_renames), (right, right_renames) = visited
-        left_attr, right_attr = node.join_attributes()
+        left_attr, right_attr, _ = log.join_on(node.on)
         return (
             log.Join(
                 left,

@@ -29,6 +29,7 @@ from collections.abc import Mapping, MutableMapping
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.algebra import physical as phys
+from repro.algebra.logical import join_on
 from repro.algebra.expressions import Expr, find_equi_conjunct
 from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError
@@ -81,7 +82,7 @@ def hash_join_rows(
     Only the *right* (build) side is materialized -- into the hash table the
     probe needs anyway; the left side streams through unbuffered.
     """
-    left_attr, right_attr = on if isinstance(on, tuple) else (on, on)
+    left_attr, right_attr, _ = join_on(on)
     buckets: dict[Any, list[Any]] = {}
     for row in right:
         key = _attribute_value(row, right_attr)
@@ -116,7 +117,7 @@ def nested_loop_join_rows(
     left element, and an already-materialized input is not copied); the left
     side streams.
     """
-    left_attr, right_attr = on if isinstance(on, tuple) else (on, on)
+    left_attr, right_attr, _ = join_on(on)
     right_rows = materialized(right)
     for row in left:
         left_key = _attribute_value(row, left_attr)

@@ -25,6 +25,7 @@ from repro.algebra.logical import (
     Rename,
     Select,
     Union,
+    join_on,
 )
 from repro.errors import CapabilityError, WrapperError
 
@@ -262,7 +263,7 @@ class AlgebraEvaluator:
         raise WrapperError(f"cannot evaluate {expression.to_text()} at a data source")
 
     def _join_stream(self, expression: Join) -> Iterator[Row]:
-        left_attr, right_attr = expression.join_attributes()
+        left_attr, right_attr, _ = join_on(expression.on)
         buckets: dict[Any, list[Row]] = {}
         for row in self.evaluate_stream(expression.right):
             if row.get(right_attr) is not None:  # a nil key matches nothing, as at the mediator

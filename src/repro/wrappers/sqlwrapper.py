@@ -37,6 +37,7 @@ from repro.algebra.logical import (
     Project,
     Rename,
     Select,
+    join_on,
 )
 from repro.errors import WrapperError
 from repro.sources.server import SimulatedServer
@@ -156,7 +157,7 @@ class SqlWrapper(Wrapper):
                 raise WrapperError("SQL wrapper supports only left-deep join chains")
             if left_limit is not None or right_limit is not None:
                 raise WrapperError("cannot translate a limited join operand to SQL")
-            left_attr, right_attr = expression.join_attributes()
+            left_attr, right_attr, _ = join_on(expression.on)
             joins = left_joins + [(right_table, left_attr, right_attr)]
             columns = left_cols + right_cols
             return columns, left_table, joins, left_preds + right_preds, None

@@ -34,16 +34,11 @@ class TestLogicalTrees:
         assert kinds.count("project") == 2
         assert kinds[0] == "union"
 
-    def test_operators_used_and_contains_submit(self):
+    def test_walk_names_every_operator_and_submits_in_finds_the_submits(self):
         plan = paper_logical_plan()
-        assert plan.operators_used() == {"union", "project", "submit", "get"}
-        assert plan.contains_submit()
-        assert not log.Get("person0").contains_submit()
-
-    def test_submits_in_and_sources_referenced(self):
-        plan = paper_logical_plan()
+        assert {node.op_name for node in log.walk(plan)} == {"union", "project", "submit", "get"}
         assert [s.source for s in log.submits_in(plan)] == ["r0", "r1"]
-        assert log.sources_referenced(plan) == {"r0", "r1"}
+        assert log.submits_in(log.Get("person0")) == []
 
     def test_with_children_rebuilds_nodes(self):
         plan = paper_logical_plan()
@@ -71,15 +66,14 @@ class TestLogicalTrees:
         apply = log.Apply("x", Path(Var("x"), "name"), select)
         assert apply.to_text().startswith("apply(x: x.name")
 
-    def test_join_attributes(self):
+    def test_join_on(self):
         join = log.Join(log.Get("a"), log.Get("b"), "dept")
-        assert join.join_attributes() == ("dept", "dept")
+        assert log.join_on(join.on) == ("dept", "dept", "dept")
+        assert join.to_text() == "join(get(a), get(b), dept)"
         join_pair = log.Join(log.Get("a"), log.Get("b"), ("id", "pid"))
-        assert join_pair.join_attributes() == ("id", "pid")
-
-    def test_bag_literal_round_trip(self):
-        literal = log.BagLiteral.from_bag(["Sam", "Mary"])
-        assert literal.to_bag().sorted(key=str) == ["Mary", "Sam"]
+        assert log.join_on(join_pair.on) == ("id", "pid", "id=pid")
+        # a pair of equal names still renders as a pair
+        assert log.join_on(("id", "id"))[2] == "id=id"
 
     def test_bindjoin_text_and_children(self):
         condition = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
@@ -129,5 +123,7 @@ class TestPhysicalTrees:
     def test_join_algorithm_nodes(self):
         left = phys.MkBag((1,))
         right = phys.MkBag((2,))
-        assert phys.HashJoin(left, right, "id").join_attributes() == ("id", "id")
-        assert phys.NestedLoopJoin(left, right, ("a", "b")).join_attributes() == ("a", "b")
+        assert phys.HashJoin(left, right, "id").to_text() == "hashjoin(mkbag(1), mkbag(2), id)"
+        assert phys.NestedLoopJoin(left, right, ("a", "b")).to_text() == (
+            "nljoin(mkbag(1), mkbag(2), a=b)"
+        )

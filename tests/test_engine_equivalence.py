@@ -50,7 +50,7 @@ import pytest
 
 from repro import Mediator, RelationalWrapper
 from repro.algebra.capabilities import PUSHABLE_OPERATORS, CapabilitySet
-from repro.algebra.logical import BagLiteral, Get, Join, Select, Submit
+from repro.algebra.logical import BagLiteral, Get, Join, Select, Submit, submits_in
 from repro.algebra.unparser import logical_to_oql
 from repro.datamodel.mapping import LocalTransformationMap
 from repro.datamodel.values import Bag, Struct
@@ -328,7 +328,7 @@ def multiset(rows) -> Counter:
 
 def assert_collapsed(plan) -> None:
     """Each maximal submit-free subtree of a partial plan is one ``Bag``."""
-    if not plan.contains_submit():
+    if not submits_in(plan):
         assert isinstance(plan, BagLiteral), plan.to_text()
     elif not isinstance(plan, Submit):
         for child in plan.children():

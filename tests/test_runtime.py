@@ -24,6 +24,7 @@ from repro.algebra.logical import (
     Select,
     Submit,
     Union,
+    submits_in,
 )
 from repro.algebra.unparser import logical_to_oql
 from repro.algebra.physical import (
@@ -666,7 +667,7 @@ class TestPartialAnswerBuilder:
             id(execs[1]): [Struct({"name": "Sam"})],
         }
         partial = builder.build(plan, outcomes)
-        assert not partial.contains_submit()
+        assert not submits_in(partial)
 
     def test_round_trip_physical_to_logical_for_every_operator(self):
         """By enumeration: a new logical operator without a sample fails here."""
@@ -746,7 +747,7 @@ class TestPartialAnswerBuilder:
         except DiscoError as exc:
             resubmitted = ("error", type(exc).__name__, str(exc))
         else:
-            assert partial.contains_submit()
+            assert submits_in(partial)
             resubmitted = _evaluated(partial, base_env)
         assert resubmitted == _evaluated(plan, base_env)
 
