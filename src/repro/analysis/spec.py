@@ -161,9 +161,13 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
         "store is one dict assignment, and the later one changes nothing -- "
         "the argument `_check_types` makes for its verdict set.  The "
         "kernel of each per-element chain (`runtime.kernels.chain_kernel`, "
-        "keyed by the chain's top node) is stored the same way: two racing "
-        "runs bind equal kernels from the same node, and a kernel holds "
-        "nothing of a run, so either store serves both.  Nothing "
+        "under the identity of the chain's top node) and of each "
+        "mediator-side grouping (`runtime.kernels.group_kernel`, under its "
+        "`mkgroupby` node's identity) is "
+        "stored the same way: two racing runs bind equal kernels from the "
+        "same node, and a kernel holds nothing of a run (a grouping's "
+        "groups live in the generator of one invocation), so either store "
+        "serves both.  Nothing "
         "but the plan refers to the slot, so dropping the plan (eviction, "
         "a schema change, the mediator going away) drops what was compiled.",
     ),
@@ -359,6 +363,19 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
             ("BagExpr", _DELEGATED + " (builds a collection, no per-row branch to save)"),
             ("FunctionCall", _DELEGATED + " (dispatches on the function name)"),
             ("Subquery", _DELEGATED + " (the run's evaluator is a kernel argument)"),
+        ),
+    ),
+    DispatchSite(
+        name="kernels.group",
+        module="src/repro/runtime/kernels.py",
+        hierarchy="expr",
+        functions=("_group_shape", "_expr_shape"),
+        exempt=(
+            ("InList", _DELEGATED + ": a key or argument that is a membership test"),
+            ("Arithmetic", _DELEGATED + ": a computed key or argument, e.g. sum(x.a * x.b)"),
+            ("BagExpr", _DELEGATED + ": a collection-valued key groups by its hashable stand-in"),
+            ("FunctionCall", _DELEGATED + ": a nested call as an aggregate's argument"),
+            ("Subquery", _DELEGATED + ": a correlated key or argument asks the run's evaluator per row"),
         ),
     ),
     DispatchSite(

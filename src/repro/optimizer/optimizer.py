@@ -35,8 +35,9 @@ class OptimizedPlan:
     logical_alternatives: int
     physical_alternatives: int
     #: the run-time system's slot: what it compiled for each ``exec`` node of
-    #: ``physical`` (``Executor.compile_call``) on the first run of the plan
-    #: as a *cached* plan.
+    #: ``physical`` (``Executor.compile_call``), and the kernel it bound for
+    #: each chain and ``mkgroupby``, on the first run of the plan as a
+    #: *cached* plan.
     #: Owned by the plan, so whatever drops the plan -- a plan-cache
     #: eviction, a schema change, the mediator going away -- drops it too.
     exec_calls: dict[Any, Any] = field(default_factory=dict, compare=False, repr=False)

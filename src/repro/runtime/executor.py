@@ -101,8 +101,9 @@ class CompiledCall:
     signatures: tuple[str, str]
 
 
-#: a plan's compiled-call slot: exec node -> its compiled call, and the top
-#: node of each per-element chain -> its bound kernel (``runtime.kernels``)
+#: a plan's compiled-call slot: exec node -> its compiled call, and the
+#: ``id`` of the top node of each per-element chain and of each ``mkgroupby``
+#: -> its bound kernel (``runtime.kernels``)
 CompiledCalls = MutableMapping[phys.PhysicalOp, Any]
 
 

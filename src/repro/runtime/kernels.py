@@ -1,14 +1,18 @@
-"""Per-element operator chains, compiled into one generated row loop.
+"""Per-element operator chains and groupings, compiled into one generated row loop.
 
 A maximal chain of ``filter``, ``mkapply``, ``mkproj`` and ``mkrename`` runs as
 one generator written for it (data-centric pipeline compilation, Neumann,
 VLDB 2011): one loop over its input, the element in a local, and ``Const``/
 ``Var``/``Path``/``Comparison``/``BooleanExpr``/``StructExpr`` written out as
 statements with their ``compile()`` closures' semantics; any other expression
-calls its own closure.  The source holds only names the emitter invents, so it
-is a function of the chain's *shape* (:func:`_shape`), compiled once per
-process.  A cached plan keeps its kernels in its compiled-call slot, keyed by
-each chain's top node; a kernel binds nothing of a run.
+calls its own closure.  A grouping (``mkgroupby`` at the mediator, the
+``groupby`` terminal at a source) is one such loop too: its keys and arguments
+read the same way, one list of accumulator slots per group, the aggregates
+written inline.  The source holds only names the emitter invents, so it is a
+function of the operator's *shape* (:func:`_shape`, :func:`_group_shape`),
+compiled once per process.  A cached plan keeps its kernels in its
+compiled-call slot, under the identity of each chain's top node and each
+grouping's node; a kernel binds nothing of a run.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from repro.algebra.expressions import BooleanExpr, Comparison, Const, Expr, Path
 from repro.datamodel.values import Struct
 from repro.errors import QueryExecutionError
 
-CODE_CAPACITY = 256  #: distinct chain shapes whose compiled factories the process keeps
-CHAIN = (phys.Filter, phys.MkApply, phys.MkProj, phys.MkRename)  #: what a kernel runs
+CODE_CAPACITY = 256  #: distinct shapes whose compiled factories the process keeps
+CHAIN = (phys.Filter, phys.MkApply, phys.MkProj, phys.MkRename)  #: what a chain kernel runs
 #: ``kernel(rows, base_env, subquery_evaluator) -> rows``
 Kernel = Callable[[Iterable[Any], "Mapping[str, Any] | None", Any], Iterator[Any]]
 #: The OQL translator folds multi-variable ``from`` clauses into bind joins
@@ -31,6 +35,15 @@ Kernel = Callable[[Iterable[Any], "Mapping[str, Any] | None", Any], Iterator[Any
 ENV_VARIABLE = "_env"
 _MAX_DEPTH = 60  # nested and/or deeper than this call their closure: Python stops at 100
 _COMPARISONS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+#: aggregate -> (its slots' first values, how an argument ``v`` not None adds in, its result),
+#: over its slot ``n`` (and an avg's running sum ``t``); any other name keeps the largest value
+_AGGREGATE_CODE = {
+    "count": ("0", "{n} += 1", "{n}"),
+    "sum": ("None", "{n} = {v} if {n} is None else {n} + {v}", "{n}"),
+    "avg": ("0, None", "{n} += 1\n{t} = {v} if {t} is None else {t} + {v}", "None if {n} == 0 else {t} / {n}"),
+    "min": ("None", "if {n} is None or {v} < {n}:\n    {n} = {v}", "{n}"),
+    "max": ("None", "if {n} is None or {v} > {n}:\n    {n} = {v}", "{n}"),
+}
 
 
 class Env(dict):
@@ -71,8 +84,17 @@ def _getter(row: Any) -> Callable[[str], Any]:
     return lambda name: getattr(row, name, None)
 
 
+def _hashable(value: Any) -> Any:
+    """A group key value, or a hashable stand-in for it (rows may nest lists)."""
+    try:
+        hash(value)
+        return value
+    except TypeError:
+        return ("__unhashable__", repr(value))
+
+
 _HELPERS = {"Struct": Struct, "Env": Env, "read": read_attribute, "var": _variable}
-_HELPERS.update(bindings=env_bindings, getter=_getter, adopt=Struct._adopt)
+_HELPERS.update(bindings=env_bindings, getter=_getter, adopt=Struct._adopt, hashable=_hashable)
 
 
 # -- shapes: the nodes with each value replaced by its argument's index ---------------------------
@@ -99,6 +121,20 @@ def _shape(top: phys.PhysicalOp) -> tuple[tuple, list[Any]]:
     return (len(values), tuple(ops)), values
 
 
+def _group_shape(variable: str, keys: tuple, aggregates: tuple) -> tuple[tuple, list[Any]]:
+    """The shape of a grouping over ``variable`` (one ``group`` operator), and its values."""
+    values: list[Any] = []
+    name, splat = _value(values, variable), _value(values, variable == ENV_VARIABLE)
+    keys = tuple([(_value(values, k), _expr_shape(e, variable, values, 0)) for k, e in keys])
+    aggregates = tuple(
+        [
+            (_value(values, a), f if f in _AGGREGATE_CODE else "max", _expr_shape(e, variable, values, 0))
+            for a, f, e in aggregates
+        ]
+    )
+    return (len(values), (("group", name, splat, keys, aggregates),)), values
+
+
 def _expr_shape(node: Expr, variable: str, values: list[Any], depth: int) -> tuple:
     if depth > _MAX_DEPTH:
         return ("call", _value(values, node))
@@ -121,13 +157,14 @@ def _expr_shape(node: Expr, variable: str, values: list[Any], depth: int) -> tup
 
 # -- the emitter: a shape's source --------------------------------------------------------------
 class _Emitter:
-    """The row loop of one chain shape."""
+    """The row loop of one shape."""
 
     temps, depth, outer = 0, 3, False
 
     def __init__(self) -> None:
         self.setup: list[str] = []
         self.body: list[str] = []
+        self.tail = ["            yield el"]  # the loop body's last line, and what follows the loop
 
     def line(self, text: str) -> None:
         pad = "    " * self.depth
@@ -140,12 +177,14 @@ class _Emitter:
             fields = ", ".join([f"a{new}: g(a{old})" for new, old in op[1]])
             self.line(f"g = el._fields.get if type(el) is Struct else getter(el)\nel = adopt({{{fields}}})")
             return self.setup
-        kind, name, splat, expr = op
+        kind, name, splat, *exprs = op
         self.env, self.name, self.used, start = f"e{k}", f"a{name}", False, len(self.body)
         if kind == "apply":
-            self.line(f"el = {self.expr(expr)}")
+            self.line(f"el = {self.expr(exprs[0])}")
+        elif kind == "group":
+            self.group(*exprs)
         else:  # a conjunction drops the element at its first false operand
-            for conjunct in expr[1:] if expr[0] == "and" else (expr,):
+            for conjunct in exprs[0][1:] if exprs[0][0] == "and" else exprs:
                 self.line(f"if not {self.expr(conjunct)}:\n    continue")
         if self.used:
             # An Env element is its own environment unless an outer one lies
@@ -157,6 +196,32 @@ class _Emitter:
             bind = f"el if not outer and isinstance(el, Env) else {merged} if s{k} else None"
             self.body.insert(start, "    " * self.depth + f"e{k} = {bind}")
         return self.setup
+
+    def group(self, keys: tuple, aggregates: tuple) -> None:
+        """Fold the element into its group, ``[key fields, accumulator slots...]``.
+
+        Groups stay in first-seen order, and an unhashable key value stands in
+        as its ``repr``.  Each argument is read and added in before the next
+        one is read; a None argument adds nothing (:data:`_AGGREGATE_CODE`).
+        """
+        values = [self.expr(key) for _, key in keys]
+        self.line(f"h = ({''.join([v + ', ' for v in values])})\ntry:\n    g = groups.get(h)\nexcept TypeError:\n"
+                  "    h = tuple([hashable(v) for v in h])\n    g = groups.get(h)")
+        slots = "".join([", " + _AGGREGATE_CODE[kind][0] for _, kind, _ in aggregates])
+        fields = ", ".join([f"a{name}: {value}" for (name, _), value in zip(keys, values)])
+        self.line(f"if g is None:\n    g = groups[h] = [{{{fields}}}{slots}]")
+        results, n = [], 1
+        for name, kind, argument in aggregates:
+            _, add, result = _AGGREGATE_CODE[kind]
+            names = {"v": self.expr(argument), "n": f"g[{n}]", "t": f"g[{n + 1}]"}
+            self.line(f"if {names['v']} is not None:\n    " + add.format(**names).replace("\n", "\n    "))
+            results.append(f"a{name}: {result.format(**names)}")
+            n += 2 if kind == "avg" else 1
+        self.setup.append("groups = {}")
+        # The scalar-aggregate convention: an empty input still has a count.
+        empty = [f"        if not groups:\n            groups[()] = [{{}}{slots}]"] if not keys else []
+        rows = ["        for g in groups.values():", f"            yield adopt({{**g[0], {', '.join(results)}}})"]
+        self.tail = empty + rows
 
     def expr(self, e: tuple) -> str:
         """Emit ``e``'s statements; return the name that holds its value."""
@@ -170,8 +235,11 @@ class _Emitter:
             self.line(f"{t} = el if {env} is None else var({env}, {self.name})" if own else f"{t} = var({env}, a{e[1]})")
         elif kind == "path":
             b, a = self.expr(e[1]), f"a{e[2]}"
-            self.line(f"if type({b}) is Struct:\n    try:\n        {t} = {b}._fields[{a}]\n    except KeyError:\n"
-                      f"        {t} = read({b}, {a})\nelse:\n    {t} = read({b}, {a})")
+            # A Struct's fields and a plain dict are read in place; anything
+            # else, and a missing key, goes through read() for its message.
+            self.line(f"{t} = {b}._fields if type({b}) is Struct else {b}\nif type({t}) is dict:\n    try:\n"
+                      f"        {t} = {t}[{a}]\n    except KeyError:\n        {t} = read({b}, {a})\n"
+                      f"else:\n    {t} = read({b}, {a})")
         elif kind == "compare":
             left, right = self.expr(e[2]), self.expr(e[3])
             self.line(f"if {left} is None or {right} is None:\n    {t} = False\nelse:\n    try:\n"
@@ -200,7 +268,7 @@ class _Emitter:
 
 
 def emit(shape: tuple) -> str:
-    """The source of a chain shape: ``make(helpers..., a0, a1, ...) -> kernel``."""
+    """The source of a shape: ``make(helpers..., a0, a1, ...) -> kernel``."""
     count, ops = shape
     emitter = _Emitter()
     setups = [emitter.operator(op, k) for k, op in enumerate(ops)]
@@ -209,12 +277,12 @@ def emit(shape: tuple) -> str:
     setup += [line for lines in reversed(setups) for line in lines]
     head = [f"def make({', '.join([*_HELPERS, *(f'a{i}' for i in range(count))])}):"]
     head += ["    def kernel(src, base_env, subquery):", *("        " + line for line in setup)]
-    return "\n".join(head + ["        for el in src:", *emitter.body, "            yield el", "    return kernel"])
+    return "\n".join(head + ["        for el in src:", *emitter.body, *emitter.tail, "    return kernel"])
 
 
 @lru_cache(maxsize=CODE_CAPACITY)
 def _factory(shape: tuple) -> Callable[..., Kernel]:
-    """Emit and compile one chain shape into its kernel factory."""
+    """Emit and compile one shape into its kernel factory."""
     namespace: dict[str, Any] = {}
     exec(compile(emit(shape), "<row kernel>", "exec"), namespace)
     return namespace["make"]
@@ -223,4 +291,10 @@ def _factory(shape: tuple) -> Callable[..., Kernel]:
 def chain_kernel(top: phys.PhysicalOp) -> Kernel:
     """The kernel of the chain headed by ``top`` (see the module docstring)."""
     shape, values = _shape(top)
+    return _factory(shape)(*_HELPERS.values(), *values)
+
+
+def group_kernel(variable: str, keys: tuple, aggregates: tuple) -> Kernel:
+    """The kernel of a grouping: one output struct per distinct key combination."""
+    shape, values = _group_shape(variable, keys, aggregates)
     return _factory(shape)(*_HELPERS.values(), *values)

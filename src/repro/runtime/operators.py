@@ -9,8 +9,9 @@ bindings (when it is an :class:`Env`) and the operator's bound variable.
 
 A chain of the per-element operators (``filter``, ``mkapply``, ``mkproj``,
 ``mkrename``) runs as one generated loop, its kernel (:mod:`~repro.runtime.kernels`),
-held by a cached plan.  The other operators compile their expressions and
-pick their environment builder *once per invocation*, before the row loop.
+held by a cached plan; so does a grouping, at the mediator and at a source
+alike (:func:`group_rows`).  The joins compile their expressions and pick
+their environment builder *once per invocation*, before the row loop.
 
 Every operator is a *lazy generator* (Volcano-style): it consumes its input
 iterator one element at a time and yields output elements as they are ready.
@@ -33,7 +34,7 @@ from repro.algebra.logical import join_on
 from repro.algebra.expressions import Expr, find_equi_conjunct
 from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError
-from repro.runtime.kernels import CHAIN, ENV_VARIABLE, Env, Kernel, chain_kernel, env_bindings
+from repro.runtime.kernels import CHAIN, ENV_VARIABLE, Env, Kernel, chain_kernel, env_bindings, group_kernel
 
 SubqueryEvaluator = Callable[[Any, Mapping[str, Any]], Any]
 
@@ -288,85 +289,6 @@ def distinct_rows(elements: Iterable[Any]) -> Iterator[Any]:
         yield element
 
 
-def _group_hash_key(values: tuple[Any, ...]) -> tuple[Any, ...]:
-    """A hashable stand-in for a tuple of key values (rows may nest lists)."""
-    parts = []
-    for value in values:
-        try:
-            hash(value)
-            parts.append(value)
-        except TypeError:
-            parts.append(("__unhashable__", repr(value)))
-    return tuple(parts)
-
-
-class _Count:
-    """Running state of one aggregate over one group.
-
-    The NULL semantics here are shared with the mini-SQL engine so pushed and
-    mediator-compensated aggregation agree: ``count`` counts rows whose
-    argument is not None (a bare variable argument counts every row, like
-    ``COUNT(*)``); the other aggregates skip None values and yield None when
-    no value survives.  Each aggregate is its own class (:data:`_ACCUMULATORS`).
-    """
-
-    __slots__ = ("count", "total")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total: Any = None  # the sum, or the extreme so far
-
-    def add(self, value: Any) -> None:
-        if value is not None:
-            self.count += 1
-
-    def result(self) -> Any:
-        return self.count
-
-
-class _Sum(_Count):
-    __slots__ = ()
-
-    def add(self, value: Any) -> None:
-        if value is not None:
-            self.count += 1
-            self.total = value if self.total is None else self.total + value
-
-    def result(self) -> Any:
-        return self.total
-
-
-class _Avg(_Sum):
-    __slots__ = ()
-
-    def result(self) -> Any:
-        return None if self.count == 0 else self.total / self.count
-
-
-class _Min(_Sum):
-    __slots__ = ()
-
-    def add(self, value: Any) -> None:
-        if value is not None:
-            self.count += 1
-            if self.count == 1 or value < self.total:
-                self.total = value
-
-
-class _Max(_Sum):
-    __slots__ = ()
-
-    def add(self, value: Any) -> None:
-        if value is not None:
-            self.count += 1
-            if self.count == 1 or value > self.total:
-                self.total = value
-
-
-#: aggregate name -> its accumulator (any other name keeps the largest value)
-_ACCUMULATORS = {"count": _Count, "sum": _Sum, "avg": _Avg, "min": _Min, "max": _Max}
-
-
 def group_rows(
     elements: Iterable[Any],
     variable: str,
@@ -381,38 +303,14 @@ def group_rows(
     pipeline barrier -- the last group may be completed by the last input
     row).  With no keys the operator is a scalar aggregate and always emits
     exactly one row, even over an empty input (``count`` 0, the rest None).
+    The NULL semantics are shared with the mini-SQL engine, so pushed and
+    mediator-compensated aggregation agree: ``count`` counts rows whose
+    argument is not None (a bare variable argument counts every row, like
+    ``COUNT(*)``); the other aggregates skip None values and yield None when
+    no value survives; an unknown aggregate name keeps the largest value.
+    The loop is the grouping's kernel, bound here for this call alone.
     """
-    groups: dict[tuple[Any, ...], tuple[Struct | None, list[_Count]]] = {}
-    order: list[tuple[Any, ...]] = []
-    environment = environment_builder(variable, base_env)
-    key_functions = [expr.compile(subquery_evaluator) for _, expr in keys]
-    arguments = [arg.compile(subquery_evaluator) for _, _, arg in aggregates]
-    kinds = [_ACCUMULATORS.get(func, _Max) for _, func, _ in aggregates]
-    for element in elements:
-        env = environment(element)
-        key_values = tuple(key(env) for key in key_functions)
-        hash_key = _group_hash_key(key_values)
-        state = groups.get(hash_key)
-        if state is None:
-            key_struct = Struct(
-                {name: value for (name, _), value in zip(keys, key_values)}
-            )
-            state = (key_struct, [kind() for kind in kinds])
-            groups[hash_key] = state
-            order.append(hash_key)
-        accumulators = state[1]
-        for accumulator, argument in zip(accumulators, arguments):
-            accumulator.add(argument(env))
-    if not keys and not groups:
-        # The scalar-aggregate convention: an empty input still has a count.
-        groups[()] = (Struct({}), [kind() for kind in kinds])
-        order.append(())
-    for hash_key in order:
-        key_struct, accumulators = groups[hash_key]
-        row = dict(key_struct)
-        for accumulator, (name, _, _) in zip(accumulators, aggregates):
-            row[name] = accumulator.result()
-        yield Struct._adopt(row)
+    return group_kernel(variable, keys, aggregates)(elements, base_env, subquery_evaluator)
 
 
 def limit_rows(elements: Iterable[Any], count: int) -> Iterator[Any]:
@@ -470,12 +368,13 @@ def compose_rows(
     run's probe-join leaf -- the batching layer issuing set-valued submits
     over the left rows; ``build`` optionally wraps a hash join's build side
     (a stream drains it eagerly on a dedicated thread); ``group`` optionally
-    overrides mediator-side grouping (a stream suppresses grouped output
-    computed over a known-incomplete input); ``subquery`` evaluates nested
-    subqueries (a run passes its own evaluator, so they share its slot and
-    deadline).  ``kernels`` is where the chains' kernels are kept, keyed by
-    each chain's top node (a run passes its compiled-call slot); without
-    it each chain is bound for this pipeline alone.
+    wraps mediator-side grouping's output (a stream suppresses grouped
+    output computed over a known-incomplete input); ``subquery`` evaluates
+    nested subqueries (a run passes its own evaluator, so they share its
+    slot and deadline).  ``kernels`` is where the chains' and groupings'
+    kernels are kept, under the identity of each chain's top node and each
+    ``mkgroupby`` (a run passes its plan's compiled-call slot); without it
+    each is bound for this pipeline alone.
 
     The pipeline structure (and every ``leaf`` iterator) is built eagerly,
     so structural errors surface immediately; only *row* flow is lazy.
@@ -492,12 +391,7 @@ def compose_rows(
         while isinstance(below, CHAIN):
             below = below.child
         rows = recurse(below)
-        kernel: Kernel | None = None if kernels is None else kernels.get(plan)
-        if kernel is None:
-            kernel = chain_kernel(plan)
-            if kernels is not None:
-                kernels[plan] = kernel
-        return kernel(rows, base_env, subquery)
+        return _kept(kernels, plan, lambda: chain_kernel(plan))(rows, base_env, subquery)
     if isinstance(plan, phys.HashJoin):
         right_rows = recurse(plan.right)
         if build is not None:
@@ -532,14 +426,24 @@ def compose_rows(
     if isinstance(plan, phys.MkLimit):
         return limit_rows(recurse(plan.child), plan.count)
     if isinstance(plan, phys.MkGroupBy):
-        if group is not None:
-            return iter(group(plan, recurse(plan.child)))
-        return group_rows(
-            recurse(plan.child),
-            plan.variable,
-            plan.keys,
-            plan.aggregates,
-            base_env=base_env,
-            subquery_evaluator=subquery,
-        )
+        rows = recurse(plan.child)
+        kernel = _kept(kernels, plan, lambda: group_kernel(plan.variable, plan.keys, plan.aggregates))
+        grouped = kernel(rows, base_env, subquery)
+        return grouped if group is None else iter(group(plan, grouped))
     raise QueryExecutionError(f"cannot evaluate physical operator {plan.to_text()}")
+
+
+def _kept(kernels: MutableMapping[Any, Any] | None, node: phys.PhysicalOp, bind: Callable[[], Kernel]) -> Kernel:
+    """``node``'s kernel out of ``kernels``, bound and kept there on first use.
+
+    Keyed by the node's identity: its hash is its text, which is rebuilt on
+    every call once it is long (a subtree holding a resubmitted partial
+    answer's rows), and a slot only ever serves the nodes of the one plan
+    that owns it, which live as long as it does.
+    """
+    kernel: Kernel | None = None if kernels is None else kernels.get(id(node))
+    if kernel is None:
+        kernel = bind()
+        if kernels is not None:
+            kernels[id(node)] = kernel
+    return kernel

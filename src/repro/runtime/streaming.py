@@ -1015,10 +1015,8 @@ class StreamingExecution:
                     yield from self._compose(child)
                 return
 
-    def _grouped_rows(
-        self, plan: phys.MkGroupBy, child_rows: Iterator[Any]
-    ) -> Iterator[Any]:
-        """Mediator-side grouping with incomplete-input suppression.
+    def _grouped_rows(self, plan: phys.MkGroupBy, grouped_rows: Iterator[Any]) -> Iterator[Any]:
+        """Mediator-side grouping's output, with incomplete-input suppression.
 
         Grouping is blocking: nothing is emitted until the whole input has
         been drained, and by then every source feeding it has settled.  A
@@ -1031,16 +1029,7 @@ class StreamingExecution:
         resubmittable partial answer (which embeds the grouping as a query
         over the obtained rows) is the recovery route.
         """
-        grouped = list(
-            ops.group_rows(
-                child_rows,
-                plan.variable,
-                plan.keys,
-                plan.aggregates,
-                base_env=self._base_env,
-                subquery_evaluator=self.evaluate_subquery,
-            )
-        )
+        grouped = list(grouped_rows)
         keys = [id(node) for node in phys.execs_in(plan)]
         keys.extend(
             id(node.probe)

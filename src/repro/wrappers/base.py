@@ -288,9 +288,12 @@ class AlgebraEvaluator:
     def _groupby_stream(self, expression: GroupBy) -> Iterator[Row]:
         """Grouped aggregation at the source (the ``groupby`` terminal).
 
-        Shares :func:`~repro.runtime.operators.group_rows` with the
-        mediator's compensation path, so a pushed and a mediator-side
-        aggregation can never disagree on NULL or empty-group semantics.
+        Runs the grouping's generated kernel through
+        :func:`~repro.runtime.operators.group_rows`, bound per call (one
+        shape walk; the loop itself is compiled once per shape per process).
+        The mediator's compensation path runs the same kernel, so a pushed
+        and a mediator-side aggregation can never disagree on NULL or
+        empty-group semantics.
         """
         from repro.runtime.operators import group_rows  # local: avoid cycle
 

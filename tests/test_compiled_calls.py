@@ -114,8 +114,10 @@ def test_hundred_runs_of_a_cached_plan_compile_each_exec_node_once(monkeypatch):
         assert sum(server.statistics.requests for server in fed.servers) == requests + 800
         slot = planned.optimized.exec_calls
         assert {node for node in slot if isinstance(node, phys.Exec)} == set(execs)
-        # ... beside the kernels of the get-only branches' per-element chains
-        assert all(isinstance(node, (phys.Exec, *kernels.CHAIN)) for node in slot)
+        # ... beside the kernels of the get-only branches' per-element chains,
+        # kept under their top nodes' identities
+        chains = {id(node) for node in phys.walk(planned.optimized.physical) if isinstance(node, kernels.CHAIN)}
+        assert all(isinstance(node, phys.Exec) or node in chains for node in slot)
         assert len(slot) > len(execs)
     finally:
         fed.close()
@@ -337,10 +339,9 @@ def compiled_calls_of(mediator, text) -> list[weakref.ref]:
     mediator.query(text).rows()
     optimized = mediator.planner.plan(text).optimized
     assert optimized.exec_calls, "the run compiled nothing into the plan's slot"
-    assert all(
-        type(call) is CompiledCall or isinstance(node, kernels.CHAIN)
-        for node, call in optimized.exec_calls.items()
-    )
+    kernel_nodes = (*kernels.CHAIN, phys.MkGroupBy)
+    kept = {id(node) for node in phys.walk(optimized.physical) if isinstance(node, kernel_nodes)}
+    assert all(type(call) is CompiledCall or node in kept for node, call in optimized.exec_calls.items())
     return [weakref.ref(optimized)] + [weakref.ref(call) for call in optimized.exec_calls.values()]
 
 

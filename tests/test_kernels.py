@@ -1,11 +1,13 @@
-"""Kernel differential: a per-element chain through its generated row loop
-against the generator operators ``compose_rows`` used to stack for it.
+"""Kernel differential: a per-element chain, and a grouping, through its
+generated row loop against the interpreted operators it replaced.
 
-The reference is those four operators as they stood, kept here (as
+The references are those operators as they stood, kept here (as
 ``tests/test_expressions.py`` keeps ``reference_evaluate``): one Volcano
-generator per operator, one environment dict per expression-evaluating
-operator and element, the expressions' ``compile()`` closures.  Every chain
-must give the same rows, or fail with the same exception type and message.
+generator per chain operator, one environment dict per expression-evaluating
+operator and element, the expressions' ``compile()`` closures; and the
+grouping loop with one accumulator object per aggregate and group.  Every
+chain and grouping must give the same rows, or fail with the same exception
+type and message.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from hypothesis import strategies as st
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.expressions import BooleanExpr, Comparison, Const, Path, StructExpr, Var
 from repro.algebra.logical import Get
-from repro.algebra.physical import Exec, Field, Filter, MkApply, MkLimit, MkProj, MkRename
+from repro.algebra.physical import Exec, Field, Filter, MkApply, MkGroupBy, MkLimit, MkProj, MkRename
 from repro.datamodel.values import Struct
 from repro.errors import QueryExecutionError
 from repro.runtime import kernels
-from repro.runtime.operators import Env, compose_rows, environment_builder
+from repro.runtime.operators import Env, compose_rows, environment_builder, group_rows
 from tests.test_expressions import EXPRESSIONS, SCALARS, VALUES, canon, echo_subquery
 from tests.test_streaming import ScanCounter, build_generator_mediator
 
@@ -262,3 +264,238 @@ def test_names_reach_the_loop_as_values_never_as_source():
     rows = [Struct({HOSTILE: HOSTILE}), Struct({HOSTILE: "other"}), {HOSTILE: HOSTILE}]
     expected = ("rows", [canon(Struct({HOSTILE: HOSTILE}))] * 2)
     assert agree(named_chain(HOSTILE, HOSTILE + "!", HOSTILE + "?"), rows) == expected
+
+
+# -- groupings: the reference is the interpreted loop and accumulators they replaced ------------
+def reference_group_hash_key(values):
+    parts = []
+    for value in values:
+        try:
+            hash(value)
+            parts.append(value)
+        except TypeError:
+            parts.append(("__unhashable__", repr(value)))
+    return tuple(parts)
+
+
+class ReferenceCount:
+    __slots__ = ("count", "total")
+
+    def __init__(self):
+        self.count = 0
+        self.total = None
+
+    def add(self, value):
+        if value is not None:
+            self.count += 1
+
+    def result(self):
+        return self.count
+
+
+class ReferenceSum(ReferenceCount):
+    __slots__ = ()
+
+    def add(self, value):
+        if value is not None:
+            self.count += 1
+            self.total = value if self.total is None else self.total + value
+
+    def result(self):
+        return self.total
+
+
+class ReferenceAvg(ReferenceSum):
+    __slots__ = ()
+
+    def result(self):
+        return None if self.count == 0 else self.total / self.count
+
+
+class ReferenceMin(ReferenceSum):
+    __slots__ = ()
+
+    def add(self, value):
+        if value is not None:
+            self.count += 1
+            if self.count == 1 or value < self.total:
+                self.total = value
+
+
+class ReferenceMax(ReferenceSum):
+    __slots__ = ()
+
+    def add(self, value):
+        if value is not None:
+            self.count += 1
+            if self.count == 1 or value > self.total:
+                self.total = value
+
+
+REFERENCE_ACCUMULATORS = {
+    "count": ReferenceCount, "sum": ReferenceSum, "avg": ReferenceAvg, "min": ReferenceMin, "max": ReferenceMax
+}
+
+
+def reference_group_rows(elements, variable, keys, aggregates, base_env=None, subquery_evaluator=None):
+    groups = {}
+    order = []
+    environment = environment_builder(variable, base_env)
+    key_functions = [expr.compile(subquery_evaluator) for _, expr in keys]
+    arguments = [arg.compile(subquery_evaluator) for _, _, arg in aggregates]
+    kinds = [REFERENCE_ACCUMULATORS.get(func, ReferenceMax) for _, func, _ in aggregates]
+    for element in elements:
+        env = environment(element)
+        key_values = tuple(key(env) for key in key_functions)
+        hash_key = reference_group_hash_key(key_values)
+        state = groups.get(hash_key)
+        if state is None:
+            key_struct = Struct({name: value for (name, _), value in zip(keys, key_values)})
+            state = (key_struct, [kind() for kind in kinds])
+            groups[hash_key] = state
+            order.append(hash_key)
+        accumulators = state[1]
+        for accumulator, argument in zip(accumulators, arguments):
+            accumulator.add(argument(env))
+    if not keys and not groups:
+        groups[()] = (Struct({}), [kind() for kind in kinds])
+        order.append(())
+    for hash_key in order:
+        key_struct, accumulators = groups[hash_key]
+        row = dict(key_struct)
+        for accumulator, (name, _, _) in zip(accumulators, aggregates):
+            row[name] = accumulator.result()
+        yield Struct._adopt(row)
+
+
+def group_agree(variable, keys, aggregates, rows, base_env=None, subquery=None):
+    """The kernel -- through ``group_rows`` and through ``compose_rows`` -- gives the reference's outcome."""
+    expected = outcome(lambda: reference_group_rows(rows, variable, keys, aggregates, base_env, subquery))
+    assert outcome(lambda: group_rows(rows, variable, keys, aggregates, base_env, subquery)) == expected
+    top = MkGroupBy(variable, keys, aggregates, ROWS_IN)
+    assert outcome(lambda: compose_rows(top, lambda _exec: rows, base_env, subquery=subquery)) == expected
+    return expected
+
+
+#: mostly ``x``, and mostly plain reads, so that rows share groups and the
+#: accumulators see values; ``_env`` splats, ``y`` is bound only by the outer
+#: environment or an ``Env`` element
+GROUP_VARIABLES = st.sampled_from(["x"] * 4 + ["y", "_env"])
+GROUP_PATHS = st.builds(Path, st.sampled_from([Var("x")] * 5 + [Var("y")]), st.sampled_from(["v", "k", "k", "w"]))
+GROUP_OPERANDS = st.one_of(
+    GROUP_PATHS, GROUP_PATHS, GROUP_PATHS, st.sampled_from([Var("x"), Var("x"), Var("y"), Var("_env")]), EXPRESSIONS
+)
+GROUP_KEYS = st.lists(st.tuples(st.sampled_from(["s", "t", "n"]), GROUP_OPERANDS), max_size=3).map(tuple)
+GROUP_AGGREGATES = st.lists(
+    st.tuples(
+        st.sampled_from(["n", "m", "s"]),
+        st.sampled_from(["count", "sum", "avg", "min", "max", "median"]),
+        GROUP_OPERANDS,
+    ),
+    max_size=3,
+).map(tuple)
+#: numbers often enough that sum/avg/min/max see a run of comparable values
+#: and keys repeat; an ``Env`` element binds ``y`` to such a row too
+GROUP_FIELDS = st.fixed_dictionaries(
+    {
+        "v": st.one_of(st.integers(-2, 2), st.integers(-2, 2), st.none(), VALUES),
+        "w": VALUES,
+        "k": st.one_of(st.integers(0, 2), st.integers(0, 2), SCALARS),
+    }
+)
+GROUP_ELEMENT_KINDS = (
+    GROUP_FIELDS.map(Struct),
+    GROUP_FIELDS,
+    GROUP_FIELDS.map(Foreign),
+    GROUP_FIELDS.map(lambda fields: SimpleNamespace(**fields)),
+    st.fixed_dictionaries({"x": GROUP_FIELDS.map(Struct), "y": GROUP_FIELDS}).map(Env),
+    SCALARS,
+)
+GROUP_ELEMENTS = st.one_of(
+    *(st.lists(kind, min_size=2, max_size=8) for kind in GROUP_ELEMENT_KINDS),
+    st.lists(st.one_of(GROUP_ELEMENT_KINDS), max_size=8),
+)
+
+
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
+@given(
+    GROUP_VARIABLES,
+    GROUP_KEYS,
+    GROUP_AGGREGATES,
+    GROUP_ELEMENTS,
+    BASE_ENVS,
+    st.sampled_from([echo_subquery, None]),
+)
+def test_every_grouping_gives_the_reference_rows(variable, keys, aggregates, rows, base_env, subquery):
+    group_agree(variable, keys, aggregates, rows, base_env, subquery)
+
+
+X_K, X_V = Path(Var("x"), "k"), Path(Var("x"), "v")
+ALL_FIVE = (("n", "count", X_V), ("t", "sum", X_V), ("a", "avg", X_V), ("lo", "min", X_V), ("hi", "max", X_V))
+
+
+def test_groups_come_out_in_first_seen_order():
+    rows = [Struct({"k": k, "v": v}) for k, v in [("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 5)]]
+    got = group_agree("x", (("k", X_K),), (("n", "count", Var("x")), ("t", "sum", X_V)), rows)
+    assert got == outcome(lambda: [Struct({"k": k, "n": n, "t": t}) for k, n, t in [("b", 2, 4), ("a", 2, 7), ("c", 1, 4)]])
+
+
+@pytest.mark.parametrize("variable", ["x", "_env"])
+def test_a_scalar_aggregate_over_no_rows_is_one_row_with_count_zero(variable):
+    got = group_agree(variable, (), ALL_FIVE, [])
+    assert got == outcome(lambda: [Struct({"n": 0, "t": None, "a": None, "lo": None, "hi": None})])
+    assert group_agree("x", (("k", X_K),), ALL_FIVE, []) == ("rows", [])
+
+
+def test_none_arguments_are_skipped():
+    rows = [Struct({"k": 1, "v": v}) for v in (None, 4, None, 2, 6)] + [Struct({"k": 2, "v": None})]
+    got = group_agree("x", (("k", X_K),), ALL_FIVE + (("all", "count", Var("x")),), rows)
+    assert got == outcome(
+        lambda: [
+            Struct({"k": 1, "n": 3, "t": 12, "a": 4.0, "lo": 2, "hi": 6, "all": 5}),
+            Struct({"k": 2, "n": 0, "t": None, "a": None, "lo": None, "hi": None, "all": 1}),
+        ]
+    )
+
+
+def test_unhashable_keys_group_by_their_text():
+    rows = [{"k": [1, 2], "v": 1}, {"k": [1, 2], "v": 2}, {"k": [2], "v": 3}, {"k": ("__unhashable__", "[2]"), "v": 4}]
+    got = group_agree("x", (("k", X_K), ("s", Const(0))), (("t", "sum", X_V),), rows)
+    assert [row[1][0] for row in got[1]] == [("k", canon([1, 2])), ("k", canon([2]))]
+    assert got[1][1][1][-1] == ("t", canon(7))  # the stand-in and the tuple that equals it share a group
+
+
+def test_nan_keys_group_by_identity():
+    nan, other = float("nan"), float("nan")
+    rows = [{"k": nan, "v": 1}, {"k": nan, "v": 2}, {"k": other, "v": 3}]
+    got = group_agree("x", (("k", X_K),), (("n", "count", Var("x")),), rows)
+    assert [row[1][-1] for row in got[1]] == [("n", canon(2)), ("n", canon(1))]
+
+
+def test_true_and_one_share_a_group_under_the_first_seen_key():
+    rows = [{"k": True, "v": 1}, {"k": 1, "v": 2}, {"k": 1.0, "v": 3}, {"k": 0, "v": 4}, {"k": False, "v": 5}]
+    got = group_agree("x", (("k", X_K),), (("t", "sum", X_V),), rows)
+    assert got == outcome(lambda: [Struct({"k": True, "t": 6}), Struct({"k": 0, "t": 9})])
+
+
+@pytest.mark.parametrize("func", ["max", "min", "sum", "avg", "median"])
+def test_a_mixed_type_aggregate_raises_type_error(func):
+    rows = [{"k": 1, "v": 1}, {"k": 1, "v": "a"}]
+    got = group_agree("x", (("k", X_K),), (("r", func, X_V),), rows)
+    assert got[:2] == ("raised", "TypeError")
+
+
+def test_an_argument_is_added_in_before_the_next_is_read():
+    """The second row's ``max`` fails before its ``x.w`` is read: a TypeError, not a missing attribute."""
+    rows = [{"k": 1, "v": 1, "w": 1}, {"k": 1, "v": "a"}]
+    got = group_agree("x", (("k", X_K),), (("hi", "max", X_V), ("t", "sum", Path(Var("x"), "w"))), rows)
+    assert got[:2] == ("raised", "TypeError")
+
+
+def test_group_names_reach_the_loop_as_values_never_as_source():
+    keys, aggregates = ((HOSTILE, X_K),), ((HOSTILE + "!", "count", Var("x")), (HOSTILE + "?", HOSTILE, X_V))
+    plain, _ = kernels._group_shape("x", (("k", X_K),), (("n", "count", Var("x")), ("m", "max", X_V)))
+    hostile, values = kernels._group_shape("x", keys, aggregates)
+    assert hostile == plain and HOSTILE in values
+    assert "__import__" not in kernels.emit(hostile)
+    group_agree("x", keys, aggregates, [{"k": 1, "v": 2}, {"k": 1, "v": 3}])

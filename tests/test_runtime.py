@@ -32,11 +32,14 @@ from repro.algebra.physical import (
     Exec,
     Field,
     Filter,
+    MkBag,
+    MkGroupBy,
     MkProj,
     MkUnion,
     NestedLoopJoin,
     PhysicalOp,
     ProbeJoin,
+    walk,
 )
 from repro.errors import DiscoError, QueryExecutionError
 from repro.optimizer.implementation import implement
@@ -164,9 +167,10 @@ class TestRowOperators:
 
         keys = (("k", Arithmetic("+", Path(Var("x"), "id"), Const(0))),)
         aggregates = (("n", "count", Var("x")), ("t", "sum", double))
-        assert len(list(group_rows(rows, "x", keys, aggregates))) == 7
-        assert compiled == ["Arithmetic", "Arithmetic"]
-        del compiled[:]
+        for _ in range(2):  # the grouping's kernel compiles its closures per invocation, not per row
+            assert len(list(group_rows(rows, "x", keys, aggregates))) == 7
+            assert compiled == ["Arithmetic", "Arithmetic"]
+            del compiled[:]
         joined = probe_join_rows(
             rows, "x", "y", condition, lambda keys: {key: [{"id": key}] for key in keys}, 16
         )
@@ -575,8 +579,9 @@ class TestKernelCounts:
             text = workloads.templates()[1].text  # get-only branches filter at the mediator
             expected = sorted(fed.mediator.query(text).rows())
             assert sorted(fed.mediator.query(text).rows()) == expected  # binds into the slot
-            slot = fed.mediator.planner.plan(text).optimized.exec_calls
-            assert any(isinstance(node, kernels.CHAIN) for node in slot)
+            optimized = fed.mediator.planner.plan(text).optimized
+            chains = [node for node in walk(optimized.physical) if isinstance(node, kernels.CHAIN)]
+            assert any(id(node) in optimized.exec_calls for node in chains)
             del emitted[:], compiled[:]
             bound = []
             monkeypatch.setattr("repro.runtime.operators.chain_kernel", bound.append)
@@ -605,6 +610,66 @@ class TestKernelCounts:
             assert len(emitted) == len(compiled) == 1
         finally:
             fed.close()
+
+    def test_fifty_plan_cache_hits_of_a_grouping_emit_and_compile_nothing(self, counts, monkeypatch):
+        """The mediator's groupings are bound into the plan's slot once; only
+        the sources' ``groupby`` terminals bind per call, from compiled code."""
+        from benchmarks.spine import federation, workloads
+        from repro.runtime import operators
+
+        emitted, compiled = counts
+        fed = federation.build(federation.FED4X2500, seed=3)
+        try:
+            # The spine's warm-up: once the history knows the extents' sizes,
+            # the relational sources group their own rows.
+            for op in workloads.SCAN_CYCLE:
+                fed.mediator.query(op.text).rows()
+            (text,) = [op.text for op in workloads.SCAN_CYCLE if op.label == "groupby"]
+            expected = sorted(map(repr, fed.mediator.query(text).rows()))  # a hit: binds into the slot
+            optimized = fed.mediator.planner.plan(text).optimized
+            groupings = [node for node in walk(optimized.physical) if isinstance(node, MkGroupBy)]
+            pushed = [node for node in walk(optimized.physical) if isinstance(node, Exec) and "groupby" in node.to_text()]
+            assert groupings and all(id(node) in optimized.exec_calls for node in groupings)
+            del emitted[:], compiled[:]
+            bound, bind = [], operators.group_kernel
+            monkeypatch.setattr(operators, "group_kernel", lambda *shape: bound.append(shape) or bind(*shape))
+            for entry in ("query", "query_stream") * 25:
+                result = getattr(fed.mediator, entry)(text)
+                assert result.from_plan_cache and sorted(map(repr, result.rows())) == expected
+            assert emitted == [] and compiled == []
+            assert len(bound) == 50 * len(pushed)  # the sources' terminals, never the mediator's groupings
+        finally:
+            fed.close()
+
+    def test_fifty_source_side_groupby_submits_of_one_shape_compile_one_code_object(self, counts):
+        emitted, compiled = counts
+        engine = RelationalEngine(name="db")
+        engine.create_table("person", rows=[{"id": i, "name": f"p{i % 7}", "salary": i % 5} for i in range(40)])
+        wrapper = RelationalWrapper("w", SimulatedServer(name="host", store=engine))
+        for i in range(50):
+            attribute = ("id", "name", "salary")[i % 3]
+            keys = ((f"k{i}", Path(Var("x"), attribute)),)
+            aggregates = ((f"n{i}", "count", Var("x")), (f"hi{i}", "max", Path(Var("x"), "id")))
+            rows = wrapper.submit(GroupBy("x", keys, aggregates, Get("person")))
+            assert len(rows) == {"id": 40, "name": 7, "salary": 5}[attribute]
+            assert sum(row[f"n{i}"] for row in rows) == 40
+        assert len(emitted) == len(compiled) == 1
+
+    def test_a_kept_kernel_is_found_without_rendering_the_rows_under_it(self, monkeypatch):
+        """A resubmitted partial answer embeds rows under its chains and
+        groupings; finding their kernels in the slot must not write them out
+        (a node's hash is its text, rebuilt per call once it holds rows)."""
+        rows = tuple(Struct({"a": i % 7}) for i in range(60))
+        over = Comparison(">", Path(Var("x"), "a"), Const(2))
+        grouped = MkGroupBy("x", (("a", Path(Var("x"), "a")),), (("n", "count", Var("x")),), Filter("x", over, MkBag(rows)))
+        slot: dict = {}
+        expected = list(compose_rows(grouped, None, kernels=slot))
+        assert len(slot) == 2 and len(expected) == 4
+        rendered = []
+        monkeypatch.setattr(Struct, "__repr__", lambda row: rendered.append(row) or "row")
+        for _ in range(3):
+            assert list(compose_rows(grouped, None, kernels=slot)) == expected
+        assert rendered == [] and len(slot) == 2
 
     def test_the_code_table_never_exceeds_its_bound(self, counts):
         _, compiled = counts
