@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from math import isinf
+from math import isfinite
 from typing import Any, Callable, Iterable
 
 from repro.algebra.nodes import Node, walk
@@ -71,10 +71,10 @@ def literal_to_oql(value: Any) -> str:
     if value is None:
         return "nil"
     if kind is int or kind is float:
-        if kind is float and isinf(value):
-            # ``str`` gives ``inf``, a name to OQL; the number scanner reads
-            # an overflowing exponent as infinity.  (``nan`` has no literal.)
-            return "1e999" if value > 0 else "-1e999"
+        if kind is float and not isfinite(value):
+            # ``str`` gives ``inf``/``nan``, names to OQL: the number scanner reads
+            # an overflowing exponent as infinity, and nan (no literal) is inf - inf.
+            return "1e999" if value > 0 else "-1e999" if value < 0 else "(1e999 - 1e999)"
         return str(value)
     if kind is Struct:
         fields = value._fields

@@ -1,9 +1,13 @@
 """Physical algorithms of the run-time system (paper Sections 3.1 and 3.3).
 
-Each logical operator has at least one physical algorithm implementing it;
-which implements which is stated once, in :data:`IMPLEMENTS` below (``join``
-and ``bindjoin`` have two each; ``get`` on a single object, a repository, is
-:class:`Field`).
+Each physical algorithm is one class, and the class states the two facts the
+paper gives every algorithm: the logical operator it implements (Section 4:
+"each physical operation has a corresponding logical operation"; the
+``implements`` attribute) and its cost function (Section 3.3; the ``cost``
+method, over its operands' costs).  A class that omits either is refused
+when it is defined.  :data:`IMPLEMENTS` is read off the classes (``join``
+and ``bindjoin`` have two algorithms each; ``get`` on a single object, a
+repository, is :class:`Field`).
 
 ``Exec`` keeps its argument as a *logical* expression because "the wrapper
 interface accepts a logical expression"; the run-time system applies the
@@ -14,7 +18,7 @@ inverse map to the rows that come back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, ClassVar, Sequence
 
 from repro.algebra import logical as log
 from repro.algebra.expressions import Expr
@@ -22,10 +26,75 @@ from repro.algebra.logical import LogicalOp, TextCachedNode
 from repro.algebra.nodes import Node, builder, walk
 
 
+@dataclass(frozen=True)
+class Cost:
+    """Estimated execution time (seconds) and output cardinality (rows)."""
+
+    time: float
+    rows: float
+
+    def __add__(self, other: "Cost") -> "Cost":
+        return Cost(self.time + other.time, self.rows + other.rows)
+
+    def total(self) -> float:
+        """The scalar the optimizer minimises."""
+        return self.time
+
+
+#: time charged per row processed by a mediator-side operator
+MEDIATOR_ROW_COST = 1e-6
+#: time charged once per mediator-side operator
+MEDIATOR_OPERATOR_OVERHEAD = 1e-5
+#: share of its input a mediator-side filter is assumed to keep
+DEFAULT_SELECTIVITY = 0.33
+#: assumed ratio of distinct group rows to input rows for ``groupby``
+#: estimation.  This is what makes the summarization pushdown pay off in
+#: the cost model: a grouped exec ships an estimated 5% of the extent's
+#: rows (a keyless -- scalar -- aggregate ships exactly one).
+GROUPBY_OUTPUT_RATIO = 0.05
+
+
+def grouped_rows(input_rows: float, has_keys: bool) -> float:
+    """Estimated group count for ``input_rows`` input rows."""
+    if not has_keys:
+        return 1.0  # a scalar aggregate always yields exactly one row
+    if input_rows <= 0.0:
+        return 0.0
+    return max(1.0, input_rows * GROUPBY_OUTPUT_RATIO)
+
+
+def _mediator_pass(child: Cost, rows: float, evaluations: int = 1) -> Cost:
+    """One mediator-side pass over ``child``'s rows, ``evaluations``
+    expression evaluations per row, giving ``rows`` rows."""
+    return Cost(
+        child.time + MEDIATOR_OPERATOR_OVERHEAD + child.rows * evaluations * MEDIATOR_ROW_COST,
+        rows,
+    )
+
+
 class PhysicalOp(TextCachedNode, Node):
-    """Base class for physical operator nodes (children: the fields typed ``PhysicalOp``)."""
+    """Base class for physical operator nodes (children: the fields typed ``PhysicalOp``).
+
+    Every algorithm states ``implements``, its logical counterpart, and
+    ``cost(*operand_costs) -> Cost``, its cost function, nondecreasing in
+    each operand's time and rows (the plan search's Pareto pruning relies on
+    it).  ``None`` says "none of its own": ``Field`` has neither, and
+    ``Exec`` and ``ProbeJoin`` are costed from the call history by
+    :class:`~repro.optimizer.cost.CostModel`.
+    """
 
     algo_name: str = "physical"
+    implements: ClassVar[type[LogicalOp] | None]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        missing = [name for name in ("implements", "cost") if not hasattr(cls, name)]
+        if missing:
+            raise TypeError(
+                f"physical algorithm {cls.__name__} does not state "
+                + " or ".join(f"`{name}`" for name in missing)
+                + " (None when it has none of its own)"
+            )
 
     def __repr__(self) -> str:
         return self.to_text()
@@ -43,6 +112,9 @@ class Field(PhysicalOp):
 
     name: str
     algo_name = "field"
+    #: the source placeholder inside an ``Exec``, never a plan node of its own
+    implements = None
+    cost = None
 
     def _render(self) -> str:
         return f"field({self.name})"
@@ -60,6 +132,9 @@ class Exec(PhysicalOp):
     expression: LogicalOp
     extent_name: str
     algo_name = "exec"
+    implements = log.Submit
+    #: read from the call history (``CostModel``)
+    cost = None
 
     def _render(self) -> str:
         return f"exec({self.source.to_text()}, {self.expression.to_text()})"
@@ -72,7 +147,10 @@ class MkProj(PhysicalOp):
     attributes: tuple[str, ...]
     child: PhysicalOp
     algo_name = "mkproj"
+    implements = log.Project
 
+    def cost(self, child: Cost) -> Cost:
+        return _mediator_pass(child, child.rows)
 
     def _render(self) -> str:
         return f"mkproj({','.join(self.attributes)}, {self.child.to_text()})"
@@ -85,7 +163,10 @@ class MkRename(PhysicalOp):
     pairs: tuple[tuple[str, str], ...]
     child: PhysicalOp
     algo_name = "mkrename"
+    implements = log.Rename
 
+    def cost(self, child: Cost) -> Cost:
+        return _mediator_pass(child, child.rows)
 
     def _render(self) -> str:
         aliased = ",".join(
@@ -102,7 +183,10 @@ class Filter(PhysicalOp):
     predicate: Expr
     child: PhysicalOp
     algo_name = "filter"
+    implements = log.Select
 
+    def cost(self, child: Cost) -> Cost:
+        return _mediator_pass(child, child.rows * DEFAULT_SELECTIVITY)
 
     def _render(self) -> str:
         return f"filter({self.variable}: {self.predicate.to_oql()}, {self.child.to_text()})"
@@ -116,7 +200,10 @@ class MkApply(PhysicalOp):
     expression: Expr
     child: PhysicalOp
     algo_name = "mkapply"
+    implements = log.Apply
 
+    def cost(self, child: Cost) -> Cost:
+        return _mediator_pass(child, child.rows, evaluations=2)
 
     def _render(self) -> str:
         return f"mkapply({self.variable}: {self.expression.to_oql()}, {self.child.to_text()})"
@@ -130,7 +217,16 @@ class HashJoin(PhysicalOp):
     right: PhysicalOp
     on: str | tuple[str, str]
     algo_name = "hashjoin"
+    implements = log.Join
 
+    def cost(self, left: Cost, right: Cost) -> Cost:
+        time = (
+            left.time
+            + right.time
+            + MEDIATOR_OPERATOR_OVERHEAD
+            + (left.rows + right.rows) * MEDIATOR_ROW_COST
+        )
+        return Cost(time, max(left.rows, right.rows))
 
     def _render(self) -> str:
         return f"hashjoin({self.left.to_text()}, {self.right.to_text()}, {log.join_on(self.on)[2]})"
@@ -144,7 +240,24 @@ class NestedLoopJoin(PhysicalOp):
     right: PhysicalOp
     on: str | tuple[str, str]
     algo_name = "nljoin"
+    implements = log.Join
 
+    def cost(self, left: Cost, right: Cost) -> Cost:
+        # Quadratic: the right side is materialized once and re-scanned per
+        # left row (see ``nested_loop_join_rows``, which shares that one
+        # materialization however many times the plan is iterated).  This is
+        # also the cost floor for the *equi-join fallback* inside
+        # ``bind_join_rows``: a bindjoin whose condition carries no
+        # extractable equi conjunct degenerates to exactly this left x right
+        # pairing, which is why the condition-sinking rule (and the probe
+        # join it enables) matter.
+        time = (
+            left.time
+            + right.time
+            + MEDIATOR_OPERATOR_OVERHEAD
+            + left.rows * right.rows * MEDIATOR_ROW_COST
+        )
+        return Cost(time, max(left.rows, right.rows))
 
     def _render(self) -> str:
         return f"nljoin({self.left.to_text()}, {self.right.to_text()}, {log.join_on(self.on)[2]})"
@@ -160,7 +273,13 @@ class MkBindJoin(PhysicalOp):
     right_variable: str
     condition: Expr | None = None
     algo_name = "mkbindjoin"
+    implements = log.BindJoin
 
+    def cost(self, left: Cost, right: Cost) -> Cost:
+        # The run-time system hash-joins when the condition allows it;
+        # charge the hash-join cost plus a small setup factor.
+        time = left.time + right.time + (left.rows + right.rows) * 2 * MEDIATOR_ROW_COST
+        return Cost(time, max(left.rows, right.rows))
 
     def _render(self) -> str:
         condition = self.condition.to_oql() if self.condition is not None else "true"
@@ -192,7 +311,9 @@ class ProbeJoin(PhysicalOp):
     right_variable: str
     condition: Expr
     algo_name = "probejoin"
-
+    implements = log.BindJoin
+    #: its probe is read from the call history (``CostModel``)
+    cost = None
 
     def _render(self) -> str:
         return (
@@ -207,7 +328,10 @@ class MkUnion(PhysicalOp):
 
     inputs: tuple[PhysicalOp, ...]
     algo_name = "mkunion"
+    implements = log.Union
 
+    def cost(self, *inputs: Cost) -> Cost:
+        return Cost(sum(each.time for each in inputs), sum(each.rows for each in inputs))
 
     def _render(self) -> str:
         return "mkunion(" + ", ".join(child.to_text() for child in self.inputs) + ")"
@@ -219,7 +343,10 @@ class MkFlatten(PhysicalOp):
 
     child: PhysicalOp
     algo_name = "mkflatten"
+    implements = log.Flatten
 
+    def cost(self, child: Cost) -> Cost:
+        return _mediator_pass(child, child.rows)
 
     def _render(self) -> str:
         return f"mkflatten({self.child.to_text()})"
@@ -231,7 +358,10 @@ class MkDistinct(PhysicalOp):
 
     child: PhysicalOp
     algo_name = "mkdistinct"
+    implements = log.Distinct
 
+    def cost(self, child: Cost) -> Cost:
+        return _mediator_pass(child, child.rows)
 
     def _render(self) -> str:
         return f"mkdistinct({self.child.to_text()})"
@@ -252,7 +382,12 @@ class MkGroupBy(PhysicalOp):
     aggregates: tuple[tuple[str, str, Expr], ...]
     child: PhysicalOp
     algo_name = "mkgroupby"
+    implements = log.GroupBy
 
+    def cost(self, child: Cost) -> Cost:
+        # Two expression evaluations per input row (keys and aggregates),
+        # like MkApply; the output is the (much smaller) group list.
+        return _mediator_pass(child, grouped_rows(child.rows, bool(self.keys)), evaluations=2)
 
     def _render(self) -> str:
         keys = ",".join(f"{name}: {expr.to_oql()}" for name, expr in self.keys)
@@ -274,7 +409,13 @@ class MkLimit(PhysicalOp):
     count: int
     child: PhysicalOp
     algo_name = "mklimit"
+    implements = log.Limit
 
+    def cost(self, child: Cost) -> Cost:
+        rows = min(child.rows, float(self.count))
+        # The cap on output rows is what makes pushed-down limits pay off:
+        # every operator above a limit is costed on at most `count` rows.
+        return Cost(child.time + MEDIATOR_OPERATOR_OVERHEAD + rows * MEDIATOR_ROW_COST, rows)
 
     def _render(self) -> str:
         return f"mklimit({self.count}, {self.child.to_text()})"
@@ -286,32 +427,22 @@ class MkBag(PhysicalOp):
 
     values: tuple[Any, ...] = ()
     algo_name = "mkbag"
+    implements = log.BagLiteral
+
+    def cost(self) -> Cost:
+        return Cost(time=0.0, rows=float(len(self.values)))
 
     def _render(self) -> str:
         return "mkbag(" + ", ".join(repr(value) for value in self.values) + ")"
 
 
-#: Paper Section 4: "each physical operation has a corresponding logical
-#: operation" -- the one statement of which.  The first algorithm listed for
-#: a logical operator is its default implementation.  ``Field`` (the source
-#: placeholder inside ``Exec``) and ``Get`` (only ever evaluated inside a
-#: submit, at the source) have no counterpart.
+#: physical algorithm -> the logical operator it implements, read off the
+#: classes above.  The first algorithm defined for a logical operator is its
+#: default implementation.  ``Field`` (the source placeholder inside
+#: ``Exec``) and ``Get`` (only ever evaluated inside a submit, at the source)
+#: have no counterpart.
 IMPLEMENTS: dict[type[PhysicalOp], type[LogicalOp]] = {
-    Exec: log.Submit,
-    MkBag: log.BagLiteral,
-    MkProj: log.Project,
-    MkRename: log.Rename,
-    Filter: log.Select,
-    MkApply: log.Apply,
-    HashJoin: log.Join,
-    NestedLoopJoin: log.Join,
-    MkBindJoin: log.BindJoin,
-    ProbeJoin: log.BindJoin,
-    MkUnion: log.Union,
-    MkFlatten: log.Flatten,
-    MkDistinct: log.Distinct,
-    MkLimit: log.Limit,
-    MkGroupBy: log.GroupBy,
+    cls: cls.implements for cls in PhysicalOp.__subclasses__() if cls.implements is not None
 }
 
 #: (class to build, class to build it from) -> builder, both ways round for

@@ -1,10 +1,9 @@
 """Dispatch-completeness checker.
 
-The algebra is dispatched by ``isinstance`` ladders all over the codebase
-(unparser, cost model, the row composer, the wrapper-side evaluator, the
-mini-SQL renderer, the capability grammar, the degradation ladder...) and by
-one table (the logical<->physical correspondence).  Each :class:`DispatchSite`
-names the functions (or the module-level constant) making up one ladder, which class
+The algebra is dispatched by ``isinstance`` ladders in several places
+(unparser, the row composer, the kernel emitter, the wrapper-side evaluator,
+the mini-SQL renderer, the capability grammar).  Each :class:`DispatchSite`
+names the functions making up one ladder, which class
 :class:`Hierarchy` it dispatches over, and which subclasses it
 **deliberately** does not handle -- with a justification.  The checker
 enumerates the hierarchy from the AST (transitively, across every scanned
@@ -50,7 +49,7 @@ class Hierarchy:
 
 @dataclass(frozen=True)
 class DispatchSite:
-    """One isinstance ladder (or class-tuple constant) to hold complete."""
+    """One isinstance ladder to hold complete."""
 
     name: str  #: display name, e.g. "unparser.unparse"
     module: str  #: repo-relative path containing the ladder
@@ -58,8 +57,6 @@ class DispatchSite:
     #: function qualnames ("Class.method" or "function") forming the ladder;
     #: empty means "scan the whole module"
     functions: tuple[str, ...] = ()
-    #: module-level constant (tuple, frozenset, dict) naming the handled classes
-    constant: str = ""
     #: deliberately unhandled subclasses: ((class, justification), ...)
     exempt: tuple[tuple[str, str], ...] = ()
 
@@ -188,28 +185,6 @@ def _handled_in_functions(
     return handled, missing_fns, first_line
 
 
-def _handled_in_constant(
-    module: SourceModule, constant: str, universe: set[str]
-) -> tuple[set[str], int] | None:
-    for node in module.tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if not any(isinstance(t, ast.Name) and t.id == constant for t in targets):
-            continue
-        handled: set[str] = set()
-        if value is not None:
-            for sub in ast.walk(value):
-                name = tail_name(sub) if isinstance(sub, (ast.Name, ast.Attribute)) else None
-                if name in universe:
-                    handled.add(name)
-        return handled, node.lineno
-    return None
-
-
 def check_dispatch(spec: Spec, modules: list[SourceModule]) -> list[Finding]:
     findings: list[Finding] = []
     by_path = {m.path: m for m in modules}
@@ -240,38 +215,19 @@ def check_dispatch(spec: Spec, modules: list[SourceModule]) -> list[Finding]:
             continue
         members = members_cache[site.hierarchy]
         universe = set(members)
-        if site.constant:
-            found = _handled_in_constant(module, site.constant, universe)
-            if found is None:
-                findings.append(
-                    Finding(
-                        checker="dispatch",
-                        rule="spec-error",
-                        path=site.module,
-                        line=1,
-                        scope=site.name,
-                        message=f"constant `{site.constant}` not found at module level",
-                        detail=f"missing-constant@{site.name}",
-                    )
+        handled, missing_fns, line = _handled_in_functions(module, site.functions, universe)
+        for fn in missing_fns:
+            findings.append(
+                Finding(
+                    checker="dispatch",
+                    rule="spec-error",
+                    path=site.module,
+                    line=1,
+                    scope=site.name,
+                    message=f"dispatch spec names function `{fn}` not found in module",
+                    detail=f"missing-function@{site.name}:{fn}",
                 )
-                continue
-            handled, line = found
-        else:
-            handled, missing_fns, line = _handled_in_functions(
-                module, site.functions, universe
             )
-            for fn in missing_fns:
-                findings.append(
-                    Finding(
-                        checker="dispatch",
-                        rule="spec-error",
-                        path=site.module,
-                        line=1,
-                        scope=site.name,
-                        message=f"dispatch spec names function `{fn}` not found in module",
-                        detail=f"missing-function@{site.name}:{fn}",
-                    )
-                )
         exempt = {cls for cls, _ in site.exempt}
         for cls in sorted(exempt - universe):
             findings.append(

@@ -288,6 +288,10 @@ HIERARCHIES: tuple[Hierarchy, ...] = (
 # Not a site: `runtime/namespace.py` `_translate` (the ladder behind
 # `to_source_namespace`) renames what it knows and rebuilds every other
 # operator through `with_children`, so a new operator cannot fall out of it.
+# Nor are the logical<->physical correspondence and the cost functions: each
+# physical class states `implements` and `cost`, and `PhysicalOp` refuses one
+# that omits either when it is defined; `degrade._STRIPPABLE` is derived from
+# the logical classes.
 #: why Field never needs a dispatch arm (shared by several physical sites)
 _FIELD = "Field is the source placeholder inside Exec, never a plan root"
 #: the operators that only exist above the wrapper boundary
@@ -309,29 +313,6 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
         module="src/repro/algebra/unparser.py",
         hierarchy="logical",
         functions=("_Unparser._decompose",),
-    ),
-    DispatchSite(
-        name="cost.estimate",
-        module="src/repro/optimizer/cost.py",
-        hierarchy="physical",
-        functions=("CostModel._cost_of",),
-        exempt=(("Field", _FIELD),),
-    ),
-    DispatchSite(
-        name="correspondence.physical",
-        module="src/repro/algebra/physical.py",
-        hierarchy="physical",
-        constant="IMPLEMENTS",
-        exempt=(("Field", _FIELD),),
-    ),
-    DispatchSite(
-        name="correspondence.logical",
-        module="src/repro/algebra/physical.py",
-        hierarchy="logical",
-        constant="IMPLEMENTS",
-        exempt=(
-            ("Get", "only ever evaluated inside a submit, at the source; implement() refuses a bare one"),
-        ),
     ),
     DispatchSite(
         name="operators.compose_rows",
@@ -376,22 +357,6 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
             ("BagExpr", _DELEGATED + ": a collection-valued key groups by its hashable stand-in"),
             ("FunctionCall", _DELEGATED + ": a nested call as an aggregate's argument"),
             ("Subquery", _DELEGATED + ": a correlated key or argument asks the run's evaluator per row"),
-        ),
-    ),
-    DispatchSite(
-        name="degrade.strippable",
-        module="src/repro/runtime/degrade.py",
-        hierarchy="logical",
-        constant="_STRIPPABLE",
-        exempt=(
-            ("Get", "the root scan itself: stripping it leaves nothing to submit"),
-            ("Submit", "the degradation ladder runs *inside* one submit"),
-            ("Apply", "computed attributes cannot be compensated row-wise without the source's rows"),
-            ("Join", "multi-leaf pushdown: degrading means splitting, handled by the refuse-to-push path"),
-            ("BindJoin", "never pushed whole: a probe submits select shapes, which the ladder strips"),
-            ("Union", "multi-leaf pushdown: degraded by per-branch splitting, not stripping"),
-            ("Distinct", "stripping distinct would re-ship duplicate rows the mediator cannot attribute"),
-            ("BagLiteral", "literal leaf: nothing smaller to submit"),
         ),
     ),
     DispatchSite(

@@ -10,8 +10,8 @@
   source's vocabulary and its rows back into the mediator's (the local
   transformation maps of Section 2.1), functions of a registry;
 * :mod:`repro.runtime.partial_eval` -- when some sources are unavailable,
-  transforms the partially evaluated physical plan back into a logical plan
-  and then into OQL text: the answer to the query is itself a query.
+  collapses the partially evaluated plan in one pass (obtained rows as data
+  around the unavailable calls): its OQL text, the answer, is itself a query.
 """
 
 from repro.runtime.answercache import AnswerCache

@@ -46,6 +46,8 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator
 
 from repro.algebra import logical as log
+from repro.algebra.capabilities import PUSHABLE_OPERATORS
+from repro.algebra.nodes import ONE, operand_kinds
 from repro.errors import CapabilityError, WrapperError
 from repro.optimizer.implementation import implement
 from repro.runtime.operators import as_struct, compose_rows
@@ -54,16 +56,14 @@ from repro.runtime.operators import as_struct, compose_rows
 #: source's health: degrading the pushdown may succeed where repeating fails.
 DEGRADABLE_ERRORS = (CapabilityError, WrapperError, NotImplementedError)
 
-#: unary operators the ladder strips from a pushdown.  Exactly the unary
-#: members of the pushable vocabulary: ``distinct`` is absent because it
-#: never crosses the wrapper boundary.  ``rename`` is strippable like
-#: ``project``: the ladder peels an alias layer off the pushdown and the
-#: mediator replays it, so aliased pushdowns degrade coherently.  ``groupby``
-#: is strippable too: a source without the terminal ships its (filtered) raw
-#: rows and the mediator re-aggregates them -- the partial-aggregation
-#: compensation, identical under both entry points because both funnel
-#: through :func:`compensate_rows`.
-_STRIPPABLE = (log.Limit, log.Project, log.Rename, log.Select, log.Flatten, log.GroupBy)
+#: unary operators the ladder strips: every unary logical operator in the
+#: pushable vocabulary (``distinct`` never crosses the wrapper boundary).  The
+#: mediator replays what was stripped (:func:`compensate_rows`): an alias layer
+#: for ``rename``, a re-aggregation of the shipped raw rows for ``groupby``.
+_STRIPPABLE = tuple(
+    cls for cls in log.LogicalOp.__subclasses__()
+    if cls.op_name in PUSHABLE_OPERATORS and list(operand_kinds(cls).values()) == [ONE]
+)
 
 #: leaf name standing for "the rows the degraded call returned" during
 #: compensation; never reaches a wrapper.
@@ -85,7 +85,7 @@ def degrade_pushdown(
     operator the mediator cannot compensate for).
     """
     if isinstance(expression, _STRIPPABLE):
-        return expression.child, expression
+        return expression.children()[0], expression
     return None
 
 

@@ -138,4 +138,4 @@ def _skeleton(
     children = [
         collapse(operand) if part is None else part for operand, part in zip(operands, converted)
     ]
-    return phys.counterpart(phys.IMPLEMENTS[type(node)], node, children)
+    return phys.counterpart(node.implements, node, children)

@@ -13,7 +13,7 @@ deadline and writes it off when the deadline, or ``Executor.close()``, gets
 there first.  Every other wrapper round trip is a synchronous call of the
 same loop on the consumer thread, bounded by the query deadline: a
 mid-stream reopen, and each round trip of a probe join (its shapes, key
-cache and re-plan flip are the executor's ``_ProbeRunner``).  The two public
+cache and re-plan flip are :mod:`repro.runtime.probe`).  The two public
 entry points differ in one internal argument, ``materialise``, which fixes
 three things:
 
@@ -86,11 +86,10 @@ from repro.runtime.executor import (
     CompiledCalls,
     ExecReport,
     ExecutionResult,
-    _ProbeRunner,
-    _ProbeUnavailable,
     collect_errors,
 )
 from repro.runtime.partial_eval import PartialAnswerBuilder, Unavailable
+from repro.runtime.probe import _ProbeRunner, _ProbeUnavailable
 from repro.wrappers.base import RESUME_REPLAY, RESUME_TOKEN, ResumableStream
 
 

@@ -19,7 +19,7 @@ from repro import CapabilityError, Mediator, RelationalWrapper
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.expressions import InList
 from repro.algebra.logical import Select, walk
-from repro.runtime import executor as executor_module
+from repro.runtime import probe as probe_module
 from repro.oql.parser import parse_query
 from repro.sources import RelationalEngine, SimulatedServer
 
@@ -52,7 +52,7 @@ class InRefusingWrapper(RelationalWrapper):
 @pytest.fixture
 def no_replan(monkeypatch):
     """Batching, not re-planning, is under test: never flip to a ship."""
-    monkeypatch.setattr(executor_module, "REPLAN_BLOWUP_FACTOR", math.inf)
+    monkeypatch.setattr(probe_module, "REPLAN_BLOWUP_FACTOR", math.inf)
 
 
 def build_probe_mediator(
@@ -233,7 +233,7 @@ def test_blowup_past_the_estimate_flips_to_ship(run):
     """With no history the estimate is ~1 row: once the batches have fetched
     more than ``REPLAN_BLOWUP_FACTOR`` (8) x 1 rows, the runner re-plans into
     one full ship mid-query."""
-    assert executor_module.REPLAN_BLOWUP_FACTOR == 8.0
+    assert probe_module.REPLAN_BLOWUP_FACTOR == 8.0
     mediator, _left, right = build_probe_mediator(range(20), batch_size=4)
     try:
         rows, result = run(mediator)

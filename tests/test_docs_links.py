@@ -7,7 +7,11 @@ Scans every markdown file in the repository root and ``docs/`` for
   ``benchmarks/...``, ``examples/...``, ``docs/...``) -- the file must
   exist;
 * backtick-quoted ``repro.*`` module dotted paths -- the module must exist
-  under ``src/``.
+  under ``src/``;
+* backtick-quoted ``path.py::Name`` and ``path.py::Class.member``
+  references -- the path resolves against the repository root, then
+  ``src/repro/``, then as the unique suffix of a repository file, and that
+  file must define the name.
 
 This is the documented-entry-points-can't-rot counterpart of the CI
 examples-smoke job: renaming a module or benchmark without updating the
@@ -16,6 +20,7 @@ docs fails the build.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -35,6 +40,12 @@ REPO_PATH = re.compile(
     r"`((?:src|tests|benchmarks|examples|docs)/[A-Za-z0-9_./-]+\.(?:py|md))`"
 )
 MODULE_PATH = re.compile(r"`(repro(?:\.[a-z_][a-z0-9_]*)+)`")
+DEFINITION = re.compile(r"`([A-Za-z0-9_./-]+\.py)::\s*([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)`")
+PYTHON_FILES = sorted(
+    path.relative_to(REPO).as_posix()
+    for top in ("src", "tests", "benchmarks", "examples")
+    for path in (REPO / top).rglob("*.py")
+)
 
 
 def doc_files():
@@ -82,6 +93,49 @@ def test_mentioned_modules_exist(doc):
         ):
             missing.append(dotted)
     assert not missing, f"{doc.name}: references missing module(s): {missing}"
+
+
+def resolve(mention):
+    """The repository file a ``path.py`` mention names, or ``None``."""
+    for base in (REPO, REPO / "src" / "repro"):
+        if (base / mention).is_file():
+            return base / mention
+    matches = [path for path in PYTHON_FILES if path.endswith("/" + mention)]
+    return REPO / matches[0] if len(matches) == 1 else None
+
+
+def defined_names(body):
+    """Names a module or class body binds: functions, classes, assignments."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def defines(path, dotted):
+    """Whether ``path`` defines ``Name`` or ``Class.member``."""
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    name, _, member = dotted.partition(".")
+    if not member:
+        return name in defined_names(body)
+    classes = [node for node in body if isinstance(node, ast.ClassDef) and node.name == name]
+    return any(member in defined_names(cls.body) for cls in classes)
+
+
+@pytest.mark.parametrize("doc", doc_files(), ids=lambda path: path.name)
+def test_mentioned_definitions_exist(doc):
+    text = doc.read_text(encoding="utf-8")
+    missing = []
+    for mention, dotted in sorted(set(DEFINITION.findall(text))):
+        path = resolve(mention)
+        if path is None or not defines(path, dotted):
+            missing.append(f"{mention}::{dotted}")
+    assert not missing, f"{doc.name}: references undefined name(s): {missing}"
 
 
 def test_architecture_doc_covers_every_package():

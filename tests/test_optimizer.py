@@ -1,8 +1,12 @@
 """Tests for the optimizer: history, cost model, implementation rules, search, plan cache."""
 
+import dataclasses
 import threading
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra import physical as phys
 from repro.algebra.capabilities import grammar_for
@@ -24,7 +28,7 @@ from repro.algebra.logical import (
 )
 from repro.algebra.rewriter import Rewriter
 from repro.errors import OptimizationError
-from repro.optimizer.cost import CostModel
+from repro.optimizer.cost import Cost, CostMemo, CostModel
 from repro.optimizer import history as history_module
 from repro.optimizer.history import ExecCallHistory, close_signature, exact_signature
 from repro.optimizer.implementation import implement, implementation_alternatives
@@ -281,14 +285,132 @@ class TestCostModel:
         assert double.total() == pytest.approx(2 * single.total())
 
     def test_unknown_operator_raises(self):
-        class Weird(phys.PhysicalOp):
-            algo_name = "weird"
+        """An algorithm with no counterpart and no cost is refused when it is
+        defined, before any plan could hold one."""
+        with pytest.raises(TypeError):
 
-            def to_text(self):
-                return "weird()"
+            class Weird(phys.PhysicalOp):
+                algo_name = "weird"
 
-        with pytest.raises(OptimizationError):
-            self.model().estimate(Weird())
+                def to_text(self):
+                    return "weird()"
+
+
+class TestOneDefinitionSite:
+    """A physical algorithm is one class: its counterpart and its cost live on it."""
+
+    def test_an_algorithm_that_states_both_is_costed_with_no_other_edit(self):
+        @dataclass(frozen=True, eq=False)
+        class MkShuffle(phys.PhysicalOp):
+            child: phys.PhysicalOp
+            algo_name = "mkshuffle"
+            implements = Distinct
+
+            def cost(self, child):
+                return Cost(child.time + 1.0, child.rows * 2)
+
+            def _render(self):
+                return f"mkshuffle({self.child.to_text()})"
+
+        model = CostModel(ExecCallHistory())
+        leaf = implement(submit())
+        below = model.estimate(leaf)
+        assert model.estimate(MkShuffle(leaf)) == Cost(below.time + 1.0, below.rows * 2)
+        assert MkShuffle not in phys.IMPLEMENTS  # the table is the library's own
+
+    @pytest.mark.parametrize("omitted", ["implements", "cost"])
+    def test_an_algorithm_that_omits_either_is_refused_when_defined(self, omitted):
+        stated = {"implements": Distinct, "cost": lambda self, child: child}
+        del stated[omitted]
+        with pytest.raises(TypeError, match=omitted):
+            type("MkHalfDone", (phys.PhysicalOp,), stated)
+
+    def test_the_cost_model_dispatches_on_history_costed_algorithms_only(self):
+        assert [cls for cls in phys.IMPLEMENTS if cls.cost is None] == [phys.Exec, phys.ProbeJoin]
+        assert phys.Field.implements is None and phys.Field.cost is None
+        assert [field.name for field in dataclasses.fields(CostModel)] == ["history"]
+
+
+#: probed by every ``ProbeJoin`` sample; :func:`_probe_history` holds its readings
+_PROBED = Submit("r1", Get("person1"), extent_name="person1")
+
+
+def _probe_history():
+    """A fixed history: the probed extent is big, slow and flaky."""
+    history = ExecCallHistory()
+    history.record("person1", Get("person1"), elapsed=0.02, rows=5000)
+    history.record_failure("person1", Get("person1"), elapsed=0.5)
+    return history
+
+
+def _cost_samples():
+    """One or more nodes per physical algorithm, operands left as placeholders
+    (the property hands in their costs)."""
+    leaf = phys.MkBag()
+    on = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
+    key = (("band", Path(Var("x"), "band")),)
+    count = (("n", "count", Var("x")),)
+    probe = implement(_PROBED)
+    return [
+        phys.MkBag((1, 2, 3)),
+        phys.MkProj(("name",), leaf),
+        phys.MkRename((("name", "who"),), leaf),
+        phys.Filter("x", salary_filter(), leaf),
+        phys.MkApply("x", Path(Var("x"), "name"), leaf),
+        phys.HashJoin(leaf, leaf, "id"),
+        phys.NestedLoopJoin(leaf, leaf, "id"),
+        phys.MkBindJoin(leaf, leaf, "x", "y", on),
+        phys.ProbeJoin(leaf, probe, "x", "y", on),
+        phys.MkUnion((leaf, leaf, leaf)),
+        phys.MkFlatten(leaf),
+        phys.MkDistinct(leaf),
+        phys.MkGroupBy("x", key, count, leaf),
+        phys.MkGroupBy("x", (), count, leaf),
+        phys.MkLimit(5, leaf),
+        phys.MkLimit(0, leaf),
+    ]
+
+
+COST_SAMPLES = _cost_samples()
+AMOUNTS = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+
+
+def _costed(node, operands):
+    """``node``'s cost over the given operand costs: its own formula, or the
+    cost model's on a fixed history for the history-costed ``ProbeJoin``."""
+    if node.cost is not None:
+        return node.cost(*operands)
+    memo = CostMemo()
+    memo.plans[id(node.left)] = (node.left, operands[0])
+    return CostModel(_probe_history()).estimate(node, memo)
+
+
+class TestCostFunctionsAreMonotone:
+    """The plan search keeps Pareto sets, which is only sound while every cost
+    function is nondecreasing in each operand's time and rows."""
+
+    def test_every_algorithm_but_the_history_costed_exec_is_sampled(self):
+        sampled = {type(node) for node in COST_SAMPLES}
+        assert sampled == {cls for cls in phys.IMPLEMENTS if cls is not phys.Exec}
+
+    @settings(derandomize=True, max_examples=400)
+    @given(
+        st.sampled_from(COST_SAMPLES),
+        st.lists(st.tuples(AMOUNTS, AMOUNTS), min_size=3, max_size=3),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from(["time", "rows"]),
+        AMOUNTS,
+    )
+    def test_raising_one_operand_never_lowers_the_result(self, node, amounts, which, field, more):
+        operands = [Cost(time, rows) for time, rows in amounts[: len(node.children())]]
+        before = _costed(node, operands)
+        if operands:
+            which %= len(operands)
+            operands[which] = dataclasses.replace(
+                operands[which], **{field: getattr(operands[which], field) + more}
+            )
+        after = _costed(node, operands)
+        assert after.time >= before.time and after.rows >= before.rows
 
 
 class TestOptimizerSearch:

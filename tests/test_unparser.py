@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import math
 import textwrap
 from collections.abc import Mapping
 
@@ -11,6 +12,7 @@ import pytest
 
 from repro.algebra import expressions, unparser
 from repro.algebra.expressions import (
+    Arithmetic,
     BagExpr,
     Comparison,
     Const,
@@ -224,11 +226,11 @@ def _containers(children):
 
 VALUES = st.recursive(SCALARS, _containers, max_leaves=12)
 
-#: the one value the writer spells differently from the one it replaced: an
+#: the values the writer spells differently from the one it replaced: an
 #: infinity is the overflowing exponent the number scanner reads back, not the
-#: name ``inf`` (``nan`` has no literal form and stays out).
+#: name ``inf``, and ``nan``, which has no literal, is ``(1e999 - 1e999)``.
 READABLE_VALUES = st.recursive(
-    st.one_of(SCALARS, st.floats(allow_nan=False, allow_infinity=True)),
+    st.one_of(SCALARS, st.floats(allow_nan=True, allow_infinity=True)),
     _containers,
     max_leaves=12,
 )
@@ -243,6 +245,8 @@ def shape(value):
         return ("bag", tuple(shape(item) for item in value))
     if isinstance(value, str):
         return ("str", str(value))
+    if isinstance(value, float) and math.isnan(value):
+        return ("float", "nan")  # nan equals nothing, itself included
     return (type(value).__name__, value)
 
 
@@ -253,6 +257,8 @@ def parsed_shape(expression):
         return ("struct", tuple((name, parsed_shape(field)) for name, field in expression.fields))
     if isinstance(expression, BagExpr):
         return ("bag", tuple(parsed_shape(item) for item in expression.items))
+    if isinstance(expression, Arithmetic):  # nan: infinity minus itself
+        return shape(expression.compile()({}))
     assert isinstance(expression, Const)
     return shape(expression.value)
 
@@ -284,6 +290,13 @@ class TestLiteralWriter:
         assert literal_to_oql(Struct({"lo": float("-inf")})) == "struct(lo: -1e999)"
         text = "select x from x in bag(1e999, -1e999)"
         assert parse_query(text).to_oql() == text
+
+    def test_nan_is_written_as_infinity_minus_itself(self):
+        assert literal_to_oql(float("nan")) == "(1e999 - 1e999)"
+        bag = parse_query(f"bag({literal_to_oql(float('nan'))}, 1)")
+        assert math.isnan(bag.items[0].compile()({}))
+        where = parse_query(f"select x from x in p where x.a = {literal_to_oql(float('nan'))}")
+        assert math.isnan(where.where.right.compile()({}))
 
     def test_bool_is_written_as_a_keyword_not_as_a_number(self):
         assert literal_to_oql(True) == "true"
