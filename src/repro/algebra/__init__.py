@@ -8,8 +8,8 @@
   DISCO-specific ``submit(source, expression)``;
 * :mod:`repro.algebra.physical` -- physical algorithms: ``exec``, ``mkproj``,
   ``filter``, ``hash-join``, ``nested-loop-join``, ``mkunion``, ...;
-* :mod:`repro.algebra.capabilities` -- wrapper capability descriptions, both
-  as flat operator sets and as the grammars of Section 3.2;
+* :mod:`repro.algebra.capabilities` -- wrapper capability descriptions: one
+  operator set per wrapper, and the grammar of Section 3.2 it describes;
 * :mod:`repro.algebra.rules` and :mod:`repro.algebra.rewriter` -- the
   transformation rules (push-downs into ``submit``) and the rule engine;
 * :mod:`repro.algebra.unparser` -- turning logical plans back into OQL text,
@@ -19,7 +19,7 @@
 from repro.algebra import expressions
 from repro.algebra import logical
 from repro.algebra import physical
-from repro.algebra.capabilities import CapabilityGrammar, CapabilitySet, grammar_for
+from repro.algebra.capabilities import CapabilitySet, grammar_for
 from repro.algebra.rewriter import Rewriter
 from repro.algebra.unparser import logical_to_oql
 
@@ -27,7 +27,6 @@ __all__ = [
     "expressions",
     "logical",
     "physical",
-    "CapabilityGrammar",
     "CapabilitySet",
     "grammar_for",
     "Rewriter",

@@ -69,11 +69,11 @@ class TextCachedNode:
 class LogicalOp(TextCachedNode, Node):
     """Base class for logical operator nodes (children: the fields typed ``LogicalOp``)."""
 
-    #: operator name used by capability grammars and transformation rules
+    #: operator name used by capability sets and transformation rules
     op_name: str = "logical"
 
-    #: the capability grammar objects that accepted this whole tree, by
-    #: identity (``CapabilityGrammar.admits``); set on the instance, never the class
+    #: the capability sets that accepted this whole tree, by identity
+    #: (``CapabilitySet.admits``); set on the instance, never the class
     _admitted_by: tuple[Any, ...] = ()
 
     def __repr__(self) -> str:

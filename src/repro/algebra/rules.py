@@ -1,21 +1,22 @@
 """Transformation rules over logical expressions (paper Section 3.2).
 
-Each rule rewrites a logical expression into an equivalent one.  The rules
-that move work across the ``submit`` boundary must first consult the wrapper's
-capability grammar (obtained through the ``submit-functionality`` interface);
-a rule silently declines to fire when the wrapper would not understand the
-resulting expression, which is how "transformation rules insure that wrapper
+Each rule rewrites a logical expression into an equivalent one, and states
+one shape for every operator it applies to.  The rule that moves work across
+the ``submit`` boundary must first consult the wrapper's capabilities
+(obtained through the ``submit-functionality`` interface); it silently
+declines to fire when the wrapper would not understand the resulting
+expression, which is how "transformation rules insure that wrapper
 functionality is not violated".
 
 The capability resolver passed to every rule maps a :class:`Submit` node to
-the grammar of the wrapper serving that extent.
+the capabilities of the wrapper serving that extent.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Protocol
 
-from repro.algebra.capabilities import CapabilityGrammar
+from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.expressions import (
     Expr,
     FunctionCall,
@@ -41,7 +42,10 @@ from repro.algebra.logical import (
     Union,
 )
 
-CapabilityResolver = Callable[[Submit], CapabilityGrammar]
+CapabilityResolver = Callable[[Submit], CapabilitySet]
+
+#: the operators that compute one output element per input element
+_ONE_TO_ONE = (Project, Apply)
 
 
 class TransformationRule(Protocol):
@@ -54,113 +58,71 @@ class TransformationRule(Protocol):
         ...
 
 
-def _predicate_is_pushable(select: Select) -> bool:
-    """A predicate can cross the wrapper boundary only if it is self-contained.
+def _self_contained(node: LogicalOp) -> bool:
+    """Can the expressions ``node`` evaluates per element cross the wrapper interface?
 
     The paper forbids passing mediator object references, path expressions
     into mediator data and mediator-defined functions through the wrapper
-    interface; concretely the predicate may only mention the select's own
-    variable and constants, and may not contain nested subqueries.
+    interface; concretely a select's predicate, an apply's expression and a
+    groupby's keys and aggregate arguments may only mention the node's own
+    variable and constants, and may not contain nested subqueries.  A node
+    that evaluates no expression is self-contained.
     """
-    predicate = select.predicate
-    if predicate.free_variables() - {select.variable}:
-        return False
-    for node in walk_expr(predicate):
-        if isinstance(node, Subquery):
-            return False
-    return True
+    if isinstance(node, GroupBy):
+        expressions = [expr for _, expr in node.keys] + [arg for _, _, arg in node.aggregates]
+    elif isinstance(node, Select):
+        expressions = [node.predicate]
+    elif isinstance(node, Apply):
+        expressions = [node.expression]
+    else:
+        return True
+    return all(
+        expression.free_variables() <= {node.variable} and not contains_subquery(expression)
+        for expression in expressions
+    )
 
 
-class PushProjectIntoSubmit:
-    """``project(attrs, submit(r, e))`` -> ``submit(r, project(attrs, e))``."""
+class PushIntoSubmit:
+    """``op(submit(r, e1), ..., submit(r, en))`` -> ``submit(r, op(e1, ..., en))``.
 
-    name = "push-project-into-submit"
-
-    def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
-        if not isinstance(node, Project) or not isinstance(node.child, Submit):
-            return []
-        submit = node.child
-        pushed = Project(node.attributes, submit.expression)
-        if not capabilities(submit).accepts(pushed):
-            return []
-        return [Submit(submit.source, pushed, extent_name=submit.extent_name)]
-
-
-class PushSelectIntoSubmit:
-    """``select(p, submit(r, e))`` -> ``submit(r, select(p, e))``."""
-
-    name = "push-select-into-submit"
-
-    def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
-        if not isinstance(node, Select) or not isinstance(node.child, Submit):
-            return []
-        if not _predicate_is_pushable(node):
-            return []
-        submit = node.child
-        pushed = Select(node.variable, node.predicate, submit.expression)
-        if not capabilities(submit).accepts(pushed):
-            return []
-        return [Submit(submit.source, pushed, extent_name=submit.extent_name)]
-
-
-class PushJoinIntoSubmit:
-    """``join(submit(r, e1), submit(r, e2), a)`` -> ``submit(r, join(e1, e2, a))``.
-
-    Only fires when both operands live at the *same* source: the ``submit``
-    operator has RPC semantics and cannot ship data between sources (the
-    paper's semijoin restriction).
+    For a project, select, limit, groupby or join whose operands are all
+    submits to the *same* source: the ``submit`` operator has RPC semantics
+    and cannot ship data between sources (the paper's semijoin restriction).
+    The operator crosses the boundary only when its expressions are
+    self-contained and the wrapper accepts the pushed expression -- the
+    ``limit`` terminal is the fetch-size pushdown (the source stops after
+    ``n`` rows), ``groupby`` the summarization one (one row per group crosses
+    the wire) -- and a limit only when none as tight is in force there.
     """
 
-    name = "push-join-into-submit"
+    name = "push-into-submit"
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
-        if not isinstance(node, Join):
+        if not isinstance(node, (Project, Select, Limit, GroupBy, Join)):
             return []
-        left, right = node.left, node.right
-        if not (isinstance(left, Submit) and isinstance(right, Submit)):
+        submits = node.children()
+        first = submits[0]
+        if not all(isinstance(submit, Submit) and submit.source == first.source for submit in submits):
             return []
-        if left.source != right.source:
+        if not _self_contained(node):
             return []
-        pushed = Join(
-            left.expression,
-            right.expression,
-            node.on,
-            left_variable=node.left_variable,
-            right_variable=node.right_variable,
-        )
-        if not capabilities(left).accepts(pushed):
+        if isinstance(node, Limit) and _effectively_limited(first.expression, node.count):
             return []
-        return [Submit(left.source, pushed, extent_name=left.extent_name)]
+        pushed = node.with_children([submit.expression for submit in submits])
+        if not capabilities(first).accepts(pushed):
+            return []
+        return [Submit(first.source, pushed, extent_name=first.extent_name)]
 
 
-class PushProjectThroughUnion:
-    """``project(attrs, union(e1, ..., en))`` -> ``union(project(attrs, e1), ...)``."""
+class DistributeOverUnion:
+    """``op(union(e1, ..., en))`` -> ``union(op(e1), ..., op(en))`` for a select or project."""
 
-    name = "push-project-through-union"
+    name = "distribute-over-union"
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
-        if not isinstance(node, Project) or not isinstance(node.child, Union):
+        if not isinstance(node, (Select, Project)) or not isinstance(node.child, Union):
             return []
-        rewritten = Union(
-            tuple(Project(node.attributes, child) for child in node.child.inputs)
-        )
-        return [rewritten]
-
-
-class PushSelectThroughUnion:
-    """``select(p, union(e1, ..., en))`` -> ``union(select(p, e1), ...)``."""
-
-    name = "push-select-through-union"
-
-    def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
-        if not isinstance(node, Select) or not isinstance(node.child, Union):
-            return []
-        rewritten = Union(
-            tuple(
-                Select(node.variable, node.predicate, child) for child in node.child.inputs
-            )
-        )
-        return [rewritten]
+        return [Union(tuple(node.with_children([child]) for child in node.child.inputs))]
 
 
 def _bindjoin_bound_variables(join: BindJoin) -> set[str]:
@@ -224,12 +186,28 @@ class PushConditionIntoBindJoin:
         return [rewritten]
 
 
+def _reads_only(predicate: Expr, variable: str, attributes: tuple[str, ...]) -> bool:
+    """True when every occurrence of ``variable`` in ``predicate`` is the base
+    of a path to one of ``attributes`` -- never the element read whole, never
+    a nested subquery's (which may read it either way)."""
+    occurrences = kept = 0
+    for node in walk_expr(predicate):
+        if isinstance(node, Var) and node.name == variable:
+            occurrences += 1
+        elif isinstance(node, Path) and isinstance(node.base, Var) and node.base.name == variable:
+            kept += node.attribute in attributes
+        elif isinstance(node, Subquery) and variable in node.free_variables():
+            return False
+    return occurrences == kept
+
+
 class CommuteSelectProject:
     """``select(p, project(attrs, e))`` -> ``project(attrs, select(p, e))``.
 
-    Legal only when the predicate references attributes that survive the
-    projection (it always does in plans built by the translator, but the guard
-    keeps the rule sound on hand-built plans).
+    Legal only when the predicate reads the element through attributes that
+    survive the projection: below it, ``y`` is the unprojected element, so a
+    predicate comparing ``y`` whole (or reading an attribute the projection
+    drops) would see another value there.
     """
 
     name = "commute-select-project"
@@ -238,59 +216,42 @@ class CommuteSelectProject:
         if not isinstance(node, Select) or not isinstance(node.child, Project):
             return []
         project = node.child
-        used = {attr for _, attr in node.predicate.attribute_paths()}
-        if not used <= set(project.attributes):
+        if not _reads_only(node.predicate, node.variable, project.attributes):
             return []
         return [Project(project.attributes, Select(node.variable, node.predicate, project.child))]
 
 
-class PushLimitThroughProject:
-    """``limit(n, project(attrs, e))`` -> ``project(attrs, limit(n, e))``.
+class PushLimitThroughOneToOne:
+    """``limit(n, op(e))`` -> ``op(limit(n, e))`` for a project or apply.
 
-    A projection is one-to-one per element, so truncating before or after it
-    yields the same bag; truncating first lets the streaming engine stop the
-    child pipeline (and cancel exec calls) earlier.
+    Both compute one output element per input element, so truncating before
+    or after them yields the same bag; truncating first saves per-element
+    work and lets the streaming engine stop the child pipeline (and cancel
+    exec calls) earlier.  (Select and distinct change cardinality, so limit
+    never crosses those.)
     """
 
-    name = "push-limit-through-project"
+    name = "push-limit-through-one-to-one"
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
-        if not isinstance(node, Limit) or not isinstance(node.child, Project):
-            return []
-        project = node.child
-        return [Project(project.attributes, Limit(node.count, project.child))]
-
-
-class PushLimitThroughApply:
-    """``limit(n, apply(v: e, child))`` -> ``apply(v: e, limit(n, child))``.
-
-    Apply computes one output element per input element, so the truncation
-    commutes; pushing it below saves per-element computation and, under the
-    streaming engine, stops the child pipeline earlier.  (Select and
-    distinct change cardinality, so limit never crosses those.)
-    """
-
-    name = "push-limit-through-apply"
-
-    def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
-        if not isinstance(node, Limit) or not isinstance(node.child, Apply):
+        if not isinstance(node, Limit) or not isinstance(node.child, _ONE_TO_ONE):
             return []
         inner = node.child
-        return [Apply(inner.variable, inner.expression, Limit(node.count, inner.child))]
+        return [inner.with_children([node.with_children([inner.child])])]
 
 
 def _effectively_limited(node: LogicalOp, count: int) -> bool:
     """True when ``node`` already produces at most ``count`` elements.
 
-    Looks through the one-to-one operators (project/apply) that the other
-    limit rules push a limit below, so a branch rewritten to
+    Looks through the one-to-one operators (project/apply) that
+    PushLimitThroughOneToOne pushes a limit below, so a branch rewritten to
     ``project(a, limit(n, e))`` is recognized as limited and not re-wrapped
-    -- otherwise PushLimitThroughUnion and PushLimitThroughProject would feed
+    -- otherwise PushLimitThroughUnion and PushLimitThroughOneToOne would feed
     each other nested limits forever.  A ``submit`` whose pushed expression is
-    limited counts too (PushLimitIntoSubmit moved the cap across the wrapper
+    limited counts too (PushIntoSubmit moved the cap across the wrapper
     boundary), for the same termination reason.
     """
-    while isinstance(node, (Project, Apply)):
+    while isinstance(node, _ONE_TO_ONE):
         node = node.child
     if isinstance(node, Submit):
         return _effectively_limited(node.expression, count)
@@ -324,75 +285,13 @@ class PushLimitThroughUnion:
         return [Limit(node.count, Union(limited))]
 
 
-class PushLimitIntoSubmit:
-    """``limit(n, submit(r, e))`` -> ``submit(r, limit(n, e))``.
-
-    The fetch-size pushdown: the limit crosses the wrapper boundary only when
-    the wrapper's grammar accepts the limited expression (the ``limit``
-    capability terminal), in which case the source stops producing after
-    ``n`` rows instead of shipping its full extent.
-    """
-
-    name = "push-limit-into-submit"
-
-    def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
-        if not isinstance(node, Limit) or not isinstance(node.child, Submit):
-            return []
-        submit = node.child
-        if _effectively_limited(submit.expression, node.count):
-            return []
-        pushed = Limit(node.count, submit.expression)
-        if not capabilities(submit).accepts(pushed):
-            return []
-        return [Submit(submit.source, pushed, extent_name=submit.extent_name)]
-
-
-def _groupby_expressions_pushable(node: GroupBy) -> bool:
-    """Key and aggregate expressions may only mention the group variable.
-
-    Same restriction as pushed predicates: no outer variables, no nested
-    subqueries -- those cannot cross the wrapper interface.
-    """
-    expressions: list[Expr] = [expr for _, expr in node.keys]
-    expressions += [arg for _, _, arg in node.aggregates]
-    for expression in expressions:
-        if expression.free_variables() - {node.variable}:
-            return False
-        if contains_subquery(expression):
-            return False
-    return True
-
-
-class PushGroupByIntoSubmit:
-    """``groupby(k; a, submit(r, e))`` -> ``submit(r, groupby(k; a, e))``.
-
-    The summarization pushdown: grouping crosses the wrapper boundary only
-    when the wrapper's grammar accepts the grouped expression (the
-    ``groupby`` capability terminal), in which case one row per group crosses
-    the wire instead of the whole extent.
-    """
-
-    name = "push-groupby-into-submit"
-
-    def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
-        if not isinstance(node, GroupBy) or not isinstance(node.child, Submit):
-            return []
-        if not _groupby_expressions_pushable(node):
-            return []
-        submit = node.child
-        pushed = GroupBy(node.variable, node.keys, node.aggregates, submit.expression)
-        if not capabilities(submit).accepts(pushed):
-            return []
-        return [Submit(submit.source, pushed, extent_name=submit.extent_name)]
-
-
 def _already_grouped(node: LogicalOp) -> bool:
     """True when ``node`` is a grouping branch (possibly pushed into a submit).
 
     The look-through mirrors ``_effectively_limited``: once
     PushGroupByThroughUnion has decomposed an aggregation into per-branch
-    partials, later passes must recognize a partial that
-    PushGroupByIntoSubmit subsequently moved across the wrapper boundary --
+    partials, later passes must recognize a partial that PushIntoSubmit
+    subsequently moved across the wrapper boundary --
     otherwise the combine-over-union-of-submits shape would be decomposed
     again, forever.
     """
@@ -498,17 +397,11 @@ class CollapseNestedLimits:
 
 DEFAULT_RULES: tuple[TransformationRule, ...] = (
     PushConditionIntoBindJoin(),
-    PushSelectThroughUnion(),
-    PushProjectThroughUnion(),
-    PushSelectIntoSubmit(),
-    PushProjectIntoSubmit(),
-    PushJoinIntoSubmit(),
+    DistributeOverUnion(),
+    PushIntoSubmit(),
     CommuteSelectProject(),
     CollapseNestedLimits(),
-    PushLimitIntoSubmit(),
-    PushLimitThroughProject(),
-    PushLimitThroughApply(),
+    PushLimitThroughOneToOne(),
     PushLimitThroughUnion(),
     PushGroupByThroughUnion(),
-    PushGroupByIntoSubmit(),
 )

@@ -397,18 +397,6 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
             ("Subquery", "never pushed below the wrapper boundary"),
         ),
     ),
-    DispatchSite(
-        name="capabilities.matches",
-        module="src/repro/algebra/capabilities.py",
-        hierarchy="logical",
-        functions=("CapabilityGrammar._matches",),
-        exempt=(
-            ("Submit", "submits are what grammars gate, not what they contain"),
-            ("BindJoin", "rewritten to batched probes before capability checking"),
-            ("Apply", _MEDIATOR_ONLY),
-            ("Distinct", "no `distinct` capability terminal exists"),
-        ),
-    ),
 )
 
 # --------------------------------------------------------------------------- assembly

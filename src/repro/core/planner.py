@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.capabilities import CapabilityGrammar, grammar_for
+from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.logical import LogicalOp, Submit
 from repro.algebra.rewriter import Rewriter
 from repro.core.registry import Registry
@@ -63,15 +63,15 @@ class QueryPlanner:
         self.plan_cache = PlanCache()
 
     # -- capability resolution ------------------------------------------------------------
-    def _capabilities_for_submit(self, submit: Submit) -> CapabilityGrammar:
-        """The ``submit-functionality`` call: ask the extent's wrapper for its grammar."""
+    def _capabilities_for_submit(self, submit: Submit) -> CapabilitySet:
+        """The ``submit-functionality`` call: ask the extent's wrapper for its capabilities."""
         extent_name = submit.extent_name or submit.source
         try:
             meta = self.registry.extent(extent_name)
             wrapper = self.registry.wrapper_object(meta.wrapper)
         except SchemaError:
             # Unknown extent (hand-built plan): assume the minimal wrapper.
-            return grammar_for({"get"})
+            return CapabilitySet.get_only()
         return wrapper.submit_functionality()
 
     # -- the pipeline -----------------------------------------------------------------------

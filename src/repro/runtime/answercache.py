@@ -54,10 +54,10 @@ from repro.algebra.expressions import (
     AGGREGATE_FUNCTIONS,
     FunctionCall,
     conjunction,
-    contains_subquery,
     split_conjuncts,
     walk_expr,
 )
+from repro.algebra.rules import _self_contained
 from repro.optimizer.plancache import normalize_query_text
 from repro.runtime.operators import ENV_VARIABLE
 
@@ -117,16 +117,12 @@ def _strippable_delta(op: log.LogicalOp) -> bool:
     if isinstance(op, (log.Limit, log.Distinct, log.Project)):
         return True
     if isinstance(op, log.Select):
-        return (
-            not contains_subquery(op.predicate)
-            and op.predicate.free_variables() <= {op.variable}
-        )
+        return _self_contained(op)
     if isinstance(op, log.Apply):
         return (
             op.variable != ENV_VARIABLE
-            and not contains_subquery(op.expression)
             and not _has_aggregate(op.expression)
-            and op.expression.free_variables() <= {op.variable}
+            and _self_contained(op)
         )
     return False
 

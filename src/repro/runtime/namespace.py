@@ -83,10 +83,9 @@ def row_normaliser(renames: Mapping[str, str]) -> Callable[[Any], Any]:
 
 
 def _wrapper_accepts(wrapper: Any, expression: log.LogicalOp) -> bool:
-    """True when the wrapper's declared grammar accepts ``expression``."""
+    """True when the wrapper's declared capabilities accept ``expression``."""
     try:
-        grammar = wrapper.submit_functionality()
-        return bool(grammar.admits(expression))
+        return bool(wrapper.submit_functionality().admits(expression))
     except Exception:
         return False
 

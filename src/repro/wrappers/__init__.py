@@ -2,7 +2,7 @@
 
 Every wrapper implements two calls:
 
-* ``submit_functionality()`` -- return the capability grammar describing which
+* ``submit_functionality()`` -- return the capability set describing which
   logical operators (and which compositions) the wrapper understands;
 * ``submit(expression)`` -- evaluate a logical expression, already translated
   into the *source's* name space, and return rows.

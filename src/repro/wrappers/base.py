@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.algebra.capabilities import CapabilityGrammar, CapabilitySet
+from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.logical import (
     BagLiteral,
     Flatten,
@@ -102,21 +102,20 @@ class Wrapper:
     def __init__(self, name: str, capabilities: CapabilitySet):
         self.name = name
         self.capabilities = capabilities
-        self._grammar = capabilities.to_grammar()
 
     # -- the two calls of the wrapper interface ------------------------------------------
-    def submit_functionality(self) -> CapabilityGrammar:
-        """Return the grammar describing the supported logical operators."""
-        return self._grammar
+    def submit_functionality(self) -> CapabilitySet:
+        """Return the capabilities: the supported logical operators."""
+        return self.capabilities
 
     def submit(self, expression: LogicalOp) -> list[Row]:
         """Evaluate ``expression`` (in the source's name space) and return rows.
 
-        The expression is re-checked against the capability grammar: an
-        illegal expression indicates an optimizer bug or a hand-built plan, so
-        it fails loudly instead of silently changing query semantics.  The
-        grammar walks a tree it has not accepted before in full
-        (:meth:`~repro.algebra.capabilities.CapabilityGrammar.admits`).
+        The expression is re-checked against the capabilities: an illegal
+        expression indicates an optimizer bug or a hand-built plan, so it
+        fails loudly instead of silently changing query semantics.  A tree
+        not accepted before is walked in full
+        (:meth:`~repro.algebra.capabilities.CapabilitySet.admits`).
         """
         self._check_capability(expression)
         return self._execute(expression)
@@ -150,8 +149,8 @@ class Wrapper:
         return self._resume_stream(expression, resume_from)
 
     def _check_capability(self, expression: LogicalOp) -> None:
-        """Fail loudly when ``expression`` is outside the wrapper's grammar."""
-        if not self._grammar.admits(expression):
+        """Fail loudly when ``expression`` is outside the wrapper's capabilities."""
+        if not self.capabilities.admits(expression):
             raise CapabilityError(
                 f"wrapper {self.name!r} does not accept expression {expression.to_text()}"
             )

@@ -14,6 +14,7 @@ expression.
 from __future__ import annotations
 
 import gc
+import threading
 import weakref
 
 import pytest
@@ -21,7 +22,7 @@ import pytest
 from benchmarks.spine import federation, workloads
 from repro import Mediator, RelationalWrapper, TypeConflictError
 from repro.algebra import physical as phys
-from repro.algebra.capabilities import CapabilityGrammar, CapabilitySet, PUSHABLE_OPERATORS
+from repro.algebra.capabilities import CapabilitySet, PUSHABLE_OPERATORS
 from repro.algebra.expressions import InList
 from repro.algebra.logical import Get, Select, Submit
 from repro.baselines import GetOnlyWrapper
@@ -49,17 +50,24 @@ class Counters:
         self.grammar_walks = 0
         self.close_signatures = 0
         self.type_checks = 0
-        plan, accepts = namespace.namespace_plan, CapabilityGrammar.accepts
+        plan, accepts = namespace.namespace_plan, CapabilitySet.accepts
         close, check = history_module.close_signature, Executor._check_types
 
         def namespace_plan(*args, **kwargs):
             self.namespace_plans += 1
             return plan(*args, **kwargs)
 
-        def grammar_accepts(grammar, expr, symbol=None):
-            if symbol is None:  # a walk from the start symbol; the recursion names one
+        walking = threading.local()
+
+        def capabilities_accept(capabilities, expr):
+            depth = getattr(walking, "depth", 0)
+            if depth == 0:  # a walk from the root; accepting its operands is the same walk
                 self.grammar_walks += 1
-            return accepts(grammar, expr, symbol)
+            walking.depth = depth + 1
+            try:
+                return accepts(capabilities, expr)
+            finally:
+                walking.depth = depth
 
         def close_signature(*args, **kwargs):
             self.close_signatures += 1
@@ -70,7 +78,7 @@ class Counters:
             return check(executor, meta, wrapper)
 
         monkeypatch.setattr(namespace, "namespace_plan", namespace_plan)
-        monkeypatch.setattr(CapabilityGrammar, "accepts", grammar_accepts)
+        monkeypatch.setattr(CapabilitySet, "accepts", capabilities_accept)
         monkeypatch.setattr(history_module, "close_signature", close_signature)
         monkeypatch.setattr(Executor, "_check_types", check_types)
 
@@ -311,14 +319,14 @@ def test_a_submit_replaced_on_the_wrapper_instance_is_the_one_called():
 
 
 def test_a_swapped_grammar_walks_the_compiled_expression_again():
-    """The verdict is keyed on the identity of the grammar object: a wrapper
-    given another grammar re-checks an expression the old one accepted."""
+    """The verdict is keyed on the identity of the capability set: a wrapper
+    given another set re-checks an expression the old one accepted."""
     mediator, server = build_remappable()
     try:
         text = "select x.name from x in person0"
         assert not mediator.query(text).is_partial
         wrapper = mediator.registry.wrapper_object("w0")
-        wrapper._grammar = CapabilitySet.get_only().to_grammar()
+        wrapper.capabilities = CapabilitySet.get_only()
         requests = server.statistics.requests
         refused = mediator.query(text)
         assert refused.from_plan_cache and refused.is_partial

@@ -214,7 +214,6 @@ class TestDegradingRetryEndToEnd:
         # Capabilities narrowed to get so the pushed expression is minimal
         # and the failures are genuinely transient.
         wrapper.capabilities = CapabilitySet.get_only()
-        wrapper._grammar = wrapper.capabilities.to_grammar()
         mediator = build_mediator(wrapper, max_retries=2)
         mediator.executor.config.retry_backoff = 0.001
         result, rows = self.run(mediator, engine)

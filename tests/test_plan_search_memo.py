@@ -18,6 +18,8 @@ keep two searches that share nothing as references:
   upper bound on fed8, where the limit shape's closure is beyond any
   enumeration.  With this file's history the groups are strictly cheaper on
   the filter, limit and groupby shapes and equal on the other three;
+* soundness -- every member of a query's root group, implemented and run,
+  returns the query's answer (the cost model never picks most of them);
 * counting, not timing -- how often rules, the exec-call history and the
   renderer of a partial answer's rows are consulted during one search;
 * no leakage and determinism -- nothing a search learned is seen by the
@@ -58,7 +60,7 @@ from repro.optimizer.implementation import implement, implementation_alternative
 from repro.optimizer.optimizer import Optimizer
 from repro.sources import RelationalEngine, SimulatedServer, generate_person_rows
 from repro.sources.sql.engine import SqlEngine
-from tests.test_engine_equivalence import build_mediator, random_query
+from tests.test_engine_equivalence import build_mediator, multiset, random_query
 
 PERSON = [("id", "Long"), ("name", "String"), ("salary", "Short")]
 #: generator queries held to the exhaustive optimum; the nightly CI job
@@ -375,16 +377,22 @@ def adhoc_federation(extents: int) -> tuple[Mediator, list[LogicalOp]]:
 # -- (a) differential ----------------------------------------------------------------------
 
 
+def harness_queries() -> list[tuple[str, int | None]]:
+    """``QUERIES`` of the equivalence generator's ``(text, limit)`` pairs."""
+    rng = random.Random(20260928)
+    return [random_query(rng) for _ in range(QUERIES)]
+
+
+def with_limit(text: str, limit: int | None) -> str:
+    return text if limit is None else f"{text} limit {limit}"
+
+
 @pytest.fixture(scope="module")
 def harness_plans():
     """Logical plans of the equivalence generator's queries, over a history
     with observations (so costs are not all the paper's default)."""
     mediator, _ = build_mediator()
-    rng = random.Random(20260928)
-    queries = []
-    for _ in range(QUERIES):
-        text, limit = random_query(rng)
-        queries.append(text if limit is None else f"{text} limit {limit}")
+    queries = [with_limit(text, limit) for text, limit in harness_queries()]
     for text in queries[:20]:
         mediator.query(text).rows()
     plans = [logical_plan(mediator, text) for text in dict.fromkeys(queries)]
@@ -426,6 +434,45 @@ def test_the_chosen_cost_is_the_exhaustive_optimum_on_the_harness_queries(harnes
         compared += 1
         assert same_cost(optimizer.optimize(plan).cost.time, reference[0]), plan.to_text()
     assert compared >= len(plans) // 2
+
+
+#: a select reading its element whole, over a projection: the projected subquery and the view
+PROJECTED = "select struct(name: x.name) from x in person"
+WHOLE_ELEMENT = [
+    f'select y from y in ({PROJECTED}) where y = struct(name: "ann")',
+    'select y from y in names where y = struct(name: "ann")',
+    'select y from y in names where y = struct(name: "ann") or y.name = "bob"',
+]
+
+
+def test_every_member_of_the_root_group_returns_the_same_answer():
+    """Rule soundness: whatever the rules put in the root group is the query.
+
+    Every member is implemented and run (the cost model never chooses most
+    of them, so an unsound rewrite can hide behind a cheaper sound one); a
+    limit query's members each return the limit's length of a sub-multiset
+    of the unlimited answer."""
+    mediator, _ = build_mediator()
+    try:
+        mediator.define_view("names", PROJECTED)
+        queries = harness_queries() + [(text, None) for text in WHOLE_ELEMENT]
+        for text, limit in dict.fromkeys(queries):
+            query = with_limit(text, limit)
+            unlimited = multiset(mediator.query(text).rows())
+            memo = mediator.planner.rewriter.alternatives(logical_plan(mediator, query))
+            members = memo.members(memo.root)
+            assert len(members) > 1 or text not in WHOLE_ELEMENT, query
+            for member, _ in members:
+                result = mediator.executor.execute(implement(member))
+                assert not result.is_partial, member.to_text()
+                answer = multiset(result.data)
+                if limit is None:
+                    assert answer == unlimited, (query, member.to_text())
+                else:
+                    assert sum(answer.values()) == min(limit, sum(unlimited.values())), member.to_text()
+                    assert not answer - unlimited, (query, member.to_text())
+    finally:
+        mediator.close()
 
 
 def test_the_chosen_cost_is_the_exhaustive_optimum_on_hand_built_plans():

@@ -2,18 +2,14 @@
 
 from itertools import product
 
+import pytest
+
+from repro import Mediator, RelationalWrapper
 from repro.algebra.capabilities import grammar_for
-from repro.algebra.expressions import Comparison, Const, Path, Subquery, Var
+from repro.algebra.expressions import Comparison, Const, Path, StructExpr, Subquery, Var, conjunction
 from repro.algebra.logical import Get, Join, Limit, Project, Select, Submit, Union
 from repro.algebra.rewriter import Rewriter
-from repro.algebra.rules import (
-    CommuteSelectProject,
-    PushJoinIntoSubmit,
-    PushProjectIntoSubmit,
-    PushProjectThroughUnion,
-    PushSelectIntoSubmit,
-    PushSelectThroughUnion,
-)
+from repro.algebra.rules import CommuteSelectProject, DistributeOverUnion, PushIntoSubmit
 
 
 def full_capabilities(submit):
@@ -35,28 +31,28 @@ def salary_predicate():
 class TestPushdownRules:
     def test_push_project_into_submit_when_supported(self):
         node = Project(("name",), submit0())
-        results = PushProjectIntoSubmit().apply(node, full_capabilities)
+        results = PushIntoSubmit().apply(node, full_capabilities)
         assert len(results) == 1
         assert results[0].to_text() == "submit(r0, project(name, get(person0)))"
 
     def test_push_project_refused_for_get_only_wrapper(self):
         node = Project(("name",), submit0())
-        assert PushProjectIntoSubmit().apply(node, get_only_capabilities) == []
+        assert PushIntoSubmit().apply(node, get_only_capabilities) == []
 
     def test_push_select_into_submit_when_supported(self):
         node = Select("x", salary_predicate(), submit0())
-        results = PushSelectIntoSubmit().apply(node, full_capabilities)
+        results = PushIntoSubmit().apply(node, full_capabilities)
         assert results[0].to_text() == "submit(r0, select(x: x.salary > 10, get(person0)))"
 
     def test_push_select_refused_when_predicate_references_other_variables(self):
         predicate = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
         node = Select("x", predicate, submit0())
-        assert PushSelectIntoSubmit().apply(node, full_capabilities) == []
+        assert PushIntoSubmit().apply(node, full_capabilities) == []
 
     def test_push_select_refused_when_predicate_contains_subquery(self):
         predicate = Comparison(">", Path(Var("x"), "salary"), Subquery(object()))
         node = Select("x", predicate, submit0())
-        assert PushSelectIntoSubmit().apply(node, full_capabilities) == []
+        assert PushIntoSubmit().apply(node, full_capabilities) == []
 
     def test_push_join_into_submit_same_source(self):
         """The paper's employee/manager example."""
@@ -65,7 +61,7 @@ class TestPushdownRules:
             Submit("r0", Get("manager0"), extent_name="manager0"),
             "dept",
         )
-        results = PushJoinIntoSubmit().apply(join, full_capabilities)
+        results = PushIntoSubmit().apply(join, full_capabilities)
         assert results[0].to_text() == "submit(r0, join(get(employee0), get(manager0), dept))"
 
     def test_push_join_refused_across_sources(self):
@@ -74,7 +70,7 @@ class TestPushdownRules:
             Submit("r1", Get("manager0"), extent_name="manager0"),
             "dept",
         )
-        assert PushJoinIntoSubmit().apply(join, full_capabilities) == []
+        assert PushIntoSubmit().apply(join, full_capabilities) == []
 
     def test_push_join_refused_without_join_capability(self):
         join = Join(
@@ -86,16 +82,16 @@ class TestPushdownRules:
         def caps(submit):
             return grammar_for({"get", "project"})
 
-        assert PushJoinIntoSubmit().apply(join, caps) == []
+        assert PushIntoSubmit().apply(join, caps) == []
 
     def test_push_project_and_select_through_union(self):
         union = Union((submit0(), Submit("r1", Get("person1"), extent_name="person1")))
         projected = Project(("name",), union)
-        distributed = PushProjectThroughUnion().apply(projected, full_capabilities)[0]
+        distributed = DistributeOverUnion().apply(projected, full_capabilities)[0]
         assert isinstance(distributed, Union)
         assert all(child.op_name == "project" for child in distributed.children())
         selected = Select("x", salary_predicate(), union)
-        distributed = PushSelectThroughUnion().apply(selected, full_capabilities)[0]
+        distributed = DistributeOverUnion().apply(selected, full_capabilities)[0]
         assert all(child.op_name == "select" for child in distributed.children())
 
     def test_commute_select_project_requires_surviving_attributes(self):
@@ -105,6 +101,61 @@ class TestPushdownRules:
         assert results and results[0].op_name == "project"
         narrow = Select("x", salary_predicate(), Project(("name",), Get("person0")))
         assert CommuteSelectProject().apply(narrow, full_capabilities) == []
+
+    def test_commute_select_project_declines_a_predicate_reading_the_element_whole(self):
+        """Below the projection the variable is the unprojected element: a
+        predicate comparing it whole would see another value there."""
+        projected = Project(("name",), Get("person0"))
+        mary = StructExpr((("name", Const("Mary")),))
+        whole = Select("y", Comparison("=", Var("y"), mary), projected)
+        assert CommuteSelectProject().apply(whole, full_capabilities) == []
+        kept = Comparison("=", Path(Var("y"), "name"), Const("Mary"))
+        assert CommuteSelectProject().apply(Select("y", kept, projected), full_capabilities)
+        both = conjunction([kept, Comparison("=", Var("y"), mary)])
+        assert CommuteSelectProject().apply(Select("y", both, projected), full_capabilities) == []
+
+
+def projected_person_mediator() -> Mediator:
+    """One relational extent holding Mary and Sam, and a projecting view over it."""
+    from repro.sources import RelationalEngine, SimulatedServer
+
+    engine = RelationalEngine("db0")
+    engine.create_table(
+        "person0",
+        rows=[{"id": 1, "name": "Mary", "salary": 200}, {"id": 2, "name": "Sam", "salary": 50}],
+    )
+    mediator = Mediator(name="projected")
+    mediator.register_wrapper("w0", RelationalWrapper("w0", SimulatedServer(name="host0", store=engine)))
+    mediator.create_repository("r0", host="host0")
+    mediator.load_odl(
+        """
+        interface Person (extent person) {
+            attribute Long id;
+            attribute String name;
+            attribute Short salary;
+        }
+        extent person0 of Person wrapper w0 repository r0;
+        """
+    )
+    mediator.define_view("names", "select struct(name: x.name) from x in person")
+    return mediator
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["(select struct(name: x.name) from x in person)", "names"],
+    ids=["subquery", "view"],
+)
+def test_a_select_reading_a_projected_element_whole_is_answered_over_the_projection(source):
+    """Regression: the select used to cross the project and compare the
+    unprojected source row with the struct, so it matched nothing."""
+    text = f'select y from y in {source} where y = struct(name: "Mary")'
+    mediator = projected_person_mediator()
+    try:
+        assert [dict(row) for row in mediator.query(text).rows()] == [{"name": "Mary"}]
+        assert [dict(row) for row in mediator.query_stream(text).iter_rows()] == [{"name": "Mary"}]
+    finally:
+        mediator.close()
 
 
 def trees(memo, group):
