@@ -151,7 +151,6 @@ class Mediator:
             map=map,
             source_collection=source_collection,
         )
-        self.executor.invalidate_type_checks()
         if self.answer_cache is not None:
             # Eager per-extent eviction on *re*-registration; the version
             # bump already makes every entry unreachable lazily.
@@ -161,7 +160,6 @@ class Mediator:
     def drop_extent(self, name: str) -> None:
         """Remove an extent declaration."""
         self.registry.drop_extent(name)
-        self.executor.invalidate_type_checks()
         if self.answer_cache is not None:
             self.answer_cache.invalidate_extent(name)
 

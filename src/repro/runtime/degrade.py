@@ -22,9 +22,10 @@ where the work happens does.  Expressions whose top is a multi-leaf operator
 (a pushed ``join`` or ``union``) cannot be degraded further without splitting
 the call, so the ladder stops there.
 
-The exec engine uses this module from its one attempt loop
-(``StreamingExecution._open_exec`` in :mod:`repro.runtime.streaming`), so
-``query()`` and ``query_stream()`` degrade and compensate identically.
+The exec engine uses this module from the one failure step of its attempt
+loop (``StreamingExecution._failed``, called by ``_open_exec`` in
+:mod:`repro.runtime.streaming`), so ``query()`` and ``query_stream()``
+degrade and compensate identically.
 
 Interplay with mid-stream resume (a stream's recovery of calls that die
 *after* delivering rows): compensation changes the relationship
@@ -35,10 +36,10 @@ delivery therefore always takes the *replay* path: the reopened stream is
 re-compensated from scratch with the same stripped operators (every rung of
 the ladder computes the same overall expression, so a deterministic source
 reproduces the identical output prefix whatever rung the reopen lands on)
-and the mediator skips the rows it already delivered.  Symmetrically, when a
-*reopen* itself hits a capability failure and degrades mid-recovery, the
-engine abandons the token it was about to use and falls back to
-replay-and-skip for the same reason.
+and the mediator skips the rows it already delivered.  A reopen starts at
+the rung the call stood on when it died; when the reopen itself hits a
+capability failure and degrades mid-recovery, the engine abandons the token
+it was about to use and falls back to replay-and-skip for the same reason.
 """
 
 from __future__ import annotations

@@ -503,11 +503,6 @@ class Executor:
             if version == self._type_checked_version:
                 self._type_checked_extents.add(meta.name)
 
-    def invalidate_type_checks(self) -> None:
-        """Forget cached type checks (after schema changes)."""
-        with self._types_lock:
-            self._type_checked_extents.clear()
-
     # -- nested subqueries -------------------------------------------------------------------------
     def evaluate_subquery(
         self, query: Any, env: Mapping[str, Any], enclosing: Any = None

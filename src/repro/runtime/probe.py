@@ -6,9 +6,10 @@ join keys and asks a :class:`_ProbeRunner` for the matching right rows.  The
 runner shapes each batch into a submit the wrapper's grammar accepts, keeps
 the per-query probe cache, buckets the fetched rows by key and, when probing
 fetches far more than the cost model estimated, re-plans into one full ship
-of the right side.  Every round trip goes through the run's own attempt loop
-(``StreamingExecution._open_exec``), so retry, degrade, deadline and history
-recording are the exec calls' own.
+of the right side.  Every round trip is an exec call of its own (an
+``_ExecState`` whose subject is the probe expression) driven by the run's one
+attempt loop (``StreamingExecution._open_exec`` and its failure step), so
+retry, degrade, deadline and history recording are the exec calls' own.
 """
 
 from __future__ import annotations
@@ -59,13 +60,14 @@ class _ProbeRunner:
 
     One runner serves one :class:`~repro.algebra.physical.ProbeJoin` of one
     query, from whichever entry point composed it.  Every wrapper round trip
-    is one synchronous call of the run's attempt loop (``attempt_loop``:
+    is one exec call, its state's subject the probe expression, opened by a
+    synchronous call of the run's attempt loop (``attempt_loop``:
     ``StreamingExecution._open_exec`` on the consumer thread), so retry,
     backoff, the query deadline, the degrading ladder, write-off and history
-    recording (once per round trip, under the probe expression: the
-    ``in``-list close signature collapses all batch sizes onto one history
-    entry) are the exec calls' own.  The runner owns what is specific to
-    probing:
+    recording (``_ExecState.observe``, once per round trip, under the probe
+    expression: the ``in``-list close signature collapses all batch sizes
+    onto one history entry) are the exec calls' own.  The runner owns what
+    is specific to probing:
 
     * the **probe shape**, chosen by the wrapper's grammar: batches of
       distinct keys are submitted as one set-valued
@@ -92,7 +94,7 @@ class _ProbeRunner:
         executor: "Executor",
         plan: phys.ProbeJoin,
         compiled: Callable[[phys.Exec], CompiledCall],
-        attempt_loop: Callable[[log.LogicalOp], Any],
+        attempt_loop: Callable[[log.LogicalOp], tuple[Any, Any]],
         event: threading.Event,
         remaining: Callable[[], float | None],
         raise_unavailable: bool,
@@ -101,7 +103,8 @@ class _ProbeRunner:
         self._plan = plan
         #: the run's compiled-call lookup, consulted at the first fetch
         self._compiled = compiled
-        #: the run's attempt loop for one expression, returning its outcome
+        #: the run's attempt loop for one expression, returning the round
+        #: trip's call state and its outcome
         self._attempt_loop = attempt_loop
         self._event = event
         self._remaining = remaining
@@ -237,13 +240,14 @@ class _ProbeRunner:
         remaining = self._remaining()
         if remaining is not None and remaining <= 0:
             return self._fail("timed out during probe")
-        opened = self._attempt_loop(expression)
-        self.calls += opened.attempts
+        trip, opened = self._attempt_loop(expression)
+        self.calls += trip.attempts
         self.elapsed += opened.elapsed
         if opened.error is None:
             self.rows_fetched += len(opened.rows)
-            if opened.degraded_to is not None or self._mode != "in":
-                self._degraded_to = opened.degraded_to or expression.to_text()
+            degraded_to = trip.degraded_to
+            if degraded_to is not None or self._mode != "in":
+                self._degraded_to = degraded_to or expression.to_text()
             return opened.rows
         if not self._event.is_set():
             return self._fail(opened.error)

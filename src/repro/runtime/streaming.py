@@ -4,16 +4,18 @@ Paper Section 4 has one exec semantics -- calls proceed in parallel, after
 the designated time period evaluation stops, and the partially evaluated
 plan with the obtained data embedded is the answer -- and this module
 implements it once.  A :class:`StreamingExecution` is one *run* of one
-physical plan: every exec call gets an :class:`_ExecState` and is opened on
-the executor's shared pool by the one attempt loop (``_open_exec``: retry
+physical plan: every exec call is one :class:`_ExecState` (its attempts, its
+rung on the degrade ladder, where a reopen restarts), driven by the one
+attempt loop (``_open_exec``) and its one failure step (``_failed``: retry
 with backoff, the degrading-pushdown ladder of :mod:`repro.runtime.degrade`
-ending in the split fallback, write-off, once-only history recording, all
-under one ``max_retries`` budget); ``_settle`` waits for it under the query
+ending in the split fallback, write-off, all under one ``max_retries``
+budget), and written to the history once, by ``_ExecState.observe``.  The
+pool opens every dispatched call; ``_settle`` waits for it under the query
 deadline and writes it off when the deadline, or ``Executor.close()``, gets
-there first.  Every other wrapper round trip is a synchronous call of the
-same loop on the consumer thread, bounded by the query deadline: a
-mid-stream reopen, and each round trip of a probe join (its shapes, key
-cache and re-plan flip are :mod:`repro.runtime.probe`).  The two public
+there first.  Every other wrapper round trip is the same loop called on the
+consumer thread, bounded by the query deadline: a mid-stream reopen, and
+each round trip of a probe join (its shapes, key cache and re-plan flip are
+:mod:`repro.runtime.probe`).  The two public
 entry points differ in one internal argument, ``materialise``, which fixes
 three things:
 
@@ -43,8 +45,9 @@ three things:
   aggregate over one union branch is a wrong number, not a sub-answer).
 
 A streamed call that dies *mid-stream* (after delivering rows) is recovered
-with **exactly-once row delivery** when budget remains -- one budget:
-reopens draw from ``max_retries`` like every other attempt.  Wrappers
+with **exactly-once row delivery** when budget remains: the death is one more
+failure of the call -- observed, charged to ``max_retries``, backed off --
+and the call is reopened at the rung it stood on, as a retry.  Wrappers
 declaring the ``token`` resume capability reopen *source-side*: the
 stream's last :class:`~repro.wrappers.base.ResumableStream` token is handed
 back through ``submit_stream(expr, resume_from=token)`` and the source ships
@@ -52,11 +55,9 @@ only the rows still owed.  Wrappers declaring deterministic ``replay`` (and
 token wrappers whose call was degraded or split, where token positions no
 longer line up) are reopened from scratch and the mediator skips the rows it
 already delivered -- dedup by delivered-row count, counted as
-``ExecReport.replayed_rows``.  Wrappers declaring neither are written off:
-without a token or a determinism guarantee, reopening a half-consumed cursor
-risks duplicating or dropping rows.  The rule is "resume only what was
-delivered", which is why a materialising run retries whole calls and never
-resumes.
+``ExecReport.replayed_rows``.  Wrappers declaring neither are written off.
+The rule is "resume only what was delivered", which is why a materialising
+run retries whole calls and never resumes.
 
 Stream iteration is replayable: the execution buffers what it has yielded,
 so a second ``iter()`` (or :meth:`to_list` after a partial read) replays the
@@ -99,67 +100,37 @@ _MEDIATOR_ROW = namespace.row_normaliser({})
 
 @dataclass
 class _Opened:
-    """What the worker-side half of one exec call produced.
+    """What one open of an exec call returned.
 
-    A materialising run's ``rows`` is the call's whole answer as a list in
-    mediator vocabulary (``sized`` its length); a stream's is the open
-    wrapper iterable, taken to mediator vocabulary by ``normalise`` as it is
-    pulled.
+    A listed open's ``rows`` (a materialising run's, a probe round trip's) is
+    the whole answer as a list in mediator vocabulary (``sized`` its length);
+    a stream's is the open wrapper iterable, taken to mediator vocabulary by
+    ``normalise`` as it is pulled.  Where the call stands is on its
+    :class:`_ExecState`.
     """
 
     rows: Iterable[Any] | None = None
     #: the row function of the call's name-space plan, unless the rows are
     #: in mediator vocabulary already.
     normalise: Callable[[Any], Any] = _MEDIATOR_ROW
-    #: row count when the answer is a sized sequence (history is recorded in
-    #: the worker then); None for lazy cursors (recorded at drain).
+    #: row count when the answer is a sized sequence (history is recorded at
+    #: open then); None for lazy cursors (recorded at drain).
     sized: int | None = None
-    #: wall clock of the open round trip (worker side).
+    #: wall clock of this open, its retries and backoff included.
     elapsed: float = 0.0
     error: str | None = None
-    #: how many wrapper calls the open took (> 1 under retry).
-    attempts: int = 1
-    #: final submitted (source-namespace) expression when the retry policy
-    #: degraded the pushdown; None when the original was used.
-    degraded_to: str | None = None
-    #: per-leaf wrapper calls when the pushdown was split at the mediator
-    #: (refuse-to-push fallback); 0 when the expression was pushed whole.
-    split_calls: int = 0
-    #: the wrapper's declared mid-stream resume support (token/replay/None);
-    #: decides whether a death during the drain is recoverable.
-    resume_mode: str | None = None
     #: the wrapper's :class:`ResumableStream` when it returned one -- its
     #: ``token`` at death time is where a token resume restarts the source.
     stream: ResumableStream | None = None
-    #: final (mediator-namespace) pushdown and the operators stripped off it,
-    #: kept so a reopen re-enters the degradation ladder at the same rung.
-    pushdown: log.LogicalOp | None = None
-    stripped: tuple = ()
-    #: rows the consumer must silently drop from this segment because they
-    #: were already delivered before a replay reopen (0 for token resumes --
-    #: the source itself skipped them).
-    skip: int = 0
-
-
-@dataclass(frozen=True)
-class _ConsumerCall:
-    """A synchronous call of the attempt loop on the consumer thread: a
-    mid-stream reopen or one probe round trip, bounded by the query deadline."""
-
-    #: what the call answers, and its history key
-    expression: log.LogicalOp
-    #: the rung to submit first and the operators already stripped off it
-    pushdown: log.LogicalOp
-    stripped: tuple = ()
-    #: restart a ``token`` source past here; else drop the first ``skip`` rows
-    token: Any = None
-    skip: int = 0
-    #: list the rows inside the attempt (a probe), not stream them
-    listed: bool = False
 
 
 class _ExecState:
-    """Book-keeping for one exec call of one run."""
+    """One exec call of one run: its book-keeping and where it stands.
+
+    The attempt loop (:meth:`StreamingExecution._open_exec`) and its failure
+    step move the call down the degrade ladder in place, so a reopen after a
+    mid-stream death continues at the rung the call stood on.
+    """
 
     __slots__ = (
         "node",
@@ -173,9 +144,23 @@ class _ExecState:
         "attempts",
         "resumed",
         "replayed",
+        "subject",
+        "signatures",
+        "pushdown",
+        "stripped",
+        "plan",
+        "token",
+        "skip",
+        "listed",
     )
 
-    def __init__(self, node: phys.Exec, event: threading.Event | None = None):
+    def __init__(
+        self,
+        node: phys.Exec,
+        event: threading.Event | None = None,
+        subject: log.LogicalOp | None = None,
+        listed: bool = False,
+    ):
         self.node = node
         self.future: Future | None = None
         #: a probe round trip shares its probe join's event
@@ -183,9 +168,8 @@ class _ExecState:
         self.report: ExecReport | None = None
         self.consumed = 0  # rows pulled by the consumer so far
         self.started: float | None = None
-        # Serializes history recording between the worker and the consumer:
-        # one terminal observation per call, from the worker or from the
-        # write-off, never both.
+        # Serializes history recording between the worker and the consumer
+        # (:meth:`observe`).
         self.lock = threading.Lock()
         self.recorded = False
         # Wrapper attempts completed so far, kept current by the worker so a
@@ -197,6 +181,51 @@ class _ExecState:
         #: already-delivered rows re-shipped and skipped at the mediator
         #: during replay reopens (ExecReport.replayed_rows).
         self.replayed = 0
+        #: what the call answers and its history key: the node's expression,
+        #: or a probe round trip's probe expression.
+        self.subject = node.expression if subject is None else subject
+        #: the subject's history signatures when it is the node's own (read
+        #: off the compiled call at the first open).
+        self.signatures: tuple[str, str] | None = None
+        #: the rung: the (mediator-namespace) pushdown, the operators stripped
+        #: off it (outermost first) and its name-space plan (None until the
+        #: first open).
+        self.pushdown = self.subject
+        self.stripped: tuple = ()
+        self.plan: namespace.NamespacePlan | None = None
+        #: where a reopen restarts: past ``token`` source-side, else by
+        #: dropping the first ``skip`` rows it ships.
+        self.token: Any = None
+        self.skip = 0
+        #: list the rows inside the attempt (a probe round trip), not stream them
+        self.listed = listed
+
+    @property
+    def degraded_to(self) -> str | None:
+        """The submitted (source-namespace) expression once the ladder stripped any."""
+        return self.plan.expression.to_text() if self.stripped else None
+
+    def observe(
+        self, history, elapsed: float, rows: int | None = None, terminal: bool = True
+    ) -> bool:
+        """Write one history observation of this call (a failure when ``rows``
+        is None); the only writer of the exec history.
+
+        Once the call's terminal observation is written, or the call has been
+        woken (written off, cancelled, the mediator closing), nothing more is
+        written: a woken worker does not record, so a write-off observes the
+        call itself and only then wakes it.  Returns whether it wrote.
+        """
+        with self.lock:
+            if self.recorded or self.event.is_set():
+                return False
+            extent = self.node.extent_name
+            if rows is None:
+                history.record_failure(extent, self.subject, elapsed, self.signatures)
+            else:
+                history.record(extent, self.subject, elapsed, rows, self.signatures)
+            self.recorded = terminal
+            return True
 
 
 class StreamingExecution:
@@ -344,8 +373,13 @@ class StreamingExecution:
 
     @property
     def calls_issued(self) -> int:
-        """Number of exec calls this execution dispatched (all of them, up front)."""
-        return len(self._states)
+        """Exec calls this run issued: every dispatched one (all of them, up
+        front), and each probe join once it has reported."""
+        return sum(
+            1
+            for state in self._states.values()
+            if state.future is not None or state.report is not None
+        )
 
     @property
     def reports(self) -> tuple[ExecReport, ...]:
@@ -413,81 +447,55 @@ class StreamingExecution:
         finally:
             self._answered = True
 
-    def _open_exec(self, state: _ExecState, sync: _ConsumerCall | None = None) -> _Opened:
-        """One exec call with retries: the engine's one attempt loop.
+    def _open_exec(self, state: _ExecState, consumer: bool = False) -> _Opened:
+        """One open of an exec call, with retries: the engine's one attempt loop.
 
-        Runs in the pool for the initial open; mid-stream reopens and probe
-        round trips call it synchronously on the consumer thread (``sync``).
+        Runs in the pool for the initial open; a reopen after a mid-stream
+        death and each probe round trip call it synchronously on the consumer
+        thread (``consumer``), where the query deadline bounds its retries.
 
         What the call needs that only depends on its node -- extent, wrapper,
         type check, the name-space plan of the node's own expression, history
         signatures -- is read from its compiled call (:meth:`_compiled`);
-        only a pushdown other than the node's own (a degraded rung, here or
-        in the segment a reopen continues; a probe shape) is planned in this
-        loop.
+        only a pushdown other than the node's own (a probe shape, a degraded
+        rung) is planned at call time.  Each attempt submits the rung the
+        call stands on (:class:`_ExecState`); a failure goes to the one
+        failure step, :meth:`_failed`, which observes it and moves the call
+        on: the same rung again after backoff, or one rung down the ladder.
         Mediator-side failures (unknown extent, type-check conflict) raise --
         they abort the query.  *Any* exception escaping the wrapper becomes
         an error outcome instead (this is the engine's fault-isolation
-        boundary), after the retry policy: transient failures re-submit with
-        backoff; capability/translation failures re-submit a degraded
-        pushdown (one operator stripped, down to a bare ``get``) whose
-        stripped operators are replayed over the returned rows at the
-        mediator; a refused ``join`` or ``union`` is split into per-leaf
-        calls as the last rung; once the ladder is exhausted such a failure
-        is terminal immediately -- repeating a deterministic rejection
-        cannot succeed.
+        boundary).
 
-        A materialising run (and a probe round trip) drains the answer into
-        a list inside the attempt,
-        so a lazy result that raises mid-iteration, or a malformed row, is a
-        failed attempt like any other, and the transfer overlaps the other
-        calls' transfers.  A stream only opens here.  When the row count is
-        known (a list, or a wrapper that answered with a sized sequence) the
-        call's history is recorded here; lazy cursors -- and a stream's
-        degraded calls, whose compensation wraps the iterable -- are recorded
-        by the consumer at drain time.
-
-        History is recorded under ``sync.expression`` for a consumer call.
-        A reopen starts the attempt counter at :attr:`_ExecState.attempts`
-        (the calls the dying segments already consumed) and, for a token
-        resume, passes the token through ``submit_stream(resume_from=...)``.
-        If a token reopen hits a capability failure and degrades, token
-        positions no longer line up with the degraded stream, so the reopen
-        falls back to a full replay and tells the consumer to skip the rows
-        it already delivered (:attr:`_Opened.skip`).
+        A listed open (a materialising run, a probe round trip) drains the
+        answer into a list inside the attempt, so a lazy result that raises
+        mid-iteration, or a malformed row, is a failed attempt like any
+        other, and the transfer overlaps the other calls' transfers.  A
+        stream only opens here -- past the state's resume token, when a
+        reopen has one.  When the row count is known (a list, or a first
+        open answered with a sized sequence) the call's history is observed
+        here; lazy cursors, a stream's degraded calls (whose compensation
+        wraps the iterable) and reopened segments (the rest of an answer)
+        are observed by the consumer at drain time.
         """
         executor = self._executor
-        config = executor.config
         node = state.node
         call = self._compiled(node)
-        meta = call.meta
         wrapper = call.wrapper
-        if sync is None:
-            subject = pushdown = node.expression
-            stripped = []
-            token = None
-            skip = 0
-            materialise = self._materialise
-        else:
-            subject = sync.expression
-            pushdown = sync.pushdown
-            stripped = list(sync.stripped)
-            token = sync.token
-            skip = sync.skip
-            materialise = sync.listed
-        signatures = call.signatures if subject is node.expression else None
-        if pushdown is node.expression:
-            plan = call.plan
-        else:
-            # A probe shape, or a reopen at the degraded rung its dying
-            # segment ran at.
-            plan = namespace.namespace_plan(executor.registry, pushdown, meta, wrapper)
-        if state.started is None:
-            state.started = time.monotonic()
-        attempts = max(1, config.max_retries + 1)
-        attempt = state.attempts
+        if state.plan is None:
+            state.signatures = call.signatures if state.subject is node.expression else None
+            if state.pushdown is node.expression:
+                state.plan = call.plan
+            else:  # a probe shape
+                state.plan = namespace.namespace_plan(
+                    executor.registry, state.pushdown, call.meta, wrapper
+                )
+        listed = self._materialise or state.listed
         open_started = time.monotonic()
+        if state.started is None:
+            state.started = open_started
         while True:
+            plan = state.plan
             attempt_started = time.monotonic()
             try:
                 with cancellation.activate(state.event):
@@ -498,112 +506,48 @@ class StreamingExecution:
                         # failures are attempt failures); the recombination
                         # over them is a lazy mediator-vocabulary iterator.
                         rows = executor._split_pushdown(plan, wrapper)
-                    elif materialise:
+                    elif listed:
                         rows = wrapper.submit(plan.expression)
-                    elif token is not None:
-                        rows = wrapper.submit_stream(plan.expression, resume_from=token)
+                    elif state.token is not None:
+                        rows = wrapper.submit_stream(plan.expression, resume_from=state.token)
                     else:
                         rows = wrapper.submit_stream(plan.expression)
-                    if materialise:
+                    if listed:
                         # One bulk pass, not the consumer's per-row timed
                         # loop: on a 10k-row scan that loop costs 20-40%.
                         if plan.split is None:
                             rows = map(plan.normalise, rows)
-                        if stripped:
-                            rows = compensate_rows(stripped, rows)
+                        if state.stripped:
+                            rows = compensate_rows(state.stripped, rows)
                         rows = list(rows)
             except StreamClosed:
                 # The consumer is gone, not the source: nothing to retry,
                 # degrade, or record as a failure.
                 raise
             except Exception as exc:
-                attempt += 1
-                state.attempts = attempt
-                call_elapsed = time.monotonic() - attempt_started
-                cancelled = state.event.is_set()
-                step = split = None
-                exhausted = attempt >= attempts
-                if is_capability_failure(exc):
-                    step = degrade_pushdown(pushdown)
-                    if step is None and plan.split is None:
-                        split = namespace.split_plan(executor.registry, pushdown, meta)
-                    # Deterministic rejection with nothing left to strip or
-                    # split: further attempts are pointless, fail now.
-                    exhausted = exhausted or (step is None and split is None)
-                terminal = cancelled or exhausted
-                with state.lock:
-                    # Cancelled or already-written-off calls are not failures
-                    # to learn from; every real attempt records its elapsed.
-                    if not state.recorded and not state.event.is_set():
-                        executor.history.record_failure(
-                            node.extent_name, subject, call_elapsed, signatures
-                        )
-                        if terminal:
-                            state.recorded = True
-                if sync is not None:
-                    # Consumer calls run synchronously: the query deadline
-                    # must bound their retry loop too (the initial open is
-                    # bounded by the consumer's future.result(timeout=...)
-                    # instead).
-                    remaining = self._remaining()
-                    if remaining is not None and remaining <= 0:
-                        terminal = True
-                if not terminal:
-                    if step is not None or split is not None:
-                        # Degrading retry: strictly smaller pushdown (or the
-                        # split), no backoff -- the failure was deterministic,
-                        # not load.  Re-planning per rung keeps the alias
-                        # layer coherent with whatever operators remain.
-                        if step is None:
-                            plan = split
-                        else:
-                            pushdown, removed = step
-                            stripped.append(removed)
-                            plan = namespace.namespace_plan(
-                                executor.registry, pushdown, meta, wrapper
-                            )
-                        if token is not None:
-                            # The token indexed the *previous* pushdown's
-                            # stream; a degraded stream has different
-                            # positions.  Fall back to a deterministic full
-                            # replay: the consumer drops the rows it already
-                            # has (token wrappers can reposition, so they can
-                            # certainly replay).
-                            token = None
-                            skip = state.consumed
-                        continue
-                    backoff = config.retry_backoff * (2 ** (attempt - 1))
-                    if sync is not None and remaining is not None:
-                        backoff = min(backoff, remaining)
-                    # Event-aware: a write-off wakes the backoff immediately.
-                    state.event.wait(backoff)
-                    if not state.event.is_set():
-                        continue
+                state.attempts += 1
+                if self._failed(state, exc, time.monotonic() - attempt_started, consumer):
+                    continue
                 return _Opened(
                     error=f"{type(exc).__name__}: {exc}",
-                    elapsed=time.monotonic() - state.started,
-                    attempts=attempt,
-                    degraded_to=plan.expression.to_text() if stripped else None,
-                    split_calls=len(plan.split or ()),
+                    elapsed=time.monotonic() - open_started,
                 )
             break
-        state.attempts = attempt + 1
+        state.attempts += 1
         now = time.monotonic()
-        elapsed = now - (state.started if sync is None else open_started)
-        degraded_to = plan.expression.to_text() if stripped else None
         stream = rows if isinstance(rows, ResumableStream) else None
         # Split-pushdown rows arrive already in mediator vocabulary (and a
-        # materialised list was renamed and compensated inside the attempt).
-        normalise = _MEDIATOR_ROW if plan.split is not None or materialise else plan.normalise
-        if stripped and not materialise:
+        # listed answer was renamed and compensated inside the attempt).
+        normalise = _MEDIATOR_ROW if plan.split is not None or listed else plan.normalise
+        if state.stripped and not listed:
             # Rename here (once), then replay the stripped operators lazily;
             # the consumer sees mediator-vocabulary rows.
-            rows = compensate_rows(stripped, map(normalise, rows))
+            rows = compensate_rows(state.stripped, map(normalise, rows))
             normalise = _MEDIATOR_ROW
         sized = None
-        if materialise:
+        if listed:
             sized = len(rows)
-        elif sync is None and not stripped:
+        elif not consumer and not state.stripped:
             if isinstance(rows, (list, tuple)):
                 sized = len(rows)
             elif stream is not None:
@@ -612,48 +556,104 @@ class StreamingExecution:
                 # the count is known at open, before any consumer drain.
                 sized = stream.sized
         if sized is not None:
-            with state.lock:
-                if not state.recorded and not state.event.is_set():
-                    # Per-attempt latency for the cost model (the failed
-                    # attempts recorded theirs); the report carries the
-                    # user-facing total including retries and backoff.
-                    executor.history.record(
-                        node.extent_name,
-                        subject,
-                        now - attempt_started,
-                        sized,
-                        signatures,
-                    )
-                    state.recorded = True
+            # Per-attempt latency for the cost model (the failed attempts
+            # recorded theirs); the report carries the user-facing total
+            # including retries and backoff.
+            state.observe(executor.history, now - attempt_started, sized)
         return _Opened(
-            rows=rows,
-            normalise=normalise,
-            sized=sized,
-            elapsed=elapsed,
-            attempts=attempt + 1,
-            degraded_to=degraded_to,
-            split_calls=len(plan.split or ()),
-            resume_mode=getattr(wrapper, "resume_support", None),
-            stream=stream,
-            pushdown=pushdown,
-            stripped=tuple(stripped),
-            skip=skip,
+            rows=rows, normalise=normalise, sized=sized, elapsed=now - open_started, stream=stream
         )
+
+    def _failed(
+        self,
+        state: _ExecState,
+        exc: BaseException,
+        elapsed: float,
+        consumer: bool,
+        dying: _Opened | None = None,
+    ) -> bool:
+        """The one failure step of an exec call: whether to try it again.
+
+        ``exc`` ended an attempt of :meth:`_open_exec`, or killed a stream
+        segment (``dying``) mid-drain.  The failure is observed, charged with
+        its own ``elapsed``; the call is given up when it was woken, its
+        ``max_retries`` budget is spent or, on the consumer thread, the query
+        deadline has passed.  A capability/translation failure goes one rung
+        down the ladder (to a bare ``get``; a refused ``join``/``union`` to
+        the per-leaf split) without backoff -- it was deterministic, not load
+        -- and is terminal once the ladder is exhausted.  Any other failure
+        backs off (``retry_backoff``, doubled per attempt; woken by a
+        write-off, capped by the deadline on the consumer thread) and goes
+        again at the same rung.
+
+        A death is no extra attempt and is not degraded.  Only a ``token`` or
+        ``replay`` wrapper is reopened (without a token or a determinism
+        guarantee a half-consumed cursor could duplicate or drop rows): past
+        the dying stream's token when the rung is the source's own stream,
+        else from scratch, skipping the rows already delivered.
+        """
+        executor = self._executor
+        config = executor.config
+        call = self._compiled(state.node)
+        mode = getattr(call.wrapper, "resume_support", None)
+        step = split = None
+        exhausted = state.attempts >= max(1, config.max_retries + 1)
+        if dying is not None:
+            exhausted = exhausted or mode not in (RESUME_TOKEN, RESUME_REPLAY)
+        elif is_capability_failure(exc):
+            step = degrade_pushdown(state.pushdown)
+            if step is None and state.plan.split is None:
+                split = namespace.split_plan(executor.registry, state.pushdown, call.meta)
+            exhausted = exhausted or (step is None and split is None)
+        remaining = self._remaining() if consumer else None
+        terminal = exhausted or state.event.is_set() or remaining == 0.0
+        # A call that may record no more (woken, or its one observation
+        # made) is not tried again either.
+        if not state.observe(executor.history, elapsed, terminal=terminal) or terminal:
+            return False
+        if step is not None or split is not None:
+            # Re-planning per rung keeps the alias layer coherent with
+            # whatever operators remain.
+            if step is None:
+                state.plan = split
+            else:
+                state.pushdown, removed = step
+                state.stripped += (removed,)
+                state.plan = namespace.namespace_plan(
+                    executor.registry, state.pushdown, call.meta, call.wrapper
+                )
+            if state.token is not None:
+                # The token indexed the previous rung's stream; a degraded
+                # stream has other positions, so the reopen replays and
+                # skips instead (a wrapper that can reposition can replay).
+                state.token = None
+                state.skip = state.consumed
+            return True
+        backoff = config.retry_backoff * 2 ** (state.attempts - 1)
+        if remaining is not None:
+            backoff = min(backoff, remaining)
+        if state.event.wait(backoff) or (consumer and self._remaining() == 0.0):
+            return False
+        if dying is not None:
+            clean = (
+                mode == RESUME_TOKEN
+                and dying.stream is not None
+                and not state.stripped
+                and state.plan.split is None
+            )
+            state.token = dying.stream.token if clean else None
+            state.skip = 0 if clean else state.consumed
+        return True
 
     # -- consumer side ------------------------------------------------------------------------
     def _remaining(self) -> float | None:
+        """Seconds left to the query deadline (0.0 once past); None without one."""
         if self._deadline is None:
             return None
         return max(self._deadline - time.monotonic(), 0.0)
 
-    def _report(
-        self, state: _ExecState, opened: _Opened | None = None, **overrides
-    ) -> ExecReport:
-        """The one place an exec call's :class:`ExecReport` is built.
-
-        ``opened`` is the worker outcome the call ended on, when it has one;
-        a written-off call states the attempts its worker got to.
-        """
+    def _report(self, state: _ExecState, **overrides) -> ExecReport:
+        """The one place an exec call's :class:`ExecReport` is built, from its state."""
         node = state.node
         report = ExecReport(
             extent_name=node.extent_name,
@@ -662,9 +662,9 @@ class StreamingExecution:
             elapsed=0.0 if state.started is None else time.monotonic() - state.started,
             rows=state.consumed,
             available=True,
-            attempts=max(1, state.attempts) if opened is None else opened.attempts,
-            degraded_to=None if opened is None else opened.degraded_to,
-            split_calls=0 if opened is None else opened.split_calls,
+            attempts=max(1, state.attempts),
+            degraded_to=state.degraded_to,
+            split_calls=0 if state.plan is None else len(state.plan.split or ()),
             resumed_calls=state.resumed,
             replayed_rows=state.replayed,
         )
@@ -731,7 +731,7 @@ class StreamingExecution:
                     complete = False
                 else:
                     state.consumed = opened.sized
-                    state.report = self._report(state, opened, elapsed=opened.elapsed)
+                    state.report = self._report(state, elapsed=opened.elapsed)
                     outcomes[id(state.node)] = opened.rows
             if complete:
                 try:
@@ -761,88 +761,6 @@ class StreamingExecution:
             "infs" if self._timeout is None else f"{self._timeout:.4g}s"
         )
 
-    def _record_failure_once(self, state: _ExecState, elapsed: float) -> None:
-        with state.lock:
-            if not state.recorded:
-                self._executor.history.record_failure(
-                    state.node.extent_name, state.node.expression, elapsed
-                )
-                state.recorded = True
-
-    def _resume_after(
-        self, state: _ExecState, opened: _Opened, segment_time: float
-    ) -> _Opened | None:
-        """Try to reopen a call that died after delivering rows.
-
-        Returns the reopened segment (possibly an error outcome whose
-        attempts the caller folds into the failure report), or ``None`` when
-        the death is not recoverable: the ``max_retries`` budget spent, the
-        call written off, the deadline expired, or the wrapper declares no
-        resume support.  Runs synchronously on the consumer thread -- the
-        reopen happens exactly where the next row was needed.
-
-        Mode selection: a token resume needs a live token for the *same*
-        stream the source produced -- a degraded or split call compensates or
-        recombines rows at the mediator, so delivered-row positions no longer
-        equal source positions and the reopen falls back to the
-        deterministic-replay path (reopen from scratch, skip the rows already
-        delivered).  Replay is sound for ``token`` wrappers too: being able
-        to reposition a cursor implies being able to re-produce the stream.
-        """
-        executor = self._executor
-        config = executor.config
-        if self._finished or state.event.is_set():
-            return None
-        remaining = self._remaining()
-        if remaining is not None and remaining <= 0:
-            return None
-        if state.attempts >= max(1, config.max_retries + 1):
-            return None
-        mode = opened.resume_mode
-        if mode not in (RESUME_TOKEN, RESUME_REPLAY):
-            return None
-        clean_token = (
-            mode == RESUME_TOKEN
-            and opened.stream is not None
-            and not opened.stripped
-            and not opened.split_calls
-        )
-        # The death itself is a (non-terminal) failure observation charging
-        # the dying segment's own time: the cost model should learn the
-        # source is flaky even when recovery succeeds.
-        with state.lock:
-            if state.recorded or state.event.is_set():
-                return None
-            executor.history.record_failure(
-                state.node.extent_name, state.node.expression, segment_time
-            )
-        # Transient-failure backoff before touching the source again; a
-        # write-off wakes it immediately and the query deadline caps it (the
-        # reopen runs on the consumer thread, so the caller's iter_rows() is
-        # blocked for the duration).
-        backoff = config.retry_backoff * (2 ** (max(state.attempts, 1) - 1))
-        if remaining is not None:
-            backoff = min(backoff, remaining)
-        written_off = state.event.wait(backoff)
-        remaining = self._remaining()
-        if written_off or (remaining is not None and remaining <= 0):
-            # Written off, or the deadline expired, during the backoff: the
-            # death report stands and the record above becomes the call's
-            # terminal observation (the caller must not add another).
-            with state.lock:
-                state.recorded = True
-            return None
-        return self._open_exec(
-            state,
-            _ConsumerCall(
-                state.node.expression,
-                opened.pushdown,
-                opened.stripped,
-                token=opened.stream.token if clean_token else None,
-                skip=0 if clean_token else state.consumed,
-            ),
-        )
-
     def _settle(self, state: _ExecState) -> _Opened | None:
         """Wait for the call's worker under the query deadline.
 
@@ -859,14 +777,13 @@ class StreamingExecution:
             # Still queued when the pool shut down: unavailable, not a crash.
             opened = _Opened(error="mediator closed")
         except (_FuturesTimeoutError, TimeoutError):
-            # Once the event is set the zombie worker neither keeps retrying
-            # nor records (it checks the event under state.lock), so the
-            # write-off is the call's one terminal observation.
-            state.event.set()
             if state.started is not None:
                 # The call really ran for this long before the deadline cut
-                # it off; let the cost model see it.
-                self._record_failure_once(state, time.monotonic() - state.started)
+                # it off; let the cost model see it.  This write-off is its
+                # terminal observation: woken next, the zombie worker
+                # neither keeps retrying nor records.
+                state.observe(self._executor.history, time.monotonic() - state.started)
+            state.event.set()
             state.future.cancel()
             state.report = self._report(
                 state, rows=0, available=False, error=self._timeout_text()
@@ -880,14 +797,13 @@ class StreamingExecution:
             # timed out: say so, not how the woken worker happened to fail.
             error = "mediator closed"
         state.report = self._report(
-            state, opened, rows=0, available=False, error=error, elapsed=opened.elapsed
+            state, rows=0, available=False, error=error, elapsed=opened.elapsed
         )
         return None
 
     def _stream_state(self, state: _ExecState) -> Iterator[Any]:
         """A stream's exec leaf: settle the call, then hand its rows over."""
-        node = state.node
-        executor = self._executor
+        history = self._executor.history
         opened = self._settle(state)
         if opened is None:
             return
@@ -905,18 +821,18 @@ class StreamingExecution:
             iterator = iter(opened.rows)
             #: rows of this segment that were already delivered before a
             #: replay reopen; dropped silently (dedup by delivered-row count).
-            to_skip = opened.skip
+            to_skip = state.skip
             died: BaseException | None = None
             try:
                 while True:
                     if self._deadline is not None and time.monotonic() > self._deadline:
                         # The designated time period expired mid-drain: the
                         # rows already delivered stand, the rest of this
-                        # source is a timeout.
+                        # source is a timeout (observed, then written off).
+                        state.observe(history, segment_time)
                         state.event.set()
-                        self._record_failure_once(state, segment_time)
                         state.report = self._report(
-                            state, opened, available=False, error=self._timeout_text()
+                            state, available=False, error=self._timeout_text()
                         )
                         return
                     pulled = time.monotonic()
@@ -951,37 +867,24 @@ class StreamingExecution:
                     close()
             if died is None:
                 break  # fully drained
-            reopened = self._resume_after(state, opened, segment_time)
+            # The death is one more failure of the call: the failure step
+            # observes and budgets it, and the attempt loop reopens the call
+            # where the consumer needs its next row.
+            reopened = None
+            if self._failed(state, died, segment_time, consumer=True, dying=opened):
+                reopened = self._open_exec(state, consumer=True)
             if reopened is None or reopened.error is not None:
-                # Unrecoverable (no capability, no budget, write-off, or the
-                # reopen attempts themselves failed out): report the death.
-                # The reopen loop already recorded its own attempt failures.
-                if reopened is None:
-                    self._record_failure_once(state, segment_time)
                 state.report = self._report(
-                    state,
-                    opened,
-                    available=False,
-                    error=f"{type(died).__name__}: {died}",
-                    attempts=(reopened or opened).attempts,
+                    state, available=False, error=f"{type(died).__name__}: {died}"
                 )
                 return
             state.resumed += 1
             source_time += reopened.elapsed
             opened = reopened
-        with state.lock:
-            if not state.recorded:
-                # Lazy cursor fully drained: one success observation with the
-                # source's own time (sized wrappers recorded at open).
-                executor.history.record(
-                    node.extent_name,
-                    node.expression,
-                    source_time,
-                    state.consumed,
-                    self._calls[node].signatures,  # stored by the open
-                )
-                state.recorded = True
-        state.report = self._report(state, opened, rows=opened.sized or state.consumed)
+        # Lazy cursor fully drained: one success observation with the
+        # source's own time (sized answers were observed at open).
+        state.observe(history, source_time, state.consumed)
+        state.report = self._report(state)
 
     def _union_in_completion_order(
         self, inputs: tuple[phys.PhysicalOp, ...]
@@ -1063,10 +966,10 @@ class StreamingExecution:
         state = self._states[id(plan.probe)]
 
         def attempt_loop(expression):
-            # One probe round trip is one call: its own attempts and its own
+            # One probe round trip is one call: its own attempts, rung and
             # once-only history observation, under the run's cancellation.
-            trip = _ExecState(plan.probe, state.event)
-            return self._open_exec(trip, _ConsumerCall(expression, expression, listed=True))
+            trip = _ExecState(plan.probe, state.event, subject=expression, listed=True)
+            return trip, self._open_exec(trip, consumer=True)
 
         runner = _ProbeRunner(
             executor,
@@ -1176,15 +1079,10 @@ class StreamingExecution:
                 if state.report is None:
                     # Never (or only partly) consumed: written off, not failed.
                     state.event.set()
-                    opened = None
-                    future = state.future
-                    if future is not None:
-                        future.cancel()
-                        if future.done() and not future.cancelled():
-                            try:
-                                opened = future.result()
-                            except BaseException:
-                                pass
-                    state.report = self._report(state, opened, cancelled=True)
+                    # A probe join reports through its runner, and not at
+                    # all when it sent nothing.
+                    if state.future is not None:
+                        state.future.cancel()
+                        state.report = self._report(state, cancelled=True)
             if self._on_finish is not None:
                 self._on_finish()

@@ -465,6 +465,22 @@ def test_all_none_keys_issue_no_probe_calls(run):
         mediator.close()
 
 
+@pytest.mark.parametrize("run", ENGINES)
+def test_an_idle_probe_join_reports_no_call(run):
+    """An empty left side sends no probe: neither entry point reports a call
+    to the probed source or counts it as contacted."""
+    mediator, _left, right = build_probe_mediator([], right_rows=5)
+    try:
+        rows, result = run(mediator)
+        assert rows == []
+        assert "probejoin" in result.physical_plan
+        assert right.statistics.requests == 0
+        assert [report.extent_name for report in result.reports] == ["left0"]
+        assert result.sources_contacted() == 1
+    finally:
+        mediator.close()
+
+
 def test_sql_wrapper_refuses_an_empty_in_list():
     """Defense in depth below the probe runner's guard: an empty ``in`` list
     has no SQL spelling (``IN ()`` is a syntax error), so the wrapper raises

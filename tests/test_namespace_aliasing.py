@@ -465,9 +465,10 @@ class TestTypeCheckInvalidation:
         try:
             plan = implement(Submit("r0", Get("emp0"), extent_name="emp0"))
             assert not mediator.executor.execute(plan).is_partial  # verdict cached
-            # Re-register the extent *through the registry* (the path that
-            # does not call Executor.invalidate_type_checks) with a map whose
-            # source column does not exist.
+            # Re-register the extent *through the registry* (the only path:
+            # the verdicts are keyed to the schema version, and nothing tells
+            # the executor to forget them) with a map whose source column
+            # does not exist.
             mediator.registry.drop_extent("emp0")
             mediator.registry.add_extent(
                 "emp0",

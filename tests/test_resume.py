@@ -515,3 +515,125 @@ class TestOneRetryBudget:
         assert result.is_partial
         assert result.reports[0].resumed_calls == 0
         mediator.close()
+
+
+class SlowScan:
+    """A lazy cursor that takes ``pause`` seconds per row (a slow transfer)."""
+
+    def __init__(self, total, pause):
+        self.total = total
+        self.pause = pause
+
+    def __call__(self):
+        import time
+
+        def rows():
+            for i in range(self.total):
+                time.sleep(self.pause)
+                yield {"id": i, "name": f"p{i}", "salary": i}
+
+        return rows()
+
+
+def _sized_success():
+    mediator, _server = build_relational_mediator()
+    return mediator, mediator.query_stream(QUERY)
+
+
+def _lazy_cursor_success():
+    mediator = build_generator_mediator(FlakyScan(30, fail_at=30, failures=0))
+    return mediator, mediator.query_stream(QUERY)
+
+
+def _success_after_retry():
+    mediator, server = build_relational_mediator(max_retries=1, retry_backoff=0.001)
+    server.availability.fail_next(1)
+    return mediator, mediator.query_stream(QUERY)
+
+
+def _terminal_failure():
+    mediator, server = build_relational_mediator()
+    server.take_down()
+    return mediator, mediator.query_stream(QUERY)
+
+
+def _deadline_write_off_at_open():
+    from repro.sources.network import NetworkProfile
+
+    mediator, server = build_relational_mediator()
+    server.network = NetworkProfile(base_latency=0.5)
+    server.real_sleep = True
+    return mediator, mediator.query_stream(QUERY, timeout=0.05)
+
+
+def _deadline_hit_mid_drain():
+    mediator = build_generator_mediator(SlowScan(30, pause=0.01))
+    return mediator, mediator.query_stream(QUERY, timeout=0.1)
+
+
+def _death_recovered_by_token():
+    mediator, server = build_relational_mediator(max_retries=1, retry_backoff=0.001)
+    server.availability.kill_after(10)
+    return mediator, mediator.query_stream(QUERY)
+
+
+def _death_recovered_by_replay():
+    mediator, server = build_relational_mediator(
+        resume="replay", max_retries=1, retry_backoff=0.001
+    )
+    server.availability.kill_after(10)
+    return mediator, mediator.query_stream(QUERY)
+
+
+def _death_without_resume_support():
+    mediator, server = build_relational_mediator(resume=None, max_retries=1)
+    server.availability.kill_after(10)
+    return mediator, mediator.query_stream(QUERY)
+
+
+def _close_before_the_drain():
+    mediator = build_generator_mediator(FlakyScan(30, fail_at=30, failures=0))
+    result = mediator.query_stream(QUERY)
+    result.close()
+    return mediator, result
+
+
+#: outcome -> (failure observations, all observations, attempts, resumed_calls,
+#: replayed_rows, available, cancelled)
+OUTCOMES = {
+    "sized success": (_sized_success, (0, 1, 1, 0, 0, True, False)),
+    "lazy-cursor success": (_lazy_cursor_success, (0, 1, 1, 0, 0, True, False)),
+    "success after retry": (_success_after_retry, (1, 2, 2, 0, 0, True, False)),
+    "terminal failure": (_terminal_failure, (1, 1, 1, 0, 0, False, False)),
+    "deadline write-off at open": (_deadline_write_off_at_open, (1, 1, 1, 0, 0, False, False)),
+    "deadline hit mid-drain": (_deadline_hit_mid_drain, (1, 1, 1, 0, 0, False, False)),
+    "death recovered by token": (_death_recovered_by_token, (1, 2, 2, 1, 0, True, False)),
+    "death recovered by replay": (_death_recovered_by_replay, (1, 2, 2, 1, 10, True, False)),
+    "death with no resume support": (_death_without_resume_support, (1, 1, 1, 0, 0, False, False)),
+    "close() before the drain": (_close_before_the_drain, (0, 0, 1, 0, 0, True, True)),
+}
+
+
+@pytest.mark.parametrize("outcome", list(OUTCOMES))
+def test_one_terminal_history_observation_per_call(outcome):
+    """Every way an exec call can end leaves the history exactly one terminal
+    observation (a failure or a success), plus one failure per earlier
+    failed attempt or mid-stream death, and a report that counts them."""
+    run, expected = OUTCOMES[outcome]
+    mediator, result = run()
+    try:
+        list(result.iter_rows())
+    finally:
+        mediator.close()  # reap whatever a write-off left running
+    history = mediator.history
+    observations = sum(len(queue) for queue in history._exact.values())
+    [report] = result.reports
+    assert (
+        history.failures,
+        observations,
+        report.attempts,
+        report.resumed_calls,
+        report.replayed_rows,
+        report.available,
+        report.cancelled,
+    ) == expected
