@@ -265,18 +265,22 @@ class InList(Expr):
 
     def compile(self, evaluator=None) -> Compiled:
         operand = self.operand.compile(evaluator)
-        items = [item.compile(evaluator) for item in self.items]
         # All-constant items (every probe batch) are hashed once: a row costs
-        # one set probe, not one ``==`` per item.  Nil and NaN items equal
-        # nothing (a set would find a NaN by identity) and stay out; one
-        # unhashable item means no set, and every row is compared item by item.
+        # one set probe, not one ``==`` per item, and no item is compiled.
+        # Nil and NaN items equal nothing (a set would find a NaN by identity)
+        # and stay out; one unhashable item means no set, and an unhashable
+        # operand value misses it: either is compared item by item.
         members = None
         if all(isinstance(item, Const) for item in self.items):
             values = [item.value for item in self.items]
+            candidates = lambda env: values  # noqa: E731
             try:
                 members = frozenset(v for v in values if v is not None and v == v)
             except TypeError:
                 pass
+        else:
+            items = [item.compile(evaluator) for item in self.items]
+            candidates = lambda env: (item(env) for item in items)  # noqa: E731
 
         def run(env: Environment) -> bool:
             value = operand(env)
@@ -287,8 +291,7 @@ class InList(Expr):
                     return value in members
                 except TypeError:
                     pass  # an unhashable operand value: compare one by one
-            for item in items:
-                candidate = item(env)
+            for candidate in candidates(env):
                 if candidate is None:
                     continue
                 try:

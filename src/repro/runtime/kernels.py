@@ -8,11 +8,14 @@ statements with their ``compile()`` closures' semantics; any other expression
 calls its own closure.  A grouping (``mkgroupby`` at the mediator, the
 ``groupby`` terminal at a source) is one such loop too: its keys and arguments
 read the same way, one list of accumulator slots per group, the aggregates
-written inline.  The source holds only names the emitter invents, so it is a
-function of the operator's *shape* (:func:`_shape`, :func:`_group_shape`),
-compiled once per process.  A cached plan keeps its kernels in its
-compiled-call slot, under the identity of each chain's top node and each
-grouping's node; a kernel binds nothing of a run.
+written inline.  A join's key (:func:`key_function`) is the same reading with
+no loop around it: ``element -> key``, called once per row by the joins and
+the probe runner's bucketing.  The source holds only names the emitter
+invents, so it is a function of the operator's *shape* (:func:`_shape`,
+:func:`_group_shape`, :func:`_key_shape`), compiled once per process.  A
+cached plan keeps its kernels in its compiled-call slot, under the identity
+of each chain's top node and each grouping's node; a kernel binds nothing of
+a run.
 """
 
 from __future__ import annotations
@@ -135,6 +138,14 @@ def _group_shape(variable: str, keys: tuple, aggregates: tuple) -> tuple[tuple, 
     return (len(values), (("group", name, splat, keys, aggregates),)), values
 
 
+def _key_shape(variable: str, expression: Expr) -> tuple[tuple, list[Any]]:
+    """The shape of ``expression`` read off one element bound to ``variable``, and its values."""
+    values: list[Any] = []
+    name, splat = _value(values, variable), _value(values, variable == ENV_VARIABLE)
+    key = ("key", name, splat, _expr_shape(expression, variable, values, 0))
+    return (len(values), (key,)), values
+
+
 def _expr_shape(node: Expr, variable: str, values: list[Any], depth: int) -> tuple:
     if depth > _MAX_DEPTH:
         return ("call", _value(values, node))
@@ -181,6 +192,8 @@ class _Emitter:
         self.env, self.name, self.used, start = f"e{k}", f"a{name}", False, len(self.body)
         if kind == "apply":
             self.line(f"el = {self.expr(exprs[0])}")
+        elif kind == "key":
+            self.line(f"return {self.expr(exprs[0])}")
         elif kind == "group":
             self.group(*exprs)
         else:  # a conjunction drops the element at its first false operand
@@ -276,6 +289,9 @@ def emit(shape: tuple) -> str:
     setup = ["outer = dict(base_env) if base_env else {}"] if emitter.outer else []
     setup += [line for lines in reversed(setups) for line in lines]
     head = [f"def make({', '.join([*_HELPERS, *(f'a{i}' for i in range(count))])}):"]
+    if ops[0][0] == "key":  # one element in, its key out: a function, not a loop
+        head += ["    def kernel(base_env, subquery):", *("        " + line for line in setup)]
+        return "\n".join(head + ["        def key(el):", *emitter.body, "        return key", "    return kernel"])
     head += ["    def kernel(src, base_env, subquery):", *("        " + line for line in setup)]
     return "\n".join(head + ["        for el in src:", *emitter.body, *emitter.tail, "    return kernel"])
 
@@ -298,3 +314,14 @@ def group_kernel(variable: str, keys: tuple, aggregates: tuple) -> Kernel:
     """The kernel of a grouping: one output struct per distinct key combination."""
     shape, values = _group_shape(variable, keys, aggregates)
     return _factory(shape)(*_HELPERS.values(), *values)
+
+
+def key_function(
+    variable: str, expression: Expr, base_env: Mapping[str, Any] | None = None, subquery: Any = None
+) -> Callable[[Any], Any]:
+    """``element -> key``: ``expression.compile(subquery)``'s value or error in the
+    environment ``operators.environment_builder(variable, base_env)`` builds for
+    the element, which is built only where an outer environment, an :class:`Env`
+    element or the reserved variable needs it: a plain row is read in place."""
+    shape, values = _key_shape(variable, expression)
+    return _factory(shape)(*_HELPERS.values(), *values)(base_env, subquery)

@@ -10,8 +10,11 @@ bindings (when it is an :class:`Env`) and the operator's bound variable.
 A chain of the per-element operators (``filter``, ``mkapply``, ``mkproj``,
 ``mkrename``) runs as one generated loop, its kernel (:mod:`~repro.runtime.kernels`),
 held by a cached plan; so does a grouping, at the mediator and at a source
-alike (:func:`group_rows`).  The joins compile their expressions and pick
-their environment builder *once per invocation*, before the row loop.
+alike (:func:`group_rows`).  The joins bind their key functions
+(:func:`~repro.runtime.kernels.key_function`: a plain row's key is read in
+place, with no environment dict built for it) and compile their condition
+*once per invocation*, before the row loop; an environment is built only for
+a left element that has matches, and the condition is re-checked per pair.
 
 Every operator is a *lazy generator* (Volcano-style): it consumes its input
 iterator one element at a time and yields output elements as they are ready.
@@ -34,7 +37,7 @@ from repro.algebra.logical import join_on
 from repro.algebra.expressions import Expr, find_equi_conjunct
 from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError
-from repro.runtime.kernels import CHAIN, ENV_VARIABLE, Env, Kernel, chain_kernel, env_bindings, group_kernel
+from repro.runtime.kernels import CHAIN, ENV_VARIABLE, Env, Kernel, chain_kernel, env_bindings, group_kernel, key_function
 
 SubqueryEvaluator = Callable[[Any, Mapping[str, Any]], Any]
 
@@ -42,10 +45,11 @@ SubqueryEvaluator = Callable[[Any, Mapping[str, Any]], Any]
 def environment_builder(
     variable: str, base_env: Mapping[str, Any] | None
 ) -> Callable[[Any], dict[str, Any]]:
-    """One operator's ``element -> evaluation environment``, chosen before its row loop.
+    """One operator's ``element -> evaluation environment``.
 
     Without an outer environment, and away from the reserved variable whose
-    mappings splat, that is one fresh single-entry dict per element.
+    mappings splat, that is one fresh single-entry dict per element.  The
+    kernels and key functions read an element as if from this environment.
     """
     if base_env or variable == ENV_VARIABLE:
         outer = dict(base_env or {})
@@ -149,17 +153,15 @@ def bind_join_rows(
     pairs = _pairing(left_variable, right_variable, condition, base_env, subquery_evaluator)
 
     if equi is not None:
-        left_key = equi[0].compile(subquery_evaluator)
-        right_key = equi[1].compile(subquery_evaluator)
-        left_environment = environment_builder(left_variable, base_env)
-        outer = dict(base_env or {})
+        left_key = key_function(left_variable, equi[0], base_env, subquery_evaluator)
+        right_key = key_function(right_variable, equi[1], base_env, subquery_evaluator)
         buckets: dict[Any, list[Any]] = {}
         for element in right:
-            key = right_key({**outer, right_variable: element})
-            buckets.setdefault(key, []).append(element)
+            buckets.setdefault(right_key(element), []).append(element)
         for left_element in left:
-            key = left_key(left_environment(left_element))
-            yield from pairs(left_element, buckets.get(key, ()))
+            matches = buckets.get(left_key(left_element))
+            if matches:
+                yield from pairs(left_element, matches)
         return
 
     right_elements = materialized(right)
@@ -195,28 +197,23 @@ def probe_join_rows(
     if equi is None:
         raise ValueError("probe join requires an equi-join conjunct")
     batch_size = max(1, batch_size)
-    environment = environment_builder(left_variable, base_env)
-    left_key = equi[0].compile(subquery_evaluator)
+    left_key = key_function(left_variable, equi[0], base_env, subquery_evaluator)
     pairs = _pairing(left_variable, right_variable, condition, base_env, subquery_evaluator)
 
     batch: list[tuple[Any, Any]] = []  # (left element, its join key)
 
     def flush() -> Iterator[Env]:
-        keys: list[Any] = []
-        seen: set[Any] = set()
-        for _, key in batch:
-            if key is None or key in seen:
-                continue
-            seen.add(key)
-            keys.append(key)
-        buckets = prober(keys) if keys else {}
+        keys = dict.fromkeys([key for _, key in batch])  # first-seen order
+        keys.pop(None, None)
+        buckets = prober(list(keys)) if keys else {}
         for element, key in batch:
-            if key is not None:
-                yield from pairs(element, buckets.get(key, ()))
+            matches = buckets.get(key)  # a nil key was never probed
+            if matches:
+                yield from pairs(element, matches)
         batch.clear()
 
     for element in left:
-        batch.append((element, left_key(environment(element))))
+        batch.append((element, left_key(element)))
         if len(batch) >= batch_size:
             yield from flush()
     if batch:

@@ -23,6 +23,7 @@ from repro.algebra.expressions import Comparison, Const, Expr, InList, find_equi
 from repro.errors import QueryExecutionError
 from repro.runtime import namespace
 from repro.runtime.executor import CompiledCall, ExecReport, Executor
+from repro.runtime.kernels import key_function
 from repro.runtime.namespace import _wrapper_accepts
 
 
@@ -113,6 +114,8 @@ class _ProbeRunner:
         if equi is None:  # the planner only builds ProbeJoin with one
             raise QueryExecutionError("probe join requires an equi-join conjunct")
         self._right_expr: Expr = equi[1]
+        #: a fetched row's join key (a source row is a plain row: read in place)
+        self._right_key = key_function(plan.right_variable, equi[1])
         self._probe_call: CompiledCall | None = None
         self._estimate_rows = 1.0
         #: None until the first fetch; then "in" | "per-key" | "ship".
@@ -208,11 +211,10 @@ class _ProbeRunner:
         )
 
     def _bucket(self, rows: list[Any]) -> dict[Any, list[Any]]:
-        variable = self._plan.right_variable
-        right_key = self._right_expr.compile()
+        right_key = self._right_key
         buckets: dict[Any, list[Any]] = {}
         for row in rows:
-            buckets.setdefault(right_key({variable: row}), []).append(row)
+            buckets.setdefault(right_key(row), []).append(row)
         return buckets
 
     def _blown(self) -> bool:

@@ -59,6 +59,16 @@ already delivered -- dedup by delivered-row count, counted as
 The rule is "resume only what was delivered", which is why a materialising
 run retries whole calls and never resumes.
 
+A stream's exec leaf (``_stream_state``) does its bookkeeping once per
+*chunk* of rows, not once per row: one deadline check and two clock reads
+(the chunk's source time, charged to the history) per chunk.  A chunk starts
+at one row, so the first row is not held back, and doubles up to
+:data:`CHUNK_ROWS` while its pulls stay under :data:`CHUNK_SECONDS`; one slow
+pull drops it back to one row, so a dripping cursor is still cut off at the
+deadline.  Rows are counted as they are delivered (where a reopen resumes),
+and a replay reopen's re-shipped rows are dropped off the front of its
+chunks; a source dying mid-chunk has the rows it shipped delivered first.
+
 Stream iteration is replayable: the execution buffers what it has yielded,
 so a second ``iter()`` (or :meth:`to_list` after a partial read) replays the
 prefix and continues the live tail -- the pipeline generators themselves are
@@ -72,6 +82,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from concurrent.futures import TimeoutError as _FuturesTimeoutError
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.algebra import logical as log
@@ -96,6 +107,10 @@ from repro.wrappers.base import RESUME_REPLAY, RESUME_TOKEN, ResumableStream
 
 #: the row function for rows that carry the mediator's attribute names
 _MEDIATOR_ROW = namespace.row_normaliser({})
+#: the largest chunk a stream's drain pulls between two deadline checks
+CHUNK_ROWS = 256
+#: a chunk that pulls in this long or longer drops the next one back to one row
+CHUNK_SECONDS = 0.001
 
 
 @dataclass
@@ -344,9 +359,13 @@ class StreamingExecution:
                 self._finish()
                 raise
             self._buffer.append(row)
+            index += 1
+            yield row
 
     def to_list(self) -> list[Any]:
         """Drain the stream and return every row."""
+        if self._finished and self._failure is None:
+            return list(self._buffer)  # nothing to drain: no replay row by row
         return list(self)
 
     def close(self) -> None:
@@ -513,8 +532,9 @@ class StreamingExecution:
                     else:
                         rows = wrapper.submit_stream(plan.expression)
                     if listed:
-                        # One bulk pass, not the consumer's per-row timed
-                        # loop: on a 10k-row scan that loop costs 20-40%.
+                        # One bulk pass inside the attempt: nothing is handed
+                        # over before the answer is whole, so there is no
+                        # deadline to check or pull time to charge per chunk.
                         if plan.split is None:
                             rows = map(plan.normalise, rows)
                         if state.stripped:
@@ -802,7 +822,8 @@ class StreamingExecution:
         return None
 
     def _stream_state(self, state: _ExecState) -> Iterator[Any]:
-        """A stream's exec leaf: settle the call, then hand its rows over."""
+        """A stream's exec leaf: settle the call, then hand its rows over,
+        each (re)opened segment pulled in chunks (see the module docstring)."""
         history = self._executor.history
         opened = self._settle(state)
         if opened is None:
@@ -823,9 +844,11 @@ class StreamingExecution:
             #: replay reopen; dropped silently (dedup by delivered-row count).
             to_skip = state.skip
             died: BaseException | None = None
+            size = 1
             try:
                 while True:
-                    if self._deadline is not None and time.monotonic() > self._deadline:
+                    pulled = time.monotonic()
+                    if self._deadline is not None and pulled > self._deadline:
                         # The designated time period expired mid-drain: the
                         # rows already delivered stand, the rest of this
                         # source is a timeout (observed, then written off).
@@ -835,32 +858,32 @@ class StreamingExecution:
                             state, available=False, error=self._timeout_text()
                         )
                         return
-                    pulled = time.monotonic()
+                    chunk: list[Any] = []
                     try:
-                        raw = iterator.__next__()
-                        row = normalise(raw)
-                    except StopIteration:
-                        break
+                        for raw in islice(iterator, size):
+                            chunk.append(normalise(raw))
                     except StreamClosed:
                         # Consumer-side close crossing a mediator-recombined
                         # iterator: cancellation, not a source death -- do
                         # not spend resume budget reopening for nobody.
                         raise
                     except Exception as exc:  # the source died mid-stream
-                        pull_time = time.monotonic() - pulled
-                        source_time += pull_time
-                        segment_time += pull_time
                         died = exc
-                        break
                     pull_time = time.monotonic() - pulled
                     source_time += pull_time
                     segment_time += pull_time
+                    last = died is not None or len(chunk) < size
                     if to_skip > 0:
-                        to_skip -= 1
-                        state.replayed += 1
-                        continue
-                    state.consumed += 1
-                    yield row
+                        skipped = min(to_skip, len(chunk))
+                        to_skip -= skipped
+                        state.replayed += skipped
+                        del chunk[:skipped]
+                    for row in chunk:
+                        state.consumed += 1
+                        yield row
+                    if last:
+                        break
+                    size = 1 if pull_time >= CHUNK_SECONDS else min(2 * size, CHUNK_ROWS)
             finally:
                 close = getattr(iterator, "close", None)
                 if close is not None:

@@ -17,8 +17,10 @@ import pytest
 
 from repro import CapabilityError, Mediator, RelationalWrapper
 from repro.algebra.capabilities import CapabilitySet
-from repro.algebra.expressions import InList
+from repro.algebra.expressions import Comparison, InList, Path, Var
 from repro.algebra.logical import Select, walk
+from repro.datamodel.values import Struct
+from repro.runtime import operators
 from repro.runtime import probe as probe_module
 from repro.oql.parser import parse_query
 from repro.sources import RelationalEngine, SimulatedServer
@@ -541,3 +543,27 @@ def test_a_256_key_batch_buckets_like_256_per_key_probes(odd_keys):
     ]
     assert buckets(batched) == buckets(per_key)
     assert len(batched) == 200 + (odd_keys[2] == [7])
+
+
+def test_only_a_matched_left_row_gets_an_environment(monkeypatch):
+    """1 000 left rows, 10 of them matched: the keys are read off the rows in
+    place and the environment is built for the 10 matches alone (one per
+    left row, 1 000, before the key functions)."""
+    built = []
+
+    def counting_bindings(element, variable):
+        built.append(element)
+        return bindings(element, variable)
+
+    bindings = operators.env_bindings
+    monkeypatch.setattr(operators, "env_bindings", counting_bindings)
+    left = [Struct({"id": i}) for i in range(1000)]
+    matched = set(range(0, 1000, 100))
+
+    def prober(keys):  # as the probe runner answers: every key, most with no rows
+        return {key: [Struct({"id": key, "value": -key})] if key in matched else [] for key in keys}
+
+    condition = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
+    joined = list(operators.probe_join_rows(left, "x", "y", condition, prober, batch_size=256))
+    assert sorted(env["x"]["id"] for env in joined) == sorted(matched)
+    assert len(built) <= 10

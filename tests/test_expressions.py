@@ -507,6 +507,33 @@ class TestCompiledAgainstReference:
         assert structs.evaluate({"x": {"v": {"a": 1}}}) is True
         assert structs.evaluate({"x": {"v": {"a": 2}}}) is False
 
+    def test_constant_items_are_hashed_not_compiled_and_the_fallbacks_hold(self, monkeypatch):
+        """An all-constant list compiles none of its items.  Its nil and NaN
+        items match nothing, and an unhashable item (no member set) or
+        operand value (a miss in it) is compared with the constants one by
+        one; a list that reads the row compiles its items and does the same."""
+        compiled = []
+        compile_const = Const.compile
+        monkeypatch.setattr(
+            Const, "compile", lambda self, evaluator=None: compiled.append(self) or compile_const(self, evaluator)
+        )
+        nan = float("nan")
+        hashed = InList(x_salary(), (Const(None), Const(nan), Const(Struct({"a": 1})), Const(3)))
+        unhashable = InList(x_salary(), (Const(None), Const(nan), Const([1, 2]), Const(3)))
+        row_read = InList(x_salary(), (Const(None), Path(Var("x"), "other"), Const([1, 2]), Const(3)))
+        runs = [hashed.compile(), unhashable.compile()]
+        assert compiled == []
+        runs.append(row_read.compile())
+        assert len(compiled) == 3
+        # salary -> (in hashed, in unhashable, in row_read), where ``other`` is NaN
+        absent = (False, False, False)
+        cases = [(3, (True, True, True)), (None, absent), (nan, absent), ("3", absent)]
+        cases += [({"a": 1}, (True, False, False)), ([1, 2], (False, True, True)), ([3], absent)]
+        for salary, members in cases:
+            env = {"x": {"salary": salary, "other": nan}}
+            assert tuple(run(env) for run in runs) == members
+            assert tuple(reference_evaluate(e, env) for e in (hashed, unhashable, row_read)) == members
+
     @pytest.mark.parametrize(
         "expr, message",
         [

@@ -27,7 +27,7 @@ from repro.algebra.physical import Exec, Field, Filter, MkApply, MkGroupBy, MkLi
 from repro.datamodel.values import Struct
 from repro.errors import QueryExecutionError
 from repro.runtime import kernels
-from repro.runtime.operators import Env, compose_rows, environment_builder, group_rows
+from repro.runtime.operators import Env, compose_rows, env_bindings, environment_builder, group_rows
 from tests.test_expressions import EXPRESSIONS, SCALARS, VALUES, canon, echo_subquery
 from tests.test_streaming import ScanCounter, build_generator_mediator
 
@@ -499,3 +499,43 @@ def test_group_names_reach_the_loop_as_values_never_as_source():
     assert hostile == plain and HOSTILE in values
     assert "__import__" not in kernels.emit(hostile)
     group_agree("x", keys, aggregates, [{"k": 1, "v": 2}, {"k": 1, "v": 3}])
+
+
+# -- join keys: the reference is the closure over the environment the joins built per row -------
+#: mostly one attribute of a variable, as equi-join keys are; any expression reads the same way
+KEY_EXPRESSIONS = st.one_of(
+    st.builds(Path, st.builds(Var, st.sampled_from(["x", "x", "y", "_env", "z"])), NAMES),
+    EXPRESSIONS,
+)
+
+
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
+@given(
+    OPERATOR_VARIABLES,
+    KEY_EXPRESSIONS,
+    st.one_of(*ELEMENT_KINDS),
+    BASE_ENVS,
+    st.sampled_from([echo_subquery, None]),
+)
+def test_a_key_function_reads_what_the_closure_reads(variable, expression, element, base_env, subquery):
+    """Struct, dict, foreign, ``Env``, nil and nil-valued elements, missing
+    attributes, with and without an outer environment: the generated key
+    function gives the closure's value, or fails with its error."""
+    environment = environment_builder(variable, base_env)
+    expected = outcome(lambda: [expression.compile(subquery)(environment(element))])
+    key = kernels.key_function(variable, expression, base_env, subquery)
+    assert outcome(lambda: [key(element)]) == expected
+
+
+def test_a_plain_row_key_builds_no_environment(monkeypatch):
+    """A Struct or dict row is read in place; an outer environment, and only
+    that, builds the environment dict per row."""
+    built = []
+    monkeypatch.setitem(kernels._HELPERS, "bindings", lambda el, name: built.append(el) or env_bindings(el, name))
+    rows = [Struct({"id": 1}), {"id": None}, Struct({"id": 3})]
+    key = kernels.key_function("x", Path(Var("x"), "id"))
+    assert [key(row) for row in rows] == [1, None, 3] and built == []
+    with pytest.raises(QueryExecutionError, match="object struct\\(other: 1\\) has no attribute 'id'"):
+        key(Struct({"other": 1}))
+    key = kernels.key_function("x", Path(Var("x"), "id"), base_env={"z": 0})
+    assert [key(row) for row in rows] == [1, None, 3] and built == rows

@@ -19,10 +19,15 @@ The streaming engine's last structural failure-matrix gap: a source that dies
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from itertools import islice
+
 import pytest
 
 from repro import Mediator, RelationalWrapper
 from repro.errors import UnavailableSourceError, WrapperError
+from repro.runtime import streaming
 from repro.sources import RelationalEngine, SimulatedServer
 from repro.wrappers.base import ResumableStream
 from repro.wrappers.generator import GeneratorWrapper
@@ -32,9 +37,9 @@ QUERY = "select x.name from x in person0"
 EXPECTED = [f"p{i}" for i in range(30)]
 
 
-def build_relational_mediator(resume="token", capabilities=None, **mediator_kwargs):
+def build_relational_mediator(resume="token", capabilities=None, rows=ROWS, **mediator_kwargs):
     engine = RelationalEngine(name="db0")
-    engine.create_table("person0", rows=[dict(row) for row in ROWS])
+    engine.create_table("person0", rows=[dict(row) for row in rows])
     server = SimulatedServer(name="h0", store=engine)
     wrapper = RelationalWrapper("w0", server, capabilities=capabilities, resume=resume)
     mediator = Mediator(name="resume", **mediator_kwargs)
@@ -637,3 +642,52 @@ def test_one_terminal_history_observation_per_call(outcome):
         report.available,
         report.cancelled,
     ) == expected
+
+
+#: a 2 000-row extent: the drain's chunks reach their largest size inside it
+LONG_ROWS = [{"id": i, "name": f"p{i}", "salary": i % 100} for i in range(2000)]
+
+
+@pytest.fixture
+def growing_chunks(monkeypatch):
+    """Every chunk pulls fast enough to double: 1, 2, 4, ... 256 rows, so the
+    drain's chunk boundaries fall after rows 1, 3, 7, ... 63, 127, 255, 511, 767."""
+    monkeypatch.setattr(streaming, "CHUNK_SECONDS", math.inf)
+
+
+@pytest.mark.parametrize("resume", ["token", "replay"])
+@pytest.mark.parametrize("kill", [1, 63, 64, 255, 256, 257, 1500])
+def test_a_death_anywhere_in_a_chunk_delivers_exactly_once(growing_chunks, resume, kill):
+    """A source dying before, on or after a chunk boundary: the rows already
+    pulled in the dying chunk are delivered, the reopen resumes right after
+    them, and the call leaves one failure and one success in the history."""
+    mediator, server = build_relational_mediator(
+        resume=resume, rows=LONG_ROWS, max_retries=1, retry_backoff=0.001
+    )
+    server.availability.kill_after(kill)
+    result = mediator.query_stream(QUERY)
+    try:
+        rows = list(result.iter_rows())
+    finally:
+        mediator.close()
+    assert Counter(rows) == Counter(row["name"] for row in LONG_ROWS)
+    [report] = result.reports
+    assert (report.available, report.rows, report.attempts, report.resumed_calls) == (True, 2000, 2, 1)
+    assert report.replayed_rows == (kill if resume == "replay" else 0)
+    assert server.statistics.rows_skipped == (kill if resume == "token" else 0)
+    history = mediator.history
+    assert (history.failures, sum(len(queue) for queue in history._exact.values())) == (1, 2)
+
+
+def test_a_close_inside_a_chunk_reports_the_rows_delivered(growing_chunks):
+    """Rows 64-127 are one chunk: closing after row 100 leaves 27 of its rows
+    pulled but never delivered, and the report counts only the delivered."""
+    mediator, _server = build_relational_mediator(rows=LONG_ROWS)
+    result = mediator.query_stream(QUERY)
+    try:
+        assert len(list(islice(result.iter_rows(), 100))) == 100
+        result.close()
+    finally:
+        mediator.close()
+    [report] = result.reports
+    assert (report.rows, report.cancelled, report.available) == (100, True, True)

@@ -8,8 +8,10 @@ upstream work cooperatively, and a source dying mid-stream still surfaces
 through ``errors()``.
 """
 
+import math
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.algebra.logical import Limit, Project, Submit, Union, Get
 from repro.oql.parser import parse_query
 from repro.optimizer.history import ExecCallHistory
 from repro.optimizer.plancache import PlanCache
+from repro.runtime import streaming
 from repro.sources import RelationalEngine, SimulatedServer
 from repro.sources.network import NetworkProfile
 from tests.conftest import build_paper_mediator, build_person_federation
@@ -562,6 +565,29 @@ class TestDeadlineDuringDrain:
         assert mediator.history.failures == 0
         assert mediator.history.availability("person0") == 1.0
         mediator.close()
+
+
+class TestChunkedDrain:
+    """The drain's bookkeeping is per chunk, not per row: counts, never timings."""
+
+    def test_a_drain_reads_the_clock_per_chunk_not_per_row(self, monkeypatch):
+        """10 000 rows in chunks of up to 256: some 45 chunks, two clock reads
+        each (one per row, three per row before chunking: ~30 000)."""
+        reads = []
+
+        def monotonic():
+            reads.append(None)
+            return time.monotonic()
+
+        monkeypatch.setattr(streaming, "CHUNK_SECONDS", math.inf)  # every chunk doubles
+        monkeypatch.setattr(streaming, "time", SimpleNamespace(monotonic=monotonic, sleep=time.sleep))
+        mediator = build_generator_mediator(ScanCounter(10_000))
+        try:
+            result = mediator.query_stream("select x.name from x in person")
+            assert len(result.rows()) == 10_000
+        finally:
+            mediator.close()
+        assert len(reads) < 200
 
 
 class TestLimitSoftKeyword:
