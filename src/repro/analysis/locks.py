@@ -148,7 +148,9 @@ class _FunctionChecker(ast.NodeVisitor):
         """Highest rank currently held among spec locks (rank, name)."""
         best: tuple[int, str] | None = None
         for name, decl in self.held:
-            if decl is not None and (best is None or decl.rank > best[0]):
+            if decl is None or decl.rank is None:
+                continue
+            if best is None or decl.rank > best[0]:
                 best = (decl.rank, name)
         return best
 
@@ -181,7 +183,8 @@ class _FunctionChecker(ast.NodeVisitor):
                 self.visit(item.context_expr)
                 continue
             held = self._held_rank()
-            if decl is not None and held is not None and decl.rank <= held[0] and not (
+            ranked = decl is not None and decl.rank is not None
+            if ranked and held is not None and decl.rank <= held[0] and not (
                 decl.kind == "RLock" and held[1] == attr
             ):
                 self._emit(
@@ -359,6 +362,7 @@ def check_locks(spec: Spec, modules: list[SourceModule]) -> list[Finding]:
     findings: list[Finding] = []
     seen: set[tuple[str, str, int, str]] = set()
     by_path = {m.path: m for m in modules}
+    by_cls = {c.cls: c for c in spec.lock_components}
 
     # spec-driven pass: component classes
     for comp in spec.lock_components:
@@ -390,6 +394,9 @@ def check_locks(spec: Spec, modules: list[SourceModule]) -> list[Finding]:
                 )
             )
             continue
+        for base in cls_node.bases:
+            if tail_name(base) in by_cls:
+                comp = comp.inherit(by_cls[tail_name(base)])
         heuristic = any(comp.module.startswith(p) for p in spec.hygiene_scan)
         for qual, func in _iter_class_functions(cls_node):
             checker = _FunctionChecker(

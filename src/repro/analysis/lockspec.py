@@ -3,6 +3,9 @@
 A :class:`LockComponent` names one class, its lock attributes, what each
 lock guards, and the lock's **rank** in the acquisition hierarchy: a thread
 holding a lock of rank *r* may only acquire locks of strictly greater rank.
+A component whose class subclasses another component's inherits that
+component's guards for the same lock; a base class's lock has no rank of its
+own (each instance's lock is ranked by its subclass's row).
 The lock checker enforces the spec against the code; ``--write-docs``
 renders the same spec into the lock-discipline table in
 ``docs/ARCHITECTURE.md``, so the prose map can no longer drift from what is
@@ -11,7 +14,7 @@ enforced (a drift rule diffs the two).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -21,7 +24,7 @@ class LockDecl:
     attr: str  #: attribute name, e.g. "_lock"
     kind: str  #: "Lock" | "RLock" | "Condition"
     guards: tuple[str, ...]  #: self-attributes this lock guards
-    rank: int = 50  #: acquisition hierarchy; acquire strictly increasing
+    rank: int | None = 50  #: acquisition hierarchy; acquire strictly increasing
     guards_doc: str = ""  #: prose for the docs table (defaults to guards)
     notes: str = ""  #: prose notes for the docs table
 
@@ -49,6 +52,14 @@ class LockComponent:
                 return decl
         return None
 
+    def inherit(self, base: LockComponent) -> LockComponent:
+        """This component with ``base``'s guards added to the locks both declare."""
+        locks = tuple(
+            replace(d, guards=d.guards + b.guards) if (b := base.lock_for(d.attr)) else d
+            for d in self.locks
+        )
+        return replace(self, locks=locks)
+
     def guard_of(self, state_attr: str) -> LockDecl | None:
         for decl in self.locks:
             if state_attr in decl.guards:
@@ -74,7 +85,8 @@ def render_lock_table(components: tuple[LockComponent, ...]) -> str:
         module = comp.module.removeprefix("src/repro/")
         # A component with no lock declares why its shared state needs none.
         locks = "; ".join(
-            f"`{d.attr}` {d.kind} ({d.rank})" for d in comp.locks
+            f"`{d.attr}` {d.kind} ({'per subclass' if d.rank is None else d.rank})"
+            for d in comp.locks
         ) or "none"
         guards = "; ".join(
             d.guards_doc or ", ".join(f"`{g}`" for g in d.guards) for d in comp.locks

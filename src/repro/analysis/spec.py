@@ -127,25 +127,35 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
     ),
     LockComponent(
         module="src/repro/optimizer/plancache.py",
+        cls="VersionedCache",
+        locks=(
+            LockDecl(
+                attr="_lock",
+                kind="RLock",
+                guards=("_entries", "hits", "misses", "invalidations", "evictions"),
+                rank=None,
+                guards_doc="the LRU map and hit/miss/eviction/invalidation "
+                "counters",
+                notes="the base of both query caches: an entry is served only "
+                "under the `schema_version` it was built under, and a lookup "
+                "under another drops it.  Each cache has its own lock, ranked "
+                "by its subclass's row; the subclass rows inherit these guards.",
+            ),
+        ),
+        held_in=(("_fetch", "_lock"), ("_insert", "_lock"), ("_remove", "_lock")),
+    ),
+    LockComponent(
+        module="src/repro/optimizer/plancache.py",
         cls="PlanCache",
         locks=(
             LockDecl(
                 attr="_lock",
                 kind="RLock",
-                guards=(
-                    "_entries",
-                    "_keys",
-                    "hits",
-                    "misses",
-                    "invalidations",
-                    "evictions",
-                ),
+                guards=("_keys",),
                 rank=41,
-                guards_doc="the LRU map and hit/miss/eviction/invalidation "
-                "counters",
-                notes="entries are keyed `(canonical text, schema_version)`, "
-                "so a stale plan is unreachable rather than invalidated in "
-                "place.",
+                guards_doc="the mediator's one text -> canonical key memo",
+                notes="the lazy cache: a stale plan is dropped on its next "
+                "lookup.",
             ),
         ),
     ),
@@ -197,28 +207,23 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
                 attr="_lock",
                 kind="RLock",
                 guards=(
-                    "_entries",
                     "_by_plan",
-                    "_keys",
                     "_total_rows",
-                    "hits",
+                    "_held",
                     "subsumption_hits",
-                    "misses",
                     "patches",
                     "stores",
-                    "invalidations",
-                    "evictions",
                 ),
                 rank=43,
-                guards_doc="the answer LRU, the plan-text subsumption index, "
-                "the row budget and the hit/subsumption/patch/miss counters",
+                guards_doc="the plan-text subsumption index, the row budget, "
+                "the subsumption/patch/store counters and the one-mediator claim",
                 notes="never held while planning, executing, replaying "
-                "deltas or reading the registry; entries pin a "
-                "`schema_version` so a stale answer is unreachable, and "
-                "partial patches re-validate the pin after executing.",
+                "deltas or reading the registry; `add_extent`/`drop_extent` "
+                "sweep stale entries out (`evict_stale`), and partial patches "
+                "re-validate their pin after executing.",
             ),
         ),
-        held_in=(("_remove_entry", "_lock"),),
+        held_in=(("_added", "_lock"), ("_removed", "_lock")),
     ),
     LockComponent(
         module="src/repro/runtime/backpressure.py",

@@ -41,11 +41,14 @@ class Mediator:
         (``timeout``, ``max_retries``, ...: the README's knob table)."""
         self.name = name
         # answer_cache=True builds one with defaults; an AnswerCache instance
-        # is used as-is (and may be shared); None/False turns caching off.
+        # is used as-is; None/False turns caching off.  A cache serves one
+        # mediator: its entries carry this registry's schema versions.
         if answer_cache is True:
             answer_cache = AnswerCache()
         elif answer_cache is False:
             answer_cache = None
+        if answer_cache is not None:
+            answer_cache.hold()
         self.answer_cache: AnswerCache | None = answer_cache
         self.registry = Registry()
         self.history = ExecCallHistory()
@@ -152,16 +155,16 @@ class Mediator:
             source_collection=source_collection,
         )
         if self.answer_cache is not None:
-            # Eager per-extent eviction on *re*-registration; the version
-            # bump already makes every entry unreachable lazily.
-            self.answer_cache.invalidate_extent(name)
+            # The version bump made every cached answer unreachable: return
+            # their rows to the budget now rather than on sight.
+            self.answer_cache.evict_stale(self.registry.schema_version)
         return meta
 
     def drop_extent(self, name: str) -> None:
         """Remove an extent declaration."""
         self.registry.drop_extent(name)
         if self.answer_cache is not None:
-            self.answer_cache.invalidate_extent(name)
+            self.answer_cache.evict_stale(self.registry.schema_version)
 
     def define_view(self, name: str, query_text: str):
         """``define <name> as <query>;``"""
@@ -189,20 +192,21 @@ class Mediator:
         """
         cache = self.answer_cache
         if cache is None:
-            planned = self.planner.plan(text)
-            return self._run(planned, timeout=timeout)
+            return self._run(self.planner.plan(text), timeout=timeout)
+        keyed = self.planner.key(text)
+        key = keyed[0]
         version = self.registry.schema_version
-        entry = cache.get_exact(text, version)
+        entry = cache.get_exact(key, version)
         if entry is not None:
             if entry.complete:
                 return QueryResult(
                     query_text=text, data=Bag(entry.rows), from_answer_cache=True
                 )
-            patched = self._patch_partial(text, entry, timeout=timeout)
+            patched = self._patch_partial(text, key, entry, version, timeout=timeout)
             if patched is not None:
                 return patched
             version = self.registry.schema_version
-        planned = self.planner.plan(text)
+        planned = self.planner.plan(text, keyed=keyed)
         if planned.is_scalar or planned.logical is None:
             # Scalars have no row answer to cache; run them directly.
             return self._run(planned, timeout=timeout)
@@ -212,7 +216,7 @@ class Mediator:
             rows = list(compensate_rows(deltas, superset.rows or ()))
             # Promote the replayed answer to its own entry: the next
             # identical query is then an O(1) exact hit.
-            cache.store_complete(text, planned.logical, superset.schema_version, rows)
+            cache.store_complete(key, planned.logical, version, rows)
             return QueryResult(
                 query_text=text,
                 data=Bag(rows),
@@ -225,67 +229,41 @@ class Mediator:
         # it still holds (the planner's own discipline): a schema change
         # mid-flight means the answer may mix old and new resolutions.
         if self.registry.schema_version == version:
-            if not result.is_partial:
-                cache.store_complete(
-                    text, planned.logical, version, tuple(result.rows())
-                )
-            elif result.partial_plan is not None:
-                cache.store_partial(
-                    text,
-                    planned.logical,
-                    version,
-                    partial_plan=result.partial_plan,
-                    unavailable_sources=result.unavailable_sources,
-                )
+            cache.store(key, planned.logical, version, result)
         return result
 
     def _patch_partial(
-        self, text: str, entry: CacheEntry, timeout: float | None = None
+        self, text: str, key: str, entry: CacheEntry, version: int, timeout: float | None = None
     ) -> QueryResult | None:
         """Repair a cached partial answer by re-running only its missing extents.
 
-        The resubmission is *pinned* to the entry's ``schema_version``: if
-        the registry moved between the miss and the patch -- or while the
-        patch was executing -- the embedded rows may describe extents that no
-        longer exist (or resolve differently), so the entry is dropped and
-        the caller falls back to a full run (returns None).
+        The resubmission is *pinned* to ``version``, the one the entry was
+        built under: if the registry moved between the miss and the patch --
+        or while the patch was executing -- the embedded rows may describe
+        extents that no longer exist (or resolve differently), so the stale
+        entries are swept and the caller falls back to a full run (returns
+        None).
         """
-        if entry.partial_plan is None:
-            return None
-        if self.registry.schema_version != entry.schema_version:
-            self.answer_cache.drop(text)
+        cache = self.answer_cache
+        if self.registry.schema_version != version:
+            cache.evict_stale(self.registry.schema_version)
             return None
         physical = implement(entry.partial_plan)
         execution = self.executor.execute(physical, timeout=timeout)
-        if self.registry.schema_version != entry.schema_version:
+        if self.registry.schema_version != version:
             # Mutated mid-patch: the rows just computed straddle two schemas.
-            self.answer_cache.drop(text)
+            cache.evict_stale(self.registry.schema_version)
             return None
-        self.answer_cache.note_patch()
-        if not execution.is_partial:
-            self.answer_cache.store_complete(
-                text,
-                None,
-                entry.schema_version,
-                tuple(execution.data.to_list()),
-                extents=entry.extents,
-            )
-        elif execution.partial_plan is not None:
-            self.answer_cache.store_partial(
-                text,
-                None,
-                entry.schema_version,
-                partial_plan=execution.partial_plan,
-                unavailable_sources=execution.unavailable_sources,
-                extents=entry.extents,
-            )
-        return QueryResult.of(
+        cache.note_patch()
+        result = QueryResult.of(
             text,
             execution,
             logical=entry.partial_plan,
             physical=physical,
             from_answer_cache=True,
         )
+        cache.store(key, None, version, result)
+        return result
 
     def query_stream(self, text: str, timeout: float | None = None) -> QueryResult:
         """Evaluate an OQL query with the streaming engine.
@@ -310,20 +288,25 @@ class Mediator:
         An exact answer-cache hit is served materialized too (the rows are
         already local, there is nothing to stream); subsumption and partial
         patching are barrier-only, and streamed answers are never stored
-        (rows already delivered cannot be re-materialized faithfully).
+        (rows already delivered cannot be re-materialized faithfully): a
+        streamed execution counts as a miss.
         """
         cache = self.answer_cache
+        keyed = None
         if cache is not None:
-            entry = cache.get_exact(text, self.registry.schema_version)
+            keyed = self.planner.key(text)
+            entry = cache.get_exact(keyed[0], self.registry.schema_version)
             if entry is not None and entry.complete:
                 return QueryResult(
                     query_text=text, data=Bag(entry.rows), from_answer_cache=True
                 )
-        planned = self.planner.plan(text)
+        planned = self.planner.plan(text, keyed=keyed)
         if planned.is_scalar:
             return self._run_scalar(planned, timeout=timeout)
         if planned.optimized is None or planned.logical is None:
             raise QueryExecutionError(f"query {planned.text!r} produced no plan")
+        if cache is not None:
+            cache.note_miss()
         stream = self.executor.execute_stream(
             planned.optimized.physical, timeout=timeout, calls=self._compiled_calls(planned)
         )

@@ -75,9 +75,28 @@ class QueryPlanner:
         return wrapper.submit_functionality()
 
     # -- the pipeline -----------------------------------------------------------------------
-    def plan(self, text: str, use_cache: bool = True) -> PlannedQuery:
+    def key(self, text: str) -> tuple[str, QueryNode | None]:
+        """The canonical cache key of ``text``, and its AST if finding it took a parse.
+
+        The mediator's one key memo: the plan cache and the answer cache are
+        both keyed by it.  On first sight of a text, the parse that
+        canonicalises the key is the parse that plans the query on a miss.
+        """
+        key = self.plan_cache.known_key(text)
+        if key is not None:
+            return key, None
+        ast = parse_query(text)
+        return self.plan_cache.learn_key(text, ast.to_oql()), ast
+
+    def plan(
+        self,
+        text: str,
+        use_cache: bool = True,
+        keyed: tuple[str, QueryNode | None] | None = None,
+    ) -> PlannedQuery:
         """Parse, bind, translate and optimize ``text``.
 
+        ``keyed`` is :meth:`key`'s answer for ``text`` when the caller has it.
         ``use_cache=False`` plans from scratch and leaves the plan cache
         untouched (``Mediator.explain``).
         """
@@ -85,13 +104,7 @@ class QueryPlanner:
             return self.plan_ast(parse_query(text), text=text)
         version = self.registry.schema_version
         cache = self.plan_cache
-        ast: QueryNode | None = None
-        key = cache.known_key(text)
-        if key is None:
-            # First sight of this text: the parse that canonicalises the
-            # cache key is the parse that plans the query on a miss.
-            ast = parse_query(text)
-            key = cache.learn_key(text, ast.to_oql())
+        key, ast = keyed or self.key(text)
         cached = cache.get(text, version, key=key)
         if cached is not None:
             return PlannedQuery(

@@ -1,47 +1,44 @@
-"""Caching of optimized plans, invalidated by schema changes.
+"""The versioned LRU under both query caches, and the plan cache on top of it.
 
 The paper: "if query optimization plans are cached, the mediator must monitor
 updates to extents, and modify or recompute plans that are affected by updates
 to the extents understood by the mediator."  The registry bumps a schema
-version every time an extent is added or dropped; cached plans remember the
-version they were built under and are discarded when it moves.
+version every time an extent is added or dropped.  :class:`VersionedCache`
+holds that rule once, for the plan cache here and the answer cache
+(:mod:`repro.runtime.answercache`): every entry remembers the version it was
+built under and is served only under that version -- a lookup under another
+version drops it and counts an invalidation, and :meth:`~VersionedCache.
+evict_stale` sweeps every such entry at once.
 
-Eviction is least-recently-*used*: ``get`` refreshes an entry's recency, so a
-hot query is never pushed out by a stream of one-off queries.  Keys are the
+Eviction is least-recently-*used*: a lookup refreshes an entry's recency, so
+a hot query is never pushed out by a stream of one-off queries.  Keys are the
 query's *parsed* canonical form (``parse_query(text).to_oql()``), so comment,
-case-of-keyword and formatting variants all hit the same entry; text that
-does not parse falls back to its token spans joined by single spaces, so a
-malformed query still produces a stable key (and its ParseError is raised by
-the planner, not here).  Normalization results are memoized per text, so a
-cache hit costs one dict lookup, not a parse -- and on a miss the planner,
-which has to parse the text anyway, hands the canonical key in (``known_key``
-/ ``learn_key``, then ``key=`` on ``get``/``put``) instead of having the
-cache parse it a second time.
+case-of-keyword and formatting variants all hit the same entry.  The plan
+cache keeps the mediator's one memo of text -> key: the planner parses a
+never-seen text once, and that parse both canonicalises the key
+(``known_key``/``learn_key``) and plans the query; the answer cache takes the
+key the planner found and parses nothing.  A cache hit costs one dict lookup.
+``get``/``put`` called without a key derive one themselves
+(:func:`normalize_query_text`); the mediator always passes the planner's, so
+only direct users of the class take that path.
 
 Lock discipline: one cache-wide :class:`threading.RLock` guards the entry
-map, the key memo and every counter -- the cache is shared by all the
+map, the key memo and every counter -- a cache is shared by all the
 concurrent queries of one mediator (see :mod:`repro.serving`), and an
 ``OrderedDict`` being reordered by ``move_to_end`` while another thread
 iterates or resizes it corrupts the recency list.  The lock is never held
-while parsing: key normalization happens outside it, so a cache hit under
-contention costs one short critical section.
+while parsing, so a cache hit under contention costs one short critical
+section.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ParseError
 from repro.lexing import OQL, tokenize
-
-
-@dataclass
-class _CachedPlan:
-    plan: Any
-    schema_version: int
 
 
 def normalize_query_text(query_text: str) -> str:
@@ -53,9 +50,6 @@ def normalize_query_text(query_text: str) -> str:
     person`` key the same slot.  Unparseable text falls back to its tokens'
     source spans joined by one space (whitespace inside a string literal
     stays significant), and to the raw text if it does not even tokenize.
-    Shared by the plan cache and the answer cache
-    (:mod:`repro.runtime.answercache`), so both key the same canonical form
-    and their hit/miss counters are directly comparable.
     """
     from repro.oql.parser import parse_query  # local: oql must not depend on optimizer
 
@@ -70,26 +64,109 @@ def normalize_query_text(query_text: str) -> str:
     return " ".join(query_text[token.offset : token.end] for token in tokens[:-1])
 
 
+class VersionedCache:
+    """A thread-safe LRU map whose entries are served under one schema version.
+
+    Subclasses add their lookups and stores on top of :meth:`_fetch` and
+    :meth:`_insert`, and may extend :meth:`_over_budget`, :meth:`_added` and
+    :meth:`_removed` to keep a budget or an index beside the map.
+    """
+
+    def __init__(self, max_entries: int):
+        self.max_entries = max_entries
+        #: key -> (schema version, value), in LRU order (front = coldest)
+        self._entries: OrderedDict[str, tuple[int, Any]] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.invalidations = 0
+        #: entries pushed out by the LRU policy (capacity pressure, not staleness).
+        self.evictions = 0
+        # RLock, not Lock: every serving thread of the mediator shares the cache.
+        self._lock = threading.RLock()
+
+    def _fetch(self, key: str, schema_version: int) -> Any | None:
+        """The value under ``key`` if built under ``schema_version``, or None.
+
+        A stale entry is dropped and counted as an invalidation; a served one
+        becomes the most recent.  The caller holds ``_lock``.
+        """
+        item = self._entries.get(key)
+        if item is None:
+            return None
+        if item[0] != schema_version:
+            self._remove(key)
+            self.invalidations += 1
+            return None
+        self._entries.move_to_end(key)
+        return item[1]
+
+    def _insert(self, key: str, schema_version: int, value: Any) -> None:
+        """Store ``value`` as the most recent entry, then evict the coldest
+        until the cache is within budget.  The caller holds ``_lock``."""
+        self._remove(key)
+        self._entries[key] = (schema_version, value)
+        self._added(key, value)
+        while self._entries and self._over_budget():
+            self._remove(next(iter(self._entries)))
+            self.evictions += 1
+
+    def _remove(self, key: str) -> None:
+        """Unlink the entry under ``key``, if any.  The caller holds ``_lock``."""
+        item = self._entries.pop(key, None)
+        if item is not None:
+            self._removed(key, item[1])
+
+    def _over_budget(self) -> bool:
+        return len(self._entries) > self.max_entries
+
+    def _added(self, key: str, value: Any) -> None:
+        """Hook: ``value`` was stored under ``key``.  The caller holds ``_lock``."""
+
+    def _removed(self, key: str, value: Any) -> None:
+        """Hook: ``value`` left the cache.  The caller holds ``_lock``."""
+
+    def evict_stale(self, schema_version: int) -> None:
+        """Drop every entry not built under ``schema_version`` (counted as
+        invalidations): what a DBA change made unreachable leaves at once."""
+        with self._lock:
+            stale = [key for key, (built, _) in self._entries.items() if built != schema_version]
+            for key in stale:
+                self._remove(key)
+            self.invalidations += len(stale)
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        with self._lock:
+            for key in list(self._entries):
+                self._remove(key)
+
+    def stats(self) -> dict[str, int]:
+        """One consistent snapshot of the cache counters."""
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "hits": self.hits,
+                "misses": self.misses,
+                "invalidations": self.invalidations,
+                "evictions": self.evictions,
+            }
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
 #: plans a :class:`PlanCache` keeps before evicting the least recently used
 PLAN_CACHE_CAPACITY = 128
 
 
-@dataclass
-class PlanCache:
+class PlanCache(VersionedCache):
     """A small query-text -> optimized-plan LRU cache (thread-safe)."""
 
-    _entries: OrderedDict[str, _CachedPlan] = field(default_factory=OrderedDict)
-    #: memo of text -> canonical key, so repeated queries skip the parse
-    _keys: dict[str, str] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-    #: entries pushed out by the LRU policy (capacity pressure, not staleness).
-    evictions: int = 0
-
-    def __post_init__(self) -> None:
-        # RLock, not Lock: get()/put() are called from every serving thread.
-        self._lock = threading.RLock()
+    def __init__(self) -> None:
+        super().__init__(PLAN_CACHE_CAPACITY)
+        #: memo of text -> canonical key, so repeated queries skip the parse
+        self._keys: dict[str, str] = {}
 
     def known_key(self, query_text: str) -> str | None:
         """The canonical key memoized for ``query_text``, or None on first sight."""
@@ -102,7 +179,7 @@ class PlanCache:
         For the caller that has parsed the text already.  Returns ``key``.
         """
         with self._lock:
-            if len(self._keys) >= 4 * PLAN_CACHE_CAPACITY:
+            if len(self._keys) >= 4 * self.max_entries:
                 self._keys.clear()
             self._keys[query_text] = key
         return key
@@ -120,54 +197,19 @@ class PlanCache:
 
         ``key`` is the text's canonical key when the caller already holds it.
         """
-        if key is None:
-            key = self._key_for(query_text)
+        key = key or self._key_for(query_text)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            plan = self._fetch(key, schema_version)
+            if plan is None:
                 self.misses += 1
-                return None
-            if entry.schema_version != schema_version:
-                del self._entries[key]
-                self.invalidations += 1
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry.plan
+            else:
+                self.hits += 1
+            return plan
 
     def put(
         self, query_text: str, schema_version: int, plan: Any, key: str | None = None
     ) -> None:
         """Store a plan built under ``schema_version`` (``key`` as in :meth:`get`)."""
-        if key is None:
-            key = self._key_for(query_text)
+        key = key or self._key_for(query_text)
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            elif len(self._entries) >= PLAN_CACHE_CAPACITY:
-                # Evict the least recently used entry to stay within capacity.
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            self._entries[key] = _CachedPlan(plan=plan, schema_version=schema_version)
-
-    def clear(self) -> None:
-        """Drop every cached plan."""
-        with self._lock:
-            self._entries.clear()
-            self._keys.clear()
-
-    def stats(self) -> dict[str, int]:
-        """One consistent snapshot of the cache counters."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "evictions": self.evictions,
-            }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+            self._insert(key, schema_version, plan)

@@ -4,10 +4,9 @@ DISCO's traffic is repetitive declarative queries over slow, intermittently
 available sources, so the mediator caches *answers*, not just plans.  Three
 ways a query is served without (fully) re-contacting sources:
 
-* **exact hit** -- the query's canonical text (the plan cache's
-  normalization: parsed AST printed back) matches a complete cached answer
-  built under the current ``schema_version``; the rows come back with zero
-  wrapper calls.
+* **exact hit** -- the query's canonical key (the planner's: parsed AST
+  printed back) matches a complete cached answer built under the current
+  ``schema_version``; the rows come back with zero wrapper calls.
 * **subsumption hit** -- the query's *translated* logical plan differs from
   a cached complete answer's plan only by mediator-compensable delta
   operators on top (``limit``, ``distinct``, ``project``/``apply`` item
@@ -22,30 +21,30 @@ ways a query is served without (fully) re-contacting sources:
   *only* the extents that were down -- source recovery becomes an
   incremental cache repair instead of a recomputation.
 
-Consistency: every entry remembers the registry ``schema_version`` it was
-built under and is unreachable once the version moves (lazy invalidation,
-the plan cache's discipline); DBA actions additionally evict eagerly by
-extent name.  A partial entry is *pinned* to its version twice: before the
-patch is submitted and again after it executed -- a schema mutated between
-miss and patch would otherwise weld rows of the old schema onto answers of
-the new one (the mutate-between-miss-and-patch race).
+Consistency: the cache is a :class:`~repro.optimizer.plancache.
+VersionedCache`, so an entry is served only under the registry
+``schema_version`` it was built under, and ``add_extent``/``drop_extent``
+sweep out every entry the version bump made stale.  A partial entry is
+*pinned* to its version twice: before the patch is submitted and again after
+it executed -- a schema mutated between miss and patch would otherwise weld
+rows of the old schema onto answers of the new one (the
+mutate-between-miss-and-patch race).  The versions are one registry's, so a
+cache serves one mediator.
 
 Subsumption refuses what it cannot replay faithfully: predicates with free
 variables beyond the select's own, subquery predicates, environment-valued
 (multi-binding) items, and anything aggregating (``groupby`` is never a
 delta -- aggregate queries are served by exact hits only).
 
-Lock discipline: one cache-wide :class:`threading.RLock` (rank 43, see
-``analysis/spec.py``) guards the entry map, the plan-text index, the row
-budget and every counter.  The lock is never held while planning, executing,
-replaying deltas or reading the registry -- lookups copy the immutable row
-tuple out and leave.
+Lock discipline: the base class's one :class:`threading.RLock` (rank 43
+here, see ``analysis/spec.py``) guards the entry map, the plan-text index,
+the row budget and every counter.  The lock is never held while planning,
+executing, replaying deltas or reading the registry -- lookups copy the
+immutable row tuple out and leave.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -58,7 +57,7 @@ from repro.algebra.expressions import (
     walk_expr,
 )
 from repro.algebra.rules import _self_contained
-from repro.optimizer.plancache import normalize_query_text
+from repro.optimizer.plancache import VersionedCache
 from repro.runtime.operators import ENV_VARIABLE
 
 #: deepest delta-operator stack the subsumption search will strip before
@@ -75,13 +74,9 @@ _CACHED_LEAF = "__cached_rows__"
 class CacheEntry:
     """One cached answer (complete rows, or a partial answer to repair)."""
 
-    query_text: str  #: canonical text key (the plan cache's normalization)
     plan_text: str | None  #: translated-logical text, the subsumption key
-    schema_version: int  #: registry version the answer was built under
-    extents: frozenset[str]  #: extent names referenced, for eager eviction
     rows: tuple[Any, ...] | None = None  #: complete entries only
     partial_plan: log.LogicalOp | None = None  #: partial entries only
-    unavailable_sources: tuple[str, ...] = ()
 
     @property
     def complete(self) -> bool:
@@ -89,13 +84,6 @@ class CacheEntry:
 
     def row_count(self) -> int:
         return len(self.rows) if self.rows is not None else 0
-
-
-def _extents_of(plan: log.LogicalOp) -> frozenset[str]:
-    """Every extent a plan's submits reference (source name as fallback)."""
-    return frozenset(
-        submit.extent_name or submit.source for submit in log.submits_in(plan)
-    )
 
 
 def _has_aggregate(expr: Any) -> bool:
@@ -132,67 +120,43 @@ def _strippable_delta(op: log.LogicalOp) -> bool:
 MAX_CACHED_ROWS = 100_000
 
 
-class AnswerCache:
+class AnswerCache(VersionedCache):
     """Thread-safe LRU cache of materialized (and partial) query answers.
 
-    ``max_entries`` bounds the entry count and :data:`MAX_CACHED_ROWS` the
-    total number of cached rows.
+    Keyed by the planner's canonical key of the query text.  ``max_entries``
+    bounds the entry count and :data:`MAX_CACHED_ROWS` the total number of
+    cached rows.  One cache serves one mediator.
     """
 
     def __init__(self, max_entries: int = 128):
-        self.max_entries = max_entries
-        #: canonical query text -> entry, in LRU order (front = coldest).
-        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
-        #: translated-plan text -> canonical text of a *complete* entry.
+        super().__init__(max_entries)
+        #: translated-plan text -> key of a *complete* entry.
         self._by_plan: dict[str, str] = {}
-        #: memo of raw text -> canonical key, so repeated queries skip the
-        #: parse (the plan cache's discipline; bounded the same way).
-        self._keys: dict[str, str] = {}
         self._total_rows = 0
-        self.hits = 0
         self.subsumption_hits = 0
-        self.misses = 0
         self.patches = 0
         self.stores = 0
-        self.invalidations = 0
-        self.evictions = 0
-        # RLock, not Lock: serving threads share one cache per mediator.
-        self._lock = threading.RLock()
+        self._held = False
 
-    def _key_for(self, query_text: str) -> str:
+    def hold(self) -> None:
+        """Claim the cache for one mediator; a second claim is refused."""
         with self._lock:
-            key = self._keys.get(query_text)
-        if key is not None:
-            return key
-        # Parse outside the lock: normalization is the expensive part, and
-        # two threads racing the same text derive the same key anyway.
-        key = normalize_query_text(query_text)
-        with self._lock:
-            if len(self._keys) >= 4 * self.max_entries:
-                self._keys.clear()
-            self._keys[query_text] = key
-        return key
+            if self._held:
+                raise ValueError("this AnswerCache already serves another mediator")
+            self._held = True
 
     # -- lookups ---------------------------------------------------------------------
-    def get_exact(self, query_text: str, schema_version: int) -> CacheEntry | None:
-        """The entry for ``query_text`` built under ``schema_version``, or None.
+    def get_exact(self, key: str, schema_version: int) -> CacheEntry | None:
+        """The entry for ``key`` built under ``schema_version``, or None.
 
         Returns complete *and* partial entries -- the caller decides whether
         a partial entry is patched.  A stale entry is dropped on sight.
         Counts a hit only for complete entries; partial entries count as a
         ``patch`` (or a miss) once the caller resolves them.
         """
-        key = self._key_for(query_text)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            if entry.schema_version != schema_version:
-                self._remove_entry(key)
-                self.invalidations += 1
-                return None
-            self._entries.move_to_end(key)
-            if entry.complete:
+            entry = self._fetch(key, schema_version)
+            if entry is not None and entry.complete:
                 self.hits += 1
             return entry
 
@@ -255,130 +219,51 @@ class AnswerCache:
             return entry, tuple([*deltas, delta])
         return None
 
-    def _complete_entry_for_plan(
-        self, plan_text: str, schema_version: int
-    ) -> CacheEntry | None:
+    def _complete_entry_for_plan(self, plan_text: str, schema_version: int) -> CacheEntry | None:
         with self._lock:
             key = self._by_plan.get(plan_text)
-            if key is None:
-                return None
-            entry = self._entries.get(key)
-            if entry is None or not entry.complete:
-                return None
-            if entry.schema_version != schema_version:
-                self._remove_entry(key)
-                self.invalidations += 1
-                return None
-            self._entries.move_to_end(key)
-            return entry
+            return None if key is None else self._fetch(key, schema_version)
 
     # -- stores ----------------------------------------------------------------------
-    def store_complete(
-        self,
-        query_text: str,
-        plan: log.LogicalOp | None,
-        schema_version: int,
-        rows: Iterable[Any],
-        extents: frozenset[str] | None = None,
-    ) -> None:
-        """Cache a complete answer built under ``schema_version``.
+    def store(self, key: str, plan: log.LogicalOp | None, schema_version: int, answer: Any) -> None:
+        """Cache a finished answer built under ``schema_version``: its rows when
+        complete, its resubmittable plan when partial."""
+        if not answer.is_partial:
+            self.store_complete(key, plan, schema_version, answer.rows())
+        elif answer.partial_plan is not None:
+            self.store_partial(key, schema_version, answer.partial_plan)
 
-        ``extents`` overrides the extent tagging when ``plan`` is not
-        available (a patched partial answer keeps its original tags).
-        """
+    def store_complete(
+        self, key: str, plan: log.LogicalOp | None, schema_version: int, rows: Iterable[Any]
+    ) -> None:
+        """Cache a complete answer, indexed by ``plan`` for subsumption."""
         materialized = tuple(rows)
         if len(materialized) > MAX_CACHED_ROWS:
             return
-        if extents is None:
-            extents = _extents_of(plan) if plan is not None else frozenset()
-        entry = CacheEntry(
-            query_text=self._key_for(query_text),
-            plan_text=plan.to_text() if plan is not None else None,
-            schema_version=schema_version,
-            extents=extents,
-            rows=materialized,
-        )
-        self._insert(entry)
+        plan_text = plan.to_text() if plan is not None else None
+        self._store(key, schema_version, CacheEntry(plan_text, rows=materialized))
 
-    def store_partial(
-        self,
-        query_text: str,
-        plan: log.LogicalOp | None,
-        schema_version: int,
-        partial_plan: log.LogicalOp,
-        unavailable_sources: tuple[str, ...],
-        extents: frozenset[str] | None = None,
-    ) -> None:
-        """Cache a partial answer tagged with its missing extents."""
-        if extents is None:
-            extents = _extents_of(plan) if plan is not None else frozenset()
-        entry = CacheEntry(
-            query_text=self._key_for(query_text),
-            plan_text=None,  # partial entries never serve subsumption
-            schema_version=schema_version,
-            extents=extents | _extents_of(partial_plan),
-            partial_plan=partial_plan,
-            unavailable_sources=tuple(unavailable_sources),
-        )
-        self._insert(entry)
+    def store_partial(self, key: str, schema_version: int, partial_plan: log.LogicalOp) -> None:
+        """Cache a partial answer: the plan that patches in its missing extents.
+        It never serves subsumption (no plan text)."""
+        self._store(key, schema_version, CacheEntry(None, partial_plan=partial_plan))
 
-    def _insert(self, entry: CacheEntry) -> None:
+    def _store(self, key: str, schema_version: int, entry: CacheEntry) -> None:
         with self._lock:
-            key = entry.query_text
-            if key in self._entries:
-                self._remove_entry(key)
-            self._entries[key] = entry
-            if entry.plan_text is not None:
-                self._by_plan[entry.plan_text] = key
-            self._total_rows += entry.row_count()
+            self._insert(key, schema_version, entry)
             self.stores += 1
-            while self._entries and (
-                len(self._entries) > self.max_entries
-                or self._total_rows > MAX_CACHED_ROWS
-            ):
-                coldest, _ = next(iter(self._entries.items()))
-                self._remove_entry(coldest)
-                self.evictions += 1
 
-    # -- invalidation ----------------------------------------------------------------
-    def drop(self, query_text: str) -> None:
-        """Drop the entry for ``query_text`` (counts as an invalidation)."""
-        key = self._key_for(query_text)
-        with self._lock:
-            if key in self._entries:
-                self._remove_entry(key)
-                self.invalidations += 1
+    def _over_budget(self) -> bool:
+        return super()._over_budget() or self._total_rows > MAX_CACHED_ROWS
 
-    def invalidate_extent(self, extent_name: str) -> None:
-        """Eagerly drop every entry whose answer involved ``extent_name``.
+    def _added(self, key: str, entry: CacheEntry) -> None:
+        """Index ``entry`` and charge its rows.  The caller holds ``_lock``."""
+        self._total_rows += entry.row_count()
+        if entry.plan_text is not None:
+            self._by_plan[entry.plan_text] = key
 
-        Lazy ``schema_version`` checks already make these entries
-        unreachable; eager eviction returns their row budget immediately
-        when a DBA re-registers a source.
-        """
-        with self._lock:
-            stale = [
-                key
-                for key, entry in self._entries.items()
-                if extent_name in entry.extents
-            ]
-            for key in stale:
-                self._remove_entry(key)
-                self.invalidations += 1
-
-    def clear(self) -> None:
-        """Drop every cached answer."""
-        with self._lock:
-            self._entries.clear()
-            self._by_plan.clear()
-            self._keys.clear()
-            self._total_rows = 0
-
-    def _remove_entry(self, key: str) -> None:
-        """Unlink one entry from both indices; the caller holds ``_lock``."""
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
+    def _removed(self, key: str, entry: CacheEntry) -> None:
+        """Unindex ``entry`` and refund its rows.  The caller holds ``_lock``."""
         self._total_rows -= entry.row_count()
         if entry.plan_text is not None and self._by_plan.get(entry.plan_text) == key:
             del self._by_plan[entry.plan_text]
@@ -398,17 +283,9 @@ class AnswerCache:
         """One consistent snapshot of the cache counters."""
         with self._lock:
             return {
-                "entries": len(self._entries),
+                **super().stats(),
                 "rows": self._total_rows,
-                "hits": self.hits,
                 "subsumption_hits": self.subsumption_hits,
-                "misses": self.misses,
                 "patches": self.patches,
                 "stores": self.stores,
-                "invalidations": self.invalidations,
-                "evictions": self.evictions,
             }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

@@ -455,3 +455,71 @@ def test_statistics_expose_every_counter():
         plain.close()
     finally:
         mediator.close()
+
+
+# -- one cache discipline ----------------------------------------------------------------
+def test_a_cache_serves_one_mediator():
+    """Schema versions of two registries cannot be compared: a second
+    mediator over other data must not be handed the first one's answers."""
+    cache = AnswerCache()
+    mediator, _server = make_mediator(answer_cache=cache, rows=12)
+    try:
+        with pytest.raises(ValueError):
+            make_mediator(answer_cache=cache, rows=3)
+        assert not mediator.query("select x.name from x in person0").from_answer_cache
+        assert len(mediator.query("select x.name from x in person0").rows()) == 12
+    finally:
+        mediator.close()
+
+
+def test_streamed_executions_count_as_misses():
+    mediator, _server = make_mediator(answer_cache=True)
+    try:
+        for bound in range(5):
+            streamed = mediator.query_stream(f"select x.name from x in person0 where x.salary > {bound}")
+            list(streamed.iter_rows())
+        assert mediator.statistics()["answer_cache_misses"] == 5
+    finally:
+        mediator.close()
+
+
+@pytest.mark.parametrize("entry_point", ["query", "query_stream"])
+def test_a_never_seen_text_is_parsed_once_with_the_cache_on(monkeypatch, entry_point):
+    """The planner's key is the cache's key: the parse that finds it is the
+    parse that plans the query."""
+    import repro.core.planner as planner_module
+    import repro.oql.parser as parser_module
+
+    parses = []
+    original = parser_module.parse_query
+
+    def counted(text):
+        parses.append(text)
+        return original(text)
+
+    monkeypatch.setattr(parser_module, "parse_query", counted)
+    monkeypatch.setattr(planner_module, "parse_query", counted)
+    mediator, _server = make_mediator(answer_cache=True)
+    try:
+        result = getattr(mediator, entry_point)("select x.id from x in person0 where x.salary < 4")
+        assert len(result.rows()) > 0
+        assert len(parses) == 1
+    finally:
+        mediator.close()
+
+
+def test_an_extent_change_sweeps_every_stale_answer():
+    """Every ``add_extent`` bumps the schema version, so even the answers
+    over other extents are unreachable: their rows leave the budget at once."""
+    mediator, _server = make_mediator(answer_cache=True)
+    try:
+        mediator.query("select x from x in person0")
+        mediator.query("select x.name from x in person0")
+        assert mediator.statistics()["answer_cache_rows"] == 24
+        mediator.add_extent("audit0", "Person", "w0", "r0", source_collection="person0")
+        stats = mediator.statistics()
+        assert stats["answer_cache_rows"] == 0
+        assert stats["answer_cache_entries"] == 0
+        assert stats["answer_cache_invalidations"] == 2
+    finally:
+        mediator.close()
