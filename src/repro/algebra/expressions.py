@@ -76,12 +76,8 @@ def literal_to_oql(value: Any) -> str:
             # an overflowing exponent as infinity, and nan (no literal) is inf - inf.
             return "1e999" if value > 0 else "-1e999" if value < 0 else "(1e999 - 1e999)"
         return str(value)
-    if kind is Struct:
-        fields = value._fields
-    elif kind is dict:
+    if kind is Struct or kind is dict or isinstance(value, Mapping):
         fields = value
-    elif isinstance(value, Mapping):
-        fields = dict(value)
     elif isinstance(value, (Bag, list, tuple)):
         return "bag(" + ", ".join(map(literal_to_oql, value)) + ")"
     elif isinstance(value, str):
@@ -195,9 +191,9 @@ class Path(Expr):
 
         def run(env: Environment) -> Any:
             value = base(env)
-            if type(value) is Struct:
+            if type(value) is Struct or type(value) is dict:
                 try:
-                    return value._fields[attribute]
+                    return value[attribute]
                 except KeyError:
                     pass
             return read_attribute(value, attribute)
@@ -378,7 +374,7 @@ class StructExpr(Expr):
 
     def compile(self, evaluator=None) -> Compiled:
         fields = [(name, expr.compile(evaluator)) for name, expr in self.fields]
-        return lambda env: Struct._adopt({name: field(env) for name, field in fields})
+        return lambda env: Struct({name: field(env) for name, field in fields})
 
     def to_oql(self) -> str:
         inner = ", ".join(f"{name}: {expr.to_oql()}" for name, expr in self.fields)

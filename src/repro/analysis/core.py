@@ -178,7 +178,7 @@ def find_class(tree: ast.Module, name: str) -> ast.ClassDef | None:
     return None
 
 
-def class_fields(cls: ast.ClassDef) -> list[str]:
+def class_field_names(cls: ast.ClassDef) -> list[str]:
     """Dataclass-style annotated field names declared in a class body."""
     fields: list[str] = []
     for stmt in cls.body:

@@ -26,7 +26,7 @@ from repro.analysis.core import (
     Finding,
     SourceModule,
     Spec,
-    class_fields,
+    class_field_names,
     find_class,
 )
 from repro.analysis.lockspec import (
@@ -71,7 +71,7 @@ def _mentioned(doc: str, name: str) -> bool:
     return f"`{name}`" in doc or f"{name}=" in doc or f".{name}" in doc
 
 
-def _fields_of(
+def _field_names_of(
     modules_by_path: dict[str, SourceModule], where: tuple[str, str]
 ) -> tuple[list[str], int] | None:
     module = modules_by_path.get(where[0])
@@ -80,7 +80,7 @@ def _fields_of(
     cls = find_class(module.tree, where[1])
     if cls is None:
         return None
-    return class_fields(cls), cls.lineno
+    return class_field_names(cls), cls.lineno
 
 
 def check_drift(spec: Spec, modules: list[SourceModule], root: Path) -> list[Finding]:
@@ -102,7 +102,7 @@ def check_drift(spec: Spec, modules: list[SourceModule], root: Path) -> list[Fin
         return findings
 
     # -- ExecutorConfig <-> README knob table (both directions) ------------------------
-    config = _fields_of(by_path, drift.executor_config)
+    config = _field_names_of(by_path, drift.executor_config)
     if config is None:
         spec_error(drift.executor_config[0], "ExecutorConfig class not found", "no-config")
     else:
@@ -137,7 +137,7 @@ def check_drift(spec: Spec, modules: list[SourceModule], root: Path) -> list[Fin
                 )
 
     # -- ExecReport fields mentioned in the README ------------------------------------
-    report = _fields_of(by_path, drift.exec_report)
+    report = _field_names_of(by_path, drift.exec_report)
     if report is None:
         spec_error(drift.exec_report[0], "ExecReport class not found", "no-report")
     else:
@@ -163,7 +163,7 @@ def check_drift(spec: Spec, modules: list[SourceModule], root: Path) -> list[Fin
         spec_error(drift.server_config[0], "ServerConfig class not found", "no-serverconfig")
     else:
         doc = ast.get_docstring(cls) or ""
-        for name in class_fields(cls):
+        for name in class_field_names(cls):
             if not _mentioned(doc, name) and name not in doc:
                 findings.append(
                     Finding(

@@ -105,7 +105,7 @@ class QueryPlanner:
         version = self.registry.schema_version
         cache = self.plan_cache
         key, ast = keyed or self.key(text)
-        cached = cache.get(text, version, key=key)
+        cached = cache.get(key, version)
         if cached is not None:
             return PlannedQuery(
                 text=text,
@@ -123,7 +123,7 @@ class QueryPlanner:
         # it still holds: a schema change mid-planning means this plan may
         # mix old and new resolutions -- don't cache it at all.
         if self.registry.schema_version == version:
-            cache.put(text, version, planned, key=key)
+            cache.put(key, version, planned)
         return planned
 
     def plan_ast(self, ast: QueryNode, text: str | None = None) -> PlannedQuery:

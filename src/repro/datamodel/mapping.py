@@ -30,7 +30,7 @@ def rename_row(row: Mapping, renames: Mapping[str, str]) -> Struct:
     and the executor's multi-extent reverse mapping (a pushed-down join merges
     the rename maps of every extent it references).
     """
-    return Struct._adopt({renames.get(key, key): value for key, value in row.items()})
+    return Struct({renames.get(key, key): value for key, value in row.items()})
 
 
 @dataclass(frozen=True)

@@ -4,91 +4,85 @@ The paper's answers are bags (``Bag("Mary", "Sam")``) and bags of structs
 (``select struct(name: ..., salary: ...) ...``).  A :class:`Bag` is an
 unordered collection with duplicates; two bags are equal when every element
 occurs with the same multiplicity in both.  A :class:`Struct` is an immutable
-record with named fields accessible both as attributes and by subscript, which
-lets runtime operators treat rows coming from data sources and structs built
-by ``struct(...)`` constructors uniformly.
+record: a ``dict`` whose mutators raise, so that building a row, ``==``,
+``len``, iteration, ``get`` and subscript all run in C, and runtime operators
+treat rows coming from data sources and structs built by ``struct(...)``
+constructors uniformly.
+
+Two rules follow from the representation:
+
+* **The engine reads a field by subscript, never by attribute.**  A field is
+  also readable as an attribute (``s.name``), but only when no ``dict``
+  method has its name: ``s.items``, ``s.get``, ``s.copy``, ``s.update``,
+  ``s.pop`` and the like are the methods, whatever fields the struct has.
+  A source may well have a column called ``items`` or ``copy``; OQL paths
+  (``x.items``) read it with ``x["items"]``.
+* **Immutability is enforced at the public mutators** (``s[k] = v``,
+  ``del s[k]``, ``update``, ``pop``, ``popitem``, ``setdefault``, ``clear``,
+  ``|=`` and attribute assignment).  The unbound ``dict`` methods
+  (``dict.__setitem__(s, k, v)``, ``dict.update(s, ...)``) and a second
+  ``s.__init__(...)`` bypass them, as ``object.__setattr__`` could bypass
+  the old record class; nothing in the engine calls them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
-from typing import Any
+from typing import Any, NoReturn
 
 
-class Struct(Mapping):
+class Struct(dict):
     """Immutable named-field record (the OQL ``struct(name: v, ...)`` value).
 
-    Fields are accessible as attributes (``s.name``), by subscript
-    (``s["name"]``) and through the full :class:`Mapping` protocol so that
-    generic code (projections, join key extraction) can iterate over fields.
+    Built like a ``dict`` (``Struct(mapping_or_pairs, **fields)``); equal to
+    any mapping with the same items, whatever their order; hashable when its
+    values are.
     """
 
-    __slots__ = ("_fields",)
+    __slots__ = ()
 
-    def __init__(self, fields: Mapping[str, Any] | None = None, **kwargs: Any):
-        merged: dict[str, Any] = dict(fields or {})
-        merged.update(kwargs)
-        object.__setattr__(self, "_fields", merged)
+    def _immutable(self, *args: Any, **kwargs: Any) -> NoReturn:
+        raise TypeError("Struct is immutable")
 
-    @classmethod
-    def _adopt(cls, fields: dict[str, Any]) -> "Struct":
-        """Wrap a dict the caller just built and gives up: no copy (the per-row paths)."""
-        struct = cls.__new__(cls)
-        object.__setattr__(struct, "_fields", fields)
-        return struct
-
-    # -- Mapping protocol -------------------------------------------------
-    def __getitem__(self, key: str) -> Any:
-        return self._fields[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._fields)
-
-    def __len__(self) -> int:
-        return len(self._fields)
-
-    # -- attribute access --------------------------------------------------
-    def __getattr__(self, name: str) -> Any:
-        try:
-            return self._fields[name]
-        except KeyError:
-            raise AttributeError(f"struct has no field {name!r}") from None
+    __setitem__ = __delitem__ = update = pop = popitem = setdefault = clear = __ior__ = _immutable
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Struct is immutable")
 
-    # -- equality / hashing --------------------------------------------------
-    def _key(self) -> tuple:
-        return tuple(sorted(self._fields.items(), key=lambda kv: kv[0]))
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Struct is immutable")
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Struct):
-            return self._fields == other._fields
-        if isinstance(other, Mapping):
-            return dict(self._fields) == dict(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
+    def __getattr__(self, name: str) -> Any:
+        # Only reached when no dict method has the name (see the module docstring).
         try:
-            return hash(self._key())
+            return self[name]
+        except KeyError:
+            raise AttributeError(f"struct has no field {name!r}") from None
+
+    def __reduce__(self) -> tuple:
+        return Struct, (dict(self),)
+
+    def __hash__(self) -> int:  # type: ignore[override]
+        try:
+            return hash(frozenset(self.items()))
         except TypeError:
-            # Unhashable field values: fall back to identity-free constant so
-            # that equal structs still compare equal via __eq__.
-            return hash(tuple(sorted(self._fields)))
+            # Unhashable field values: hash the names alone, so that equal
+            # structs still hash equal (and compare by value).
+            return hash(frozenset(self))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v!r}" for k, v in self._fields.items())
+        inner = ", ".join(f"{k}: {v!r}" for k, v in self.items())
         return f"struct({inner})"
 
     # -- conveniences ------------------------------------------------------
     def fields(self) -> dict[str, Any]:
         """Return a plain mutable dict copy of the fields."""
-        return dict(self._fields)
+        return dict(self)
 
     def project(self, names: Iterable[str]) -> "Struct":
         """Return a new struct containing only ``names`` (missing names error)."""
-        return Struct({name: self._fields[name] for name in names})
+        return Struct({name: self[name] for name in names})
 
     def renamed(self, renames: Mapping[str, str]) -> "Struct":
         """Return a struct with fields renamed according to ``renames``.
@@ -97,7 +91,7 @@ class Struct(Mapping):
         local transformation map to convert data-source rows into mediator
         rows (paper Section 2.2.2).
         """
-        return Struct({renames.get(k, k): v for k, v in self._fields.items()})
+        return Struct({renames.get(k, k): v for k, v in self.items()})
 
 
 class Bag:

@@ -18,9 +18,8 @@ cache keeps the mediator's one memo of text -> key: the planner parses a
 never-seen text once, and that parse both canonicalises the key
 (``known_key``/``learn_key``) and plans the query; the answer cache takes the
 key the planner found and parses nothing.  A cache hit costs one dict lookup.
-``get``/``put`` called without a key derive one themselves
-(:func:`normalize_query_text`); the mediator always passes the planner's, so
-only direct users of the class take that path.
+``get``/``put`` take that key (``QueryPlanner.key``); the cache derives none
+itself, so an unparseable text has no key and no entry.
 
 Lock discipline: one cache-wide :class:`threading.RLock` guards the entry
 map, the key memo and every counter -- a cache is shared by all the
@@ -37,31 +36,6 @@ import threading
 from collections import OrderedDict
 from typing import Any
 
-from repro.errors import ParseError
-from repro.lexing import OQL, tokenize
-
-
-def normalize_query_text(query_text: str) -> str:
-    """Canonical cache key for ``query_text``: the parsed AST printed back.
-
-    Parsing strips comments, collapses formatting and lowercases keywords
-    while preserving the semantics (string literals, identifier case), so
-    ``SELECT x FROM x IN person // hot path`` and ``select x from x in
-    person`` key the same slot.  Unparseable text falls back to its tokens'
-    source spans joined by one space (whitespace inside a string literal
-    stays significant), and to the raw text if it does not even tokenize.
-    """
-    from repro.oql.parser import parse_query  # local: oql must not depend on optimizer
-
-    try:
-        return parse_query(query_text).to_oql()
-    except ParseError:
-        pass
-    try:
-        tokens = tokenize(OQL, query_text)
-    except ParseError:
-        return query_text
-    return " ".join(query_text[token.offset : token.end] for token in tokens[:-1])
 
 
 class VersionedCache:
@@ -184,20 +158,9 @@ class PlanCache(VersionedCache):
             self._keys[query_text] = key
         return key
 
-    def _key_for(self, query_text: str) -> str:
-        key = self.known_key(query_text)
-        if key is not None:
-            return key
-        # Parse outside the lock: normalization is the expensive part, and
-        # two threads racing the same text derive the same key anyway.
-        return self.learn_key(query_text, normalize_query_text(query_text))
-
-    def get(self, query_text: str, schema_version: int, key: str | None = None) -> Any | None:
-        """Return the cached plan, or None when absent or stale.
-
-        ``key`` is the text's canonical key when the caller already holds it.
-        """
-        key = key or self._key_for(query_text)
+    def get(self, key: str, schema_version: int) -> Any | None:
+        """Return the plan cached under ``key`` (a text's canonical key), or
+        None when absent or stale."""
         with self._lock:
             plan = self._fetch(key, schema_version)
             if plan is None:
@@ -206,10 +169,7 @@ class PlanCache(VersionedCache):
                 self.hits += 1
             return plan
 
-    def put(
-        self, query_text: str, schema_version: int, plan: Any, key: str | None = None
-    ) -> None:
+    def put(self, key: str, schema_version: int, plan: Any) -> None:
         """Store a plan built under ``schema_version`` (``key`` as in :meth:`get`)."""
-        key = key or self._key_for(query_text)
         with self._lock:
             self._insert(key, schema_version, plan)

@@ -131,5 +131,4 @@ def compensate_rows(
     plan: log.LogicalOp = log.Submit(_DEGRADED_LEAF, log.Get(_DEGRADED_LEAF))
     for operator in reversed(stripped):
         plan = operator.with_children([plan])
-    for row in compose_rows(implement(plan), lambda _exec: rows):
-        yield as_struct(row)
+    yield from map(as_struct, compose_rows(implement(plan), lambda _exec: rows))

@@ -77,7 +77,7 @@ def _variable(env: Mapping[str, Any] | None, name: str) -> Any:
 
 
 def _getter(row: Any) -> Callable[[str], Any]:
-    """``name -> value`` of a projected element that is not a :class:`Struct`."""
+    """``name -> value`` of a projected element that is neither a :class:`Struct` nor a plain dict."""
     if isinstance(row, Env):
         # Projection over an environment is ambiguous; it never occurs in
         # translated plans, but fall back to the first binding for safety.
@@ -97,7 +97,7 @@ def _hashable(value: Any) -> Any:
 
 
 _HELPERS = {"Struct": Struct, "Env": Env, "read": read_attribute, "var": _variable}
-_HELPERS.update(bindings=env_bindings, getter=_getter, adopt=Struct._adopt, hashable=_hashable)
+_HELPERS.update(bindings=env_bindings, getter=_getter, hashable=_hashable)
 
 
 # -- shapes: the nodes with each value replaced by its argument's index ---------------------------
@@ -186,7 +186,7 @@ class _Emitter:
         self.setup = []
         if op[0] == "row":
             fields = ", ".join([f"a{new}: g(a{old})" for new, old in op[1]])
-            self.line(f"g = el._fields.get if type(el) is Struct else getter(el)\nel = adopt({{{fields}}})")
+            self.line(f"g = el.get if type(el) is Struct or type(el) is dict else getter(el)\nel = Struct({{{fields}}})")
             return self.setup
         kind, name, splat, *exprs = op
         self.env, self.name, self.used, start = f"e{k}", f"a{name}", False, len(self.body)
@@ -233,7 +233,7 @@ class _Emitter:
         self.setup.append("groups = {}")
         # The scalar-aggregate convention: an empty input still has a count.
         empty = [f"        if not groups:\n            groups[()] = [{{}}{slots}]"] if not keys else []
-        rows = ["        for g in groups.values():", f"            yield adopt({{**g[0], {', '.join(results)}}})"]
+        rows = ["        for g in groups.values():", f"            yield Struct({{**g[0], {', '.join(results)}}})"]
         self.tail = empty + rows
 
     def expr(self, e: tuple) -> str:
@@ -248,11 +248,10 @@ class _Emitter:
             self.line(f"{t} = el if {env} is None else var({env}, {self.name})" if own else f"{t} = var({env}, a{e[1]})")
         elif kind == "path":
             b, a = self.expr(e[1]), f"a{e[2]}"
-            # A Struct's fields and a plain dict are read in place; anything
+            # A Struct and a plain dict are read by subscript in place; anything
             # else, and a missing key, goes through read() for its message.
-            self.line(f"{t} = {b}._fields if type({b}) is Struct else {b}\nif type({t}) is dict:\n    try:\n"
-                      f"        {t} = {t}[{a}]\n    except KeyError:\n        {t} = read({b}, {a})\n"
-                      f"else:\n    {t} = read({b}, {a})")
+            self.line(f"if type({b}) is Struct or type({b}) is dict:\n    try:\n        {t} = {b}[{a}]\n"
+                      f"    except KeyError:\n        {t} = read({b}, {a})\nelse:\n    {t} = read({b}, {a})")
         elif kind == "compare":
             left, right = self.expr(e[2]), self.expr(e[3])
             self.line(f"if {left} is None or {right} is None:\n    {t} = False\nelse:\n    try:\n"
@@ -272,7 +271,7 @@ class _Emitter:
                 self.depth -= 1 if i else 0
         elif kind == "struct":
             fields = ", ".join([f"a{name}: {self.expr(field)}" for name, field in e[1:]])
-            self.line(f"{t} = adopt({{{fields}}})")
+            self.line(f"{t} = Struct({{{fields}}})")
         else:  # any other kind runs its own closure, over a real environment
             self.used = True
             self.setup.append(f"d{t} = a{e[1]}.compile(subquery)")

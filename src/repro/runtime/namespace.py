@@ -32,8 +32,8 @@ from typing import Any, Callable, Iterable, Protocol
 from repro.algebra import logical as log
 from repro.datamodel.extent import MetaExtent
 from repro.datamodel.mapping import rename_row
-from repro.datamodel.values import Struct
 from repro.errors import SchemaError
+from repro.runtime.operators import as_struct
 
 
 class RuntimeRegistry(Protocol):
@@ -48,31 +48,19 @@ class RuntimeRegistry(Protocol):
     def interface_attributes(self, interface_name: str) -> list[str]: ...
 
 
-def _as_struct(raw: Any) -> Any:
-    """One source row whose attribute names are the mediator's already."""
-    kind = type(raw)
-    if kind is dict:
-        # Copied once: the wrapper may keep and change its own.
-        return Struct._adopt(dict(raw))
-    if kind is Struct:
-        return raw  # immutable: it is the row
-    if isinstance(raw, Mapping):
-        return Struct._adopt(dict(raw))
-    return raw
-
-
 def row_normaliser(renames: Mapping[str, str]) -> Callable[[Any], Any]:
     """The function taking one source row to mediator vocabulary.
 
     Chosen once per call, not once per row: with nothing to rename (an
     identity map, or rows renamed already) no row is rebuilt key by key.
-    Either way mappings come out as :class:`Struct`\\ s and non-mapping values
+    Either way mappings come out as :class:`~repro.datamodel.values.Struct`\\ s
+    (:func:`~repro.runtime.operators.as_struct`) and non-mapping values
     (scalars from projected single columns, nested bags) pass through
     unchanged.  Shared by exec calls, probe calls and the split fallback so
     malformed-row handling cannot diverge between them.
     """
     if not renames:
-        return _as_struct
+        return as_struct
 
     def renamed(raw: Any) -> Any:
         if type(raw) is dict or isinstance(raw, Mapping):

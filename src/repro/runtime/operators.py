@@ -58,25 +58,26 @@ def environment_builder(
 
 
 def as_struct(row: Any) -> Any:
-    """Convert plain dict rows to structs; other values pass through.
+    """One raw row as a mediator row: the run-time system's one row normaliser.
 
-    Environment elements (:class:`Env`) pass through unchanged: they are
+    A mapping is copied into a :class:`Struct` -- once, as the wrapper may
+    keep and change its own.  A :class:`Struct` is immutable, so it *is* the
+    row.  Environment elements (:class:`Env`) pass through too: they are
     variable bindings, not data rows -- struct-ifying them would strand the
     bound variables when a resubmitted partial answer re-joins its embedded
-    half-evaluated environments.
+    half-evaluated environments.  Anything else (a projected single column's
+    scalars, nested bags) passes unchanged.
     """
-    if isinstance(row, (Struct, Env)):
-        return row
-    if isinstance(row, dict):
+    if type(row) is dict:
         return Struct(row)
-    return row
+    if isinstance(row, (Struct, Env)) or not isinstance(row, Mapping):
+        return row
+    return Struct(row)
 
 
-def _merged_row(left_row: Any, right_row: Any) -> Struct:
+def _merged_row(left_row: Mapping, right_row: Mapping) -> Struct:
     """Merge a matched pair; left values win on shared attribute names."""
-    merged = dict(right_row if isinstance(right_row, Mapping) else right_row.fields())
-    merged.update(dict(left_row if isinstance(left_row, Mapping) else left_row.fields()))
-    return Struct._adopt(merged)
+    return Struct({**right_row, **left_row})
 
 
 def hash_join_rows(
@@ -382,7 +383,7 @@ def compose_rows(
     if isinstance(plan, phys.Exec):
         return iter(leaf(plan))
     if isinstance(plan, phys.MkBag):
-        return (as_struct(value) for value in plan.values)
+        return map(as_struct, plan.values)
     if isinstance(plan, (phys.Filter, phys.MkApply, phys.MkProj, phys.MkRename)):
         below = plan.child  # the chain's input: the first operator below not in it
         while isinstance(below, CHAIN):

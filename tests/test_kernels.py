@@ -45,7 +45,7 @@ def project_rows(elements, attributes):
         if isinstance(row, Env):
             row = next(iter(row.values())) if row else row
         if isinstance(row, Mapping):
-            yield Struct._adopt({attr: row.get(attr) for attr in attributes})
+            yield Struct({attr: row.get(attr) for attr in attributes})
         else:
             yield Struct({attr: getattr(row, attr, None) for attr in attributes})
 
@@ -56,7 +56,7 @@ def rename_rows(elements, pairs):
         if isinstance(row, Env):
             row = next(iter(row.values())) if row else row
         if isinstance(row, Mapping):
-            yield Struct._adopt({new: row.get(old) for old, new in pairs})
+            yield Struct({new: row.get(old) for old, new in pairs})
         else:
             yield Struct({new: getattr(row, old, None) for old, new in pairs})
 
@@ -365,7 +365,7 @@ def reference_group_rows(elements, variable, keys, aggregates, base_env=None, su
         row = dict(key_struct)
         for accumulator, (name, _, _) in zip(accumulators, aggregates):
             row[name] = accumulator.result()
-        yield Struct._adopt(row)
+        yield Struct(row)
 
 
 def group_agree(variable, keys, aggregates, rows, base_env=None, subquery=None):

@@ -3,6 +3,7 @@
 import dataclasses
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,8 @@ from repro.algebra.logical import (
     walk,
 )
 from repro.algebra.rewriter import Rewriter
+from repro.core.planner import QueryPlanner
+from repro.core.registry import Registry
 from repro.errors import OptimizationError
 from repro.optimizer.cost import Cost, CostMemo, CostModel
 from repro.optimizer import history as history_module
@@ -459,67 +462,73 @@ def two_plan_cache(monkeypatch):
     monkeypatch.setattr(plancache, "PLAN_CACHE_CAPACITY", 2)
 
 
+def keyed_plan_cache() -> tuple[PlanCache, Callable[[str], str]]:
+    """A planner's plan cache, and its text -> key (the only keys a plan cache takes)."""
+    planner = QueryPlanner(Registry())
+    return planner.plan_cache, lambda text: planner.key(text)[0]
+
+
 class TestPlanCache:
     def test_hit_and_miss(self):
-        cache = PlanCache()
-        assert cache.get("q", schema_version=1) is None
-        cache.put("q", schema_version=1, plan="PLAN")
-        assert cache.get("q", schema_version=1) == "PLAN"
+        cache, key = keyed_plan_cache()
+        assert cache.get(key("q"), schema_version=1) is None
+        cache.put(key("q"), schema_version=1, plan="PLAN")
+        assert cache.get(key("q"), schema_version=1) == "PLAN"
         assert cache.hits == 1 and cache.misses == 1
 
     def test_schema_change_invalidates(self):
         """The paper: cached plans must be recomputed when extents change."""
-        cache = PlanCache()
-        cache.put("q", schema_version=1, plan="PLAN")
-        assert cache.get("q", schema_version=2) is None
+        cache, key = keyed_plan_cache()
+        cache.put(key("q"), schema_version=1, plan="PLAN")
+        assert cache.get(key("q"), schema_version=2) is None
         assert cache.invalidations == 1
         assert len(cache) == 0
 
     def test_capacity_is_bounded(self, two_plan_cache):
-        cache = PlanCache()
-        cache.put("a", 1, "A")
-        cache.put("b", 1, "B")
-        cache.put("c", 1, "C")
+        cache, key = keyed_plan_cache()
+        cache.put(key("a"), 1, "A")
+        cache.put(key("b"), 1, "B")
+        cache.put(key("c"), 1, "C")
         assert len(cache) == 2
-        assert cache.get("a", 1) is None
+        assert cache.get(key("a"), 1) is None
 
     def test_get_refreshes_recency(self, two_plan_cache):
         """True LRU: a recently *used* entry survives eviction."""
-        cache = PlanCache()
-        cache.put("a", 1, "A")
-        cache.put("b", 1, "B")
-        cache.get("a", 1)  # "a" becomes most recently used
-        cache.put("c", 1, "C")  # evicts "b", the least recently used
-        assert cache.get("a", 1) == "A"
-        assert cache.get("b", 1) is None
+        cache, key = keyed_plan_cache()
+        cache.put(key("a"), 1, "A")
+        cache.put(key("b"), 1, "B")
+        cache.get(key("a"), 1)  # "a" becomes most recently used
+        cache.put(key("c"), 1, "C")  # evicts "b", the least recently used
+        assert cache.get(key("a"), 1) == "A"
+        assert cache.get(key("b"), 1) is None
 
     def test_put_refreshes_recency_of_existing_keys(self, two_plan_cache):
-        cache = PlanCache()
-        cache.put("a", 1, "A")
-        cache.put("b", 1, "B")
-        cache.put("a", 1, "A2")  # refresh, not insert: nothing is evicted
-        cache.put("c", 1, "C")
+        cache, key = keyed_plan_cache()
+        cache.put(key("a"), 1, "A")
+        cache.put(key("b"), 1, "B")
+        cache.put(key("a"), 1, "A2")  # refresh, not insert: nothing is evicted
+        cache.put(key("c"), 1, "C")
         assert len(cache) == 2
-        assert cache.get("a", 1) == "A2"
-        assert cache.get("b", 1) is None
+        assert cache.get(key("a"), 1) == "A2"
+        assert cache.get(key("b"), 1) is None
 
     def test_reformatted_query_text_hits_the_cache(self):
-        cache = PlanCache()
-        cache.put("select x.name from x in person", 1, "PLAN")
-        assert cache.get("select  x.name\n  from x in person", 1) == "PLAN"
+        cache, key = keyed_plan_cache()
+        cache.put(key("select x.name from x in person"), 1, "PLAN")
+        assert cache.get(key("select  x.name\n  from x in person"), 1) == "PLAN"
         assert cache.hits == 1
 
     def test_whitespace_inside_string_literals_is_significant(self):
         """Regression: literals differing only in inner spaces must not collide."""
-        cache = PlanCache()
-        cache.put('select x from y where x.name = "Mary  Smith"', 1, "TWO-SPACES")
-        assert cache.get('select x from y where x.name = "Mary Smith"', 1) is None
-        cache.put('select x from y where x.name = "Mary Smith"', 1, "ONE-SPACE")
-        assert cache.get('select  x from y where x.name = "Mary  Smith"', 1) == "TWO-SPACES"
-        assert cache.get('select x from y  where x.name = "Mary Smith"', 1) == "ONE-SPACE"
+        cache, key = keyed_plan_cache()
+        cache.put(key('select x from x in y where x.name = "Mary  Smith"'), 1, "TWO-SPACES")
+        assert cache.get(key('select x from x in y where x.name = "Mary Smith"'), 1) is None
+        cache.put(key('select x from x in y where x.name = "Mary Smith"'), 1, "ONE-SPACE")
+        assert cache.get(key('select  x from x in y where x.name = "Mary  Smith"'), 1) == "TWO-SPACES"
+        assert cache.get(key('select x from x in y  where x.name = "Mary Smith"'), 1) == "ONE-SPACE"
 
     def test_clear(self):
-        cache = PlanCache()
-        cache.put("a", 1, "A")
+        cache, key = keyed_plan_cache()
+        cache.put(key("a"), 1, "A")
         cache.clear()
         assert len(cache) == 0

@@ -20,7 +20,9 @@ from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.logical import Limit, Project, Submit, Union, Get
 from repro.oql.parser import parse_query
 from repro.optimizer.history import ExecCallHistory
-from repro.optimizer.plancache import PlanCache
+from repro.core.planner import QueryPlanner
+from repro.core.registry import Registry
+from repro.errors import ParseError
 from repro.runtime import streaming
 from repro.sources import RelationalEngine, SimulatedServer
 from repro.sources.network import NetworkProfile
@@ -401,15 +403,17 @@ class TestPlanCacheNormalization:
         assert stats["plan_cache_entries"] == 1
         mediator.close()
 
-    def test_unparseable_text_falls_back_to_whitespace_normalization(self):
-        cache = PlanCache()
-        cache.put("not   oql \t at all", 1, "plan")
-        assert cache.get("not oql at all", 1) == "plan"
+    def test_unparseable_text_has_no_key(self):
+        planner = QueryPlanner(Registry())
+        with pytest.raises(ParseError):
+            planner.key("not   oql \t at all")
+        assert len(planner.plan_cache) == 0
 
     def test_string_literals_stay_significant(self):
-        cache = PlanCache()
-        cache.put('select x from x in person where x.name = "Mary  S"', 1, "a")
-        assert cache.get('select x from x in person where x.name = "Mary S"', 1) is None
+        planner = QueryPlanner(Registry())
+        cache = planner.plan_cache
+        cache.put(planner.key('select x from x in person where x.name = "Mary  S"')[0], 1, "a")
+        assert cache.get(planner.key('select x from x in person where x.name = "Mary S"')[0], 1) is None
 
 
 class TestAvailabilityEstimate:

@@ -1,10 +1,18 @@
 """Unit and property tests for the OQL value universe (Bag, Struct)."""
 
-from hypothesis import given
+import copy
+import os
+import pickle
+from collections.abc import Mapping
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.datamodel.values import Bag, Struct, make_bag, make_struct
+
+#: the nightly CI job raises this tenfold via DISCO_KERNEL_EXAMPLES
+EXAMPLES = int(os.environ.get("DISCO_KERNEL_EXAMPLES", "600")) // 6
 
 
 class TestStruct:
@@ -22,6 +30,16 @@ class TestStruct:
         s = make_struct(name="Mary")
         with pytest.raises(AttributeError):
             s.name = "Sam"
+
+    def test_repr_is_the_oql_constructor(self):
+        assert repr(make_struct(a=1)) == "struct(a: 1)"
+        assert repr(Struct({"n": "Mary", "s": None})) == "struct(n: 'Mary', s: None)"
+
+    def test_a_field_named_like_a_dict_method_is_read_by_subscript(self):
+        """Attribute access is shadowed by the dict method of the same name."""
+        s = Struct({"copy": 1, "items": 2, "name": "Mary"})
+        assert s["copy"] == 1 and s["items"] == 2 and s.name == "Mary"
+        assert callable(s.copy) and callable(s.items)
 
     def test_equality_ignores_field_order(self):
         assert Struct({"a": 1, "b": 2}) == Struct({"b": 2, "a": 1})
@@ -51,6 +69,78 @@ class TestStruct:
         fields = s.fields()
         fields["a"] = 99
         assert s.a == 1
+
+
+NAMES = st.sampled_from(["a", "b", "name", "items", "copy", "update", "pop", "get", "keys"]) | st.text(max_size=4)
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3).map(Struct),
+    max_leaves=6,
+)
+FIELDS = st.dictionaries(NAMES, VALUES, max_size=6)
+#: every public mutator of a dict, as (name, call on a struct)
+MUTATORS = [
+    ("setitem", lambda s: s.__setitem__("a", 1)),
+    ("delitem", lambda s: s.__delitem__(next(iter(s), "a"))),
+    ("update", lambda s: s.update({"a": 1})),
+    ("update keywords", lambda s: s.update(a=1)),
+    ("pop", lambda s: s.pop(next(iter(s), "a"), None)),
+    ("popitem", lambda s: s.popitem()),
+    ("setdefault", lambda s: s.setdefault("a", 1)),
+    ("clear", lambda s: s.clear()),
+    ("ior", lambda s: s.__ior__({"a": 1})),
+    ("setattr", lambda s: setattr(s, "a", 1)),
+    ("delattr", lambda s: delattr(s, "a")),
+]
+
+
+def assert_immutable(s: Struct) -> None:
+    before = list(s.items())
+    for name, mutate in MUTATORS:
+        with pytest.raises((TypeError, AttributeError)):
+            mutate(s)
+        assert list(s.items()) == before, name
+
+
+class TestStructProperties:
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(FIELDS)
+    def test_every_mutator_raises_and_changes_nothing(self, fields):
+        s = Struct(fields)
+        assert_immutable(s)
+        augmented = s
+        with pytest.raises(TypeError):
+            augmented |= {"a": 1}
+        assert augmented is s and dict(s) == fields
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(FIELDS, FIELDS, st.randoms(use_true_random=False))
+    def test_equality_and_hash_agree_with_a_plain_dict(self, left, right, rng):
+        shuffled = list(left.items())
+        rng.shuffle(shuffled)
+        reordered = Struct(shuffled)
+        assert Struct(left) == left and reordered == left and reordered == Struct(left)
+        assert hash(reordered) == hash(Struct(left))
+        assert (Struct(left) == Struct(right)) == (left == right)
+        assert (Struct(left) == right) == (left == right)
+        if left == right:
+            assert hash(Struct(left)) == hash(Struct(right))
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(FIELDS)
+    def test_pickle_and_copies_give_back_an_immutable_struct(self, fields):
+        s = Struct(fields)
+        for back in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+            assert type(back) is Struct and back == s and list(back) == list(s)
+            assert_immutable(back)
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(FIELDS)
+    def test_repr_and_mapping(self, fields):
+        s = Struct(fields)
+        assert repr(s) == "struct(" + ", ".join(f"{k}: {v!r}" for k, v in fields.items()) + ")"
+        assert isinstance(s, Mapping)
 
 
 class TestBag:
