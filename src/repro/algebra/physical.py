@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, ClassVar, Sequence
 
 from repro.algebra import logical as log
-from repro.algebra.expressions import Expr
+from repro.algebra.expressions import Expr, find_equi_conjunct
 from repro.algebra.logical import LogicalOp, TextCachedNode
 from repro.algebra.nodes import Node, builder, walk
 
@@ -276,10 +276,19 @@ class MkBindJoin(PhysicalOp):
     implements = log.BindJoin
 
     def cost(self, left: Cost, right: Cost) -> Cost:
-        # The run-time system hash-joins when the condition allows it;
-        # charge the hash-join cost plus a small setup factor.
+        # The run-time system reads both sides once and hash-joins when the
+        # condition allows it: charge the hash-join cost plus a small setup
+        # factor.
         time = left.time + right.time + (left.rows + right.rows) * 2 * MEDIATOR_ROW_COST
-        return Cost(time, max(left.rows, right.rows))
+        if find_equi_conjunct(self.condition, self.left_variable, self.right_variable):
+            return Cost(time, max(left.rows, right.rows))
+        # Without an equi conjunct ``bind_join_rows`` then pairs every left
+        # row with every right row (a condition keeps a filter's share),
+        # charged on top of the reads so that it never undercuts the hash
+        # join over the same sides, as it would at no-history 1 x 1 rows.
+        pairs = left.rows * right.rows
+        rows = pairs if self.condition is None else pairs * DEFAULT_SELECTIVITY
+        return Cost(time + pairs * MEDIATOR_ROW_COST, rows)
 
     def _render(self) -> str:
         condition = self.condition.to_oql() if self.condition is not None else "true"

@@ -165,11 +165,11 @@ class ExecReport:
     #: delivered-row count).  0 for token resumes: the source itself skipped
     #: them and shipped only the remainder.
     replayed_rows: int = 0
-    #: True when a probe join was re-planned mid-query: the observed probe
-    #: cardinality blew past the cost model's estimate by more than
-    #: :data:`~repro.runtime.probe.REPLAN_BLOWUP_FACTOR`, so the runner
-    #: flipped from batched probing to one full ship of the right side
-    #: hash-joined at the mediator.  Always False for ordinary exec calls.
+    #: True when a probe join was re-planned mid-query: the keys it had sent
+    #: plus the rows it had fetched reached the history's estimate of one
+    #: full ship of the right side, so the runner flipped from batched
+    #: probing to that ship, hash-joined at the mediator.  Always False for
+    #: ordinary exec calls.
     replanned: bool = False
 
 

@@ -4,9 +4,9 @@ A :class:`~repro.algebra.physical.ProbeJoin` is composed by
 ``operators.probe_join_rows``, which collects batches of distinct left-side
 join keys and asks a :class:`_ProbeRunner` for the matching right rows.  The
 runner shapes each batch into a submit the wrapper's grammar accepts, keeps
-the per-query probe cache, buckets the fetched rows by key and, when probing
-fetches far more than the cost model estimated, re-plans into one full ship
-of the right side.  Every round trip is an exec call of its own (an
+the per-query probe cache, buckets the fetched rows by key and, once probing
+has cost as much as one full ship of the right side would, re-plans into that
+ship.  Every round trip is an exec call of its own (an
 ``_ExecState`` whose subject is the probe expression) driven by the run's one
 attempt loop (``StreamingExecution._open_exec`` and its failure step), so
 retry, degrade, deadline and history recording are the exec calls' own.
@@ -42,20 +42,6 @@ class _ProbeUnavailable(Exception):
         self.error = error
 
 
-#: Mid-query re-planning trigger for probe joins.  The optimizer picked the
-#: probe join because the cost model estimated the probed expression small;
-#: when the rows actually fetched by probing exceed this factor times that
-#: estimate, the estimate was wrong and batched probing is fetching the
-#: extent the hard way, so the runner flips to one full ship of the right
-#: side joined against a mediator-side hash table
-#: (:attr:`ExecReport.replanned`).  The paper's no-history default estimate
-#: is 1 row, so an uninformed mediator flips as soon as a probe join has
-#: fetched more than 8 rows -- by design: with no evidence that probing
-#: pays, one cheap ship is the safer plan, and the history the probes just
-#: recorded informs the next query.
-REPLAN_BLOWUP_FACTOR = 8.0
-
-
 class _ProbeRunner:
     """Shapes, caches and buckets one probe join's wrapper calls.
 
@@ -81,9 +67,15 @@ class _ProbeRunner:
       source again, whatever batch it reappears in; hit/miss counts aggregate
       onto the executor for ``Mediator.statistics()``.
     * **bucketing** the fetched rows by join key.
-    * **adaptive re-planning**: past :data:`REPLAN_BLOWUP_FACTOR` times the
-      cost model's estimate of the probed expression, the runner flips to
-      the full-ship shape mid-query (:attr:`ExecReport.replanned`).
+    * **adaptive re-planning**, the ski-rental rule: one full ship of the
+      probed expression returns R rows, the call history's estimate (1 with
+      no history).  Before each round trip the runner adds the keys it has
+      sent to the rows it has fetched; once that sum reaches R, probing has
+      cost as much as the ship, so it ships instead (mid-query,
+      :attr:`ExecReport.replanned`) and joins every later batch locally.
+      The rule counts, never times, so a run's wrapper calls are
+      deterministic; the wire carries at most about 2R plus one batch, and
+      no ship follows the last batch.
 
     It aggregates everything into one :class:`ExecReport` -- ``attempts`` is
     the total number of wrapper calls issued -- so the two entry points stay
@@ -163,15 +155,16 @@ class _ProbeRunner:
         # One round trip for the whole batch, or one per key.
         batches = [keys] if self._mode == "in" else [[key] for key in keys]
         for batch in batches:
+            # The cache holds exactly the keys sent so far.
+            if len(self._cache) + self.rows_fetched >= self._estimate_rows:
+                self._ship(replanned=True)
+                return
             rows = self._round_trip(self._probe_expression(batch))
             if rows is None:
                 return
             bucketed = self._bucket(rows)
             for key in batch:
                 self._cache[key] = bucketed.get(key, [])
-            if self._blown():
-                self._ship(replanned=True)
-                return
 
     def _resolve(self) -> None:
         if self._probe_call is not None:
@@ -216,12 +209,6 @@ class _ProbeRunner:
         for row in rows:
             buckets.setdefault(right_key(row), []).append(row)
         return buckets
-
-    def _blown(self) -> bool:
-        return (
-            self._ship_buckets is None
-            and self.rows_fetched > REPLAN_BLOWUP_FACTOR * self._estimate_rows
-        )
 
     def _ship(self, replanned: bool) -> None:
         """Fetch the whole right side once; later batches join locally."""

@@ -2,7 +2,7 @@
 
 Pins the E14 behaviours on both engines: batch-boundary flushes, key
 deduplication against the per-query probe cache, the degrade ladder
-(``in`` -> per-key ``=`` -> full ship), the adaptive replan flip, failure
+(``in`` -> per-key ``=`` -> full ship), the ski-rental flip to a ship, failure
 semantics (partial answers whose probe side stays a submit; retries and
 call-time refusals through the exec calls' one attempt loop), and the
 telemetry surfaced through ``ExecReport`` and ``Mediator.statistics()``.
@@ -10,18 +10,17 @@ telemetry surfaced through ``ExecReport`` and ``Mediator.statistics()``.
 
 from __future__ import annotations
 
-import math
 import os
 
 import pytest
 
 from repro import CapabilityError, Mediator, RelationalWrapper
+from repro.algebra import physical as phys
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.expressions import Comparison, InList, Path, Var
 from repro.algebra.logical import Select, walk
 from repro.datamodel.values import Struct
 from repro.runtime import operators
-from repro.runtime import probe as probe_module
 from repro.oql.parser import parse_query
 from repro.sources import RelationalEngine, SimulatedServer
 
@@ -49,12 +48,6 @@ class InRefusingWrapper(RelationalWrapper):
             if isinstance(node, Select) and isinstance(node.predicate, InList):
                 raise CapabilityError("in-list refused at call time")
         return super().submit(expression)
-
-
-@pytest.fixture
-def no_replan(monkeypatch):
-    """Batching, not re-planning, is under test: never flip to a ship."""
-    monkeypatch.setattr(probe_module, "REPLAN_BLOWUP_FACTOR", math.inf)
 
 
 def build_probe_mediator(
@@ -94,6 +87,29 @@ def build_probe_mediator(
     return mediator, left_server, right_server
 
 
+def probed_exec(mediator) -> phys.Exec:
+    """The right side ``QUERY``'s (cached) plan probes."""
+    [join] = [
+        node
+        for node in walk(mediator.planner.plan(QUERY).optimized.physical)
+        if isinstance(node, phys.ProbeJoin)
+    ]
+    return join.probe
+
+
+def learn_right_rows(mediator, rows: int) -> None:
+    """Teach the history that one full ship of the probed expression returns
+    ``rows`` rows: the learned cardinality R the probe runner weighs its
+    round trips against (it ships once keys sent + rows fetched reach R)."""
+    probed = probed_exec(mediator)
+    mediator.history.record(probed.extent_name, probed.expression, 0.001, rows)
+
+
+#: a learned cardinality past anything the batching tests probe (as if the
+#: extent had shrunk since the history saw it): probing never costs a ship.
+UNREACHED_ROWS = 10**9
+
+
 def run_barrier(mediator, query=QUERY):
     result = mediator.query(query)
     return result.rows(), result
@@ -118,12 +134,14 @@ def values_of(rows):
 
 
 # -- batching -------------------------------------------------------------------------------------
-@pytest.mark.usefixtures("no_replan")
 @pytest.mark.parametrize("run", ENGINES)
 def test_probe_calls_flush_at_batch_boundaries(run):
-    """10 distinct keys at batch 4 -> ceil(10/4) = 3 set-valued submits."""
+    """10 distinct keys at batch 4 -> ceil(10/4) = 3 set-valued submits: with
+    the right side's 50 rows learned, the third trip starts at 8 keys + 8
+    rows, still short of a ship."""
     mediator, _left, right = build_probe_mediator(range(10), batch_size=4)
     try:
+        learn_right_rows(mediator, 50)
         rows, result = run(mediator)
         assert values_of(rows) == [i * 3 for i in range(10)]
         assert right.statistics.requests == 3
@@ -135,7 +153,6 @@ def test_probe_calls_flush_at_batch_boundaries(run):
         mediator.close()
 
 
-@pytest.mark.usefixtures("no_replan")
 @pytest.mark.parametrize("run", ENGINES)
 def test_probe_calls_track_batches_not_bindings(run):
     """The communication claim as call counts: one round trip per binding
@@ -147,6 +164,7 @@ def test_probe_calls_track_batches_not_bindings(run):
             range(fanout), right_rows=1_000, batch_size=batch_size
         )
         try:
+            learn_right_rows(mediator, UNREACHED_ROWS)
             rows, _result = run(mediator)
             assert len(rows) == min(fanout, 1_000)
             return right.statistics.requests
@@ -197,11 +215,13 @@ def test_none_keys_are_never_probed(run):
 # -- the degrade ladder ---------------------------------------------------------------------------
 @pytest.mark.parametrize("run", ENGINES)
 def test_wrapper_without_in_degrades_to_per_key_probes(run):
-    """No ``in`` terminal: one ``=`` submit per distinct key, flagged degraded."""
+    """No ``in`` terminal: one ``=`` submit per distinct key, flagged degraded
+    (the learned 50-row side outweighs the 5 keys + 5 rows before the last)."""
     mediator, _left, right = build_probe_mediator(
         range(6), batch_size=4, right_capabilities=NO_IN_CAPS
     )
     try:
+        learn_right_rows(mediator, 50)
         rows, result = run(mediator)
         assert values_of(rows) == [i * 3 for i in range(6)]
         assert right.statistics.requests == 6
@@ -229,39 +249,115 @@ def test_wrapper_without_select_ships_the_extent_once(run):
         mediator.close()
 
 
-# -- adaptive re-planning -------------------------------------------------------------------------
+# -- adaptive re-planning: the ski-rental flip ---------------------------------------------------
 @pytest.mark.parametrize("run", ENGINES)
 def test_blowup_past_the_estimate_flips_to_ship(run):
-    """With no history the estimate is ~1 row: once the batches have fetched
-    more than ``REPLAN_BLOWUP_FACTOR`` (8) x 1 rows, the runner re-plans into
-    one full ship mid-query."""
-    assert probe_module.REPLAN_BLOWUP_FACTOR == 8.0
+    """With no history a ship is estimated at 1 row: the first batch's 4 keys
+    and 4 rows already cost more, so the second round trip is the ship, and
+    every later batch joins locally."""
     mediator, _left, right = build_probe_mediator(range(20), batch_size=4)
     try:
         rows, result = run(mediator)
         assert values_of(rows) == [i * 3 for i in range(20)]
-        # Calls 1-3: in-list batches fetching 4, 8, then 12 rows (12 > 8).
-        # Call 4: the re-planned ship.  The last two batches join locally.
-        assert right.statistics.requests == 4
+        # Call 1: the in-list batch.  Call 2: the re-planned ship.
+        assert right.statistics.requests == 2
         report = probe_report(result)
         assert report.replanned
-        assert report.attempts == 4
+        assert report.attempts == 2
     finally:
         mediator.close()
 
 
 @pytest.mark.parametrize("run", ENGINES)
-def test_no_replan_up_to_the_fixed_factor(run):
-    """Batches that fetch at most ``REPLAN_BLOWUP_FACTOR`` x the ~1 row
-    estimate (4, then 8 rows) keep probing: no flip to a ship."""
+def test_no_replan_while_probing_costs_less_than_a_ship(run):
+    """With the right side's 50 rows learned, batches that have sent 4 keys
+    and fetched 4 rows keep probing: no flip to a ship."""
     mediator, _left, right = build_probe_mediator(range(8), batch_size=4)
     try:
+        learn_right_rows(mediator, 50)
         rows, result = run(mediator)
         assert values_of(rows) == [i * 3 for i in range(8)]
         assert right.statistics.requests == 2  # ceil(8/4), no ship
         report = probe_report(result)
         assert not report.replanned
         assert report.attempts == 2
+    finally:
+        mediator.close()
+
+
+@pytest.mark.parametrize("learned, probes", [(16, 2), (17, 3)])
+@pytest.mark.parametrize("run", ENGINES)
+def test_the_flip_comes_before_the_trip_that_would_cross_the_estimate(run, learned, probes):
+    """Before trip k+1 the runner has sent 4k keys and fetched 4k rows: at a
+    learned 16 the third trip (8 + 8 = 16) is the ship, at 17 the fourth."""
+    mediator, _left, right = build_probe_mediator(range(20), batch_size=4)
+    try:
+        learn_right_rows(mediator, learned)
+        rows, result = run(mediator)
+        assert values_of(rows) == [i * 3 for i in range(20)]
+        assert right.statistics.requests == probes + 1
+        report = probe_report(result)
+        assert report.replanned and report.attempts == probes + 1
+    finally:
+        mediator.close()
+
+
+@pytest.mark.parametrize("run", ENGINES)
+def test_no_ship_follows_the_last_batch(run):
+    """The last batch crosses a learned 9 (8 keys + 8 rows after it), but
+    nothing is left to probe: no ship that nothing would read."""
+    mediator, _left, right = build_probe_mediator(range(8), batch_size=4)
+    try:
+        learn_right_rows(mediator, 9)
+        rows, result = run(mediator)
+        assert values_of(rows) == [i * 3 for i in range(8)]
+        assert right.statistics.requests == 2
+        assert not probe_report(result).replanned
+    finally:
+        mediator.close()
+
+
+@pytest.mark.parametrize("run", ENGINES)
+def test_a_learned_cardinality_bounds_the_trips_whatever_the_fanout(run):
+    """A 500-row right side probed by ``FANOUT`` keys.  The first run has no
+    history: one batch, then the ship, which teaches the history R = 500.
+    The second run reads it: one batch of 256 keys fetches 256 rows
+    (256 + 256 >= 500), so the next trip is the ship -- at most 2 probe
+    trips plus 1 ship, not one trip per 256 keys."""
+    mediator, _left, right = build_probe_mediator(
+        range(FANOUT), right_rows=500, batch_size=256
+    )
+    try:
+        for _ in range(2):
+            before = right.statistics.requests
+            rows, result = run(mediator)
+            assert len(rows) == 500
+            assert right.statistics.requests - before == 2
+            report = probe_report(result)
+            assert report.replanned and report.attempts == 2
+        probed = probed_exec(mediator)
+        estimate = mediator.history.estimate(probed.extent_name, probed.expression)
+        assert estimate.rows == pytest.approx(500)
+    finally:
+        mediator.close()
+
+
+@pytest.mark.parametrize("run", ENGINES)
+def test_per_key_probes_flip_to_a_ship_too(run):
+    """No ``in`` terminal, 20 keys against a learned 10-row side: each ``=``
+    trip sends 1 key, the first 5 fetch 1 row each, so the sixth trip
+    (5 + 5 = 10) is the ship."""
+    mediator, _left, right = build_probe_mediator(
+        range(20), right_rows=10, batch_size=4, right_capabilities=NO_IN_CAPS
+    )
+    try:
+        learn_right_rows(mediator, 10)
+        rows, result = run(mediator)
+        assert values_of(rows) == [i * 3 for i in range(10)]
+        assert right.statistics.requests == 6
+        report = probe_report(result)
+        assert report.replanned and report.attempts == 6
+        assert report.degraded_to is not None
     finally:
         mediator.close()
 

@@ -34,7 +34,7 @@ from repro.runtime import kernels, namespace
 from repro.runtime.executor import CompiledCall, Executor
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
 from tests.test_bind_batching import QUERY as PROBE_QUERY
-from tests.test_bind_batching import build_probe_mediator
+from tests.test_bind_batching import build_probe_mediator, learn_right_rows
 from tests.test_degrading_retry import ROWS as DEGRADE_ROWS
 from tests.test_degrading_retry import LyingWrapper
 from tests.test_degrading_retry import build_mediator as build_degrading_mediator
@@ -398,6 +398,7 @@ def test_closing_and_dropping_a_mediator_frees_its_wrappers_and_compiled_calls()
 def test_a_bind_join_keeps_no_probe_expression_once_it_returns():
     mediator, _left, _right = build_probe_mediator(range(10), batch_size=4)
     try:
+        learn_right_rows(mediator, 50)  # 3 batches stay cheaper than a ship
         probes: list[weakref.ref] = []
         wrapper = mediator.registry.wrapper_object("wr")
         original = wrapper.submit

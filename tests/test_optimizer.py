@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.spine import federation
 from repro.algebra import physical as phys
 from repro.algebra.capabilities import grammar_for
 from repro.algebra.expressions import Comparison, Const, Path, Var
@@ -281,6 +282,30 @@ class TestCostModel:
         loop_cost = model.estimate(phys.NestedLoopJoin(left, right, "id")).total()
         assert hash_cost < loop_cost
 
+    def test_a_bind_join_without_an_equi_conjunct_is_priced_as_a_nested_loop(self):
+        """The translator's ``select(x.id = d.id ..., bindjoin(..., true))``
+        stays in the memo.  Neither a cold plan (every side estimated at 1
+        row) nor a re-plan once the history knows 4 x 2 500 person rows and
+        500 dept rows may pick its nested loop (10^7 pairs, seconds of
+        mediator time) over a join on ``x.id = d.id``."""
+        fed = federation.build(federation.FED4X2500, seed=5)
+        join = "select struct(n: x.name, d: d.dname) from x in person, d in dept where x.id = d.id"
+        answers: dict[str, int] = {}
+        try:
+            for _ in range(2):  # cold, then informed by the first runs
+                plans = {
+                    text: fed.mediator.planner.plan(text, use_cache=False).optimized.physical
+                    for text in (join, join + " and x.salary > 280")
+                }
+                for text, plan in plans.items():
+                    bind_joins = [node for node in walk(plan) if isinstance(node, phys.MkBindJoin)]
+                    assert all(node.condition is not None for node in bind_joins)
+                    rows = len(fed.mediator.executor.execute(plan).data)
+                    assert answers.setdefault(text, rows) == rows
+            assert answers[join] == 500
+        finally:
+            fed.close()
+
     def test_union_cost_adds_children(self):
         model = self.model()
         single = model.estimate(implement(submit()))
@@ -363,6 +388,8 @@ def _cost_samples():
         phys.HashJoin(leaf, leaf, "id"),
         phys.NestedLoopJoin(leaf, leaf, "id"),
         phys.MkBindJoin(leaf, leaf, "x", "y", on),
+        phys.MkBindJoin(leaf, leaf, "x", "y"),
+        phys.MkBindJoin(leaf, leaf, "x", "y", Comparison("<", Path(Var("x"), "id"), Path(Var("y"), "id"))),
         phys.ProbeJoin(leaf, probe, "x", "y", on),
         phys.MkUnion((leaf, leaf, leaf)),
         phys.MkFlatten(leaf),
