@@ -110,7 +110,9 @@ class CapabilitySet:
         if isinstance(expr, Select) and not self._vocabulary_ok(expr.predicate):
             return False
         if self.compose:
-            return all(self.accepts(child) for child in expr.children())
+            # The operands by this rule, not an override's: a subclass that
+            # checks a whole tree (``SqlCapabilitySet``) checks it once, at the root.
+            return all(CapabilitySet.accepts(self, child) for child in expr.children())
         return all(isinstance(child, Get) for child in expr.children())
 
     def admits(self, expr: LogicalOp) -> bool:

@@ -311,8 +311,9 @@ class GroupBy(LogicalOp):
     (``count`` 0, the other aggregates ``nil``) -- the scalar-aggregate
     convention SQL shares.
 
-    Aggregate NULL semantics (shared with the mini-SQL engine so pushed and
-    compensated plans agree): ``count`` counts rows whose argument is not
+    Aggregate NULL semantics (one grouping kernel at the mediator and at every
+    source, a SQL ``GROUP BY`` included, so pushed and compensated plans
+    agree): ``count`` counts rows whose argument is not
     ``nil`` (a bare variable argument counts every row -- ``COUNT(*)``);
     ``sum``/``min``/``max``/``avg`` skip ``nil`` values and yield ``nil``
     when no value survives.

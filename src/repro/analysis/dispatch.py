@@ -2,7 +2,7 @@
 
 The algebra is dispatched by ``isinstance`` ladders in several places
 (unparser, the row composer, the kernel emitter, the wrapper-side evaluator,
-the mini-SQL renderer).  Each :class:`DispatchSite`
+the SQL renderer).  Each :class:`DispatchSite`
 names the functions making up one ladder, which class
 :class:`Hierarchy` it dispatches over, and which subclasses it
 **deliberately** does not handle -- with a justification.  The checker

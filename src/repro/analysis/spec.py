@@ -395,7 +395,7 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
         module="src/repro/wrappers/sqlwrapper.py",
         hierarchy="expr",
         exempt=(
-            ("Arithmetic", "not in the Sql predicate vocabulary; the grammar refuses it upstream"),
+            ("Arithmetic", "not in the Sql predicate vocabulary; `SqlCapabilitySet` refuses it at plan time"),
             ("StructExpr", "not in the Sql predicate vocabulary"),
             ("BagExpr", "not in the Sql predicate vocabulary"),
             ("FunctionCall", "aggregates reach SQL through GroupBy's aggregate list, never as a bare predicate"),

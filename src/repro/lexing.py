@@ -1,7 +1,7 @@
 """The one scanner, the one token cursor and the one home for literal syntax.
 
 The mediator reads three small languages -- OQL (queries and partial
-answers), ODL (schema declarations) and the mini-SQL a relational source
+answers), ODL (schema declarations) and the small SQL dialect the SQL source
 speaks -- and writes two of them back.  What differs between them is *data*:
 which words are reserved, which operators exist, how a string literal is
 delimited and escaped, and whether keywords fold to lower or upper case.  A
@@ -12,8 +12,9 @@ text the mediator reads.
 Adding to a language is one table entry plus the grammar rule that uses it
 (docs/ARCHITECTURE.md, "Adding a keyword, an operator or a literal form").
 
-This module depends only on :mod:`repro.errors`, so ``repro.sources.sql``
-and ``repro.algebra`` can use their dialect without importing ``repro.oql``.
+This module depends only on :mod:`repro.errors`, so ``repro.algebra`` and
+the SQL source's parser (which reads into the algebra) can use their dialect
+without importing ``repro.oql``.
 """
 
 from __future__ import annotations

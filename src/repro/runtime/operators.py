@@ -301,11 +301,12 @@ def group_rows(
     pipeline barrier -- the last group may be completed by the last input
     row).  With no keys the operator is a scalar aggregate and always emits
     exactly one row, even over an empty input (``count`` 0, the rest None).
-    The NULL semantics are shared with the mini-SQL engine, so pushed and
-    mediator-compensated aggregation agree: ``count`` counts rows whose
-    argument is not None (a bare variable argument counts every row, like
-    ``COUNT(*)``); the other aggregates skip None values and yield None when
-    no value survives; an unknown aggregate name keeps the largest value.
+    A source's pushed ``groupby`` (a SQL source's ``GROUP BY`` too) runs the
+    same kernel, so pushed and mediator-compensated aggregation agree:
+    ``count`` counts rows whose argument is not None (a bare variable
+    argument counts every row, like ``COUNT(*)``); the other aggregates skip
+    None values and yield None when no value survives; an unknown aggregate
+    name keeps the largest value.
     The loop is the grouping's kernel, bound here for this call alone.
     """
     return group_kernel(variable, keys, aggregates)(elements, base_env, subquery_evaluator)

@@ -6,10 +6,10 @@ package provides laptop-scale stand-ins for those sources:
 
 * :mod:`repro.sources.table` -- in-memory tables with a typed schema;
 * :mod:`repro.sources.relational_engine` -- a small relational engine
-  (scan / select / project / join / union) over those tables;
-* :mod:`repro.sources.sql` -- a miniature SQL dialect (parser and engine)
-  so that one wrapper genuinely translates the mediator algebra into a
-  different query language;
+  (a catalog of tables, each scanned whole) over those tables;
+* :mod:`repro.sources.sql` -- a miniature SQL dialect: a relational engine
+  that reads SQL text into the algebra, so that one wrapper genuinely
+  translates the mediator algebra into a different query language;
 * :mod:`repro.sources.keyvalue_store` -- a get-only key-value store, the
   least capable source;
 * :mod:`repro.sources.text_store` -- a WAIS-like keyword-search server;

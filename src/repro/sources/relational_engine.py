@@ -1,26 +1,26 @@
 """A small relational engine over in-memory tables.
 
-This is the execution substrate of the "relational database" data sources in
-the reproduction.  It exposes the handful of operations a wrapper may push
-down -- scan, selection, projection, join and union -- plus a tiny statistics
-interface.  Wrappers with restricted capability grammars simply refuse to call
-the richer operations even though the engine supports them, which is exactly
-the querying-power mismatch the paper's wrapper interface is designed around.
+This is the storage of the "relational database" data sources in the
+reproduction: a catalog of tables, a full scan per table and a tiny statistics
+interface.  A pushed expression runs over those scans in the one source-side
+evaluator (:class:`~repro.wrappers.base.AlgebraEvaluator`), whatever the
+wrapper; wrappers with restricted capability sets simply push less of it,
+which is exactly the querying-power mismatch the paper's wrapper interface is
+designed around.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.errors import QueryExecutionError, SchemaError
 from repro.sources.table import Table, TableSchema
 
 Row = dict[str, Any]
-Predicate = Callable[[Mapping[str, Any]], bool]
 
 
 class RelationalEngine:
-    """A named collection of tables with basic relational operations."""
+    """A named collection of tables, each scanned whole."""
 
     def __init__(self, name: str = "reldb"):
         self.name = name
@@ -63,60 +63,10 @@ class RelationalEngine:
         """Return the names of every table."""
         return list(self._tables)
 
-    # -- relational operations ------------------------------------------------------
+    # -- access -----------------------------------------------------------------------
     def scan(self, table_name: str) -> list[Row]:
         """Full scan of a table (the ``get`` operator at the source)."""
         return list(self.table(table_name).rows())
-
-    def select(self, rows: Iterable[Row], predicate: Predicate) -> list[Row]:
-        """Keep rows satisfying ``predicate``."""
-        return [row for row in rows if predicate(row)]
-
-    def project(self, rows: Iterable[Row], columns: list[str]) -> list[Row]:
-        """Keep only ``columns`` of each row; unknown columns are an error."""
-        result: list[Row] = []
-        for row in rows:
-            missing = [column for column in columns if column not in row]
-            if missing:
-                raise QueryExecutionError(
-                    f"projection refers to unknown column(s) {missing!r}"
-                )
-            result.append({column: row[column] for column in columns})
-        return result
-
-    def join(
-        self,
-        left: Iterable[Row],
-        right: Iterable[Row],
-        on: str | tuple[str, str],
-    ) -> list[Row]:
-        """Equi-join two row collections on a shared column (hash join).
-
-        ``on`` is either a single column present on both sides (the paper's
-        ``join(..., dept)``) or a ``(left_column, right_column)`` pair.  When
-        both sides define a non-join column with the same name the left value
-        wins, which mirrors the struct-merging behaviour of the mediator's own
-        join operator.
-        """
-        if isinstance(on, tuple):
-            left_key, right_key = on
-        else:
-            left_key = right_key = on
-        buckets: dict[Any, list[Row]] = {}
-        for row in right:
-            if row.get(right_key) is not None:  # NULL = NULL is not true: it matches nothing
-                buckets.setdefault(row[right_key], []).append(row)
-        joined: list[Row] = []
-        for row in left:
-            for match in buckets.get(row.get(left_key), ()):
-                merged = dict(match)
-                merged.update(row)
-                joined.append(merged)
-        return joined
-
-    def union(self, left: Iterable[Row], right: Iterable[Row]) -> list[Row]:
-        """Bag union of two row collections."""
-        return list(left) + list(right)
 
     # -- statistics ------------------------------------------------------------------
     def cardinality(self, table_name: str) -> int:

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the miniature SQL dialect.
+"""Recursive-descent parser for the miniature SQL dialect: SQL text to algebra.
 
 Grammar (roughly)::
 
@@ -12,9 +12,20 @@ Grammar (roughly)::
     expr      := term (OR term)*
     term      := factor (AND factor)*
     factor    := NOT factor | '(' expr ')' | comparison
-    comparison:= operand cmp_op operand
-    operand   := column | NUMBER | STRING | TRUE | FALSE | NULL
+    comparison:= operand cmp_op operand | operand IN '(' literal (',' literal)* ')'
+    operand   := column | literal
+    literal   := NUMBER | STRING | TRUE | FALSE | NULL
     column    := IDENT ('.' IDENT)?
+
+A statement reads straight into :mod:`repro.algebra` operators, clause by
+clause in SQL's evaluation order: ``FROM``/``JOIN`` become ``get`` and
+``join``, ``WHERE`` a ``select``, ``GROUP BY`` (or an aggregate in the
+SELECT list) a ``groupby``, the SELECT list a ``project`` -- a ``rename``
+when it aliases -- and ``LIMIT`` a ``limit``.  Predicates, grouping keys and
+aggregate arguments range over the row variable :data:`ROW`; a column's
+table qualifier is dropped, since a joined row is one merged record.  The
+source evaluates the tree with the one source-side evaluator, so a pushed
+predicate means at a SQL source what it means everywhere else.
 
 ``AS`` aliases and derived tables exist for the mediator's namespace
 aliasing: a pushed multi-extent join whose source columns collide arrives as
@@ -24,135 +35,34 @@ so each branch's columns are uniquely named *before* the join merges rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
-
+from repro.algebra.expressions import BooleanExpr, Comparison, Const, Expr, InList, Path, Var
+from repro.algebra.logical import GroupBy, Get, Join, Limit, LogicalOp, Project, Rename, Select
+from repro.errors import QueryExecutionError
 from repro.lexing import SQL, TokenStream, number_value
 
-
-# -- AST ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ColumnRef:
-    """A column reference, optionally qualified by a table name and aliased."""
-
-    name: str
-    table: str | None = None
-    #: output name when the projection item carries ``AS alias``; None keeps
-    #: the column's own name.
-    alias: str | None = None
-
-    def output_name(self) -> str:
-        """The name this column contributes to the result row."""
-        return self.alias or self.name
-
-    def render(self) -> str:
-        """Render back to SQL text."""
-        text = f"{self.table}.{self.name}" if self.table else self.name
-        return f"{text} AS {self.alias}" if self.alias else text
-
+#: the variable a statement's predicates, keys and aggregates range over
+ROW = "r"
 
 #: the aggregate functions of the dialect (``COUNT(*)`` takes no column).
 AGGREGATE_FUNCTIONS = ("COUNT", "SUM", "MIN", "MAX", "AVG")
 
-
-@dataclass(frozen=True)
-class AggregateRef:
-    """``FUNC(column)`` / ``COUNT(*)`` as a projection item, optionally aliased."""
-
-    func: str  # one of AGGREGATE_FUNCTIONS, upper-cased
-    column: ColumnRef | None = None  # None means COUNT(*)
-    alias: str | None = None
-
-    def output_name(self) -> str:
-        """The name this aggregate contributes to the result row."""
-        return self.alias or self.func.lower()
-
-    def render(self) -> str:
-        """Render back to SQL text."""
-        argument = "*" if self.column is None else self.column.render()
-        text = f"{self.func}({argument})"
-        return f"{text} AS {self.alias}" if self.alias else text
+#: one SELECT-list item: (output name, column or None for ``*``, aggregate
+#: function or None for a plain column)
+Item = tuple[str, str | None, str | None]
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A constant value in a predicate."""
-
-    value: Any
-
-    def render(self) -> str:
-        """Render back to SQL text."""
-        if self.value is None:
-            return "NULL"
-        if isinstance(self.value, bool):
-            return "TRUE" if self.value else "FALSE"
-        if isinstance(self.value, str):
-            return SQL.quote(self.value)
-        return repr(self.value)
+def _path(column: str) -> Path:
+    """``r.column``: the column of the row under evaluation."""
+    return Path(Var(ROW), column)
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """``left <op> right`` with op in =, <>, <, <=, >, >=."""
-
-    op: str
-    left: ColumnRef | Literal
-    right: ColumnRef | Literal
-
-
-@dataclass(frozen=True)
-class InPredicate:
-    """``operand IN (literal, ...)`` -- the batched-probe membership test."""
-
-    operand: ColumnRef | Literal
-    items: tuple[Literal, ...]
-
-
-@dataclass(frozen=True)
-class BooleanExpr:
-    """``AND`` / ``OR`` / ``NOT`` combination of predicates."""
-
-    op: str  # AND, OR, NOT
-    operands: tuple[Any, ...]
-
-
-@dataclass(frozen=True)
-class JoinClause:
-    """``JOIN <table ref> ON <left column> = <right column>``.
-
-    ``table`` is either a table name or a nested :class:`SelectStatement`
-    (a derived table).
-    """
-
-    table: Any
-    left_column: ColumnRef
-    right_column: ColumnRef
-
-
-@dataclass(frozen=True)
-class SelectStatement:
-    """A parsed SELECT statement.
-
-    ``table`` is either a table name (str) or a nested
-    :class:`SelectStatement` -- a derived table, ``FROM (SELECT ...)``.
-    """
-
-    columns: tuple[Any, ...] | None  # ColumnRef/AggregateRef items; None means '*'
-    table: Any
-    joins: tuple[JoinClause, ...] = ()
-    where: Any | None = None
-    limit: int | None = None
-    group_by: tuple[ColumnRef, ...] = ()
-
-
-# -- parser -------------------------------------------------------------------------
 class SqlParser(TokenStream):
-    """Turn SQL text into a :class:`SelectStatement`."""
+    """Turn SQL text into the logical algebra tree that answers it."""
 
     dialect = SQL
 
     # -- grammar ----------------------------------------------------------------------
-    def parse(self) -> SelectStatement:
+    def parse(self) -> LogicalOp:
         """Parse one SELECT statement; trailing input is an error."""
         statement = self._select()
         trailing = self._peek()
@@ -160,153 +70,166 @@ class SqlParser(TokenStream):
             raise self.error(f"unexpected trailing input {trailing.text!r}", trailing)
         return statement
 
-    def _select(self) -> SelectStatement:
+    def _select(self) -> LogicalOp:
         self._expect_keyword("SELECT")
-        columns = self._projection()
+        items = self._projection()
         self._expect_keyword("FROM")
-        table = self._table_ref()
-        joins: list[JoinClause] = []
+        plan = self._table_ref()
         while self._match_keyword("JOIN"):
-            join_table = self._table_ref()
+            right = self._table_ref()
             self._expect_keyword("ON")
-            left = self._column()
+            left_column = self._column()
             self._expect_op("=")
-            right = self._column()
-            joins.append(JoinClause(table=join_table, left_column=left, right_column=right))
-        where = None
+            plan = Join(plan, right, (left_column, self._column()))
         if self._match_keyword("WHERE"):
-            where = self._expression()
-        group_by: tuple[ColumnRef, ...] = ()
+            plan = Select(ROW, self._expression(), plan)
+        group_by: list[str] = []
         if self._match_keyword("GROUP"):
             self._expect_keyword("BY")
-            keys = [self._column()]
+            group_by.append(self._column())
             while self._match_op(","):
-                keys.append(self._column())
-            group_by = tuple(keys)
-        limit = None
+                group_by.append(self._column())
+        if group_by or any(func is not None for _, _, func in items or ()):
+            plan = self._group_by(items, group_by, plan)
+        elif items is not None:
+            if all(output == column for output, column, _ in items):
+                plan = Project(tuple(column for _, column, _ in items), plan)
+            else:
+                plan = Rename(tuple((column, output) for output, column, _ in items), plan)
         if self._match_keyword("LIMIT"):
             token = self._expect("NUMBER")
-            limit = number_value(token.text)
-            if not isinstance(limit, int) or limit < 0:
+            count = number_value(token.text)
+            if not isinstance(count, int) or count < 0:
                 raise self.error(f"LIMIT takes a non-negative integer, got {token.text!r}", token)
-        return SelectStatement(
-            columns=columns,
-            table=table,
-            joins=tuple(joins),
-            where=where,
-            limit=limit,
-            group_by=group_by,
-        )
+            plan = Limit(count, plan)
+        return plan
 
-    def _table_ref(self) -> Any:
+    @staticmethod
+    def _group_by(items: list[Item] | None, group_by: list[str], child: LogicalOp) -> LogicalOp:
+        """``GROUP BY`` and aggregate items as a ``groupby``, narrowed to the SELECT list.
+
+        Each plain item is a grouping key under its output name; a GROUP BY
+        column the list leaves out still groups, under its own name, and a
+        ``project`` above drops it (and restores the list's order).
+        """
+        if items is None:
+            raise QueryExecutionError("SELECT * cannot be combined with GROUP BY or aggregates")
+        keys: list[tuple[str, Expr]] = []
+        aggregates: list[tuple[str, str, Expr]] = []
+        for output, column, func in items:
+            if func is not None:
+                argument = Var(ROW) if column is None else _path(column)
+                aggregates.append((output, func.lower(), argument))
+            elif column in group_by:
+                keys.append((output, _path(column)))
+            else:
+                raise QueryExecutionError(
+                    f"column {column!r} must appear in GROUP BY or an aggregate"
+                )
+        listed = {column for _, column, func in items if func is None}
+        keys += [(column, _path(column)) for column in group_by if column not in listed]
+        plan = GroupBy(ROW, tuple(keys), tuple(aggregates), child)
+        outputs = tuple(output for output, _, _ in items)
+        return plan if plan.output_attributes() == outputs else Project(outputs, plan)
+
+    def _table_ref(self) -> LogicalOp:
         """A table name, or a parenthesized derived table ``(SELECT ...)``."""
         if self._match_op("("):
             statement = self._select()
             self._expect_op(")")
             return statement
-        return self._expect("IDENT").text
+        return Get(self._expect("IDENT").text)
 
-    def _projection(self) -> tuple[ColumnRef, ...] | None:
+    def _projection(self) -> list[Item] | None:
         if self._match_op("*"):
             return None
-        columns = [self._projection_item()]
+        items = [self._projection_item()]
         while self._match_op(","):
-            columns.append(self._projection_item())
-        return tuple(columns)
+            items.append(self._projection_item())
+        return items
 
-    def _projection_item(self) -> ColumnRef | AggregateRef:
+    def _projection_item(self) -> Item:
         token = self._peek()
         if (
             token.kind == "IDENT"
             and token.text.upper() in AGGREGATE_FUNCTIONS
             and self._peek(1).is_op("(")
         ):
-            return self._aggregate_item()
+            func = self._advance().text.upper()
+            self._expect_op("(")
+            column = None
+            if self._match_op("*"):
+                if func != "COUNT":
+                    raise self.error(f"{func}(*) is not valid; only COUNT takes '*'", self._peek())
+            else:
+                column = self._column()
+            self._expect_op(")")
+            return self._alias(func.lower()), column, func
         column = self._column()
-        if self._match_keyword("AS"):
-            alias = self._expect("IDENT").text
-            return ColumnRef(name=column.name, table=column.table, alias=alias)
-        return column
+        return self._alias(column), column, None
 
-    def _aggregate_item(self) -> AggregateRef:
-        func = self._expect("IDENT").text.upper()
-        self._expect_op("(")
-        column: ColumnRef | None = None
-        if self._match_op("*"):
-            if func != "COUNT":
-                raise self.error(f"{func}(*) is not valid; only COUNT takes '*'", self._peek())
-        else:
-            column = self._column()
-        self._expect_op(")")
-        alias = None
-        if self._match_keyword("AS"):
-            alias = self._expect("IDENT").text
-        return AggregateRef(func=func, column=column, alias=alias)
+    def _alias(self, name: str) -> str:
+        """``AS alias`` when present, else ``name``."""
+        return self._expect("IDENT").text if self._match_keyword("AS") else name
 
-    def _column(self) -> ColumnRef:
-        first = self._expect("IDENT").text
+    def _column(self) -> str:
+        """A column name; a ``table.`` qualifier is read and dropped."""
+        name = self._expect("IDENT").text
         if self._match_op("."):
-            second = self._expect("IDENT").text
-            return ColumnRef(name=second, table=first)
-        return ColumnRef(name=first)
+            return self._expect("IDENT").text
+        return name
 
-    def _expression(self) -> Any:
-        left = self._term()
-        operands = [left]
+    def _expression(self) -> Expr:
+        operands = [self._term()]
         while self._match_keyword("OR"):
             operands.append(self._term())
-        if len(operands) == 1:
-            return left
-        return BooleanExpr(op="OR", operands=tuple(operands))
+        return operands[0] if len(operands) == 1 else BooleanExpr("or", tuple(operands))
 
-    def _term(self) -> Any:
-        left = self._factor()
-        operands = [left]
+    def _term(self) -> Expr:
+        operands = [self._factor()]
         while self._match_keyword("AND"):
             operands.append(self._factor())
-        if len(operands) == 1:
-            return left
-        return BooleanExpr(op="AND", operands=tuple(operands))
+        return operands[0] if len(operands) == 1 else BooleanExpr("and", tuple(operands))
 
-    def _factor(self) -> Any:
+    def _factor(self) -> Expr:
         if self._match_keyword("NOT"):
-            return BooleanExpr(op="NOT", operands=(self._factor(),))
+            return BooleanExpr("not", (self._factor(),))
         if self._match_op("("):
             inner = self._expression()
             self._expect_op(")")
             return inner
         return self._comparison()
 
-    def _comparison(self) -> Comparison | InPredicate:
+    def _comparison(self) -> Expr:
         left = self._operand()
         if self._match_keyword("IN"):
-            return InPredicate(operand=left, items=self._parenthesized(self._literal))
+            return InList(left, self._parenthesized(self._literal, allow_empty=False))
         token = self._advance()
         if token.kind != "OP" or token.text not in ("=", "<>", "!=", "<", "<=", ">", ">="):
             raise self.error(f"expected comparison operator, got {token.text!r}", token)
-        op = "<>" if token.text == "!=" else token.text
-        right = self._operand()
-        return Comparison(op=op, left=left, right=right)
+        op = "!=" if token.text == "<>" else token.text
+        return Comparison(op, left, self._operand())
 
-    def _literal(self) -> Literal:
+    def _literal(self) -> Const:
+        token = self._peek()
         operand = self._operand()
-        if not isinstance(operand, Literal):
-            raise self.error(f"IN list items must be literals, got {operand!r}", self._peek())
+        if not isinstance(operand, Const):
+            raise self.error(f"IN list items must be literals, got {token.text!r}", token)
         return operand
 
-    def _operand(self) -> ColumnRef | Literal:
+    def _operand(self) -> Expr:
         token = self._peek()
         if token.kind == "IDENT":
-            return self._column()
+            return _path(self._column())
         token = self._advance()
         if token.kind == "NUMBER":
-            return Literal(number_value(token.text))
+            return Const(number_value(token.text))
         if token.kind == "STRING":
-            return Literal(token.text)
+            return Const(token.text)
         if token.is_keyword("TRUE"):
-            return Literal(True)
+            return Const(True)
         if token.is_keyword("FALSE"):
-            return Literal(False)
+            return Const(False)
         if token.is_keyword("NULL"):
-            return Literal(None)
+            return Const(None)
         raise self.error(f"expected operand, got {token.text!r}", token)

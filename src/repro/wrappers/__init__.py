@@ -13,7 +13,7 @@ The concrete wrappers differ in capability and in how they execute:
 wrapper                    underlying source                           capabilities
 =========================  ==========================================  =====================
 :class:`RelationalWrapper` :class:`~repro.sources.RelationalEngine`    configurable, full by default
-:class:`SqlWrapper`        :class:`~repro.sources.sql.SqlEngine`       get/project/select/join, translated to SQL text
+:class:`SqlWrapper`        :class:`~repro.sources.sql.SqlEngine`       every operator SQL can write, a tree only when it renders as SQL text
 :class:`KeyValueWrapper`   :class:`~repro.sources.KeyValueStore`       get only
 :class:`TextSearchWrapper` :class:`~repro.sources.TextStore`           get + equality select (keyword search), no composition
 :class:`CsvWrapper`        :class:`~repro.sources.CsvStore`            get + project

@@ -57,8 +57,10 @@ from repro.datamodel.values import Bag, Struct
 from repro.optimizer.implementation import implement
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
 from repro.sources.csv_store import CsvStore
+from repro.sources.sql import SqlEngine
 from repro.sources.text_store import Document, TextStore
-from repro.wrappers import CsvWrapper, TextSearchWrapper
+from repro.wrappers import CsvWrapper, SqlWrapper, TextSearchWrapper
+from repro.wrappers.sqlwrapper import SQL_OPERATORS
 
 NAMES = ["ann", "bob", "cleo", "dan", "eve"]
 #: the nightly CI job raises this to 1000 via DISCO_EQUIV_SEEDS.
@@ -80,7 +82,7 @@ _CSV_DIR = tempfile.mkdtemp(prefix="disco-equiv-csv-")
 
 
 def build_mediator(
-    bind_batch_size: int = 256, no_groupby: bool = False, answer_cache=None
+    bind_batch_size: int = 256, no_groupby: bool = False, answer_cache=None, sql: bool = False
 ):
     """Two Person sources (members of the implicit ``person`` extent) plus a
     ``dept0`` collection co-hosted with person0 for join queries, plus a pair
@@ -97,8 +99,13 @@ def build_mediator(
     degeneration, mid-batch flushes, and one-call whole-side batches.
     ``no_groupby`` strips the ``groupby`` terminal from both relational
     wrappers, so grouped queries degrade and are compensated by mediator-side
-    (partial) aggregation instead of pushing ``GROUP BY`` to the source."""
-    engine0 = RelationalEngine(name="db0")
+    (partial) aggregation instead of pushing ``GROUP BY`` to the source.
+
+    ``sql`` puts ``w0``'s four tables in a :class:`SqlEngine` behind a
+    :class:`SqlWrapper`, so what ``w0`` is pushed crosses the boundary as SQL
+    text (``no_groupby`` then strips ``groupby`` from the SQL wrapper's own
+    terminals)."""
+    engine0 = (SqlEngine if sql else RelationalEngine)(name="db0")
     engine0.create_table(
         "person0",
         schema=TableSchema.of(("id", int), ("name", str), ("salary", int)),
@@ -166,9 +173,16 @@ def build_mediator(
     mediator = Mediator(
         name="diff", bind_batch_size=bind_batch_size, answer_cache=answer_cache
     )
-    mediator.register_wrapper(
-        "w0", RelationalWrapper("w0", server0, capabilities=capabilities)
-    )
+    if sql:
+        sql_capabilities = (
+            CapabilitySet.of(*(op for op in SQL_OPERATORS if op != "groupby"))
+            if no_groupby
+            else None
+        )
+        wrapper0 = SqlWrapper("w0", server0, capabilities=sql_capabilities)
+    else:
+        wrapper0 = RelationalWrapper("w0", server0, capabilities=capabilities)
+    mediator.register_wrapper("w0", wrapper0)
     mediator.register_wrapper(
         "w1", RelationalWrapper("w1", server1, capabilities=capabilities)
     )
@@ -303,7 +317,9 @@ def random_query(rng: random.Random) -> tuple[str, int | None]:
         distinct = "distinct " if rng.random() < 0.3 else ""
         text = f"select {distinct}{item} from x in {collection}"
         if rng.random() < 0.6:
-            attribute = rng.choice(["salary", "id"])
+            # ``salary + 1``: a computed operand, which SQL cannot write, so a
+            # SQL source must leave the select to the mediator.
+            attribute = rng.choice(["salary", "id", "salary + 1"])
             op = rng.choice([">", "<", ">=", "="])
             text += f" where x.{attribute} {op} {rng.randint(0, 8)}"
     limit = rng.randint(0, 12) if rng.random() < 0.4 else None
@@ -366,6 +382,9 @@ def test_engines_agree(seed):
         # terminal: grouped queries then degrade and the mediator compensates
         # with (partial) aggregation, which must be answer-identical.
         no_groupby=rng.random() < 0.25,
+        # Odd seeds serve ``w0`` from a SQL source (chosen by parity, not by
+        # a draw, so every seed keeps its queries and faults).
+        sql=seed % 2 == 1,
     )
     try:
         base_text, limit = random_query(rng)
@@ -555,6 +574,7 @@ def test_cache_on_answers_match_cache_off(seed):
     params = dict(
         bind_batch_size=rng.choice([1, 2, 3, 256]),
         no_groupby=rng.random() < 0.25,
+        sql=seed % 2 == 1,
     )
     plain, plain_servers = build_mediator(**params)
     cached, cached_servers = build_mediator(**params, answer_cache=AnswerCache())

@@ -178,7 +178,7 @@ class TestSqlLimit:
 
     def test_sql_parser_round_trips_limit(self):
         statement = SqlParser("SELECT name FROM person0 WHERE salary > 5 LIMIT 4").parse()
-        assert statement.limit == 4
+        assert isinstance(statement, Limit) and statement.count == 4
         engine = SqlEngine(name="sqldb")
         engine.create_table(
             "person0", rows=[{"id": i, "name": f"p{i}", "salary": i} for i in range(20)]

@@ -107,48 +107,6 @@ class TestRelationalEngine:
         with pytest.raises(SchemaError):
             engine.drop_table("manager")
 
-    def test_select_and_project(self):
-        engine = self.engine()
-        rows = engine.select(engine.scan("employee"), lambda row: row["salary"] > 100)
-        assert {row["name"] for row in rows} == {"Mary", "Ana"}
-        projected = engine.project(rows, ["name"])
-        assert projected == [{"name": "Mary"}, {"name": "Ana"}] or projected == [
-            {"name": "Ana"},
-            {"name": "Mary"},
-        ]
-
-    def test_project_unknown_column_raises(self):
-        engine = self.engine()
-        with pytest.raises(QueryExecutionError):
-            engine.project(engine.scan("employee"), ["age"])
-
-    def test_join_on_shared_column(self):
-        engine = self.engine()
-        joined = engine.join(engine.scan("employee"), engine.scan("manager"), on="dept")
-        # Only the db department matches a manager.
-        assert {row["name"] for row in joined} == {"Mary", "Ana"}
-        assert all(row["dept"] == "db" for row in joined)
-
-    def test_join_on_column_pair(self):
-        engine = self.engine()
-        joined = engine.join(
-            engine.scan("employee"), engine.scan("manager"), on=("dept", "dept")
-        )
-        assert len(joined) == 2
-
-    def test_join_never_matches_a_null_key(self):
-        """NULL = NULL is not true, here as in the mediator's own joins."""
-        engine = self.engine()
-        employees = engine.scan("employee") + [{"name": "Nil", "dept": None, "salary": 1}]
-        managers = engine.scan("manager") + [{"name": "Nobody", "dept": None}]
-        joined = engine.join(employees, managers, on="dept")
-        assert {row["name"] for row in joined} == {"Mary", "Ana"}
-
-    def test_union_is_additive(self):
-        engine = self.engine()
-        rows = engine.union(engine.scan("employee"), engine.scan("employee"))
-        assert len(rows) == 6
-
     def test_statistics(self):
         stats = self.engine().statistics()
         assert stats == {"employee": 3, "manager": 2}

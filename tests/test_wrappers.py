@@ -3,15 +3,15 @@
 import pytest
 
 from repro.algebra.capabilities import CapabilitySet
-from repro.algebra.expressions import BooleanExpr, Comparison, Const, InList, Path, Var
-from repro.algebra.logical import Get, Join, Project, Select, Union
+from repro.algebra.expressions import Arithmetic, BooleanExpr, Comparison, Const, InList, Path, Var
+from repro.algebra.logical import Get, GroupBy, Join, Limit, Project, Select, Union
 from repro.baselines.no_pushdown import GetOnlyWrapper
 from repro.errors import CapabilityError, UnavailableSourceError, WrapperError
 from repro.sources.csv_store import CsvStore
 from repro.sources.keyvalue_store import KeyValueStore
 from repro.sources.relational_engine import RelationalEngine
 from repro.sources.server import SimulatedServer
-from repro.sources.sql.engine import SqlEngine
+from repro.sources.sql import SqlEngine, SqlParser
 from repro.sources.text_store import Document, TextStore
 from repro.wrappers import (
     CsvWrapper,
@@ -151,8 +151,6 @@ class TestSqlWrapper:
         predicate = Comparison(">", Path(Var("x"), "salary"), Path(Var("x"), "id"))
         sql_expr = Select("x", predicate, Get("person0"))
         # column-to-column comparison translates fine; a computed operand does not
-        from repro.algebra.expressions import Arithmetic
-
         bad = Select("x", Comparison(">", Arithmetic("+", Path(Var("x"), "salary"), Const(1)), Const(10)), Get("person0"))
         assert wrapper.to_sql(sql_expr)
         with pytest.raises(WrapperError):
@@ -165,26 +163,128 @@ class TestSqlWrapper:
         )
         assert "'O''Brien'" in sql
 
+    def test_literals_read_back_as_the_constants_written(self):
+        """Every constant the wrapper writes, the SQL parser reads back as an
+        equal constant of the same type."""
+        wrapper = SqlWrapper("pg", self.sql_server())
+        for value in ("O'Brien", 1e-07, 1.5e20, -3, -2.5e-09, 1.0, True, None):
+            predicate = Comparison(">", Path(Var("x"), "salary"), Const(value))
+            sql = wrapper.to_sql(Select("x", predicate, Get("person0")))
+            read = SqlParser(sql).parse()
+            assert isinstance(read, Select) and read.predicate.right == Const(value), sql
+            assert type(read.predicate.right.value) is type(value)
+
+    @staticmethod
+    def sql_mediator(rows):
+        """A mediator over one ``SqlWrapper`` extent ``m0`` holding ``rows``."""
+        from repro import Mediator
+
+        engine = SqlEngine(name="pg")
+        engine.create_table("m0", rows=rows)
+        mediator = Mediator(name="sqlm")
+        mediator.register_wrapper("w0", SqlWrapper("w0", SimulatedServer("pg-host", engine)))
+        mediator.define_interface("M", [("id", "Long"), ("v", "Float")], extent_name="m")
+        mediator.create_repository("r0", host="pg-host")
+        mediator.add_extent("m0", "M", "w0", "r0")
+        return mediator
 
     def test_exponent_floats_are_pushed_not_degraded(self):
         """The wrapper writes small and large floats the way ``repr`` does
         (``1e-07``, ``1.5e+20``); the engine's reader accepts exactly that, so
         the pushed select runs at the source instead of degrading to a scan."""
-        from repro import Mediator
-
         rows = [{"id": 1, "v": 0.0}, {"id": 2, "v": 0.5}, {"id": 3, "v": 3e20}]
-        engine = SqlEngine(name="pg")
-        engine.create_table("m0", rows=rows)
-        with Mediator(name="floats") as mediator:
-            mediator.register_wrapper("w0", SqlWrapper("w0", SimulatedServer("pg-host", engine)))
-            mediator.define_interface("M", [("id", "Long"), ("v", "Float")], extent_name="m")
-            mediator.create_repository("r0", host="pg-host")
-            mediator.add_extent("m0", "M", "w0", "r0")
+        with self.sql_mediator(rows) as mediator:
             for bound, expected in (("0.0000001", [2, 3]), ("150000000000000000000.0", [3])):
                 result = mediator.query(f"select x.id from x in m0 where x.v > {bound}")
                 assert sorted(result.rows()) == expected
                 assert [report.degraded_to for report in result.reports] == [None]
                 assert result.reports[0].rows == len(expected)  # filtered at the source
+
+    def test_infinite_bounds_are_pushed_and_read_back(self):
+        """``1e999`` is infinity: the wrapper writes it back that way, not as
+        ``inf`` (a column name to SQL) or ``-inf`` (not a number at all)."""
+        rows = [{"id": 1, "v": 0.5}, {"id": 2, "v": 7.0}, {"id": 3, "v": None}]
+        with self.sql_mediator(rows) as mediator:
+            for query in (
+                "select x.id from x in m0 where x.v < 1e999",
+                "select x.id from x in m0 where x.v > -1e999",
+            ):
+                result = mediator.query(query)
+                assert not result.is_partial, result.errors()
+                assert sorted(result.rows()) == [1, 2]
+                assert [report.degraded_to for report in result.reports] == [None]
+                assert result.reports[0].rows == 2  # filtered at the source
+
+    @pytest.mark.parametrize("predicate", ["x.v + 1 > 2", "x.v > 1 + 1"])
+    def test_a_predicate_sql_cannot_write_stays_at_the_mediator(self, predicate):
+        """The planner asks the renderer before it pushes a select: a computed
+        operand has no SQL spelling, so the select runs at the mediator over
+        the shipped rows and the answer is complete -- not a partial answer
+        that fails the same way on every resubmission.  (No nil ``v`` here:
+        ``nil + 1`` is an error wherever it is evaluated.)"""
+        rows = [{"id": 1, "v": 0.5}, {"id": 2, "v": 7.0}, {"id": 3, "v": -4.0}]
+        with self.sql_mediator(rows) as mediator:
+            query = f"select x.id from x in m0 where {predicate}"
+            result = mediator.query(query)
+            assert not result.is_partial, result.errors()
+            assert result.rows() == [2]
+            streamed = mediator.query_stream(query)
+            assert list(streamed.iter_rows()) == [2]
+            assert not streamed.is_partial, streamed.errors()
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ("select struct(s: x.v + 1, n: count(x)) from x in m0 group by s: x.v + 1",
+             [{"s": 1.5, "n": 1}, {"s": 8.0, "n": 2}]),
+            ("select struct(s: x.v, n: sum(x.id * 2)) from x in m0 group by s: x.v",
+             [{"s": 0.5, "n": 2}, {"s": 7.0, "n": 10}]),
+            ("select sum(x.id + 1) from x in m0", [9]),
+        ],
+    )
+    def test_a_grouping_sql_cannot_write_stays_at_the_mediator(self, query, expected):
+        """A computed grouping key or aggregate argument has no SQL spelling
+        either: the source ships its rows and the mediator groups them."""
+        rows = [{"id": 1, "v": 0.5}, {"id": 2, "v": 7.0}, {"id": 3, "v": 7.0}]
+        with self.sql_mediator(rows) as mediator:
+            result = mediator.query(query)
+            assert not result.is_partial, result.errors()
+            assert sorted(result.rows(), key=repr) == expected
+            assert [report.expression for report in result.reports] == ["get(m0)"]
+
+    def test_a_projection_above_a_limited_grouping_renders(self):
+        """``project(limit(groupby))``, the order a re-plan may push, is the
+        same statement as ``limit(project(groupby))``."""
+        wrapper = SqlWrapper("pg", self.sql_server())
+        grouped = GroupBy(
+            "x", (("s", Path(Var("x"), "salary")),), (("n", "count", Var("x")),), Get("person0")
+        )
+        for expression in (
+            Project(("n",), Limit(2, grouped)),
+            Limit(2, Project(("n",), grouped)),
+        ):
+            sql = wrapper.to_sql(expression)
+            assert sql == "SELECT COUNT(*) AS n FROM person0 GROUP BY salary LIMIT 2"
+            assert wrapper.submit(expression) == [{"n": 1}, {"n": 1}]
+
+    def test_capabilities_accept_only_what_the_renderer_writes(self):
+        capabilities = SqlWrapper("pg", self.sql_server()).submit_functionality()
+        v = Path(Var("x"), "v")
+        assert capabilities.accepts(Select("x", salary_filter(), Get("person0")))
+        for refused in (
+            Comparison(">", Arithmetic("+", v, Const(1)), Const(2)),
+            InList(v, (Const(1), Path(Var("x"), "id"))),  # IN takes literals only
+            Comparison("=", v, Const((1, 2))),
+        ):
+            assert not capabilities.accepts(Select("x", refused, Get("person0"))), refused
+        # SQL filters before it limits: a selection above a limit has no statement.
+        assert not capabilities.accepts(Select("x", salary_filter(), Limit(2, Get("person0"))))
+        # A capability set handed in keeps its operators and gains the same check.
+        narrowed = SqlWrapper("pg", self.sql_server(), CapabilitySet.of("select"))
+        assert narrowed.submit_functionality().operators == frozenset({"select"})
+        assert not narrowed.submit_functionality().accepts(
+            Select("x", Comparison(">", Arithmetic("+", v, Const(1)), Const(2)), Get("person0"))
+        )
 
 
 class TestKeyValueWrapper:
