@@ -23,35 +23,28 @@ from repro.algebra.logical import Get, LogicalOp, Select
 
 #: operator names a wrapper may support, each with the arguments of its
 #: production in the paper's grammar notation (``{0}``: the operand symbol);
-#: its place here is its nonterminal, ``b`` onwards.  ``apply`` is always
-#: mediator-side.
+#: its place here is its nonterminal, ``b`` onwards.  These are exactly the
+#: terminals a transformation rule pushes: one submit ranges over one extent,
+#: so every tree operator here has one operand.  ``apply``, ``distinct``,
+#: the joins, ``union`` and ``flatten`` are always mediator-side.
 #: ``limit`` is the fetch-size terminal: a wrapper declaring it accepts a row
 #: cap inside the submitted expression and stops producing server-side.
-#: ``rename`` is the aliasing terminal (a project-with-aliases): the namespace
-#: planner relies on it to keep colliding source attribute names apart when a
-#: multi-extent expression is pushed to one source; wrappers that do not
-#: declare it never receive aliased pushdowns (the executor splits the call
-#: into per-leaf gets instead).
+#: ``groupby`` is the summarization terminal: a wrapper declaring it accepts
+#: grouped aggregation inside the submitted expression, so only group rows
+#: (not raw extent rows) cross the wire; wrappers without it receive the
+#: stripped expression and the mediator re-aggregates the shipped rows.
 #: ``in`` is a *predicate vocabulary* terminal rather than a tree operator: a
 #: wrapper declaring it accepts ``select`` predicates containing set-valued
 #: membership tests (:class:`~repro.algebra.expressions.InList`), which is
 #: what lets the mediator batch bind-join probe keys into one ``IN``-list
 #: submit instead of one submit per key.
-#: ``groupby`` is the summarization terminal: a wrapper declaring it accepts
-#: grouped aggregation inside the submitted expression, so only group rows
-#: (not raw extent rows) cross the wire; wrappers without it receive the
-#: stripped expression and the mediator re-aggregates the shipped rows.
 PUSHABLE_OPERATORS: dict[str, str] = {
     "get": "SOURCE",
     "project": "ATTRIBUTE COMMA {0}",
     "select": "PREDICATE COMMA {0}",
-    "join": "{0} COMMA {0} COMMA ATTRIBUTE",
-    "union": "{0}",
-    "flatten": "{0}",
     "limit": "COUNT COMMA {0}",
-    "rename": "ALIASES COMMA {0}",
-    "in": "PATH COMMA VALUES",
     "groupby": "KEYS COMMA AGGREGATES COMMA {0}",
+    "in": "PATH COMMA VALUES",
 }
 
 

@@ -1,8 +1,8 @@
 """Logical operators of the mediator's algebraic machine (paper Sections 3.1-3.2).
 
 The operator set is the one the paper names -- ``get``, ``project``,
-``select`` (filter), ``join``, ``union``, ``flatten`` -- plus two DISCO-specific
-nodes:
+``select`` (filter), ``union``, ``flatten`` and a join, here the mediator-side
+:class:`BindJoin` over variable bindings -- plus two DISCO-specific nodes:
 
 * :class:`Submit` -- ``submit(source, expression)``: "the meaning of
   expression is located at source".  Its argument lives in the *mediator's*
@@ -163,53 +163,6 @@ class Apply(LogicalOp):
 
 
 @dataclass(frozen=True, eq=False)
-class Rename(LogicalOp):
-    """``rename(old as new, ..., child)``: project the input to aliased attributes.
-
-    Each ``(old, new)`` pair reads attribute ``old`` of the input element and
-    emits it as ``new``; the output element carries *exactly* the listed
-    attributes (a project-with-aliases).  The mediator's namespace planner
-    injects ``rename`` around the branches of a multi-extent pushdown when two
-    extents of one source collide on a source attribute name, so that rows
-    cross the submit boundary already uniquely named and the reverse
-    (source-to-mediator) map is collision-free by construction.  Wrappers
-    advertise the ``rename`` capability terminal when they can evaluate it
-    (the SQL dialect renders it as ``AS``).
-    """
-
-    pairs: tuple[tuple[str, str], ...]
-    child: LogicalOp
-    op_name = "rename"
-
-
-    def _render(self) -> str:
-        aliased = ",".join(
-            old if old == new else f"{old} as {new}" for old, new in self.pairs
-        )
-        return f"rename({aliased}, {self.child.to_text()})"
-
-
-@dataclass(frozen=True, eq=False)
-class Join(LogicalOp):
-    """``join(left, right, attribute)``: equi-join on a shared attribute.
-
-    ``on`` is either one attribute name present on both sides (the paper's
-    ``join(..., dept)``) or a ``(left_attribute, right_attribute)`` pair.
-    """
-
-    left: LogicalOp
-    right: LogicalOp
-    on: str | tuple[str, str]
-    left_variable: str = "l"
-    right_variable: str = "r"
-    op_name = "join"
-
-
-    def _render(self) -> str:
-        return f"join({self.left.to_text()}, {self.right.to_text()}, {join_on(self.on)[2]})"
-
-
-@dataclass(frozen=True, eq=False)
 class BindJoin(LogicalOp):
     """Mediator-side join over *variable bindings* (multi-variable ``from`` clauses).
 
@@ -281,10 +234,9 @@ class Limit(LogicalOp):
     """``limit(n, child)``: keep at most the first ``n`` elements.
 
     Bags are unordered, so "first" means "first produced by the child" --
-    any ``n`` elements are a correct answer.  Limit is a mediator-side
-    operator (it is not part of the pushable wrapper vocabulary), but the
-    rewrite rules push it through projections and unions so that, under the
-    streaming engine, early termination cancels upstream work.
+    any ``n`` elements are a correct answer.  The rewrite rules push it
+    through projections and unions, and into a submit whose wrapper declares
+    the ``limit`` terminal, so that early termination cancels upstream work.
     """
 
     count: int
@@ -352,18 +304,6 @@ class BagLiteral(LogicalOp):
 
 
 # -- tree utilities ------------------------------------------------------------------
-def join_on(on: str | tuple[str, str]) -> tuple[str, str, str]:
-    """A join's ``on`` as ``(left attribute, right attribute, text)``.
-
-    One name joins that attribute on both sides and is written as it is; a
-    pair is written ``left=right``, even when the two names are equal.
-    """
-    if isinstance(on, str):
-        return on, on, on
-    left, right = on
-    return left, right, f"{left}={right}"
-
-
 def transform_bottom_up(node: LogicalOp, visit) -> LogicalOp:
     """Rebuild the tree bottom-up, replacing each node with ``visit(node)``."""
     children = node.children()

@@ -19,7 +19,6 @@ never-seen texts.
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
-from itertools import takewhile
 from operator import attrgetter
 from types import FunctionType
 from typing import Any, Callable, Iterator, Sequence, get_type_hints
@@ -71,32 +70,30 @@ def install(cls: type) -> None:
     get = _children(kinds)
     # an ``attrgetter`` is no descriptor: as a class attribute it would not bind
     cls.children = get if isinstance(get, FunctionType) else lambda node: get(node)
-    cls.with_children = builder(cls, cls) if kinds else _no_operands
+    cls.with_children = builder(cls) if kinds else _no_operands
 
 
-def builder(target: type, source: type) -> Builder:
-    """``(node, children) -> target(...)`` for a ``node`` of class ``source``.
+def builder(target: type) -> Builder:
+    """``(node, children) -> target(...)`` for a ``node`` carrying ``target``'s fields.
 
     ``target``'s operands are ``children``, in order: one per single field,
     the rest to its one tuple field (a pair field keeps ``node``'s names).
-    Each other field is the one ``node`` carries under the same name, up to
-    the first it lacks: ``Join``'s variable names, which no join algorithm
-    keeps, have defaults.  With ``source`` equal to ``target`` this is
-    ``with_children``; across :data:`~repro.algebra.physical.IMPLEMENTS` it
-    is :func:`~repro.algebra.physical.counterpart`.
+    Each other field is the one ``node`` carries under the same name.  With
+    ``node`` a ``target`` this is ``with_children``; across
+    :data:`~repro.algebra.physical.IMPLEMENTS` it is
+    :func:`~repro.algebra.physical.counterpart`.
     """
     kinds = operand_kinds(target)
     names = [f.name for f in fields(target)]
-    theirs = {f.name for f in fields(source)}
     if not kinds:
-        take = _getter(list(takewhile(theirs.__contains__, names)))
+        take = _getter(names)
         return lambda node, children: target(*take(node))
     first = names.index(next(iter(kinds)))
     end = first + len(kinds)
     if list(kinds) != names[first:end]:
         raise TypeError(f"{target.__name__}: operand fields must be adjacent")
     before = _getter(names[:first])
-    after = _getter(list(takewhile(theirs.__contains__, names[end:])))
+    after = _getter(names[end:])
     shapes = list(kinds.values())
     if MANY not in shapes and PAIRS not in shapes:
         return lambda node, children: target(*before(node), *children, *after(node))

@@ -5,9 +5,9 @@ paper gives every algorithm: the logical operator it implements (Section 4:
 "each physical operation has a corresponding logical operation"; the
 ``implements`` attribute) and its cost function (Section 3.3; the ``cost``
 method, over its operands' costs).  A class that omits either is refused
-when it is defined.  :data:`IMPLEMENTS` is read off the classes (``join``
-and ``bindjoin`` have two algorithms each; ``get`` on a single object, a
-repository, is :class:`Field`).
+when it is defined.  :data:`IMPLEMENTS` is read off the classes
+(``bindjoin`` has two algorithms; ``get`` on a single object, a repository,
+is :class:`Field`).
 
 ``Exec`` keeps its argument as a *logical* expression because "the wrapper
 interface accepts a logical expression"; the run-time system applies the
@@ -157,25 +157,6 @@ class MkProj(PhysicalOp):
 
 
 @dataclass(frozen=True, eq=False)
-class MkRename(PhysicalOp):
-    """``mkrename(old as new, ..., child)``: mediator-side project-with-aliases."""
-
-    pairs: tuple[tuple[str, str], ...]
-    child: PhysicalOp
-    algo_name = "mkrename"
-    implements = log.Rename
-
-    def cost(self, child: Cost) -> Cost:
-        return _mediator_pass(child, child.rows)
-
-    def _render(self) -> str:
-        aliased = ",".join(
-            old if old == new else f"{old} as {new}" for old, new in self.pairs
-        )
-        return f"mkrename({aliased}, {self.child.to_text()})"
-
-
-@dataclass(frozen=True, eq=False)
 class Filter(PhysicalOp):
     """``filter(predicate, child)``: mediator-side selection."""
 
@@ -207,60 +188,6 @@ class MkApply(PhysicalOp):
 
     def _render(self) -> str:
         return f"mkapply({self.variable}: {self.expression.to_oql()}, {self.child.to_text()})"
-
-
-@dataclass(frozen=True, eq=False)
-class HashJoin(PhysicalOp):
-    """Hash equi-join, the default join algorithm."""
-
-    left: PhysicalOp
-    right: PhysicalOp
-    on: str | tuple[str, str]
-    algo_name = "hashjoin"
-    implements = log.Join
-
-    def cost(self, left: Cost, right: Cost) -> Cost:
-        time = (
-            left.time
-            + right.time
-            + MEDIATOR_OPERATOR_OVERHEAD
-            + (left.rows + right.rows) * MEDIATOR_ROW_COST
-        )
-        return Cost(time, max(left.rows, right.rows))
-
-    def _render(self) -> str:
-        return f"hashjoin({self.left.to_text()}, {self.right.to_text()}, {log.join_on(self.on)[2]})"
-
-
-@dataclass(frozen=True, eq=False)
-class NestedLoopJoin(PhysicalOp):
-    """Nested-loop equi-join: cheaper to set up, quadratic to run."""
-
-    left: PhysicalOp
-    right: PhysicalOp
-    on: str | tuple[str, str]
-    algo_name = "nljoin"
-    implements = log.Join
-
-    def cost(self, left: Cost, right: Cost) -> Cost:
-        # Quadratic: the right side is materialized once and re-scanned per
-        # left row (see ``nested_loop_join_rows``, which shares that one
-        # materialization however many times the plan is iterated).  This is
-        # also the cost floor for the *equi-join fallback* inside
-        # ``bind_join_rows``: a bindjoin whose condition carries no
-        # extractable equi conjunct degenerates to exactly this left x right
-        # pairing, which is why the condition-sinking rule (and the probe
-        # join it enables) matter.
-        time = (
-            left.time
-            + right.time
-            + MEDIATOR_OPERATOR_OVERHEAD
-            + left.rows * right.rows * MEDIATOR_ROW_COST
-        )
-        return Cost(time, max(left.rows, right.rows))
-
-    def _render(self) -> str:
-        return f"nljoin({self.left.to_text()}, {self.right.to_text()}, {log.join_on(self.on)[2]})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,13 +381,9 @@ IMPLEMENTS: dict[type[PhysicalOp], type[LogicalOp]] = {
     cls: cls.implements for cls in PhysicalOp.__subclasses__() if cls.implements is not None
 }
 
-#: (class to build, class to build it from) -> builder, both ways round for
-#: every pair in the table; resolved here, once, not per node built
-_BUILDERS = {
-    pair: builder(*pair)
-    for physical, logical in IMPLEMENTS.items()
-    for pair in ((physical, logical), (logical, physical))
-}
+#: class to build -> its builder, for both sides of every pair in the table;
+#: resolved here, once, not per node built
+_BUILDERS = {cls: builder(cls) for pair in IMPLEMENTS.items() for cls in pair}
 
 
 def counterpart(target: type, node: Any, children: Sequence[Any]) -> Any:
@@ -471,7 +394,7 @@ def counterpart(target: type, node: Any, children: Sequence[Any]) -> Any:
     ``children`` (already on ``target``'s side).  ``Exec``/``Submit`` differ
     in shape and are built by their callers.
     """
-    return _BUILDERS[target, type(node)](node, children)
+    return _BUILDERS[target](node, children)
 
 
 def execs_in(node: PhysicalOp) -> list[Exec]:

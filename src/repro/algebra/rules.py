@@ -33,7 +33,6 @@ from repro.algebra.logical import (
     Apply,
     BindJoin,
     GroupBy,
-    Join,
     Limit,
     LogicalOp,
     Project,
@@ -83,35 +82,33 @@ def _self_contained(node: LogicalOp) -> bool:
 
 
 class PushIntoSubmit:
-    """``op(submit(r, e1), ..., submit(r, en))`` -> ``submit(r, op(e1, ..., en))``.
+    """``op(submit(r, e))`` -> ``submit(r, op(e))``.
 
-    For a project, select, limit, groupby or join whose operands are all
-    submits to the *same* source: the ``submit`` operator has RPC semantics
-    and cannot ship data between sources (the paper's semijoin restriction).
-    The operator crosses the boundary only when its expressions are
-    self-contained and the wrapper accepts the pushed expression -- the
-    ``limit`` terminal is the fetch-size pushdown (the source stops after
-    ``n`` rows), ``groupby`` the summarization one (one row per group crosses
-    the wire) -- and a limit only when none as tight is in force there.
+    For a project, select, limit or groupby over a submit: one submit ranges
+    over one extent, so nothing with two operands crosses (the ``submit``
+    operator has RPC semantics and cannot ship data between sources -- the
+    paper's semijoin restriction).  The operator crosses the boundary only
+    when its expressions are self-contained and the wrapper accepts the
+    pushed expression -- the ``limit`` terminal is the fetch-size pushdown
+    (the source stops after ``n`` rows), ``groupby`` the summarization one
+    (one row per group crosses the wire) -- and a limit only when none as
+    tight is in force there.
     """
 
     name = "push-into-submit"
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
-        if not isinstance(node, (Project, Select, Limit, GroupBy, Join)):
+        if not isinstance(node, (Project, Select, Limit, GroupBy)):
             return []
-        submits = node.children()
-        first = submits[0]
-        if not all(isinstance(submit, Submit) and submit.source == first.source for submit in submits):
+        submit = node.child
+        if not isinstance(submit, Submit) or not _self_contained(node):
             return []
-        if not _self_contained(node):
+        if isinstance(node, Limit) and _effectively_limited(submit.expression, node.count):
             return []
-        if isinstance(node, Limit) and _effectively_limited(first.expression, node.count):
+        pushed = node.with_children([submit.expression])
+        if not capabilities(submit).accepts(pushed):
             return []
-        pushed = node.with_children([submit.expression for submit in submits])
-        if not capabilities(first).accepts(pushed):
-            return []
-        return [Submit(first.source, pushed, extent_name=first.extent_name)]
+        return [Submit(submit.source, pushed, extent_name=submit.extent_name)]
 
 
 class DistributeOverUnion:

@@ -22,16 +22,12 @@ from repro.algebra.logical import (
     Flatten,
     Get,
     GroupBy,
-    Join,
     Limit,
     LogicalOp,
     Project,
-    Rename,
     Select,
     Submit,
     Union,
-    join_on,
-    walk,
 )
 from repro.errors import QueryExecutionError
 
@@ -72,7 +68,7 @@ class _Unparser:
         if isinstance(node, Limit):
             if isinstance(
                 node.child,
-                (Get, Submit, Project, Rename, Select, Apply, Join, Distinct, GroupBy),
+                (Get, Submit, Project, Select, Apply, Distinct, GroupBy),
             ):
                 # OQL's limit clause applies last, after grouping, so a limit
                 # over a groupby attaches to the grouped block directly.
@@ -117,7 +113,7 @@ class _Unparser:
                     f"{name}: {expr.to_oql()}" for name, expr in node.keys
                 )
             return text
-        if isinstance(node, (Get, Submit, Project, Rename, Select, Apply, Join, BindJoin)):
+        if isinstance(node, (Get, Submit, Project, Select, Apply, BindJoin)):
             return self._render_select(node)
         raise QueryExecutionError(f"cannot render {node.to_text()} as OQL")
 
@@ -167,24 +163,6 @@ class _Unparser:
                 fields = ", ".join(f"{attr}: {variable}.{attr}" for attr in node.attributes)
                 item = f"struct({fields})"
             return item, sources, predicates, limit
-        if isinstance(node, Rename):
-            # A project-with-aliases: a struct item that reads the old names
-            # and writes the new ones.  Rename is one-to-one per element, so
-            # a limit below it commutes exactly like it does for project.
-            _item, sources, predicates, limit = self._decompose(node.child)
-            if len(sources) != 1:
-                # A rename above a join/bindjoin reads attributes off the
-                # *merged* element; without schema knowledge the attributes
-                # cannot be attributed to one block variable, so there is no
-                # faithful OQL rendering -- fail loudly rather than emit a
-                # query that reads every attribute off the first variable.
-                raise QueryExecutionError(
-                    f"cannot render {node.to_text()} as OQL: rename over a "
-                    "multi-source block has no faithful select-from rendering"
-                )
-            variable = sources[0][0]
-            fields = ", ".join(f"{new}: {variable}.{old}" for old, new in node.pairs)
-            return f"struct({fields})", sources, predicates, limit
         if isinstance(node, Select):
             child_item, sources, predicates, limit = self._decompose(node.child)
             if limit is not None:
@@ -209,17 +187,6 @@ class _Unparser:
             variable = sources[0][0] if sources else node.variable
             item = self._rebind_expression(node.expression, node.variable, variable)
             return item, sources, predicates, limit
-        if isinstance(node, Join):
-            left_sources, left_predicates = self._join_operand(node.left)
-            right_sources, right_predicates = self._join_operand(node.right)
-            left_attr, right_attr, _ = join_on(node.on)
-            left_var = left_sources[0][0]
-            right_var = right_sources[0][0]
-            item = f"struct(left: {left_var}, right: {right_var})"
-            predicates = left_predicates + right_predicates + [
-                f"{left_var}.{left_attr} = {right_var}.{right_attr}"
-            ]
-            return item, left_sources + right_sources, predicates, None
         if isinstance(node, BindJoin):
             # A multi-variable from clause: each side becomes an inline
             # collection ranged over by the bindjoin's own variable, so the
@@ -239,18 +206,6 @@ class _Unparser:
             variable = self.fresh_variable()
             return variable, [(variable, self._inline_source(node))], [], None
         raise QueryExecutionError(f"cannot decompose {node.to_text()}")
-
-    def _join_operand(self, side: LogicalOp) -> tuple[list[tuple[str, str]], list[str]]:
-        """One join operand's sources and predicates; a limited side becomes
-        its own block (the limit truncates before joining, so it cannot merge
-        into the join's block).  A side containing a rename also becomes its
-        own block: the aliases change the element's attribute names before the
-        join sees them, which a merged select-from-where cannot express."""
-        _item, sources, predicates, limit = self._decompose(side)
-        if limit is None and not any(isinstance(node, Rename) for node in walk(side)):
-            return sources, predicates
-        variable = self.fresh_variable()
-        return [(variable, self._inline_source(side))], []
 
     def _inline_source(self, node: LogicalOp) -> str:
         """Render ``node`` as a parenthesized inline from-clause collection."""

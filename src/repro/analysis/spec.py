@@ -334,8 +334,8 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
         exempt=(("Field", _FIELD),)
         + tuple(
             (name, _NOT_PER_ELEMENT)
-            for name in ("Exec", "MkBag", "HashJoin", "NestedLoopJoin", "MkBindJoin", "ProbeJoin")
-            + ("MkUnion", "MkFlatten", "MkDistinct", "MkGroupBy", "MkLimit")
+            for name in ("Exec", "MkBag", "MkBindJoin", "ProbeJoin", "MkUnion", "MkFlatten")
+            + ("MkDistinct", "MkGroupBy", "MkLimit")
         ),
     ),
     DispatchSite(
@@ -374,6 +374,8 @@ DISPATCH_SITES: tuple[DispatchSite, ...] = (
             ("BindJoin", _MEDIATOR_ONLY),
             ("Apply", _MEDIATOR_ONLY),
             ("Distinct", "no `distinct` capability terminal exists; the grammar never routes it here"),
+            ("Union", "no `union` capability terminal exists: one submit ranges over one extent"),
+            ("Flatten", "no `flatten` capability terminal exists; the grammar never routes it here"),
         ),
     ),
     DispatchSite(

@@ -27,8 +27,7 @@ def rename_row(row: Mapping, renames: Mapping[str, str]) -> Struct:
     """Rename the fields of ``row`` according to ``renames``.
 
     The shared primitive behind :meth:`LocalTransformationMap.row_to_mediator`
-    and the executor's multi-extent reverse mapping (a pushed-down join merges
-    the rename maps of every extent it references).
+    and the executor's reverse mapping of the rows an exec call returns.
     """
     return Struct({renames.get(key, key): value for key, value in row.items()})
 

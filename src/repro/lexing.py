@@ -313,8 +313,6 @@ SQL = Dialect(
             "SELECT",
             "FROM",
             "WHERE",
-            "JOIN",
-            "ON",
             "LIMIT",
             "GROUP",
             "BY",

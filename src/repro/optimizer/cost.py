@@ -27,7 +27,7 @@ def pushed_limit(expression: log.LogicalOp) -> int | None:
     expression's output and is ignored.
     """
     node = expression
-    while isinstance(node, (log.Project, log.Apply, log.Rename)):
+    while isinstance(node, (log.Project, log.Apply)):
         node = node.child
     if isinstance(node, log.Limit):
         return node.count
@@ -42,7 +42,7 @@ def pushed_groupby(expression: log.LogicalOp) -> "log.GroupBy | None":
     bounds what the source ships: group rows, not extent rows.
     """
     node = expression
-    while isinstance(node, (log.Project, log.Apply, log.Rename, log.Limit)):
+    while isinstance(node, (log.Project, log.Apply, log.Limit)):
         node = node.child
     if isinstance(node, log.GroupBy):
         return node

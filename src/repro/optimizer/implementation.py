@@ -2,8 +2,8 @@
 
 "Logical operations are transformed into physical expressions using
 implementation rules. DISCO has the usual transformation rules that implement
-join with merge-join."  Here ``join`` can be implemented by a hash join or a
-nested-loop join, and ``bindjoin`` by a batched probe join where eligible
+join with merge-join."  Here the join, ``bindjoin``, is implemented by a
+hash-or-nested-loop bind join or, where eligible, a batched probe join
 (alternatives the optimizer costs); every other logical operator has exactly
 one physical algorithm.  Which algorithm implements which operator is
 :data:`repro.algebra.physical.IMPLEMENTS`.
@@ -64,7 +64,7 @@ def _probe_join_for(
 
 
 def implement(node: log.LogicalOp) -> phys.PhysicalOp:
-    """Return the default physical plan for ``node`` (hash joins everywhere)."""
+    """Return the default physical plan for ``node`` (no probe joins)."""
     if isinstance(node, log.Submit):
         return _exec_for(node)
     return _rebuild(node, [implement(child) for child in node.children()])
@@ -84,7 +84,7 @@ def _rebuild(node: log.LogicalOp, children: Sequence[phys.PhysicalOp]) -> phys.P
 
 
 def implementation_alternatives(node: log.LogicalOp) -> list[phys.PhysicalOp]:
-    """Return every physical plan for ``node`` (join algorithm choices multiply)."""
+    """Return every physical plan for ``node`` (probe-join choices multiply)."""
     operands = () if isinstance(node, log.Submit) else node.children()
     per_child = [implementation_alternatives(child) for child in operands]
     plans = _alternatives_of(node, per_child)
@@ -104,10 +104,4 @@ def _alternatives_of(
     is not among them: its probe is no child (see :func:`_probe_join_for`)."""
     if isinstance(node, log.Submit):
         return [_exec_for(node)]
-    if isinstance(node, log.Join):
-        return [
-            algorithm(left, right, node.on)
-            for left, right in product(*per_child)
-            for algorithm in (phys.HashJoin, phys.NestedLoopJoin)
-        ]
     return [_rebuild(node, combination) for combination in product(*per_child)]

@@ -13,14 +13,13 @@ capability declaration, a hand-built plan overreaches.
 The adaptive policy implemented here reacts by *degrading the pushdown*
 instead of repeating it: each retry strips the outermost
 mediator-compensable operator from the pushed expression (``limit``,
-``project``, ``select``, ``flatten``, ``groupby`` -- whichever is on top)
-until, ultimately, a bare ``get`` is submitted.  Every rung is strictly
+``project``, ``select``, ``groupby`` -- whichever is on top) until,
+ultimately, a bare ``get`` is submitted.  Every rung is strictly
 smaller than the one before, so the ladder always terminates.  The stripped
 operators are re-applied at the mediator over the rows that come back
 (:func:`compensate_rows`), so the answer's semantics never change -- only
-where the work happens does.  Expressions whose top is a multi-leaf operator
-(a pushed ``join`` or ``union``) cannot be degraded further without splitting
-the call, so the ladder stops there.
+where the work happens does.  Every pushable operator has one operand (a
+submit ranges over one extent), so every pushdown degrades to its ``get``.
 
 The exec engine uses this module from the one failure step of its attempt
 loop (``StreamingExecution._failed``, called by ``_open_exec`` in
@@ -30,7 +29,7 @@ degrade and compensate identically.
 Interplay with mid-stream resume (a stream's recovery of calls that die
 *after* delivering rows): compensation changes the relationship
 between source cursor positions and delivered rows -- a stripped ``select``
-filters, a stripped ``flatten`` expands -- so a degraded call can never be
+filters, a stripped ``groupby`` aggregates -- so a degraded call can never be
 resumed from a source-side token.  A degraded resubmission after partial
 delivery therefore always takes the *replay* path: the reopened stream is
 re-compensated from scratch with the same stripped operators (every rung of
@@ -59,8 +58,8 @@ DEGRADABLE_ERRORS = (CapabilityError, WrapperError, NotImplementedError)
 
 #: unary operators the ladder strips: every unary logical operator in the
 #: pushable vocabulary (``distinct`` never crosses the wrapper boundary).  The
-#: mediator replays what was stripped (:func:`compensate_rows`): an alias layer
-#: for ``rename``, a re-aggregation of the shipped raw rows for ``groupby``.
+#: mediator replays what was stripped (:func:`compensate_rows`): a
+#: re-aggregation of the shipped raw rows for ``groupby``.
 _STRIPPABLE = tuple(
     cls for cls in log.LogicalOp.__subclasses__()
     if cls.op_name in PUSHABLE_OPERATORS and list(operand_kinds(cls).values()) == [ONE]
@@ -82,8 +81,8 @@ def degrade_pushdown(
     """One rung down the ladder: strip the outermost compensable operator.
 
     Returns ``(smaller_expression, stripped_operator)``, or ``None`` when the
-    expression is already minimal (a bare ``get``, a literal, or a multi-leaf
-    operator the mediator cannot compensate for).
+    expression is already minimal (a bare ``get``, a literal) or not
+    pushable at all (a hand-built plan's).
     """
     if isinstance(expression, _STRIPPABLE):
         return expression.children()[0], expression

@@ -37,9 +37,8 @@ still answering):
 * retry is *adaptive*: a failure that looks like a capability/translation
   problem (see :mod:`repro.runtime.degrade`) is deterministic, so instead of
   re-submitting the same expression the retry degrades the pushdown one rung
-  -- ultimately down to a bare ``get``, or, for a pushed ``join`` or
-  ``union``, to per-leaf calls -- and the stripped operators are replayed at
-  the mediator over the rows that come back.
+  -- ultimately down to a bare ``get`` -- and the stripped operators are
+  replayed at the mediator over the rows that come back.
 
 Compiled calls (:class:`CompiledCall`): what an exec call needs that depends
 only on its plan node and the schema version -- the resolved extent and
@@ -62,7 +61,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Mapping
-from typing import Any, Iterator, MutableMapping
+from typing import Any, MutableMapping
 
 from repro.algebra import logical as log
 from repro.algebra import physical as phys
@@ -74,7 +73,6 @@ from repro.optimizer.cost import BIND_BATCH_SIZE
 from repro.optimizer.history import ExecCallHistory, signature_pair
 from repro.optimizer.implementation import implement
 from repro.runtime import cancellation, namespace
-from repro.runtime import operators as ops
 from repro.runtime.namespace import NamespacePlan, RuntimeRegistry
 
 
@@ -148,11 +146,6 @@ class ExecReport:
     #: submitted, when the retry policy degraded the pushdown; ``None`` when
     #: the original expression was used throughout.
     degraded_to: str | None = None
-    #: number of per-leaf wrapper calls when the pushdown was split at the
-    #: mediator (the refuse-to-push fallback for wrappers that cannot express
-    #: the aliases a colliding multi-extent expression needs); 0 when the
-    #: expression was pushed whole.
-    split_calls: int = 0
     #: number of successful mid-stream recoveries: the call died after
     #: delivering rows and was reopened (source-side resume token, or
     #: deterministic replay) without duplicating or dropping a row.  Always 0
@@ -219,9 +212,8 @@ class ExecutorConfig:
         Extra wrapper calls attempted after a failure before the source is
         declared unavailable.  ``0`` (the default) fails fast.  This is the
         *one* per-call budget: transient re-submissions, the rungs of the
-        degrading-pushdown ladder (:mod:`repro.runtime.degrade`; the split
-        into per-leaf calls is its last rung) and ``query_stream()``'s
-        mid-stream reopens all draw from it, so give flaky, mis-declared or
+        degrading-pushdown ladder (:mod:`repro.runtime.degrade`) and
+        ``query_stream()``'s mid-stream reopens all draw from it, so give flaky, mis-declared or
         mid-stream-dying sources a budget at least as deep as the recovery
         they need.  A degrading retry skips the backoff sleep (the failure
         was deterministic, not a load problem); a mid-stream reopen is
@@ -432,39 +424,8 @@ class Executor:
             meta=meta,
             wrapper=wrapper,
             type_checked=self.config.type_check,
-            plan=namespace.namespace_plan(registry, node.expression, meta, wrapper),
+            plan=namespace.namespace_plan(registry, node.expression, meta),
             signatures=signature_pair(node.extent_name, node.expression),
-        )
-
-    def _split_pushdown(self, plan: NamespacePlan, wrapper: Any) -> Iterator[Any]:
-        """Refuse-to-push fallback: per-leaf ``get`` calls, recombined at the mediator.
-
-        The wrapper cannot express the aliases a colliding multi-extent
-        pushdown needs (submitting the expression whole would return
-        mis-renamed rows), or it refused a multi-leaf pushdown at call time
-        (the degrade ladder's last rung).  Instead every referenced extent
-        is fetched with a bare ``get`` (always within capability), each
-        leaf's rows are renamed into mediator vocabulary with its *own* map,
-        and the full pushdown is replayed at the mediator over the fetched
-        rows.  Returns a lazy iterator of mediator-vocabulary rows.
-        """
-        fetched: dict[str, list[Any]] = {}
-        for name, node_meta in plan.split or ():
-            leaf = namespace.namespace_plan(self.registry, log.Get(name), node_meta)
-            fetched[name] = list(map(leaf.normalise, wrapper.submit(leaf.expression)))
-
-        def as_fetched(node: log.LogicalOp) -> log.LogicalOp:
-            return log.Submit(node.collection, node) if isinstance(node, log.Get) else node
-
-        def rows_of(node: phys.Exec) -> list[Any]:
-            if node.extent_name not in fetched:
-                raise QueryExecutionError(
-                    f"split pushdown references unknown collection {node.extent_name!r}"
-                )
-            return fetched[node.extent_name]
-
-        return ops.compose_rows(
-            implement(log.transform_bottom_up(plan.expression, as_fetched)), rows_of
         )
 
     def _check_types(self, meta: MetaExtent, wrapper: Any) -> None:

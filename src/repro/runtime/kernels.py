@@ -1,7 +1,7 @@
 """Per-element operator chains and groupings, compiled into one generated row loop.
 
-A maximal chain of ``filter``, ``mkapply``, ``mkproj`` and ``mkrename`` runs as
-one generator written for it (data-centric pipeline compilation, Neumann,
+A maximal chain of ``filter``, ``mkapply`` and ``mkproj`` runs as one
+generator written for it (data-centric pipeline compilation, Neumann,
 VLDB 2011): one loop over its input, the element in a local, and ``Const``/
 ``Var``/``Path``/``Comparison``/``BooleanExpr``/``StructExpr`` written out as
 statements with their ``compile()`` closures' semantics; any other expression
@@ -30,7 +30,7 @@ from repro.datamodel.values import Struct
 from repro.errors import QueryExecutionError
 
 CODE_CAPACITY = 256  #: distinct shapes whose compiled factories the process keeps
-CHAIN = (phys.Filter, phys.MkApply, phys.MkProj, phys.MkRename)  #: what a chain kernel runs
+CHAIN = (phys.Filter, phys.MkApply, phys.MkProj)  #: what a chain kernel runs
 #: ``kernel(rows, base_env, subquery_evaluator) -> rows``
 Kernel = Callable[[Iterable[Any], "Mapping[str, Any] | None", Any], Iterator[Any]]
 #: The OQL translator folds multi-variable ``from`` clauses into bind joins
@@ -111,9 +111,8 @@ def _shape(top: phys.PhysicalOp) -> tuple[tuple, list[Any]]:
     values: list[Any] = []
     ops = []
     while isinstance(top, CHAIN):
-        if isinstance(top, (phys.MkProj, phys.MkRename)):
-            pairs = [(a, a) for a in top.attributes] if isinstance(top, phys.MkProj) else top.pairs
-            ops.append(("row", tuple([(_value(values, new), _value(values, old)) for old, new in pairs])))
+        if isinstance(top, phys.MkProj):
+            ops.append(("row", tuple([_value(values, attribute) for attribute in top.attributes])))
         else:
             expr = top.predicate if isinstance(top, phys.Filter) else top.expression
             name, splat = _value(values, top.variable), _value(values, top.variable == ENV_VARIABLE)
@@ -185,7 +184,7 @@ class _Emitter:
         """Append operator ``k`` (counted from the chain's input); return its setup lines."""
         self.setup = []
         if op[0] == "row":
-            fields = ", ".join([f"a{new}: g(a{old})" for new, old in op[1]])
+            fields = ", ".join([f"a{name}: g(a{name})" for name in op[1]])
             self.line(f"g = el.get if type(el) is Struct or type(el) is dict else getter(el)\nel = Struct({{{fields}}})")
             return self.setup
         kind, name, splat, *exprs = op

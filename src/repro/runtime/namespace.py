@@ -11,23 +11,16 @@ executor calls them once per compiled exec call
 only for expressions that did not exist when the plan was compiled (a rung of
 the degrade ladder, a per-batch probe expression).
 
-:func:`namespace_plan` is the entry point.  A pushdown referencing several
-extents of one source is translated per branch, and when two extents collide
-on a source attribute name (both call a column ``nm``, say, but map it to
-different mediator attributes) a per-branch ``rename`` alias is injected into
-the submitted expression, so rows cross the submit boundary already uniquely
-named and the reverse (source-to-mediator) map is collision-free by
-construction.  Wrappers that cannot express the aliases never receive such a
-pushdown: the plan calls for a split into per-leaf ``get``\\ s recombined at
-the mediator (the refuse-to-push fallback) rather than ever returning
-mis-renamed rows.
+:func:`namespace_plan` is the entry point.  A submit ranges over one extent
+-- every pushable operator has one operand -- so a pushdown is translated
+with that extent's map, and its rows come back through the map's reverse.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Protocol
+from typing import Any, Callable, Protocol
 
 from repro.algebra import logical as log
 from repro.datamodel.extent import MetaExtent
@@ -56,8 +49,8 @@ def row_normaliser(renames: Mapping[str, str]) -> Callable[[Any], Any]:
     Either way mappings come out as :class:`~repro.datamodel.values.Struct`\\ s
     (:func:`~repro.runtime.operators.as_struct`) and non-mapping values
     (scalars from projected single columns, nested bags) pass through
-    unchanged.  Shared by exec calls, probe calls and the split fallback so
-    malformed-row handling cannot diverge between them.
+    unchanged.  Shared by exec calls and probe calls so malformed-row
+    handling cannot diverge between them.
     """
     if not renames:
         return as_struct
@@ -78,37 +71,18 @@ def _wrapper_accepts(wrapper: Any, expression: log.LogicalOp) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class _BranchAliases:
-    """Alias assignment for one extent branch of an aliased pushdown."""
-
-    #: ``(source attribute, output name)`` pairs covering the branch's whole
-    #: vocabulary -- the argument of the injected ``rename`` operator.
-    pairs: tuple[tuple[str, str], ...]
-    #: mediator attribute -> output name, for translating references above.
-    mediator_to_output: dict[str, str]
-
-
 @dataclass(slots=True)
 class NamespacePlan:
     """How one pushdown crosses the submit boundary (name-space planning).
 
     ``expression`` is what is actually given to the wrapper: the pushdown in
-    the source's vocabulary, with a per-branch ``rename`` injected wherever
-    extents collide on a source attribute name.  ``reverse`` maps returned
-    row attributes (source names or aliases) back to mediator vocabulary;
-    with aliasing it is collision-free by construction, and ``normalise`` is
-    the row function applying it (:func:`row_normaliser`).  When the wrapper
-    cannot express the aliases, ``split`` lists the extents to fetch with
-    bare per-leaf ``get`` calls instead (the refuse-to-push fallback);
-    ``expression`` then stays the *mediator*-namespace pushdown, to be
-    replayed at the mediator over the fetched rows.
+    the source's vocabulary.  ``reverse`` maps returned row attributes back
+    to mediator vocabulary, and ``normalise`` is the row function applying
+    it (:func:`row_normaliser`).
     """
 
     expression: log.LogicalOp
     reverse: dict[str, str] = field(default_factory=dict)
-    aliased: bool = False
-    split: tuple[tuple[str, MetaExtent], ...] | None = None
     normalise: Callable[[Any], Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -127,158 +101,34 @@ def _meta_for_collection(
         return None
 
 
-def _branch_vocabulary(registry: RuntimeRegistry, node_meta: MetaExtent) -> dict[str, str]:
-    """One extent's source-to-mediator attribute vocabulary, in stable order.
-
-    The keys are the attribute names the source's rows carry (interface
-    attributes translated through the local transformation map, plus any
-    further map pairs); the values are the mediator names they stand for.
-    """
-    vocabulary: dict[str, str] = {}
-    try:
-        interface_attributes = registry.interface_attributes(node_meta.interface)
-    except SchemaError:
-        interface_attributes = []
-    for attribute in interface_attributes:
-        vocabulary[node_meta.map.attribute_to_source(attribute)] = attribute
-    for source, mediator in node_meta.map.source_to_mediator.items():
-        vocabulary.setdefault(source, mediator)
-    return vocabulary
-
-
-def _colliding_attributes(registry: RuntimeRegistry, metas: Iterable[MetaExtent]) -> set[str]:
-    """Source attribute names that different extents map to different mediator names."""
-    mediator_names: dict[str, set[str]] = {}
-    for node_meta in metas:
-        for source, mediator in _branch_vocabulary(registry, node_meta).items():
-            mediator_names.setdefault(source, set()).add(mediator)
-    return {source for source, names in mediator_names.items() if len(names) > 1}
-
-
-def _alias_plan(
-    registry: RuntimeRegistry, metas: Iterable[MetaExtent], colliding: set[str]
-) -> tuple[dict[str, _BranchAliases], dict[str, str]]:
-    """Per-extent alias assignments plus the merged (collision-free) reverse map.
-
-    Every extent touching a colliding attribute gets a ``rename`` branch
-    covering its *whole* vocabulary, with unique output names for the
-    colliding attributes; the reverse map then keys on those outputs, so
-    no two extents can claim the same row attribute.
-    """
-    vocabularies = [
-        (node_meta, _branch_vocabulary(registry, node_meta)) for node_meta in metas
-    ]
-    taken: set[str] = set()
-    for _, vocabulary in vocabularies:
-        taken.update(vocabulary)
-        taken.update(vocabulary.values())
-    aliases: dict[str, _BranchAliases] = {}
-    reverse: dict[str, str] = {}
-    for node_meta, vocabulary in vocabularies:
-        pairs: list[tuple[str, str]] = []
-        mediator_to_output: dict[str, str] = {}
-        for source, mediator in vocabulary.items():
-            output = source
-            if source in colliding:
-                output = f"{source}__{node_meta.name}"
-                while output in taken:
-                    output += "_"
-                taken.add(output)
-            pairs.append((source, output))
-            mediator_to_output[mediator] = output
-            reverse[output] = mediator
-        aliases[node_meta.name] = _BranchAliases(tuple(pairs), mediator_to_output)
-    return aliases, reverse
-
-
-def _referenced_extents(
+def namespace_plan(
     registry: RuntimeRegistry, expression: log.LogicalOp, meta: MetaExtent
-) -> dict[str, MetaExtent]:
-    """The extents the pushdown's ``get`` nodes name, in first-seen order."""
-    resolved: dict[str, MetaExtent] = {}
+) -> NamespacePlan:
+    """Plan how ``expression`` crosses the submit boundary for one extent.
+
+    The reverse map is that of the extent the pushdown's ``get`` names (none
+    for a pushdown over literal data).
+    """
+    reverse: dict[str, str] = {}
     for node in log.walk(expression):
         if isinstance(node, log.Get):
             node_meta = _meta_for_collection(registry, node.collection, meta)
-            if node_meta is not None and node_meta.name not in resolved:
-                resolved[node_meta.name] = node_meta
-    return resolved
-
-
-def split_plan(
-    registry: RuntimeRegistry, expression: log.LogicalOp, meta: MetaExtent
-) -> NamespacePlan | None:
-    """The degrade ladder's last rung: split a refused multi-leaf pushdown.
-
-    A pushed ``join`` or ``union`` the wrapper rejected at call time has no
-    operator left to strip; it is fetched as per-leaf ``get`` calls and
-    replayed at the mediator -- the refuse-to-push fallback planning uses
-    for alias collisions.  ``None`` for any other pushdown.
-    """
-    if not isinstance(expression, (log.Join, log.Union)):
-        return None
-    extents = _referenced_extents(registry, expression, meta)
-    return NamespacePlan(expression, split=tuple(extents.items()))
-
-
-def namespace_plan(
-    registry: RuntimeRegistry,
-    expression: log.LogicalOp,
-    meta: MetaExtent,
-    wrapper: Any = None,
-) -> NamespacePlan:
-    """Plan how ``expression`` crosses the submit boundary for one source.
-
-    Detects source attribute names that collide across the extents the
-    pushdown actually references (only the ``get`` nodes present -- the
-    submit's default extent contributes nothing unless referenced) and
-    disambiguates them by injecting a per-branch :class:`~repro.algebra.
-    logical.Rename` into the submitted expression, so the reverse map is
-    collision-free by construction.  When ``wrapper`` is given and its
-    grammar cannot express the aliased expression, the plan instead calls
-    for the refuse-to-push fallback: per-leaf ``get`` calls recombined at
-    the mediator (never mis-renamed rows).
-    """
-    resolved = _referenced_extents(registry, expression, meta)
-    # One extent cannot collide with itself: the common single-leaf pushdown
-    # skips the vocabulary scan (and its registry round trip).
-    colliding = _colliding_attributes(registry, resolved.values()) if len(resolved) > 1 else None
-    if not colliding:
-        reverse: dict[str, str] = {}
-        for node_meta in resolved.values():
-            reverse.update(node_meta.map.source_to_mediator)
-        return NamespacePlan(to_source_namespace(registry, expression, meta), reverse)
-    aliases, reverse = _alias_plan(registry, resolved.values(), colliding)
-    translated = to_source_namespace(registry, expression, meta, aliases=aliases)
-    if wrapper is not None and not _wrapper_accepts(wrapper, translated):
-        return NamespacePlan(expression, aliased=True, split=tuple(resolved.items()))
-    return NamespacePlan(translated, reverse, aliased=True)
+            if node_meta is not None:
+                reverse = dict(node_meta.map.source_to_mediator)
+            break
+    return NamespacePlan(to_source_namespace(registry, expression, meta), reverse)
 
 
 def to_source_namespace(
-    registry: RuntimeRegistry,
-    expression: log.LogicalOp,
-    meta: MetaExtent,
-    aliases: Mapping[str, _BranchAliases] | None = None,
+    registry: RuntimeRegistry, expression: log.LogicalOp, meta: MetaExtent
 ) -> log.LogicalOp:
-    """Rename collections and attributes from mediator to source vocabulary.
-
-    A pushed-down expression may reference several extents of the same
-    wrapper (e.g. a join pushed to one source); each subtree is renamed
-    with the map of the extent(s) *it* references, so the two sides of a
-    join can carry different local transformation maps.  ``aliases``
-    (from :func:`namespace_plan`) additionally wraps each listed extent's
-    ``get`` in a :class:`~repro.algebra.logical.Rename`, and every
-    attribute reference above it then uses the branch's output names.
-    """
-    translated, _ = _translate(registry, expression, meta, aliases or {})
+    """Rename collections and attributes from mediator to source vocabulary."""
+    translated, _ = _translate(registry, expression, meta)
     return translated
 
 
 def _translate(
-    registry: RuntimeRegistry,
-    node: log.LogicalOp,
-    meta: MetaExtent,
-    aliases: Mapping[str, _BranchAliases],
+    registry: RuntimeRegistry, node: log.LogicalOp, meta: MetaExtent
 ) -> tuple[log.LogicalOp, dict[str, str]]:
     """Translate ``node``; also return the renames its subtree is under.
 
@@ -292,29 +142,10 @@ def _translate(
             return node, {}
         source_name = node_meta.e.source_name()
         source_get = node if source_name == node.collection else log.Get(source_name)
-        branch = aliases.get(node_meta.name)
-        if branch is None:
-            return source_get, dict(node_meta.map.mediator_to_source)
-        return log.Rename(branch.pairs, source_get), dict(branch.mediator_to_output)
-    visited = [_translate(registry, child, meta, aliases) for child in node.children()]
+        return source_get, dict(node_meta.map.mediator_to_source)
+    visited = [_translate(registry, child, meta) for child in node.children()]
     children = [translated for translated, _ in visited]
     same_children = all(new is old for new, old in zip(children, node.children()))
-    if isinstance(node, log.Join):
-        (left, left_renames), (right, right_renames) = visited
-        left_attr, right_attr, _ = log.join_on(node.on)
-        return (
-            log.Join(
-                left,
-                right,
-                (
-                    left_renames.get(left_attr, left_attr),
-                    right_renames.get(right_attr, right_attr),
-                ),
-                left_variable=node.left_variable,
-                right_variable=node.right_variable,
-            ),
-            {**left_renames, **right_renames},
-        )
     renames: dict[str, str] = {}
     for _, child_renames in visited:
         renames.update(child_renames)
@@ -330,14 +161,6 @@ def _translate(
             ),
             renames,
         )
-    if isinstance(node, log.Rename):
-        # A rename already present in the pushdown: translate the old
-        # names it reads; above it only its own outputs are visible.
-        outputs = {new: new for _, new in node.pairs}
-        if untouched:
-            return node, outputs
-        pairs = tuple((renames.get(old, old), new) for old, new in node.pairs)
-        return log.Rename(pairs, children[0]), outputs
     if isinstance(node, log.Select):
         if untouched:
             return node, renames
@@ -348,8 +171,7 @@ def _translate(
     if isinstance(node, log.GroupBy):
         # Key and aggregate expressions read the child's (source)
         # attribute names; above the groupby only its own output
-        # names -- chosen at the mediator -- are visible, mirroring
-        # the Rename case.
+        # names -- chosen at the mediator -- are visible.
         outputs = {name: name for name in node.output_attributes()}
         if untouched:
             return node, outputs

@@ -7,10 +7,10 @@ Predicates and select items are evaluated with an environment that merges the
 query's outer environment (for correlated subqueries), the element's own
 bindings (when it is an :class:`Env`) and the operator's bound variable.
 
-A chain of the per-element operators (``filter``, ``mkapply``, ``mkproj``,
-``mkrename``) runs as one generated loop, its kernel (:mod:`~repro.runtime.kernels`),
-held by a cached plan; so does a grouping, at the mediator and at a source
-alike (:func:`group_rows`).  The joins bind their key functions
+A chain of the per-element operators (``filter``, ``mkapply``, ``mkproj``)
+runs as one generated loop, its kernel (:mod:`~repro.runtime.kernels`), held
+by a cached plan; so does a grouping, at the mediator and at a source alike
+(:func:`group_rows`).  The joins bind their key functions
 (:func:`~repro.runtime.kernels.key_function`: a plain row's key is read in
 place, with no environment dict built for it) and compile their condition
 *once per invocation*, before the row loop; an environment is built only for
@@ -33,7 +33,6 @@ from collections.abc import Mapping, MutableMapping
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.algebra import physical as phys
-from repro.algebra.logical import join_on
 from repro.algebra.expressions import Expr, find_equi_conjunct
 from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError
@@ -75,65 +74,6 @@ def as_struct(row: Any) -> Any:
     return Struct(row)
 
 
-def _merged_row(left_row: Mapping, right_row: Mapping) -> Struct:
-    """Merge a matched pair; left values win on shared attribute names."""
-    return Struct({**right_row, **left_row})
-
-
-def hash_join_rows(
-    left: Iterable[Any], right: Iterable[Any], on: str | tuple[str, str]
-) -> Iterator[Any]:
-    """Equi-join plain rows on an attribute; the merged row keeps left values.
-
-    Only the *right* (build) side is materialized -- into the hash table the
-    probe needs anyway; the left side streams through unbuffered.
-    """
-    left_attr, right_attr, _ = join_on(on)
-    buckets: dict[Any, list[Any]] = {}
-    for row in right:
-        key = _attribute_value(row, right_attr)
-        if key is not None:  # ``=`` is nil-rejecting: a nil key matches nothing
-            buckets.setdefault(key, []).append(row)
-    for row in left:
-        key = _attribute_value(row, left_attr)
-        for match in buckets.get(key, ()):
-            yield _merged_row(row, match)
-
-
-def materialized(rows: Iterable[Any]) -> "list[Any] | tuple[Any, ...]":
-    """Return ``rows`` as a sequence, without copying one that already is.
-
-    The inner side of a nested loop (and of the bind-join fallback) must be
-    re-scannable, but callers frequently hold a list already -- a
-    materialising run's settled exec outcomes.  Copying those into a fresh
-    list per call site doubled peak memory for zero benefit (see the
-    ``NestedLoopJoin`` cost comment).
-    """
-    if isinstance(rows, (list, tuple)):
-        return rows
-    return list(rows)
-
-
-def nested_loop_join_rows(
-    left: Iterable[Any], right: Iterable[Any], on: str | tuple[str, str]
-) -> Iterator[Any]:
-    """Nested-loop equi-join (same semantics as the hash join, different cost).
-
-    The right side is materialized once and shared (it is re-scanned per
-    left element, and an already-materialized input is not copied); the left
-    side streams.
-    """
-    left_attr, right_attr, _ = join_on(on)
-    right_rows = materialized(right)
-    for row in left:
-        left_key = _attribute_value(row, left_attr)
-        if left_key is None:
-            continue
-        for match in right_rows:
-            if _attribute_value(match, right_attr) == left_key:
-                yield _merged_row(row, match)
-
-
 def bind_join_rows(
     left: Iterable[Any],
     right: Iterable[Any],
@@ -165,7 +105,8 @@ def bind_join_rows(
                 yield from pairs(left_element, matches)
         return
 
-    right_elements = materialized(right)
+    # Re-scanned per left element; a list in hand (a settled call's) is not copied.
+    right_elements = right if isinstance(right, (list, tuple)) else list(right)
     for left_element in left:
         yield from pairs(left_element, right_elements)
 
@@ -241,12 +182,6 @@ def _pairing(
                 yield env
 
     return pairs
-
-
-def _attribute_value(row: Any, attribute: str) -> Any:
-    if isinstance(row, Mapping):
-        return row.get(attribute)
-    return getattr(row, attribute, None)
 
 
 def union_rows(parts: Iterable[Iterable[Any]]) -> Iterator[Any]:
@@ -343,7 +278,6 @@ def compose_rows(
     base_env: Mapping[str, Any] | None = None,
     union: Callable[[tuple[phys.PhysicalOp, ...]], Iterable[Any]] | None = None,
     probe: Callable[[phys.ProbeJoin, Iterator[Any]], Iterable[Any]] | None = None,
-    build: Callable[[Iterator[Any]], Iterable[Any]] | None = None,
     group: Callable[[phys.MkGroupBy, Iterator[Any]], Iterable[Any]] | None = None,
     subquery: SubqueryEvaluator | None = None,
     kernels: MutableMapping[phys.PhysicalOp, Any] | None = None,
@@ -354,8 +288,7 @@ def compose_rows(
     rows.  A partial answer's data subtrees are composed as they stand, over
     the settled calls' lists; a logical plan is evaluated as
     ``compose_rows(implement(plan), leaf, ...)`` -- a degraded call's
-    stripped operators, a split pushdown, a cached superset's deltas all go
-    this way.
+    stripped operators and a cached superset's deltas go this way.
 
     Rows flow through the plan one at a time and nothing is materialized
     except join build sides and the distinct set.  ``leaf`` supplies the row
@@ -365,8 +298,7 @@ def compose_rows(
     optionally overrides how ``mkunion`` children are sequenced (a stream
     interleaves them in exec-completion order).  ``probe`` supplies the
     run's probe-join leaf -- the batching layer issuing set-valued submits
-    over the left rows; ``build`` optionally wraps a hash join's build side
-    (a stream drains it eagerly on a dedicated thread); ``group`` optionally
+    over the left rows; ``group`` optionally
     wraps mediator-side grouping's output (a stream suppresses grouped
     output computed over a known-incomplete input); ``subquery`` evaluates
     nested subqueries (a run passes its own evaluator, so they share its
@@ -379,25 +311,18 @@ def compose_rows(
     so structural errors surface immediately; only *row* flow is lazy.
     """
     recurse = lambda child: compose_rows(  # noqa: E731
-        child, leaf, base_env, union, probe, build, group, subquery, kernels
+        child, leaf, base_env, union, probe, group, subquery, kernels
     )
     if isinstance(plan, phys.Exec):
         return iter(leaf(plan))
     if isinstance(plan, phys.MkBag):
         return map(as_struct, plan.values)
-    if isinstance(plan, (phys.Filter, phys.MkApply, phys.MkProj, phys.MkRename)):
+    if isinstance(plan, (phys.Filter, phys.MkApply, phys.MkProj)):
         below = plan.child  # the chain's input: the first operator below not in it
         while isinstance(below, CHAIN):
             below = below.child
         rows = recurse(below)
         return _kept(kernels, plan, lambda: chain_kernel(plan))(rows, base_env, subquery)
-    if isinstance(plan, phys.HashJoin):
-        right_rows = recurse(plan.right)
-        if build is not None:
-            right_rows = build(right_rows)
-        return hash_join_rows(recurse(plan.left), right_rows, plan.on)
-    if isinstance(plan, phys.NestedLoopJoin):
-        return nested_loop_join_rows(recurse(plan.left), recurse(plan.right), plan.on)
     if isinstance(plan, phys.ProbeJoin):
         if probe is None:
             raise QueryExecutionError(

@@ -48,7 +48,7 @@ class Unavailable:
 UNAVAILABLE = Unavailable()
 
 #: the per-element operators, which distribute over ``mkunion``
-_PER_ELEMENT = (phys.MkApply, phys.MkProj, phys.MkRename, phys.Filter, phys.MkFlatten)
+_PER_ELEMENT = (phys.MkApply, phys.MkProj, phys.Filter, phys.MkFlatten)
 
 
 def _distributed(node: phys.PhysicalOp) -> phys.PhysicalOp:

@@ -188,10 +188,8 @@ class _ProbeRunner:
         # Probe expressions carry the batch's keys: new objects by nature,
         # planned at call time and kept by nothing.
         call = self._probe_call
-        plan = namespace.namespace_plan(
-            self._executor.registry, expression, call.meta, call.wrapper
-        )
-        return plan.split is None and _wrapper_accepts(call.wrapper, plan.expression)
+        plan = namespace.namespace_plan(self._executor.registry, expression, call.meta)
+        return _wrapper_accepts(call.wrapper, plan.expression)
 
     def _probe_expression(self, keys: list[Any]) -> log.LogicalOp:
         """``select(v: key in (...), e)``, or ``select(v: key = k, e)`` per key."""

@@ -7,10 +7,9 @@ implements it once.  A :class:`StreamingExecution` is one *run* of one
 physical plan: every exec call is one :class:`_ExecState` (its attempts, its
 rung on the degrade ladder, where a reopen restarts), driven by the one
 attempt loop (``_open_exec``) and its one failure step (``_failed``: retry
-with backoff, the degrading-pushdown ladder of :mod:`repro.runtime.degrade`
-ending in the split fallback, write-off, all under one ``max_retries``
-budget), and written to the history once, by ``_ExecState.observe``.  The
-pool opens every dispatched call; ``_settle`` waits for it under the query
+with backoff, the degrading-pushdown ladder of :mod:`repro.runtime.degrade`,
+write-off, all under one ``max_retries`` budget), and written to the
+history once, by ``_ExecState.observe``.  The pool opens every dispatched call; ``_settle`` waits for it under the query
 deadline and writes it off when the deadline, or ``Executor.close()``, gets
 there first.  Every other wrapper round trip is the same loop called on the
 consumer thread, bounded by the query deadline: a mid-stream reopen, and
@@ -52,8 +51,8 @@ declaring the ``token`` resume capability reopen *source-side*: the
 stream's last :class:`~repro.wrappers.base.ResumableStream` token is handed
 back through ``submit_stream(expr, resume_from=token)`` and the source ships
 only the rows still owed.  Wrappers declaring deterministic ``replay`` (and
-token wrappers whose call was degraded or split, where token positions no
-longer line up) are reopened from scratch and the mediator skips the rows it
+token wrappers whose call was degraded, where token positions no longer
+line up) are reopened from scratch and the mediator skips the rows it
 already delivered -- dedup by delivered-row count, counted as
 ``ExecReport.replayed_rows``.  Wrappers declaring neither are written off.
 The rule is "resume only what was delivered", which is why a materialising
@@ -506,9 +505,7 @@ class StreamingExecution:
             if state.pushdown is node.expression:
                 state.plan = call.plan
             else:  # a probe shape
-                state.plan = namespace.namespace_plan(
-                    executor.registry, state.pushdown, call.meta, wrapper
-                )
+                state.plan = namespace.namespace_plan(executor.registry, state.pushdown, call.meta)
         listed = self._materialise or state.listed
         open_started = time.monotonic()
         if state.started is None:
@@ -518,14 +515,7 @@ class StreamingExecution:
             attempt_started = time.monotonic()
             try:
                 with cancellation.activate(state.event):
-                    if plan.split is not None:
-                        # Refuse-to-push fallback: the wrapper cannot express
-                        # the aliases this colliding pushdown needs, so it is
-                        # split into per-leaf gets, fetched eagerly (their
-                        # failures are attempt failures); the recombination
-                        # over them is a lazy mediator-vocabulary iterator.
-                        rows = executor._split_pushdown(plan, wrapper)
-                    elif listed:
+                    if listed:
                         rows = wrapper.submit(plan.expression)
                     elif state.token is not None:
                         rows = wrapper.submit_stream(plan.expression, resume_from=state.token)
@@ -535,8 +525,7 @@ class StreamingExecution:
                         # One bulk pass inside the attempt: nothing is handed
                         # over before the answer is whole, so there is no
                         # deadline to check or pull time to charge per chunk.
-                        if plan.split is None:
-                            rows = map(plan.normalise, rows)
+                        rows = map(plan.normalise, rows)
                         if state.stripped:
                             rows = compensate_rows(state.stripped, rows)
                         rows = list(rows)
@@ -556,9 +545,8 @@ class StreamingExecution:
         state.attempts += 1
         now = time.monotonic()
         stream = rows if isinstance(rows, ResumableStream) else None
-        # Split-pushdown rows arrive already in mediator vocabulary (and a
-        # listed answer was renamed and compensated inside the attempt).
-        normalise = _MEDIATOR_ROW if plan.split is not None or listed else plan.normalise
+        # A listed answer was renamed and compensated inside the attempt.
+        normalise = _MEDIATOR_ROW if listed else plan.normalise
         if state.stripped and not listed:
             # Rename here (once), then replay the stripped operators lazily;
             # the consumer sees mediator-vocabulary rows.
@@ -599,12 +587,11 @@ class StreamingExecution:
         its own ``elapsed``; the call is given up when it was woken, its
         ``max_retries`` budget is spent or, on the consumer thread, the query
         deadline has passed.  A capability/translation failure goes one rung
-        down the ladder (to a bare ``get``; a refused ``join``/``union`` to
-        the per-leaf split) without backoff -- it was deterministic, not load
-        -- and is terminal once the ladder is exhausted.  Any other failure
-        backs off (``retry_backoff``, doubled per attempt; woken by a
-        write-off, capped by the deadline on the consumer thread) and goes
-        again at the same rung.
+        down the ladder (ultimately to a bare ``get``) without backoff -- it
+        was deterministic, not load -- and is terminal once the ladder is
+        exhausted.  Any other failure backs off (``retry_backoff``, doubled
+        per attempt; woken by a write-off, capped by the deadline on the
+        consumer thread) and goes again at the same rung.
 
         A death is no extra attempt and is not degraded.  Only a ``token`` or
         ``replay`` wrapper is reopened (without a token or a determinism
@@ -616,32 +603,23 @@ class StreamingExecution:
         config = executor.config
         call = self._compiled(state.node)
         mode = getattr(call.wrapper, "resume_support", None)
-        step = split = None
+        step = None
         exhausted = state.attempts >= max(1, config.max_retries + 1)
         if dying is not None:
             exhausted = exhausted or mode not in (RESUME_TOKEN, RESUME_REPLAY)
         elif is_capability_failure(exc):
             step = degrade_pushdown(state.pushdown)
-            if step is None and state.plan.split is None:
-                split = namespace.split_plan(executor.registry, state.pushdown, call.meta)
-            exhausted = exhausted or (step is None and split is None)
+            exhausted = exhausted or step is None
         remaining = self._remaining() if consumer else None
         terminal = exhausted or state.event.is_set() or remaining == 0.0
         # A call that may record no more (woken, or its one observation
         # made) is not tried again either.
         if not state.observe(executor.history, elapsed, terminal=terminal) or terminal:
             return False
-        if step is not None or split is not None:
-            # Re-planning per rung keeps the alias layer coherent with
-            # whatever operators remain.
-            if step is None:
-                state.plan = split
-            else:
-                state.pushdown, removed = step
-                state.stripped += (removed,)
-                state.plan = namespace.namespace_plan(
-                    executor.registry, state.pushdown, call.meta, call.wrapper
-                )
+        if step is not None:
+            state.pushdown, removed = step
+            state.stripped += (removed,)
+            state.plan = namespace.namespace_plan(executor.registry, state.pushdown, call.meta)
             if state.token is not None:
                 # The token indexed the previous rung's stream; a degraded
                 # stream has other positions, so the reopen replays and
@@ -655,12 +633,7 @@ class StreamingExecution:
         if state.event.wait(backoff) or (consumer and self._remaining() == 0.0):
             return False
         if dying is not None:
-            clean = (
-                mode == RESUME_TOKEN
-                and dying.stream is not None
-                and not state.stripped
-                and state.plan.split is None
-            )
+            clean = mode == RESUME_TOKEN and dying.stream is not None and not state.stripped
             state.token = dying.stream.token if clean else None
             state.skip = 0 if clean else state.consumed
         return True
@@ -684,7 +657,6 @@ class StreamingExecution:
             available=True,
             attempts=max(1, state.attempts),
             degraded_to=state.degraded_to,
-            split_calls=0 if state.plan is None else len(state.plan.split or ()),
             resumed_calls=state.resumed,
             replayed_rows=state.replayed,
         )
@@ -707,9 +679,8 @@ class StreamingExecution:
     def _compose(self, plan: phys.PhysicalOp) -> Iterator[Any]:
         """The operator pipeline over this run's exec leaves.
 
-        A stream overlaps: unions follow exec-completion order, hash-join
-        build sides drain eagerly, grouped output is suppressed over an
-        incomplete input.  A materialising run has every list in hand before
+        A stream overlaps: unions follow exec-completion order, and grouped
+        output is suppressed over an incomplete input.  A materialising run has every list in hand before
         it composes, so there is nothing to overlap and no incomplete input.
         """
         stream = not self._materialise
@@ -719,7 +690,6 @@ class StreamingExecution:
             base_env=self._base_env,
             union=self._union_in_completion_order if stream else None,
             probe=self._probe_rows,
-            build=self._eager_build if stream else None,
             group=self._grouped_rows if stream else None,
             subquery=self.evaluate_subquery,
             kernels=self._calls,
@@ -1028,43 +998,6 @@ class StreamingExecution:
                 state.report = runner.report(
                     cancelled=not completed and runner._error is None
                 )
-
-    def _eager_build(self, rows: Iterator[Any]) -> Iterator[Any]:
-        """Drain a hash join's build side eagerly on a dedicated thread.
-
-        Composed leaf order would otherwise drain the build side only when
-        the join's first row is pulled -- *after* whatever pipeline work
-        precedes it.  Starting the drain at compose time overlaps the build
-        transfer with the probe side's own exec opens (and with probe-join
-        batching).  A dedicated thread, not the shared pool: build drains can
-        outlive many pool tasks, and a pool full of builds would starve the
-        exec calls they are waiting on.
-
-        The consumer joins the thread at first pull; an exception raised in
-        the drain (a mediator-side bug) is re-raised there, not lost.  The
-        thread is daemonic and its leaves are cancellation-aware, so an
-        early close wakes the drain instead of leaking it.
-        """
-        drained: list[Any] = []
-        failure: list[BaseException] = []
-
-        def drain() -> None:
-            try:
-                for row in rows:
-                    drained.append(row)
-            except BaseException as exc:  # re-raised on consumption
-                failure.append(exc)
-
-        thread = threading.Thread(target=drain, name="disco-build", daemon=True)
-        thread.start()
-
-        def consume() -> Iterator[Any]:
-            thread.join()
-            if failure:
-                raise failure[0]
-            yield from drained
-
-        return consume()
 
     # -- shutdown ------------------------------------------------------------------------------
     def _cancel(self) -> None:

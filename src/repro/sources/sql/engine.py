@@ -3,8 +3,8 @@
 A statement is read into the logical algebra (:class:`SqlParser`) and run by
 the one source-side evaluator every simulated source shares
 (:class:`~repro.wrappers.base.AlgebraEvaluator`), so the SQL wrapper really
-translates mediator algebra into another language while a pushed predicate,
-join or grouping means the same at this source as anywhere else.
+translates mediator algebra into another language while a pushed predicate
+or grouping means the same at this source as anywhere else.
 """
 
 from __future__ import annotations

@@ -2,10 +2,8 @@
 
 Grammar (roughly)::
 
-    select    := SELECT projection FROM table_ref
-                 (JOIN table_ref ON column = column)*
+    select    := SELECT projection FROM IDENT
                  (WHERE expr)? (GROUP BY column (',' column)*)? (LIMIT number)?
-    table_ref := IDENT | '(' select ')'
     projection:= '*' | item (',' item)*
     item      := (column | aggregate) (AS IDENT)?
     aggregate := (COUNT | SUM | MIN | MAX | AVG) '(' ('*' | column) ')'
@@ -18,25 +16,21 @@ Grammar (roughly)::
     column    := IDENT ('.' IDENT)?
 
 A statement reads straight into :mod:`repro.algebra` operators, clause by
-clause in SQL's evaluation order: ``FROM``/``JOIN`` become ``get`` and
-``join``, ``WHERE`` a ``select``, ``GROUP BY`` (or an aggregate in the
-SELECT list) a ``groupby``, the SELECT list a ``project`` -- a ``rename``
-when it aliases -- and ``LIMIT`` a ``limit``.  Predicates, grouping keys and
-aggregate arguments range over the row variable :data:`ROW`; a column's
-table qualifier is dropped, since a joined row is one merged record.  The
-source evaluates the tree with the one source-side evaluator, so a pushed
-predicate means at a SQL source what it means everywhere else.
-
-``AS`` aliases and derived tables exist for the mediator's namespace
-aliasing: a pushed multi-extent join whose source columns collide arrives as
-``SELECT * FROM (SELECT id, nm AS nm__emp0 FROM t_emp) JOIN (...) ON ...``,
-so each branch's columns are uniquely named *before* the join merges rows.
+clause in SQL's evaluation order: ``FROM`` becomes a ``get``, ``WHERE`` a
+``select``, ``GROUP BY`` (or an aggregate in the SELECT list) a ``groupby``,
+the SELECT list a ``project`` and ``LIMIT`` a ``limit``.  An ``AS`` alias
+names a grouped SELECT's items only (the ``groupby``'s output names).
+Predicates, grouping keys and aggregate arguments range over the row
+variable :data:`ROW`; a column's table qualifier is read and dropped, as a
+statement reads one table.  The source evaluates the tree with the one
+source-side evaluator, so a pushed predicate means at a SQL source what it
+means everywhere else.
 """
 
 from __future__ import annotations
 
 from repro.algebra.expressions import BooleanExpr, Comparison, Const, Expr, InList, Path, Var
-from repro.algebra.logical import GroupBy, Get, Join, Limit, LogicalOp, Project, Rename, Select
+from repro.algebra.logical import GroupBy, Get, Limit, LogicalOp, Project, Select
 from repro.errors import QueryExecutionError
 from repro.lexing import SQL, TokenStream, number_value
 
@@ -74,13 +68,7 @@ class SqlParser(TokenStream):
         self._expect_keyword("SELECT")
         items = self._projection()
         self._expect_keyword("FROM")
-        plan = self._table_ref()
-        while self._match_keyword("JOIN"):
-            right = self._table_ref()
-            self._expect_keyword("ON")
-            left_column = self._column()
-            self._expect_op("=")
-            plan = Join(plan, right, (left_column, self._column()))
+        plan: LogicalOp = Get(self._expect("IDENT").text)
         if self._match_keyword("WHERE"):
             plan = Select(ROW, self._expression(), plan)
         group_by: list[str] = []
@@ -92,10 +80,9 @@ class SqlParser(TokenStream):
         if group_by or any(func is not None for _, _, func in items or ()):
             plan = self._group_by(items, group_by, plan)
         elif items is not None:
-            if all(output == column for output, column, _ in items):
-                plan = Project(tuple(column for _, column, _ in items), plan)
-            else:
-                plan = Rename(tuple((column, output) for output, column, _ in items), plan)
+            if any(output != column for output, column, _ in items):
+                raise QueryExecutionError("AS names the items of a grouped SELECT only")
+            plan = Project(tuple(column for _, column, _ in items), plan)
         if self._match_keyword("LIMIT"):
             token = self._expect("NUMBER")
             count = number_value(token.text)
@@ -131,14 +118,6 @@ class SqlParser(TokenStream):
         plan = GroupBy(ROW, tuple(keys), tuple(aggregates), child)
         outputs = tuple(output for output, _, _ in items)
         return plan if plan.output_attributes() == outputs else Project(outputs, plan)
-
-    def _table_ref(self) -> LogicalOp:
-        """A table name, or a parenthesized derived table ``(SELECT ...)``."""
-        if self._match_op("("):
-            statement = self._select()
-            self._expect_op(")")
-            return statement
-        return Get(self._expect("IDENT").text)
 
     def _projection(self) -> list[Item] | None:
         if self._match_op("*"):

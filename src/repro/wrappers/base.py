@@ -13,20 +13,7 @@ import itertools
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.algebra.capabilities import CapabilitySet
-from repro.algebra.logical import (
-    BagLiteral,
-    Flatten,
-    Get,
-    GroupBy,
-    Join,
-    Limit,
-    LogicalOp,
-    Project,
-    Rename,
-    Select,
-    Union,
-    join_on,
-)
+from repro.algebra.logical import BagLiteral, Get, GroupBy, Limit, LogicalOp, Project, Select
 from repro.errors import CapabilityError, WrapperError
 
 Row = dict[str, Any]
@@ -225,9 +212,9 @@ class AlgebraEvaluator:
         Used by wrappers over cursor-style sources whose ``scan`` yields rows
         incrementally: pushed-down select/project are applied per row as the
         consumer pulls, so nothing is materialized at the source boundary and
-        an early-terminating consumer (``limit``) stops the scan.  Joins
-        build only their right side, exactly like the mediator-side hash
-        join.
+        an early-terminating consumer (``limit``) stops the scan.  A pushed
+        expression ranges over one collection: there is no join, union or
+        flatten to evaluate here.
         """
         if isinstance(expression, Get):
             return iter(self.scan(expression.collection))
@@ -239,50 +226,15 @@ class AlgebraEvaluator:
                 {attr: row.get(attr) for attr in attributes}
                 for row in self.evaluate_stream(expression.child)
             )
-        if isinstance(expression, Rename):
-            pairs = expression.pairs
-            return (
-                {new: row.get(old) for old, new in pairs}
-                for row in self.evaluate_stream(expression.child)
-            )
         if isinstance(expression, Select):
             variable = expression.variable
             holds = expression.predicate.compile()
             return (row for row in self.evaluate_stream(expression.child) if holds({variable: row}))
-        if isinstance(expression, Join):
-            return self._join_stream(expression)
-        if isinstance(expression, Union):
-            return self._union_stream(expression)
-        if isinstance(expression, Flatten):
-            return self._flatten_stream(expression)
         if isinstance(expression, Limit):
             return self._limit_stream(expression)
         if isinstance(expression, GroupBy):
             return self._groupby_stream(expression)
         raise WrapperError(f"cannot evaluate {expression.to_text()} at a data source")
-
-    def _join_stream(self, expression: Join) -> Iterator[Row]:
-        left_attr, right_attr, _ = join_on(expression.on)
-        buckets: dict[Any, list[Row]] = {}
-        for row in self.evaluate_stream(expression.right):
-            if row.get(right_attr) is not None:  # a nil key matches nothing, as at the mediator
-                buckets.setdefault(row[right_attr], []).append(row)
-        for row in self.evaluate_stream(expression.left):
-            for match in buckets.get(row.get(left_attr), ()):
-                merged = dict(match)
-                merged.update(row)
-                yield merged
-
-    def _union_stream(self, expression: Union) -> Iterator[Row]:
-        for child in expression.inputs:
-            yield from self.evaluate_stream(child)
-
-    def _flatten_stream(self, expression: Flatten) -> Iterator[Row]:
-        for row in self.evaluate_stream(expression.child):
-            if isinstance(row, (list, tuple)):
-                yield from row
-            else:
-                yield row
 
     def _groupby_stream(self, expression: GroupBy) -> Iterator[Row]:
         """Grouped aggregation at the source (the ``groupby`` terminal).

@@ -60,18 +60,7 @@ class GeneratorWrapper(Wrapper):
     ):
         super().__init__(
             name,
-            capabilities
-            or CapabilitySet.of(
-                "get",
-                "project",
-                "select",
-                "union",
-                "flatten",
-                "limit",
-                "rename",
-                "in",
-                "groupby",
-            ),
+            capabilities or CapabilitySet.full(),
         )
         self._scans = dict(scans)
         self._attributes = {k: list(v) for k, v in (attributes or {}).items()}

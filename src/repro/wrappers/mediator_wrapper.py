@@ -26,9 +26,9 @@ class MediatorWrapper(Wrapper):
     def __init__(self, name: str, mediator: Any, available: bool = True):
         # ``project`` is deliberately absent: the child mediator's OQL returns
         # bare values for single-attribute projections, which would lose the
-        # record shape the parent's plan expects.  Selections, unions and
-        # flattens push through unchanged.
-        super().__init__(name, CapabilitySet.of("get", "select", "union", "flatten"))
+        # record shape the parent's plan expects.  Selections push through
+        # unchanged.
+        super().__init__(name, CapabilitySet.of("get", "select"))
         self.mediator = mediator
         self.available = available
 

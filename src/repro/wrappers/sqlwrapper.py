@@ -2,16 +2,14 @@
 
 This is the reproduction's ``WrapperPostgres``: the pushed logical expression
 is rendered as SQL text, shipped to the SQL engine through the simulated
-server, and read back into the algebra there.  Only the operators that have an
-SQL rendering are advertised (``get``, ``project``, ``select``, ``join``,
-``limit``, ``rename`` -- the aliasing the namespace planner injects for
-colliding multi-extent pushdowns, rendered as ``col AS alias`` inside a
-derived table -- ``groupby``, rendered as ``GROUP BY`` with aggregate
-projection items, and the ``in`` predicate terminal, rendered as ``IN (...)``
-for batched bind-join probes).  A tree is accepted only when the renderer can
-write it -- predicates, for one, only from comparisons and membership tests
-of attributes and constants, combined with ``AND``/``OR``/``NOT`` -- so the
-optimizer keeps anything else at the mediator.
+server, and read back into the algebra there.  Every pushable operator has an
+SQL rendering (``get``, ``project``, ``select``, ``limit``, ``groupby``,
+rendered as ``GROUP BY`` with aggregate projection items, and the ``in``
+predicate terminal, rendered as ``IN (...)`` for batched bind-join probes).
+A tree is accepted only when the renderer can write it -- predicates, for
+one, only from comparisons and membership tests of attributes and constants,
+combined with ``AND``/``OR``/``NOT``, and names only where they are not SQL
+keywords -- so the optimizer keeps anything else at the mediator.
 """
 
 from __future__ import annotations
@@ -28,17 +26,7 @@ from repro.algebra.expressions import (
     Path,
     Var,
 )
-from repro.algebra.logical import (
-    Get,
-    GroupBy,
-    Join,
-    Limit,
-    LogicalOp,
-    Project,
-    Rename,
-    Select,
-    join_on,
-)
+from repro.algebra.logical import Get, GroupBy, Limit, LogicalOp, Project, Select
 from repro.errors import WrapperError
 from repro.lexing import SQL
 from repro.sources.server import SimulatedServer
@@ -46,12 +34,8 @@ from repro.sources.sql.engine import SqlEngine
 from repro.wrappers.base import RESUME_REPLAY, Row
 from repro.wrappers.relational import RelationalWrapper
 
-#: the capability terminals the dialect can write: a ``SqlWrapper``'s default
-SQL_OPERATORS = ("get", "project", "select", "join", "limit", "rename", "in", "groupby")
-
-#: a decomposed statement: SELECT columns, FROM table, JOIN clauses
-#: (table, left column, right column), WHERE conjuncts and LIMIT
-_Parts = tuple[list[str], str, list[tuple[str, str, str]], list[str], int | None]
+#: a decomposed statement: SELECT columns, FROM table, WHERE conjuncts and LIMIT
+_Parts = tuple[list[str], str, list[str], int | None]
 
 
 class SqlCapabilitySet(CapabilitySet):
@@ -88,7 +72,7 @@ class SqlWrapper(RelationalWrapper):
     """
 
     def __init__(self, name: str, server: SimulatedServer, capabilities: CapabilitySet | None = None):
-        declared = capabilities or CapabilitySet.of(*SQL_OPERATORS)
+        declared = capabilities or CapabilitySet.full()
         super().__init__(
             name,
             server,
@@ -115,21 +99,18 @@ def statement_sql(expression: LogicalOp) -> str:
     grouped = _groupby_parts(expression)
     if grouped is not None:
         return _groupby_sql(*grouped)
-    columns, table, joins, predicates, limit = _decompose(expression)
-    return _select_sql(columns or ["*"], table, joins, predicates, (), limit)
+    columns, table, predicates, limit = _decompose(expression)
+    return _select_sql(columns or ["*"], table, predicates, (), limit)
 
 
 def _select_sql(
     items: list[str],
     table: str,
-    joins: list[tuple[str, str, str]],
     predicates: list[str],
     group_columns: tuple[str, ...] | list[str],
     limit: int | None,
 ) -> str:
     sql = f"SELECT {', '.join(items)} FROM {table}"
-    for join_table, left_column, right_column in joins:
-        sql += f" JOIN {join_table} ON {left_column} = {right_column}"
     if predicates:
         sql += " WHERE " + " AND ".join(predicates)
     if group_columns:
@@ -165,49 +146,42 @@ def _groupby_parts(
 
 def _decompose(expression: LogicalOp) -> _Parts:
     if isinstance(expression, Get):
-        return [], expression.collection, [], [], None
-    if isinstance(expression, Rename):
-        # The namespace planner's aliasing shape: rename directly over a
-        # source table.  It renders as a derived table whose SELECT list
-        # aliases the colliding columns with AS -- per branch, *before*
-        # any join merges rows, so the aliases actually disambiguate.
-        if not isinstance(expression.child, Get):
-            raise WrapperError("SQL wrapper renders rename only directly over a source table")
-        items = ", ".join(old if old == new else f"{old} AS {new}" for old, new in expression.pairs)
-        return [], f"(SELECT {items} FROM {expression.child.collection})", [], [], None
+        return [], _name(expression.collection), [], None
     if isinstance(expression, Limit):
-        columns, table, joins, predicates, limit = _decompose(expression.child)
+        columns, table, predicates, limit = _decompose(expression.child)
         limit = expression.count if limit is None else min(limit, expression.count)
-        return columns, table, joins, predicates, limit
+        return columns, table, predicates, limit
     if isinstance(expression, Project):
         # Projection is one-to-one per row, so a limit below it renders
         # identically to SQL's project-then-LIMIT evaluation order.
-        columns, table, joins, predicates, limit = _decompose(expression.child)
-        return list(expression.attributes), table, joins, predicates, limit
+        columns, table, predicates, limit = _decompose(expression.child)
+        return [_name(attribute) for attribute in expression.attributes], table, predicates, limit
     if isinstance(expression, Select):
-        columns, table, joins, predicates, limit = _decompose(expression.child)
+        columns, table, predicates, limit = _decompose(expression.child)
         if limit is not None:
             # SQL filters before it limits; a selection *above* a limit
             # would change which rows survive, so it has no rendering.
             raise WrapperError("cannot translate a selection above a limit to SQL")
         predicates = predicates + [_predicate_sql(expression.predicate)]
-        return columns, table, joins, predicates, limit
-    if isinstance(expression, Join):
-        left_cols, left_table, left_joins, left_preds, left_limit = _decompose(expression.left)
-        right_cols, right_table, right_joins, right_preds, right_limit = _decompose(expression.right)
-        if right_joins:
-            raise WrapperError("SQL wrapper supports only left-deep join chains")
-        if left_limit is not None or right_limit is not None:
-            raise WrapperError("cannot translate a limited join operand to SQL")
-        left_attr, right_attr, _ = join_on(expression.on)
-        joins = left_joins + [(right_table, left_attr, right_attr)]
-        return left_cols + right_cols, left_table, joins, left_preds + right_preds, None
+        return columns, table, predicates, limit
     raise WrapperError(f"cannot translate {expression.to_text()} to SQL")
+
+
+def _name(name: str) -> str:
+    """A table or column name as the dialect reads it: a keyword has no rendering.
+
+    The dialect quotes no identifiers, so a column called ``limit`` or
+    ``group`` (legal in OQL) is refused here and the work stays at the
+    mediator, instead of shipping a statement the source cannot parse.
+    """
+    if name.upper() in SQL.keywords:
+        raise WrapperError(f"cannot use the SQL keyword {name!r} as a name")
+    return name
 
 
 def _groupby_sql(node: GroupBy, limit: int | None, projected: tuple[str, ...] | None) -> str:
     """Render ``GroupBy`` (optionally projected/limited above) as a grouped SELECT."""
-    _, table, joins, predicates, child_limit = _decompose(node.child)
+    _, table, predicates, child_limit = _decompose(node.child)
     if child_limit is not None:
         # SQL groups before it limits; a limit *below* the grouping would
         # change which rows are aggregated, so it has no rendering.
@@ -217,9 +191,9 @@ def _groupby_sql(node: GroupBy, limit: int | None, projected: tuple[str, ...] | 
     for name, expr in node.keys:
         column = _key_column(expr)
         group_columns.append(column)
-        rendered[name] = column if column == name else f"{column} AS {name}"
+        rendered[name] = column if column == name else f"{column} AS {_name(name)}"
     for name, func, arg in node.aggregates:
-        rendered[name] = f"{_aggregate_sql(node.variable, func, arg)} AS {name}"
+        rendered[name] = f"{_aggregate_sql(node.variable, func, arg)} AS {_name(name)}"
     if projected is None:
         items = list(rendered.values())
     else:
@@ -227,12 +201,12 @@ def _groupby_sql(node: GroupBy, limit: int | None, projected: tuple[str, ...] | 
         if missing:
             raise WrapperError(f"cannot project {', '.join(missing)} out of a grouped SELECT")
         items = [rendered[name] for name in projected]
-    return _select_sql(items, table, joins, predicates, group_columns, limit)
+    return _select_sql(items, table, predicates, group_columns, limit)
 
 
 def _key_column(expr: Expr) -> str:
     if isinstance(expr, Path) and isinstance(expr.base, Var):
-        return expr.attribute
+        return _name(expr.attribute)
     raise WrapperError(f"cannot translate grouping key {expr.to_oql()} to SQL")
 
 
@@ -244,7 +218,7 @@ def _aggregate_sql(variable: str, func: str, arg: Expr) -> str:
             return "COUNT(*)"
         raise WrapperError(f"cannot translate {func} over whole rows to SQL")
     if isinstance(arg, Path) and isinstance(arg.base, Var):
-        return f"{func.upper()}({arg.attribute})"
+        return f"{func.upper()}({_name(arg.attribute)})"
     raise WrapperError(f"cannot translate aggregate argument {arg.to_oql()} to SQL")
 
 
@@ -276,7 +250,7 @@ def _predicate_sql(predicate: Expr) -> str:
 def _operand_sql(operand: Expr) -> str:
     """A column or a literal: what the dialect's comparisons take."""
     if isinstance(operand, Path) and isinstance(operand.base, Var):
-        return operand.attribute
+        return _name(operand.attribute)
     if isinstance(operand, Const):
         value = operand.value
         if value is None:

@@ -67,13 +67,13 @@ class TestLogicalTrees:
         assert apply.to_text().startswith("apply(x: x.name")
 
     def test_join_on(self):
-        join = log.Join(log.Get("a"), log.Get("b"), "dept")
-        assert log.join_on(join.on) == ("dept", "dept", "dept")
-        assert join.to_text() == "join(get(a), get(b), dept)"
-        join_pair = log.Join(log.Get("a"), log.Get("b"), ("id", "pid"))
-        assert log.join_on(join_pair.on) == ("id", "pid", "id=pid")
-        # a pair of equal names still renders as a pair
-        assert log.join_on(("id", "id"))[2] == "id=id"
+        """The join is the bind join: its condition is written out, ``true``
+        when it has none."""
+        condition = Comparison("=", Path(Var("x"), "dept"), Path(Var("y"), "pid"))
+        join = log.BindJoin(log.Get("a"), log.Get("b"), "x", "y", condition)
+        assert join.to_text() == "bindjoin(x: get(a), y: get(b), x.dept = y.pid)"
+        cross = log.BindJoin(log.Get("a"), log.Get("b"), "x", "y")
+        assert cross.to_text() == "bindjoin(x: get(a), y: get(b), true)"
 
     def test_bindjoin_text_and_children(self):
         condition = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
@@ -123,7 +123,11 @@ class TestPhysicalTrees:
     def test_join_algorithm_nodes(self):
         left = phys.MkBag((1,))
         right = phys.MkBag((2,))
-        assert phys.HashJoin(left, right, "id").to_text() == "hashjoin(mkbag(1), mkbag(2), id)"
-        assert phys.NestedLoopJoin(left, right, ("a", "b")).to_text() == (
-            "nljoin(mkbag(1), mkbag(2), a=b)"
+        on = Comparison("=", Path(Var("x"), "a"), Path(Var("y"), "b"))
+        assert phys.MkBindJoin(left, right, "x", "y", on).to_text() == (
+            "mkbindjoin(x: mkbag(1), y: mkbag(2), x.a = y.b)"
+        )
+        probe = phys.Exec(phys.Field("r0"), log.Get("b"), extent_name="b")
+        assert phys.ProbeJoin(left, probe, "x", "y", on).to_text() == (
+            "probejoin(x: mkbag(1), y: exec(field(r0), get(b)), x.a = y.b)"
         )

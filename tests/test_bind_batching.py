@@ -32,10 +32,8 @@ QUERY = (
 #: outer rows of the headline probe join; the nightly CI job sets 100000.
 FANOUT = int(os.environ.get("DISCO_E14_FANOUT", "10000"))
 
-#: everything except the set-membership terminal: probes degrade to per-key.
-NO_IN_CAPS = CapabilitySet.of(
-    "get", "project", "select", "join", "union", "flatten", "limit", "rename"
-)
+#: no set-membership terminal: probes degrade to per-key.
+NO_IN_CAPS = CapabilitySet.of("get", "project", "select", "limit")
 #: a source that cannot evaluate selections at all: probes degrade to a ship.
 GET_ONLY_CAPS = CapabilitySet.of("get")
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Mediator, RelationalWrapper
 from repro.algebra import logical as log
 from repro.algebra.capabilities import PUSHABLE_OPERATORS, CapabilitySet, grammar_for
 from repro.algebra.expressions import (
@@ -26,7 +27,8 @@ from repro.algebra.expressions import (
     Var,
     walk_expr,
 )
-from repro.algebra.logical import Flatten, Get, Join, Project, Select, Union
+from repro.algebra.logical import BindJoin, Flatten, Get, Project, Select, Union
+from repro.sources import RelationalEngine, SimulatedServer
 
 
 def project_of_get() -> Project:
@@ -46,12 +48,12 @@ class TestCapabilitySet:
 
     def test_presets(self):
         assert CapabilitySet.get_only().operators == frozenset({"get"})
-        assert CapabilitySet.full().supports("join")
+        assert CapabilitySet.full().supported_operators() == set(PUSHABLE_OPERATORS)
 
     def test_supports(self):
         caps = CapabilitySet.of("get", "project")
         assert caps.supports("project")
-        assert not caps.supports("join")
+        assert not caps.supports("select")
 
 
 class TestGrammarConstruction:
@@ -75,22 +77,21 @@ class TestGrammarConstruction:
         assert grammar.accepts(project_of_get())
         assert grammar.accepts(Project(("salary",), project_of_get()))
 
-    def test_join_grammar(self):
-        grammar = grammar_for({"get", "join"})
-        join = Join(Get("employee0"), Get("manager0"), "dept")
-        assert grammar.accepts(join)
-        assert not grammar_for({"get"}).accepts(join)
-
     def test_select_project_composition(self):
         grammar = grammar_for({"get", "project", "select"})
         assert grammar.accepts(Project(("name",), select_of_get()))
         assert grammar.accepts(Select("x", Comparison(">", Path(Var("x"), "salary"), Const(10)), project_of_get()))
 
     def test_union_and_flatten(self):
-        grammar = grammar_for({"get", "union", "flatten"})
-        assert grammar.accepts(Union((Get("a"), Get("b"))))
-        assert grammar.accepts(Flatten(Get("a")))
-        assert not grammar.accepts(Union((project_of_get(), Get("b"))))
+        """A submit ranges over one extent: no grammar derives a union, a
+        flatten or a join, and none can be declared."""
+        grammar = CapabilitySet.full()
+        assert not grammar.accepts(Union((Get("a"), Get("b"))))
+        assert not grammar.accepts(Flatten(Get("a")))
+        assert not grammar.accepts(BindJoin(Get("a"), Get("b"), "x", "y"))
+        for name in ("join", "union", "flatten", "rename"):
+            with pytest.raises(ValueError):
+                grammar_for({"get", name})
 
     def test_capability_set_to_grammar_round_trip(self):
         caps = CapabilitySet.of("get", "project", "select", compose=True)
@@ -134,15 +135,11 @@ class Production:
             parts = ["PREDICATE", "COMMA", self.child_symbols[0]]
         elif self.operator == "limit":
             parts = ["COUNT", "COMMA", self.child_symbols[0]]
-        elif self.operator == "rename":
-            parts = ["ALIASES", "COMMA", self.child_symbols[0]]
         elif self.operator == "groupby":
             parts = ["KEYS", "COMMA", "AGGREGATES", "COMMA", self.child_symbols[0]]
         elif self.operator == "in":
             parts = ["PATH", "COMMA", "VALUES"]
-        elif self.operator == "join":
-            parts = [self.child_symbols[0], "COMMA", self.child_symbols[1], "COMMA", "ATTRIBUTE"]
-        elif self.operator in ("union", "flatten", "get"):
+        elif self.operator == "get":
             parts = list(self.child_symbols)
         return f"{self.head} :- {self.operator} OPEN " + " ".join(parts) + " CLOSE"
 
@@ -181,22 +178,8 @@ class ReferenceGrammar:
             if not self.supports("in") and any(isinstance(node, InList) for node in walk_expr(expr.predicate)):
                 return False
             return self.accepts(expr.child, production.child_symbols[0])
-        if operator == "join":
-            return (
-                isinstance(expr, Join)
-                and self.accepts(expr.left, production.child_symbols[0])
-                and self.accepts(expr.right, production.child_symbols[1])
-            )
-        if operator == "union":
-            return isinstance(expr, Union) and all(
-                self.accepts(child, production.child_symbols[0]) for child in expr.inputs
-            )
-        if operator == "flatten":
-            return isinstance(expr, Flatten) and self.accepts(expr.child, production.child_symbols[0])
         if operator == "limit":
             return isinstance(expr, log.Limit) and self.accepts(expr.child, production.child_symbols[0])
-        if operator == "rename":
-            return isinstance(expr, log.Rename) and self.accepts(expr.child, production.child_symbols[0])
         if operator == "groupby":
             return isinstance(expr, log.GroupBy) and self.accepts(expr.child, production.child_symbols[0])
         if operator == "bag":
@@ -222,19 +205,15 @@ def reference_grammar_for(operators: Iterable[str], compose: bool = True) -> Ref
         ("b", "get", ("SOURCE",)),
         ("c", "project", (child,)),
         ("d", "select", (child,)),
-        ("e", "join", (child, child)),
-        ("f", "union", (child,)),
-        ("g", "flatten", (child,)),
-        ("h", "limit", (child,)),
-        ("i", "rename", (child,)),
-        ("k", "groupby", (child,)),
+        ("e", "limit", (child,)),
+        ("f", "groupby", (child,)),
     ):
         if operator in operators:
             productions.append(Production(head, operator, children))
             nonterminals.append(head)
     # ``in`` is predicate vocabulary: its head is left out of the
     # alias/composition nonterminals, so no tree is derived from it.
-    in_productions = [Production("j", "in")] if "in" in operators else []
+    in_productions = [Production("g", "in")] if "in" in operators else []
     aliases = [Production("a", None, (head,)) for head in nonterminals]
     composition: list[Production] = []
     if compose:
@@ -263,10 +242,6 @@ def extend(children: st.SearchStrategy) -> st.SearchStrategy:
     pushable = st.one_of(
         one.map(lambda child: log.Project(("n",), child)),
         st.builds(lambda predicate, child: log.Select("x", predicate, child), PREDICATES, one),
-        one.map(lambda child: log.Rename((("n", "m"),), child)),
-        st.builds(lambda left, right: log.Join(left, right, "id"), one, one),
-        st.lists(one, max_size=3).map(lambda inputs: log.Union(tuple(inputs))),
-        one.map(log.Flatten),
         one.map(lambda child: log.Limit(3, child)),
         one.map(lambda child: log.GroupBy("x", (("k", X_ID),), (("n", "count", Var("x")),), child)),
     )
@@ -275,6 +250,8 @@ def extend(children: st.SearchStrategy) -> st.SearchStrategy:
         one.map(lambda child: log.Apply("x", X_ID, child)),
         st.builds(lambda left, right: log.BindJoin(left, right, "x", "y"), one, one),
         one.map(log.Distinct),
+        st.lists(one, max_size=3).map(lambda inputs: log.Union(tuple(inputs))),
+        one.map(log.Flatten),
     )
     return st.sampled_from([pushable, pushable, mediator_only]).flatmap(lambda strategy: strategy)
 
@@ -291,7 +268,10 @@ OPERATORS = st.one_of(
         lambda missing: set(PUSHABLE_OPERATORS) - missing
     ),
 )
-UNKNOWN = st.sets(st.sampled_from(["bag", "apply", "distinct", "submit", "teleport"]), max_size=1)
+UNKNOWN = st.sets(
+    st.sampled_from(["bag", "apply", "distinct", "submit", "join", "union", "flatten", "rename", "teleport"]),
+    max_size=1,
+)
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)
@@ -311,3 +291,108 @@ def test_the_direct_check_gives_the_production_grammars_verdicts(operators, unkn
     for tree in trees:
         assert capabilities.accepts(tree) == reference.accepts(tree), tree.to_text()
         assert capabilities.admits(tree) == reference.accepts(tree), tree.to_text()
+
+
+# -- the vocabulary is the one the rules push ----------------------------------------------------
+
+
+class SpyWrapper(RelationalWrapper):
+    """A relational wrapper declaring every terminal that records what it is sent."""
+
+    def __init__(self, name, server, received):
+        super().__init__(name, server)
+        self.received = received
+
+    def _record(self, expression):
+        for node in log.walk(expression):
+            self.received.add(node.op_name)
+            if isinstance(node, Select) and any(isinstance(e, InList) for e in walk_expr(node.predicate)):
+                self.received.add("in")
+
+    def submit(self, expression):
+        self._record(expression)
+        return super().submit(expression)
+
+    def submit_stream(self, expression, resume_from=None):
+        self._record(expression)
+        return super().submit_stream(expression, resume_from)
+
+
+def spy_mediator(received: set[str]) -> Mediator:
+    """``person0`` and ``dept0`` on two spying wrappers; 40 departments, so a
+    join from the six people probes ``dept0`` with ``in`` instead of shipping it."""
+    mediator = Mediator(name="spy")
+    for index, rows in enumerate(
+        (
+            [{"id": i, "name": f"p{i}", "salary": 10 * i} for i in range(6)],
+            [{"id": i, "dname": f"d{i}"} for i in range(40)],
+        )
+    ):
+        engine = RelationalEngine(name=f"db{index}")
+        engine.create_table(f"t{index}", rows=rows)
+        server = SimulatedServer(name=f"h{index}", store=engine)
+        mediator.register_wrapper(f"w{index}", SpyWrapper(f"w{index}", server, received))
+        mediator.create_repository(f"r{index}", host=server.name)
+    mediator.define_interface(
+        "Person", [("id", "Long"), ("name", "String"), ("salary", "Long")], extent_name="person"
+    )
+    mediator.define_interface("Dept", [("id", "Long"), ("dname", "String")], extent_name="dept")
+    mediator.add_extent("person0", "Person", "w0", "r0", source_collection="t0")
+    mediator.add_extent("dept0", "Dept", "w1", "r1", source_collection="t1")
+    return mediator
+
+
+#: name -> (OQL text, the terminals its submits carry, the answer's size)
+VOCABULARY_TEXTS = {
+    "filter": ("select x from x in person0 where x.salary > 20", {"get", "select"}, 3),
+    "projection": ("select x.name from x in person0", {"get", "project"}, 6),
+    "limit": ("select x from x in person0 limit 2", {"get", "limit"}, 2),
+    "group-by": (
+        "select struct(s: x.salary, n: count(x)) from x in person0 group by s: x.salary",
+        {"get", "groupby"},
+        6,
+    ),
+    "probing-bind-join": (
+        "select struct(n: x.name, d: d.dname) from x in person0, d in dept0 where x.id = d.id",
+        {"get", "select", "in"},
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VOCABULARY_TEXTS))
+def test_an_oql_text_pushes_its_own_terminals(name):
+    """Each shape of query reaches the source as the terminals that write it,
+    and the answer computed from them is complete."""
+    text, terminals, size = VOCABULARY_TEXTS[name]
+    received: set[str] = set()
+    mediator = spy_mediator(received)
+    try:
+        result = mediator.query(text)
+        assert not result.is_partial and len(result.rows()) == size
+    finally:
+        mediator.close()
+    assert received == terminals
+
+
+def test_oql_texts_reach_exactly_the_pushable_vocabulary():
+    """Filter, projection, ``limit``, ``group by`` and a probing bind join
+    between them send every terminal a wrapper may declare, and nothing else:
+    a terminal no rule pushes does not come back."""
+    received: set[str] = set()
+    mediator = spy_mediator(received)
+    try:
+        for text, _, _ in VOCABULARY_TEXTS.values():
+            assert not mediator.query(text).is_partial, text
+    finally:
+        mediator.close()
+    assert received == set(PUSHABLE_OPERATORS)
+
+
+@pytest.mark.parametrize("name", ["join", "union", "flatten", "rename"])
+def test_a_multi_extent_terminal_cannot_be_declared(name):
+    """A submit ranges over one extent: the terminals that would combine or
+    alias extents at a source are not in the vocabulary at all."""
+    with pytest.raises(ValueError, match="unknown pushable operator"):
+        CapabilitySet.of("get", name)
+    assert not CapabilitySet.full().supports(name)

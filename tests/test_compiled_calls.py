@@ -22,7 +22,7 @@ import pytest
 from benchmarks.spine import federation, workloads
 from repro import Mediator, RelationalWrapper, TypeConflictError
 from repro.algebra import physical as phys
-from repro.algebra.capabilities import CapabilitySet, PUSHABLE_OPERATORS
+from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.expressions import InList
 from repro.algebra.logical import Get, Select, Submit
 from repro.baselines import GetOnlyWrapper
@@ -38,8 +38,6 @@ from tests.test_bind_batching import build_probe_mediator, learn_right_rows
 from tests.test_degrading_retry import ROWS as DEGRADE_ROWS
 from tests.test_degrading_retry import LyingWrapper
 from tests.test_degrading_retry import build_mediator as build_degrading_mediator
-from tests.test_namespace_aliasing import EXPECTED as JOINED
-from tests.test_namespace_aliasing import JOIN_PLAN, build_relational_collider, sorted_rows
 
 
 class Counters:
@@ -240,6 +238,22 @@ def test_switching_the_type_check_on_compiles_unchecked_calls_again():
         mediator.close()
 
 
+def test_reregistration_through_the_registry_drops_stale_type_verdicts():
+    """Type-check verdicts are keyed to the schema version: a re-registration
+    made through the registry alone, which tells the executor nothing, still
+    gets its new map checked."""
+    mediator, _ = build_remappable()
+    try:
+        plan = implement(Submit("r0", Get("person0"), extent_name="person0"))
+        assert not mediator.executor.execute(plan).is_partial  # verdict cached
+        mediator.registry.drop_extent("person0")
+        add_person0(mediator.registry, "missing")
+        with pytest.raises(TypeConflictError):
+            mediator.executor.execute(plan)
+    finally:
+        mediator.close()
+
+
 # -- call-time planning stays call-time -------------------------------------------------------
 
 
@@ -266,30 +280,6 @@ def test_a_capability_failure_at_call_time_still_replans_per_rung(monkeypatch):
         assert counters.close_signatures == 0 and counters.type_checks == 0
         (report,) = second.reports
         assert report.degraded_to == "get(person0)" and report.attempts == 3
-    finally:
-        mediator.close()
-
-
-def test_an_alias_colliding_pushdown_still_takes_the_split_fallback(monkeypatch):
-    """A wrapper without the ``rename`` terminal never receives the aliased
-    join; that verdict is compiled once and the split runs on every run."""
-    no_rename = CapabilitySet.of(*(op for op in PUSHABLE_OPERATORS if op != "rename"))
-    mediator, server = build_relational_collider(capabilities=no_rename)
-    try:
-        plan = implement(JOIN_PLAN)
-        (node,) = phys.execs_in(plan)
-        calls: dict = {}
-        counters = Counters(monkeypatch)
-        for _ in range(3):
-            result = mediator.executor.execute(plan, calls=calls)
-            assert sorted_rows(result.data.to_list()) == JOINED
-            (report,) = result.reports
-            assert report.split_calls == 2
-        assert calls[node].plan.split is not None
-        # One compilation; the per-leaf gets are planned in each run.
-        assert counters.close_signatures == 1 and counters.type_checks == 1
-        assert counters.namespace_plans == 1 + 3 * 2
-        assert server.statistics.requests == 3 * 2
     finally:
         mediator.close()
 

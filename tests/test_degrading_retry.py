@@ -8,13 +8,16 @@ the mediator, and leave transient-failure retry semantics untouched.  Both
 engines are covered.
 """
 
+import time
+
 import pytest
 
 from repro import Mediator
 from repro.algebra.capabilities import CapabilitySet
-from repro.algebra.logical import Flatten, Get, GroupBy, Limit, Project, Rename, Select
+from repro.algebra.logical import BindJoin, Get, GroupBy, Limit, Project, Select, Submit, Union
 from repro.algebra.expressions import Comparison, Const, Path, Var
 from repro.errors import UnavailableSourceError, WrapperError
+from repro.optimizer.implementation import implement
 from repro.runtime.degrade import (
     _STRIPPABLE,
     compensate_rows,
@@ -82,10 +85,7 @@ class TestLadder:
         assert degrade_pushdown(Get("person0")) is None
 
     def test_multi_leaf_expressions_are_not_degradable(self):
-        from repro.algebra.logical import Join, Union
-
-        join = Join(Get("a"), Get("b"), "id")
-        assert degrade_pushdown(join) is None
+        assert degrade_pushdown(BindJoin(Get("a"), Get("b"), "x", "y")) is None
         assert degrade_pushdown(Union((Get("a"), Get("b")))) is None
 
     def test_classification(self):
@@ -115,9 +115,7 @@ ABOVE_40 = Comparison(">", Path(Var("x"), "salary"), Const(40))
 STRIPPED = {
     Limit: Limit(3, Get("person0")),
     Project: Project(("name", "missing"), Get("person0")),
-    Rename: Rename((("name", "n"), ("id", "id")), Get("person0")),
     Select: Select("x", ABOVE_40, Get("person0")),
-    Flatten: Flatten(Get("person0")),
     GroupBy: GroupBy(
         "x",
         (("band", Path(Var("x"), "band")),),
@@ -141,8 +139,6 @@ class TestCompensationAgainstTheSourceEvaluator:
     def test_compensated_rows_equal_the_source_side_evaluation(self, case):
         expression = STRIPPED[case]
         rows = self.ROWS
-        if case is Flatten:
-            rows = [rows[:2], rows[2], tuple(rows[3:5]), []]
         at_source = AlgebraEvaluator(scan=lambda _name: rows).evaluate(expression)
         stripped = []
         step = degrade_pushdown(expression)
@@ -289,3 +285,49 @@ class TestDegradingRetryEndToEnd:
             assert rows == [] and result.is_partial
             assert result.unavailable_sources == ("person0",)
         mediator.close()
+
+
+# -- attempt accounting is aligned across engines ---------------------------------------------
+
+
+class _AlwaysFailing(Wrapper):
+    def __init__(self, name: str):
+        super().__init__(name, CapabilitySet.full())
+        self.calls = 0
+
+    def _execute(self, expression):
+        self.calls += 1
+        raise RuntimeError("transient boom")
+
+
+class TestAttemptAccounting:
+    def _build(self):
+        mediator = Mediator(name="attempts", timeout=0.5, max_retries=8)
+        mediator.executor.config.retry_backoff = 0.2
+        mediator.register_wrapper("w0", _AlwaysFailing("w0"))
+        mediator.create_repository("r0")
+        mediator.define_interface("Thing", [("id", "Long")], extent_name="things")
+        mediator.add_extent("thing0", "Thing", "w0", "r0")
+        return mediator
+
+    def test_write_off_during_backoff_reports_true_attempts_in_both_engines(self):
+        # Attempts fail instantly at t=0 and t=0.2; the third would start at
+        # t=0.6, but the 0.5s deadline writes the call off mid-backoff.  Both
+        # engines must report the two attempts actually made -- the abandoned
+        # backoff is not an attempt.
+        plan = implement(Submit("r0", Get("thing0"), extent_name="thing0"))
+        mediator = self._build()
+        try:
+            barrier = mediator.executor.execute(plan, timeout=0.5)
+            assert barrier.is_partial
+            (barrier_report,) = barrier.reports
+            stream = mediator.executor.execute_stream(plan, timeout=0.5)
+            stream.to_list()
+            (stream_report,) = stream.reports
+            assert not barrier_report.available and not stream_report.available
+            assert barrier_report.attempts == 2
+            assert stream_report.attempts == barrier_report.attempts
+            # Give the zombie workers time to observe the write-off and stop.
+            time.sleep(0.3)
+        finally:
+            mediator.close()

@@ -50,17 +50,15 @@ import pytest
 
 from repro import Mediator, RelationalWrapper
 from repro.algebra.capabilities import PUSHABLE_OPERATORS, CapabilitySet
-from repro.algebra.logical import BagLiteral, Get, Join, Select, Submit, submits_in
+from repro.algebra.logical import BagLiteral, Submit, submits_in
 from repro.algebra.unparser import logical_to_oql
 from repro.datamodel.mapping import LocalTransformationMap
 from repro.datamodel.values import Bag, Struct
-from repro.optimizer.implementation import implement
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
 from repro.sources.csv_store import CsvStore
 from repro.sources.sql import SqlEngine
 from repro.sources.text_store import Document, TextStore
 from repro.wrappers import CsvWrapper, SqlWrapper, TextSearchWrapper
-from repro.wrappers.sqlwrapper import SQL_OPERATORS
 
 NAMES = ["ann", "bob", "cleo", "dan", "eve"]
 #: the nightly CI job raises this to 1000 via DISCO_EQUIV_SEEDS.
@@ -81,6 +79,11 @@ CACHE_SEEDS = SEEDS if RUN_FULL_CACHE_AXIS else range(0, len(SEEDS), 4)
 _CSV_DIR = tempfile.mkdtemp(prefix="disco-equiv-csv-")
 
 
+#: the colliding pair's source tables: both call their second column ``nm``
+CAT_ROWS = [{"id": i, "nm": f"cat{i % 4}"} for i in range(9)]
+FLAG_ROWS = [{"id": i, "nm": f"flag{i % 2}"} for i in range(7)]
+
+
 def build_mediator(
     bind_batch_size: int = 256, no_groupby: bool = False, answer_cache=None, sql: bool = False
 ):
@@ -88,7 +91,7 @@ def build_mediator(
     ``dept0`` collection co-hosted with person0 for join queries, plus a pair
     of *colliding* extents (``cat0``/``flag0`` both call their source column
     ``nm`` but map it to different mediator attributes) so the generator can
-    produce queries that exercise the namespace planner's aliasing.
+    produce queries whose submits each need their own extent's map.
 
     Also on board: a file-backed CSV source (``note0``, get/project only) and
     a WAIS-like keyword-search source (``report0``, non-composing get/select),
@@ -130,12 +133,12 @@ def build_mediator(
     engine0.create_table(
         "t_cat",
         schema=TableSchema.of(("id", int), ("nm", str)),
-        rows=[{"id": i, "nm": f"cat{i % 4}"} for i in range(9)],
+        rows=[dict(row) for row in CAT_ROWS],
     )
     engine0.create_table(
         "t_flag",
         schema=TableSchema.of(("id", int), ("nm", str)),
-        rows=[{"id": i, "nm": f"flag{i % 2}"} for i in range(7)],
+        rows=[dict(row) for row in FLAG_ROWS],
     )
     engine1 = RelationalEngine(name="db1")
     engine1.create_table(
@@ -174,12 +177,7 @@ def build_mediator(
         name="diff", bind_batch_size=bind_batch_size, answer_cache=answer_cache
     )
     if sql:
-        sql_capabilities = (
-            CapabilitySet.of(*(op for op in SQL_OPERATORS if op != "groupby"))
-            if no_groupby
-            else None
-        )
-        wrapper0 = SqlWrapper("w0", server0, capabilities=sql_capabilities)
+        wrapper0 = SqlWrapper("w0", server0, capabilities=capabilities)
     else:
         wrapper0 = RelationalWrapper("w0", server0, capabilities=capabilities)
     mediator.register_wrapper("w0", wrapper0)
@@ -356,15 +354,13 @@ def report_shape(reports) -> dict:
 
     Cancelled calls are excluded (a satisfied streaming limit may write off
     a call the barrier engine ran to completion); everything else must agree
-    on how many wrapper attempts were made and whether the pushdown was
-    split into per-leaf calls.
+    on how many wrapper attempts were made.
     """
     shape: dict = {}
     for report in reports:
         if report.cancelled:
             continue
-        key = (report.extent_name, report.expression)
-        shape[key] = (report.attempts, report.split_calls)
+        shape[report.extent_name, report.expression] = report.attempts
     return shape
 
 
@@ -521,11 +517,17 @@ def test_engines_agree(seed):
         mediator.close()
 
 
+#: the seeds the sweep check needs whatever ``SEEDS`` holds: the first seed
+#: that re-plans a probe join under an outage is seed 36
+REPLAN_SEEDS = range(64)
+
+
 def test_the_sweep_compares_replanned_probe_joins():
     """The seeds keep the probe join's flip to a ship under comparison: at
     least one seed re-plans on the happy path and one under an outage.  Seeds
-    this pytest run skipped (a selected subset) are run here."""
-    for seed in SEEDS:
+    this pytest run skipped (a selected subset, or a sweep narrower than
+    :data:`REPLAN_SEEDS`) are run here."""
+    for seed in (*SEEDS, *REPLAN_SEEDS):
         if seed not in SWEPT:
             test_engines_agree(seed)
     flipped = {scenario for scenario, replanned in SWEPT.values() if replanned}
@@ -664,97 +666,67 @@ def test_cache_on_answers_match_cache_off(seed):
         cached.close()
 
 
-# -- pushed colliding joins (plan-level differential) ----------------------------------------
-#: OQL multi-variable queries join at the mediator, so pushed multi-extent
-#: joins -- the shape the namespace planner aliases -- are exercised with
-#: hand-built submit plans, randomly over rename-capable wrappers (aliased
-#: pushdown) and rename-less ones (refuse-to-push split fallback).
-PUSHDOWN_SEEDS = range(max(13, len(SEEDS) // 8))
+# -- colliding source attributes (answers checked against the tables) -------------------------
+#: the nightly sweep widens this with ``SEEDS``
+COLLIDING_SEEDS = range(max(13, len(SEEDS) // 8))
 
 
-def build_pushdown_mediator(with_rename: bool):
-    engine = RelationalEngine(name="dbp")
-    engine.create_table(
-        "t_cat",
-        schema=TableSchema.of(("id", int), ("nm", str)),
-        rows=[{"id": i, "nm": f"cat{i % 4}"} for i in range(9)],
-    )
-    engine.create_table(
-        "t_flag",
-        schema=TableSchema.of(("id", int), ("nm", str)),
-        rows=[{"id": i, "nm": f"flag{i % 2}"} for i in range(7)],
-    )
-    server = SimulatedServer(name="hp", store=engine)
-    capabilities = (
-        None if with_rename else CapabilitySet.of("get", "project", "select", "join")
-    )
-    mediator = Mediator(name="pushdiff")
-    mediator.register_wrapper(
-        "w0", RelationalWrapper("w0", server, capabilities=capabilities)
-    )
-    mediator.create_repository("r0")
-    mediator.define_interface(
-        "Cat", [("id", "Long"), ("cat", "String")], extent_name="cats"
-    )
-    mediator.define_interface(
-        "Flag", [("id", "Long"), ("flag", "String")], extent_name="flags"
-    )
-    mediator.add_extent(
-        "cat0",
-        "Cat",
-        "w0",
-        "r0",
-        map=LocalTransformationMap.from_pairs([("t_cat", "cat0"), ("nm", "cat")]),
-    )
-    mediator.add_extent(
-        "flag0",
-        "Flag",
-        "w0",
-        "r0",
-        map=LocalTransformationMap.from_pairs([("t_flag", "flag0"), ("nm", "flag")]),
-    )
-    return mediator, server
+def colliding_query(rng: random.Random) -> tuple[str, list]:
+    """One query over ``cat0``/``flag0`` and its answer, computed from the
+    source tables rather than by the mediator."""
+    cats = {row["id"]: row["nm"] for row in CAT_ROWS}
+    flags = {row["id"]: row["nm"] for row in FLAG_ROWS}
+    floor = rng.randint(0, 5)
+    shape = rng.choice(["join", "cat", "flag"])
+    if shape == "join":
+        text = (
+            "select struct(c: x.cat, f: y.flag) from x in cat0 and y in flag0 "
+            f"where x.id = y.id and x.id > {floor}"
+        )
+        expected = [Struct({"c": cats[i], "f": flags[i]}) for i in cats if i in flags and i > floor]
+    elif shape == "cat":
+        wanted = f"cat{floor % 4}"
+        text = f'select x.id from x in cat0 where x.cat = "{wanted}"'
+        expected = [i for i, name in cats.items() if name == wanted]
+    else:
+        text = f"select struct(i: y.id, f: y.flag) from y in flag0 where y.id < {floor}"
+        expected = [Struct({"i": i, "f": name}) for i, name in flags.items() if i < floor]
+    return text, expected
 
 
-@pytest.mark.parametrize("seed", PUSHDOWN_SEEDS)
-def test_engines_agree_on_pushed_colliding_joins(seed):
-    from repro.algebra.expressions import Comparison, Const, Path, Var
-
-    rng = random.Random(77_000 + seed)
-    with_rename = rng.random() < 0.5
-    mediator, server = build_pushdown_mediator(with_rename)
+@pytest.mark.parametrize("sql", [False, True], ids=["relational", "sql"])
+@pytest.mark.parametrize("seed", COLLIDING_SEEDS)
+def test_colliding_source_attributes_keep_each_extents_vocabulary(seed, sql):
+    """``cat0`` and ``flag0`` share a host and both call a source column
+    ``nm``.  Each submit is written with its own extent's map, so both engines
+    answer in mediator names with exactly the rows the tables hold; an outage
+    of the shared host is reported alike, and resubmitting the partial answer
+    once the host is back gives the full answer."""
+    rng = random.Random(91_000 + seed)
+    mediator, servers = build_mediator(bind_batch_size=rng.choice([1, 2, 3, 256]), sql=sql)
     try:
-        expression = Join(Get("cat0"), Get("flag0"), "id")
-        if rng.random() < 0.5:
-            predicate = Comparison(">", Path(Var("x"), "id"), Const(rng.randint(0, 6)))
-            expression = Select("x", predicate, expression)
-        plan = implement(Submit("r0", expression, extent_name="cat0"))
-
-        healthy = mediator.executor.execute(plan)
-        assert not healthy.is_partial
-        reference = multiset(healthy.data.to_list())
-        # The mediator vocabulary survives the collision in every row.
-        for row in healthy.data.to_list():
-            fields = dict(row)
-            assert "cat" in fields and "flag" in fields and "nm" not in fields
-
-        fault = rng.random() < 0.25
-        if fault:
-            server.take_down()
-        barrier = mediator.executor.execute(plan)
-        stream = mediator.executor.execute_stream(plan)
-        streamed_rows = stream.to_list()
-        if fault:
-            assert barrier.is_partial and stream.is_partial
-            assert set(barrier.unavailable_sources) == {"cat0"}
-            assert set(stream.unavailable_sources) == {"cat0"}
-            assert report_shape(stream.reports) == report_shape(barrier.reports)
+        text, expected = colliding_query(rng)
+        reference = multiset(expected)
+        # The first run teaches the planner the cardinalities that both
+        # engines then plan with, as ``test_engines_agree``'s reference does.
+        assert multiset(mediator.query(text).rows()) == reference
+        if rng.random() < 0.25:
+            servers[0].take_down()
+            barrier = mediator.query(text)
+            streamed = mediator.query_stream(text)
+            assert list(streamed.iter_rows()) == []
+            assert barrier.is_partial and streamed.is_partial
+            assert set(barrier.unavailable_sources) <= {"cat0", "flag0"}
+            assert set(streamed.unavailable_sources) == set(barrier.unavailable_sources) != set()
+            assert report_shape(streamed.reports) == report_shape(barrier.reports)
+            servers[0].bring_up()
+            assert multiset(mediator.resubmit(barrier).rows()) == reference
         else:
-            assert multiset(barrier.data.to_list()) == reference
-            assert multiset(streamed_rows) == reference
-            assert report_shape(stream.reports) == report_shape(barrier.reports)
-            expected_split = 0 if with_rename else 2
-            for report in (*barrier.reports, *stream.reports):
-                assert report.split_calls == expected_split
+            barrier = mediator.query(text)
+            streamed = mediator.query_stream(text)
+            assert multiset(barrier.rows()) == reference
+            assert multiset(streamed.iter_rows()) == reference
+            assert not barrier.is_partial and not streamed.is_partial
+            assert report_shape(streamed.reports) == report_shape(barrier.reports)
     finally:
         mediator.close()

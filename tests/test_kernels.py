@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.expressions import BooleanExpr, Comparison, Const, Path, StructExpr, Var
 from repro.algebra.logical import Get
-from repro.algebra.physical import Exec, Field, Filter, MkApply, MkGroupBy, MkLimit, MkProj, MkRename
+from repro.algebra.physical import Exec, Field, Filter, MkApply, MkGroupBy, MkLimit, MkProj
 from repro.datamodel.values import Struct
 from repro.errors import QueryExecutionError
 from repro.runtime import kernels
@@ -50,17 +50,6 @@ def project_rows(elements, attributes):
             yield Struct({attr: getattr(row, attr, None) for attr in attributes})
 
 
-def rename_rows(elements, pairs):
-    for element in elements:
-        row = element
-        if isinstance(row, Env):
-            row = next(iter(row.values())) if row else row
-        if isinstance(row, Mapping):
-            yield Struct({new: row.get(old) for old, new in pairs})
-        else:
-            yield Struct({new: getattr(row, old, None) for old, new in pairs})
-
-
 def filter_rows(elements, variable, predicate, base_env=None, subquery_evaluator=None):
     environment = environment_builder(variable, base_env)
     holds = predicate.compile(subquery_evaluator)
@@ -83,8 +72,6 @@ def reference_chain(top, rows, base_env=None, subquery=None):
     rows = reference_chain(top.child, rows, base_env, subquery)
     if isinstance(top, MkProj):
         return project_rows(rows, top.attributes)
-    if isinstance(top, MkRename):
-        return rename_rows(rows, top.pairs)
     if isinstance(top, Filter):
         return filter_rows(rows, top.variable, top.predicate, base_env, subquery)
     return apply_rows(rows, top.variable, top.expression, base_env, subquery)
@@ -148,10 +135,6 @@ OPERATORS = st.one_of(
     st.builds(lambda v, e: lambda child: Filter(v, e, child), OPERATOR_VARIABLES, EXPRESSIONS),
     st.builds(lambda v, e: lambda child: MkApply(v, e, child), OPERATOR_VARIABLES, EXPRESSIONS),
     st.builds(lambda a: lambda child: MkProj(a, child), st.lists(NAMES, max_size=3).map(tuple)),
-    st.builds(
-        lambda p: lambda child: MkRename(p, child),
-        st.lists(st.tuples(NAMES, st.sampled_from(["n", "m", "v"])), max_size=3).map(tuple),
-    ),
 )
 BASE_ENVS = st.one_of(st.none(), st.just({}), st.fixed_dictionaries({"y": VALUES}), st.fixed_dictionaries({"z": VALUES}))
 
@@ -248,11 +231,11 @@ HOSTILE = "a'\"\n__import__('os').system('exit 1')#"
 
 
 def named_chain(attribute, field, variable="x"):
-    """filter, apply, project and rename, every name of them ``attribute``/``field``."""
+    """filter, apply and project, every name of them ``attribute``/``field``."""
     test = Comparison("=", Path(Var(variable), attribute), Const(attribute))
     item = StructExpr(((field, Path(Var(variable), attribute)),))
     chain = MkApply(variable, item, Filter(variable, test, ROWS_IN))
-    return MkRename(((field, attribute),), MkProj((field,), chain))
+    return MkProj((field,), chain)
 
 
 def test_names_reach_the_loop_as_values_never_as_source():
@@ -262,7 +245,7 @@ def test_names_reach_the_loop_as_values_never_as_source():
     assert kernels.emit(hostile) == kernels.emit(plain)
     assert "__import__" not in kernels.emit(hostile)
     rows = [Struct({HOSTILE: HOSTILE}), Struct({HOSTILE: "other"}), {HOSTILE: HOSTILE}]
-    expected = ("rows", [canon(Struct({HOSTILE: HOSTILE}))] * 2)
+    expected = ("rows", [canon(Struct({HOSTILE + "!": HOSTILE}))] * 2)
     assert agree(named_chain(HOSTILE, HOSTILE + "!", HOSTILE + "?"), rows) == expected
 
 

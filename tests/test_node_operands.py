@@ -54,15 +54,13 @@ def reference_children(node):
     if isinstance(
         node,
         (
-            log.Project, log.Select, log.Apply, log.Rename, log.Flatten, log.Distinct,
-            log.Limit, log.GroupBy, phys.MkProj, phys.MkRename, phys.Filter, phys.MkApply,
+            log.Project, log.Select, log.Apply, log.Flatten, log.Distinct,
+            log.Limit, log.GroupBy, phys.MkProj, phys.Filter, phys.MkApply,
             phys.MkFlatten, phys.MkDistinct, phys.MkGroupBy, phys.MkLimit,
         ),
     ):
         return (node.child,)
-    if isinstance(
-        node, (log.Join, log.BindJoin, phys.HashJoin, phys.NestedLoopJoin, phys.MkBindJoin)
-    ):
+    if isinstance(node, (log.BindJoin, phys.MkBindJoin)):
         return (node.left, node.right)
     if isinstance(node, phys.ProbeJoin):
         return (node.left,)
@@ -85,18 +83,6 @@ def reference_with_children(node, children):
     if isinstance(node, log.Apply):
         (child,) = children
         return log.Apply(node.variable, node.expression, child)
-    if isinstance(node, log.Rename):
-        (child,) = children
-        return log.Rename(node.pairs, child)
-    if isinstance(node, log.Join):
-        left, right = children
-        return log.Join(
-            left,
-            right,
-            node.on,
-            left_variable=node.left_variable,
-            right_variable=node.right_variable,
-        )
     if isinstance(node, log.BindJoin):
         left, right = children
         return log.BindJoin(
@@ -123,21 +109,12 @@ def reference_with_children(node, children):
     if isinstance(node, phys.MkProj):
         (child,) = children
         return phys.MkProj(node.attributes, child)
-    if isinstance(node, phys.MkRename):
-        (child,) = children
-        return phys.MkRename(node.pairs, child)
     if isinstance(node, phys.Filter):
         (child,) = children
         return phys.Filter(node.variable, node.predicate, child)
     if isinstance(node, phys.MkApply):
         (child,) = children
         return phys.MkApply(node.variable, node.expression, child)
-    if isinstance(node, phys.HashJoin):
-        left, right = children
-        return phys.HashJoin(left, right, node.on)
-    if isinstance(node, phys.NestedLoopJoin):
-        left, right = children
-        return phys.NestedLoopJoin(left, right, node.on)
     if isinstance(node, phys.MkBindJoin):
         left, right = children
         return phys.MkBindJoin(
@@ -408,8 +385,6 @@ LOGICAL = [
     log.Project(("n",), A),
     log.Select("x", PREDICATE, A),
     log.Apply("x", X_ID, A),
-    log.Rename((("n", "m"),), A),
-    log.Join(A, B, ("id", "pid"), left_variable="p", right_variable="q"),
     log.BindJoin(A, B, "x", "y", condition=PREDICATE),
     log.Union((A, B, C)),
     log.Flatten(A),
@@ -422,11 +397,8 @@ PHYSICAL = [
     phys.Field("r0"),
     EXEC,
     phys.MkProj(("n",), LEFT),
-    phys.MkRename((("n", "m"),), LEFT),
     phys.Filter("x", PREDICATE, LEFT),
     phys.MkApply("x", X_ID, LEFT),
-    phys.HashJoin(LEFT, RIGHT, "id"),
-    phys.NestedLoopJoin(LEFT, RIGHT, ("a", "b")),
     phys.MkBindJoin(LEFT, RIGHT, "x", "y", condition=PREDICATE),
     phys.ProbeJoin(LEFT, EXEC, "x", "y", PREDICATE),
     phys.MkUnion((LEFT, RIGHT, LEFT)),
@@ -515,11 +487,13 @@ class TestEveryClass:
         assert log.BindJoin(A, B, "x", "y", condition=PREDICATE).children() == (A, B)
 
     def test_counterpart_builds_either_side(self):
-        join = log.Join(A, B, ("id", "pid"), left_variable="p", right_variable="q")
-        built = phys.counterpart(phys.HashJoin, join, [LEFT, RIGHT])
-        assert field_values(built) == field_values(phys.HashJoin(LEFT, RIGHT, ("id", "pid")))
-        back = phys.counterpart(log.Join, built, [A, B])
-        assert field_values(back) == field_values(log.Join(A, B, ("id", "pid")))
+        join = log.BindJoin(A, B, "p", "q", condition=PREDICATE)
+        built = phys.counterpart(phys.MkBindJoin, join, [LEFT, RIGHT])
+        assert field_values(built) == field_values(phys.MkBindJoin(LEFT, RIGHT, "p", "q", PREDICATE))
+        back = phys.counterpart(log.BindJoin, built, [A, B])
+        assert field_values(back) == field_values(join)
+        project = phys.counterpart(phys.MkProj, log.Project(("n", "m"), A), [LEFT])
+        assert field_values(project) == field_values(phys.MkProj(("n", "m"), LEFT))
         probe = phys.ProbeJoin(LEFT, EXEC, "x", "y", PREDICATE)
         bind = phys.counterpart(log.BindJoin, probe, [A, B])
         assert field_values(bind) == field_values(log.BindJoin(A, B, "x", "y", PREDICATE))

@@ -20,7 +20,6 @@ from repro.algebra.logical import (
     Distinct,
     Flatten,
     Get,
-    Join,
     LogicalOp,
     Project,
     Select,
@@ -213,10 +212,11 @@ class TestImplementationRules:
         assert physical.extent_name == "person0"
 
     def test_join_has_two_physical_alternatives(self):
-        join = Join(submit("a", "r0"), submit("b", "r1"), "id")
+        on = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
+        join = BindJoin(submit("a", "r0"), submit("b", "r1"), "x", "y", on)
         alternatives = implementation_alternatives(join)
         names = {type(plan).__name__ for plan in alternatives}
-        assert names == {"HashJoin", "NestedLoopJoin"}
+        assert names == {"MkBindJoin", "ProbeJoin"}
 
     def test_bindjoin_is_implemented(self):
         bind = BindJoin(submit("a", "r0"), submit("b", "r1"), "x", "y")
@@ -278,8 +278,9 @@ class TestCostModel:
         model = self.model(history)
         left = implement(submit("a", "r0"))
         right = implement(submit("b", "r1"))
-        hash_cost = model.estimate(phys.HashJoin(left, right, "id")).total()
-        loop_cost = model.estimate(phys.NestedLoopJoin(left, right, "id")).total()
+        on = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
+        hash_cost = model.estimate(phys.MkBindJoin(left, right, "x", "y", on)).total()
+        loop_cost = model.estimate(phys.MkBindJoin(left, right, "x", "y")).total()
         assert hash_cost < loop_cost
 
     def test_a_bind_join_without_an_equi_conjunct_is_priced_as_a_nested_loop(self):
@@ -382,11 +383,8 @@ def _cost_samples():
     return [
         phys.MkBag((1, 2, 3)),
         phys.MkProj(("name",), leaf),
-        phys.MkRename((("name", "who"),), leaf),
         phys.Filter("x", salary_filter(), leaf),
         phys.MkApply("x", Path(Var("x"), "name"), leaf),
-        phys.HashJoin(leaf, leaf, "id"),
-        phys.NestedLoopJoin(leaf, leaf, "id"),
         phys.MkBindJoin(leaf, leaf, "x", "y", on),
         phys.MkBindJoin(leaf, leaf, "x", "y"),
         phys.MkBindJoin(leaf, leaf, "x", "y", Comparison("<", Path(Var("x"), "id"), Path(Var("y"), "id"))),
@@ -445,9 +443,7 @@ class TestCostFunctionsAreMonotone:
 
 class TestOptimizerSearch:
     def optimizer(self, history=None):
-        capabilities = lambda submit_node: grammar_for(
-            {"get", "project", "select", "join", "union", "flatten"}
-        )
+        capabilities = lambda submit_node: grammar_for({"get", "project", "select"})
         history = history or ExecCallHistory()
         return Optimizer(Rewriter(capabilities), CostModel(history=history))
 
@@ -472,15 +468,6 @@ class TestOptimizerSearch:
         plan = self.optimizer().optimize(logical)
         assert plan.logical_alternatives > len({node.to_text() for node in walk(logical)})
         assert plan.physical_alternatives > 1
-
-    def test_join_algorithm_choice_uses_history(self):
-        history = ExecCallHistory()
-        history.record("a", Get("a"), elapsed=0.0, rows=2000)
-        history.record("b", Get("b"), elapsed=0.0, rows=2000)
-        optimizer = self.optimizer(history)
-        join = Join(submit("a", "r0"), submit("b", "r1"), "id")
-        plan = optimizer.optimize(join)
-        assert isinstance(plan.physical, phys.HashJoin)
 
 
 @pytest.fixture

@@ -170,12 +170,8 @@ def reference_implement(node):
         return phys.MkProj(node.attributes, implement(node.child))
     if isinstance(node, log.Select):
         return phys.Filter(node.variable, node.predicate, implement(node.child))
-    if isinstance(node, log.Rename):
-        return phys.MkRename(node.pairs, implement(node.child))
     if isinstance(node, log.Apply):
         return phys.MkApply(node.variable, node.expression, implement(node.child))
-    if isinstance(node, log.Join):
-        return phys.HashJoin(implement(node.left), implement(node.right), node.on)
     if isinstance(node, log.BindJoin):
         return phys.MkBindJoin(
             implement(node.left),
@@ -210,8 +206,6 @@ def reference_rebuild(node, children):
         return phys.MkProj(node.attributes, children[0])
     if isinstance(node, log.Select):
         return phys.Filter(node.variable, node.predicate, children[0])
-    if isinstance(node, log.Rename):
-        return phys.MkRename(node.pairs, children[0])
     if isinstance(node, log.Apply):
         return phys.MkApply(node.variable, node.expression, children[0])
     if isinstance(node, log.BindJoin):
@@ -242,14 +236,6 @@ def reference_implementation_alternatives(node):
     alternatives = reference_implementation_alternatives
     if isinstance(node, (log.Submit, log.BagLiteral)):
         return [reference_implement(node)]
-    if isinstance(node, log.Join):
-        lefts = alternatives(node.left)
-        rights = alternatives(node.right)
-        plans = []
-        for left, right in product(lefts, rights):
-            plans.append(phys.HashJoin(left, right, node.on))
-            plans.append(phys.NestedLoopJoin(left, right, node.on))
-        return plans
     if isinstance(node, log.BindJoin):
         lefts = alternatives(node.left)
         rights = alternatives(node.right)
@@ -512,13 +498,12 @@ def test_never_costlier_than_the_bounded_enumeration_on_fed8(adhoc_plans):
 def test_the_table_gives_the_physical_plans_the_ladders_gave(source, request):
     mediator, plans = request.getfixturevalue(source)
     rewriter = mediator.planner.rewriter
-    # OQL never translates to ``join``, ``rename`` or ``flatten``: one plan by
-    # hand, a generated plan among the join's operands so the choices multiply.
+    # No generated plan holds a ``flatten``: one plan by hand, a generated
+    # plan among the join's operands so the choices multiply.
     people = log.Union((log.Submit("r0", log.Get("person0")), log.Submit("r1", log.Get("person1"))))
     others = log.Union((plans[-1], log.BagLiteral((7,))))
-    candidates = [
-        log.Flatten(log.Rename((("name", "n"),), log.Join(people, others, ("id", "boss"))))
-    ]
+    boss = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "boss"))
+    candidates = [log.Flatten(log.Project(("name",), log.BindJoin(people, others, "x", "y", boss)))]
     for plan in plans:
         candidates.extend(bounded_alternatives(rewriter, plan))
     seen = Counter()

@@ -16,11 +16,9 @@ from repro.algebra.logical import (
     Flatten,
     Get,
     GroupBy,
-    Join,
     Limit,
     LogicalOp,
     Project,
-    Rename,
     Select,
     Submit,
     Union,
@@ -36,7 +34,6 @@ from repro.algebra.physical import (
     MkGroupBy,
     MkProj,
     MkUnion,
-    NestedLoopJoin,
     PhysicalOp,
     ProbeJoin,
     walk,
@@ -44,7 +41,8 @@ from repro.algebra.physical import (
 from repro.errors import DiscoError, QueryExecutionError
 from repro.optimizer.implementation import implement
 from repro.runtime import kernels
-from repro.runtime.namespace import row_normaliser, to_source_namespace
+from repro.runtime.backpressure import StreamClosed
+from repro.runtime.namespace import _meta_for_collection, namespace_plan, row_normaliser, to_source_namespace
 from repro.runtime.operators import (
     Env,
     bind_join_rows,
@@ -53,9 +51,7 @@ from repro.runtime.operators import (
     environment_builder,
     flatten_rows,
     group_rows,
-    hash_join_rows,
     limit_rows,
-    nested_loop_join_rows,
     probe_join_rows,
 )
 from repro.runtime.partial_eval import UNAVAILABLE, PartialAnswerBuilder
@@ -123,13 +119,6 @@ class TestRowOperators:
         assert first == Struct({"name": "Mary"})
         assert len(consumed) == 1  # only one row pulled so far
 
-    def test_hash_and_nested_loop_joins_agree(self):
-        left = [{"id": 1, "a": "x"}, {"id": 2, "a": "y"}]
-        right = [{"id": 1, "b": "z"}]
-        assert list(hash_join_rows(left, right, "id")) == list(
-            nested_loop_join_rows(left, right, "id")
-        )
-
     def test_a_nil_join_key_matches_nothing_under_every_join_operator(self):
         """``=`` is nil-rejecting, so which join the optimizer picked must not
         decide whether two nil-keyed rows pair up."""
@@ -141,9 +130,6 @@ class TestRowOperators:
             assert None not in keys
             return {key: [row for row in right if row["id"] == key] for key in keys}
 
-        merged = [Struct({"id": 2, "a": 2, "b": 2})]
-        assert list(hash_join_rows(left, right, "id")) == merged
-        assert list(nested_loop_join_rows(left, right, "id")) == merged
         pair = [Env({"x": left[1], "y": right[1]})]
         assert list(bind_join_rows(left, right, "x", "y", condition)) == pair
         assert list(probe_join_rows(left, "x", "y", condition, prober, 10)) == pair
@@ -179,7 +165,7 @@ class TestRowOperators:
         for node in (double, condition):
             assert set(vars(node)) == set(node.__dataclass_fields__)
 
-    def test_hash_join_streams_the_probe_side(self):
+    def test_bind_join_streams_its_left_side(self):
         """Only the build (right) side is materialized."""
         probed = []
 
@@ -188,7 +174,8 @@ class TestRowOperators:
                 probed.append(row)
                 yield row
 
-        joined = hash_join_rows(probe(), [{"id": 1, "b": "z"}], "id")
+        condition = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
+        joined = bind_join_rows(probe(), [{"id": 1, "b": "z"}], "x", "y", condition)
         assert probed == []
         next(joined)
         assert len(probed) == 1
@@ -291,27 +278,27 @@ class TestExecutor:
         )
         return mediator
 
-    def test_pushed_down_join_renames_each_side_with_its_own_map(self):
-        """Regression: a join's sides must use their own extents' rename maps."""
+    def test_a_pushdown_is_translated_with_the_map_of_the_extent_it_names(self):
         mediator = self.build_hr_mediator()
         meta = mediator.registry.extent("emp0")
-        expression = Join(Get("emp0"), Get("dept0"), ("dept", "dept"))
-        translated = to_source_namespace(mediator.registry, expression, meta)
-        assert translated.to_text() == (
-            "join(get(employees), get(departments), edept=ddept)"
-        )
+        expression = Project(("budget",), Get("dept0"))
+        plan = namespace_plan(mediator.registry, expression, meta)
+        assert plan.expression.to_text() == "project(dbudget, get(departments))"
+        assert plan.reverse == {"ddept": "dept", "dbudget": "budget"}
+        assert _meta_for_collection(mediator.registry, "no_such_extent", meta) is None
 
-    def test_pushed_down_join_rows_come_back_in_mediator_vocabulary(self):
+    def test_stream_closed_inside_a_registry_probe_propagates(self, monkeypatch):
+        """Only an unknown name (``SchemaError``) means "no extent"; the
+        consumer hanging up mid-probe is not that."""
         mediator = self.build_hr_mediator()
-        exec_node = Exec(
-            Field("r0"), Join(Get("emp0"), Get("dept0"), ("dept", "dept")), extent_name="emp0"
-        )
-        result = mediator.executor.execute(exec_node)
-        assert not result.is_partial
-        (row,) = result.data.to_list()
-        assert row["name"] == "Mary"
-        assert row["dept"] == "cs"
-        assert row["budget"] == 100
+        meta = mediator.registry.extent("emp0")
+
+        def hang_up(name):
+            raise StreamClosed("consumer closed the stream")
+
+        monkeypatch.setattr(mediator.registry, "extent", hang_up)
+        with pytest.raises(StreamClosed):
+            namespace_plan(mediator.registry, Get("dept0"), meta)
 
     @pytest.mark.parametrize("engine", ["query", "query_stream"])
     def test_delivered_rows_do_not_alias_the_dicts_a_wrapper_keeps(self, engine):
@@ -452,14 +439,6 @@ ROUND_TRIPS = {
         Apply("x", Arithmetic("+", Path(Var("x"), "salary"), Const(1)), LEAF0),
         "mkapply(x: x.salary + 1, exec(field(r0), get(person0)))",
     ),
-    Rename: (
-        Rename((("name", "n"), ("id", "id")), LEAF0),
-        "mkrename(name as n,id, exec(field(r0), get(person0)))",
-    ),
-    Join: (
-        Join(LEAF0, LEAF1, ("id", "boss")),
-        "hashjoin(exec(field(r0), get(person0)), exec(field(r1), get(person1)), id=boss)",
-    ),
     BindJoin: (
         BindJoin(LEAF0, LEAF1, "x", "y", SAME_ID),
         "mkbindjoin(x: exec(field(r0), get(person0)), y: exec(field(r1), get(person1)), x.id = y.id)",
@@ -509,10 +488,12 @@ RESUBMITTED = {
     "select": Select("x", salary_filter(threshold=60), PEOPLE),
     "select-outer-variable": Select("x", ABOVE_FLOOR, PEOPLE),
     "apply": Apply("x", StructExpr((("n", Path(Var("x"), "name")), ("f", Var("floor")))), PEOPLE),
-    "rename": Rename((("name", "n"), ("id", "id")), PEOPLE),
-    "join-nil-keys": Join(PEOPLE, PEOPLE, ("boss", "id")),
     "bindjoin-equi": PAIRS,
     "bindjoin-cross": BindJoin(PEOPLE, Limit(2, PEOPLE), "x", "y", None),
+    # a nil ``boss`` on the left and a nil ``id`` on the right: ``=`` pairs neither
+    "bindjoin-nil-keys": BindJoin(
+        PEOPLE, PEOPLE, "x", "y", Comparison("=", Path(Var("x"), "boss"), Path(Var("y"), "id"))
+    ),
     "bindjoin-env-elements": Select(
         "_env",
         Comparison("<", Path(Var("z"), "salary"), Path(Var("y"), "salary")),
@@ -765,9 +746,6 @@ class TestPartialAnswerBuilder:
     def test_algorithms_that_are_not_the_default_convert_back_too(self):
         builder = PartialAnswerBuilder()
         left, right = implement(LEAF0), implement(LEAF1)
-        assert builder.build(NestedLoopJoin(left, right, "id"), {}).to_text() == (
-            "join(submit(r0, get(person0)), submit(r1, get(person1)), id)"
-        )
         probe_join = ProbeJoin(left, right, "x", "y", SAME_ID)
         assert builder.build(probe_join, {}).to_text() == (
             "bindjoin(x: submit(r0, get(person0)), y: submit(r1, get(person1)), x.id = y.id)"

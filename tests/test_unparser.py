@@ -26,10 +26,8 @@ from repro.algebra.logical import (
     BagLiteral,
     Flatten,
     Get,
-    Join,
     LogicalOp,
     Project,
-    Rename,
     Select,
     Submit,
     Union,
@@ -40,7 +38,6 @@ from repro.datamodel.values import Bag, Struct
 from repro.errors import QueryExecutionError
 from repro.lexing import OQL
 from repro.oql.parser import parse_query
-from repro.optimizer.implementation import implement
 from tests.conftest import build_paper_mediator
 
 
@@ -102,12 +99,6 @@ class TestUnparser:
     def test_apply_renders_expression(self):
         plan = Apply("x", Path(Var("x"), "name"), Get("person0"))
         assert logical_to_oql(plan) == "select x0.name from x0 in person0"
-
-    def test_join_renders_two_sources_and_condition(self):
-        plan = Join(Get("employee0"), Get("manager0"), "dept")
-        text = logical_to_oql(plan)
-        assert "from x0 in employee0, x1 in manager0" in text
-        assert "x0.dept = x1.dept" in text
 
     def test_flatten_and_nested_union(self):
         plan = Flatten(Union((Get("a"), Get("b"))))
@@ -432,26 +423,6 @@ class TestPartialTextOnRead:
             assert partial.partial_query is first
             assert len(row_writes) == 1
             assert first == logical_to_oql(partial.partial_plan)
-
-    def test_a_plan_with_no_rendering_fails_the_run_that_built_it(self):
-        """Only the rows wait for a reader: the shape is written with the
-        answer, so a rename over a two-source join fails the query itself."""
-        mediator, servers = build_paper_mediator()
-        with mediator:
-            plan = implement(
-                Rename(
-                    (("name", "n"), ("id", "id")),
-                    Join(
-                        Submit("r0", Get("person0"), extent_name="person0"),
-                        Submit("r1", Get("person1"), extent_name="person1"),
-                        "id",
-                    ),
-                )
-            )
-            assert mediator.executor.execute(plan).data == Bag([Struct({"n": "Mary", "id": 1})])
-            servers[0].take_down()
-            with pytest.raises(QueryExecutionError, match="multi-source"):
-                mediator.executor.execute(plan)
 
     def test_a_plan_holding_the_hole_character_is_written_at_once(self):
         plan = Union(

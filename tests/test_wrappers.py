@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro import Mediator
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.expressions import Arithmetic, BooleanExpr, Comparison, Const, InList, Path, Var
-from repro.algebra.logical import Get, GroupBy, Join, Limit, Project, Select, Union
+from repro.algebra.logical import BindJoin, Flatten, Get, GroupBy, Limit, Project, Select, Union
 from repro.baselines.no_pushdown import GetOnlyWrapper
 from repro.errors import CapabilityError, UnavailableSourceError, WrapperError
+from repro.lexing import SQL
 from repro.sources.csv_store import CsvStore
 from repro.sources.keyvalue_store import KeyValueStore
 from repro.sources.relational_engine import RelationalEngine
@@ -40,6 +42,36 @@ def relational_server() -> SimulatedServer:
     return SimulatedServer("host", engine)
 
 
+#: every SQL keyword spelled as OQL would write an attribute, plus two other
+#: spellings: the refusal folds case as the dialect's lexer does
+KEYWORD_NAMES = sorted({keyword.lower() for keyword in SQL.keywords} | {"In", "SELECT"})
+
+#: one tree per way of combining extents; no wrapper accepts any of them
+MULTI_EXTENT_TREES = {
+    "union": Union((Get("person0"), Get("person0"))),
+    "flatten": Flatten(Get("person0")),
+    "bind-join": BindJoin(Get("person0"), Get("manager0"), "x", "y"),
+}
+
+
+@pytest.mark.parametrize("tree", sorted(MULTI_EXTENT_TREES))
+@pytest.mark.parametrize("kind", ["relational", "sql"])
+def test_a_tree_over_more_than_one_extent_is_refused_at_submit(kind, tree):
+    """A submit ranges over one extent, so even a wrapper declaring every
+    terminal refuses a tree that combines extents, before the source is called."""
+    server = relational_server()
+    if kind == "sql":
+        engine = SqlEngine(name="pg")
+        engine.create_table("person0", rows=PERSON_ROWS)
+        server = SimulatedServer("pg-host", engine)
+    wrapper = (RelationalWrapper if kind == "relational" else SqlWrapper)("w0", server)
+    expression = MULTI_EXTENT_TREES[tree]
+    assert not wrapper.submit_functionality().accepts(expression)
+    with pytest.raises(CapabilityError):
+        wrapper.submit(expression)
+    assert server.statistics.requests == 0
+
+
 class TestRelationalWrapper:
     def test_get_returns_all_rows(self):
         wrapper = RelationalWrapper("w0", relational_server())
@@ -50,20 +82,6 @@ class TestRelationalWrapper:
         rows = wrapper.submit(Project(("name",), Select("x", salary_filter(), Get("person0"))))
         assert sorted(row["name"] for row in rows) == ["Mary", "Sam"]
         assert all(set(row) == {"name"} for row in rows)
-
-    def test_pushed_join(self):
-        wrapper = RelationalWrapper("w0", relational_server())
-        rows = wrapper.submit(Join(Get("person0"), Get("manager0"), "id"))
-        assert {row["dept"] for row in rows} == {"db", "os"}
-
-    def test_pushed_join_never_matches_a_nil_key(self):
-        """The source joins as the mediator does: a pushed join and a
-        mediator-side one must not disagree on nil-keyed rows."""
-        server = relational_server()
-        server.store.table("person0").insert({"id": None, "name": "Nil", "salary": 1})
-        server.store.table("manager0").insert({"id": None, "dept": "none"})
-        rows = RelationalWrapper("w0", server).submit(Join(Get("person0"), Get("manager0"), "id"))
-        assert {(row["name"], row["dept"]) for row in rows} == {("Mary", "db"), ("Sam", "os")}
 
     def test_pushed_in_list_is_probed_by_hash_not_compared_item_by_item(self):
         """A 256-key probe batch over 500 rows: about one ``==`` per row, not a hundred."""
@@ -77,10 +95,11 @@ class TestRelationalWrapper:
         # one self-comparison per item while the set is built, then one per matching row
         assert CountedKey.comparisons <= len(items) + 500
 
-    def test_pushed_union(self):
+    def test_a_pushed_union_is_refused(self):
+        """A submit ranges over one extent: no wrapper accepts a union."""
         wrapper = RelationalWrapper("w0", relational_server())
-        rows = wrapper.submit(Union((Get("person0"), Get("person0"))))
-        assert len(rows) == 6
+        with pytest.raises(CapabilityError):
+            wrapper.submit(Union((Get("person0"), Get("person0"))))
 
     def test_capability_restriction_is_enforced(self):
         wrapper = RelationalWrapper(
@@ -136,10 +155,43 @@ class TestSqlWrapper:
         sql = wrapper.to_sql(Select("x", predicate, Get("person0")))
         assert "WHERE (salary > 10 AND name <> 'Sam')" in sql
 
-    def test_translates_join(self):
+    @pytest.mark.parametrize("name", KEYWORD_NAMES)
+    def test_a_keyword_as_a_name_has_no_rendering(self, name):
+        """The dialect quotes no identifiers: a table or column named like a
+        keyword is refused, so the planner keeps that work at the mediator."""
         wrapper = SqlWrapper("pg", self.sql_server())
-        sql = wrapper.to_sql(Join(Get("person0"), Get("dept0"), "id"))
-        assert sql == "SELECT * FROM person0 JOIN dept0 ON id = id"
+        column = Path(Var("x"), name)
+        trees = [
+            Get(name),
+            Project((name,), Get("person0")),
+            Select("x", Comparison(">", column, Const(1)), Get("person0")),
+            GroupBy("x", (("k", column),), (("n", "count", Var("x")),), Get("person0")),
+            GroupBy("x", (), ((name, "count", Var("x")),), Get("person0")),
+            GroupBy("x", (), (("m", "max", column),), Get("person0")),
+        ]
+        for tree in trees:
+            with pytest.raises(WrapperError, match="keyword"):
+                wrapper.to_sql(tree)
+            assert not wrapper.submit_functionality().accepts(tree)
+
+    def test_an_oql_query_over_a_keyword_column_is_answered_in_full(self):
+        """``limit`` is a legal OQL attribute name: the filter on it runs at
+        the mediator, and the answer is the whole answer, not a partial one."""
+        engine = SqlEngine(name="pg")
+        engine.create_table("t0", rows=[{"id": i, "limit": i % 3} for i in range(6)])
+        server = SimulatedServer("pg-host", engine)
+        mediator = Mediator(name="keywords")
+        mediator.register_wrapper("w0", SqlWrapper("w0", server))
+        mediator.create_repository("r0", host=server.name)
+        mediator.define_interface("Quota", [("id", "Long"), ("limit", "Long")], extent_name="quotas")
+        mediator.add_extent("quota0", "Quota", "w0", "r0", source_collection="t0")
+        try:
+            for run in (mediator.query, mediator.query_stream):
+                result = run("select x.id from x in quota0 where x.limit > 0")
+                assert sorted(result.rows()) == [1, 2, 4, 5]
+                assert not result.is_partial and result.errors() == {}
+        finally:
+            mediator.close()
 
     def test_executes_through_sql_engine(self):
         wrapper = SqlWrapper("pg", self.sql_server())
