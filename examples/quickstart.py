@@ -84,12 +84,12 @@ def main() -> None:
     mediator.add_extent("person2", "Person", "w2", "r2")
     print(f"answer:  {mediator.query(query).data}")
 
-    print("\n-- streaming: rodin's connection drops mid-stream; the resume token recovers it --")
+    print("\n-- streaming: rodin's connection drops mid-stream; a replay recovers it --")
     # Grow rodin's extent so there is a mid-stream to die in, then kill the
     # connection after two rows.  One retry of budget is all the recovery
-    # needs; the relational wrapper declares the `token` resume capability,
-    # so the reopened call seeks past the two delivered rows *source-side*
-    # and ships only the remainder -- every row crosses the wire exactly once.
+    # needs; the relational wrapper declares `replay` resume support, so the
+    # mediator reopens the call and skips the two rows it already delivered
+    # -- every row reaches the caller exactly once.
     server0.store.table("person0").insert_many(
         {"id": 10 + i, "name": f"Colleague{i}", "salary": 80 + i} for i in range(5)
     )
@@ -101,8 +101,6 @@ def main() -> None:
     print(f"rows:    {rows}")
     print(f"person0: resumed_calls={report.resumed_calls}, "
           f"replayed_rows={report.replayed_rows}, attempts={report.attempts}")
-    print(f"rodin:   rows skipped source-side on resume = "
-          f"{server0.statistics.rows_skipped}")
 
     mediator.close()
 

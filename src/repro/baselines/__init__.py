@@ -14,12 +14,11 @@
 
 from repro.baselines.blocking import BlockingSemantics, complete_answer_probability
 from repro.baselines.unified_schema import UnifiedSchemaIntegrator
-from repro.baselines.no_pushdown import GetOnlyWrapper, make_get_only
+from repro.baselines.no_pushdown import GetOnlyWrapper
 
 __all__ = [
     "BlockingSemantics",
     "complete_answer_probability",
     "UnifiedSchemaIntegrator",
     "GetOnlyWrapper",
-    "make_get_only",
 ]

@@ -40,13 +40,6 @@ class GetOnlyWrapper(Wrapper):
             )
         return self.inner.submit_stream(expression)
 
-    def _resume_stream(self, expression: LogicalOp, token):
-        if not isinstance(expression, Get):
-            raise WrapperError(
-                f"{self.name!r} only evaluates get(collection); got {expression.to_text()}"
-            )
-        return self.inner.submit_stream(expression, resume_from=token)
-
     def source_collections(self) -> list[str]:
         return self.inner.source_collections()
 
@@ -56,7 +49,3 @@ class GetOnlyWrapper(Wrapper):
     def cardinality(self, collection: str) -> int | None:
         return self.inner.cardinality(collection)
 
-
-def make_get_only(wrapper: Wrapper) -> GetOnlyWrapper:
-    """Convenience constructor matching the wrappers' factory style."""
-    return GetOnlyWrapper(wrapper)

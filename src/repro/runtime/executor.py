@@ -81,8 +81,8 @@ class CompiledCall:
     """What one ``exec`` node's calls share, derived once (module docstring).
 
     Every field is a function of the node and of the schema as it stood at
-    ``schema_version``; a run that finds the registry at another version --
-    or the type check switched on since -- compiles the node again.  The
+    ``schema_version``; a run that finds the registry at another version
+    compiles the node again.  The
     wrapper's ``submit`` is *not* here: it is looked up on the wrapper at
     call time, so an instance attribute shadowing it (a tracer's shim, a
     test's stub) is the one called.
@@ -91,8 +91,6 @@ class CompiledCall:
     schema_version: int
     meta: MetaExtent
     wrapper: Any
-    #: whether the run-time type check was performed (``config.type_check``)
-    type_checked: bool
     #: how the node's own expression crosses the submit boundary
     plan: NamespacePlan
     #: the ``(exact, close)`` history signatures of the node's expression
@@ -147,16 +145,15 @@ class ExecReport:
     #: the original expression was used throughout.
     degraded_to: str | None = None
     #: number of successful mid-stream recoveries: the call died after
-    #: delivering rows and was reopened (source-side resume token, or
-    #: deterministic replay) without duplicating or dropping a row.  Always 0
+    #: delivering rows and was reopened (deterministic replay, skipping the
+    #: delivered rows) without duplicating or dropping a row.  Always 0
     #: under ``query()``, which materializes whole calls on their workers --
     #: a call that dies mid-transfer there is retried from scratch, nothing
     #: having been delivered.
     resumed_calls: int = 0
-    #: rows that were re-shipped by a replay reopen and silently dropped at
-    #: the mediator because they had already been delivered (dedup by
-    #: delivered-row count).  0 for token resumes: the source itself skipped
-    #: them and shipped only the remainder.
+    #: rows that were re-shipped by a mid-stream reopen and silently dropped
+    #: at the mediator because they had already been delivered (dedup by
+    #: delivered-row count).
     replayed_rows: int = 0
     #: True when a probe join was re-planned mid-query: the keys it had sent
     #: plus the rows it had fetched reached the history's estimate of one
@@ -217,16 +214,14 @@ class ExecutorConfig:
         mid-stream-dying sources a budget at least as deep as the recovery
         they need.  A degrading retry skips the backoff sleep (the failure
         was deterministic, not a load problem); a mid-stream reopen is
-        exactly-once when the wrapper declares ``token`` or ``replay``
-        resume support and is written off otherwise.
+        exactly-once when the wrapper declares ``replay`` resume support
+        (the reopen skips the rows already delivered) and is written off
+        otherwise.
     ``retry_backoff``
         Sleep before the first retry, in seconds; doubled for each further
         attempt.  The sleep is cancellation-aware: a written-off call wakes
         immediately instead of serving it out.  Also applied before a
         mid-stream reopen (the death was transient, not deterministic).
-    ``type_check``
-        Whether the mediator checks source attribute names against the
-        mediator interface (the run-time type check of Section 2.1).
     ``bind_batch_size``
         Probe-key batch size for batched bind joins (``probejoin`` plans).
         Up to this many distinct left-side join keys are collected and sent
@@ -240,7 +235,6 @@ class ExecutorConfig:
     max_parallel_calls: int = 16
     max_retries: int = 0
     retry_backoff: float = 0.05
-    type_check: bool = True
     bind_batch_size: int = BIND_BATCH_SIZE
 
 
@@ -423,7 +417,6 @@ class Executor:
             schema_version=version,
             meta=meta,
             wrapper=wrapper,
-            type_checked=self.config.type_check,
             plan=namespace.namespace_plan(registry, node.expression, meta),
             signatures=signature_pair(node.extent_name, node.expression),
         )
@@ -436,8 +429,6 @@ class Executor:
         transformation map) bumps the version and drops the stale verdicts,
         whichever path performed the registration.
         """
-        if not self.config.type_check:
-            return
         version = getattr(self.registry, "schema_version", None)
         with self._types_lock:
             if version != self._type_checked_version:

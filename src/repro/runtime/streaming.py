@@ -46,17 +46,13 @@ three things:
 A streamed call that dies *mid-stream* (after delivering rows) is recovered
 with **exactly-once row delivery** when budget remains: the death is one more
 failure of the call -- observed, charged to ``max_retries``, backed off --
-and the call is reopened at the rung it stood on, as a retry.  Wrappers
-declaring the ``token`` resume capability reopen *source-side*: the
-stream's last :class:`~repro.wrappers.base.ResumableStream` token is handed
-back through ``submit_stream(expr, resume_from=token)`` and the source ships
-only the rows still owed.  Wrappers declaring deterministic ``replay`` (and
-token wrappers whose call was degraded, where token positions no longer
-line up) are reopened from scratch and the mediator skips the rows it
-already delivered -- dedup by delivered-row count, counted as
-``ExecReport.replayed_rows``.  Wrappers declaring neither are written off.
-The rule is "resume only what was delivered", which is why a materialising
-run retries whole calls and never resumes.
+and the call is reopened at the rung it stood on, as a retry.  Only a
+wrapper declaring deterministic ``replay`` is reopened: the rung is
+submitted again from scratch and the mediator skips the rows it already
+delivered -- dedup by delivered-row count, counted as
+``ExecReport.replayed_rows``.  Any other wrapper is written off.  A
+materialising run has delivered nothing before its answer is whole, so it
+retries whole calls and never reopens.
 
 A stream's exec leaf (``_stream_state``) does its bookkeeping once per
 *chunk* of rows, not once per row: one deadline check and two clock reads
@@ -65,8 +61,8 @@ at one row, so the first row is not held back, and doubles up to
 :data:`CHUNK_ROWS` while its pulls stay under :data:`CHUNK_SECONDS`; one slow
 pull drops it back to one row, so a dripping cursor is still cut off at the
 deadline.  Rows are counted as they are delivered (where a reopen resumes),
-and a replay reopen's re-shipped rows are dropped off the front of its
-chunks; a source dying mid-chunk has the rows it shipped delivered first.
+and a reopen's re-shipped rows are dropped off the front of its chunks; a
+source dying mid-chunk has the rows it shipped delivered first.
 
 Stream iteration is replayable: the execution buffers what it has yielded,
 so a second ``iter()`` (or :meth:`to_list` after a partial read) replays the
@@ -101,7 +97,7 @@ from repro.runtime.executor import (
 )
 from repro.runtime.partial_eval import PartialAnswerBuilder, Unavailable
 from repro.runtime.probe import _ProbeRunner, _ProbeUnavailable
-from repro.wrappers.base import RESUME_REPLAY, RESUME_TOKEN, ResumableStream
+from repro.wrappers.base import RESUME_REPLAY
 
 
 #: the row function for rows that carry the mediator's attribute names
@@ -133,9 +129,6 @@ class _Opened:
     #: wall clock of this open, its retries and backoff included.
     elapsed: float = 0.0
     error: str | None = None
-    #: the wrapper's :class:`ResumableStream` when it returned one -- its
-    #: ``token`` at death time is where a token resume restarts the source.
-    stream: ResumableStream | None = None
 
 
 class _ExecState:
@@ -163,8 +156,6 @@ class _ExecState:
         "pushdown",
         "stripped",
         "plan",
-        "token",
-        "skip",
         "listed",
     )
 
@@ -180,7 +171,8 @@ class _ExecState:
         #: a probe round trip shares its probe join's event
         self.event = threading.Event() if event is None else event
         self.report: ExecReport | None = None
-        self.consumed = 0  # rows pulled by the consumer so far
+        #: rows delivered to the consumer so far: a reopen skips as many
+        self.consumed = 0
         self.started: float | None = None
         # Serializes history recording between the worker and the consumer
         # (:meth:`observe`).
@@ -193,7 +185,7 @@ class _ExecState:
         #: successful mid-stream recoveries (ExecReport.resumed_calls).
         self.resumed = 0
         #: already-delivered rows re-shipped and skipped at the mediator
-        #: during replay reopens (ExecReport.replayed_rows).
+        #: during reopens (ExecReport.replayed_rows).
         self.replayed = 0
         #: what the call answers and its history key: the node's expression,
         #: or a probe round trip's probe expression.
@@ -207,10 +199,6 @@ class _ExecState:
         self.pushdown = self.subject
         self.stripped: tuple = ()
         self.plan: namespace.NamespacePlan | None = None
-        #: where a reopen restarts: past ``token`` source-side, else by
-        #: dropping the first ``skip`` rows it ships.
-        self.token: Any = None
-        self.skip = 0
         #: list the rows inside the attempt (a probe round trip), not stream them
         self.listed = listed
 
@@ -433,11 +421,7 @@ class StreamingExecution:
         whichever store lands last changes nothing.
         """
         call = self._calls.get(node)
-        if (
-            call is None
-            or call.schema_version != self._schema_version
-            or (self._executor.config.type_check and not call.type_checked)
-        ):
+        if call is None or call.schema_version != self._schema_version:
             call = self._calls[node] = self._executor.compile_call(node)
         return call
 
@@ -489,12 +473,11 @@ class StreamingExecution:
         answer into a list inside the attempt, so a lazy result that raises
         mid-iteration, or a malformed row, is a failed attempt like any
         other, and the transfer overlaps the other calls' transfers.  A
-        stream only opens here -- past the state's resume token, when a
-        reopen has one.  When the row count is known (a list, or a first
-        open answered with a sized sequence) the call's history is observed
-        here; lazy cursors, a stream's degraded calls (whose compensation
-        wraps the iterable) and reopened segments (the rest of an answer)
-        are observed by the consumer at drain time.
+        stream only opens here.  When the row count is known (a list, or a
+        first open answered with a sized sequence) the call's history is
+        observed here; lazy cursors, a stream's degraded calls (whose
+        compensation wraps the iterable) and reopened segments (whose
+        delivered prefix is skipped) are observed by the consumer at drain time.
         """
         executor = self._executor
         node = state.node
@@ -517,11 +500,6 @@ class StreamingExecution:
                 with cancellation.activate(state.event):
                     if listed:
                         rows = wrapper.submit(plan.expression)
-                    elif state.token is not None:
-                        rows = wrapper.submit_stream(plan.expression, resume_from=state.token)
-                    else:
-                        rows = wrapper.submit_stream(plan.expression)
-                    if listed:
                         # One bulk pass inside the attempt: nothing is handed
                         # over before the answer is whole, so there is no
                         # deadline to check or pull time to charge per chunk.
@@ -529,6 +507,8 @@ class StreamingExecution:
                         if state.stripped:
                             rows = compensate_rows(state.stripped, rows)
                         rows = list(rows)
+                    else:
+                        rows = wrapper.submit_stream(plan.expression)
             except StreamClosed:
                 # The consumer is gone, not the source: nothing to retry,
                 # degrade, or record as a failure.
@@ -544,7 +524,6 @@ class StreamingExecution:
             break
         state.attempts += 1
         now = time.monotonic()
-        stream = rows if isinstance(rows, ResumableStream) else None
         # A listed answer was renamed and compensated inside the attempt.
         normalise = _MEDIATOR_ROW if listed else plan.normalise
         if state.stripped and not listed:
@@ -553,24 +532,16 @@ class StreamingExecution:
             rows = compensate_rows(state.stripped, map(normalise, rows))
             normalise = _MEDIATOR_ROW
         sized = None
-        if listed:
+        if listed or (
+            not consumer and not state.stripped and isinstance(rows, (list, tuple))
+        ):
             sized = len(rows)
-        elif not consumer and not state.stripped:
-            if isinstance(rows, (list, tuple)):
-                sized = len(rows)
-            elif stream is not None:
-                # A ResumableStream over a materialized (RPC-style) answer:
-                # still a sized reply, so the history fast path applies --
-                # the count is known at open, before any consumer drain.
-                sized = stream.sized
         if sized is not None:
             # Per-attempt latency for the cost model (the failed attempts
             # recorded theirs); the report carries the user-facing total
             # including retries and backoff.
             state.observe(executor.history, now - attempt_started, sized)
-        return _Opened(
-            rows=rows, normalise=normalise, sized=sized, elapsed=now - open_started, stream=stream
-        )
+        return _Opened(rows=rows, normalise=normalise, sized=sized, elapsed=now - open_started)
 
     def _failed(
         self,
@@ -578,12 +549,12 @@ class StreamingExecution:
         exc: BaseException,
         elapsed: float,
         consumer: bool,
-        dying: _Opened | None = None,
+        dying: bool = False,
     ) -> bool:
         """The one failure step of an exec call: whether to try it again.
 
         ``exc`` ended an attempt of :meth:`_open_exec`, or killed a stream
-        segment (``dying``) mid-drain.  The failure is observed, charged with
+        segment mid-drain (``dying``).  The failure is observed, charged with
         its own ``elapsed``; the call is given up when it was woken, its
         ``max_retries`` budget is spent or, on the consumer thread, the query
         deadline has passed.  A capability/translation failure goes one rung
@@ -593,20 +564,19 @@ class StreamingExecution:
         per attempt; woken by a write-off, capped by the deadline on the
         consumer thread) and goes again at the same rung.
 
-        A death is no extra attempt and is not degraded.  Only a ``token`` or
-        ``replay`` wrapper is reopened (without a token or a determinism
-        guarantee a half-consumed cursor could duplicate or drop rows): past
-        the dying stream's token when the rung is the source's own stream,
-        else from scratch, skipping the rows already delivered.
+        A death is no extra attempt and is not degraded.  Only a ``replay``
+        wrapper is reopened (without a determinism guarantee a half-consumed
+        cursor could duplicate or drop rows); the reopened stream skips the
+        rows already delivered (``_ExecState.consumed``).
         """
         executor = self._executor
         config = executor.config
         call = self._compiled(state.node)
-        mode = getattr(call.wrapper, "resume_support", None)
         step = None
         exhausted = state.attempts >= max(1, config.max_retries + 1)
-        if dying is not None:
-            exhausted = exhausted or mode not in (RESUME_TOKEN, RESUME_REPLAY)
+        if dying:
+            resume = getattr(call.wrapper, "resume_support", None)
+            exhausted = exhausted or resume != RESUME_REPLAY
         elif is_capability_failure(exc):
             step = degrade_pushdown(state.pushdown)
             exhausted = exhausted or step is None
@@ -620,23 +590,11 @@ class StreamingExecution:
             state.pushdown, removed = step
             state.stripped += (removed,)
             state.plan = namespace.namespace_plan(executor.registry, state.pushdown, call.meta)
-            if state.token is not None:
-                # The token indexed the previous rung's stream; a degraded
-                # stream has other positions, so the reopen replays and
-                # skips instead (a wrapper that can reposition can replay).
-                state.token = None
-                state.skip = state.consumed
             return True
         backoff = config.retry_backoff * 2 ** (state.attempts - 1)
         if remaining is not None:
             backoff = min(backoff, remaining)
-        if state.event.wait(backoff) or (consumer and self._remaining() == 0.0):
-            return False
-        if dying is not None:
-            clean = mode == RESUME_TOKEN and dying.stream is not None and not state.stripped
-            state.token = dying.stream.token if clean else None
-            state.skip = 0 if clean else state.consumed
-        return True
+        return not (state.event.wait(backoff) or (consumer and self._remaining() == 0.0))
 
     # -- consumer side ------------------------------------------------------------------------
     def _remaining(self) -> float | None:
@@ -811,8 +769,8 @@ class StreamingExecution:
             normalise = opened.normalise
             iterator = iter(opened.rows)
             #: rows of this segment that were already delivered before a
-            #: replay reopen; dropped silently (dedup by delivered-row count).
-            to_skip = state.skip
+            #: reopen; dropped silently (dedup by delivered-row count).
+            to_skip = state.consumed
             died: BaseException | None = None
             size = 1
             try:
@@ -864,7 +822,7 @@ class StreamingExecution:
             # observes and budgets it, and the attempt loop reopens the call
             # where the consumer needs its next row.
             reopened = None
-            if self._failed(state, died, segment_time, consumer=True, dying=opened):
+            if self._failed(state, died, segment_time, consumer=True, dying=True):
                 reopened = self._open_exec(state, consumer=True)
             if reopened is None or reopened.error is not None:
                 state.report = self._report(

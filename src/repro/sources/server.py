@@ -10,7 +10,6 @@ mediator does: as things that may be slow or silent.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -27,9 +26,6 @@ class ServerStatistics:
     requests: int = 0
     failures: int = 0
     rows_returned: int = 0
-    #: rows a resume token let the source skip instead of re-shipping them
-    #: (they never cross the simulated wire and are never charged latency).
-    rows_skipped: int = 0
     simulated_seconds: float = 0.0
 
 
@@ -61,18 +57,12 @@ class SimulatedServer:
         return self.availability.available
 
     # -- the request path -------------------------------------------------------------
-    def call(self, operation: Callable[[Any], Any], resume_from: int | None = None) -> Any:
+    def call(self, operation: Callable[[Any], Any]) -> Any:
         """Run ``operation(store)`` as one remote request.
 
         Applies the availability check first (an unavailable source never does
         work), runs the operation, then charges the latency of shipping the
         result back.  Returns the operation's result unchanged.
-
-        ``resume_from`` is the server's resume capability: the first
-        ``resume_from`` rows of the result are skipped *source-side* (a cursor
-        seek), so they are neither shipped nor charged -- only the remaining
-        rows cross the simulated wire.  This is what makes a resumed exec
-        call cost only the rows still owed, instead of a full replay.
 
         A kill armed via :meth:`AvailabilityModel.kill_after` lets the call
         succeed but returns a lazy stream that raises after the armed number
@@ -97,17 +87,6 @@ class SimulatedServer:
                 self.statistics.failures += 1
                 raise
         result = operation(self.store)
-        if resume_from:
-            if isinstance(result, (list, tuple)):
-                skipped = min(resume_from, len(result))
-                result = list(result)[resume_from:]
-            else:
-                # Lazy cursor: seek by consuming quietly; the skipped rows are
-                # produced at the source but never shipped.
-                skipped = resume_from
-                result = itertools.islice(result, resume_from, None)
-            with self._lock:
-                self.statistics.rows_skipped += skipped
         sized_count = len(result) if isinstance(result, (list, tuple)) else None
         row_count = sized_count or 0
         with self._lock:

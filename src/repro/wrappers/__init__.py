@@ -21,13 +21,7 @@ wrapper                    underlying source                           capabilit
 =========================  ==========================================  =====================
 """
 
-from repro.wrappers.base import (
-    RESUME_REPLAY,
-    RESUME_TOKEN,
-    AlgebraEvaluator,
-    ResumableStream,
-    Wrapper,
-)
+from repro.wrappers.base import RESUME_REPLAY, AlgebraEvaluator, Wrapper
 from repro.wrappers.generator import GeneratorWrapper
 from repro.wrappers.relational import RelationalWrapper
 from repro.wrappers.sqlwrapper import SqlWrapper
@@ -39,8 +33,6 @@ from repro.wrappers.mediator_wrapper import MediatorWrapper
 __all__ = [
     "Wrapper",
     "AlgebraEvaluator",
-    "ResumableStream",
-    "RESUME_TOKEN",
     "RESUME_REPLAY",
     "GeneratorWrapper",
     "RelationalWrapper",

@@ -9,7 +9,6 @@ returns the set of supported logical operators."
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.algebra.capabilities import CapabilitySet
@@ -20,58 +19,12 @@ Row = dict[str, Any]
 #: a scan may return a list (relational engines) or yield lazily (cursors)
 ScanFunction = Callable[[str], Iterable[Row]]
 
-#: resume support levels a wrapper may declare (:attr:`Wrapper.resume_support`).
-#: ``RESUME_TOKEN``: stream opens return a :class:`ResumableStream` whose
-#: token can be passed back via ``submit_stream(expr, resume_from=token)``;
-#: the *source* then skips the already-delivered rows, so only the remaining
-#: rows cross the wire.  Token support implies the source can reposition a
-#: cursor deterministically.
-RESUME_TOKEN = "token"
-#: ``RESUME_REPLAY``: the wrapper has no cursor tokens but re-evaluating the
-#: same expression deterministically reproduces the same row sequence, so the
-#: *mediator* may reopen the stream and skip the rows it already delivered
-#: (reopen-and-skip; the skipped rows are re-shipped).  Declare it only for
-#: sources with a stable scan order.
+#: the resume support a wrapper may declare (:attr:`Wrapper.resume_support`):
+#: re-evaluating the same expression deterministically reproduces the same
+#: row sequence, so after a mid-stream death the *mediator* may reopen the
+#: stream and skip the rows it already delivered (the skipped rows are
+#: re-shipped).  Declare it only for sources with a stable scan order.
 RESUME_REPLAY = "replay"
-
-
-class ResumableStream:
-    """A row iterator that carries a source-side resume token.
-
-    After each yielded row, :attr:`token` identifies the position *after*
-    that row; handing it back through ``submit_stream(expression,
-    resume_from=token)`` continues the stream without re-delivering rows.
-    The mediator treats the token as opaque -- here it is the ordinal cursor
-    position, but a wrapper over a real source could subclass and carry
-    server-issued cursor handles instead.
-    """
-
-    def __init__(self, rows: Iterable[Row], position: Any = 0):
-        self._iterator = iter(rows)
-        #: opaque resume token for the current position (updated per row).
-        self.token = position
-        #: row count when the underlying answer is a sized sequence (an
-        #: RPC-style materialized reply), else None for true lazy cursors.
-        #: Lets the mediator keep its sized-sequence bookkeeping (history
-        #: recorded at open) even though the rows arrive wrapped.
-        self.sized = len(rows) if isinstance(rows, (list, tuple)) else None
-
-    def __iter__(self) -> "ResumableStream":
-        return self
-
-    def __next__(self) -> Row:
-        row = next(self._iterator)
-        self.token = self._advance(self.token)
-        return row
-
-    def _advance(self, token: Any) -> Any:
-        """Token after one more row; the default token is the row ordinal."""
-        return token + 1
-
-    def close(self) -> None:
-        close = getattr(self._iterator, "close", None)
-        if close is not None:
-            close()
 
 
 class Wrapper:
@@ -81,9 +34,9 @@ class Wrapper:
     evaluated at the source) and pass their capability set to ``__init__``.
     """
 
-    #: mid-stream resume support: :data:`RESUME_TOKEN`, :data:`RESUME_REPLAY`
-    #: or ``None`` (the default -- a call that dies after delivering rows is
-    #: written off by the streaming engine rather than recovered).
+    #: mid-stream resume support: :data:`RESUME_REPLAY` or ``None`` (the
+    #: default -- a call that dies after delivering rows is written off by
+    #: the streaming engine rather than recovered).
     resume_support: str | None = None
 
     def __init__(self, name: str, capabilities: CapabilitySet):
@@ -107,9 +60,7 @@ class Wrapper:
         self._check_capability(expression)
         return self._execute(expression)
 
-    def submit_stream(
-        self, expression: LogicalOp, resume_from: Any = None
-    ) -> Iterable[Row]:
+    def submit_stream(self, expression: LogicalOp) -> Iterable[Row]:
         """Rows for ``expression``, possibly produced lazily.
 
         The streaming engine calls this instead of :meth:`submit`.  The base
@@ -118,22 +69,9 @@ class Wrapper:
         wrappers over cursor-style sources override :meth:`_execute_stream`
         to yield rows as the consumer pulls them, so a satisfied ``limit``
         stops the scan instead of draining it.
-
-        ``resume_from`` is a token previously obtained from a
-        :class:`ResumableStream` this wrapper returned for the *same*
-        expression: the source skips the rows delivered before the token and
-        ships only the remainder.  Only legal on wrappers declaring
-        :data:`RESUME_TOKEN`; others raise :class:`CapabilityError` so the
-        mediator can fall back (reopen-and-skip, or write-off).
         """
         self._check_capability(expression)
-        if resume_from is None:
-            return self._execute_stream(expression)
-        if self.resume_support != RESUME_TOKEN:
-            raise CapabilityError(
-                f"wrapper {self.name!r} cannot resume a stream from a token"
-            )
-        return self._resume_stream(expression, resume_from)
+        return self._execute_stream(expression)
 
     def _check_capability(self, expression: LogicalOp) -> None:
         """Fail loudly when ``expression`` is outside the wrapper's capabilities."""
@@ -149,15 +87,6 @@ class Wrapper:
     def _execute_stream(self, expression: LogicalOp) -> Iterable[Row]:
         """Lazy variant of :meth:`_execute`; defaults to the materialized call."""
         return self._execute(expression)
-
-    def _resume_stream(self, expression: LogicalOp, token: Any) -> Iterable[Row]:
-        """Continue a stream past ``token`` (wrappers declaring RESUME_TOKEN).
-
-        The default treats the token as a row ordinal and seeks the source
-        cursor past it without shipping the skipped rows.
-        """
-        rows = itertools.islice(self._execute_stream(expression), int(token), None)
-        return ResumableStream(rows, position=token)
 
     def source_collections(self) -> list[str]:
         """Names of the collections the underlying source exposes."""

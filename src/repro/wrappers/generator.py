@@ -22,13 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.logical import LogicalOp
 from repro.errors import WrapperError
-from repro.wrappers.base import (
-    RESUME_TOKEN,
-    AlgebraEvaluator,
-    ResumableStream,
-    Row,
-    Wrapper,
-)
+from repro.wrappers.base import AlgebraEvaluator, Row, Wrapper
 
 ScanFactory = Callable[[], Iterable[Row]]
 
@@ -44,10 +38,10 @@ class GeneratorWrapper(Wrapper):
     ``resume`` declares mid-stream resume support (see
     :attr:`~repro.wrappers.base.Wrapper.resume_support`).  The default is
     ``None``: an arbitrary generator may be non-deterministic (a live feed, a
-    sampling cursor), in which case neither resuming nor replaying a
-    half-consumed stream is sound and the streaming engine keeps the
-    write-off.  Declare ``"token"`` or ``"replay"`` only for scan factories
-    that re-produce the same row sequence on every call.
+    sampling cursor), in which case replaying a half-consumed stream is not
+    sound and the streaming engine keeps the write-off.  Declare
+    ``"replay"`` only for scan factories that re-produce the same row
+    sequence on every call.
     """
 
     def __init__(
@@ -78,12 +72,7 @@ class GeneratorWrapper(Wrapper):
         return list(self._evaluator.evaluate_stream(expression))
 
     def _execute_stream(self, expression: LogicalOp):
-        rows = self._evaluator.evaluate_stream(expression)
-        if self.resume_support == RESUME_TOKEN:
-            # Tokens are ordinal cursor positions; the base _resume_stream
-            # seeks past them by consuming the fresh cursor quietly.
-            return ResumableStream(rows)
-        return rows
+        return self._evaluator.evaluate_stream(expression)
 
     # -- meta-data ------------------------------------------------------------------------
     def source_collections(self) -> list[str]:

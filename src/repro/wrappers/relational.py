@@ -7,19 +7,11 @@ round trip to the source, however much work was pushed.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.logical import LogicalOp
 from repro.sources.relational_engine import RelationalEngine
 from repro.sources.server import SimulatedServer
-from repro.wrappers.base import (
-    RESUME_TOKEN,
-    AlgebraEvaluator,
-    ResumableStream,
-    Row,
-    Wrapper,
-)
+from repro.wrappers.base import RESUME_REPLAY, AlgebraEvaluator, Row, Wrapper
 
 
 class RelationalWrapper(Wrapper):
@@ -28,26 +20,21 @@ class RelationalWrapper(Wrapper):
     The capability set is configurable, which is how the experiments model
     servers of different querying power backed by the same storage engine.
 
-    ``resume`` declares the wrapper's mid-stream resume support (see
-    :attr:`~repro.wrappers.base.Wrapper.resume_support`).  The default is
-    token support -- the engine's scan order is stable, so the server can
-    seek a reopened cursor past an ordinal resume token and ship only the
-    remaining rows.  Pass ``"replay"`` to model a deterministic source
-    without cursor tokens (the mediator reopens and skips delivered rows
-    itself, re-shipping them), or ``None`` for a source whose half-consumed
-    streams cannot be recovered at all.
+    The engine's scan order is stable, so the wrapper declares ``replay``
+    resume support: after a mid-stream death the mediator re-runs the same
+    expression and skips the rows it already delivered.
     """
+
+    resume_support = RESUME_REPLAY
 
     def __init__(
         self,
         name: str,
         server: SimulatedServer,
         capabilities: CapabilitySet | None = None,
-        resume: str | None = RESUME_TOKEN,
     ):
         super().__init__(name, capabilities or CapabilitySet.full())
         self.server = server
-        self.resume_support = resume
 
     # -- execution -----------------------------------------------------------------------
     def _execute(self, expression: LogicalOp) -> list[Row]:
@@ -56,30 +43,6 @@ class RelationalWrapper(Wrapper):
             return evaluator.evaluate(expression)
 
         return self.server.call(run)
-
-    def _execute_stream(self, expression: LogicalOp):
-        if self.resume_support != RESUME_TOKEN:
-            return self._execute(expression)
-        # One materialized round trip as ever (RPC semantics), but handed out
-        # as a ResumableStream so the mediator learns the cursor position it
-        # could resume from after a mid-stream death.
-        return ResumableStream(self._execute(expression))
-
-    def _resume_stream(self, expression: LogicalOp, token: Any):
-        """Reopen past ``token`` rows -- the server's resume capability.
-
-        The skip happens inside :meth:`SimulatedServer.call`, so skipped rows
-        are neither shipped nor charged: a resumed call costs only the rows
-        still owed.
-        """
-        offset = int(token)
-
-        def run(engine: RelationalEngine) -> list[Row]:
-            evaluator = AlgebraEvaluator(scan=engine.scan)
-            return evaluator.evaluate(expression)
-
-        rows = self.server.call(run, resume_from=offset)
-        return ResumableStream(rows, position=offset)
 
     # -- meta-data ------------------------------------------------------------------------
     def source_collections(self) -> list[str]:

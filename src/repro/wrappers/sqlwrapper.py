@@ -31,7 +31,7 @@ from repro.errors import WrapperError
 from repro.lexing import SQL
 from repro.sources.server import SimulatedServer
 from repro.sources.sql.engine import SqlEngine
-from repro.wrappers.base import RESUME_REPLAY, Row
+from repro.wrappers.base import Row
 from repro.wrappers.relational import RelationalWrapper
 
 #: a decomposed statement: SELECT columns, FROM table, WHERE conjuncts and LIMIT
@@ -62,11 +62,11 @@ class SqlWrapper(RelationalWrapper):
     """Wrapper over a :class:`SqlEngine` hosted by a simulated server.
 
     It ships SQL text where :class:`RelationalWrapper` ships the algebra, and
-    reads the engine's catalog the same way.  The mini-SQL dialect has no
-    cursor handles, but the engine evaluates a statement deterministically
-    over stable table order, so the wrapper declares ``replay`` resume
-    support: after a mid-stream death the mediator may re-run the same
-    statement and skip the rows it already delivered.  Whatever operators
+    reads the engine's catalog the same way.  The engine evaluates a
+    statement deterministically over stable table order, so the wrapper
+    keeps :class:`RelationalWrapper`'s ``replay`` resume support: after a
+    mid-stream death the mediator re-runs the same statement and skips the
+    rows it already delivered.  Whatever operators
     ``capabilities`` declares, a tree is pushed only when the renderer can
     write it (:class:`SqlCapabilitySet`).
     """
@@ -77,7 +77,6 @@ class SqlWrapper(RelationalWrapper):
             name,
             server,
             SqlCapabilitySet(declared.operators, compose=declared.compose),
-            resume=RESUME_REPLAY,
         )
 
     def _execute(self, expression: LogicalOp) -> list[Row]:

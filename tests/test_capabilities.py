@@ -313,9 +313,9 @@ class SpyWrapper(RelationalWrapper):
         self._record(expression)
         return super().submit(expression)
 
-    def submit_stream(self, expression, resume_from=None):
+    def submit_stream(self, expression):
         self._record(expression)
-        return super().submit_stream(expression, resume_from)
+        return super().submit_stream(expression)
 
 
 def spy_mediator(received: set[str]) -> Mediator:

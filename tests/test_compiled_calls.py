@@ -224,20 +224,6 @@ def test_a_held_plan_notices_the_schema_moving_under_its_slot():
         mediator.close()
 
 
-def test_switching_the_type_check_on_compiles_unchecked_calls_again():
-    mediator, _ = build_remappable(type_check=False)
-    try:
-        mediator.registry.drop_extent("person0")
-        add_person0(mediator, "missing")
-        text = "select x.id from x in person0"
-        assert sorted(mediator.query(text).rows()) == [1, 2]
-        mediator.executor.config.type_check = True
-        with pytest.raises(TypeConflictError):
-            mediator.query(text)
-    finally:
-        mediator.close()
-
-
 def test_reregistration_through_the_registry_drops_stale_type_verdicts():
     """Type-check verdicts are keyed to the schema version: a re-registration
     made through the registry alone, which tells the executor nothing, still

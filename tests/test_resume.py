@@ -1,20 +1,18 @@
-"""Mid-stream retries via source-side resume tokens (exactly-once delivery).
+"""Mid-stream retries by replay and skip (exactly-once delivery).
 
 The streaming engine's last structural failure-matrix gap: a source that dies
 *after delivering rows*.  These tests pin the recovery contract:
 
-* ``token`` wrappers resume source-side -- only the remaining rows are
-  shipped (``ServerStatistics.rows_skipped`` counts the seek), delivery is
+* ``replay`` wrappers are reopened: the call's rung is submitted again and
+  the mediator skips the already-delivered prefix
+  (``ExecReport.replayed_rows`` counts the re-shipped rows), delivery is
   exactly-once (no duplicates, no gaps), and the reopen consumes one
   ``max_retries`` attempt;
-* ``replay`` wrappers reopen from scratch and the mediator skips the
-  already-delivered prefix (``ExecReport.replayed_rows`` counts the re-ship);
 * wrappers declaring no resume support -- and configurations without retry
   budget -- keep the documented write-off;
 * a persistent mid-stream fault exhausts the budget instead of looping;
 * fresh-call retries, degrading retries and reopens share that one budget;
-* a degraded (compensated) call recovers through the replay path, because
-  token positions no longer line up with mediator-compensated rows.
+* a degraded (compensated) call replays at the rung it stood on.
 """
 
 from __future__ import annotations
@@ -25,11 +23,13 @@ from itertools import islice
 
 import pytest
 
-from repro import Mediator, RelationalWrapper
+from repro import Mediator, RelationalWrapper, SqlWrapper
+from repro.baselines import GetOnlyWrapper
 from repro.errors import UnavailableSourceError, WrapperError
 from repro.runtime import streaming
 from repro.sources import RelationalEngine, SimulatedServer
-from repro.wrappers.base import ResumableStream
+from repro.sources.sql import SqlEngine
+from repro.wrappers.base import RESUME_REPLAY
 from repro.wrappers.generator import GeneratorWrapper
 
 ROWS = [{"id": i, "name": f"p{i}", "salary": i} for i in range(30)]
@@ -37,11 +37,30 @@ QUERY = "select x.name from x in person0"
 EXPECTED = [f"p{i}" for i in range(30)]
 
 
-def build_relational_mediator(resume="token", capabilities=None, rows=ROWS, **mediator_kwargs):
-    engine = RelationalEngine(name="db0")
+def _get_only(name, server, capabilities=None):
+    return GetOnlyWrapper(RelationalWrapper(name, server, capabilities))
+
+
+#: every wrapper that reopens a dead stream: the engine its server hosts and
+#: the wrapper's constructor
+REOPENING_WRAPPERS = {
+    "relational": (RelationalEngine, RelationalWrapper),
+    "sql": (SqlEngine, SqlWrapper),
+    "get-only": (RelationalEngine, _get_only),
+}
+
+
+def build_relational_mediator(
+    resume=RESUME_REPLAY, capabilities=None, rows=ROWS, wrapper="relational", **mediator_kwargs
+):
+    """``person0`` behind one simulated server; ``resume=None`` models a
+    source whose re-evaluation may differ (no resume support)."""
+    engine_class, wrapper_class = REOPENING_WRAPPERS[wrapper]
+    engine = engine_class(name="db0")
     engine.create_table("person0", rows=[dict(row) for row in rows])
     server = SimulatedServer(name="h0", store=engine)
-    wrapper = RelationalWrapper("w0", server, capabilities=capabilities, resume=resume)
+    wrapper = wrapper_class("w0", server, capabilities)
+    wrapper.resume_support = resume
     mediator = Mediator(name="resume", **mediator_kwargs)
     mediator.register_wrapper("w0", wrapper)
     mediator.create_repository("r0")
@@ -54,7 +73,7 @@ def build_relational_mediator(resume="token", capabilities=None, rows=ROWS, **me
     return mediator, server
 
 
-class TestTokenResume:
+class TestReplayResume:
     def test_killed_call_completes_exactly_once(self):
         mediator, server = build_relational_mediator(max_retries=1)
         server.availability.kill_after(10)
@@ -64,25 +83,24 @@ class TestTokenResume:
         report = result.reports[0]
         assert report.available
         assert report.resumed_calls == 1
-        assert report.replayed_rows == 0  # the source skipped, nothing re-shipped
+        assert report.replayed_rows == 10  # delivered prefix re-shipped, dropped
         assert report.attempts == 2  # the reopen consumed one retry
         assert report.rows == 30
-        # The server's resume capability seeked past the delivered rows.
-        assert server.statistics.rows_skipped == 10
-        # Shipped: 10 before the death + the 20 remaining. Never 30 again.
-        assert server.statistics.rows_returned == 30
+        # Shipped: 10 before the death, then the full 30 again.
+        assert server.statistics.rows_returned == 40
         mediator.close()
 
     def test_two_consecutive_deaths_need_two_retries(self):
         mediator, server = build_relational_mediator(max_retries=2)
         server.availability.kill_after(5)
-        server.availability.kill_after(7)  # dies again 7 rows into the resume
+        server.availability.kill_after(7)  # dies again 2 rows past the replayed prefix
         result = mediator.query_stream(QUERY)
         assert list(result.iter_rows()) == EXPECTED
         report = result.reports[0]
         assert report.resumed_calls == 2
         assert report.attempts == 3
-        assert server.statistics.rows_skipped == 5 + 12
+        assert report.replayed_rows == 5 + 7
+        assert server.statistics.rows_returned == 5 + 7 + 30
         mediator.close()
 
     def test_death_consumes_budget_with_open_retries(self):
@@ -93,14 +111,14 @@ class TestTokenResume:
         result = mediator.query_stream(QUERY)
         assert list(result.iter_rows()) == EXPECTED
         report = result.reports[0]
-        assert report.attempts == 3  # failed open + killed open + resume
+        assert report.attempts == 3  # failed open + killed open + reopen
         assert report.resumed_calls == 1
         mediator.close()
 
     def test_persistent_death_exhausts_the_budget(self):
         mediator, server = build_relational_mediator(max_retries=2)
-        for _ in range(3):
-            server.availability.kill_after(6)
+        for kill in (6, 12, 18):  # each replay delivers 6 more rows, then dies
+            server.availability.kill_after(kill)
         result = mediator.query_stream(QUERY)
         rows = list(result.iter_rows())
         # Three segments of 6 delivered before the budget ran out.
@@ -122,22 +140,6 @@ class TestTokenResume:
         # call recovered: availability drops below the optimistic 1.0.
         assert mediator.history.failures == 1
         assert mediator.history.availability("person0") < 1.0
-        mediator.close()
-
-
-class TestReplayResume:
-    def test_replay_wrapper_reopens_and_skips(self):
-        mediator, server = build_relational_mediator(resume="replay", max_retries=1)
-        server.availability.kill_after(10)
-        result = mediator.query_stream(QUERY)
-        assert list(result.iter_rows()) == EXPECTED
-        report = result.reports[0]
-        assert report.available
-        assert report.resumed_calls == 1
-        assert report.replayed_rows == 10  # delivered prefix re-shipped, dropped
-        assert server.statistics.rows_skipped == 0
-        # Shipped: 10 before the death, then the full 30 again.
-        assert server.statistics.rows_returned == 40
         mediator.close()
 
 
@@ -232,20 +234,20 @@ def build_generator_mediator(scan, resume=None, **mediator_kwargs):
 
 
 class TestGeneratorCursorResume:
-    def test_token_resume_on_a_cursor_source(self):
+    def test_replay_on_a_cursor_source(self):
         scan = FlakyScan(50, fail_at=20)
-        mediator = build_generator_mediator(scan, resume="token", max_retries=1)
+        mediator = build_generator_mediator(scan, resume=RESUME_REPLAY, max_retries=1)
         result = mediator.query_stream(QUERY)
         assert list(result.iter_rows()) == [f"p{i}" for i in range(50)]
         report = result.reports[0]
-        assert report.resumed_calls == 1 and report.replayed_rows == 0
+        assert report.resumed_calls == 1 and report.replayed_rows == 20
         assert scan.opens == 2
         mediator.close()
 
     def test_deterministically_dying_cursor_gives_up(self):
         """Every reopen dies at the same row: the budget bounds the attempts."""
         scan = FlakyScan(50, fail_at=20, failures=99)
-        mediator = build_generator_mediator(scan, resume="token", max_retries=2)
+        mediator = build_generator_mediator(scan, resume=RESUME_REPLAY, max_retries=2)
         result = mediator.query_stream(QUERY)
         rows = list(result.iter_rows())
         assert rows == [f"p{i}" for i in range(20)]  # still exactly-once
@@ -278,8 +280,8 @@ class LyingRelationalWrapper(RelationalWrapper):
 
 class TestDegradedCallResume:
     def test_degraded_call_recovers_via_replay(self):
-        """A compensated call cannot use token positions; replay must kick in
-        and re-apply the stripped operators over the reopened stream."""
+        """A compensated call replays at its degraded rung and re-applies
+        the stripped operators over the reopened stream."""
         engine = RelationalEngine(name="db0")
         engine.create_table("person0", rows=[dict(row) for row in ROWS])
         server = SimulatedServer(name="h0", store=engine)
@@ -328,10 +330,6 @@ class DriftingRelationalWrapper(RelationalWrapper):
         self._drift(expression)
         return super()._execute(expression)
 
-    def _resume_stream(self, expression, token):
-        self._drift(expression)
-        return super()._resume_stream(expression, token)
-
 
 class TestReopenEdgeCases:
     QUERY = "select x.name from x in person0 where x.salary >= 0"
@@ -352,9 +350,10 @@ class TestReopenEdgeCases:
         mediator.add_extent("person0", "Person", "w0", "r0")
         return mediator, server
 
-    def test_token_reopen_that_degrades_falls_back_to_replay(self):
-        """Capability drift during recovery: the token no longer matches the
-        degraded stream, so the reopen replays and skips the delivered rows."""
+    def test_a_reopen_that_degrades_replays_the_degraded_stream(self):
+        """Capability drift during recovery: the reopen is refused, goes down
+        the ladder and replays the degraded stream, skipping the delivered
+        rows."""
         mediator, server = self.build_drifting(max_retries=3)
         server.availability.kill_after(10)
         result = mediator.query_stream(self.QUERY)
@@ -383,19 +382,10 @@ class TestReopenEdgeCases:
         mediator.close()
 
 
-class TestResumableStreamProtocol:
-    def test_token_tracks_ordinal_position(self):
-        stream = ResumableStream(iter([{"a": 1}, {"a": 2}, {"a": 3}]))
-        assert stream.token == 0
-        next(stream)
-        assert stream.token == 1
-        assert [row["a"] for row in stream] == [2, 3]
-        assert stream.token == 3
-
+class TestStreamProtocol:
     def test_sized_answers_keep_the_open_time_history_fast_path(self):
-        """A ResumableStream over a materialized reply is still a sized
-        answer: a streaming call cancelled before full drain must record its
-        open-time success observation exactly as it did pre-resume-tokens."""
+        """A streamed list answer is sized: a streaming call cancelled before
+        full drain records its one success observation at open."""
         from repro.algebra.capabilities import CapabilitySet
 
         # No limit capability: the mklimit stays at the mediator and cancels
@@ -409,20 +399,6 @@ class TestResumableStreamProtocol:
         mediator.close()  # reap the cancelled remainder
         assert mediator.history.recorded_calls() == 1
         assert mediator.history.availability("person0") == 1.0
-
-    def test_base_wrapper_rejects_resume_tokens(self):
-        from repro.algebra.capabilities import CapabilitySet
-        from repro.algebra.logical import Get
-        from repro.errors import CapabilityError
-        from repro.wrappers.base import Wrapper
-
-        class Plain(Wrapper):
-            def _execute(self, expression):
-                return []
-
-        wrapper = Plain("plain", CapabilitySet.get_only())
-        with pytest.raises(CapabilityError):
-            wrapper.submit_stream(Get("c"), resume_from=3)
 
     def test_kill_after_validates_and_arms(self):
         from repro.sources.network import AvailabilityModel
@@ -464,7 +440,7 @@ class TestOneRetryBudget:
     def test_a_second_death_past_a_one_retry_budget_writes_off(self):
         mediator, server = build_relational_mediator(max_retries=1)
         server.availability.kill_after(5)
-        server.availability.kill_after(5)  # dies again 5 rows into the resume
+        server.availability.kill_after(10)  # dies again 5 rows past the replayed prefix
         result = mediator.query_stream(QUERY)
         assert list(result.iter_rows()) == [f"p{i}" for i in range(10)]
         assert result.is_partial
@@ -474,7 +450,7 @@ class TestOneRetryBudget:
         mediator.close()
 
     def test_replay_reopens_draw_from_the_same_budget(self):
-        mediator, server = build_relational_mediator(resume="replay", max_retries=2)
+        mediator, server = build_relational_mediator(max_retries=2)
         server.availability.kill_after(5)
         server.availability.kill_after(20)  # the replay re-ships 5, delivers 15
         result = mediator.query_stream(QUERY)
@@ -511,8 +487,9 @@ class TestOneRetryBudget:
         mediator.close()
 
     def test_a_reopen_that_must_degrade_needs_two_retries(self):
-        """The token reopen is refused (one retry) and its degraded replay is
-        a second: with one retry the stream is written off after its prefix."""
+        """The reopen is refused, and so is its first degraded rung (the
+        drifting wrapper refuses every ``select``): each refusal spends a
+        retry, so with one retry the stream is written off after its prefix."""
         mediator, server = TestReopenEdgeCases().build_drifting(max_retries=1)
         server.availability.kill_after(10)
         result = mediator.query_stream(TestReopenEdgeCases.QUERY)
@@ -576,17 +553,16 @@ def _deadline_hit_mid_drain():
     return mediator, mediator.query_stream(QUERY, timeout=0.1)
 
 
-def _death_recovered_by_token():
+def _death_recovered_by_replay():
     mediator, server = build_relational_mediator(max_retries=1, retry_backoff=0.001)
     server.availability.kill_after(10)
     return mediator, mediator.query_stream(QUERY)
 
 
-def _death_recovered_by_replay():
-    mediator, server = build_relational_mediator(
-        resume="replay", max_retries=1, retry_backoff=0.001
+def _cursor_death_recovered_by_replay():
+    mediator = build_generator_mediator(
+        FlakyScan(30, fail_at=10), resume=RESUME_REPLAY, max_retries=1, retry_backoff=0.001
     )
-    server.availability.kill_after(10)
     return mediator, mediator.query_stream(QUERY)
 
 
@@ -612,8 +588,11 @@ OUTCOMES = {
     "terminal failure": (_terminal_failure, (1, 1, 1, 0, 0, False, False)),
     "deadline write-off at open": (_deadline_write_off_at_open, (1, 1, 1, 0, 0, False, False)),
     "deadline hit mid-drain": (_deadline_hit_mid_drain, (1, 1, 1, 0, 0, False, False)),
-    "death recovered by token": (_death_recovered_by_token, (1, 2, 2, 1, 0, True, False)),
     "death recovered by replay": (_death_recovered_by_replay, (1, 2, 2, 1, 10, True, False)),
+    "cursor death recovered by replay": (
+        _cursor_death_recovered_by_replay,
+        (1, 2, 2, 1, 10, True, False),
+    ),
     "death with no resume support": (_death_without_resume_support, (1, 1, 1, 0, 0, False, False)),
     "close() before the drain": (_close_before_the_drain, (0, 0, 1, 0, 0, True, True)),
 }
@@ -655,14 +634,14 @@ def growing_chunks(monkeypatch):
     monkeypatch.setattr(streaming, "CHUNK_SECONDS", math.inf)
 
 
-@pytest.mark.parametrize("resume", ["token", "replay"])
+@pytest.mark.parametrize("wrapper", list(REOPENING_WRAPPERS))
 @pytest.mark.parametrize("kill", [1, 63, 64, 255, 256, 257, 1500])
-def test_a_death_anywhere_in_a_chunk_delivers_exactly_once(growing_chunks, resume, kill):
+def test_a_death_anywhere_in_a_chunk_delivers_exactly_once(growing_chunks, wrapper, kill):
     """A source dying before, on or after a chunk boundary: the rows already
-    pulled in the dying chunk are delivered, the reopen resumes right after
+    pulled in the dying chunk are delivered, the reopen skips right past
     them, and the call leaves one failure and one success in the history."""
     mediator, server = build_relational_mediator(
-        resume=resume, rows=LONG_ROWS, max_retries=1, retry_backoff=0.001
+        wrapper=wrapper, rows=LONG_ROWS, max_retries=1, retry_backoff=0.001
     )
     server.availability.kill_after(kill)
     result = mediator.query_stream(QUERY)
@@ -673,8 +652,9 @@ def test_a_death_anywhere_in_a_chunk_delivers_exactly_once(growing_chunks, resum
     assert Counter(rows) == Counter(row["name"] for row in LONG_ROWS)
     [report] = result.reports
     assert (report.available, report.rows, report.attempts, report.resumed_calls) == (True, 2000, 2, 1)
-    assert report.replayed_rows == (kill if resume == "replay" else 0)
-    assert server.statistics.rows_skipped == (kill if resume == "token" else 0)
+    assert report.replayed_rows == kill
+    # The re-shipped prefix is charged: kill rows before the death, then all.
+    assert server.statistics.rows_returned == 2000 + kill
     history = mediator.history
     assert (history.failures, sum(len(queue) for queue in history._exact.values())) == (1, 2)
 

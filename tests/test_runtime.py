@@ -312,7 +312,7 @@ class TestExecutor:
                 self.kept = [dict(row) for row in super().submit(expression)]
                 return self.kept
 
-            def submit_stream(self, expression, resume_from=None):
+            def submit_stream(self, expression):
                 return self.submit(expression)
 
         mediator, servers = build_paper_mediator()
