@@ -59,7 +59,7 @@ def build_mediator() -> Mediator:
 
 def main() -> None:
     mediator = build_mediator()
-    print(f"federated stations: {len(mediator.registry.schema.extents())}")
+    print(f"federated stations: {len(mediator.registry.extents())}")
 
     high_ph = mediator.query(
         'select struct(site: m.site, value: m.value) from m in measurements '

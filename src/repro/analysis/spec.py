@@ -114,13 +114,20 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
             LockDecl(
                 attr="_lock",
                 kind="RLock",
-                guards=("schema", "_schema_version"),
+                guards=(
+                    "types",
+                    "_extents",
+                    "_views",
+                    "_repositories",
+                    "_wrappers",
+                    "_schema_version",
+                ),
                 rank=40,
-                guards_doc="interfaces, extents, repositories, views, "
-                "`schema_version`",
+                guards_doc="the type system, extents, views, repositories, "
+                "wrappers, `schema_version`",
                 notes="re-entrant because view expansion re-enters the "
-                "registry; every mutation bumps `schema_version` under the "
-                "lock.",
+                "registry; every schema change bumps `schema_version` under "
+                "the lock.",
             ),
         ),
         held_in=(("_bump", "_lock"),),
@@ -218,8 +225,8 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
                 guards_doc="the plan-text subsumption index, the row budget, "
                 "the subsumption/patch/store counters and the one-mediator claim",
                 notes="never held while planning, executing, replaying "
-                "deltas or reading the registry; `add_extent`/`drop_extent` "
-                "sweep stale entries out (`evict_stale`), and partial patches "
+                "deltas or reading the registry; every schema change "
+                "sweeps stale entries out (`evict_stale`), and partial patches "
                 "re-validate their pin after executing.",
             ),
         ),

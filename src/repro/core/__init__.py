@@ -1,8 +1,9 @@
 """The DISCO mediator itself (the paper's primary contribution).
 
-* :class:`~repro.core.registry.Registry` -- the mediator's internal database:
-  types, extents (MetaExtent objects), views, repositories and wrappers, plus
-  the name resolution the binder needs;
+* :class:`~repro.core.registry.Registry` -- the mediator's one internal
+  database: types, extents (one MetaExtent object each), views, repositories
+  and wrappers under one lock and one schema version, plus the name
+  resolution the binder needs;
 * :class:`~repro.core.planner.QueryPlanner` -- the parse / bind / translate /
   optimize pipeline of Prototype 0 (Figure 2);
 * :class:`~repro.core.mediator.Mediator` -- the façade applications talk to:

@@ -101,7 +101,11 @@ class Mediator:
     # -- DBA interface: definitions -----------------------------------------------------------
     def load_odl(self, text: str) -> list[object]:
         """Load ODL declarations (interfaces, extents, views, repositories)."""
-        return self.odl_loader.load(text)
+        try:
+            return self.odl_loader.load(text)
+        finally:
+            # A failing declaration leaves the ones before it applied.
+            self._sweep_stale_answers()
 
     def define_interface(
         self,
@@ -115,11 +119,13 @@ class Mediator:
             AttributeSpec(attr_name, PrimitiveType.from_name(attr_type))
             for attr_name, attr_type in attributes
         )
-        return self.registry.define_interface(
+        interface = self.registry.define_interface(
             InterfaceType(
                 name=name, attributes=specs, supertype=supertype, extent_name=extent_name
             )
         )
+        self._sweep_stale_answers()
+        return interface
 
     def create_repository(self, name: str, host: str = "localhost", address: str = "", **properties) -> Repository:
         """Create and register a Repository object (``r0 := Repository(...)``)."""
@@ -154,21 +160,26 @@ class Mediator:
             map=map,
             source_collection=source_collection,
         )
-        if self.answer_cache is not None:
-            # The version bump made every cached answer unreachable: return
-            # their rows to the budget now rather than on sight.
-            self.answer_cache.evict_stale(self.registry.schema_version)
+        self._sweep_stale_answers()
         return meta
 
     def drop_extent(self, name: str) -> None:
         """Remove an extent declaration."""
         self.registry.drop_extent(name)
-        if self.answer_cache is not None:
-            self.answer_cache.evict_stale(self.registry.schema_version)
+        self._sweep_stale_answers()
 
     def define_view(self, name: str, query_text: str):
         """``define <name> as <query>;``"""
-        return self.registry.define_view_text(name, query_text)
+        view = self.registry.define_view_text(name, query_text)
+        self._sweep_stale_answers()
+        return view
+
+    def _sweep_stale_answers(self) -> None:
+        """After a schema change: its version bump made every cached answer
+        unreachable, so return their rows to the budget now rather than on
+        sight."""
+        if self.answer_cache is not None:
+            self.answer_cache.evict_stale(self.registry.schema_version)
 
     def execute_statement(self, text: str) -> Any:
         """Execute one OQL statement: a ``define`` updates the schema, a query runs."""

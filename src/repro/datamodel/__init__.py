@@ -7,12 +7,13 @@ The package provides:
   universe used in the paper's examples;
 * the type system -- :class:`~repro.datamodel.types.InterfaceType` with
   attributes and ODMG subtyping;
-* DISCO extensions -- multiple :class:`~repro.datamodel.extent.Extent` objects
-  per interface recorded as :class:`~repro.datamodel.extent.MetaExtent`
-  instances, :class:`~repro.datamodel.repository.Repository` objects,
-  :class:`~repro.datamodel.mapping.LocalTransformationMap` type maps, and the
-  :class:`~repro.datamodel.schema.Schema` container that a mediator's internal
-  database stores.
+* DISCO extensions -- multiple extents per interface, each one
+  :class:`~repro.datamodel.extent.MetaExtent` object,
+  :class:`~repro.datamodel.repository.Repository` objects and
+  :class:`~repro.datamodel.mapping.LocalTransformationMap` type maps.
+
+The mediator's internal database that holds them is
+:class:`repro.core.registry.Registry`.
 """
 
 from repro.datamodel.values import Bag, Struct, make_bag, make_struct
@@ -24,8 +25,7 @@ from repro.datamodel.types import (
 )
 from repro.datamodel.repository import Repository
 from repro.datamodel.mapping import LocalTransformationMap
-from repro.datamodel.extent import Extent, MetaExtent
-from repro.datamodel.schema import Schema, ViewDefinition
+from repro.datamodel.extent import MetaExtent
 
 __all__ = [
     "Bag",
@@ -38,8 +38,5 @@ __all__ = [
     "TypeSystem",
     "Repository",
     "LocalTransformationMap",
-    "Extent",
     "MetaExtent",
-    "Schema",
-    "ViewDefinition",
 ]

@@ -1,12 +1,13 @@
-"""Extents and the ``MetaExtent`` meta-type (paper Sections 2.1-2.2).
+"""The ``MetaExtent`` meta-type: one object per extent (paper Sections 2.1-2.2).
 
 The key DISCO idea is that *each extent represents the collection of data in
 one data source*.  Declaring::
 
     extent person0 of Person wrapper w0 repository r0;
 
-creates a :class:`MetaExtent` instance recording the extent name, interface,
-wrapper, repository and optional local transformation map.  The implicit
+creates one :class:`MetaExtent` instance recording the extent name,
+interface, wrapper, repository and optional local transformation map; that
+object *is* the extent as far as the mediator is concerned.  The implicit
 extent of a type (``person``) is *defined as a query* over the MetaExtent
 collection, which is what lets a new data source join a mediator type without
 touching any existing query.
@@ -23,12 +24,26 @@ from repro.errors import SchemaError
 
 
 @dataclass
-class Extent:
-    """A named collection bound to one data source through a wrapper."""
+class MetaExtent:
+    """One object of the paper's ``MetaExtent`` interface.
+
+    Mirrors the ODL given in Section 2.1::
+
+        interface MetaExtent (extent metaextent) {
+            attribute String name;
+            attribute Extent e;
+            attribute Type interface;
+            attribute Wrapper wrapper;
+            attribute Repository repository;
+            attribute Map map; }
+
+    The object stands for the extent itself, so the ``e`` attribute of a
+    ``metaextent`` row is the extent's name.
+    """
 
     name: str
-    interface_name: str
-    wrapper_name: str
+    interface: str
+    wrapper: str
     repository: Repository
     map: LocalTransformationMap = field(default_factory=LocalTransformationMap.identity)
     source_collection: str | None = None
@@ -48,41 +63,6 @@ class Extent:
         if self.source_collection is not None:
             return self.source_collection
         return self.map.source_collection_name(self.name)
-
-
-@dataclass
-class MetaExtent:
-    """One object of the paper's ``MetaExtent`` interface.
-
-    Mirrors the ODL given in Section 2.1::
-
-        interface MetaExtent (extent metaextent) {
-            attribute String name;
-            attribute Extent e;
-            attribute Type interface;
-            attribute Wrapper wrapper;
-            attribute Repository repository;
-            attribute Map map; }
-    """
-
-    name: str
-    e: Extent
-    interface: str
-    wrapper: str
-    repository: Repository
-    map: LocalTransformationMap
-
-    @classmethod
-    def from_extent(cls, extent: Extent) -> "MetaExtent":
-        """Build the meta-data object for ``extent``."""
-        return cls(
-            name=extent.name,
-            e=extent,
-            interface=extent.interface_name,
-            wrapper=extent.wrapper_name,
-            repository=extent.repository,
-            map=extent.map,
-        )
 
     def describe(self) -> dict[str, Any]:
         """Plain-dict description used by catalogs and the ``metaextent`` extent."""

@@ -9,7 +9,7 @@ declarations create Repository objects.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 from repro.datamodel.mapping import LocalTransformationMap
 from repro.datamodel.repository import Repository
@@ -23,31 +23,14 @@ from repro.odl.ast import (
 )
 from repro.odl.parser import parse_odl
 
-
-class SchemaTarget(Protocol):
-    """What the loader needs from the mediator's internal database."""
-
-    def define_interface(self, interface: InterfaceType) -> InterfaceType: ...
-
-    def add_repository(self, repository: Repository) -> Repository: ...
-
-    def add_extent(
-        self,
-        name: str,
-        interface_name: str,
-        wrapper_name: str,
-        repository_name: str,
-        map: LocalTransformationMap | None = None,
-        source_collection: str | None = None,
-    ): ...
-
-    def define_view_text(self, name: str, query_text: str): ...
+if TYPE_CHECKING:
+    from repro.core.registry import Registry
 
 
 class OdlLoader:
-    """Load ODL text into a schema target (usually the mediator registry)."""
+    """Load ODL text into a mediator registry."""
 
-    def __init__(self, target: SchemaTarget):
+    def __init__(self, target: Registry):
         self.target = target
 
     def load(self, text: str) -> list[object]:

@@ -23,12 +23,12 @@ ways a query is served without (fully) re-contacting sources:
 
 Consistency: the cache is a :class:`~repro.optimizer.plancache.
 VersionedCache`, so an entry is served only under the registry
-``schema_version`` it was built under, and ``add_extent``/``drop_extent``
-sweep out every entry the version bump made stale.  A partial entry is
-*pinned* to its version twice: before the patch is submitted and again after
-it executed -- a schema mutated between miss and patch would otherwise weld
-rows of the old schema onto answers of the new one (the
-mutate-between-miss-and-patch race).  The versions are one registry's, so a
+``schema_version`` it was built under, and every schema change (the
+mediator's DBA methods) sweeps out every entry the version bump made
+stale.  A partial entry is *pinned* to its version twice: before the patch
+is submitted and again after it executed -- a schema mutated between miss
+and patch would otherwise weld rows of the old schema onto answers of the
+new one (the mutate-between-miss-and-patch race).  The versions are one registry's, so a
 cache serves one mediator.
 
 Subsumption refuses what it cannot replay faithfully: predicates with free

@@ -440,14 +440,14 @@ class Executor:
         # threads racing the same extent both check, both reach the same
         # verdict, and the cache insert below is idempotent.
         interface_attributes = self.registry.interface_attributes(meta.interface)
-        source_attributes = wrapper.source_attributes(meta.e.source_name())
+        source_attributes = wrapper.source_attributes(meta.source_name())
         if source_attributes:
             expected = {meta.map.attribute_to_source(attr) for attr in interface_attributes}
             missing = expected - set(source_attributes)
             if missing:
                 raise TypeConflictError(
                     f"extent {meta.name!r}: data source collection "
-                    f"{meta.e.source_name()!r} lacks attribute(s) {sorted(missing)!r} "
+                    f"{meta.source_name()!r} lacks attribute(s) {sorted(missing)!r} "
                     f"required by interface {meta.interface!r}; declare a map to resolve "
                     "the conflict"
                 )

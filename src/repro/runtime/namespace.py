@@ -140,7 +140,7 @@ def _translate(
         node_meta = _meta_for_collection(registry, node.collection, meta)
         if node_meta is None:
             return node, {}
-        source_name = node_meta.e.source_name()
+        source_name = node_meta.source_name()
         source_get = node if source_name == node.collection else log.Get(source_name)
         return source_get, dict(node_meta.map.mediator_to_source)
     visited = [_translate(registry, child, meta) for child in node.children()]

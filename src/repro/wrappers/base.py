@@ -115,6 +115,35 @@ class Wrapper:
         }
 
 
+class StoreWrapper(Wrapper):
+    """A wrapper over a collection store hosted by a simulated server.
+
+    The key-value, text and CSV stores share one catalog surface
+    (``collection_names``, ``scan``, ``cardinality``), so their wrappers
+    read it here; each states only its capabilities and ``_execute``.
+    """
+
+    def __init__(self, name: str, server: Any, capabilities: CapabilitySet):
+        super().__init__(name, capabilities)
+        self.server = server
+
+    def source_collections(self) -> list[str]:
+        return self.server.store.collection_names()
+
+    def source_attributes(self, collection: str) -> list[str]:
+        store = self.server.store
+        if collection not in store.collection_names():
+            return []
+        rows = store.scan(collection)
+        return list(rows[0]) if rows else []
+
+    def cardinality(self, collection: str) -> int | None:
+        store = self.server.store
+        if collection not in store.collection_names():
+            return None
+        return store.cardinality(collection)
+
+
 class AlgebraEvaluator:
     """Evaluates pushable logical expressions given a ``scan`` function.
 

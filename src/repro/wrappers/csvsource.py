@@ -5,17 +5,15 @@ from __future__ import annotations
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.logical import Get, LogicalOp, Project
 from repro.errors import WrapperError
-from repro.sources.csv_store import CsvStore
 from repro.sources.server import SimulatedServer
-from repro.wrappers.base import Row, Wrapper
+from repro.wrappers.base import Row, StoreWrapper
 
 
-class CsvWrapper(Wrapper):
-    """Wrapper over a :class:`CsvStore` hosted by a simulated server."""
+class CsvWrapper(StoreWrapper):
+    """Wrapper over a :class:`~repro.sources.CsvStore` hosted by a simulated server."""
 
     def __init__(self, name: str, server: SimulatedServer):
-        super().__init__(name, CapabilitySet.of("get", "project"))
-        self.server = server
+        super().__init__(name, server, CapabilitySet.of("get", "project"))
 
     def _execute(self, expression: LogicalOp) -> list[Row]:
         if isinstance(expression, Get):
@@ -28,20 +26,3 @@ class CsvWrapper(Wrapper):
         raise WrapperError(
             f"csv wrapper {self.name!r} cannot evaluate {expression.to_text()}"
         )
-
-    def source_collections(self) -> list[str]:
-        store: CsvStore = self.server.store
-        return store.collection_names()
-
-    def source_attributes(self, collection: str) -> list[str]:
-        store: CsvStore = self.server.store
-        if collection not in store.collection_names():
-            return []
-        rows = store.scan(collection)
-        return list(rows[0]) if rows else []
-
-    def cardinality(self, collection: str) -> int | None:
-        store: CsvStore = self.server.store
-        if collection not in store.collection_names():
-            return None
-        return store.cardinality(collection)

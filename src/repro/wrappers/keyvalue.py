@@ -12,15 +12,14 @@ from repro.algebra.logical import Get, LogicalOp
 from repro.errors import WrapperError
 from repro.sources.keyvalue_store import KeyValueStore
 from repro.sources.server import SimulatedServer
-from repro.wrappers.base import Row, Wrapper
+from repro.wrappers.base import Row, StoreWrapper
 
 
-class KeyValueWrapper(Wrapper):
+class KeyValueWrapper(StoreWrapper):
     """Wrapper over a :class:`KeyValueStore` hosted by a simulated server."""
 
     def __init__(self, name: str, server: SimulatedServer):
-        super().__init__(name, CapabilitySet.get_only())
-        self.server = server
+        super().__init__(name, server, CapabilitySet.get_only())
 
     def _execute(self, expression: LogicalOp) -> list[Row]:
         if not isinstance(expression, Get):
@@ -33,20 +32,3 @@ class KeyValueWrapper(Wrapper):
             return store.scan(collection)
 
         return self.server.call(run)
-
-    def source_collections(self) -> list[str]:
-        store: KeyValueStore = self.server.store
-        return store.collection_names()
-
-    def source_attributes(self, collection: str) -> list[str]:
-        store: KeyValueStore = self.server.store
-        if collection not in store.collection_names():
-            return []
-        rows = store.scan(collection)
-        return list(rows[0]) if rows else []
-
-    def cardinality(self, collection: str) -> int | None:
-        store: KeyValueStore = self.server.store
-        if collection not in store.collection_names():
-            return None
-        return store.cardinality(collection)

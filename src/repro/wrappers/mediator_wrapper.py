@@ -70,6 +70,6 @@ class MediatorWrapper(Wrapper):
         names = []
         registry = getattr(self.mediator, "registry", None)
         if registry is not None:
-            names = [meta.name for meta in registry.schema.extents()]
-            names.extend(view.name for view in registry.schema.views())
+            names = [meta.name for meta in registry.extents()]
+            names.extend(view.name for view in registry.views())
         return names

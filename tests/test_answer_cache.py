@@ -523,3 +523,26 @@ def test_an_extent_change_sweeps_every_stale_answer():
         assert stats["answer_cache_invalidations"] == 2
     finally:
         mediator.close()
+
+
+def test_every_schema_change_sweeps_every_stale_answer():
+    """Not only an extent change: every DBA action that bumps the schema
+    version returns the stale answers' rows to the budget at once."""
+    changes = (
+        lambda m: m.load_odl("extent person1 of Person wrapper w0 repository r0;"),
+        lambda m: m.define_view("rich", "select x from x in person0 where x.salary > 3"),
+        lambda m: m.execute_statement("define poor as select x from x in person0"),
+        lambda m: m.define_interface("Other", [("id", "Long")]),
+    )
+    mediator, _server = make_mediator(answer_cache=True)
+    try:
+        for sweeps, change in enumerate(changes, start=1):
+            mediator.query("select x from x in person0")
+            assert mediator.statistics()["answer_cache_entries"] == 1
+            change(mediator)
+            stats = mediator.statistics()
+            assert stats["answer_cache_entries"] == 0
+            assert stats["answer_cache_rows"] == 0
+            assert stats["answer_cache_invalidations"] == sweeps
+    finally:
+        mediator.close()

@@ -69,7 +69,7 @@ class TestCatalog:
         catalog = Catalog()
         catalog.register_mediator(paper_mediator)
         catalog.register_wrapper("w0", paper_mediator.registry.wrapper_object("w0"))
-        catalog.register_repository(paper_mediator.registry.schema.repository("r0"))
+        catalog.register_repository(paper_mediator.registry.repository("r0"))
         overview = catalog.overview()
         assert overview["mediators"] == ["paper"]
         assert overview["wrappers"] == ["w0"]

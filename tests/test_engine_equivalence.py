@@ -648,7 +648,7 @@ def test_cache_on_answers_match_cache_off(seed):
         plain_servers[fault_index].take_down()
         cached_servers[fault_index].take_down()
         down.update(
-            meta.name for meta in plain.registry.schema.extents() if meta.wrapper == f"w{fault_index}"
+            meta.name for meta in plain.registry.extents() if meta.wrapper == f"w{fault_index}"
         )
         for text, limit, reference in queries:
             check(text, limit, reference)

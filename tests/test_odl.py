@@ -137,17 +137,17 @@ class TestOdlLoader:
 
     def test_interfaces_are_defined(self):
         registry = self.load()
-        assert registry.schema.interface("Person").extent_name == "person"
-        assert registry.schema.interface("Student").supertype == "Person"
+        assert registry.interface("Person").extent_name == "person"
+        assert registry.interface("Student").supertype == "Person"
 
     def test_repositories_are_created(self):
         registry = self.load()
-        assert registry.schema.repository("r0").host == "rodin"
-        assert registry.schema.repository("r0").address == "123.45.6.7"
+        assert registry.repository("r0").host == "rodin"
+        assert registry.repository("r0").address == "123.45.6.7"
 
     def test_extents_create_metaextent_objects(self):
         registry = self.load()
-        assert {meta.name for meta in registry.schema.extents()} == {
+        assert {meta.name for meta in registry.extents()} == {
             "person0",
             "person1",
             "personprime0",
@@ -157,11 +157,11 @@ class TestOdlLoader:
         registry = self.load()
         meta = registry.extent("personprime0")
         assert meta.map.attribute_to_source("n") == "name"
-        assert meta.e.source_name() == "person0"
+        assert meta.source_name() == "person0"
 
     def test_view_is_registered(self):
         registry = self.load()
-        assert registry.schema.has_view("double")
+        assert "double" in [view.name for view in registry.views()]
 
     def test_view_body_with_an_escaped_quote_loads_and_answers(self, paper_mediator):
         """The body of a define is OQL, so ODL reads strings the way OQL does:
@@ -181,7 +181,7 @@ class TestOdlLoader:
     def test_unknown_attribute_types_are_accepted_as_any(self):
         registry = Registry()
         OdlLoader(registry).load("interface T { attribute Whatever x; };")
-        assert registry.schema.interface("T").has_attribute("x")
+        assert registry.interface("T").has_attribute("x")
 
     def test_extent_for_unknown_wrapper_fails(self):
         registry = Registry()

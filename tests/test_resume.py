@@ -486,16 +486,30 @@ class TestOneRetryBudget:
         assert report.attempts == 3
         mediator.close()
 
-    def test_a_reopen_that_must_degrade_needs_two_retries(self):
+    @pytest.mark.parametrize(
+        "max_retries, rows, degraded_to, resumed_calls",
+        [
+            (1, 10, None, 0),
+            (2, 10, "select(x: x.salary >= 0, get(person0))", 0),
+            (3, 30, "get(person0)", 1),
+        ],
+    )
+    def test_a_reopen_that_must_degrade_needs_three_retries(
+        self, max_retries, rows, degraded_to, resumed_calls
+    ):
         """The reopen is refused, and so is its first degraded rung (the
         drifting wrapper refuses every ``select``): each refusal spends a
-        retry, so with one retry the stream is written off after its prefix."""
-        mediator, server = TestReopenEdgeCases().build_drifting(max_retries=1)
+        retry, so the stream is written off after its prefix until a third
+        retry reaches ``get`` and replays past the delivered rows."""
+        mediator, server = TestReopenEdgeCases().build_drifting(max_retries=max_retries)
         server.availability.kill_after(10)
         result = mediator.query_stream(TestReopenEdgeCases.QUERY)
-        assert list(result.iter_rows()) == [f"p{i}" for i in range(10)]
-        assert result.is_partial
-        assert result.reports[0].resumed_calls == 0
+        assert list(result.iter_rows()) == EXPECTED[:rows]
+        assert result.is_partial == (rows < len(EXPECTED))
+        report = result.reports[0]
+        assert report.degraded_to == degraded_to
+        assert report.resumed_calls == resumed_calls
+        assert report.attempts == max_retries + 1
         mediator.close()
 
 
