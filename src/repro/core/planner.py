@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.logical import LogicalOp, Submit
@@ -17,6 +18,18 @@ from repro.optimizer.cost import CostModel
 from repro.optimizer.history import ExecCallHistory
 from repro.optimizer.optimizer import OptimizedPlan, Optimizer
 from repro.optimizer.plancache import PlanCache
+
+
+def capabilities_for_submit(registry: Registry, submit: Submit) -> CapabilitySet:
+    """The ``submit-functionality`` call: ask the extent's wrapper for its capabilities."""
+    extent_name = submit.extent_name or submit.source
+    try:
+        meta = registry.extent(extent_name)
+        wrapper = registry.wrapper_object(meta.wrapper)
+    except SchemaError:
+        # Unknown extent (hand-built plan): assume the minimal wrapper.
+        return CapabilitySet.get_only()
+    return wrapper.submit_functionality()
 
 
 @dataclass
@@ -58,21 +71,12 @@ class QueryPlanner:
         self.cost_model = cost_model or CostModel(history=self.history)
         self.binder = Binder(registry)
         self.translator = Translator(metaextent_rows=registry.metaextent_rows)
-        self.rewriter = Rewriter(self._capabilities_for_submit)
+        # The resolver holds the registry, not the planner: a bound method
+        # here would close the cycle planner -> optimizer -> rewriter ->
+        # planner, and a closed mediator would wait for a cyclic collection.
+        self.rewriter = Rewriter(partial(capabilities_for_submit, registry))
         self.optimizer = Optimizer(self.rewriter, self.cost_model)
         self.plan_cache = PlanCache()
-
-    # -- capability resolution ------------------------------------------------------------
-    def _capabilities_for_submit(self, submit: Submit) -> CapabilitySet:
-        """The ``submit-functionality`` call: ask the extent's wrapper for its capabilities."""
-        extent_name = submit.extent_name or submit.source
-        try:
-            meta = self.registry.extent(extent_name)
-            wrapper = self.registry.wrapper_object(meta.wrapper)
-        except SchemaError:
-            # Unknown extent (hand-built plan): assume the minimal wrapper.
-            return CapabilitySet.get_only()
-        return wrapper.submit_functionality()
 
     # -- the pipeline -----------------------------------------------------------------------
     def key(self, text: str) -> tuple[str, QueryNode | None]:

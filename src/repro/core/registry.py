@@ -153,6 +153,8 @@ class Registry:
         with self._lock:
             if name in self._extents:
                 raise SchemaError(f"extent {name!r} is already defined")
+            if name in self._views:
+                raise SchemaError(f"extent {name!r} collides with a view name")
             self.types.get(interface_name)  # unknown interface: SchemaError
             self.wrapper_object(wrapper_name)
             meta = MetaExtent(

@@ -59,14 +59,18 @@ def environment_builder(
 def as_struct(row: Any) -> Any:
     """One raw row as a mediator row: the run-time system's one row normaliser.
 
-    A mapping is copied into a :class:`Struct` -- once, as the wrapper may
-    keep and change its own.  A :class:`Struct` is immutable, so it *is* the
-    row.  Environment elements (:class:`Env`) pass through too: they are
-    variable bindings, not data rows -- struct-ifying them would strand the
-    bound variables when a resubmitted partial answer re-joins its embedded
-    half-evaluated environments.  Anything else (a projected single column's
-    scalars, nested bags) passes unchanged.
+    A :class:`Struct` is immutable, so it *is* the row: a row an in-memory
+    store holds (stored as a ``Struct`` at insert) passes straight through,
+    uncopied.  Any other mapping is copied into a ``Struct`` -- once, as the
+    wrapper may keep and change its own.  Environment elements
+    (:class:`Env`) pass through too: they are variable bindings, not data
+    rows -- struct-ifying them would strand the bound variables when a
+    resubmitted partial answer re-joins its embedded half-evaluated
+    environments.  Anything else (a projected single column's scalars,
+    nested bags) passes unchanged.
     """
+    if type(row) is Struct:
+        return row
     if type(row) is dict:
         return Struct(row)
     if isinstance(row, (Struct, Env)) or not isinstance(row, Mapping):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
+from repro.datamodel.values import Struct
 from repro.errors import QueryExecutionError, SchemaError
 
 
@@ -19,7 +20,7 @@ class KeyValueStore:
 
     def __init__(self, name: str = "kvstore"):
         self.name = name
-        self._collections: dict[str, dict[Any, dict[str, Any]]] = {}
+        self._collections: dict[str, dict[Any, Struct]] = {}
 
     def create_collection(self, name: str) -> None:
         """Create an empty collection; duplicates are an error."""
@@ -28,8 +29,8 @@ class KeyValueStore:
         self._collections[name] = {}
 
     def put(self, collection: str, key: Any, record: Mapping[str, Any]) -> None:
-        """Insert or replace a record under ``key``."""
-        self._require(collection)[key] = dict(record)
+        """Insert or replace a record under ``key``, stored as an immutable :class:`Struct`."""
+        self._require(collection)[key] = Struct(record)
 
     def put_many(self, collection: str, records: Iterable[tuple[Any, Mapping[str, Any]]]) -> int:
         """Insert many ``(key, record)`` pairs; return how many were stored."""
@@ -39,16 +40,19 @@ class KeyValueStore:
             count += 1
         return count
 
-    def get(self, collection: str, key: Any) -> dict[str, Any]:
-        """Return the record stored under ``key``."""
+    def get(self, collection: str, key: Any) -> Struct:
+        """Return the record stored under ``key`` (the stored object itself)."""
         records = self._require(collection)
         if key not in records:
             raise QueryExecutionError(f"no record {key!r} in collection {collection!r}")
-        return dict(records[key])
+        return records[key]
 
-    def scan(self, collection: str) -> list[dict[str, Any]]:
-        """Return every record of ``collection`` (the only bulk operation)."""
-        return [dict(record) for record in self._require(collection).values()]
+    def scan(self, collection: str) -> list[Struct]:
+        """Return every record of ``collection`` (the only bulk operation).
+
+        The stored records are immutable, so they are handed out uncopied.
+        """
+        return list(self._require(collection).values())
 
     def collection_names(self) -> list[str]:
         """Names of every collection."""
@@ -58,7 +62,7 @@ class KeyValueStore:
         """Number of records in ``collection``."""
         return len(self._require(collection))
 
-    def _require(self, collection: str) -> dict[Any, dict[str, Any]]:
+    def _require(self, collection: str) -> dict[Any, Struct]:
         try:
             return self._collections[collection]
         except KeyError:

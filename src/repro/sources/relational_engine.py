@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
+from repro.datamodel.values import Struct
 from repro.errors import QueryExecutionError, SchemaError
 from repro.sources.table import Table, TableSchema
-
-Row = dict[str, Any]
 
 
 class RelationalEngine:
@@ -64,9 +63,12 @@ class RelationalEngine:
         return list(self._tables)
 
     # -- access -----------------------------------------------------------------------
-    def scan(self, table_name: str) -> list[Row]:
-        """Full scan of a table (the ``get`` operator at the source)."""
-        return list(self.table(table_name).rows())
+    def scan(self, table_name: str) -> list[Struct]:
+        """Full scan of a table (the ``get`` operator at the source).
+
+        The table's stored rows themselves, immutable and uncopied.
+        """
+        return self.table(table_name).snapshot()
 
     # -- statistics ------------------------------------------------------------------
     def cardinality(self, table_name: str) -> int:

@@ -1,6 +1,10 @@
 """In-memory tables: the storage layer under every simulated data source.
 
-Rows are plain dicts.  A :class:`TableSchema` carries column names and
+Each row is stored once, as an immutable
+:class:`~repro.datamodel.values.Struct` built at insert, and scans hand out
+the stored objects themselves: immutability, not a copy per read, keeps a
+caller from corrupting storage, and the mediator passes the same objects on
+into the answer.  A :class:`TableSchema` carries column names and
 light-weight Python types so the engines can validate inserts and the
 wrappers can report the source-side type to the mediator (which is how the
 run-time type check of paper Section 2.1 is exercised).
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
+from repro.datamodel.values import Struct
 from repro.errors import QueryExecutionError, SchemaError
 
 
@@ -79,17 +84,17 @@ class Table:
             raise SchemaError("a table needs a non-empty name")
         self.name = name
         self.schema = schema
-        self._rows: list[dict[str, Any]] = []
+        self._rows: list[Struct] = []
         for row in rows or ():
             self.insert(row)
 
     # -- mutation -------------------------------------------------------------
     def insert(self, row: Mapping[str, Any]) -> None:
         """Insert a row, validating against the schema when one is declared."""
-        materialised = dict(row)
+        stored = Struct(row)
         if self.schema is not None:
-            self.schema.validate_row(materialised)
-        self._rows.append(materialised)
+            self.schema.validate_row(stored)
+        self._rows.append(stored)
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
         """Insert every row in ``rows``; return how many were inserted."""
@@ -110,15 +115,23 @@ class Table:
         self._rows.clear()
 
     # -- access ----------------------------------------------------------------
-    def rows(self) -> Iterator[dict[str, Any]]:
-        """Iterate over copies of the rows (callers cannot corrupt storage)."""
-        for row in self._rows:
-            yield dict(row)
+    def rows(self) -> Iterator[Struct]:
+        """Iterate over the stored rows themselves (see :meth:`snapshot`)."""
+        return iter(self.snapshot())
+
+    def snapshot(self) -> list[Struct]:
+        """The stored rows themselves, in a list of their own.
+
+        The rows are immutable, so they are handed out uncopied; the list is
+        a snapshot, so an ``insert`` or ``delete_where`` during a scan does
+        not disturb it.
+        """
+        return list(self._rows)
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __iter__(self) -> Iterator[dict[str, Any]]:
+    def __iter__(self) -> Iterator[Struct]:
         return self.rows()
 
     def column_names(self) -> list[str]:

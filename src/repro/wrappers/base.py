@@ -202,15 +202,13 @@ class AlgebraEvaluator:
         shape walk; the loop itself is compiled once per shape per process).
         The mediator's compensation path runs the same kernel, so a pushed
         and a mediator-side aggregation can never disagree on NULL or
-        empty-group semantics.
+        empty-group semantics.  The kernel builds each group's row as a fresh
+        :class:`~repro.datamodel.values.Struct`, yielded as it is.
         """
         from repro.runtime.operators import group_rows  # local: avoid cycle
 
         rows = self.evaluate_stream(expression.child)
-        for row in group_rows(
-            rows, expression.variable, expression.keys, expression.aggregates
-        ):
-            yield dict(row)
+        yield from group_rows(rows, expression.variable, expression.keys, expression.aggregates)
 
     def _limit_stream(self, expression: Limit) -> Iterator[Row]:
         """The pushed-down fetch size: stop the scan after ``count`` rows."""

@@ -22,6 +22,7 @@ import pytest
 from repro import AnswerCache, Mediator, RelationalWrapper
 from repro.algebra import logical as log
 from repro.algebra.expressions import Comparison, Const, FunctionCall, Path, Var
+from repro.errors import SchemaError
 from repro.runtime import answercache
 from repro.sources import RelationalEngine, SimulatedServer, TableSchema
 
@@ -544,5 +545,23 @@ def test_every_schema_change_sweeps_every_stale_answer():
             assert stats["answer_cache_entries"] == 0
             assert stats["answer_cache_rows"] == 0
             assert stats["answer_cache_invalidations"] == sweeps
+    finally:
+        mediator.close()
+
+
+def test_an_extent_may_not_shadow_a_view():
+    """Extents resolve before views, so an extent named like a view would
+    silently change what the view's name answers: the add is refused."""
+    mediator, _server = make_mediator(answer_cache=True)
+    try:
+        mediator.define_view("rich", "select x from x in person0 where x.salary > 5")
+        query = "select y from y in rich"
+        assert len(mediator.query(query).rows()) == 1
+        version = mediator.registry.schema_version
+        with pytest.raises(SchemaError, match="extent 'rich' collides with a view name"):
+            mediator.add_extent("rich", "Person", "w0", "r0", source_collection="person0")
+        assert mediator.registry.schema_version == version
+        assert [meta.name for meta in mediator.registry.extents()] == ["person0"]
+        assert len(mediator.query(query).rows()) == 1
     finally:
         mediator.close()

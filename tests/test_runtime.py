@@ -2,10 +2,11 @@
 
 import gc
 import time
+import weakref
 
 import pytest
 
-from repro import Bag, LocalTransformationMap, Mediator, RelationalWrapper, Struct
+from repro import Bag, LocalTransformationMap, Mediator, RelationalWrapper, SqlWrapper, Struct
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.expressions import Arithmetic, Comparison, Const, Path, StructExpr, Var
 from repro.algebra.logical import (
@@ -38,6 +39,7 @@ from repro.algebra.physical import (
     ProbeJoin,
     walk,
 )
+from repro.baselines import GetOnlyWrapper
 from repro.errors import DiscoError, QueryExecutionError
 from repro.optimizer.implementation import implement
 from repro.runtime import kernels
@@ -57,6 +59,7 @@ from repro.runtime.operators import (
 from repro.runtime.partial_eval import UNAVAILABLE, PartialAnswerBuilder
 from repro.sources import RelationalEngine, SimulatedServer
 from repro.sources.network import NetworkProfile
+from repro.sources.sql import SqlEngine
 from tests.conftest import build_paper_mediator, build_person_federation
 
 
@@ -248,6 +251,35 @@ class TestExecutor:
         assert translated.to_text() == (
             "project(name, select(x: x.salary > 10, get(person0)))"
         )
+
+    def test_a_stored_row_is_the_answer_row(self):
+        """One object per row, source to answer: a table stores immutable
+        rows and hands them out, and the mediator passes them through."""
+        tables = []
+        mediator = Mediator(name="identity")
+        mediator.create_repository("r0")
+        mediator.define_interface("Person", [("id", "Long"), ("name", "String")])
+        sources = (
+            (RelationalEngine, lambda server: RelationalWrapper("relational", server)),
+            (RelationalEngine, lambda server: GetOnlyWrapper(RelationalWrapper("inner", server))),
+            (SqlEngine, lambda server: SqlWrapper("sql", server)),
+        )
+        for index, (engine_class, make_wrapper) in enumerate(sources):
+            engine = engine_class(name=f"db{index}")
+            tables.append(
+                engine.create_table(
+                    f"person{index}", rows=[{"id": i, "name": f"p{i}"} for i in range(3)]
+                )
+            )
+            wrapper = make_wrapper(SimulatedServer(name=f"host{index}", store=engine))
+            mediator.register_wrapper(f"w{index}", wrapper)
+            mediator.add_extent(f"person{index}", "Person", f"w{index}", "r0")
+        with mediator:
+            for index, table in enumerate(tables):
+                stored = list(table.rows())
+                query = f"select x from x in person{index}"
+                for answer in (mediator.query(query), mediator.query_stream(query)):
+                    assert sorted(map(id, answer.rows())) == sorted(map(id, stored))
 
     def build_hr_mediator(self):
         """One wrapper exposing two tables; two extents with *different* maps."""
@@ -703,6 +735,28 @@ class TestPartialAnswerBuilder:
                 assert gc.collect() == 0
             finally:
                 gc.enable()
+
+    def test_a_closed_mediator_leaves_no_reference_cycle(self):
+        """The planner's capability lookup holds the registry, not the
+        planner, so a closed federation (registry, wrappers, servers,
+        tables, caches) is freed by reference counting, not by a cyclic
+        collection that lands on some later query."""
+        gc.collect()
+        gc.disable()
+        try:
+            mediator, servers = build_paper_mediator()
+            query = "select x.name from x in person"
+            assert len(mediator.query(query).rows()) == 2
+            assert len(mediator.query_stream(query).rows()) == 2
+            with mediator.serve(workers=1) as server:
+                assert len(server.submit(query).result(timeout=10).rows()) == 2
+            mediator.close()
+            registry = weakref.ref(mediator.registry)
+            del mediator, servers, server
+            assert registry() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_fully_available_plan_collapses_to_data(self):
         builder = PartialAnswerBuilder()

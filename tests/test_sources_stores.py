@@ -42,10 +42,14 @@ class TestKeyValueStore:
         with pytest.raises(QueryExecutionError):
             store.get("person0", 99)
 
-    def test_scan_returns_copies(self):
+    def test_scan_rows_are_immutable_and_uncopied(self):
         store = self.store()
-        store.scan("person0")[0]["name"] = "Hacked"
-        assert store.get("person0", 1)["name"] == "Mary"
+        record = store.get("person0", 1)
+        with pytest.raises(TypeError):
+            store.scan("person0")[0]["name"] = "Hacked"
+        assert store.get("person0", 1) == {"name": "Mary", "salary": 200}
+        assert store.scan("person0")[0] is record
+        assert store.get("person0", 1) is record
 
 
 class TestTextStore:

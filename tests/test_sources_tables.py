@@ -37,10 +37,21 @@ class TestTable:
         assert len(table) == 2
         assert sorted(row["name"] for row in table) == ["Mary", "Sam"]
 
-    def test_rows_are_copies(self):
+    def test_rows_are_immutable_and_uncopied(self):
         table = Table("person", rows=[{"name": "Mary"}])
-        next(table.rows())["name"] = "Hacked"
-        assert list(table.rows())[0]["name"] == "Mary"
+        row = next(table.rows())
+        with pytest.raises(TypeError):
+            row["name"] = "Hacked"
+        assert list(table.rows()) == [{"name": "Mary"}]
+        assert next(table.rows()) is row
+
+    def test_a_scan_reads_a_snapshot(self):
+        table = Table("person", rows=[{"salary": 10}, {"salary": 100}])
+        scan = table.rows()
+        table.insert({"salary": 1000})
+        table.delete_where(lambda row: row["salary"] == 10)
+        assert list(scan) == [{"salary": 10}, {"salary": 100}]
+        assert list(table.rows()) == [{"salary": 100}, {"salary": 1000}]
 
     def test_schema_is_enforced_on_insert(self):
         table = Table("person", schema=TableSchema.of(("salary", int)))
