@@ -103,8 +103,7 @@ class QueryResult:
         second call replays the same rows.
         """
         if self.stream is not None:
-            for row in self.stream:
-                yield row
+            yield from self.stream
             self._sync_from_stream()
             return
         yield from self.rows()

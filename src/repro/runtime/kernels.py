@@ -16,6 +16,19 @@ invents, so it is a function of the operator's *shape* (:func:`_shape`,
 cached plan keeps its kernels in its compiled-call slot, under the identity
 of each chain's top node and each grouping's node; a kernel binds nothing of
 a run.
+
+A kernel whose operators read their variable has two loop bodies over the
+one setup (closures compiled, ``groups`` made, once per call).  The general
+body builds the environment an element needs: an :class:`Env`, an outer
+environment or the ``_env`` splat.  The ``Struct`` body is for the element a
+stream almost always carries, a :class:`Struct` under no outer environment
+and no splat: the operator's variable is the element itself and a path off
+it is one subscript, with no environment and no type test per read (up to
+an ``mkapply``, whose value is not known to be a ``Struct``).  The body is
+picked per element, by ``type(el) is fast``, because one input may mix the
+kinds -- an ``Env`` among rows, a foreign mapping off a wrapper -- and the
+rare kind must not cost the common one; ``fast`` is None where an outer
+environment or a splat rules the ``Struct`` body out for the whole call.
 """
 
 from __future__ import annotations
@@ -167,14 +180,16 @@ def _expr_shape(node: Expr, variable: str, values: list[Any], depth: int) -> tup
 
 # -- the emitter: a shape's source --------------------------------------------------------------
 class _Emitter:
-    """The row loop of one shape."""
+    """The row loop of one shape: its general body, and its ``Struct`` body (:meth:`struct_body`)."""
 
-    temps, depth, outer = 0, 3, False
+    temps, depth, outer, known = 0, 3, False, False
 
     def __init__(self) -> None:
         self.setup: list[str] = []
         self.body: list[str] = []
         self.tail = ["            yield el"]  # the loop body's last line, and what follows the loop
+        #: the environment switches of the operators the ``Struct`` body reads in place
+        self.guards: list[str] = []
 
     def line(self, text: str) -> None:
         pad = "    " * self.depth
@@ -185,12 +200,15 @@ class _Emitter:
         self.setup = []
         if op[0] == "row":
             fields = ", ".join([f"a{name}: g(a{name})" for name in op[1]])
-            self.line(f"g = el.get if type(el) is Struct or type(el) is dict else getter(el)\nel = Struct({{{fields}}})")
+            get = "el.get" if self.known else "el.get if type(el) is Struct or type(el) is dict else getter(el)"
+            self.line(f"g = {get}\nel = Struct({{{fields}}})")
             return self.setup
         kind, name, splat, *exprs = op
-        self.env, self.name, self.used, start = f"e{k}", f"a{name}", False, len(self.body)
+        in_place = self.known
+        self.env, self.name, self.used, start = "None" if in_place else f"e{k}", f"a{name}", False, len(self.body)
         if kind == "apply":
             self.line(f"el = {self.expr(exprs[0])}")
+            self.known = False  # what an expression gives is not known to be a Struct
         elif kind == "key":
             self.line(f"return {self.expr(exprs[0])}")
         elif kind == "group":
@@ -198,7 +216,9 @@ class _Emitter:
         else:  # a conjunction drops the element at its first false operand
             for conjunct in exprs[0][1:] if exprs[0][0] == "and" else exprs:
                 self.line(f"if not {self.expr(conjunct)}:\n    continue")
-        if self.used:
+        if self.used and in_place:
+            self.guards.append(f"s{k}")
+        elif self.used:
             # An Env element is its own environment unless an outer one lies
             # under it; an outer environment or the reserved variable needs a
             # dict built; any other element is simply its variable.
@@ -208,6 +228,19 @@ class _Emitter:
             bind = f"el if not outer and isinstance(el, Env) else {merged} if s{k} else None"
             self.body.insert(start, "    " * self.depth + f"e{k} = {bind}")
         return self.setup
+
+    def struct_body(self, ops: tuple) -> list[str]:
+        """The loop body for a :class:`Struct` element where no outer environment
+        and no ``_env`` splat lies under the operators that read it
+        (:attr:`guards`): up to the first ``mkapply`` (and again after an
+        ``mkproj``), the operator's variable is the element itself, a path off
+        it one subscript.  Empty when no operator reads its variable."""
+        general, self.body, self.known = self.body, [], True
+        for k, op in enumerate(ops):
+            self.operator(op, k)
+            self.known = self.known or op[0] == "row"  # a projection makes a Struct
+        self.body, body, self.known = general, self.body, False
+        return body if self.guards else []
 
     def group(self, keys: tuple, aggregates: tuple) -> None:
         """Fold the element into its group, ``[key fields, accumulator slots...]``.
@@ -244,13 +277,22 @@ class _Emitter:
         if kind == "var":
             self.used = True
             own = e[1] is None
+            if own and self.known:
+                return "el"
             self.line(f"{t} = el if {env} is None else var({env}, {self.name})" if own else f"{t} = var({env}, a{e[1]})")
         elif kind == "path":
             b, a = self.expr(e[1]), f"a{e[2]}"
             # A Struct and a plain dict are read by subscript in place; anything
             # else, and a missing key, goes through read() for its message.
-            self.line(f"if type({b}) is Struct or type({b}) is dict:\n    try:\n        {t} = {b}[{a}]\n"
-                      f"    except KeyError:\n        {t} = read({b}, {a})\nelse:\n    {t} = read({b}, {a})")
+            subscript = f"try:\n    {t} = {b}[{a}]\nexcept KeyError:\n    {t} = read({b}, {a})"
+            if b == "el":  # the Struct body's element
+                self.line(subscript)
+                return t
+            self.line(f"if type({b}) is Struct or type({b}) is dict:")
+            self.depth += 1
+            self.line(subscript)
+            self.depth -= 1
+            self.line(f"else:\n    {t} = read({b}, {a})")
         elif kind == "compare":
             left, right = self.expr(e[2]), self.expr(e[3])
             self.line(f"if {left} is None or {right} is None:\n    {t} = False\nelse:\n    try:\n"
@@ -272,9 +314,11 @@ class _Emitter:
             fields = ", ".join([f"a{name}: {self.expr(field)}" for name, field in e[1:]])
             self.line(f"{t} = Struct({{{fields}}})")
         else:  # any other kind runs its own closure, over a real environment
+            # named by its node's value, so that both bodies call the one closure
             self.used = True
-            self.setup.append(f"d{t} = a{e[1]}.compile(subquery)")
-            self.line(f"{t} = d{t}({env} if {env} is not None else {{{self.name}: el}})")
+            self.setup.append(f"d{e[1]} = a{e[1]}.compile(subquery)")
+            alone = f"{{{self.name}: el}}"  # the operator's variable alone
+            self.line(f"{t} = d{e[1]}({alone if self.known else f'{env} if {env} is not None else {alone}'})")
         return t
 
 
@@ -286,12 +330,21 @@ def emit(shape: tuple) -> str:
     # Set up the top operator first, as the generator stack it replaces did.
     setup = ["outer = dict(base_env) if base_env else {}"] if emitter.outer else []
     setup += [line for lines in reversed(setups) for line in lines]
+    body = emitter.body
+    in_place = emitter.struct_body(ops) if emitter.outer else []
+    if in_place:  # the element picks its body; the setup is shared
+        setup.append(f"fast = None if {' or '.join(emitter.guards)} else Struct")
+        body = ["            if type(el) is fast:", *_indented(in_place), "            else:", *_indented(body)]
     head = [f"def make({', '.join([*_HELPERS, *(f'a{i}' for i in range(count))])}):"]
     if ops[0][0] == "key":  # one element in, its key out: a function, not a loop
         head += ["    def kernel(base_env, subquery):", *("        " + line for line in setup)]
-        return "\n".join(head + ["        def key(el):", *emitter.body, "        return key", "    return kernel"])
+        return "\n".join(head + ["        def key(el):", *body, "        return key", "    return kernel"])
     head += ["    def kernel(src, base_env, subquery):", *("        " + line for line in setup)]
-    return "\n".join(head + ["        for el in src:", *emitter.body, *emitter.tail, "    return kernel"])
+    return "\n".join(head + ["        for el in src:", *body, *emitter.tail, "    return kernel"])
+
+
+def _indented(lines: list[str]) -> list[str]:
+    return ["    " + line.replace("\n", "\n    ") for line in lines]
 
 
 @lru_cache(maxsize=CODE_CAPACITY)

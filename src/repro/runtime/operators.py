@@ -30,6 +30,7 @@ Callers that need a list simply wrap a pipeline in ``list(...)``.
 from __future__ import annotations
 
 from collections.abc import Mapping, MutableMapping
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.algebra import physical as phys
@@ -188,12 +189,6 @@ def _pairing(
     return pairs
 
 
-def union_rows(parts: Iterable[Iterable[Any]]) -> Iterator[Any]:
-    """Additive bag union: stream each part in turn."""
-    for part in parts:
-        yield from part
-
-
 def flatten_rows(elements: Iterable[Any]) -> Iterator[Any]:
     """Flatten one level of nested collections."""
     for element in elements:
@@ -294,11 +289,11 @@ def compose_rows(
     ``compose_rows(implement(plan), leaf, ...)`` -- a degraded call's
     stripped operators and a cached superset's deltas go this way.
 
-    Rows flow through the plan one at a time and nothing is materialized
+    Each operator takes its rows one at a time and nothing is materialized
     except join build sides and the distinct set.  ``leaf`` supplies the row
     iterator of each ``exec`` node -- a settled call's list under
-    ``execute``, a live stream under ``execute_stream``, the rows in hand
-    for a placeholder submit.  ``union``
+    ``execute``, a live stream's chunks flattened in C under
+    ``execute_stream``, the rows in hand for a placeholder submit.  ``union``
     optionally overrides how ``mkunion`` children are sequenced (a stream
     interleaves them in exec-completion order).  ``probe`` supplies the
     run's probe-join leaf -- the batching layer issuing set-valued submits
@@ -346,7 +341,7 @@ def compose_rows(
     if isinstance(plan, phys.MkUnion):
         if union is not None:
             return iter(union(plan.inputs))
-        return union_rows([recurse(child) for child in plan.inputs])
+        return chain.from_iterable([recurse(child) for child in plan.inputs])  # each part in turn, in C
     if isinstance(plan, phys.MkFlatten):
         return flatten_rows(recurse(plan.child))
     if isinstance(plan, phys.MkDistinct):

@@ -9,14 +9,14 @@ rung on the degrade ladder, where a reopen restarts), driven by the one
 attempt loop (``_open_exec``) and its one failure step (``_failed``: retry
 with backoff, the degrading-pushdown ladder of :mod:`repro.runtime.degrade`,
 write-off, all under one ``max_retries`` budget), and written to the
-history once, by ``_ExecState.observe``.  The pool opens every dispatched call; ``_settle`` waits for it under the query
-deadline and writes it off when the deadline, or ``Executor.close()``, gets
-there first.  Every other wrapper round trip is the same loop called on the
-consumer thread, bounded by the query deadline: a mid-stream reopen, and
-each round trip of a probe join (its shapes, key cache and re-plan flip are
-:mod:`repro.runtime.probe`).  The two public
-entry points differ in one internal argument, ``materialise``, which fixes
-three things:
+history once, by ``_ExecState.observe``.  The pool opens every dispatched
+call; ``_settle`` waits for it under the query deadline and writes it off
+when the deadline, or ``Executor.close()``, gets there first.  Every other
+wrapper round trip is the same loop called on the consumer thread, bounded
+by the query deadline: a mid-stream reopen, and each round trip of a probe
+join (its shapes, key cache and re-plan flip are :mod:`repro.runtime.probe`).
+The two public entry points differ in one internal argument, ``materialise``,
+which fixes three things:
 
 * **where rows are handed off.**  ``Executor.execute`` (``query()``)
   materialises: each worker drains its call into a private list *inside*
@@ -54,30 +54,35 @@ delivered -- dedup by delivered-row count, counted as
 materialising run has delivered nothing before its answer is whole, so it
 retries whole calls and never reopens.
 
-A stream's exec leaf (``_stream_state``) does its bookkeeping once per
-*chunk* of rows, not once per row: one deadline check and two clock reads
-(the chunk's source time, charged to the history) per chunk.  A chunk starts
-at one row, so the first row is not held back, and doubles up to
+A stream's exec leaf (``_stream_state``) works a *chunk* of rows at a time:
+one deadline check, two clock reads (the chunk's source time, charged to the
+history) and one hand-off per chunk.  It hands the chunk on whole, and a
+union hands on whole branches; a C-level ``chain`` (:class:`_Rows`) flattens
+them, so no Python frame resumes per row before the first operator.  A chunk
+starts at one row, so the first row is not held back, and doubles up to
 :data:`CHUNK_ROWS` while its pulls stay under :data:`CHUNK_SECONDS`; one slow
 pull drops it back to one row, so a dripping cursor is still cut off at the
-deadline.  Rows are counted as they are delivered (where a reopen resumes),
-and a reopen's re-shipped rows are dropped off the front of its chunks; a
-source dying mid-chunk has the rows it shipped delivered first.
+deadline.  A chunk's rows count as delivered when it is handed on, and a
+close with it partly taken counts its untaken rest back off, so the count
+(where a reopen resumes) is of rows delivered; a reopen's re-shipped rows are
+dropped off the front of its chunks, and a source dying mid-chunk has the
+rows it shipped delivered first.  A chain passes no ``close()`` on, so
+:meth:`close` (or the end of the stream) closes every live leaf directly.
 
 Stream iteration is replayable: the execution buffers what it has yielded,
-so a second ``iter()`` (or :meth:`to_list` after a partial read) replays the
-prefix and continues the live tail -- the pipeline generators themselves are
-never consumed twice.
+so a second ``iter()`` replays the prefix and continues the live tail.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import weakref
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from concurrent.futures import TimeoutError as _FuturesTimeoutError
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.algebra import logical as log
@@ -106,6 +111,32 @@ _MEDIATOR_ROW = namespace.row_normaliser({})
 CHUNK_ROWS = 256
 #: a chunk that pulls in this long or longer drops the next one back to one row
 CHUNK_SECONDS = 0.001
+
+
+class _Rows(chain):
+    """The rows of iterators handed over whole, flattened in C; ``close``
+    closes the generator that hands them over (a plain chain has none)."""
+
+    __slots__ = ("close",)
+
+
+def _rows(parts: Iterator[Iterator[Any]]) -> _Rows:
+    rows = _Rows.from_iterable(parts)
+    rows.close = parts.close
+    return rows
+
+
+def _close(rows: Any) -> None:
+    close = getattr(rows, "close", None)
+    if close is not None:
+        close()
+
+
+def _close_unread(future: Future) -> None:
+    """A written-off stream call's done-callback: close the rows it opened."""
+    if not future.cancelled() and future.exception() is None:
+        with suppress(ValueError):  # "generator already executing": its leaf is pulling them
+            _close(future.result().rows)
 
 
 @dataclass
@@ -140,31 +171,13 @@ class _ExecState:
     """
 
     __slots__ = (
-        "node",
-        "future",
-        "event",
-        "report",
-        "consumed",
-        "started",
-        "lock",
-        "recorded",
-        "attempts",
-        "resumed",
-        "replayed",
-        "subject",
-        "signatures",
-        "pushdown",
-        "stripped",
-        "plan",
-        "listed",
+        "node", "future", "event", "report", "consumed", "started", "lock", "recorded", "attempts",
+        "resumed", "replayed", "subject", "signatures", "pushdown", "stripped", "plan", "listed",
     )
 
     def __init__(
-        self,
-        node: phys.Exec,
-        event: threading.Event | None = None,
-        subject: log.LogicalOp | None = None,
-        listed: bool = False,
+        self, node: phys.Exec, event: threading.Event | None = None,
+        subject: log.LogicalOp | None = None, listed: bool = False,
     ):
         self.node = node
         self.future: Future | None = None
@@ -207,9 +220,7 @@ class _ExecState:
         """The submitted (source-namespace) expression once the ladder stripped any."""
         return self.plan.expression.to_text() if self.stripped else None
 
-    def observe(
-        self, history, elapsed: float, rows: int | None = None, terminal: bool = True
-    ) -> bool:
+    def observe(self, history, elapsed: float, rows: int | None = None, terminal: bool = True) -> bool:
         """Write one history observation of this call (a failure when ``rows``
         is None); the only writer of the exec history.
 
@@ -241,14 +252,8 @@ class StreamingExecution:
     """
 
     def __init__(
-        self,
-        executor,
-        plan: phys.PhysicalOp,
-        base_env=None,
-        timeout=None,
-        on_finish=None,
-        materialise: bool = False,
-        calls: CompiledCalls | None = None,
+        self, executor, plan: phys.PhysicalOp, base_env=None, timeout=None, on_finish=None,
+        materialise: bool = False, calls: CompiledCalls | None = None,
     ):
         self._executor = executor
         self._plan = plan
@@ -277,6 +282,8 @@ class StreamingExecution:
         #: later consumption so an aborted stream never looks complete.
         self._failure: BaseException | None = None
         self._pipeline: Iterator[Any] | None = None
+        #: the live exec leaves, closed directly when the run finishes
+        self._leaves: weakref.WeakSet = weakref.WeakSet()
         #: a stream's call has answered: the calls that start after it give
         #: the consumer a turn first (:meth:`_open_behind_consumer`).
         self._answered = False
@@ -397,11 +404,7 @@ class StreamingExecution:
     @property
     def unavailable_sources(self) -> tuple[str, ...]:
         """Extents that failed or timed out (cancelled calls excluded)."""
-        return tuple(
-            report.extent_name
-            for report in self.reports
-            if not report.available and not report.cancelled
-        )
+        return tuple(report.extent_name for report in self.reports if not report.available and not report.cancelled)
 
     @property
     def is_partial(self) -> bool:
@@ -544,12 +547,7 @@ class StreamingExecution:
         return _Opened(rows=rows, normalise=normalise, sized=sized, elapsed=now - open_started)
 
     def _failed(
-        self,
-        state: _ExecState,
-        exc: BaseException,
-        elapsed: float,
-        consumer: bool,
-        dying: bool = False,
+        self, state: _ExecState, exc: BaseException, elapsed: float, consumer: bool, dying: bool = False
     ) -> bool:
         """The one failure step of an exec call: whether to try it again.
 
@@ -623,11 +621,13 @@ class StreamingExecution:
         return report
 
     def _exec_rows(self, node: phys.Exec) -> Iterable[Any]:
-        """The exec leaf: the settled call's list, or its live row stream."""
+        """The exec leaf: the settled call's list, or its live chunks, flattened."""
         state = self._states[id(node)]
         if self._materialise:
             return state.future.result().rows  # settled before anything composes
-        return self._stream_state(state)
+        leaf = self._stream_state(state)
+        self._leaves.add(leaf)
+        return _rows(leaf)
 
     def evaluate_subquery(self, query: Any, env: Mapping[str, Any]) -> Any:
         """A nested subquery is part of this query: it runs on what is left
@@ -646,7 +646,7 @@ class StreamingExecution:
             plan,
             leaf=self._exec_rows,
             base_env=self._base_env,
-            union=self._union_in_completion_order if stream else None,
+            union=(lambda inputs: _rows(self._union_in_completion_order(inputs))) if stream else None,
             probe=self._probe_rows,
             group=self._grouped_rows if stream else None,
             subquery=self.evaluate_subquery,
@@ -733,9 +733,7 @@ class StreamingExecution:
                 state.observe(self._executor.history, time.monotonic() - state.started)
             state.event.set()
             state.future.cancel()
-            state.report = self._report(
-                state, rows=0, available=False, error=self._timeout_text()
-            )
+            state.report = self._report(state, rows=0, available=False, error=self._timeout_text())
             return None
         if opened.error is None:
             return opened
@@ -744,14 +742,13 @@ class StreamingExecution:
             # Only Executor.close() writes off a call that _settle has not
             # timed out: say so, not how the woken worker happened to fail.
             error = "mediator closed"
-        state.report = self._report(
-            state, rows=0, available=False, error=error, elapsed=opened.elapsed
-        )
+        state.report = self._report(state, rows=0, available=False, error=error, elapsed=opened.elapsed)
         return None
 
-    def _stream_state(self, state: _ExecState) -> Iterator[Any]:
-        """A stream's exec leaf: settle the call, then hand its rows over,
-        each (re)opened segment pulled in chunks (see the module docstring)."""
+    def _stream_state(self, state: _ExecState) -> Iterator[Iterator[Any]]:
+        """A stream's exec leaf: settle the call, then hand its rows over a
+        chunk at a time, each (re)opened segment pulled in chunks (see the
+        module docstring)."""
         history = self._executor.history
         opened = self._settle(state)
         if opened is None:
@@ -782,9 +779,7 @@ class StreamingExecution:
                         # source is a timeout (observed, then written off).
                         state.observe(history, segment_time)
                         state.event.set()
-                        state.report = self._report(
-                            state, available=False, error=self._timeout_text()
-                        )
+                        state.report = self._report(state, available=False, error=self._timeout_text())
                         return
                     chunk: list[Any] = []
                     try:
@@ -806,16 +801,18 @@ class StreamingExecution:
                         to_skip -= skipped
                         state.replayed += skipped
                         del chunk[:skipped]
-                    for row in chunk:
-                        state.consumed += 1
-                        yield row
+                    state.consumed += len(chunk)
+                    rows = iter(chunk)
+                    yield rows
                     if last:
                         break
                     size = 1 if pull_time >= CHUNK_SECONDS else min(2 * size, CHUNK_ROWS)
+            except GeneratorExit:
+                # Closed with the chunk partly taken: the rest was never delivered.
+                state.consumed -= rows.__length_hint__()
+                raise
             finally:
-                close = getattr(iterator, "close", None)
-                if close is not None:
-                    close()
+                _close(iterator)
             if died is None:
                 break  # fully drained
             # The death is one more failure of the call: the failure step
@@ -837,10 +834,8 @@ class StreamingExecution:
         state.observe(history, source_time, state.consumed)
         state.report = self._report(state)
 
-    def _union_in_completion_order(
-        self, inputs: tuple[phys.PhysicalOp, ...]
-    ) -> Iterator[Any]:
-        """Stream union branches as their exec calls complete.
+    def _union_in_completion_order(self, inputs: tuple[phys.PhysicalOp, ...]) -> Iterator[Iterator[Any]]:
+        """Hand union branches over as their exec calls complete.
 
         A branch is ready when every exec call under it has settled; ready
         branches stream immediately while the others are still in flight.
@@ -852,21 +847,23 @@ class StreamingExecution:
             (child, [self._states[id(node)].future for node in phys.execs_in(child)])
             for child in inputs
         ]
-        while pending:
-            ready = [entry for entry in pending if all(f.done() for f in entry[1])]
-            if ready:
+        branch = None
+        try:
+            while pending:
+                ready = [entry for entry in pending if all(f.done() for f in entry[1])]
+                if not ready:
+                    outstanding = {f for _, futures in pending for f in futures if not f.done()}
+                    if wait(outstanding, timeout=self._remaining(), return_when=FIRST_COMPLETED)[0]:
+                        continue
+                    # Deadline expired: drain the stragglers; each exec leaf
+                    # will time out individually and report it.
+                    ready = list(pending)
                 for entry in ready:
                     pending.remove(entry)
-                    yield from self._compose(entry[0])
-                continue
-            outstanding = {f for _, futures in pending for f in futures if not f.done()}
-            done, _ = wait(outstanding, timeout=self._remaining(), return_when=FIRST_COMPLETED)
-            if not done:
-                # Deadline expired: drain the stragglers; each exec leaf will
-                # time out individually and report it.
-                for child, _ in pending:
-                    yield from self._compose(child)
-                return
+                    branch = self._compose(entry[0])
+                    yield branch
+        finally:  # closed early: so is the branch being read
+            _close(branch)
 
     def _grouped_rows(self, plan: phys.MkGroupBy, grouped_rows: Iterator[Any]) -> Iterator[Any]:
         """Mediator-side grouping's output, with incomplete-input suppression.
@@ -976,12 +973,11 @@ class StreamingExecution:
             return
         self._finished = True
         try:
-            # Closing the pipeline propagates GeneratorExit down to the exec
-            # leaves, which close their (possibly lazy) source iterators.
-            # (None when pipeline construction itself failed.)
-            close = getattr(self._pipeline, "close", None)
-            if close is not None:
-                close()
+            # Closing the pipeline propagates GeneratorExit down the operators;
+            # each exec leaf, which closes its source iterator, is closed
+            # directly as well: the chunk hand-off passes no close() on.
+            for rows in (self._pipeline, *self._leaves):
+                _close(rows)
         except ValueError:
             # close() raced an active iteration ("generator already
             # executing", e.g. a watchdog thread closing while the consumer
@@ -997,6 +993,7 @@ class StreamingExecution:
                     # all when it sent nothing.
                     if state.future is not None:
                         state.future.cancel()
+                        state.future.add_done_callback(_close_unread)
                         state.report = self._report(state, cancelled=True)
             if self._on_finish is not None:
                 self._on_finish()

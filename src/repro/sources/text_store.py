@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.datamodel.values import Struct
 from repro.errors import QueryExecutionError, SchemaError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -31,19 +32,22 @@ class Document:
     body: str
     fields: dict[str, Any] = field(default_factory=dict)
 
-    def as_row(self) -> dict[str, Any]:
+    def as_row(self) -> Struct:
         """Flatten the document into a row the wrapper can hand to the mediator."""
-        row = {"doc_id": self.doc_id, "body": self.body}
-        row.update(self.fields)
-        return row
+        return Struct({"doc_id": self.doc_id, "body": self.body, **self.fields})
 
 
 class TextStore:
-    """Named collections of documents with keyword search."""
+    """Named collections of documents with keyword search.
+
+    Each document is stored as its row, an immutable :class:`Struct` built
+    once at :meth:`add_document`; ``scan`` and ``search`` hand out the stored
+    objects themselves (a mutation is a ``TypeError``).
+    """
 
     def __init__(self, name: str = "waisstore"):
         self.name = name
-        self._collections: dict[str, dict[str, Document]] = {}
+        self._collections: dict[str, dict[str, Struct]] = {}
         self._index: dict[str, dict[str, set[str]]] = {}
 
     def create_collection(self, name: str) -> None:
@@ -55,8 +59,7 @@ class TextStore:
 
     def add_document(self, collection: str, document: Document) -> None:
         """Add a document and index its body and string fields."""
-        documents = self._require(collection)
-        documents[document.doc_id] = document
+        self._require(collection)[document.doc_id] = document.as_row()
         index = self._index[collection]
         searchable = [document.body] + [
             value for value in document.fields.values() if isinstance(value, str)
@@ -72,13 +75,13 @@ class TextStore:
             count += 1
         return count
 
-    def scan(self, collection: str) -> list[dict[str, Any]]:
+    def scan(self, collection: str) -> list[Struct]:
         """Return every document of ``collection`` as rows."""
-        return [doc.as_row() for doc in self._require(collection).values()]
+        return list(self._require(collection).values())
 
-    def search(self, collection: str, keywords: str) -> list[dict[str, Any]]:
+    def search(self, collection: str, keywords: str) -> list[Struct]:
         """Return rows of documents containing *all* keywords."""
-        documents = self._require(collection)
+        rows = self._require(collection)
         tokens = tokenize(keywords)
         if not tokens:
             return self.scan(collection)
@@ -87,7 +90,7 @@ class TextStore:
         for token in tokens:
             ids = index.get(token, set())
             matching = ids if matching is None else (matching & ids)
-        return [documents[doc_id].as_row() for doc_id in sorted(matching or set())]
+        return [rows[doc_id] for doc_id in sorted(matching or set())]
 
     def collection_names(self) -> list[str]:
         """Names of every collection."""
@@ -97,7 +100,7 @@ class TextStore:
         """Number of documents in ``collection``."""
         return len(self._require(collection))
 
-    def _require(self, collection: str) -> dict[str, Document]:
+    def _require(self, collection: str) -> dict[str, Struct]:
         try:
             return self._collections[collection]
         except KeyError:

@@ -177,7 +177,7 @@ class AlgebraEvaluator:
         if isinstance(expression, Get):
             return iter(self.scan(expression.collection))
         if isinstance(expression, BagLiteral):
-            return (dict(value) for value in expression.values)
+            return iter(expression.values)  # literal rows are immutable Structs: handed out as they are
         if isinstance(expression, Project):
             attributes = expression.attributes
             return (

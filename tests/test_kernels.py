@@ -1,6 +1,11 @@
 """Kernel differential: a per-element chain, and a grouping, through its
 generated row loop against the interpreted operators it replaced.
 
+A kernel has two loop bodies, picked per element: one reads a ``Struct``
+element in place, the other builds the environment the references build.
+The drawn inputs mix the element kinds in one input, so one input runs
+through both bodies, with and without an outer environment.
+
 The references are those operators as they stood, kept here (as
 ``tests/test_expressions.py`` keeps ``reference_evaluate``): one Volcano
 generator per chain operator, one environment dict per expression-evaluating
@@ -12,7 +17,10 @@ type and message.
 
 from __future__ import annotations
 
+import gc
+import inspect
 import os
+import time
 from collections.abc import Mapping
 from types import SimpleNamespace
 
@@ -20,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import GeneratorWrapper, Mediator
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.expressions import BooleanExpr, Comparison, Const, Path, StructExpr, Var
 from repro.algebra.logical import Get
@@ -122,26 +131,34 @@ ELEMENT_KINDS = (
     st.builds(Env),
     SCALARS,
 )
+#: a stream's input: mostly Structs, which a kernel's Struct body reads, with
+#: every other kind in among them, which its general body reads
+STRUCT_LED = st.lists(st.one_of(ELEMENT_KINDS[0], ELEMENT_KINDS[0], *ELEMENT_KINDS[1:]), min_size=2, max_size=6)
 #: one kind of element per input as often as a mix: a mix mostly stops at
 #: the first element some other kind fails on
 ELEMENTS = st.one_of(
     *(st.lists(kind, min_size=1, max_size=4) for kind in ELEMENT_KINDS),
     st.lists(st.one_of(ELEMENT_KINDS), max_size=4),
+    STRUCT_LED,
+    STRUCT_LED,
 )
 #: ``_env`` splats a mapping's fields into variables; ``z`` binds nothing
 OPERATOR_VARIABLES = st.sampled_from(["x", "x", "x", "y", "_env"])
 NAMES = st.sampled_from(["v", "w", "k", "missing"])
+FILTERS = st.builds(lambda v, e: lambda child: Filter(v, e, child), OPERATOR_VARIABLES, EXPRESSIONS)
+APPLIES = st.builds(lambda v, e: lambda child: MkApply(v, e, child), OPERATOR_VARIABLES, EXPRESSIONS)
 OPERATORS = st.one_of(
-    st.builds(lambda v, e: lambda child: Filter(v, e, child), OPERATOR_VARIABLES, EXPRESSIONS),
-    st.builds(lambda v, e: lambda child: MkApply(v, e, child), OPERATOR_VARIABLES, EXPRESSIONS),
-    st.builds(lambda a: lambda child: MkProj(a, child), st.lists(NAMES, max_size=3).map(tuple)),
+    FILTERS, APPLIES, st.builds(lambda a: lambda child: MkProj(a, child), st.lists(NAMES, max_size=3).map(tuple))
 )
+#: any chain, or an ``mkapply`` between two filters: the Struct body reads the
+#: first filter in place and the second as the general body does
+CHAINS = st.one_of(st.lists(OPERATORS, min_size=1, max_size=4), st.tuples(FILTERS, APPLIES, FILTERS).map(list))
 BASE_ENVS = st.one_of(st.none(), st.just({}), st.fixed_dictionaries({"y": VALUES}), st.fixed_dictionaries({"z": VALUES}))
 
 
 @settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
 @given(
-    st.lists(OPERATORS, min_size=1, max_size=4),
+    CHAINS,
     ELEMENTS,
     BASE_ENVS,
     st.sampled_from([echo_subquery, echo_subquery, None]),
@@ -169,6 +186,21 @@ def test_a_later_operand_runs_only_when_the_first_does_not_decide():
     assert failed == ("raised", "QueryExecutionError", "object struct(a: 0) has no attribute 'missing'")
     with pytest.raises(QueryExecutionError):
         list(compose_rows(top, lambda _exec: [{"a": 0}]))
+
+
+def test_a_struct_without_the_attribute_fails_as_the_reference_does():
+    """The Struct body's subscript misses: ``read()`` gives the reference's
+    error, in a chain, a grouping and a join key alike."""
+    rows = [Struct({"a": 1}), {"a": 2}, Struct({"b": 3})]
+    missing = Path(Var("x"), "a")
+    message = "object struct(b: 3) has no attribute 'a'"
+    assert agree(Filter("x", Comparison(">", missing, Const(0)), ROWS_IN), rows) == ("raised", "QueryExecutionError", message)
+    assert agree(MkApply("x", missing, ROWS_IN), rows) == ("raised", "QueryExecutionError", message)
+    grouped = group_agree("x", (("k", missing),), (("n", "count", Var("x")),), rows)
+    assert grouped == ("raised", "QueryExecutionError", message)
+    with pytest.raises(QueryExecutionError) as raised:
+        kernels.key_function("x", missing)(rows[2])
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
@@ -223,6 +255,53 @@ def test_a_limit_above_a_kernel_cancels_the_in_flight_call_of_a_stream():
         (report,) = result.reports
         assert report.cancelled and report.available and not result.is_partial
     finally:
+        mediator.close()
+
+
+class CursorScan(ScanCounter):
+    """A lazy source that keeps every cursor it opened."""
+
+    def __init__(self, total):
+        super().__init__(total)
+        self.cursors = []
+
+    def __call__(self):
+        cursor = super().__call__()
+        self.cursors.append(cursor)
+        return cursor
+
+
+def test_a_limit_over_a_union_closes_its_leaves_without_the_garbage_collector():
+    """The limit is met inside one branch: every call is reported cancelled
+    and every cursor opened is closed -- the one read from and the ones never
+    read -- with the collector off and the result still held."""
+    scans = {f"person{i}": CursorScan(100_000) for i in range(3)}
+    mediator = Mediator(name="gen")
+    mediator.define_interface("Person", [("id", "Long"), ("name", "String"), ("salary", "Short")], extent_name="person")
+    attributes = {extent: ["id", "name", "salary"] for extent in scans}
+    mediator.register_wrapper("w0", GeneratorWrapper("w0", scans, attributes, CapabilitySet.of("get")))
+    mediator.create_repository("r0")
+    for extent in scans:
+        mediator.add_extent(extent, "Person", "w0", "r0")
+    gc.disable()
+    try:
+        result = mediator.query_stream("select x.name from x in person where x.salary > 10 limit 5")
+        stream = result.stream  # the result lets go of it once drained
+        assert "mkunion(" in result.physical.to_text().split("mklimit(", 1)[1]
+        assert len(list(result.iter_rows())) == 5
+        assert stream.finished and sum(scan.yielded for scan in scans.values()) < 100
+        reports = stream.reports
+        assert len(reports) == 3 and all(report.cancelled and report.available for report in reports)
+        # Each call opened its cursor in the pool; one still opening closes it once it has it.
+        deadline = time.monotonic() + 5
+        while sum(len(scan.cursors) for scan in scans.values()) < 3 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        cursors = [cursor for scan in scans.values() for cursor in scan.cursors]
+        while any(inspect.getgeneratorstate(c) != inspect.GEN_CLOSED for c in cursors) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert [inspect.getgeneratorstate(cursor) for cursor in cursors] == [inspect.GEN_CLOSED] * 3
+    finally:
+        gc.enable()
         mediator.close()
 
 
@@ -394,9 +473,14 @@ GROUP_ELEMENT_KINDS = (
     st.fixed_dictionaries({"x": GROUP_FIELDS.map(Struct), "y": GROUP_FIELDS}).map(Env),
     SCALARS,
 )
+GROUP_STRUCT_LED = st.lists(
+    st.one_of(*[GROUP_ELEMENT_KINDS[0]] * 3, *GROUP_ELEMENT_KINDS[1:]), min_size=2, max_size=8
+)
 GROUP_ELEMENTS = st.one_of(
     *(st.lists(kind, min_size=2, max_size=8) for kind in GROUP_ELEMENT_KINDS),
     st.lists(st.one_of(GROUP_ELEMENT_KINDS), max_size=8),
+    GROUP_STRUCT_LED,
+    GROUP_STRUCT_LED,
 )
 
 

@@ -90,6 +90,16 @@ class TestTextStore:
         with pytest.raises(QueryExecutionError):
             self.store().scan("nope")
 
+    def test_rows_are_stored_once_immutable_and_handed_out_uncopied(self):
+        store = self.store()
+        row = store.scan("reports")[0]
+        assert store.scan("reports")[0] is row
+        with pytest.raises(TypeError):
+            row["site"] = "Rhine"
+        assert row == {"doc_id": "d1", "body": "water quality in the Seine is acceptable", "site": "Seine"}
+        assert store.search("reports", "quality")[0] is row
+        assert {id(found) for found in store.search("reports", "seine")} <= {id(r) for r in store.scan("reports")}
+
 
 class TestCsvStore:
     def test_write_and_scan_round_trip(self, tmp_path):

@@ -5,8 +5,9 @@ import pytest
 from repro import Mediator
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.expressions import Arithmetic, BooleanExpr, Comparison, Const, InList, Path, Var
-from repro.algebra.logical import BindJoin, Flatten, Get, GroupBy, Limit, Project, Select, Union
+from repro.algebra.logical import BagLiteral, BindJoin, Flatten, Get, GroupBy, Limit, Project, Select, Union
 from repro.baselines.no_pushdown import GetOnlyWrapper
+from repro.datamodel.values import Struct
 from repro.errors import CapabilityError, UnavailableSourceError, WrapperError
 from repro.lexing import SQL
 from repro.sources.csv_store import CsvStore
@@ -22,6 +23,7 @@ from repro.wrappers import (
     SqlWrapper,
     TextSearchWrapper,
 )
+from repro.wrappers.base import AlgebraEvaluator
 from tests.conftest import CountedKey
 
 PERSON_ROWS = [
@@ -70,6 +72,13 @@ def test_a_tree_over_more_than_one_extent_is_refused_at_submit(kind, tree):
     with pytest.raises(CapabilityError):
         wrapper.submit(expression)
     assert server.statistics.requests == 0
+
+
+def test_a_pushed_literal_bag_hands_its_rows_out_uncopied():
+    row = Struct(PERSON_ROWS[0])
+    evaluator = AlgebraEvaluator(scan=None)
+    assert evaluator.evaluate(BagLiteral((row,)))[0] is row
+    assert next(iter(evaluator.evaluate_stream(Select("x", salary_filter(0), BagLiteral((row,)))))) is row
 
 
 class TestRelationalWrapper:
