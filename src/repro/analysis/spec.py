@@ -226,8 +226,9 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
                 "the subsumption/patch/store counters and the one-mediator claim",
                 notes="never held while planning, executing, replaying "
                 "deltas or reading the registry; every schema change "
-                "sweeps stale entries out (`evict_stale`), and partial patches "
-                "re-validate their pin after executing.",
+                "sweeps stale entries out (`evict_stale`), and a query stores "
+                "its answer only under the version it read before its lookup, "
+                "if that version still holds.",
             ),
         ),
         held_in=(("_added", "_lock"), ("_removed", "_lock")),

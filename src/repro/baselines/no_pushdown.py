@@ -9,6 +9,8 @@ capability-aware push-down (paper Section 3.2) is counted in rows shipped.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.logical import Get, LogicalOp
 from repro.errors import WrapperError
@@ -25,15 +27,8 @@ class GetOnlyWrapper(Wrapper):
         # behaves: mid-stream resume support passes through.
         self.resume_support = inner.resume_support
 
-    def _execute(self, expression: LogicalOp) -> list[Row]:
-        if not isinstance(expression, Get):
-            raise WrapperError(
-                f"{self.name!r} only evaluates get(collection); got {expression.to_text()}"
-            )
-        return self.inner.submit(expression)
-
-    def _execute_stream(self, expression: LogicalOp):
-        """Preserve the inner source's laziness under the streaming engine."""
+    def _execute(self, expression: LogicalOp) -> Iterable[Row]:
+        # The inner source's laziness passes through to the streaming engine.
         if not isinstance(expression, Get):
             raise WrapperError(
                 f"{self.name!r} only evaluates get(collection); got {expression.to_text()}"

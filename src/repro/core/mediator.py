@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.algebra.logical import LogicalOp
+from repro.algebra.physical import PhysicalOp
+from repro.algebra.unparser import OQLText
 from repro.core.planner import PlannedQuery, QueryPlanner
 from repro.core.registry import Registry
 from repro.core.result import QueryResult
@@ -23,7 +26,7 @@ from repro.oql.ast import DefineStatement, ExprQuery
 from repro.oql.parser import parse_statement
 from repro.optimizer.history import ExecCallHistory
 from repro.optimizer.implementation import implement
-from repro.runtime.answercache import AnswerCache, CacheEntry
+from repro.runtime.answercache import AnswerCache
 from repro.runtime.degrade import compensate_rows
 from repro.runtime.executor import Executor, ExecutorConfig
 
@@ -206,17 +209,21 @@ class Mediator:
             return self._run(self.planner.plan(text), timeout=timeout)
         keyed = self.planner.key(text)
         key = keyed[0]
+        # The one version rule: an answer is stored under the version read
+        # before its lookup, and only if that version still holds -- after a
+        # schema change mid-flight it may mix old and new resolutions.
         version = self.registry.schema_version
         entry = cache.get_exact(key, version)
+        if entry is not None and entry.complete:
+            return QueryResult(query_text=text, data=Bag(entry.rows), from_answer_cache=True)
         if entry is not None:
-            if entry.complete:
-                return QueryResult(
-                    query_text=text, data=Bag(entry.rows), from_answer_cache=True
-                )
-            patched = self._patch_partial(text, key, entry, version, timeout=timeout)
-            if patched is not None:
+            # A partial entry: run its plan, which contacts only the missing
+            # extents.  A patch that straddled a schema change is dropped.
+            patched = self._execute(text, entry.partial_plan, timeout=timeout, from_answer_cache=True)
+            if self.registry.schema_version == version:
+                cache.note_patch()
+                cache.store(key, None, version, patched)
                 return patched
-            version = self.registry.schema_version
         planned = self.planner.plan(text, keyed=keyed)
         if planned.is_scalar or planned.logical is None:
             # Scalars have no row answer to cache; run them directly.
@@ -236,44 +243,8 @@ class Mediator:
             )
         cache.note_miss()
         result = self._run(planned, timeout=timeout)
-        # Store under the version snapshotted *before* planning, and only if
-        # it still holds (the planner's own discipline): a schema change
-        # mid-flight means the answer may mix old and new resolutions.
         if self.registry.schema_version == version:
             cache.store(key, planned.logical, version, result)
-        return result
-
-    def _patch_partial(
-        self, text: str, key: str, entry: CacheEntry, version: int, timeout: float | None = None
-    ) -> QueryResult | None:
-        """Repair a cached partial answer by re-running only its missing extents.
-
-        The resubmission is *pinned* to ``version``, the one the entry was
-        built under: if the registry moved between the miss and the patch --
-        or while the patch was executing -- the embedded rows may describe
-        extents that no longer exist (or resolve differently), so the stale
-        entries are swept and the caller falls back to a full run (returns
-        None).
-        """
-        cache = self.answer_cache
-        if self.registry.schema_version != version:
-            cache.evict_stale(self.registry.schema_version)
-            return None
-        physical = implement(entry.partial_plan)
-        execution = self.executor.execute(physical, timeout=timeout)
-        if self.registry.schema_version != version:
-            # Mutated mid-patch: the rows just computed straddle two schemas.
-            cache.evict_stale(self.registry.schema_version)
-            return None
-        cache.note_patch()
-        result = QueryResult.of(
-            text,
-            execution,
-            logical=entry.partial_plan,
-            physical=physical,
-            from_answer_cache=True,
-        )
-        cache.store(key, None, version, result)
         return result
 
     def query_stream(self, text: str, timeout: float | None = None) -> QueryResult:
@@ -343,15 +314,9 @@ class Mediator:
         """
         if not result.is_partial or result.partial_plan is None:
             return result
-        physical = implement(result.partial_plan)
-        execution = self.executor.execute(physical, timeout=timeout)
-        return QueryResult.of(
-            # Its text is the partial answer's, passed on unwritten.
-            result._partial_query or result._query_text,
-            execution,
-            logical=result.partial_plan,
-            physical=physical,
-        )
+        # Its text is the partial answer's, passed on unwritten.
+        text = result._partial_query or result._query_text
+        return self._execute(text, result.partial_plan, timeout=timeout)
 
     # -- internals -----------------------------------------------------------------------------------
     @staticmethod
@@ -372,17 +337,33 @@ class Mediator:
             return self._run_scalar(planned, timeout=timeout)
         if planned.optimized is None or planned.logical is None:
             raise QueryExecutionError(f"query {planned.text!r} produced no plan")
-        execution = self.executor.execute(
-            planned.optimized.physical, timeout=timeout, calls=self._compiled_calls(planned)
-        )
-        return QueryResult.of(
+        optimized = planned.optimized
+        return self._execute(
             planned.text,
-            execution,
-            estimated_cost=planned.optimized.cost.total(),
-            logical=planned.optimized.logical,
-            physical=planned.optimized.physical,
+            optimized.logical,
+            optimized.physical,
+            timeout=timeout,
+            calls=self._compiled_calls(planned),
+            estimated_cost=optimized.cost.total(),
             from_plan_cache=planned.from_cache,
         )
+
+    def _execute(
+        self,
+        text: str | OQLText,
+        logical: LogicalOp,
+        physical: PhysicalOp | None = None,
+        timeout: float | None = None,
+        calls: dict | None = None,
+        **fields: Any,
+    ) -> QueryResult:
+        """Execute a plan (``logical`` implemented when no ``physical`` is
+        given) and wrap its result: a fresh query, a resubmitted partial
+        answer and a patched cached one all finish here."""
+        if physical is None:
+            physical = implement(logical)
+        execution = self.executor.execute(physical, timeout=timeout, calls=calls)
+        return QueryResult.of(text, execution, logical=logical, physical=physical, **fields)
 
     def _run_scalar(self, planned: PlannedQuery, timeout: float | None = None) -> QueryResult:
         bound = planned.bound

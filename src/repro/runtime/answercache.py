@@ -19,17 +19,20 @@ ways a query is served without (fully) re-contacting sources:
   re-executes only the embedded partial plan, whose ``bag`` literals replay
   the rows already obtained and whose remaining ``submit`` nodes contact
   *only* the extents that were down -- source recovery becomes an
-  incremental cache repair instead of a recomputation.
+  incremental cache repair instead of a recomputation.  The patch is run
+  the way ``Mediator.resubmit`` runs a partial answer, by the same helper.
 
 Consistency: the cache is a :class:`~repro.optimizer.plancache.
 VersionedCache`, so an entry is served only under the registry
 ``schema_version`` it was built under, and every schema change (the
 mediator's DBA methods) sweeps out every entry the version bump made
-stale.  A partial entry is *pinned* to its version twice: before the patch
-is submitted and again after it executed -- a schema mutated between miss
-and patch would otherwise weld rows of the old schema onto answers of the
-new one (the mutate-between-miss-and-patch race).  The versions are one registry's, so a
-cache serves one mediator.
+stale.  ``Mediator.query`` keeps one version rule: an answer, fresh or
+patched, is stored under the version read before the lookup, and only if
+that version still holds once the answer is in.  A schema mutated between
+miss and patch swept the entry, so the lookup finds none; one mutated while
+the patch ran drops the patched rows, and the query runs in full -- rows of
+the old schema are never welded onto answers of the new one.  The versions
+are one registry's, so a cache serves one mediator.
 
 Subsumption refuses what it cannot replay faithfully: predicates with free
 variables beyond the select's own, subquery predicates, environment-valued

@@ -26,19 +26,18 @@ loop (``StreamingExecution._failed``, called by ``_open_exec`` in
 :mod:`repro.runtime.streaming`), so ``query()`` and ``query_stream()``
 degrade and compensate identically.
 
-Interplay with mid-stream resume (a stream's recovery of calls that die
-*after* delivering rows): compensation changes the relationship
-between source cursor positions and delivered rows -- a stripped ``select``
-filters, a stripped ``groupby`` aggregates -- so a degraded call can never be
-resumed from a source-side token.  A degraded resubmission after partial
-delivery therefore always takes the *replay* path: the reopened stream is
-re-compensated from scratch with the same stripped operators (every rung of
-the ladder computes the same overall expression, so a deterministic source
-reproduces the identical output prefix whatever rung the reopen lands on)
-and the mediator skips the rows it already delivered.  A reopen starts at
-the rung the call stood on when it died; when the reopen itself hits a
-capability failure and degrades mid-recovery, the engine abandons the token
-it was about to use and falls back to replay-and-skip for the same reason.
+Interplay with mid-stream recovery (a stream's reopen of a call that dies
+*after* delivering rows): a dead stream has one way back, replay-and-skip.
+The mediator counts the rows it delivered *after* compensation, so it never
+needs to know where the source's cursor stood -- which a stripped
+``select`` (it filters) or ``groupby`` (it aggregates) would make
+meaningless.  A reopen, allowed only for a wrapper that declares ``replay``,
+submits the rung the call stood on when it died from scratch, compensates
+it again with the same stripped operators and skips the rows already
+delivered.  Every rung of the ladder computes the same overall expression,
+so a deterministic source reproduces the same output prefix whatever rung
+the reopen lands on, and a reopen that itself hits a capability failure
+degrades one rung further like any other attempt.
 """
 
 from __future__ import annotations

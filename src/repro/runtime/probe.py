@@ -9,7 +9,11 @@ has cost as much as one full ship of the right side would, re-plans into that
 ship.  Every round trip is an exec call of its own (an
 ``_ExecState`` whose subject is the probe expression) driven by the run's one
 attempt loop (``StreamingExecution._open_exec`` and its failure step), so
-retry, degrade, deadline and history recording are the exec calls' own.
+retry, degrade, deadline and history recording are the exec calls' own.  A
+probe side that fails is recorded on its aggregated report and never raised,
+under either entry point: the join sends nothing more and drains its left
+input, and a materialising run that ends partial builds its partial answer
+at its one site, the probe side staying the ``submit`` it implements.
 """
 
 from __future__ import annotations
@@ -25,21 +29,6 @@ from repro.runtime import namespace
 from repro.runtime.executor import CompiledCall, ExecReport, Executor
 from repro.runtime.kernels import key_function
 from repro.runtime.namespace import _wrapper_accepts
-
-
-class _ProbeUnavailable(Exception):
-    """A probe join's right-hand source failed terminally.
-
-    Under ``query()`` this aborts evaluation into a partial answer (the
-    probe side stays the ``submit`` it implements); a stream swallows it --
-    the source simply contributes no further rows and the failure surfaces
-    on the probe's aggregated :class:`ExecReport`.
-    """
-
-    def __init__(self, node: phys.Exec, error: str):
-        super().__init__(error)
-        self.node = node
-        self.error = error
 
 
 class _ProbeRunner:
@@ -90,7 +79,6 @@ class _ProbeRunner:
         attempt_loop: Callable[[log.LogicalOp], tuple[Any, Any]],
         event: threading.Event,
         remaining: Callable[[], float | None],
-        raise_unavailable: bool,
     ):
         self._executor = executor
         self._plan = plan
@@ -101,7 +89,6 @@ class _ProbeRunner:
         self._attempt_loop = attempt_loop
         self._event = event
         self._remaining = remaining
-        self._raise_unavailable = raise_unavailable
         equi = find_equi_conjunct(plan.condition, plan.left_variable, plan.right_variable)
         if equi is None:  # the planner only builds ProbeJoin with one
             raise QueryExecutionError("probe join requires an equi-join conjunct")
@@ -115,7 +102,8 @@ class _ProbeRunner:
         self._cache: dict[Any, list[Any]] = {}
         self._ship_buckets: dict[Any, list[Any]] | None = None
         self._degraded_to: str | None = None
-        self._error: str | None = None
+        #: why the source contributes no further rows, once it failed
+        self.error: str | None = None
         self.cancelled = False
         self.replanned = False
         self.calls = 0
@@ -127,7 +115,7 @@ class _ProbeRunner:
     # -- the prober closure handed to ops.probe_join_rows ---------------------------------
     def probe(self, keys: list[Any]) -> dict[Any, list[Any]]:
         """Rows for each requested (distinct) key, from the cache or the source."""
-        if self._error is not None or self.cancelled:
+        if self.error is not None or self.cancelled:
             return {}  # dead or written off: contributes no further rows
         if self._ship_buckets is None:
             missing = [key for key in keys if key not in self._cache]
@@ -219,14 +207,14 @@ class _ProbeRunner:
         """One wrapper round trip through the run's attempt loop.
 
         Returns the rows, or ``None`` once the source contributes no further
-        rows: it failed, or the call was written off (a closed stream, a
-        satisfied limit: cancelled, not failed).  A materialising run has
-        handed nothing over, so a failure there -- or the mediator closing,
-        the only write-off it knows -- raises :class:`_ProbeUnavailable`.
+        rows: it failed (:attr:`error`), or the call was written off
+        (:attr:`cancelled`: a closed stream, a satisfied limit, the mediator
+        closing).  Either way later batches send nothing.
         """
         remaining = self._remaining()
         if remaining is not None and remaining <= 0:
-            return self._fail("timed out during probe")
+            self.error = "timed out during probe"
+            return None
         trip, opened = self._attempt_loop(expression)
         self.calls += trip.attempts
         self.elapsed += opened.elapsed
@@ -236,17 +224,11 @@ class _ProbeRunner:
             if degraded_to is not None or self._mode != "in":
                 self._degraded_to = degraded_to or expression.to_text()
             return opened.rows
-        if not self._event.is_set():
-            return self._fail(opened.error)
-        if self._raise_unavailable:
-            return self._fail("mediator closed")
-        self.cancelled = True
+        if self._event.is_set():
+            self.cancelled = True
+        else:
+            self.error = opened.error
         return None
-
-    def _fail(self, error: str) -> None:
-        self._error = error
-        if self._raise_unavailable:
-            raise _ProbeUnavailable(self._plan.probe, error)
 
     # -- wrap-up --------------------------------------------------------------------------
     def finish(self) -> None:
@@ -264,8 +246,8 @@ class _ProbeRunner:
             expression=node.expression.to_text(),
             elapsed=self.elapsed,
             rows=self.rows_fetched,
-            available=self._error is None,
-            error=self._error,
+            available=self.error is None,
+            error=self.error,
             attempts=max(1, self.calls),
             cancelled=cancelled or self.cancelled,
             degraded_to=self._degraded_to,

@@ -16,17 +16,18 @@ wrapper round trip is the same loop called on the consumer thread, bounded
 by the query deadline: a mid-stream reopen, and each round trip of a probe
 join (its shapes, key cache and re-plan flip are :mod:`repro.runtime.probe`).
 The two public entry points differ in one internal argument, ``materialise``,
-which fixes three things:
+which fixes two things:
 
 * **where rows are handed off.**  ``Executor.execute`` (``query()``)
   materialises: each worker drains its call into a private list *inside*
   the attempt, so transfers overlap and a death before hand-off is an
   ordinary failed attempt.  Once every call has settled the run composes
-  the pipeline over the lists or, when a call is unavailable, hands
+  the pipeline over the lists, unless a call is unavailable already (no
+  probe is sent for a query that is already partial).  Whenever the run is
+  partial after that -- a call or a probe side failed -- it hands
   ``{exec -> rows | Unavailable}`` to the
   :class:`~repro.runtime.partial_eval.PartialAnswerBuilder`, which
-  composes only what reads no unavailable call, in one pass over the lists
-  (no probe is sent for a query that is already partial).
+  composes only what reads no unavailable call, in one pass over the lists.
   ``Executor.execute_stream`` (``query_stream()``) hands rows to
   the caller *while* sources are still answering: a ``mkunion`` interleaves
   its children in exec-completion order (and a call that starts once
@@ -35,10 +36,6 @@ which fixes three things:
   cancels the in-flight calls cooperatively, and no resubmittable partial
   *query* is built, since rows already delivered cannot be embedded back
   into one.
-* **probe failure.**  A probe join's right-hand source failing terminally
-  raises into a partial answer when materialising; a stream swallows it --
-  the source contributes no further rows and the failure surfaces on the
-  probe's aggregated :class:`ExecReport`.
 * **grouped output over incomplete input.**  A partial answer *embeds* the
   grouping as a query over the obtained data; a stream *suppresses* it (an
   aggregate over one union branch is a wrong number, not a sub-answer).
@@ -101,7 +98,7 @@ from repro.runtime.executor import (
     collect_errors,
 )
 from repro.runtime.partial_eval import PartialAnswerBuilder, Unavailable
-from repro.runtime.probe import _ProbeRunner, _ProbeUnavailable
+from repro.runtime.probe import _ProbeRunner
 from repro.wrappers.base import RESUME_REPLAY
 
 
@@ -265,7 +262,7 @@ class StreamingExecution:
         self._base_env = base_env
         self._timeout = timeout
         #: the one internal switch, fixed by the entry point that built this
-        #: run: hand-off, probe failure, grouped output (module docstring).
+        #: run: hand-off and grouped output (module docstring).
         self._materialise = materialise
         self._deadline = None if timeout is None else time.monotonic() + timeout
         #: executor callback run exactly once when the stream ends (wakes a
@@ -307,8 +304,7 @@ class StreamingExecution:
             if isinstance(node, phys.ProbeJoin):
                 self._states[id(node.probe)] = _ExecState(node.probe)
         if materialise:
-            # Composed by materialised(), over the settled calls' lists --
-            # and not at all when one of them is unavailable.
+            # Composed by materialised(), over the settled calls' lists.
             return
         try:
             self._pipeline = self._compose(plan)
@@ -658,7 +654,7 @@ class StreamingExecution:
 
         The whole life of a materialising run (``Executor.execute``): the
         answer is complete data, or -- when any call is unavailable, or a
-        probe join's source fails while the pipeline runs -- the partial
+        probe join's source failed while the pipeline ran -- the partial
         answer: the plan with the obtained rows embedded, as a query.  Its
         shape is written as OQL here; its rows are not (``OQLText``).
         """
@@ -669,26 +665,21 @@ class StreamingExecution:
             # (measured: 10x the involuntary context switches, +3% CPU per
             # query on fed8).  They all run under the one deadline anyway.
             outcomes: dict[int, Any] = {}
-            complete = True
             for state in self._states.values():
                 if state.future is None:
                     continue  # a probe join's exec: issued while composing
                 opened = self._settle(state)
                 if opened is None:
                     outcomes[id(state.node)] = Unavailable(state.report.error)
-                    complete = False
                 else:
                     state.consumed = opened.sized
                     state.report = self._report(state, elapsed=opened.elapsed)
                     outcomes[id(state.node)] = opened.rows
-            if complete:
-                try:
-                    values = list(self._compose(self._plan))
+            if not self.is_partial:
+                values = list(self._compose(self._plan))
+                if not self.is_partial:  # no probe side failed either
                     return ExecutionResult(data=Bag(values), reports=self.reports)
-                except _ProbeUnavailable as failure:
-                    # The probe side stays the submit it implements, over
-                    # the left rows already obtained.
-                    outcomes[id(failure.node)] = Unavailable(failure.error)
+            # A probe join's exec has no outcome: it stays the submit it implements.
             builder = PartialAnswerBuilder(subquery_evaluator=self.evaluate_subquery)
             partial_plan = builder.build(self._plan, outcomes, base_env=self._base_env)
             return ExecutionResult(
@@ -783,8 +774,9 @@ class StreamingExecution:
                         return
                     chunk: list[Any] = []
                     try:
-                        for raw in islice(iterator, size):
-                            chunk.append(normalise(raw))
+                        # extend keeps what it appended before a raise: the
+                        # rows a dying source shipped are delivered first.
+                        chunk.extend(map(normalise, islice(iterator, size)))
                     except StreamClosed:
                         # Consumer-side close crossing a mediator-recombined
                         # iterator: cancellation, not a source death -- do
@@ -902,13 +894,12 @@ class StreamingExecution:
         query deadline (a round trip is only issued while budget remains, so
         a timed-out query ends at most one wrapper round trip past the
         deadline) and woken by the state's cancellation event on close.  A
-        terminal source failure on a stream is swallowed -- the
-        source simply contributes no further rows, like any other streaming
-        leaf -- and surfaces on the probe's aggregated :class:`ExecReport`;
-        an early close (a satisfied limit) marks the report cancelled
-        instead.  A materialising run has handed nothing over yet, so there
-        the failure (or the mediator closing) raises
-        :class:`_ProbeUnavailable` into a partial answer.
+        terminal source failure is swallowed under either entry point -- the
+        source simply contributes no further rows, like any other leaf, and
+        the join drains its left input without another round trip -- and
+        surfaces on the probe's aggregated :class:`ExecReport`, which makes a
+        materialising run partial; an early close (a satisfied limit) marks
+        the report cancelled instead.
         """
         executor = self._executor
         state = self._states[id(plan.probe)]
@@ -926,7 +917,6 @@ class StreamingExecution:
             attempt_loop=attempt_loop,
             event=state.event,
             remaining=self._remaining,
-            raise_unavailable=self._materialise,
         )
         state.started = time.monotonic()
         completed = False
@@ -944,15 +934,17 @@ class StreamingExecution:
             completed = True
         finally:
             runner.finish()
+            if self._materialise and runner.cancelled:
+                # Only Executor.close() wakes a materialising run (as in
+                # _settle): its probe side is unavailable, not cancelled.
+                runner.cancelled, runner.error = False, "mediator closed"
             # An idle runner (no call, no error, no cancel -- e.g. an
             # empty left side) reports nothing: a materialising run
             # skips probing entirely when an unrelated source failure
             # makes the query partial, so an idle probe stays invisible
             # for the two entry points to stay report-shape comparable.
-            if runner.calls or runner.cancelled or runner._error is not None:
-                state.report = runner.report(
-                    cancelled=not completed and runner._error is None
-                )
+            if runner.calls or runner.cancelled or runner.error is not None:
+                state.report = runner.report(cancelled=not completed and runner.error is None)
 
     # -- shutdown ------------------------------------------------------------------------------
     def _cancel(self) -> None:

@@ -32,6 +32,8 @@ class Wrapper:
 
     Subclasses implement :meth:`_execute` (how a legal expression is actually
     evaluated at the source) and pass their capability set to ``__init__``.
+    ``_execute`` may return a list, or a lazy iterable for a cursor-style
+    source; :meth:`submit` lists a lazy one, :meth:`submit_stream` does not.
     """
 
     #: mid-stream resume support: :data:`RESUME_REPLAY` or ``None`` (the
@@ -58,20 +60,20 @@ class Wrapper:
         (:meth:`~repro.algebra.capabilities.CapabilitySet.admits`).
         """
         self._check_capability(expression)
-        return self._execute(expression)
+        rows = self._execute(expression)
+        return rows if isinstance(rows, list) else list(rows)
 
     def submit_stream(self, expression: LogicalOp) -> Iterable[Row]:
         """Rows for ``expression``, possibly produced lazily.
 
-        The streaming engine calls this instead of :meth:`submit`.  The base
-        implementation delegates to :meth:`_execute` (one materialized round
-        trip -- correct for RPC-style sources whose latency is per call);
-        wrappers over cursor-style sources override :meth:`_execute_stream`
-        to yield rows as the consumer pulls them, so a satisfied ``limit``
-        stops the scan instead of draining it.
+        The streaming engine calls this instead of :meth:`submit`, and gets
+        what :meth:`_execute` returned: a list from an RPC-style source (one
+        materialized round trip, its latency per call), or the lazy rows of a
+        cursor-style source, pulled as the consumer needs them, so a
+        satisfied ``limit`` stops the scan instead of draining it.
         """
         self._check_capability(expression)
-        return self._execute_stream(expression)
+        return self._execute(expression)
 
     def _check_capability(self, expression: LogicalOp) -> None:
         """Fail loudly when ``expression`` is outside the wrapper's capabilities."""
@@ -81,12 +83,8 @@ class Wrapper:
             )
 
     # -- hooks for subclasses ------------------------------------------------------------
-    def _execute(self, expression: LogicalOp) -> list[Row]:
+    def _execute(self, expression: LogicalOp) -> Iterable[Row]:
         raise NotImplementedError
-
-    def _execute_stream(self, expression: LogicalOp) -> Iterable[Row]:
-        """Lazy variant of :meth:`_execute`; defaults to the materialized call."""
-        return self._execute(expression)
 
     def source_collections(self) -> list[str]:
         """Names of the collections the underlying source exposes."""

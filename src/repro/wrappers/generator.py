@@ -68,10 +68,7 @@ class GeneratorWrapper(Wrapper):
         return factory()
 
     # -- execution -----------------------------------------------------------------------
-    def _execute(self, expression: LogicalOp) -> list[Row]:
-        return list(self._evaluator.evaluate_stream(expression))
-
-    def _execute_stream(self, expression: LogicalOp):
+    def _execute(self, expression: LogicalOp) -> Iterable[Row]:
         return self._evaluator.evaluate_stream(expression)
 
     # -- meta-data ------------------------------------------------------------------------

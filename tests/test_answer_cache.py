@@ -6,7 +6,7 @@ project / distinct / appended conjunct), the refusal cases (aggregates,
 environment items, foreign-variable and subquery predicates),
 ``schema_version`` invalidation (lazy and eager), LRU eviction under the
 row budget, partial-answer patch-on-recovery (the DISCO twist), the
-mutate-between-miss-and-patch staleness race, thread safety under a client
+mutate-before- and mutate-during-patch staleness races, thread safety under a client
 fleet, and the statistics counters.  The dynamic cross-check -- cache-on
 answers multiset-equal to cache-off over random workloads -- lives in the
 differential harness (``tests/test_engine_equivalence.py``).
@@ -348,6 +348,42 @@ def test_partial_patch_is_pinned_to_the_entry_schema_version():
         assert servers[0].statistics.requests > healthy_calls
         assert mediator.statistics()["answer_cache_patches"] == 0
         assert mediator.statistics()["answer_cache_invalidations"] >= 1
+    finally:
+        mediator.close()
+
+
+def test_a_schema_change_during_a_patch_falls_back_to_a_full_run():
+    """The version rule's other half: the DBA mutates while the patch's own
+    call is running.  The patched rows straddle two schemas, so the patch is
+    dropped, never counted or stored, and the query runs in full."""
+    mediator, servers = build_mediator()
+    mediator.answer_cache = AnswerCache()
+    try:
+        query = "select x.name from x in person"
+        reference = multiset(mediator.query(query).rows())
+        mediator.define_interface("Bump0", [("id", "Long")], extent_name="b0")
+        servers[1].take_down()
+        assert mediator.query(query).is_partial
+        servers[1].bring_up()
+        call = servers[1].call
+        mutations = []
+
+        def call_mutating_once(operation):
+            if not mutations:
+                mutations.append("Bump1")
+                mediator.define_interface("Bump1", [("id", "Long")], extent_name="b1")
+            return call(operation)
+
+        servers[1].call = call_mutating_once
+        healthy_calls = servers[0].statistics.requests
+        repaired = mediator.query(query)
+        assert mutations == ["Bump1"]
+        assert not repaired.is_partial
+        assert multiset(repaired.rows()) == reference
+        assert not repaired.from_answer_cache
+        # Fallen back to a full run: the healthy source was contacted again.
+        assert servers[0].statistics.requests > healthy_calls
+        assert mediator.statistics()["answer_cache_patches"] == 0
     finally:
         mediator.close()
 

@@ -11,6 +11,8 @@ telemetry surfaced through ``ExecReport`` and ``Mediator.statistics()``.
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import pytest
 
@@ -414,6 +416,37 @@ def test_streaming_probe_failure_reports_without_raising():
         mediator.close()
 
 
+def test_closing_the_mediator_under_a_probe_round_trip_reports_mediator_closed():
+    """A ``query()`` is written off only by the mediator closing, so a probe
+    round trip woken by ``close()`` is a failure, not a cancellation: the
+    answer is partial and names the probe side."""
+    from repro.sources import NetworkProfile
+
+    mediator, _left, right = build_probe_mediator(range(6), batch_size=1)
+    try:
+        learn_right_rows(mediator, UNREACHED_ROWS)
+        right.network = NetworkProfile(base_latency=5.0)
+        right.real_sleep = True
+        results: list = []
+        thread = threading.Thread(target=lambda: results.append(mediator.query(QUERY, timeout=30)))
+        thread.start()
+        deadline = time.monotonic() + 5
+        while right.statistics.requests < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)  # until the first round trip is asleep at the source
+        started = time.monotonic()
+        mediator.close()
+        thread.join(10)
+        assert not thread.is_alive() and time.monotonic() - started < 4.0
+        (result,) = results
+        assert result.is_partial and result.unavailable_sources == ("right0",)
+        assert right.statistics.requests == 1  # the left input drained, nothing more sent
+        report = probe_report(result)
+        assert report.error == "mediator closed"
+        assert not report.available and not report.cancelled
+    finally:
+        mediator.close()
+
+
 @pytest.mark.parametrize("run", ENGINES)
 def test_a_failed_probe_call_is_retried_within_max_retries(run):
     """A probe round trip is an exec call of the one attempt loop: a transient
@@ -455,13 +488,15 @@ def test_an_in_list_refused_at_call_time_goes_down_the_ladder(run):
         mediator.close()
 
 
+@pytest.mark.parametrize("batch_size", [8, 1], ids=["one-batch", "six-batches"])
 @pytest.mark.parametrize("run", ENGINES)
-def test_a_probe_source_that_stays_down_spends_max_retries(run):
+def test_a_probe_source_that_stays_down_spends_max_retries(run, batch_size):
     """A dead probed source is retried like any exec call -- ``max_retries``
     extra calls, each a failure observation -- and then written off into a
-    partial answer on both engines."""
+    partial answer on both engines.  The failure is recorded, never raised:
+    the join drains its left input, and later batches send nothing."""
     mediator, _left, right = build_probe_mediator(
-        range(6), batch_size=8, max_retries=2, retry_backoff=0.001
+        range(6), batch_size=batch_size, max_retries=2, retry_backoff=0.001
     )
     try:
         right.take_down()
