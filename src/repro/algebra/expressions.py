@@ -88,6 +88,10 @@ def literal_to_oql(value: Any) -> str:
     return f"struct({inner})"
 
 
+#: what ``to_oql(placeholders=True)`` writes for a constant
+PLACEHOLDER = literal_to_oql("?")
+
+
 class Expr(Node):
     """Base class for every scalar expression node (operands: the fields typed ``Expr``)."""
 
@@ -126,8 +130,13 @@ class Expr(Node):
         operands = self.children()
         return self.with_children([visit(operand) for operand in operands]) if operands else self
 
-    def to_oql(self) -> str:
-        """Render back to OQL text."""
+    def to_oql(self, placeholders: bool = False) -> str:
+        """Render back to OQL text.
+
+        With ``placeholders`` every constant is written as :data:`PLACEHOLDER`
+        and every ``in`` list as that one item: the text that stands for all
+        the expressions of this shape (the history's close match).
+        """
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -150,8 +159,8 @@ class Const(Expr):
         value = self.value
         return lambda env: value
 
-    def to_oql(self) -> str:
-        return literal_to_oql(self.value)
+    def to_oql(self, placeholders: bool = False) -> str:
+        return PLACEHOLDER if placeholders else literal_to_oql(self.value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +183,7 @@ class Var(Expr):
     def free_variables(self) -> set[str]:
         return {self.name}
 
-    def to_oql(self) -> str:
+    def to_oql(self, placeholders: bool = False) -> str:
         return self.name
 
 
@@ -209,8 +218,8 @@ class Path(Expr):
     def rename_attributes(self, renames: Mapping[str, str]) -> "Expr":
         return Path(self.base.rename_attributes(renames), renames.get(self.attribute, self.attribute))
 
-    def to_oql(self) -> str:
-        return f"{self.base.to_oql()}.{self.attribute}"
+    def to_oql(self, placeholders: bool = False) -> str:
+        return f"{self.base.to_oql(placeholders)}.{self.attribute}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,8 +248,8 @@ class Comparison(Expr):
 
         return run
 
-    def to_oql(self) -> str:
-        return f"{self.left.to_oql()} {self.op} {self.right.to_oql()}"
+    def to_oql(self, placeholders: bool = False) -> str:
+        return f"{self.left.to_oql(placeholders)} {self.op} {self.right.to_oql(placeholders)}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +308,10 @@ class InList(Expr):
 
         return run
 
-    def to_oql(self) -> str:
+    def to_oql(self, placeholders: bool = False) -> str:
+        if placeholders:
+            # every probe batch of one shape, whatever its size or keys
+            return f"{self.operand.to_oql(True)} in ({PLACEHOLDER})"
         return (
             f"{self.operand.to_oql()} in ("
             + ", ".join(item.to_oql() for item in self.items)
@@ -331,11 +343,11 @@ class BooleanExpr(Expr):
 
         return run
 
-    def to_oql(self) -> str:
+    def to_oql(self, placeholders: bool = False) -> str:
         if self.op == "not":
-            return f"not ({self.operands[0].to_oql()})"
+            return f"not ({self.operands[0].to_oql(placeholders)})"
         joiner = f" {self.op} "
-        return "(" + joiner.join(operand.to_oql() for operand in self.operands) + ")"
+        return "(" + joiner.join(operand.to_oql(placeholders) for operand in self.operands) + ")"
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,8 +374,8 @@ class Arithmetic(Expr):
 
         return run
 
-    def to_oql(self) -> str:
-        return f"{self.left.to_oql()} {self.op} {self.right.to_oql()}"
+    def to_oql(self, placeholders: bool = False) -> str:
+        return f"{self.left.to_oql(placeholders)} {self.op} {self.right.to_oql(placeholders)}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,8 +388,8 @@ class StructExpr(Expr):
         fields = [(name, expr.compile(evaluator)) for name, expr in self.fields]
         return lambda env: Struct({name: field(env) for name, field in fields})
 
-    def to_oql(self) -> str:
-        inner = ", ".join(f"{name}: {expr.to_oql()}" for name, expr in self.fields)
+    def to_oql(self, placeholders: bool = False) -> str:
+        inner = ", ".join(f"{name}: {expr.to_oql(placeholders)}" for name, expr in self.fields)
         return f"struct({inner})"
 
 
@@ -402,8 +414,8 @@ class BagExpr(Expr):
 
         return run
 
-    def to_oql(self) -> str:
-        return "bag(" + ", ".join(item.to_oql() for item in self.items) + ")"
+    def to_oql(self, placeholders: bool = False) -> str:
+        return "bag(" + ", ".join(item.to_oql(placeholders) for item in self.items) + ")"
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,8 +483,8 @@ class FunctionCall(Expr):
             return sum(items) / len(items)
         raise QueryExecutionError(f"unknown aggregate {name!r}")
 
-    def to_oql(self) -> str:
-        return f"{self.name}(" + ", ".join(arg.to_oql() for arg in self.args) + ")"
+    def to_oql(self, placeholders: bool = False) -> str:
+        return f"{self.name}(" + ", ".join(arg.to_oql(placeholders) for arg in self.args) + ")"
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,7 +508,7 @@ class Subquery(Expr):
         free = getattr(self.query, "free_variables", None)
         return free() if callable(free) else set()
 
-    def to_oql(self) -> str:
+    def to_oql(self, placeholders: bool = False) -> str:
         to_oql = getattr(self.query, "to_oql", None)
         return to_oql() if callable(to_oql) else repr(self.query)
 

@@ -50,8 +50,16 @@ class TextCachedNode:
     #: the rendered text once kept; set on the instance, never on the class
     _text: str | None = None
 
-    def to_text(self) -> str:
-        """Compact textual form, e.g. ``project(name, submit(r0, get(person0)))``."""
+    def to_text(self, placeholders: bool = False) -> str:
+        """Compact textual form, e.g. ``project(name, submit(r0, get(person0)))``.
+
+        With ``placeholders`` (logical nodes only) every constant of a select
+        predicate or an apply expression is written as a placeholder
+        (``Expr.to_oql``): the history's close signature, rendered in one
+        pass and never kept.
+        """
+        if placeholders:
+            return self._render(True)
         text = self._text
         if text is None:
             text = self._render()
@@ -62,7 +70,8 @@ class TextCachedNode:
         return text
 
     def _render(self) -> str:
-        """Build the text (subclasses; reach sub-plans through ``to_text()``)."""
+        """Build the text (subclasses; reach sub-plans through ``to_text()``,
+        and a logical node passes its ``placeholders`` flag on)."""
         raise NotImplementedError
 
 
@@ -93,7 +102,7 @@ class Get(LogicalOp):
     collection: str
     op_name = "get"
 
-    def _render(self) -> str:
+    def _render(self, placeholders: bool = False) -> str:
         return f"get({self.collection})"
 
 
@@ -112,8 +121,8 @@ class Submit(LogicalOp):
     op_name = "submit"
 
 
-    def _render(self) -> str:
-        return f"submit({self.source}, {self.expression.to_text()})"
+    def _render(self, placeholders: bool = False) -> str:
+        return f"submit({self.source}, {self.expression.to_text(placeholders)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +134,9 @@ class Project(LogicalOp):
     op_name = "project"
 
 
-    def _render(self) -> str:
+    def _render(self, placeholders: bool = False) -> str:
         attrs = ",".join(self.attributes)
-        return f"project({attrs}, {self.child.to_text()})"
+        return f"project({attrs}, {self.child.to_text(placeholders)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +153,9 @@ class Select(LogicalOp):
     op_name = "select"
 
 
-    def _render(self) -> str:
-        return f"select({self.variable}: {self.predicate.to_oql()}, {self.child.to_text()})"
+    def _render(self, placeholders: bool = False) -> str:
+        predicate = self.predicate.to_oql(placeholders)
+        return f"select({self.variable}: {predicate}, {self.child.to_text(placeholders)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,8 +168,9 @@ class Apply(LogicalOp):
     op_name = "apply"
 
 
-    def _render(self) -> str:
-        return f"apply({self.variable}: {self.expression.to_oql()}, {self.child.to_text()})"
+    def _render(self, placeholders: bool = False) -> str:
+        expression = self.expression.to_oql(placeholders)
+        return f"apply({self.variable}: {expression}, {self.child.to_text(placeholders)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,11 +196,11 @@ class BindJoin(LogicalOp):
     op_name = "bindjoin"
 
 
-    def _render(self) -> str:
+    def _render(self, placeholders: bool = False) -> str:
         condition = self.condition.to_oql() if self.condition is not None else "true"
         return (
-            f"bindjoin({self.left_variable}: {self.left.to_text()}, "
-            f"{self.right_variable}: {self.right.to_text()}, {condition})"
+            f"bindjoin({self.left_variable}: {self.left.to_text(placeholders)}, "
+            f"{self.right_variable}: {self.right.to_text(placeholders)}, {condition})"
         )
 
 
@@ -201,8 +212,8 @@ class Union(LogicalOp):
     op_name = "union"
 
 
-    def _render(self) -> str:
-        return "union(" + ", ".join(child.to_text() for child in self.inputs) + ")"
+    def _render(self, placeholders: bool = False) -> str:
+        return "union(" + ", ".join(child.to_text(placeholders) for child in self.inputs) + ")"
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +224,8 @@ class Flatten(LogicalOp):
     op_name = "flatten"
 
 
-    def _render(self) -> str:
-        return f"flatten({self.child.to_text()})"
+    def _render(self, placeholders: bool = False) -> str:
+        return f"flatten({self.child.to_text(placeholders)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +236,8 @@ class Distinct(LogicalOp):
     op_name = "distinct"
 
 
-    def _render(self) -> str:
-        return f"distinct({self.child.to_text()})"
+    def _render(self, placeholders: bool = False) -> str:
+        return f"distinct({self.child.to_text(placeholders)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,8 +255,8 @@ class Limit(LogicalOp):
     op_name = "limit"
 
 
-    def _render(self) -> str:
-        return f"limit({self.count}, {self.child.to_text()})"
+    def _render(self, placeholders: bool = False) -> str:
+        return f"limit({self.count}, {self.child.to_text(placeholders)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,12 +295,12 @@ class GroupBy(LogicalOp):
             name for name, _func, _arg in self.aggregates
         )
 
-    def _render(self) -> str:
+    def _render(self, placeholders: bool = False) -> str:
         keys = ",".join(f"{name}: {expr.to_oql()}" for name, expr in self.keys)
         aggs = ",".join(
             f"{name}: {func}({arg.to_oql()})" for name, func, arg in self.aggregates
         )
-        return f"groupby({self.variable}: [{keys}] [{aggs}], {self.child.to_text()})"
+        return f"groupby({self.variable}: [{keys}] [{aggs}], {self.child.to_text(placeholders)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +310,7 @@ class BagLiteral(LogicalOp):
     values: tuple[Any, ...] = ()
     op_name = "bag"
 
-    def _render(self) -> str:
+    def _render(self, placeholders: bool = False) -> str:
         return "Bag(" + ", ".join(repr(value) for value in self.values) + ")"
 
 

@@ -45,12 +45,15 @@ class Cost:
 MEDIATOR_ROW_COST = 1e-6
 #: time charged once per mediator-side operator
 MEDIATOR_OPERATOR_OVERHEAD = 1e-5
-#: share of its input a mediator-side filter is assumed to keep
+#: share of its input a mediator-side filter is assumed to keep, where the
+#: history has not observed the same select pushed into the exec call below
+#: it (``optimizer.cost``): over a union, or over an extent never filtered
+#: at its source
 DEFAULT_SELECTIVITY = 0.33
-#: assumed ratio of distinct group rows to input rows for ``groupby``
-#: estimation.  This is what makes the summarization pushdown pay off in
-#: the cost model: a grouped exec ships an estimated 5% of the extent's
-#: rows (a keyless -- scalar -- aggregate ships exactly one).
+#: assumed ratio of distinct group rows to input rows for a mediator-side
+#: ``mkgroupby``, under the same condition (a keyless -- scalar -- aggregate
+#: gives exactly one).  A grouped exec call is costed on the group rows its
+#: history observed, never on this ratio.
 GROUPBY_OUTPUT_RATIO = 0.05
 
 

@@ -6,6 +6,17 @@ output cardinality.  Calls to data sources (``exec``) are estimated from the
 paper's default (time 0, data 1) applies, which biases the optimizer towards
 plans that push the maximum amount of computation to the sources and then
 minimise mediator-side work -- exactly the behaviour Section 3.3 derives.
+
+An expression has one row estimate wherever it runs.  A ``filter`` or
+``mkgroupby`` directly over an exec call computes the rows that call would
+ship with the same ``select`` or ``groupby`` pushed into it; once the history
+has observed that pushed call (exactly or closely), both places take its
+rows, and the algorithm's own formula (a fixed selectivity, a fixed group
+ratio) applies only to an expression the history has never seen -- a
+``GetOnlyWrapper`` extent's filter, say.  Equivalent plans then differ in
+time alone, so the plan search keeps one of them, not both.  The rows an
+exec call observed are what it shipped: a pushed grouping's rows are
+already group rows, and only a pushed limit still caps them.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.algebra import logical as log
 from repro.algebra import physical as phys
-from repro.algebra.physical import Cost, grouped_rows
+from repro.algebra.physical import Cost
 from repro.optimizer.history import CostEstimate, ExecCallHistory, exact_signature
 
 
@@ -31,21 +42,6 @@ def pushed_limit(expression: log.LogicalOp) -> int | None:
         node = node.child
     if isinstance(node, log.Limit):
         return node.count
-    return None
-
-
-def pushed_groupby(expression: log.LogicalOp) -> "log.GroupBy | None":
-    """The grouping in force at the top of a pushed expression, if any.
-
-    Like :func:`pushed_limit`, looks through the one-to-one operators (and a
-    limit -- a capped group list is still grouped) to find a ``groupby`` that
-    bounds what the source ships: group rows, not extent rows.
-    """
-    node = expression
-    while isinstance(node, (log.Project, log.Apply, log.Limit)):
-        node = node.child
-    if isinstance(node, log.GroupBy):
-        return node
     return None
 
 
@@ -82,6 +78,9 @@ UNAVAILABILITY_PENALTY = 2.0
 #: default, and what :class:`~repro.algebra.physical.ProbeJoin` costing
 #: assumes (a run with another size only shifts the estimated probe calls).
 BIND_BATCH_SIZE = 256
+#: mediator-side algorithms whose rows, directly over an exec call, are the
+#: rows the history observed for the operator they implement pushed into it
+ROWS_AS_PUSHED = (phys.Filter, phys.MkGroupBy)
 
 
 @dataclass
@@ -113,12 +112,18 @@ class CostModel:
             cost = self._estimate_probe_join(plan, memo)
         else:
             cost = plan.cost(*[self._cost(child, memo) for child in plan.children()])
+            if isinstance(plan, ROWS_AS_PUSHED) and isinstance(plan.child, phys.Exec):
+                call = plan.child
+                pushed = phys.counterpart(plan.implements, plan, [call.expression])
+                reading = self._reading(call.extent_name, pushed, memo)
+                if reading.kind != "default":
+                    cost = Cost(cost.time, max(reading.rows, 0.0))
         memo.plans[id(plan)] = (plan, cost)
         return cost
 
     def _estimate_probe_join(self, plan: phys.ProbeJoin, memo: CostMemo) -> Cost:
         left = self._cost(plan.left, memo)
-        probe = self._reading(plan.probe, memo)
+        probe = self._reading(plan.probe.extent_name, plan.probe.expression, memo)
         right_rows = max(probe.rows, 0.0)
         # One set-valued submit per batch of distinct left keys; only the
         # matching right rows cross the wire (bounded by the smaller of
@@ -135,12 +140,12 @@ class CostModel:
             time *= 1.0 + UNAVAILABILITY_PENALTY * (1.0 - probe.availability)
         return Cost(time, max(left.rows, shipped))
 
-    def _reading(self, plan: phys.Exec, memo: CostMemo) -> CostEstimate:
-        """What the history says about ``plan``'s call, asked once per search."""
-        signature = exact_signature(plan.extent_name, plan.expression)
+    def _reading(self, extent_name: str, expression: log.LogicalOp, memo: CostMemo) -> CostEstimate:
+        """What the history says about a call of ``expression``, asked once per search."""
+        signature = exact_signature(extent_name, expression)
         reading = memo.readings.get(signature)
         if reading is None:
-            reading = self.history.estimate(plan.extent_name, plan.expression)
+            reading = self.history.estimate(extent_name, expression)
             memo.readings[signature] = reading
         return reading
 
@@ -156,15 +161,8 @@ class CostModel:
         the cost of shipping it twice, which is what reopen-and-skip replays
         (and what keeps token capability worth declaring).
         """
-        estimate = self._reading(plan, memo)
+        estimate = self._reading(plan.extent_name, plan.expression, memo)
         rows = max(estimate.rows, 0.0)
-        grouped = pushed_groupby(plan.expression)
-        if grouped is not None:
-            # A groupby pushed across the wrapper boundary means only group
-            # rows cross the wire, however many rows the source scans --
-            # the rows-transferred accounting that makes the optimizer prefer
-            # server-side grouping.
-            rows = grouped_rows(rows, bool(grouped.keys))
         cap = pushed_limit(plan.expression)
         if cap is not None:
             # A limit pushed across the wrapper boundary bounds what the

@@ -21,13 +21,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Deque
 
-from repro.algebra.expressions import Const, Expr, InList
-from repro.algebra.logical import (
-    Apply,
-    LogicalOp,
-    Select,
-    transform_bottom_up,
-)
+from repro.algebra.logical import LogicalOp
 
 DEFAULT_TIME_COST = 0.0
 DEFAULT_DATA_COST = 1.0
@@ -63,35 +57,16 @@ class _Observation:
 _SignatureTable = OrderedDict[str, Deque[_Observation]]
 
 
-def _strip_constants_expr(expression: Expr) -> Expr:
-    """Replace every constant in ``expression`` by a placeholder."""
-    if isinstance(expression, Const):
-        return Const("?")
-    if isinstance(expression, InList):
-        # Collapse the item list to one placeholder so every probe batch of
-        # the same shape -- regardless of batch size or key values -- shares a
-        # single close signature.
-        return InList(_strip_constants_expr(expression.operand), (Const("?"),))
-    return expression.map_operands(_strip_constants_expr)
-
-
 def exact_signature(extent_name: str, expression: LogicalOp) -> str:
     """Signature for exact matching: extent plus the full expression text."""
     return f"{extent_name}|{expression.to_text()}"
 
 
 def close_signature(extent_name: str, expression: LogicalOp) -> str:
-    """Signature for close matching: constants are replaced by placeholders."""
-
-    def visit(node: LogicalOp) -> LogicalOp:
-        if isinstance(node, Select):
-            return Select(node.variable, _strip_constants_expr(node.predicate), node.child)
-        if isinstance(node, Apply):
-            return Apply(node.variable, _strip_constants_expr(node.expression), node.child)
-        return node
-
-    stripped = transform_bottom_up(expression, visit)
-    return f"{extent_name}|{stripped.to_text()}"
+    """Signature for close matching: the constants of every select predicate
+    and apply expression written as placeholders, and an ``in`` list as one
+    (so every probe batch of one shape shares it), in one rendering pass."""
+    return f"{extent_name}|{expression.to_text(placeholders=True)}"
 
 
 def signature_pair(extent_name: str, expression: LogicalOp) -> tuple[str, str]:

@@ -6,7 +6,7 @@ to the extents understood by the mediator."  The registry bumps a schema
 version every time an extent is added or dropped.  :class:`VersionedCache`
 holds that rule once, for the plan cache here and the answer cache
 (:mod:`repro.runtime.answercache`): every entry remembers the version it was
-built under and is served only under that version -- a lookup under another
+built under and is served only under that version -- a lookup under a newer
 version drops it and counts an invalidation, and :meth:`~VersionedCache.
 evict_stale` sweeps every such entry at once.
 
@@ -61,15 +61,19 @@ class VersionedCache:
     def _fetch(self, key: str, schema_version: int) -> Any | None:
         """The value under ``key`` if built under ``schema_version``, or None.
 
-        A stale entry is dropped and counted as an invalidation; a served one
-        becomes the most recent.  The caller holds ``_lock``.
+        An entry built under an older version is stale: it is dropped and
+        counted as an invalidation.  One built under a newer version (a
+        caller that read the version before a concurrent DBA change) stays
+        for the callers that read the new one.  A served entry becomes the
+        most recent.  The caller holds ``_lock``.
         """
         item = self._entries.get(key)
         if item is None:
             return None
         if item[0] != schema_version:
-            self._remove(key)
-            self.invalidations += 1
+            if item[0] < schema_version:
+                self._remove(key)
+                self.invalidations += 1
             return None
         self._entries.move_to_end(key)
         return item[1]

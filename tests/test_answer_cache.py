@@ -236,6 +236,21 @@ def test_schema_version_change_invalidates_entries():
         mediator.close()
 
 
+def test_a_lookup_under_an_older_version_keeps_a_newer_entry():
+    """A query that read the version before a concurrent DBA change looks up
+    under the old one: it misses, and the entry another client stored under
+    the new version stays for the lookups that read it."""
+    cache = AnswerCache()
+    rows = [{"id": 1}]
+    cache.store_complete("k", None, 2, rows)
+    assert cache.get_exact("k", 1) is None
+    entry = cache.get_exact("k", 2)
+    assert entry is not None and list(entry.rows) == rows
+    assert cache.invalidations == 0
+    assert cache.get_exact("k", 3) is None
+    assert len(cache) == 0 and cache.invalidations == 1
+
+
 def test_extent_reregistration_evicts_eagerly():
     mediator, _server = make_mediator(answer_cache=True)
     try:

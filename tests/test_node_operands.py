@@ -3,12 +3,13 @@
 ``children``/``with_children`` of logical operators, physical algorithms and
 scalar expressions, and every generic map over an expression's operands
 (``walk_expr``, ``free_variables``, ``attribute_paths``,
-``rename_attributes``, the close-signature strip, variable substitution and
-the translator's replacement), are derived from the node classes' field
-types (:mod:`repro.algebra.nodes`).  The hand-written per-class methods and
+``rename_attributes``, variable substitution and the translator's
+replacement), are derived from the node classes' field types
+(:mod:`repro.algebra.nodes`).  The hand-written per-class methods and
 ``isinstance`` ladders they replaced are kept below, as they were, and the
 derived versions must agree with them: on one instance of every class, and
-on 600 generated expression trees.
+on 600 generated expression trees.  So must the close signature, written in
+one rendering pass, against the rendering of the stripped tree it replaced.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.algebra.expressions import (
     walk_expr,
 )
 from repro.algebra.unparser import _substitute_variable
-from repro.optimizer.history import _strip_constants_expr, close_signature
+from repro.optimizer.history import close_signature
 from repro.oql.translator import _replace_expressions
 from tests.conftest import build_paper_mediator
 from tests.test_expressions import EXPRESSIONS
@@ -312,6 +313,20 @@ def reference_strip_constants_expr(expression: Expr) -> Expr:
     return expression
 
 
+def reference_close_signature(extent_name: str, expression: log.LogicalOp) -> str:
+    """The signature for close matching: a stripped copy of the tree, rendered."""
+
+    def visit(node: log.LogicalOp) -> log.LogicalOp:
+        if isinstance(node, log.Select):
+            return log.Select(node.variable, reference_strip_constants_expr(node.predicate), node.child)
+        if isinstance(node, log.Apply):
+            return log.Apply(node.variable, reference_strip_constants_expr(node.expression), node.child)
+        return node
+
+    stripped = log.transform_bottom_up(expression, visit)
+    return f"{extent_name}|{stripped.to_text()}"
+
+
 def reference_substitute_variable(expression: Expr, old: str, new: str) -> Expr:
     """Return ``expression`` with every reference to ``old`` replaced by ``new``."""
     if isinstance(expression, Var):
@@ -518,9 +533,9 @@ class TestGeneratedTrees:
         assert shape(expr.rename_attributes(RENAMES)) == shape(
             reference_rename_attributes(expr, RENAMES)
         )
-        assert shape(_strip_constants_expr(expr)) == shape(reference_strip_constants_expr(expr))
-        stripped = log.Select("x", reference_strip_constants_expr(expr), A)
-        assert close_signature("a", log.Select("x", expr, A)) == f"a|{stripped.to_text()}"
+        assert expr.to_oql(placeholders=True) == reference_strip_constants_expr(expr).to_oql()
+        select = log.Select("x", expr, A)
+        assert close_signature("a", select) == reference_close_signature("a", select)
         for old in ("x", "y"):
             assert shape(_substitute_variable(expr, old, "w")) == shape(
                 reference_substitute_variable(expr, old, "w")
@@ -530,6 +545,45 @@ class TestGeneratedTrees:
         assert shape(_replace_expressions(expr, replacements)) == shape(
             reference_replace_expressions(expr, replacements)
         )
+
+
+def _over(tree: log.LogicalOp, data) -> log.LogicalOp:
+    """``tree`` under one drawn operator: project, limit, groupby or apply
+    (a groupby's keys and aggregates keep their constants, an apply's lose them)."""
+    kind = data.draw(st.sampled_from(["project", "limit", "groupby", "apply"]))
+    if kind == "project":
+        return log.Project(("name", "v"), tree)
+    if kind == "limit":
+        return log.Limit(data.draw(st.integers(0, 20)), tree)
+    if kind == "groupby":
+        keys = (("k", data.draw(EXPRESSIONS)),)
+        aggregates = (("n", "count", Var("x")), ("s", "sum", data.draw(EXPRESSIONS)))
+        return log.GroupBy("x", keys if data.draw(st.booleans()) else (), aggregates, tree)
+    return log.Apply("x", data.draw(EXPRESSIONS), tree)
+
+
+#: a predicate with an ``in`` list under nested ``not``/``and``/``or``
+CONNECTED = st.builds(
+    lambda keys, other, outer, inner: BooleanExpr(
+        outer, (BooleanExpr("not", (BooleanExpr(inner, (InList(X_ID, keys), other)),)), other)
+    ),
+    st.lists(st.integers(0, 9).map(Const), min_size=1, max_size=4).map(tuple),
+    EXPRESSIONS,
+    st.sampled_from(["and", "or"]),
+    st.sampled_from(["and", "or"]),
+)
+
+
+class TestCloseSignature:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.one_of(EXPRESSIONS, CONNECTED), st.integers(0, 3), st.data())
+    def test_one_pass_signatures_match_the_stripped_tree_rendering(self, predicate, depth, data):
+        tree = log.Select("x", predicate, A)
+        for _ in range(depth):
+            tree = _over(tree, data)
+            if data.draw(st.booleans()):
+                tree = log.Select("x", data.draw(st.one_of(EXPRESSIONS, CONNECTED)), tree)
+        assert close_signature("a", tree) == reference_close_signature("a", tree)
 
 
 # -- resolved once per class, never per call ------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from benchmarks.spine import federation
 from repro.algebra import physical as phys
 from repro.algebra.capabilities import grammar_for
-from repro.algebra.expressions import Comparison, Const, Path, Var
+from repro.algebra.expressions import Comparison, Const, InList, Path, Var
 from repro.algebra.logical import (
     Apply,
     BagLiteral,
@@ -20,6 +20,7 @@ from repro.algebra.logical import (
     Distinct,
     Flatten,
     Get,
+    GroupBy,
     LogicalOp,
     Project,
     Select,
@@ -109,6 +110,13 @@ class TestExecCallHistory:
             "person0", Select("x", salary_filter(77), Get("person0"))
         )
 
+        def batch(*keys):
+            return Select("x", InList(Path(Var("x"), "id"), tuple(map(Const, keys))), Get("person0"))
+
+        # every probe batch of one shape, whatever its size or keys
+        assert close_signature("person0", batch(1, 2, 3)) == close_signature("person0", batch(7))
+        assert close_signature("person0", batch(1)) == 'person0|select(x: x.id in ("?"), get(person0))'
+
     def test_clear_and_recorded_calls(self):
         history = ExecCallHistory()
         history.record("person0", Get("person0"), 0.2, 40)
@@ -130,7 +138,7 @@ class TestExecCallHistory:
         class Stalled(LogicalOp):
             op_name = "stalled"
 
-            def to_text(self):
+            def to_text(self, placeholders=False):
                 entered.set()
                 assert release.wait(timeout=10)
                 return "stalled()"
@@ -323,6 +331,59 @@ class TestCostModel:
 
                 def to_text(self):
                     return "weird()"
+
+
+#: a grouping of person rows by salary, and the exec call reading person0
+BY_SALARY = ((("s", Path(Var("x"), "salary")),), (("n", "count", Var("x")),))
+SCAN = phys.Exec(phys.Field("r0"), Get("person0"), "person0")
+
+
+class TestOneRowEstimatePerExpression:
+    """A mediator-side operator directly over an exec call ships the rows that
+    call ships with the operator pushed into it: where the history has seen
+    the pushed call, both places take its rows.  Hand-recorded history: no
+    timing is measured."""
+
+    def history(self):
+        history = ExecCallHistory()
+        history.record("person0", Get("person0"), elapsed=0.01, rows=1000)
+        history.record("person0", Select("x", salary_filter(100), Get("person0")), elapsed=0.004, rows=120)
+        history.record("person0", GroupBy("x", *BY_SALARY, Get("person0")), elapsed=0.006, rows=7)
+        return history
+
+    def test_a_filter_and_its_pushed_select_cost_the_same_rows(self):
+        model = CostModel(self.history())
+        pushed = phys.Exec(phys.Field("r0"), Select("x", salary_filter(100), Get("person0")), "person0")
+        kept = phys.Filter("x", salary_filter(100), SCAN)
+        assert model.estimate(kept).rows == model.estimate(pushed).rows == pytest.approx(120)
+        # a close match (another constant) reads the same observations
+        other = phys.Filter("x", salary_filter(250), SCAN)
+        assert model.estimate(other).rows == pytest.approx(120)
+        # the filter still pays for every row it reads
+        assert model.estimate(kept).time > model.estimate(SCAN).time
+
+    def test_a_pushed_groupby_costs_its_observed_group_rows(self):
+        model = CostModel(self.history())
+        pushed = phys.Exec(phys.Field("r0"), GroupBy("x", *BY_SALARY, Get("person0")), "person0")
+        assert model.estimate(pushed).rows == pytest.approx(7)
+        assert model.estimate(phys.MkGroupBy("x", *BY_SALARY, SCAN)).rows == pytest.approx(7)
+
+    def test_an_extent_never_observed_with_the_pushed_form_keeps_its_formula(self):
+        """A ``GetOnlyWrapper`` extent is only ever read whole: its filter and
+        grouping are estimated from its scan, as before."""
+        history = ExecCallHistory()
+        history.record("person1", Get("person1"), elapsed=0.01, rows=1000)
+        model = CostModel(history)
+        scan = phys.Exec(phys.Field("r1"), Get("person1"), "person1")
+        filtered = model.estimate(phys.Filter("x", salary_filter(100), scan))
+        grouped = model.estimate(phys.MkGroupBy("x", *BY_SALARY, scan))
+        assert filtered.rows == pytest.approx(1000 * phys.DEFAULT_SELECTIVITY)
+        assert grouped.rows == pytest.approx(phys.grouped_rows(1000, has_keys=True))
+        # over anything but an exec call the formula holds too
+        union = phys.MkUnion((scan, scan))
+        assert model.estimate(phys.Filter("x", salary_filter(100), union)).rows == pytest.approx(
+            2000 * phys.DEFAULT_SELECTIVITY
+        )
 
 
 class TestOneDefinitionSite:
