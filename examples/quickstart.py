@@ -3,7 +3,8 @@
 Builds the two-source Person mediator of Sections 1.2-1.3, runs the
 introductory query, shows the optimizer's plan, takes one source down to
 demonstrate partial-answer semantics and re-submission, then kills a source
-*mid-stream* to show `query_stream()`'s resume-token recovery.
+*mid-stream* to show `query_stream()`'s recovery: the call is reopened and
+the rows already delivered are skipped.
 
 Execution knobs are the fields of `ExecutorConfig` (the README table is the
 list): `Mediator(name, **config)` forwards its keywords to it, and everything

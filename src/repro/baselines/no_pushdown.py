@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.algebra.capabilities import CapabilitySet
-from repro.algebra.logical import Get, LogicalOp
-from repro.errors import WrapperError
+from repro.algebra.logical import LogicalOp
 from repro.wrappers.base import Row, Wrapper
 
 
@@ -28,11 +27,8 @@ class GetOnlyWrapper(Wrapper):
         self.resume_support = inner.resume_support
 
     def _execute(self, expression: LogicalOp) -> Iterable[Row]:
-        # The inner source's laziness passes through to the streaming engine.
-        if not isinstance(expression, Get):
-            raise WrapperError(
-                f"{self.name!r} only evaluates get(collection); got {expression.to_text()}"
-            )
+        # Only a get passed the submit-time grammar gate; the inner
+        # source's laziness passes through to the streaming engine.
         return self.inner.submit_stream(expression)
 
     def source_collections(self) -> list[str]:

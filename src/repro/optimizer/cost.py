@@ -152,14 +152,8 @@ class CostModel:
     def _estimate_exec(self, plan: phys.Exec, memo: CostMemo) -> Cost:
         """Estimate one exec call from its recorded history.
 
-        Mid-stream deaths feed this estimate from both sides: a recovered
-        call records the death as a failure observation (lowering the
-        extent's availability EWMA, which inflates ``time`` below) *and* a
-        token-resumed reopen charges only the remaining rows at the simulated
-        server, so the learned latency of a flaky-but-resumable source stays
-        close to what one clean transfer of the extent costs -- rather than
-        the cost of shipping it twice, which is what reopen-and-skip replays
-        (and what keeps token capability worth declaring).
+        A mid-stream death feeds this estimate as a failure observation: it
+        lowers the extent's availability EWMA, which inflates ``time`` below.
         """
         estimate = self._reading(plan.extent_name, plan.expression, memo)
         rows = max(estimate.rows, 0.0)

@@ -207,16 +207,16 @@ class ExecutorConfig:
         released by ``Executor.close()``.
     ``max_retries``
         Extra wrapper calls attempted after a failure before the source is
-        declared unavailable.  ``0`` (the default) fails fast.  This is the
-        *one* per-call budget: transient re-submissions, the rungs of the
-        degrading-pushdown ladder (:mod:`repro.runtime.degrade`) and
-        ``query_stream()``'s mid-stream reopens all draw from it, so give flaky, mis-declared or
-        mid-stream-dying sources a budget at least as deep as the recovery
-        they need.  A degrading retry skips the backoff sleep (the failure
-        was deterministic, not a load problem); a mid-stream reopen is
-        exactly-once when the wrapper declares ``replay`` resume support
-        (the reopen skips the rows already delivered) and is written off
-        otherwise.
+        declared unavailable.  ``0`` (the default) fails fast.  Transient
+        re-submissions and ``query_stream()``'s mid-stream reopens draw from
+        it, so give flaky or mid-stream-dying sources a budget as deep as
+        the recovery they need.  The rungs of the degrading-pushdown ladder
+        (:mod:`repro.runtime.degrade`) do not: a capability failure was
+        deterministic, not a load problem, so it steps one rung down without
+        a backoff sleep whatever the budget, and the ladder's length bounds
+        it.  A mid-stream reopen is exactly-once when the wrapper declares
+        ``replay`` resume support (the reopen skips the rows already
+        delivered) and is written off otherwise.
     ``retry_backoff``
         Sleep before the first retry, in seconds; doubled for each further
         attempt.  The sleep is cancellation-aware: a written-off call wakes

@@ -7,8 +7,9 @@ implements it once.  A :class:`StreamingExecution` is one *run* of one
 physical plan: every exec call is one :class:`_ExecState` (its attempts, its
 rung on the degrade ladder, where a reopen restarts), driven by the one
 attempt loop (``_open_exec``) and its one failure step (``_failed``: retry
-with backoff, the degrading-pushdown ladder of :mod:`repro.runtime.degrade`,
-write-off, all under one ``max_retries`` budget), and written to the
+with backoff and write-off under the one ``max_retries`` budget, and the
+degrading-pushdown ladder of :mod:`repro.runtime.degrade`, whose rungs spend
+none of it), and written to the
 history once, by ``_ExecState.observe``.  The pool opens every dispatched
 call; ``_settle`` waits for it under the query deadline and writes it off
 when the deadline, or ``Executor.close()``, gets there first.  Every other
@@ -190,7 +191,8 @@ class _ExecState:
         self.recorded = False
         # Wrapper attempts completed so far, kept current by the worker so a
         # write-off report states the true count instead of defaulting to 1.
-        # Mid-stream reopens consume attempts from the same budget.
+        # Those that were not refused rungs (``stripped``), mid-stream
+        # reopens included, spend the ``max_retries`` budget.
         self.attempts = 0
         #: successful mid-stream recoveries (ExecReport.resumed_calls).
         self.resumed = 0
@@ -549,14 +551,16 @@ class StreamingExecution:
 
         ``exc`` ended an attempt of :meth:`_open_exec`, or killed a stream
         segment mid-drain (``dying``).  The failure is observed, charged with
-        its own ``elapsed``; the call is given up when it was woken, its
-        ``max_retries`` budget is spent or, on the consumer thread, the query
-        deadline has passed.  A capability/translation failure goes one rung
-        down the ladder (ultimately to a bare ``get``) without backoff -- it
-        was deterministic, not load -- and is terminal once the ladder is
-        exhausted.  Any other failure backs off (``retry_backoff``, doubled
-        per attempt; woken by a write-off, capped by the deadline on the
-        consumer thread) and goes again at the same rung.
+        its own ``elapsed``; the call is given up when it was woken or, on
+        the consumer thread, the query deadline has passed.  A
+        capability/translation failure goes one rung down the ladder
+        (ultimately to a bare ``get``) without backoff, charging nothing to
+        ``max_retries`` (it was deterministic, not load, and the ladder's
+        length bounds it), and is terminal once the ladder is exhausted.
+        Any other failure, and a death, spends the budget, which counts the
+        attempts that were not refused rungs; it backs off (``retry_backoff``,
+        doubled per such attempt; woken by a write-off, capped by the
+        deadline on the consumer thread) and goes again at the same rung.
 
         A death is no extra attempt and is not degraded.  Only a ``replay``
         wrapper is reopened (without a determinism guarantee a half-consumed
@@ -567,13 +571,14 @@ class StreamingExecution:
         config = executor.config
         call = self._compiled(state.node)
         step = None
-        exhausted = state.attempts >= max(1, config.max_retries + 1)
+        spent = state.attempts - len(state.stripped)
+        exhausted = spent >= max(1, config.max_retries + 1)
         if dying:
             resume = getattr(call.wrapper, "resume_support", None)
             exhausted = exhausted or resume != RESUME_REPLAY
         elif is_capability_failure(exc):
             step = degrade_pushdown(state.pushdown)
-            exhausted = exhausted or step is None
+            exhausted = step is None
         remaining = self._remaining() if consumer else None
         terminal = exhausted or state.event.is_set() or remaining == 0.0
         # A call that may record no more (woken, or its one observation
@@ -585,7 +590,7 @@ class StreamingExecution:
             state.stripped += (removed,)
             state.plan = namespace.namespace_plan(executor.registry, state.pushdown, call.meta)
             return True
-        backoff = config.retry_backoff * 2 ** (state.attempts - 1)
+        backoff = config.retry_backoff * 2 ** (spent - 1)
         if remaining is not None:
             backoff = min(backoff, remaining)
         return not (state.event.wait(backoff) or (consumer and self._remaining() == 0.0))

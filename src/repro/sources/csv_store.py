@@ -2,7 +2,7 @@
 
 Stands in for the paper's "file systems" class of information servers: the
 data lives in plain CSV files on disk and the source can only deliver whole
-files (optionally with a column projection applied while reading).
+files.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class CsvStore:
             writer.writerows(rows)
         return len(rows)
 
-    def scan(self, collection: str, columns: list[str] | None = None) -> list[dict[str, Any]]:
-        """Read every row of ``collection``; optionally keep only ``columns``."""
+    def scan(self, collection: str) -> list[dict[str, Any]]:
+        """Read every row of ``collection``."""
         path = self._path(collection)
         if not path.exists():
             raise QueryExecutionError(f"store {self.name!r} has no collection {collection!r}")
@@ -67,13 +67,7 @@ class CsvStore:
             return []
         with path.open(newline="") as handle:
             reader = csv.DictReader(handle)
-            rows = [{key: _coerce(value) for key, value in row.items()} for row in reader]
-        if columns is not None:
-            missing = [c for c in columns if rows and c not in rows[0]]
-            if missing:
-                raise QueryExecutionError(f"unknown column(s) {missing!r} in {collection!r}")
-            rows = [{column: row[column] for column in columns} for row in rows]
-        return rows
+            return [{key: _coerce(value) for key, value in row.items()} for row in reader]
 
     def collection_names(self) -> list[str]:
         """Names of every CSV collection in the directory."""

@@ -65,7 +65,7 @@ class NetworkProfile:
 class AvailabilityModel:
     """Whether a source answers a given request.
 
-    Three mechanisms, combinable:
+    Five mechanisms, combinable:
 
     * ``available`` -- a hard switch (the DBA took the source down);
     * ``failure_probability`` -- each request independently fails with this
@@ -80,7 +80,8 @@ class AvailabilityModel:
     * ``kill_after(rows, n)`` -- let the next ``n`` requests *succeed*, then
       kill the returned row stream after ``rows`` rows have been delivered:
       the mid-stream death (dropped connection, lost cursor) that exercises
-      the streaming engine's resume-token recovery.
+      the streaming engine's reopen of a ``replay`` wrapper, which skips the
+      rows already delivered.
     """
 
     available: bool = True

@@ -7,7 +7,12 @@ Every wrapper implements two calls:
 * ``submit(expression)`` -- evaluate a logical expression, already translated
   into the *source's* name space, and return rows.
 
-The concrete wrappers differ in capability and in how they execute:
+The concrete wrappers differ in capability.  Every wrapper over a store
+(relational, key-value, text, CSV) evaluates what it is pushed one way,
+:meth:`~repro.wrappers.base.StoreWrapper._execute`: one server call running
+the source-side :class:`AlgebraEvaluator`; only the SQL wrapper ships text
+instead, and the text wrapper answers an equality select by keyword search.
+
 
 =========================  ==========================================  =====================
 wrapper                    underlying source                           capabilities
@@ -15,9 +20,10 @@ wrapper                    underlying source                           capabilit
 :class:`RelationalWrapper` :class:`~repro.sources.RelationalEngine`    configurable, full by default
 :class:`SqlWrapper`        :class:`~repro.sources.sql.SqlEngine`       every operator SQL can write, a tree only when it renders as SQL text
 :class:`KeyValueWrapper`   :class:`~repro.sources.KeyValueStore`       get only
-:class:`TextSearchWrapper` :class:`~repro.sources.TextStore`           get + equality select (keyword search), no composition
+:class:`TextSearchWrapper` :class:`~repro.sources.TextStore`           get + select, no composition (an equality select is a keyword search)
 :class:`CsvWrapper`        :class:`~repro.sources.CsvStore`            get + project
-:class:`MediatorWrapper`   another DISCO mediator                      full (distributed mediator composition)
+:class:`GeneratorWrapper`  lazily produced rows (cursors, feeds)       configurable, full by default (evaluated as the consumer pulls)
+:class:`MediatorWrapper`   another DISCO mediator                      get + select (distributed mediator composition)
 =========================  ==========================================  =====================
 """
 

@@ -116,14 +116,21 @@ class Wrapper:
 class StoreWrapper(Wrapper):
     """A wrapper over a collection store hosted by a simulated server.
 
-    The key-value, text and CSV stores share one catalog surface
-    (``collection_names``, ``scan``, ``cardinality``), so their wrappers
-    read it here; each states only its capabilities and ``_execute``.
+    Every store wrapper evaluates a pushed expression one way: one server
+    call, one round trip however much was pushed, that runs
+    :class:`AlgebraEvaluator` over the store's ``scan``.  Which trees reach
+    it is the capability set's answer alone, checked at submit.  The
+    key-value, text and CSV stores also share one catalog surface
+    (``collection_names``, ``scan``, ``cardinality``), read here; the
+    relational wrappers read their engine's catalog instead.
     """
 
     def __init__(self, name: str, server: Any, capabilities: CapabilitySet):
         super().__init__(name, capabilities)
         self.server = server
+
+    def _execute(self, expression: LogicalOp) -> list[Row]:
+        return self.server.call(lambda store: AlgebraEvaluator(scan=store.scan).evaluate(expression))
 
     def source_collections(self) -> list[str]:
         return self.server.store.collection_names()
@@ -145,10 +152,11 @@ class StoreWrapper(Wrapper):
 class AlgebraEvaluator:
     """Evaluates pushable logical expressions given a ``scan`` function.
 
-    Wrappers whose sources expose row-level operations (relational engine,
-    key-value store, CSV files) use this evaluator to run the pushed
-    expression "at the source"; the only thing each wrapper provides is how a
-    named collection is scanned.
+    Wrappers whose sources expose row-level operations (every store wrapper,
+    through :meth:`StoreWrapper._execute`, and the cursor-style
+    :class:`~repro.wrappers.generator.GeneratorWrapper`) use this evaluator
+    to run the pushed expression "at the source"; the only thing each
+    provides is how a named collection is scanned.
     """
 
     def __init__(self, scan: ScanFunction):

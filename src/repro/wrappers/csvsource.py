@@ -1,12 +1,14 @@
-"""Wrapper for the file-backed CSV source: ``get`` and ``project`` only."""
+"""Wrapper for the file-backed CSV source: ``get`` and ``project`` only.
+
+What it is pushed is evaluated over the whole file, read in one server call
+(:meth:`~repro.wrappers.base.StoreWrapper._execute`).
+"""
 
 from __future__ import annotations
 
 from repro.algebra.capabilities import CapabilitySet
-from repro.algebra.logical import Get, LogicalOp, Project
-from repro.errors import WrapperError
 from repro.sources.server import SimulatedServer
-from repro.wrappers.base import Row, StoreWrapper
+from repro.wrappers.base import StoreWrapper
 
 
 class CsvWrapper(StoreWrapper):
@@ -14,15 +16,3 @@ class CsvWrapper(StoreWrapper):
 
     def __init__(self, name: str, server: SimulatedServer):
         super().__init__(name, server, CapabilitySet.of("get", "project"))
-
-    def _execute(self, expression: LogicalOp) -> list[Row]:
-        if isinstance(expression, Get):
-            collection = expression.collection
-            return self.server.call(lambda store: store.scan(collection))
-        if isinstance(expression, Project) and isinstance(expression.child, Get):
-            collection = expression.child.collection
-            columns = list(expression.attributes)
-            return self.server.call(lambda store: store.scan(collection, columns=columns))
-        raise WrapperError(
-            f"csv wrapper {self.name!r} cannot evaluate {expression.to_text()}"
-        )

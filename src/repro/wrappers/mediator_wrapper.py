@@ -56,7 +56,7 @@ class MediatorWrapper(Wrapper):
             rows: list[Row] = []
             for element in answer:
                 if isinstance(element, Struct):
-                    rows.append(element.fields())
+                    rows.append(element)  # immutable: handed on as it is
                 elif isinstance(element, dict):
                     rows.append(dict(element))
                 else:

@@ -1,20 +1,20 @@
 """Wrapper for relational-engine data sources.
 
-The whole pushed expression is evaluated inside one simulated server call,
-matching the RPC semantics of the ``submit`` operator: one ``exec`` equals one
-round trip to the source, however much work was pushed.
+The whole pushed expression is evaluated inside one simulated server call
+(:meth:`~repro.wrappers.base.StoreWrapper._execute`), matching the RPC
+semantics of the ``submit`` operator: one ``exec`` equals one round trip to
+the source, however much work was pushed.
 """
 
 from __future__ import annotations
 
 from repro.algebra.capabilities import CapabilitySet
-from repro.algebra.logical import LogicalOp
 from repro.sources.relational_engine import RelationalEngine
 from repro.sources.server import SimulatedServer
-from repro.wrappers.base import RESUME_REPLAY, AlgebraEvaluator, Row, Wrapper
+from repro.wrappers.base import RESUME_REPLAY, StoreWrapper
 
 
-class RelationalWrapper(Wrapper):
+class RelationalWrapper(StoreWrapper):
     """Wrapper over a :class:`RelationalEngine` hosted by a simulated server.
 
     The capability set is configurable, which is how the experiments model
@@ -33,18 +33,9 @@ class RelationalWrapper(Wrapper):
         server: SimulatedServer,
         capabilities: CapabilitySet | None = None,
     ):
-        super().__init__(name, capabilities or CapabilitySet.full())
-        self.server = server
+        super().__init__(name, server, capabilities or CapabilitySet.full())
 
-    # -- execution -----------------------------------------------------------------------
-    def _execute(self, expression: LogicalOp) -> list[Row]:
-        def run(engine: RelationalEngine) -> list[Row]:
-            evaluator = AlgebraEvaluator(scan=engine.scan)
-            return evaluator.evaluate(expression)
-
-        return self.server.call(run)
-
-    # -- meta-data ------------------------------------------------------------------------
+    # -- meta-data: the engine's catalog -------------------------------------------------
     def source_collections(self) -> list[str]:
         engine: RelationalEngine = self.server.store
         return engine.table_names()

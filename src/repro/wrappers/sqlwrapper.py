@@ -154,6 +154,10 @@ def _decompose(expression: LogicalOp) -> _Parts:
         # Projection is one-to-one per row, so a limit below it renders
         # identically to SQL's project-then-LIMIT evaluation order.
         columns, table, predicates, limit = _decompose(expression.child)
+        if columns and not set(expression.attributes) <= set(columns):
+            # One SELECT list cannot both drop a column and read it back
+            # (as nil): only a projection that narrows the one below renders.
+            raise WrapperError("cannot translate a projection of a column projected away to SQL")
         return [_name(attribute) for attribute in expression.attributes], table, predicates, limit
     if isinstance(expression, Select):
         columns, table, predicates, limit = _decompose(expression.child)

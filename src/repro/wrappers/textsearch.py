@@ -3,7 +3,9 @@
 The source understands ``get`` (scan a collection) and a restricted ``select``
 -- equality of a string field against a constant, mapped onto keyword search.
 Operators do not compose (a select applies directly to a collection), which
-exercises the paper's non-composing capability grammar.
+exercises the paper's non-composing capability grammar.  Every other pushed
+tree is evaluated like every store wrapper's pushdown
+(:meth:`~repro.wrappers.base.StoreWrapper._execute`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from repro.algebra.capabilities import CapabilitySet
 from repro.algebra.expressions import Comparison, Const, Path, Var
 from repro.algebra.logical import Get, LogicalOp, Select
 from repro.sources.server import SimulatedServer
-from repro.wrappers.base import AlgebraEvaluator, Row, StoreWrapper
+from repro.wrappers.base import Row, StoreWrapper
 
 
 class TextSearchWrapper(StoreWrapper):
@@ -34,9 +36,7 @@ class TextSearchWrapper(StoreWrapper):
         # A get, or a predicate with no keyword translation (numeric
         # comparisons, boolean combinations): still evaluated at the source,
         # but by scanning -- one round trip, no index assistance.
-        return self.server.call(
-            lambda store: AlgebraEvaluator(scan=store.scan).evaluate(expression)
-        )
+        return super()._execute(expression)
 
     def _keyword_predicate(self, select: Select) -> tuple[str, str] | None:
         predicate = select.predicate

@@ -19,7 +19,7 @@ import pytest
 from repro import CapabilityError, Mediator, RelationalWrapper
 from repro.algebra import physical as phys
 from repro.algebra.capabilities import CapabilitySet
-from repro.algebra.expressions import Comparison, InList, Path, Var
+from repro.algebra.expressions import Comparison, InList, Path, Var, walk_expr
 from repro.algebra.logical import Select, walk
 from repro.datamodel.values import Struct
 from repro.runtime import operators
@@ -38,6 +38,15 @@ FANOUT = int(os.environ.get("DISCO_E14_FANOUT", "10000"))
 NO_IN_CAPS = CapabilitySet.of("get", "project", "select", "limit")
 #: a source that cannot evaluate selections at all: probes degrade to a ship.
 GET_ONLY_CAPS = CapabilitySet.of("get")
+
+
+class InListCrashingCapabilities(CapabilitySet):
+    """Every terminal, but the grammar check itself crashes on an ``in``-list."""
+
+    def accepts(self, expr):
+        if isinstance(expr, Select) and any(isinstance(node, InList) for node in walk_expr(expr.predicate)):
+            raise RuntimeError("grammar check crashed")
+        return super().accepts(expr)
 
 
 class InRefusingWrapper(RelationalWrapper):
@@ -228,6 +237,27 @@ def test_wrapper_without_in_degrades_to_per_key_probes(run):
         report = probe_report(result)
         assert report.attempts == 6
         assert report.degraded_to is not None
+    finally:
+        mediator.close()
+
+
+@pytest.mark.parametrize("run", ENGINES)
+def test_a_grammar_check_crashing_on_an_in_list_probes_per_key(run):
+    """Planning never builds an ``in``-list; probe-shape selection is the
+    first to ask the grammar about one (``namespace._wrapper_accepts``).
+    A check that crashes there counts as a refusal: the join still answers,
+    one ``=`` probe per distinct key."""
+    capabilities = InListCrashingCapabilities(CapabilitySet.full().operators)
+    mediator, _left, right = build_probe_mediator(
+        range(6), batch_size=4, right_capabilities=capabilities
+    )
+    try:
+        learn_right_rows(mediator, 50)
+        rows, result = run(mediator)
+        assert values_of(rows) == [i * 3 for i in range(6)]
+        assert not result.is_partial
+        assert right.statistics.requests == 6
+        assert probe_report(result).attempts == 6
     finally:
         mediator.close()
 

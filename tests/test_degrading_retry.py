@@ -194,15 +194,20 @@ class TestDegradingRetryEndToEnd:
         assert report.degraded_to == "get(person0)"
         mediator.close()
 
-    def test_insufficient_retry_budget_degrades_to_partial_answer(self, engine):
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_the_ladder_is_walked_whatever_the_retry_budget(self, engine, max_retries):
+        # Three rungs are refused (limit, then project, then select) before
+        # the bare get answers: a rung is deterministic, not load, so it
+        # charges nothing to ``max_retries`` -- the default fail-fast
+        # mediator gives the full answer too.
         wrapper = LyingWrapper("w0", ROWS)
-        mediator = build_mediator(wrapper, max_retries=1)
+        mediator = build_mediator(wrapper) if max_retries == 0 else build_mediator(wrapper, max_retries=1)
         result, rows = self.run(mediator, engine)
-        # Two rungs were needed (project, then select, then get); with one
-        # retry the call still fails and the source degrades to unavailable.
-        assert rows == []
-        assert result.is_partial
-        assert result.unavailable_sources == ("person0",)
+        assert rows == EXPECTED
+        assert not result.is_partial
+        assert len(wrapper.submitted) == 4
+        assert result.reports[0].attempts == 4
+        assert result.reports[0].degraded_to == "get(person0)"
         mediator.close()
 
     def test_transient_failures_retry_the_same_expression(self, engine):
@@ -268,22 +273,24 @@ class TestDegradingRetryEndToEnd:
         assert wrapper.submitted[-1] == "get(t0)"
         mediator.close()
 
-    @pytest.mark.parametrize("max_retries", [3, 4])
-    def test_transient_and_degrading_retries_share_one_budget(self, engine, max_retries):
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_only_transient_failures_draw_on_the_retry_budget(self, engine, max_retries):
         # One transient outage, then three refused rungs before the bare get:
-        # four retries in all, drawn from the one ``max_retries`` budget.
+        # the outage needs one retry of ``max_retries``; the rungs need none.
         wrapper = LyingWrapper("w0", ROWS, fail_transiently=1)
         mediator = build_mediator(wrapper, max_retries=max_retries)
         mediator.executor.config.retry_backoff = 0.001
         result, rows = self.run(mediator, engine)
-        assert wrapper.submitted[0] == wrapper.submitted[1]  # transient: same expression
-        assert len(wrapper.submitted) == max_retries + 1
-        if max_retries == 4:
+        if max_retries == 1:
+            assert wrapper.submitted[0] == wrapper.submitted[1]  # transient: same expression
+            assert len(wrapper.submitted) == 5
             assert rows == EXPECTED and not result.is_partial
             assert wrapper.submitted[-1] == "get(person0)"
         else:
+            assert len(wrapper.submitted) == 1
             assert rows == [] and result.is_partial
             assert result.unavailable_sources == ("person0",)
+        assert result.reports[0].attempts == len(wrapper.submitted)
         mediator.close()
 
 

@@ -555,6 +555,57 @@ def test_resubmitted_distinct_deduplicates_across_union_branches():
         mediator.close()
 
 
+#: per wrapper kind of the harness federation: the extent, the attributes a
+#: projecting view over it keeps, the one it projects away, and a selection
+#: over the view (``y`` ranges over the view)
+VIEWED_EXTENTS = {
+    "relational": ("person0", ("id", "name"), "salary", "y.id > 3"),
+    "sql": ("person0", ("id", "name"), "salary", "y.id > 3"),
+    "csv": ("note0", ("id",), "tag", "y.id > 2"),
+    "text-search": ("report0", ("doc_id", "site"), "value", 'y.site = "s1"'),
+}
+
+
+@pytest.mark.parametrize("entry", ["query", "query_stream"])
+@pytest.mark.parametrize("read", ["projection", "selection"])
+@pytest.mark.parametrize("kind", sorted(VIEWED_EXTENTS))
+def test_a_projecting_view_answers_as_over_a_get_only_extent(kind, read, entry):
+    """Whatever a wrapper is pushed of a projecting view read through a
+    projection or a selection, the answer is whole and equals the same query
+    over a get-only extent that holds the same data (where every operator
+    runs at the mediator).  The projection also reads back the attribute the
+    view projected away, which is nil in every row."""
+    from repro.baselines.no_pushdown import GetOnlyWrapper
+
+    mediator, _servers = build_mediator(sql=kind == "sql")
+    extent, kept, dropped, predicate = VIEWED_EXTENTS[kind]
+    try:
+        meta = mediator.registry.extent(extent)
+        mediator.register_wrapper("wg", GetOnlyWrapper(mediator.registry.wrapper_object(meta.wrapper)))
+        mediator.add_extent(
+            f"{extent}g", meta.interface, "wg", meta.repository.name, source_collection=meta.source_name()
+        )
+        answers = []
+        for over in (extent, f"{extent}g"):
+            fields = ", ".join(f"{name}: x.{name}" for name in kept)
+            mediator.define_view(f"v_{over}", f"select struct({fields}) from x in {over}")
+            if read == "projection":
+                fields = ", ".join(f"{name}: y.{name}" for name in (*kept, dropped))
+                text = f"select struct({fields}) from y in v_{over}"
+            else:
+                text = f"select y from y in v_{over} where {predicate}"
+            result = getattr(mediator, entry)(text)
+            rows = list(result.iter_rows()) if entry == "query_stream" else result.rows()
+            assert not result.is_partial, (over, result.errors())
+            if read == "projection":
+                assert all(row[dropped] is None for row in rows)
+            answers.append(multiset(rows))
+        assert answers[0] == answers[1]
+        assert sum(answers[0].values()) > 0
+    finally:
+        mediator.close()
+
+
 # -- the answer-cache axis -------------------------------------------------------------------
 @pytest.mark.parametrize("seed", CACHE_SEEDS)
 def test_cache_on_answers_match_cache_off(seed):

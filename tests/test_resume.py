@@ -421,9 +421,10 @@ class TestStreamProtocol:
 
 
 class TestOneRetryBudget:
-    """Fresh-call retries, degrading retries and mid-stream reopens draw from
-    the one ``max_retries`` budget: whatever one of them spends, the others
-    no longer have."""
+    """Fresh-call retries and mid-stream reopens draw from the one
+    ``max_retries`` budget: whatever one of them spends, the other no longer
+    has.  Degrading retries spend none of it: a refused rung is
+    deterministic, and the ladder's length bounds it."""
 
     def test_a_failed_open_spends_the_retry_a_reopen_would_need(self):
         mediator, server = build_relational_mediator(max_retries=1)
@@ -462,12 +463,13 @@ class TestOneRetryBudget:
 
     def test_a_degraded_call_needs_a_retry_left_to_reopen(self):
         """The two degrading retries (strip ``project``, then ``select``)
-        spend the budget: the later death of the degraded stream is written
-        off, not replayed."""
+        spend nothing, but the open of the bare ``get`` spends a fail-fast
+        budget: the later death of the degraded stream is written off, not
+        replayed."""
         engine = RelationalEngine(name="db0")
         engine.create_table("person0", rows=[dict(row) for row in ROWS])
         server = SimulatedServer(name="h0", store=engine)
-        mediator = Mediator(name="degres", max_retries=2)
+        mediator = Mediator(name="degres", max_retries=0)
         mediator.register_wrapper("w0", LyingRelationalWrapper("w0", server))
         mediator.create_repository("r0")
         mediator.define_interface(
@@ -487,20 +489,20 @@ class TestOneRetryBudget:
         mediator.close()
 
     @pytest.mark.parametrize(
-        "max_retries, rows, degraded_to, resumed_calls",
+        "max_retries, rows, degraded_to, resumed_calls, attempts",
         [
-            (1, 10, None, 0),
-            (2, 10, "select(x: x.salary >= 0, get(person0))", 0),
-            (3, 30, "get(person0)", 1),
+            (0, 10, None, 0, 1),
+            (1, 30, "get(person0)", 1, 4),
         ],
     )
-    def test_a_reopen_that_must_degrade_needs_three_retries(
-        self, max_retries, rows, degraded_to, resumed_calls
+    def test_a_reopen_that_must_degrade_needs_one_retry(
+        self, max_retries, rows, degraded_to, resumed_calls, attempts
     ):
         """The reopen is refused, and so is its first degraded rung (the
-        drifting wrapper refuses every ``select``): each refusal spends a
-        retry, so the stream is written off after its prefix until a third
-        retry reaches ``get`` and replays past the delivered rows."""
+        drifting wrapper refuses every ``select``): the reopen spends the one
+        retry and the refusals spend nothing, so without a retry the stream
+        is written off after its prefix and with one it reaches ``get`` and
+        replays past the delivered rows."""
         mediator, server = TestReopenEdgeCases().build_drifting(max_retries=max_retries)
         server.availability.kill_after(10)
         result = mediator.query_stream(TestReopenEdgeCases.QUERY)
@@ -509,7 +511,7 @@ class TestOneRetryBudget:
         report = result.reports[0]
         assert report.degraded_to == degraded_to
         assert report.resumed_calls == resumed_calls
-        assert report.attempts == max_retries + 1
+        assert report.attempts == attempts
         mediator.close()
 
 

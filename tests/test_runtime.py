@@ -60,6 +60,7 @@ from repro.runtime.partial_eval import UNAVAILABLE, PartialAnswerBuilder
 from repro.sources import RelationalEngine, SimulatedServer
 from repro.sources.network import NetworkProfile
 from repro.sources.sql import SqlEngine
+from repro.wrappers import MediatorWrapper
 from tests.conftest import build_paper_mediator, build_person_federation
 
 
@@ -280,6 +281,25 @@ class TestExecutor:
                 query = f"select x from x in person{index}"
                 for answer in (mediator.query(query), mediator.query_stream(query)):
                     assert sorted(map(id, answer.rows())) == sorted(map(id, stored))
+
+    def test_a_child_mediators_stored_row_is_the_answer_row(self):
+        """A child mediator's answer rows are the immutable rows it stored:
+        the mediator wrapper hands them on to the parent as they are."""
+        engine = RelationalEngine(name="db")
+        table = engine.create_table("people", rows=[{"id": i, "name": f"p{i}"} for i in range(3)])
+        child = Mediator(name="child")
+        child.register_wrapper("w0", RelationalWrapper("w0", SimulatedServer(name="host", store=engine)))
+        parent = Mediator(name="parent")
+        parent.register_wrapper("child", MediatorWrapper("child", child))
+        for mediator, wrapper in ((child, "w0"), (parent, "child")):
+            mediator.create_repository("r0")
+            mediator.define_interface("Person", [("id", "Long"), ("name", "String")])
+            mediator.add_extent("people", "Person", wrapper, "r0")
+        with child, parent:
+            stored = list(table.rows())
+            query = "select x from x in people"
+            for answer in (parent.query(query), parent.query_stream(query)):
+                assert sorted(map(id, answer.rows())) == sorted(map(id, stored))
 
     def build_hr_mediator(self):
         """One wrapper exposing two tables; two extents with *different* maps."""

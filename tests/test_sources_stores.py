@@ -108,17 +108,6 @@ class TestCsvStore:
         rows = store.scan("person0")
         assert rows == [{"name": "Mary", "salary": 200, "active": True}]
 
-    def test_scan_with_projection(self, tmp_path):
-        store = CsvStore(tmp_path)
-        store.write_collection("person0", [{"name": "Mary", "salary": 200}])
-        assert store.scan("person0", columns=["name"]) == [{"name": "Mary"}]
-
-    def test_projection_unknown_column_raises(self, tmp_path):
-        store = CsvStore(tmp_path)
-        store.write_collection("person0", [{"name": "Mary"}])
-        with pytest.raises(QueryExecutionError):
-            store.scan("person0", columns=["age"])
-
     def test_overwrite_flag(self, tmp_path):
         store = CsvStore(tmp_path)
         store.write_collection("person0", [{"name": "Mary"}])

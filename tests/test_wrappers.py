@@ -1,5 +1,7 @@
 """Tests for every wrapper: capability grammars, execution, translation."""
 
+from collections import Counter
+
 import pytest
 
 from repro import Mediator
@@ -8,7 +10,7 @@ from repro.algebra.expressions import Arithmetic, BooleanExpr, Comparison, Const
 from repro.algebra.logical import BagLiteral, BindJoin, Flatten, Get, GroupBy, Limit, Project, Select, Union
 from repro.baselines.no_pushdown import GetOnlyWrapper
 from repro.datamodel.values import Struct
-from repro.errors import CapabilityError, UnavailableSourceError, WrapperError
+from repro.errors import CapabilityError, QueryExecutionError, UnavailableSourceError, WrapperError
 from repro.lexing import SQL
 from repro.sources.csv_store import CsvStore
 from repro.sources.keyvalue_store import KeyValueStore
@@ -18,7 +20,9 @@ from repro.sources.sql import SqlEngine, SqlParser
 from repro.sources.text_store import Document, TextStore
 from repro.wrappers import (
     CsvWrapper,
+    GeneratorWrapper,
     KeyValueWrapper,
+    MediatorWrapper,
     RelationalWrapper,
     SqlWrapper,
     TextSearchWrapper,
@@ -445,3 +449,141 @@ class TestGetOnlyWrapper:
             wrapper.submit(Project(("name",), Get("person0")))
         assert wrapper.source_collections() == inner.source_collections()
         assert wrapper.cardinality("person0") == 3
+
+
+# -- the grammar contract: every shipped wrapper answers what it admits ----------------------
+
+#: the contract's source rows: a repeated name gives the grouping a group of two
+CONTRACT_ROWS = PERSON_ROWS + [{"id": 4, "name": "Sam", "salary": 120}]
+_X = Var("x")
+_SALARY, _NAME, _ID = Path(_X, "salary"), Path(_X, "name"), Path(_X, "id")
+#: the contract's predicates: ``>``, ``=``, ``in``, ``not`` and ``and``
+CONTRACT_PREDICATES = (
+    Comparison(">", _SALARY, Const(40)),
+    Comparison("=", _NAME, Const("Sam")),
+    InList(_ID, (Const(1), Const(3), Const(4))),
+    BooleanExpr("not", (Comparison(">", _SALARY, Const(40)),)),
+    BooleanExpr("and", (Comparison(">", _SALARY, Const(10)), InList(_ID, (Const(2), Const(3))))),
+)
+#: the one-operand operators a tree is built of, each with fixed arguments:
+#: two projections, a selection per predicate, a limit and one grouping
+CONTRACT_OPERATORS = (
+    lambda child: Project(("name",), child),
+    lambda child: Project(("id", "salary"), child),
+    *((lambda child, p=predicate: Select("x", p, child)) for predicate in CONTRACT_PREDICATES),
+    lambda child: Limit(2, child),
+    lambda child: GroupBy("x", (("name", _NAME),), (("n", "count", _X),), child),
+)
+
+
+def contract_trees(depth: int = 3) -> list:
+    """``get(person0)`` and every tree of up to ``depth`` operators over it."""
+    layer = [Get("person0")]
+    trees = list(layer)
+    for _ in range(depth):
+        layer = [operator(child) for child in layer for operator in CONTRACT_OPERATORS]
+        trees += layer
+    return trees
+
+
+def _relational_contract(tmp_path):
+    engine = RelationalEngine("db")
+    engine.create_table("person0", rows=CONTRACT_ROWS)
+    return RelationalWrapper("w0", SimulatedServer("host", engine)), engine.scan
+
+
+def _sql_contract(tmp_path):
+    engine = SqlEngine(name="pg")
+    engine.create_table("person0", rows=CONTRACT_ROWS)
+    return SqlWrapper("w0", SimulatedServer("pg-host", engine)), engine.scan
+
+
+def _keyvalue_contract(tmp_path):
+    store = KeyValueStore("kv")
+    store.create_collection("person0")
+    store.put_many("person0", [(row["id"], row) for row in CONTRACT_ROWS])
+    return KeyValueWrapper("w0", SimulatedServer("kv-host", store)), store.scan
+
+
+def _csv_contract(tmp_path):
+    store = CsvStore(tmp_path)
+    store.write_collection("person0", CONTRACT_ROWS)
+    return CsvWrapper("w0", SimulatedServer("csv-host", store)), store.scan
+
+
+def _text_contract(tmp_path):
+    store = TextStore("wais")
+    store.create_collection("person0")
+    store.add_documents(
+        "person0", [Document(f"d{row['id']}", f"person {row['id']}", row) for row in CONTRACT_ROWS]
+    )
+    return TextSearchWrapper("w0", SimulatedServer("wais-host", store)), store.scan
+
+
+def _generator_contract(tmp_path):
+    rows = [Struct(row) for row in CONTRACT_ROWS]
+    return GeneratorWrapper("w0", {"person0": lambda: iter(rows)}), lambda _name: rows
+
+
+def _get_only_contract(tmp_path):
+    inner, scan = _relational_contract(tmp_path)
+    return GetOnlyWrapper(inner), scan
+
+
+def _mediator_contract(tmp_path):
+    inner, scan = _relational_contract(tmp_path)
+    child = Mediator(name="child")
+    child.register_wrapper("w0", inner)
+    child.create_repository("r0")
+    child.define_interface(
+        "Person", [("id", "Long"), ("name", "String"), ("salary", "Short")], extent_name="person"
+    )
+    child.add_extent("person0", "Person", "w0", "r0")
+    return MediatorWrapper("child", child), scan
+
+
+CONTRACT_WRAPPERS = {
+    "relational": _relational_contract,
+    "sql": _sql_contract,
+    "key-value": _keyvalue_contract,
+    "csv": _csv_contract,
+    "text-search": _text_contract,
+    "generator": _generator_contract,
+    "get-only-over-relational": _get_only_contract,
+    "mediator-over-relational": _mediator_contract,
+}
+
+
+def _multiset(rows) -> Counter:
+    return Counter(tuple(sorted(dict(row).items())) for row in rows)
+
+
+@pytest.mark.parametrize("kind", sorted(CONTRACT_WRAPPERS))
+def test_every_admitted_tree_is_answered_as_the_reference_evaluates_it(kind, tmp_path):
+    """A wrapper's grammar is its contract (paper Section 3.2): every tree of
+    up to three get/project/select/limit/groupby operators that the wrapper
+    admits, and that the source-side evaluator can evaluate over the same
+    rows, is answered by ``submit`` with exactly those rows (as a multiset)."""
+    wrapper, scan = CONTRACT_WRAPPERS[kind](tmp_path)
+    reference = AlgebraEvaluator(scan=scan)
+    checked, wrong = 0, []
+    try:
+        for tree in contract_trees():
+            if not wrapper.capabilities.admits(tree):
+                continue
+            try:
+                expected = reference.evaluate(tree)
+            except QueryExecutionError:
+                continue  # a predicate reads an attribute a projection dropped
+            checked += 1
+            try:
+                answer = _multiset(wrapper.submit(tree))
+            except Exception as exc:  # failing an admitted tree breaks the contract too
+                answer = f"{type(exc).__name__}: {exc}"
+            if answer != _multiset(expected):
+                wrong.append((tree.to_text(), answer))
+    finally:
+        if kind == "mediator-over-relational":
+            wrapper.mediator.close()
+    assert checked, "no tree was admitted and evaluated"
+    assert not wrong, f"{len(wrong)} of {checked} admitted trees answered wrong: {wrong[:3]}"
