@@ -30,7 +30,7 @@ Callers that need a list simply wrap a pipeline in ``list(...)``.
 from __future__ import annotations
 
 from collections.abc import Mapping, MutableMapping
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.algebra import physical as phys
@@ -104,10 +104,7 @@ def bind_join_rows(
         buckets: dict[Any, list[Any]] = {}
         for element in right:
             buckets.setdefault(right_key(element), []).append(element)
-        for left_element in left:
-            matches = buckets.get(left_key(left_element))
-            if matches:
-                yield from pairs(left_element, matches)
+        yield from _hash_probe(left, left_key, buckets, pairs)
         return
 
     # Re-scanned per left element; a list in hand (a settled call's) is not copied.
@@ -121,7 +118,7 @@ def probe_join_rows(
     left_variable: str,
     right_variable: str,
     condition: Expr,
-    prober: Callable[[list[Any]], Mapping[Any, list[Any]]],
+    prober: Callable[[list[Any]], tuple[Mapping[Any, list[Any]], bool]],
     batch_size: int,
     base_env: Mapping[str, Any] | None = None,
     subquery_evaluator: SubqueryEvaluator | None = None,
@@ -132,9 +129,11 @@ def probe_join_rows(
     key with the equi conjunct of ``condition``, deduplicates the keys, and
     asks ``prober`` -- an engine-supplied closure that issues one set-valued
     (``in``-list) submit per batch, or its degraded equivalents -- for the
-    matching right rows bucketed by key.  Matches fan back out to ``Env``
-    bindings and the *full* condition is re-checked per pair, so conjuncts
-    beyond the equi key still filter.
+    matching right rows bucketed by key, and whether that map is the whole
+    right side: once it is, the rest of the left side is hash-joined
+    (:func:`_hash_probe`).  Matches fan back out to ``Env`` bindings and the
+    *full* condition is re-checked per pair, so conjuncts beyond the equi
+    key still filter, and a nil key matches nothing even in a whole map.
 
     ``None`` keys are never probed: ``=`` is None-rejecting, so they cannot
     match.  Keys repeated *within* a batch are probed once here; keys
@@ -143,28 +142,28 @@ def probe_join_rows(
     equi = find_equi_conjunct(condition, left_variable, right_variable)
     if equi is None:
         raise ValueError("probe join requires an equi-join conjunct")
+    left = iter(left)
     batch_size = max(1, batch_size)
     left_key = key_function(left_variable, equi[0], base_env, subquery_evaluator)
     pairs = _pairing(left_variable, right_variable, condition, base_env, subquery_evaluator)
 
-    batch: list[tuple[Any, Any]] = []  # (left element, its join key)
-
-    def flush() -> Iterator[Env]:
-        keys = dict.fromkeys([key for _, key in batch])  # first-seen order
+    while batch := list(islice(left, batch_size)):
+        keys = dict.fromkeys(map(left_key, batch))  # first-seen order
         keys.pop(None, None)
-        buckets = prober(list(keys)) if keys else {}
-        for element, key in batch:
-            matches = buckets.get(key)  # a nil key was never probed
-            if matches:
-                yield from pairs(element, matches)
-        batch.clear()
+        buckets, whole = prober(list(keys)) if keys else ({}, False)
+        yield from _hash_probe(chain(batch, left) if whole else batch, left_key, buckets, pairs)
+        if whole:
+            return
 
+
+def _hash_probe(
+    left: Iterable[Any], left_key: Callable[[Any], Any], buckets: Mapping[Any, list[Any]], pairs: Callable
+) -> Iterator[Env]:
+    """A hash join's probe loop: one key read and one bucket lookup per left element."""
     for element in left:
-        batch.append((element, left_key(element)))
-        if len(batch) >= batch_size:
-            yield from flush()
-    if batch:
-        yield from flush()
+        matches = buckets.get(left_key(element))
+        if matches:
+            yield from pairs(element, matches)
 
 
 def _pairing(

@@ -4,12 +4,13 @@ A :class:`~repro.algebra.physical.ProbeJoin` is composed by
 ``operators.probe_join_rows``, which collects batches of distinct left-side
 join keys and asks a :class:`_ProbeRunner` for the matching right rows.  The
 runner shapes each batch into a submit the wrapper's grammar accepts, keeps
-the per-query probe cache, buckets the fetched rows by key and, once probing
-has cost as much as one full ship of the right side would, re-plans into that
-ship.  Every round trip is an exec call of its own (an
-``_ExecState`` whose subject is the probe expression) driven by the run's one
-attempt loop (``StreamingExecution._open_exec`` and its failure step), so
-retry, degrade, deadline and history recording are the exec calls' own.  A
+one bucket map of the probed keys (the per-query probe cache) and, once
+probing has cost as much as one full ship of the right side would, re-plans
+into that ship, which becomes the map the join hash-joins the rest against.
+Every round trip is an exec call of its own (an ``_ExecState`` whose subject
+is the probe expression) driven by the run's one attempt loop
+(``StreamingExecution._open_exec`` and its failure step), so retry,
+degrade, deadline and history recording are the exec calls' own.  A
 probe side that fails is recorded on its aggregated report and never raised,
 under either entry point: the join sends nothing more and drains its left
 input, and a materialising run that ends partial builds its partial answer
@@ -52,16 +53,17 @@ class _ProbeRunner:
       even evaluate a selection gets one full ship of ``expr``.  A shape the
       wrapper refuses at call time goes down the ordinary ladder: its
       ``select`` is stripped and replayed at the mediator.
-    * the **per-query probe cache**: a key probed once is never sent to the
-      source again, whatever batch it reappears in; hit/miss counts aggregate
-      onto the executor for ``Mediator.statistics()``.
-    * **bucketing** the fetched rows by join key.
+    * the **bucket map** the join reads directly, which is the per-query
+      probe cache: a key probed once is never sent to the source again,
+      whatever batch it reappears in; hit/miss counts aggregate onto the
+      executor for ``Mediator.statistics()``.
     * **adaptive re-planning**, the ski-rental rule: one full ship of the
       probed expression returns R rows, the call history's estimate (1 with
       no history).  Before each round trip the runner adds the keys it has
       sent to the rows it has fetched; once that sum reaches R, probing has
       cost as much as the ship, so it ships instead (mid-query,
-      :attr:`ExecReport.replanned`) and joins every later batch locally.
+      :attr:`ExecReport.replanned`); the ship's rows become the bucket map,
+      whole, and the join hash-joins the rest of its left side against it.
       The rule counts, never times, so a run's wrapper calls are
       deterministic; the wire carries at most about 2R plus one batch, and
       no ship follows the last batch.
@@ -97,10 +99,10 @@ class _ProbeRunner:
         self._right_key = key_function(plan.right_variable, equi[1])
         self._probe_call: CompiledCall | None = None
         self._estimate_rows = 1.0
-        #: None until the first fetch; then "in" | "per-key" | "ship".
+        #: None until the first fetch; then "in" | "per-key" | "ship" (the map is whole).
         self._mode: str | None = None
-        self._cache: dict[Any, list[Any]] = {}
-        self._ship_buckets: dict[Any, list[Any]] | None = None
+        #: each key sent so far and its rows, until a ship: the whole right side
+        self._buckets: dict[Any, list[Any]] = {}
         self._degraded_to: str | None = None
         #: why the source contributes no further rows, once it failed
         self.error: str | None = None
@@ -113,26 +115,23 @@ class _ProbeRunner:
         self.cache_misses = 0
 
     # -- the prober closure handed to ops.probe_join_rows ---------------------------------
-    def probe(self, keys: list[Any]) -> dict[Any, list[Any]]:
-        """Rows for each requested (distinct) key, from the cache or the source."""
+    def probe(self, keys: list[Any]) -> tuple[dict[Any, list[Any]], bool]:
+        """The bucket map, holding each requested (distinct) key, and whether
+        it is the whole right side: if so, the join calls no more."""
         if self.error is not None or self.cancelled:
-            return {}  # dead or written off: contributes no further rows
-        if self._ship_buckets is None:
-            missing = [key for key in keys if key not in self._cache]
-            self.cache_hits += len(keys) - len(missing)
-            self.cache_misses += len(missing)
-            self._fetch(missing)
-        found = self._cache if self._ship_buckets is None else self._ship_buckets
-        return {key: found.get(key, []) for key in keys}
+            return {}, True  # dead or written off: contributes no further rows
+        missing = [key for key in keys if key not in self._buckets]
+        self.cache_hits += len(keys) - len(missing)
+        self.cache_misses += len(missing)
+        self._fetch(missing)
+        return self._buckets, self._mode == "ship"
 
     # -- fetching -------------------------------------------------------------------------
     def _fetch(self, keys: list[Any]) -> None:
         if not keys:
-            # An empty batch (every key None, or deduplicated to nothing)
-            # must never become a wrapper call: ``select(v: k in ())`` is
-            # unsatisfiable and renders as invalid SQL (``IN ()``) at SQL
-            # wrappers.  ``probe`` only calls with missing keys, but the
-            # guard keeps hand-driven runners safe too.
+            # Every key cached: an empty batch must never become a wrapper
+            # call, as ``select(v: k in ())`` is unsatisfiable and renders
+            # as invalid SQL (``IN ()``) at SQL wrappers.
             return
         self._resolve()
         if self._mode is None:
@@ -143,8 +142,8 @@ class _ProbeRunner:
         # One round trip for the whole batch, or one per key.
         batches = [keys] if self._mode == "in" else [[key] for key in keys]
         for batch in batches:
-            # The cache holds exactly the keys sent so far.
-            if len(self._cache) + self.rows_fetched >= self._estimate_rows:
+            # The buckets hold exactly the keys sent so far.
+            if len(self._buckets) + self.rows_fetched >= self._estimate_rows:
                 self._ship(replanned=True)
                 return
             rows = self._round_trip(self._probe_expression(batch))
@@ -152,7 +151,7 @@ class _ProbeRunner:
                 return
             bucketed = self._bucket(rows)
             for key in batch:
-                self._cache[key] = bucketed.get(key, [])
+                self._buckets[key] = bucketed.get(key, [])
 
     def _resolve(self) -> None:
         if self._probe_call is not None:
@@ -197,10 +196,10 @@ class _ProbeRunner:
         return buckets
 
     def _ship(self, replanned: bool) -> None:
-        """Fetch the whole right side once; later batches join locally."""
+        """Fetch the whole right side once; the join then hash-joins the rest."""
         rows = self._round_trip(self._plan.probe.expression)
         if rows is not None:
-            self._ship_buckets = self._bucket(rows)
+            self._buckets, self._mode = self._bucket(rows), "ship"
             self.replanned = self.replanned or replanned
 
     def _round_trip(self, expression: log.LogicalOp) -> list[Any] | None:

@@ -8,8 +8,9 @@ rendered as ``GROUP BY`` with aggregate projection items, and the ``in``
 predicate terminal, rendered as ``IN (...)`` for batched bind-join probes).
 A tree is accepted only when the renderer can write it -- predicates, for
 one, only from comparisons and membership tests of attributes and constants,
-combined with ``AND``/``OR``/``NOT``, and names only where they are not SQL
-keywords -- so the optimizer keeps anything else at the mediator.
+combined with ``AND``/``OR``/``NOT``, names only where they are not SQL
+keywords, and columns only where no projection below dropped them -- so the
+optimizer keeps anything else at the mediator.
 """
 
 from __future__ import annotations
@@ -165,9 +166,20 @@ def _decompose(expression: LogicalOp) -> _Parts:
             # SQL filters before it limits; a selection *above* a limit
             # would change which rows survive, so it has no rendering.
             raise WrapperError("cannot translate a selection above a limit to SQL")
+        _reads_kept_columns(columns, expression.predicate)
         predicates = predicates + [_predicate_sql(expression.predicate)]
         return columns, table, predicates, limit
     raise WrapperError(f"cannot translate {expression.to_text()} to SQL")
+
+
+def _reads_kept_columns(columns: list[str], *exprs: Expr) -> None:
+    """Refuse a WHERE or GROUP BY reading a column a projection below dropped.
+
+    Both read the table, not the SELECT list, so the column would be read
+    back where the projection has none.
+    """
+    if columns and not {attribute for expr in exprs for _, attribute in expr.attribute_paths()} <= set(columns):
+        raise WrapperError("cannot translate a read of a column projected away to SQL")
 
 
 def _name(name: str) -> str:
@@ -184,7 +196,8 @@ def _name(name: str) -> str:
 
 def _groupby_sql(node: GroupBy, limit: int | None, projected: tuple[str, ...] | None) -> str:
     """Render ``GroupBy`` (optionally projected/limited above) as a grouped SELECT."""
-    _, table, predicates, child_limit = _decompose(node.child)
+    columns, table, predicates, child_limit = _decompose(node.child)
+    _reads_kept_columns(columns, *(expr for _, expr in node.keys), *(arg for _, _, arg in node.aggregates))
     if child_limit is not None:
         # SQL groups before it limits; a limit *below* the grouping would
         # change which rows are aggregated, so it has no rendering.

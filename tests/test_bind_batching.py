@@ -13,13 +13,14 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro import CapabilityError, Mediator, RelationalWrapper
 from repro.algebra import physical as phys
 from repro.algebra.capabilities import CapabilitySet
-from repro.algebra.expressions import Comparison, InList, Path, Var, walk_expr
+from repro.algebra.expressions import Arithmetic, BooleanExpr, Comparison, Const, InList, Path, Var, walk_expr
 from repro.algebra.logical import Select, walk
 from repro.datamodel.values import Struct
 from repro.runtime import operators
@@ -65,16 +66,22 @@ def build_probe_mediator(
     batch_size: int = 4,
     right_capabilities: CapabilitySet | None = None,
     right_wrapper=RelationalWrapper,
+    right_ids=None,
     **config,
 ):
-    """An outer extent with the given join keys probing a ``right_rows`` inner."""
+    """An outer extent with the given join keys probing a ``right_rows`` inner
+    (keyed ``0 .. right_rows - 1``, or by ``right_ids``; row i's value is 3i)."""
     left_engine = RelationalEngine(name="ldb")
     left_engine.create_table(
         "left0", rows=[{"id": key, "name": f"p{i}"} for i, key in enumerate(left_ids)]
     )
     right_engine = RelationalEngine(name="rdb")
     right_engine.create_table(
-        "right0", rows=[{"id": i, "value": i * 3} for i in range(right_rows)]
+        "right0",
+        rows=[
+            {"id": key, "value": i * 3}
+            for i, key in enumerate(range(right_rows) if right_ids is None else right_ids)
+        ],
     )
     left_server = SimulatedServer(name="lhost", store=left_engine)
     right_server = SimulatedServer(name="rhost", store=right_engine)
@@ -388,6 +395,48 @@ def test_per_key_probes_flip_to_a_ship_too(run):
         report = probe_report(result)
         assert report.replanned and report.attempts == 6
         assert report.degraded_to is not None
+    finally:
+        mediator.close()
+
+
+@pytest.mark.parametrize(
+    "route, capabilities, replanned",
+    [
+        pytest.param("flip", None, True, id="ski-rental-flip"),
+        pytest.param("ship", GET_ONLY_CAPS, False, id="get-only-ship"),
+    ],
+)
+@pytest.mark.parametrize("run", ENGINES)
+def test_a_shipped_probe_join_answers_as_the_hash_join(run, route, capabilities, replanned):
+    """Once the right side is shipped -- by the flip (no history: the second
+    trip is the ship) or because the wrapper cannot select -- the probe join
+    hash-joins the rest of ``FANOUT`` left rows against it, and answers the
+    multiset ``mkbindjoin`` answers over the same two sides: nil, NaN and
+    repeated keys, a nil-keyed right row, and a residual conjunct beyond the
+    equi key.  No wrapper call follows the ship."""
+    odd = [None, float("nan"), 0, 0]
+    left_ids = [*odd, *(i % 1000 for i in range(FANOUT)), *odd]
+    mediator, left, right = build_probe_mediator(
+        left_ids, batch_size=256, right_capabilities=capabilities, right_ids=[None, *range(500)]
+    )
+    # Right row k has value 3(k + 1): the residual keeps keys 98 .. 499.
+    query = QUERY + " and y.value > x.id * 2 + 100"
+    x_id, y_id = Path(Var("x"), "id"), Path(Var("y"), "id")
+    residual = Comparison(">", Path(Var("y"), "value"), Arithmetic("+", Arithmetic("*", x_id, Const(2)), Const(100)))
+    condition = BooleanExpr("and", (Comparison("=", x_id, y_id), residual))
+    hash_joined = operators.bind_join_rows(
+        left.store.scan("left0"), right.store.scan("right0"), "x", "y", condition
+    )
+    expected = Counter((env["x"]["name"], env["y"]["value"]) for env in hash_joined)
+    assert 0 < sum(expected.values()) < FANOUT // 2
+    try:
+        rows, result = run(mediator, query)
+        assert "probejoin" in result.physical_plan
+        assert Counter((row["name"], row["value"]) for row in rows) == expected
+        assert right.statistics.requests == (2 if route == "flip" else 1)
+        report = probe_report(result)
+        assert report.replanned == replanned and report.attempts == right.statistics.requests
+        assert not result.is_partial
     finally:
         mediator.close()
 
@@ -720,7 +769,7 @@ def test_only_a_matched_left_row_gets_an_environment(monkeypatch):
     matched = set(range(0, 1000, 100))
 
     def prober(keys):  # as the probe runner answers: every key, most with no rows
-        return {key: [Struct({"id": key, "value": -key})] if key in matched else [] for key in keys}
+        return {key: [Struct({"id": key, "value": -key})] if key in matched else [] for key in keys}, False
 
     condition = Comparison("=", Path(Var("x"), "id"), Path(Var("y"), "id"))
     joined = list(operators.probe_join_rows(left, "x", "y", condition, prober, batch_size=256))

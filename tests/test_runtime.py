@@ -132,7 +132,7 @@ class TestRowOperators:
 
         def prober(keys):
             assert None not in keys
-            return {key: [row for row in right if row["id"] == key] for key in keys}
+            return {key: [row for row in right if row["id"] == key] for key in keys}, False
 
         pair = [Env({"x": left[1], "y": right[1]})]
         assert list(bind_join_rows(left, right, "x", "y", condition)) == pair
@@ -162,7 +162,7 @@ class TestRowOperators:
             assert compiled == ["Arithmetic", "Arithmetic"]
             del compiled[:]
         joined = probe_join_rows(
-            rows, "x", "y", condition, lambda keys: {key: [{"id": key}] for key in keys}, 16
+            rows, "x", "y", condition, lambda keys: ({key: [{"id": key}] for key in keys}, False), 16
         )
         assert len(list(joined)) == 300
         assert compiled == ["Comparison"]  # the condition, once; not once per batch
