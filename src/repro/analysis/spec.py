@@ -66,15 +66,6 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
                 guards_doc="pool lifecycle",
             ),
             LockDecl(
-                attr="_types_lock",
-                kind="Lock",
-                guards=("_type_checked_extents", "_type_checked_version"),
-                rank=15,
-                guards_doc="the type-check verdict cache",
-                notes="wrapper type checks run *outside* `_types_lock`; "
-                "re-insertion is version-guarded.",
-            ),
-            LockDecl(
                 attr="_active",
                 kind="Condition",
                 guards=("_active_streams",),
@@ -89,8 +80,10 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
                 guards_doc="probe-cache statistics folded in by probe runners",
             ),
         ),
-        notes="all four are leaf-level within the executor: none is held "
-        "while parsing, planning, or calling wrapper code.",
+        notes="all three are leaf-level within the executor: none is held "
+        "while parsing, planning, or calling wrapper code.  The type-check "
+        "verdicts are a plain `VersionedCache` (`_verdicts`) under its own "
+        "lock; wrapper type checks run outside it.",
     ),
     LockComponent(
         module="src/repro/runtime/admission.py",
@@ -139,17 +132,21 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
             LockDecl(
                 attr="_lock",
                 kind="RLock",
-                guards=("_entries", "hits", "misses", "invalidations", "evictions"),
+                guards=("_entries", "_newest", "hits", "misses", "invalidations", "evictions"),
                 rank=None,
-                guards_doc="the LRU map and hit/miss/eviction/invalidation "
-                "counters",
-                notes="the base of both query caches: an entry is served only "
-                "under the `schema_version` it was built under, and a lookup "
-                "under another drops it.  Each cache has its own lock, ranked "
-                "by its subclass's row; the subclass rows inherit these guards.",
+                guards_doc="the LRU map, the newest version seen and the "
+                "hit/miss/eviction/invalidation counters",
+                notes="the one staleness rule of both query caches and the "
+                "executor's type-check verdicts: an entry is served only under "
+                "the `schema_version` it was built under, the first lookup or "
+                "store under a newer one sweeps every older entry, and a store "
+                "whose version no longer holds is refused.  The registry's "
+                "version is read *before* the lock is taken.  Each cache has "
+                "its own lock, ranked by its subclass's row (the verdicts' is "
+                "held alone); the subclass rows inherit these guards.",
             ),
         ),
-        held_in=(("_fetch", "_lock"), ("_insert", "_lock"), ("_remove", "_lock")),
+        held_in=(("_fetch", "_lock"), ("_sweep", "_lock"), ("_remove", "_lock")),
     ),
     LockComponent(
         module="src/repro/optimizer/plancache.py",
@@ -161,8 +158,8 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
                 guards=("_keys",),
                 rank=41,
                 guards_doc="the mediator's one text -> canonical key memo",
-                notes="the lazy cache: a stale plan is dropped on its next "
-                "lookup.",
+                notes="a plan made across a schema change is refused by "
+                "`put`.",
             ),
         ),
     ),
@@ -175,8 +172,7 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
         "written once per schema version, by whichever run gets to the node "
         "first; two runs racing a cached plan's first execution compile equal "
         "values from the same immutable node and the same schema, each "
-        "store is one dict assignment, and the later one changes nothing -- "
-        "the argument `_check_types` makes for its verdict set.  The "
+        "store is one dict assignment, and the later one changes nothing.  The "
         "kernel of each per-element chain (`runtime.kernels.chain_kernel`, "
         "under the identity of the chain's top node) and of each "
         "mediator-side grouping (`runtime.kernels.group_kernel`, under its "
@@ -216,7 +212,7 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
                 guards=(
                     "_by_plan",
                     "_total_rows",
-                    "_held",
+                    "_version",
                     "subsumption_hits",
                     "patches",
                     "stores",
@@ -225,10 +221,9 @@ LOCK_COMPONENTS: tuple[LockComponent, ...] = (
                 guards_doc="the plan-text subsumption index, the row budget, "
                 "the subsumption/patch/store counters and the one-mediator claim",
                 notes="never held while planning, executing, replaying "
-                "deltas or reading the registry; every schema change "
-                "sweeps stale entries out (`evict_stale`), and a query stores "
-                "its answer only under the version it read before its lookup, "
-                "if that version still holds.",
+                "deltas or reading the registry; a query stores its answer "
+                "under the version it read before its lookup, and `hold` "
+                "gives the cache its mediator's version reader.",
             ),
         ),
         held_in=(("_added", "_lock"), ("_removed", "_lock")),

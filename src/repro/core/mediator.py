@@ -43,6 +43,7 @@ class Mediator:
         """``config`` populates :class:`~repro.runtime.executor.ExecutorConfig`
         (``timeout``, ``max_retries``, ...: the README's knob table)."""
         self.name = name
+        self.registry = Registry()
         # answer_cache=True builds one with defaults; an AnswerCache instance
         # is used as-is; None/False turns caching off.  A cache serves one
         # mediator: its entries carry this registry's schema versions.
@@ -51,9 +52,8 @@ class Mediator:
         elif answer_cache is False:
             answer_cache = None
         if answer_cache is not None:
-            answer_cache.hold()
+            answer_cache.hold(self.registry)
         self.answer_cache: AnswerCache | None = answer_cache
-        self.registry = Registry()
         self.history = ExecCallHistory()
         self.planner = QueryPlanner(self.registry, history=self.history)
         self.executor = Executor(
@@ -104,11 +104,7 @@ class Mediator:
     # -- DBA interface: definitions -----------------------------------------------------------
     def load_odl(self, text: str) -> list[object]:
         """Load ODL declarations (interfaces, extents, views, repositories)."""
-        try:
-            return self.odl_loader.load(text)
-        finally:
-            # A failing declaration leaves the ones before it applied.
-            self._sweep_stale_answers()
+        return self.odl_loader.load(text)
 
     def define_interface(
         self,
@@ -122,13 +118,11 @@ class Mediator:
             AttributeSpec(attr_name, PrimitiveType.from_name(attr_type))
             for attr_name, attr_type in attributes
         )
-        interface = self.registry.define_interface(
+        return self.registry.define_interface(
             InterfaceType(
                 name=name, attributes=specs, supertype=supertype, extent_name=extent_name
             )
         )
-        self._sweep_stale_answers()
-        return interface
 
     def create_repository(self, name: str, host: str = "localhost", address: str = "", **properties) -> Repository:
         """Create and register a Repository object (``r0 := Repository(...)``)."""
@@ -155,7 +149,7 @@ class Mediator:
         source_collection: str | None = None,
     ):
         """``extent <name> of <interface> wrapper <w> repository <r> [map ...];``"""
-        meta = self.registry.add_extent(
+        return self.registry.add_extent(
             name,
             interface,
             wrapper,
@@ -163,26 +157,14 @@ class Mediator:
             map=map,
             source_collection=source_collection,
         )
-        self._sweep_stale_answers()
-        return meta
 
     def drop_extent(self, name: str) -> None:
         """Remove an extent declaration."""
         self.registry.drop_extent(name)
-        self._sweep_stale_answers()
 
     def define_view(self, name: str, query_text: str):
         """``define <name> as <query>;``"""
-        view = self.registry.define_view_text(name, query_text)
-        self._sweep_stale_answers()
-        return view
-
-    def _sweep_stale_answers(self) -> None:
-        """After a schema change: its version bump made every cached answer
-        unreachable, so return their rows to the budget now rather than on
-        sight."""
-        if self.answer_cache is not None:
-            self.answer_cache.evict_stale(self.registry.schema_version)
+        return self.registry.define_view_text(name, query_text)
 
     def execute_statement(self, text: str) -> Any:
         """Execute one OQL statement: a ``define`` updates the schema, a query runs."""
@@ -209,20 +191,19 @@ class Mediator:
             return self._run(self.planner.plan(text), timeout=timeout)
         keyed = self.planner.key(text)
         key = keyed[0]
-        # The one version rule: an answer is stored under the version read
-        # before its lookup, and only if that version still holds -- after a
-        # schema change mid-flight it may mix old and new resolutions.
+        # An answer is stored under the version read before its lookup; the
+        # cache refuses it if a schema change came since.
         version = self.registry.schema_version
         entry = cache.get_exact(key, version)
         if entry is not None and entry.complete:
             return QueryResult(query_text=text, data=Bag(entry.rows), from_answer_cache=True)
         if entry is not None:
             # A partial entry: run its plan, which contacts only the missing
-            # extents.  A patch that straddled a schema change is dropped.
+            # extents.  A patch that straddled a schema change is refused,
+            # and the query runs in full.
             patched = self._execute(text, entry.partial_plan, timeout=timeout, from_answer_cache=True)
-            if self.registry.schema_version == version:
+            if cache.store(key, None, version, patched):
                 cache.note_patch()
-                cache.store(key, None, version, patched)
                 return patched
         planned = self.planner.plan(text, keyed=keyed)
         if planned.is_scalar or planned.logical is None:
@@ -243,8 +224,7 @@ class Mediator:
             )
         cache.note_miss()
         result = self._run(planned, timeout=timeout)
-        if self.registry.schema_version == version:
-            cache.store(key, planned.logical, version, result)
+        cache.store(key, planned.logical, version, result)
         return result
 
     def query_stream(self, text: str, timeout: float | None = None) -> QueryResult:

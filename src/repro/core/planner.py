@@ -54,10 +54,10 @@ class QueryPlanner:
     the exec-call history, each of which carries its own lock (see their
     module docstrings for the discipline).  Concurrent ``plan`` calls are
     therefore safe, including against a DBA thread mutating the schema:
-    :meth:`plan` snapshots the schema version *once*, keys the cache lookup
-    on it, and refuses to store a plan when the version moved mid-planning
-    (the plan may have resolved names against a half-new schema, and storing
-    it under either version could serve a stale plan forever).
+    :meth:`plan` snapshots the schema version *once*, before its lookup, and
+    stores the plan under it; the plan cache refuses the plan when the
+    version moved mid-planning (it may have resolved names against a
+    half-new schema).
     """
 
     def __init__(
@@ -76,7 +76,7 @@ class QueryPlanner:
         # planner, and a closed mediator would wait for a cyclic collection.
         self.rewriter = Rewriter(partial(capabilities_for_submit, registry))
         self.optimizer = Optimizer(self.rewriter, self.cost_model)
-        self.plan_cache = PlanCache()
+        self.plan_cache = PlanCache(lambda: registry.schema_version)
 
     # -- the pipeline -----------------------------------------------------------------------
     def key(self, text: str) -> tuple[str, QueryNode | None]:
@@ -123,11 +123,7 @@ class QueryPlanner:
         if ast is None:
             ast = parse_query(text)
         planned = self.plan_ast(ast, text=text)
-        # Store under the version snapshotted *before* planning, and only if
-        # it still holds: a schema change mid-planning means this plan may
-        # mix old and new resolutions -- don't cache it at all.
-        if self.registry.schema_version == version:
-            cache.put(key, version, planned)
+        cache.put(key, version, planned)
         return planned
 
     def plan_ast(self, ast: QueryNode, text: str | None = None) -> PlannedQuery:

@@ -1,14 +1,22 @@
-"""The versioned LRU under both query caches, and the plan cache on top of it.
+"""The versioned LRU under every schema-keyed cache, and the plan cache on top of it.
 
 The paper: "if query optimization plans are cached, the mediator must monitor
 updates to extents, and modify or recompute plans that are affected by updates
 to the extents understood by the mediator."  The registry bumps a schema
 version every time an extent is added or dropped.  :class:`VersionedCache`
-holds that rule once, for the plan cache here and the answer cache
-(:mod:`repro.runtime.answercache`): every entry remembers the version it was
-built under and is served only under that version -- a lookup under a newer
-version drops it and counts an invalidation, and :meth:`~VersionedCache.
-evict_stale` sweeps every such entry at once.
+holds that rule once, for the plan cache here, the answer cache
+(:mod:`repro.runtime.answercache`) and the executor's type-check verdicts.
+It reads the registry's version through the reader it was given, and every
+entry it holds was built under the newest version it has seen:
+
+* the first lookup or store under a newer version sweeps every older entry
+  out, counted as invalidations -- whichever path made the schema change,
+  the mediator's DBA methods or the registry itself;
+* a lookup under an older version (a caller that read the version before a
+  concurrent DBA change) misses and keeps the newer entries;
+* a store whose value was built under a version that no longer holds is
+  refused: the value may mix old and new resolutions, and stored under
+  either version it could serve a stale answer.
 
 Eviction is least-recently-*used*: a lookup refreshes an entry's recency, so
 a hot query is never pushed out by a stream of one-off queries.  Keys are the
@@ -26,30 +34,36 @@ map, the key memo and every counter -- a cache is shared by all the
 concurrent queries of one mediator (see :mod:`repro.serving`), and an
 ``OrderedDict`` being reordered by ``move_to_end`` while another thread
 iterates or resizes it corrupts the recency list.  The lock is never held
-while parsing, so a cache hit under contention costs one short critical
-section.
+while parsing or reading the registry: a store reads the version *before*
+taking it, since the registry's lock ranks below every cache's.  A cache hit
+under contention costs one short critical section.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any
+from typing import Any, Callable
 
 
 
 class VersionedCache:
     """A thread-safe LRU map whose entries are served under one schema version.
 
-    Subclasses add their lookups and stores on top of :meth:`_fetch` and
-    :meth:`_insert`, and may extend :meth:`_over_budget`, :meth:`_added` and
-    :meth:`_removed` to keep a budget or an index beside the map.
+    ``version`` reads the registry's current schema version.  Subclasses add
+    their lookups and stores on top of :meth:`_fetch` and :meth:`put`,
+    and may extend :meth:`_over_budget`, :meth:`_added` and :meth:`_removed`
+    to keep a budget or an index beside the map.
     """
 
-    def __init__(self, max_entries: int):
+    def __init__(self, max_entries: int, version: Callable[[], int]):
         self.max_entries = max_entries
-        #: key -> (schema version, value), in LRU order (front = coldest)
-        self._entries: OrderedDict[str, tuple[int, Any]] = OrderedDict()
+        self._version = version
+        #: key -> value, in LRU order (front = coldest); every value was
+        #: built under ``_newest``
+        self._entries: OrderedDict[str, Any] = OrderedDict()
+        #: the newest schema version a lookup or store has seen
+        self._newest = 0
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -58,41 +72,65 @@ class VersionedCache:
         # RLock, not Lock: every serving thread of the mediator shares the cache.
         self._lock = threading.RLock()
 
+    def get(self, key: str, schema_version: int) -> Any | None:
+        """The value cached under ``key`` for ``schema_version``, or None
+        when absent or stale; counts a hit or a miss."""
+        with self._lock:
+            value = self._fetch(key, schema_version)
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+            return value
+
     def _fetch(self, key: str, schema_version: int) -> Any | None:
         """The value under ``key`` if built under ``schema_version``, or None.
 
-        An entry built under an older version is stale: it is dropped and
-        counted as an invalidation.  One built under a newer version (a
-        caller that read the version before a concurrent DBA change) stays
-        for the callers that read the new one.  A served entry becomes the
+        A newer version sweeps the older entries first; under an older one
+        nothing is served and nothing dropped.  A served entry becomes the
         most recent.  The caller holds ``_lock``.
         """
-        item = self._entries.get(key)
-        if item is None:
-            return None
-        if item[0] != schema_version:
-            if item[0] < schema_version:
-                self._remove(key)
-                self.invalidations += 1
-            return None
-        self._entries.move_to_end(key)
-        return item[1]
+        self._sweep(schema_version)
+        value = self._entries.get(key) if schema_version == self._newest else None
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
 
-    def _insert(self, key: str, schema_version: int, value: Any) -> None:
-        """Store ``value`` as the most recent entry, then evict the coldest
-        until the cache is within budget.  The caller holds ``_lock``."""
-        self._remove(key)
-        self._entries[key] = (schema_version, value)
-        self._added(key, value)
-        while self._entries and self._over_budget():
-            self._remove(next(iter(self._entries)))
-            self.evictions += 1
+    def put(self, key: str, schema_version: int, value: Any | None) -> bool:
+        """Store ``value``, built under ``schema_version``, as the most recent
+        entry, then evict the coldest until the cache is within budget.
+
+        Refused, returning False, when ``schema_version`` no longer holds.
+        ``None`` stores nothing and only asks.  Called without ``_lock``
+        held: the registry's version is read before it is taken.
+        """
+        current = self._version()
+        with self._lock:
+            self._sweep(current)
+            if schema_version != self._newest:
+                return False
+            if value is not None:
+                self._remove(key)
+                self._entries[key] = value
+                self._added(key, value)
+                while self._entries and self._over_budget():
+                    self._remove(next(iter(self._entries)))
+                    self.evictions += 1
+            return True
+
+    def _sweep(self, schema_version: int) -> None:
+        """Under a version newer than any seen, drop every entry (all were
+        built under an older one), counted as invalidations.  The caller
+        holds ``_lock``."""
+        if schema_version > self._newest:
+            self._newest = schema_version
+            self.invalidations += len(self._entries)
+            self.clear()
 
     def _remove(self, key: str) -> None:
         """Unlink the entry under ``key``, if any.  The caller holds ``_lock``."""
-        item = self._entries.pop(key, None)
-        if item is not None:
-            self._removed(key, item[1])
+        if key in self._entries:
+            self._removed(key, self._entries.pop(key))
 
     def _over_budget(self) -> bool:
         return len(self._entries) > self.max_entries
@@ -102,15 +140,6 @@ class VersionedCache:
 
     def _removed(self, key: str, value: Any) -> None:
         """Hook: ``value`` left the cache.  The caller holds ``_lock``."""
-
-    def evict_stale(self, schema_version: int) -> None:
-        """Drop every entry not built under ``schema_version`` (counted as
-        invalidations): what a DBA change made unreachable leaves at once."""
-        with self._lock:
-            stale = [key for key, (built, _) in self._entries.items() if built != schema_version]
-            for key in stale:
-                self._remove(key)
-            self.invalidations += len(stale)
 
     def clear(self) -> None:
         """Drop every entry."""
@@ -141,8 +170,8 @@ PLAN_CACHE_CAPACITY = 128
 class PlanCache(VersionedCache):
     """A small query-text -> optimized-plan LRU cache (thread-safe)."""
 
-    def __init__(self) -> None:
-        super().__init__(PLAN_CACHE_CAPACITY)
+    def __init__(self, version: Callable[[], int]) -> None:
+        super().__init__(PLAN_CACHE_CAPACITY, version)
         #: memo of text -> canonical key, so repeated queries skip the parse
         self._keys: dict[str, str] = {}
 
@@ -161,19 +190,3 @@ class PlanCache(VersionedCache):
                 self._keys.clear()
             self._keys[query_text] = key
         return key
-
-    def get(self, key: str, schema_version: int) -> Any | None:
-        """Return the plan cached under ``key`` (a text's canonical key), or
-        None when absent or stale."""
-        with self._lock:
-            plan = self._fetch(key, schema_version)
-            if plan is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return plan
-
-    def put(self, key: str, schema_version: int, plan: Any) -> None:
-        """Store a plan built under ``schema_version`` (``key`` as in :meth:`get`)."""
-        with self._lock:
-            self._insert(key, schema_version, plan)

@@ -24,15 +24,16 @@ ways a query is served without (fully) re-contacting sources:
 
 Consistency: the cache is a :class:`~repro.optimizer.plancache.
 VersionedCache`, so an entry is served only under the registry
-``schema_version`` it was built under, and every schema change (the
-mediator's DBA methods) sweeps out every entry the version bump made
-stale.  ``Mediator.query`` keeps one version rule: an answer, fresh or
-patched, is stored under the version read before the lookup, and only if
-that version still holds once the answer is in.  A schema mutated between
-miss and patch swept the entry, so the lookup finds none; one mutated while
-the patch ran drops the patched rows, and the query runs in full -- rows of
-the old schema are never welded onto answers of the new one.  The versions
-are one registry's, so a cache serves one mediator.
+``schema_version`` it was built under, the first lookup after a schema
+change sweeps out every entry the version bump made stale, and a store is
+refused unless the version it was built under still holds.
+``Mediator.query`` stores an answer, fresh or patched, under the version it
+read before the lookup.  A schema mutated between miss and patch swept the
+entry, so the lookup finds none; one mutated while the patch ran gets the
+patched rows refused, and the query runs in full -- rows of the old schema
+are never welded onto answers of the new one.  The versions are one
+registry's, read through :meth:`AnswerCache.hold`, so a cache serves one
+mediator.
 
 Subsumption refuses what it cannot replay faithfully: predicates with free
 variables beyond the select's own, subquery predicates, environment-valued
@@ -123,6 +124,10 @@ def _strippable_delta(op: log.LogicalOp) -> bool:
 MAX_CACHED_ROWS = 100_000
 
 
+def _unheld() -> int:
+    raise ValueError("an AnswerCache stores nothing before a mediator holds it")
+
+
 class AnswerCache(VersionedCache):
     """Thread-safe LRU cache of materialized (and partial) query answers.
 
@@ -132,28 +137,28 @@ class AnswerCache(VersionedCache):
     """
 
     def __init__(self, max_entries: int = 128):
-        super().__init__(max_entries)
+        super().__init__(max_entries, _unheld)
         #: translated-plan text -> key of a *complete* entry.
         self._by_plan: dict[str, str] = {}
         self._total_rows = 0
         self.subsumption_hits = 0
         self.patches = 0
         self.stores = 0
-        self._held = False
 
-    def hold(self) -> None:
-        """Claim the cache for one mediator; a second claim is refused."""
+    def hold(self, registry: Any) -> None:
+        """Claim the cache for the mediator over ``registry``, whose
+        ``schema_version`` its entries carry; a second claim is refused."""
         with self._lock:
-            if self._held:
+            if self._version is not _unheld:
                 raise ValueError("this AnswerCache already serves another mediator")
-            self._held = True
+            self._version = lambda: registry.schema_version
 
     # -- lookups ---------------------------------------------------------------------
     def get_exact(self, key: str, schema_version: int) -> CacheEntry | None:
         """The entry for ``key`` built under ``schema_version``, or None.
 
         Returns complete *and* partial entries -- the caller decides whether
-        a partial entry is patched.  A stale entry is dropped on sight.
+        a partial entry is patched.  A newer version sweeps the stale entries first.
         Counts a hit only for complete entries; partial entries count as a
         ``patch`` (or a miss) once the caller resolves them.
         """
@@ -228,39 +233,40 @@ class AnswerCache(VersionedCache):
             return None if key is None else self._fetch(key, schema_version)
 
     # -- stores ----------------------------------------------------------------------
-    def store(self, key: str, plan: log.LogicalOp | None, schema_version: int, answer: Any) -> None:
+    # Each returns False when ``schema_version`` no longer holds: the answer
+    # may mix two schemas, so it is refused.
+    def store(self, key: str, plan: log.LogicalOp | None, schema_version: int, answer: Any) -> bool:
         """Cache a finished answer built under ``schema_version``: its rows when
         complete, its resubmittable plan when partial."""
         if not answer.is_partial:
-            self.store_complete(key, plan, schema_version, answer.rows())
-        elif answer.partial_plan is not None:
-            self.store_partial(key, schema_version, answer.partial_plan)
+            return self.store_complete(key, plan, schema_version, answer.rows())
+        if answer.partial_plan is not None:
+            return self.store_partial(key, schema_version, answer.partial_plan)
+        return self.put(key, schema_version, None)
 
     def store_complete(
         self, key: str, plan: log.LogicalOp | None, schema_version: int, rows: Iterable[Any]
-    ) -> None:
+    ) -> bool:
         """Cache a complete answer, indexed by ``plan`` for subsumption."""
         materialized = tuple(rows)
-        if len(materialized) > MAX_CACHED_ROWS:
-            return
-        plan_text = plan.to_text() if plan is not None else None
-        self._store(key, schema_version, CacheEntry(plan_text, rows=materialized))
+        entry = None
+        if len(materialized) <= MAX_CACHED_ROWS:
+            plan_text = plan.to_text() if plan is not None else None
+            entry = CacheEntry(plan_text, rows=materialized)
+        return self.put(key, schema_version, entry)
 
-    def store_partial(self, key: str, schema_version: int, partial_plan: log.LogicalOp) -> None:
+    def store_partial(self, key: str, schema_version: int, partial_plan: log.LogicalOp) -> bool:
         """Cache a partial answer: the plan that patches in its missing extents.
         It never serves subsumption (no plan text)."""
-        self._store(key, schema_version, CacheEntry(None, partial_plan=partial_plan))
-
-    def _store(self, key: str, schema_version: int, entry: CacheEntry) -> None:
-        with self._lock:
-            self._insert(key, schema_version, entry)
-            self.stores += 1
+        return self.put(key, schema_version, CacheEntry(None, partial_plan=partial_plan))
 
     def _over_budget(self) -> bool:
         return super()._over_budget() or self._total_rows > MAX_CACHED_ROWS
 
     def _added(self, key: str, entry: CacheEntry) -> None:
-        """Index ``entry`` and charge its rows.  The caller holds ``_lock``."""
+        """Count the store, index ``entry`` and charge its rows.  The caller
+        holds ``_lock``."""
+        self.stores += 1
         self._total_rows += entry.row_count()
         if entry.plan_text is not None:
             self._by_plan[entry.plan_text] = key

@@ -51,11 +51,15 @@ compiled calls with it, and nothing else ever holds one.  A run given no slot
 (a plan just made, a hand-built plan, a resubmitted partial answer, a nested
 subquery) compiles into a dict of its own that dies with the run; expressions that did not exist when the plan
 was compiled (a rung of the degrade ladder, a per-batch probe) are planned at
-call time and kept by nothing.
+call time and kept by nothing.  The type check's verdict alone outlives a
+plan: a check may scan a whole source collection, so a passed one is kept per
+extent in a :class:`~repro.optimizer.plancache.VersionedCache`, under the
+plan cache's staleness rule.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -72,6 +76,7 @@ from repro.errors import QueryExecutionError, TypeConflictError, UnavailableSour
 from repro.optimizer.cost import BIND_BATCH_SIZE
 from repro.optimizer.history import ExecCallHistory, signature_pair
 from repro.optimizer.implementation import implement
+from repro.optimizer.plancache import VersionedCache
 from repro.runtime import cancellation, namespace
 from repro.runtime.namespace import NamespacePlan, RuntimeRegistry
 
@@ -252,15 +257,11 @@ class Executor:
         self.history = history or ExecCallHistory()
         self.config = config or ExecutorConfig()
         self._subquery_planner = subquery_planner
-        self._type_checked_extents: set[str] = set()
-        #: registry schema version the cached type-check verdicts belong to;
-        #: any schema change (e.g. re-registering an extent with a different
-        #: map) invalidates them.
-        self._type_checked_version: Any = None
-        # Guards the verdict cache: concurrent queries share it, and a set
-        # being mutated under an iterating reader is undefined.  The type
-        # check itself (a wrapper call) runs outside the lock.
-        self._types_lock = threading.Lock()
+        #: extent name -> a passed type check, under the schema version it was
+        #: checked at: any schema change (e.g. re-registering an extent with
+        #: a different map) invalidates them.  Kept because a check may scan
+        #: a whole source collection.  Unbounded, like the registry's extents.
+        self._verdicts = VersionedCache(sys.maxsize, lambda: registry.schema_version)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         # Active-work tracking for close(): the live runs, streams and
@@ -412,7 +413,7 @@ class Executor:
         version = registry.schema_version
         meta = registry.extent(node.extent_name)
         wrapper = registry.wrapper_object(meta.wrapper)
-        self._check_types(meta, wrapper)
+        self._check_types(meta, wrapper, version)
         return CompiledCall(
             schema_version=version,
             meta=meta,
@@ -421,24 +422,20 @@ class Executor:
             signatures=signature_pair(node.extent_name, node.expression),
         )
 
-    def _check_types(self, meta: MetaExtent, wrapper: Any) -> None:
+    def _check_types(self, meta: MetaExtent, wrapper: Any, version: int) -> None:
         """Run-time type check: source attributes must cover the mediator type.
 
-        Verdicts are cached per extent but keyed to the registry's schema
-        version: re-registering an extent (possibly with a different local
-        transformation map) bumps the version and drops the stale verdicts,
-        whichever path performed the registration.
+        A passed check is cached per extent under ``version``, the schema
+        version read before ``meta`` was resolved: re-registering an extent
+        (possibly with a different local transformation map) bumps the
+        version, whichever path performed the registration, and the verdict
+        cache drops the stale verdicts and refuses one checked across it.
         """
-        version = getattr(self.registry, "schema_version", None)
-        with self._types_lock:
-            if version != self._type_checked_version:
-                self._type_checked_extents.clear()
-                self._type_checked_version = version
-            if meta.name in self._type_checked_extents:
-                return
-        # The check itself (a wrapper call) runs outside the lock; two
-        # threads racing the same extent both check, both reach the same
-        # verdict, and the cache insert below is idempotent.
+        if self._verdicts.get(meta.name, version):
+            return
+        # The check itself (a wrapper call) runs outside any lock; two
+        # threads racing the same extent both check and reach the same
+        # verdict, and the second store changes nothing.
         interface_attributes = self.registry.interface_attributes(meta.interface)
         source_attributes = wrapper.source_attributes(meta.source_name())
         if source_attributes:
@@ -451,9 +448,7 @@ class Executor:
                     f"required by interface {meta.interface!r}; declare a map to resolve "
                     "the conflict"
                 )
-        with self._types_lock:
-            if version == self._type_checked_version:
-                self._type_checked_extents.add(meta.name)
+        self._verdicts.put(meta.name, version, True)
 
     # -- nested subqueries -------------------------------------------------------------------------
     def evaluate_subquery(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -160,6 +161,7 @@ BASE = log.Submit("r0", log.Get("person0"), extent_name="person0")
 
 def seeded_cache() -> AnswerCache:
     cache = AnswerCache()
+    cache.hold(SimpleNamespace(schema_version=3))
     cache.store_complete(
         "select x from x in person0", BASE, 3, ({"id": 1, "salary": 2},)
     )
@@ -239,24 +241,35 @@ def test_schema_version_change_invalidates_entries():
 def test_a_lookup_under_an_older_version_keeps_a_newer_entry():
     """A query that read the version before a concurrent DBA change looks up
     under the old one: it misses, and the entry another client stored under
-    the new version stays for the lookups that read it."""
+    the new version stays for the lookups that read it.  A store built under
+    a version that moved is refused, whichever entry point made it."""
+    registry = SimpleNamespace(schema_version=2)
     cache = AnswerCache()
+    cache.hold(registry)
     rows = [{"id": 1}]
-    cache.store_complete("k", None, 2, rows)
+    assert not cache.store_complete("k", None, 1, rows)  # built before the change
+    assert cache.store_complete("k", None, 2, rows)
     assert cache.get_exact("k", 1) is None
     entry = cache.get_exact("k", 2)
     assert entry is not None and list(entry.rows) == rows
     assert cache.invalidations == 0
+    registry.schema_version = 3
     assert cache.get_exact("k", 3) is None
     assert len(cache) == 0 and cache.invalidations == 1
-
+    assert not cache.store_complete("k", None, 2, rows)
+    assert not cache.store_partial("k", 2, BASE)
+    assert not cache.store("k", None, 2, SimpleNamespace(is_partial=False, rows=lambda: rows))
+    assert len(cache) == 0 and cache.stores == 1
 
 def test_extent_reregistration_evicts_eagerly():
+    """Not only the entry looked up: the first lookup after the change drops
+    every stale one."""
     mediator, _server = make_mediator(answer_cache=True)
     try:
         mediator.query("select x from x in person0")
         assert len(mediator.answer_cache) == 1
         mediator.drop_extent("person0")
+        mediator.answer_cache.get_exact("another key", mediator.registry.schema_version)
         assert len(mediator.answer_cache) == 0
         assert mediator.statistics()["answer_cache_invalidations"] >= 1
     finally:
@@ -295,8 +308,7 @@ def test_oversized_answers_are_never_stored(monkeypatch):
 
 # -- partial answers: patch-on-recovery ------------------------------------------------
 def test_partial_answer_patch_recontacts_only_the_missing_extent():
-    mediator, servers = build_mediator()
-    mediator.answer_cache = AnswerCache()
+    mediator, servers = build_mediator(answer_cache=True)
     try:
         query = "select x.name from x in person"
         reference = multiset(mediator.query(query).rows())
@@ -321,8 +333,7 @@ def test_partial_answer_patch_recontacts_only_the_missing_extent():
 
 
 def test_partial_entry_still_partial_when_the_source_stays_down():
-    mediator, servers = build_mediator()
-    mediator.answer_cache = AnswerCache()
+    mediator, servers = build_mediator(answer_cache=True)
     try:
         query = "select x.name from x in person"
         servers[1].take_down()
@@ -343,8 +354,7 @@ def test_partial_patch_is_pinned_to_the_entry_schema_version():
     pin must refuse the patch (dropping the entry) and fall back to a full
     run -- never weld old embedded rows onto a new schema's answer.
     """
-    mediator, servers = build_mediator()
-    mediator.answer_cache = AnswerCache()
+    mediator, servers = build_mediator(answer_cache=True)
     try:
         query = "select x.name from x in person"
         reference = multiset(mediator.query(query).rows())
@@ -371,8 +381,7 @@ def test_a_schema_change_during_a_patch_falls_back_to_a_full_run():
     """The version rule's other half: the DBA mutates while the patch's own
     call is running.  The patched rows straddle two schemas, so the patch is
     dropped, never counted or stored, and the query runs in full."""
-    mediator, servers = build_mediator()
-    mediator.answer_cache = AnswerCache()
+    mediator, servers = build_mediator(answer_cache=True)
     try:
         query = "select x.name from x in person"
         reference = multiset(mediator.query(query).rows())
@@ -430,8 +439,7 @@ def test_zipfian_session_is_mostly_served_without_a_source_call():
 
 # -- concurrency -----------------------------------------------------------------------
 def test_cache_is_safe_and_transparent_under_a_client_fleet():
-    mediator, _servers = build_mediator()
-    mediator.answer_cache = AnswerCache()
+    mediator, _servers = build_mediator(answer_cache=True)
     try:
         queries = [
             "select x.name from x in person0",
@@ -470,8 +478,7 @@ def test_cache_is_safe_and_transparent_under_a_client_fleet():
 
 
 def test_server_workers_share_the_mediators_cache():
-    mediator, server0_and_rest = build_mediator()
-    mediator.answer_cache = AnswerCache()
+    mediator, server0_and_rest = build_mediator(answer_cache=True)
     try:
         query = "select x.name from x in person0"
         reference = multiset(mediator.query(query).rows())
@@ -512,8 +519,11 @@ def test_statistics_expose_every_counter():
 # -- one cache discipline ----------------------------------------------------------------
 def test_a_cache_serves_one_mediator():
     """Schema versions of two registries cannot be compared: a second
-    mediator over other data must not be handed the first one's answers."""
+    mediator over other data must not be handed the first one's answers,
+    and a cache no mediator holds has no versions to store under."""
     cache = AnswerCache()
+    with pytest.raises(ValueError, match="holds it"):
+        cache.store_complete("k", None, 0, [])
     mediator, _server = make_mediator(answer_cache=cache, rows=12)
     try:
         with pytest.raises(ValueError):
@@ -560,15 +570,22 @@ def test_a_never_seen_text_is_parsed_once_with_the_cache_on(monkeypatch, entry_p
         mediator.close()
 
 
+def lookup_another_text(mediator) -> None:
+    """One lookup under the current version, of a text nothing cached."""
+    mediator.answer_cache.get_exact("a never-seen key", mediator.registry.schema_version)
+
+
 def test_an_extent_change_sweeps_every_stale_answer():
     """Every ``add_extent`` bumps the schema version, so even the answers
-    over other extents are unreachable: their rows leave the budget at once."""
+    over other extents are unreachable: their rows leave the budget by the
+    next lookup, whatever it looks up."""
     mediator, _server = make_mediator(answer_cache=True)
     try:
         mediator.query("select x from x in person0")
         mediator.query("select x.name from x in person0")
         assert mediator.statistics()["answer_cache_rows"] == 24
         mediator.add_extent("audit0", "Person", "w0", "r0", source_collection="person0")
+        lookup_another_text(mediator)
         stats = mediator.statistics()
         assert stats["answer_cache_rows"] == 0
         assert stats["answer_cache_entries"] == 0
@@ -579,7 +596,8 @@ def test_an_extent_change_sweeps_every_stale_answer():
 
 def test_every_schema_change_sweeps_every_stale_answer():
     """Not only an extent change: every DBA action that bumps the schema
-    version returns the stale answers' rows to the budget at once."""
+    version returns the stale answers' rows to the budget by the next
+    lookup."""
     changes = (
         lambda m: m.load_odl("extent person1 of Person wrapper w0 repository r0;"),
         lambda m: m.define_view("rich", "select x from x in person0 where x.salary > 3"),
@@ -592,10 +610,28 @@ def test_every_schema_change_sweeps_every_stale_answer():
             mediator.query("select x from x in person0")
             assert mediator.statistics()["answer_cache_entries"] == 1
             change(mediator)
+            lookup_another_text(mediator)
             stats = mediator.statistics()
             assert stats["answer_cache_entries"] == 0
             assert stats["answer_cache_rows"] == 0
             assert stats["answer_cache_invalidations"] == sweeps
+    finally:
+        mediator.close()
+
+
+def test_a_schema_change_through_the_registry_leaves_nothing_stale():
+    """A change made on ``mediator.registry`` tells the mediator nothing; the
+    first query after it still sweeps every stale answer and plan."""
+    mediator, _server = make_mediator(answer_cache=True)
+    try:
+        mediator.query("select x from x in person0")  # 12 rows, one plan
+        mediator.registry.add_extent("audit0", "Person", "w0", "r0", source_collection="person0")
+        fresh = mediator.query("select x.id from x in audit0 where x.salary > 5")
+        stats = mediator.statistics()
+        assert stats["answer_cache_entries"] == 1
+        assert stats["answer_cache_rows"] == len(fresh.rows()) == 1
+        assert stats["plan_cache_entries"] == 1
+        assert stats["answer_cache_invalidations"] == stats["plan_cache_invalidations"] == 1
     finally:
         mediator.close()
 

@@ -71,9 +71,9 @@ class Counters:
             self.close_signatures += 1
             return close(*args, **kwargs)
 
-        def check_types(executor, meta, wrapper):
+        def check_types(executor, *args):
             self.type_checks += 1
-            return check(executor, meta, wrapper)
+            return check(executor, *args)
 
         monkeypatch.setattr(namespace, "namespace_plan", namespace_plan)
         monkeypatch.setattr(CapabilitySet, "accepts", capabilities_accept)
@@ -224,16 +224,35 @@ def test_a_held_plan_notices_the_schema_moving_under_its_slot():
         mediator.close()
 
 
-def test_reregistration_through_the_registry_drops_stale_type_verdicts():
+@pytest.mark.parametrize("lands", ["between_runs", "during_the_check"])
+def test_reregistration_through_the_registry_drops_stale_type_verdicts(lands):
     """Type-check verdicts are keyed to the schema version: a re-registration
     made through the registry alone, which tells the executor nothing, still
-    gets its new map checked."""
+    gets its new map checked.  One that lands while a check runs leaves no
+    verdict: the old map passed, but is stored under neither version."""
     mediator, _ = build_remappable()
     try:
         plan = implement(Submit("r0", Get("person0"), extent_name="person0"))
-        assert not mediator.executor.execute(plan).is_partial  # verdict cached
-        mediator.registry.drop_extent("person0")
-        add_person0(mediator.registry, "missing")
+
+        def reregister():
+            mediator.registry.drop_extent("person0")
+            add_person0(mediator.registry, "missing")
+
+        if lands == "between_runs":
+            assert not mediator.executor.execute(plan).is_partial  # verdict cached
+            reregister()
+        else:
+            wrapper = mediator.registry.wrapper_object("w0")
+            source_attributes = wrapper.source_attributes
+
+            def reregistering(collection):
+                del wrapper.source_attributes  # once
+                reregister()
+                return source_attributes(collection)
+
+            wrapper.source_attributes = reregistering
+            assert not mediator.executor.execute(plan).is_partial  # the old map passed
+            assert len(mediator.executor._verdicts) == 0
         with pytest.raises(TypeConflictError):
             mediator.executor.execute(plan)
     finally:

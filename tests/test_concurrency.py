@@ -108,11 +108,12 @@ class TestConcurrentQueries:
         run_fleet(worker, 6)
         mediator.close()
 
-    def test_queries_race_schema_mutations_safely(self):
+    @pytest.mark.parametrize("answer_cache", [False, True], ids=["plan_cache", "answer_cache"])
+    def test_queries_race_schema_mutations_safely(self, answer_cache):
         # A DBA thread adds/drops an extent while query threads run: queries
-        # either see the old or the new schema, never a torn one, and the
-        # plan cache never serves a plan across the version bump.
-        mediator, _ = build_mediator()
+        # either see the old or the new schema, never a torn one, and neither
+        # cache serves a plan or an answer across the version bump.
+        mediator, _ = build_mediator(answer_cache=answer_cache)
         stop = threading.Event()
 
         def dba() -> None:
@@ -139,6 +140,11 @@ class TestConcurrentQueries:
             stop.set()
             dba_thread.join(10)
         assert not dba_thread.is_alive()
+        if answer_cache:
+            # Every entry is the one text's 40-row answer: a lost update to
+            # the row budget shows here.
+            stats = mediator.statistics()
+            assert stats["answer_cache_rows"] == 40 * stats["answer_cache_entries"]
         mediator.close()
 
     def test_history_estimates_race_recording(self):

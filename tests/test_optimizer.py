@@ -3,6 +3,7 @@
 import dataclasses
 import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import pytest
@@ -537,9 +538,11 @@ def two_plan_cache(monkeypatch):
     monkeypatch.setattr(plancache, "PLAN_CACHE_CAPACITY", 2)
 
 
-def keyed_plan_cache() -> tuple[PlanCache, Callable[[str], str]]:
-    """A planner's plan cache, and its text -> key (the only keys a plan cache takes)."""
+def keyed_plan_cache(version: Callable[[], int] = lambda: 1) -> tuple[PlanCache, Callable[[str], str]]:
+    """A planner's plan cache over the schema version ``version`` reads, and
+    its text -> key (the only keys a plan cache takes)."""
     planner = QueryPlanner(Registry())
+    planner.plan_cache = PlanCache(version)
     return planner.plan_cache, lambda text: planner.key(text)[0]
 
 
@@ -547,16 +550,20 @@ class TestPlanCache:
     def test_hit_and_miss(self):
         cache, key = keyed_plan_cache()
         assert cache.get(key("q"), schema_version=1) is None
-        cache.put(key("q"), schema_version=1, plan="PLAN")
+        cache.put(key("q"), 1, "PLAN")
         assert cache.get(key("q"), schema_version=1) == "PLAN"
         assert cache.hits == 1 and cache.misses == 1
 
     def test_schema_change_invalidates(self):
         """The paper: cached plans must be recomputed when extents change."""
-        cache, key = keyed_plan_cache()
-        cache.put(key("q"), schema_version=1, plan="PLAN")
+        registry = SimpleNamespace(schema_version=1)
+        cache, key = keyed_plan_cache(lambda: registry.schema_version)
+        assert cache.put(key("q"), 1, "PLAN")
         assert cache.get(key("q"), schema_version=2) is None
         assert cache.invalidations == 1
+        assert len(cache) == 0
+        registry.schema_version = 2
+        assert not cache.put(key("q"), 1, "PLAN")  # planned before the change
         assert len(cache) == 0
 
     def test_capacity_is_bounded(self, two_plan_cache):

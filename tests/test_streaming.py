@@ -412,8 +412,9 @@ class TestPlanCacheNormalization:
     def test_string_literals_stay_significant(self):
         planner = QueryPlanner(Registry())
         cache = planner.plan_cache
-        cache.put(planner.key('select x from x in person where x.name = "Mary  S"')[0], 1, "a")
-        assert cache.get(planner.key('select x from x in person where x.name = "Mary S"')[0], 1) is None
+        cache.put(planner.key('select x from x in person where x.name = "Mary  S"')[0], 0, "a")
+        assert cache.get(planner.key('select x from x in person where x.name = "Mary  S"')[0], 0) == "a"
+        assert cache.get(planner.key('select x from x in person where x.name = "Mary S"')[0], 0) is None
 
 
 class TestAvailabilityEstimate:
