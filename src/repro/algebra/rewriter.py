@@ -3,7 +3,8 @@
 :meth:`Rewriter.alternatives` sorts every subtree the rules reach from a plan
 into **groups** of interchangeable subtrees (Volcano/Cascades in miniature),
 so the rules see each distinct subtree once, not once per whole plan it
-appears in; the optimizer then costs each group once.
+appears in; the optimizer then costs each group once.  As in Cascades, an
+(operator, operand) pair is bound only when some rule's ``pattern`` admits it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,16 @@ from repro.algebra.rules import (
 
 #: a group member: a node whose operands are members of the listed groups
 Member = tuple[LogicalOp, tuple[int, ...]]
+#: (operator class, operand class) -> the rules whose pattern admits it, in order
+Patterns = dict[tuple[type, type], tuple[TransformationRule, ...]]
+
+
+def _patterns(rules: tuple[TransformationRule, ...]) -> Patterns:
+    table: Patterns = {}
+    for rule in rules:
+        for pair in product(*rule.pattern):
+            table[pair] = table.get(pair, ()) + (rule,)
+    return table
 
 
 def _operands(node: LogicalOp) -> tuple[LogicalOp, ...]:
@@ -48,19 +59,21 @@ class Memo:
         #: members explored
         self.size = 0
         self._members: list[list[Member]] = []
-        #: per group: (group, member, its operand groups, position) of each member over it
-        self._parents: list[list[tuple[int, LogicalOp, tuple[int, ...], int]]] = []
+        #: per group: (group, member, its operand groups) of each member over it
+        self._parents: list[list[tuple[int, LogicalOp, tuple[int, ...]]]] = []
         self._merged: list[int] = []
         self._slots: list[Get] = []
         self._keys: dict[str, tuple[int, LogicalOp, LogicalOp]] = {}
         #: id(node) -> (group, the member it equals, node: keeps the id taken)
         self._seen: dict[int, tuple[int, LogicalOp, LogicalOp]] = {}
-        self._pending: deque[tuple[int, LogicalOp]] = deque()
+        #: (group, binding, the rules its pattern pair admits)
+        self._pending: deque[tuple[int, LogicalOp, tuple[TransformationRule, ...]]] = deque()
+        self._patterns = _patterns(rules)
         group, _ = self._insert(root)
         pending, insert, find = self._pending, self._insert, self.find
         while pending:
-            into, binding = pending.popleft()
-            for rule in rules:
+            into, binding, matching = pending.popleft()
+            for rule in matching:
                 for rewritten in rule.apply(binding, capabilities):
                     insert(rewritten, find(into))
         self.root = find(group)
@@ -107,9 +120,9 @@ class Memo:
         self._members[group].append((member, operands))
         for parent in self._parents[group]:
             self._bind(*parent, member)
-        for position, operand in enumerate(operands):
-            self._parents[operand].append((group, member, operands, position))
-        self._bind(group, member, operands, -1, None)
+        for operand in operands:
+            self._parents[operand].append((group, member, operands))
+        self._bind(group, member, operands)
 
     def _key(self, node: LogicalOp, operands: tuple[int, ...]) -> str:
         if not operands:
@@ -129,7 +142,7 @@ class Memo:
                 continue
             self._merged[other] = into
             dropped, twins = set(), set()
-            for group, member, operands, _ in parents[other]:
+            for group, member, operands in parents[other]:
                 kept = self._keys.setdefault(self._key(member, operands), (group, member, member))
                 if kept[1] is not member:
                     dropped.add(id(member))
@@ -149,29 +162,19 @@ class Memo:
         return self.find(merged)
 
     def _bind(
-        self, group: int, member: LogicalOp, operands: tuple[int, ...], position: int, new: LogicalOp | None
+        self, group: int, member: LogicalOp, operands: tuple[int, ...], new: LogicalOp | None = None
     ) -> None:
-        """Queue ``member`` for the rules over operand members not yet shown with it.
-
-        Rules look one level down (``select`` over ``submit``), so a member
-        is shown with each new member of an operand's group at its
-        ``position``, beside every member of its other operand (a join's
-        two operands vary together) -- a union's other operands stay its
-        own, never the product of its branches.  Position -1: a new member.
-        """
-        children = _operands(member)
-        choices = [
-            (new,) if index == position
-            else [equal for equal, _ in self.members(operand)] if len(children) <= 2
-            else (child,)
-            for index, (operand, child) in enumerate(zip(operands, children))
-        ]
-        pending = self._pending
-        for combination in product(*choices):
-            if all(map(is_, combination, children)):
-                pending.append((group, member))
-            else:
-                pending.append((group, member.with_children(combination)))
+        """Queue ``member`` over each operand member not yet shown with it
+        (``new``, else all) whose pair some rule's pattern admits.  A pattern
+        is an operator over one operand, so a union or a join is never bound."""
+        if len(operands) != 1:
+            return
+        (child,) = member.children()
+        for operand in [equal for equal, _ in self.members(operands[0])] if new is None else (new,):
+            matching = self._patterns.get((type(member), type(operand)))
+            if matching:
+                binding = member if operand is child else member.with_children((operand,))
+                self._pending.append((group, binding, matching))
 
 
 class Rewriter:
@@ -183,35 +186,36 @@ class Rewriter:
         rules: Iterable[TransformationRule] | None = None,
     ):
         self.capabilities = capabilities
-        self.rules: tuple[TransformationRule, ...] = tuple(rules or DEFAULT_RULES)
+        self.rules: tuple[TransformationRule, ...] = DEFAULT_RULES if rules is None else tuple(rules)
 
     # -- greedy fixpoint -------------------------------------------------------------
     def rewrite_greedy(self, root: LogicalOp) -> LogicalOp:
-        """Apply rules bottom-up until a fixpoint is reached."""
-        current = root
-        for _ in range(100):  # fixpoint bound; the rule sets used here terminate quickly
-            rewritten = self._one_pass(current)
-            if rewritten == current:
-                return current
-            current = rewritten
-        return current
+        """Apply rules bottom-up until a fixpoint is reached: at each node the
+        first rule whose pattern admits it and that fires."""
+        by_pair = _patterns(self.rules)
 
-    def _one_pass(self, root: LogicalOp) -> LogicalOp:
         def visit(node: LogicalOp) -> LogicalOp:
-            for rule in self.rules:
+            children = node.children()
+            for rule in by_pair.get((type(node), type(children[0])), ()) if len(children) == 1 else ():
                 alternatives = rule.apply(node, self.capabilities)
                 if alternatives:
                     return alternatives[0]
             return node
 
-        return transform_bottom_up(root, visit)
+        current = root
+        for _ in range(100):  # fixpoint bound; the rule sets used here terminate quickly
+            rewritten = transform_bottom_up(current, visit)
+            if rewritten == current:
+                return current
+            current = rewritten
+        return current
 
     # -- equivalence groups ------------------------------------------------------------
     def alternatives(self, root: LogicalOp) -> Memo:
         """The groups of every subtree the rules reach from ``root``.
 
-        Each rule sees a member once per combination of operand members; a
-        rewrite whose key names another group merges the two.  Nothing is
-        kept: rules, capabilities and schema are read afresh by the next call.
+        A rule sees a member once over each operand member its pattern
+        admits; a rewrite whose key names another group merges the two.  Nothing
+        is kept: rules, capabilities and schema are read afresh by the next call.
         """
         return Memo(root, self.rules, self.capabilities)

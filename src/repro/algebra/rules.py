@@ -1,8 +1,9 @@
 """Transformation rules over logical expressions (paper Section 3.2).
 
-Each rule rewrites a logical expression into an equivalent one, and states
-one shape for every operator it applies to.  The rule that moves work across
-the ``submit`` boundary must first consult the wrapper's capabilities
+Each rule rewrites a logical expression into an equivalent one, looks one
+level down, and declares the (operator, operand) pairs it can match as its
+``pattern``: the rewriter shows it no other node.  The rule that moves work
+across the ``submit`` boundary must first consult the wrapper's capabilities
 (obtained through the ``submit-functionality`` interface); it silently
 declines to fire when the wrapper would not understand the resulting
 expression, which is how "transformation rules insure that wrapper
@@ -48,9 +49,11 @@ _ONE_TO_ONE = (Project, Apply)
 
 
 class TransformationRule(Protocol):
-    """A rule proposes zero or more equivalent rewrites of one node."""
+    """A rule proposes zero or more equivalent rewrites of one node: ``[]``
+    unless it is one of ``pattern[0]`` over one operand of ``pattern[1]``."""
 
     name: str
+    pattern: tuple[tuple[type[LogicalOp], ...], tuple[type[LogicalOp], ...]]
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
         """Return alternative forms of ``node`` (not including ``node`` itself)."""
@@ -96,6 +99,7 @@ class PushIntoSubmit:
     """
 
     name = "push-into-submit"
+    pattern = ((Project, Select, Limit, GroupBy), (Submit,))
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
         if not isinstance(node, (Project, Select, Limit, GroupBy)):
@@ -115,6 +119,7 @@ class DistributeOverUnion:
     """``op(union(e1, ..., en))`` -> ``union(op(e1), ..., op(en))`` for a select or project."""
 
     name = "distribute-over-union"
+    pattern = ((Select, Project), (Union,))
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
         if not isinstance(node, (Select, Project)) or not isinstance(node.child, Union):
@@ -149,6 +154,7 @@ class PushConditionIntoBindJoin:
     """
 
     name = "push-condition-into-bindjoin"
+    pattern = ((Select,), (BindJoin,))
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
         if not isinstance(node, Select) or not isinstance(node.child, BindJoin):
@@ -208,6 +214,7 @@ class CommuteSelectProject:
     """
 
     name = "commute-select-project"
+    pattern = ((Select,), (Project,))
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
         if not isinstance(node, Select) or not isinstance(node.child, Project):
@@ -229,6 +236,7 @@ class PushLimitThroughOneToOne:
     """
 
     name = "push-limit-through-one-to-one"
+    pattern = ((Limit,), _ONE_TO_ONE)
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
         if not isinstance(node, Limit) or not isinstance(node.child, _ONE_TO_ONE):
@@ -266,6 +274,7 @@ class PushLimitThroughUnion:
     """
 
     name = "push-limit-through-union"
+    pattern = ((Limit,), (Union,))
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
         if not isinstance(node, Limit) or not isinstance(node.child, Union):
@@ -314,6 +323,7 @@ class PushGroupByThroughUnion:
     """
 
     name = "push-groupby-through-union"
+    pattern = ((GroupBy,), (Union,))
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
         if not isinstance(node, GroupBy) or not isinstance(node.child, Union):
@@ -384,6 +394,7 @@ class CollapseNestedLimits:
     """``limit(a, limit(b, e))`` -> ``limit(min(a, b), e)``."""
 
     name = "collapse-nested-limits"
+    pattern = ((Limit,), (Limit,))
 
     def apply(self, node: LogicalOp, capabilities: CapabilityResolver) -> list[LogicalOp]:
         if not isinstance(node, Limit) or not isinstance(node.child, Limit):

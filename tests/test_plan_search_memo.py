@@ -61,6 +61,7 @@ from repro.optimizer.optimizer import Optimizer
 from repro.sources import RelationalEngine, SimulatedServer, generate_person_rows
 from repro.sources.sql.engine import SqlEngine
 from tests.test_engine_equivalence import build_mediator, multiset, random_query
+from tests.test_rules_rewriter import LOGICAL_CLASSES, groups
 
 PERSON = [("id", "Long"), ("name", "String"), ("salary", "Short")]
 #: generator queries held to the exhaustive optimum; the nightly CI job
@@ -576,6 +577,36 @@ def test_equal_subtrees_get_their_own_nodes_down_to_the_probe():
         mediator.close()
 
 
+class EveryUnaryPair:
+    """Forwards to a rule, declaring every operator over one operand its pattern."""
+
+    def __init__(self, rule):
+        self.rule, self.name, self.pattern = rule, rule.name, (LOGICAL_CLASSES, LOGICAL_CLASSES)
+
+    def apply(self, node, capabilities):
+        return self.rule.apply(node, capabilities)
+
+
+def memo_groups(memo) -> list[tuple[int, list[tuple[str, tuple[int, ...]]]]]:
+    """Each group reachable from a memo's root: its number and its members'
+    texts and operand groups, in the memo's order."""
+    return [
+        (group, [(member.to_text(), tuple(map(memo.find, operands))) for member, operands in memo.members(group)])
+        for group in groups(memo)
+    ]
+
+
+def test_the_patterns_leave_the_memo_as_every_pair_would(harness_plans, adhoc_plans):
+    """A binding is built only for a pair some pattern admits; the memo is the
+    one the same rules build when shown every operator over one operand
+    (the six ad hoc shapes on fed8 and ``QUERIES`` generator queries)."""
+    for mediator, plans in (adhoc_plans, harness_plans):
+        rewriter = mediator.planner.rewriter
+        every = Rewriter(rewriter.capabilities, rules=[EveryUnaryPair(rule) for rule in rewriter.rules])
+        for plan in plans:
+            assert memo_groups(rewriter.alternatives(plan)) == memo_groups(every.alternatives(plan)), plan.to_text()
+
+
 # -- (b) counting ------------------------------------------------------------------------------
 
 
@@ -583,7 +614,7 @@ class CountingRule:
     """Forwards to a rule and counts ``apply`` per node text."""
 
     def __init__(self, rule, calls: Counter):
-        self.rule, self.name, self.calls = rule, rule.name, calls
+        self.rule, self.name, self.pattern, self.calls = rule, rule.name, rule.pattern, calls
 
     def apply(self, node, capabilities):
         self.calls[(self.name, node.to_text())] += 1
@@ -602,6 +633,8 @@ def test_one_search_asks_each_question_once():
         memo = counting.alternatives(plan)
         assert memo.size < 100
         assert max(applications.values()) == 1  # each rule, once per distinct binding
+        # Only pairs a pattern admits are bound: every rule on every binding was 496.
+        assert sum(applications.values()) <= 20
         bounded: Counter = Counter()
         bounded_alternatives(
             Rewriter(planner.rewriter.capabilities, rules=[CountingRule(r, bounded) for r in DEFAULT_RULES]),
@@ -614,6 +647,10 @@ def test_one_search_asks_each_question_once():
         nested = log.Limit(5, log.Limit(10, log.Limit(10, plan.children()[0])))
         assert counting.alternatives(nested).size > memo.size
         assert max(applications.values()) == 1
+        applications.clear()
+        counting.alternatives(logical_plan(mediator, ADHOC_SHAPES[3]))
+        assert max(applications.values()) == 1
+        assert sum(applications.values()) <= 60  # the limit shape: 1 296 without patterns
 
         readings: Counter = Counter()
         history = planner.history

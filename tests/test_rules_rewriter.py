@@ -5,11 +5,12 @@ from itertools import product
 import pytest
 
 from repro import Mediator, RelationalWrapper
+from repro.algebra import logical as log
 from repro.algebra.capabilities import CapabilitySet, grammar_for
 from repro.algebra.expressions import Comparison, Const, Path, StructExpr, Subquery, Var, conjunction
 from repro.algebra.logical import BindJoin, Get, Limit, Project, Select, Submit, Union
 from repro.algebra.rewriter import Rewriter
-from repro.algebra.rules import CommuteSelectProject, DistributeOverUnion, PushIntoSubmit
+from repro.algebra.rules import DEFAULT_RULES, CommuteSelectProject, DistributeOverUnion, PushIntoSubmit
 
 
 def full_capabilities(submit):
@@ -95,6 +96,54 @@ class TestPushdownRules:
         assert CommuteSelectProject().apply(Select("y", kept, projected), full_capabilities)
         both = conjunction([kept, Comparison("=", Var("y"), mary)])
         assert CommuteSelectProject().apply(Select("y", both, projected), full_capabilities) == []
+
+
+#: every logical operator class
+LOGICAL_CLASSES = tuple(
+    cls for cls in vars(log).values() if isinstance(cls, type) and issubclass(cls, log.LogicalOp)
+    and cls is not log.LogicalOp
+)
+#: one node of each logical operator class, each as ready to be rewritten as
+#: its class allows: the select reads only ``name`` and joins on the right
+#: variable, the groupby's aggregate splits, nothing is limited or grouped yet
+SAMPLES = {
+    type(node): node
+    for node in (
+        Get("person0"),
+        submit0(),
+        Project(("name",), Get("person0")),
+        Select("x", Comparison("=", Path(Var("x"), "name"), Path(Var("y"), "name")), Get("person0")),
+        log.Apply("x", StructExpr((("name", Path(Var("x"), "name")),)), Get("person0")),
+        BindJoin(Get("person0"), Get("person1"), "x", "y"),
+        Union((Get("person0"), Get("person1"))),
+        log.Flatten(Get("person0")),
+        log.Distinct(Get("person0")),
+        Limit(5, Get("person0")),
+        log.GroupBy("x", (("name", Path(Var("x"), "name")),), (("n", "count", Var("x")),), Get("person0")),
+        log.BagLiteral(({"name": "a"},)),
+    )
+}
+
+
+def test_a_rule_fires_only_on_the_pairs_its_pattern_declares():
+    """The rewriter shows a rule only the (operator, operand) pairs of its
+    ``pattern``, which is sound only if the rule declines every other pair:
+    each sample operator over each sample operand (a union or a join over
+    two of it, a leaf alone).  Inside its pattern each rule fires
+    on some pair, so the samples are ones it could rewrite."""
+    assert set(SAMPLES) == set(LOGICAL_CLASSES)
+    everything = CapabilitySet.full()
+    for rule in DEFAULT_RULES:
+        tops, operands = rule.pattern
+        fired = []
+        for top, operand in product(SAMPLES.values(), repeat=2):
+            node = top.with_children([operand] * len(top.children()))
+            rewrites = rule.apply(node, lambda _submit: everything)
+            if type(top) in tops and type(operand) in operands:
+                fired += rewrites
+            else:
+                assert rewrites == [], (rule.name, node.to_text())
+        assert fired, rule.name
 
 
 def projected_person_mediator() -> Mediator:
@@ -207,6 +256,30 @@ class TestRewriter:
             "union(submit(r0, project(name, get(person0))), "
             "project(name, submit(r1, get(person1))))"
         )
+
+    def test_no_rules_rewrite_nothing(self):
+        """An empty rule set is a rule set, not a request for the default one."""
+        plan = self.paper_query_plan()
+        rewriter = Rewriter(full_capabilities, rules=[])
+        assert rewriter.rules == ()
+        memo = rewriter.alternatives(plan)
+        assert memo.size == 5  # project, select, union and its two submits
+        assert [tree.to_text() for tree in trees(memo, memo.root)] == [plan.to_text()]
+        assert rewriter.rewrite_greedy(plan) is plan
+
+    def test_a_rule_is_never_shown_a_node_outside_its_pattern(self):
+        """Both searches match a rule's pattern before they call it."""
+
+        class Unmatched:
+            name, pattern = "unmatched", ((log.Distinct,), (Get, Submit, Union, Select, Project))
+
+            def apply(self, node, capabilities):
+                raise AssertionError(node.to_text())
+
+        rewriter = Rewriter(full_capabilities, rules=[Unmatched(), *DEFAULT_RULES])
+        plan = self.paper_query_plan()
+        assert rewriter.rewrite_greedy(plan).to_text() == Rewriter(full_capabilities).rewrite_greedy(plan).to_text()
+        assert rewriter.alternatives(plan).size == Rewriter(full_capabilities).alternatives(plan).size
 
     def test_alternatives_contains_original_and_rewrites(self):
         rewriter = Rewriter(full_capabilities)
