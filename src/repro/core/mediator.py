@@ -85,7 +85,7 @@ class Mediator:
         """Start a :class:`~repro.serving.MediatorServer` over this mediator.
 
         Keyword arguments populate :class:`~repro.serving.ServerConfig`
-        (worker count, queue depth, stream buffering).  The server is the one
+        (worker count, queue depth).  The server is the one
         admission path -- bounded in-flight budget, load shedding, fair
         scheduling by priority, end-to-end deadlines -- for concurrent
         clients and for a direct caller who wants a budget alike; close it
@@ -338,12 +338,12 @@ class Mediator:
         **fields: Any,
     ) -> QueryResult:
         """Execute a plan (``logical`` implemented when no ``physical`` is
-        given) and wrap its result: a fresh query, a resubmitted partial
-        answer and a patched cached one all finish here."""
+        given) and wrap its finished run: a fresh query, a resubmitted
+        partial answer and a patched cached one all finish here."""
         if physical is None:
             physical = implement(logical)
-        execution = self.executor.execute(physical, timeout=timeout, calls=calls)
-        return QueryResult.of(text, execution, logical=logical, physical=physical, **fields)
+        run = self.executor.execute(physical, timeout=timeout, calls=calls)
+        return QueryResult(text, stream=run, logical=logical, physical=physical, **fields)
 
     def _run_scalar(self, planned: PlannedQuery, timeout: float | None = None) -> QueryResult:
         bound = planned.bound
@@ -361,14 +361,8 @@ class Mediator:
 
     def statistics(self) -> dict[str, Any]:
         """Operational statistics: recorded exec signatures, plan-cache state."""
-        cache_stats = self.planner.plan_cache.stats()
         stats = {
             "exec_signatures": self.history.recorded_calls(),
-            "plan_cache_entries": cache_stats["entries"],
-            "plan_cache_hits": cache_stats["hits"],
-            "plan_cache_misses": cache_stats["misses"],
-            "plan_cache_invalidations": cache_stats["invalidations"],
-            "plan_cache_evictions": cache_stats["evictions"],
             "schema_version": self.registry.schema_version,
             # Probe-join cache effectiveness (batched bind joins): a hit is a
             # join key served from the per-query cache without re-hitting the
@@ -376,6 +370,8 @@ class Mediator:
             "probe_cache_hits": self.executor.probe_cache_hits,
             "probe_cache_misses": self.executor.probe_cache_misses,
         }
+        for key, value in self.planner.plan_cache.stats().items():
+            stats[f"plan_cache_{key}"] = value
         if self.answer_cache is not None:
             for key, value in self.answer_cache.stats().items():
                 stats[f"answer_cache_{key}"] = value

@@ -64,11 +64,10 @@ class QueryPlanner:
         self,
         registry: Registry,
         history: ExecCallHistory | None = None,
-        cost_model: CostModel | None = None,
     ):
         self.registry = registry
         self.history = history or ExecCallHistory()
-        self.cost_model = cost_model or CostModel(history=self.history)
+        self.cost_model = CostModel(history=self.history)
         self.binder = Binder(registry)
         self.translator = Translator(metaextent_rows=registry.metaextent_rows)
         # The resolver holds the registry, not the planner: a bound method

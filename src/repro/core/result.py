@@ -6,13 +6,14 @@ aggregate queries) or a partial answer: the OQL text and the logical plan of
 the query that remains to be evaluated, with the data already obtained
 embedded in it.
 
-A result produced by ``Mediator.query_stream`` additionally carries a live
-:class:`~repro.runtime.streaming.StreamingExecution`.  ``iter_rows()`` then
-yields rows *incrementally*, as sources answer, while the materialized
-surface (``rows()``, ``answer()``, ``data``) keeps its contract by draining
-the stream on first use.  Iteration is replayable -- the stream buffers what
-it has yielded -- so calling ``iter_rows()`` and later ``rows()`` never
-consumes a pipeline generator twice.
+Both entry points hand a result the run, a
+:class:`~repro.runtime.streaming.StreamingExecution`, read once finished
+(``QueryResult._read``).  A ``Mediator.query_stream`` run is live: until it
+ends ``iter_rows()`` yields rows *incrementally*, as sources answer, while
+the materialized surface (``rows()``, ``answer()``, ``data``) keeps its
+contract by draining the stream on first use.  Iteration is replayable --
+the stream buffers what it has yielded -- so calling ``iter_rows()`` and
+later ``rows()`` never consumes a pipeline generator twice.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.algebra.logical import LogicalOp
 from repro.algebra.physical import PhysicalOp
 from repro.algebra.unparser import OQLText, written_when_read
 from repro.datamodel.values import Bag
-from repro.runtime.executor import ExecReport, ExecutionResult, collect_errors
+from repro.runtime.executor import ExecReport, collect_errors
 
 
 @written_when_read("query_text", "partial_query")
@@ -54,24 +55,33 @@ class QueryResult:
     #: exact hit, a subsumption replay, or a patched partial answer) rather
     #: than by a fresh execution.
     from_answer_cache: bool = False
-    #: live streaming execution for results of ``query_stream`` (None for
-    #: materialized results); excluded from equality -- two results are the
-    #: same answer regardless of how the rows were delivered.
+    #: the run, until :meth:`_read` takes its outcome; excluded from
+    #: equality -- two results are the same answer regardless of how the
+    #: rows were delivered.
     stream: Any | None = field(default=None, repr=False, compare=False)
 
-    @classmethod
-    def of(cls, query_text: str | OQLText, execution: ExecutionResult, **fields: Any) -> "QueryResult":
-        """The result of one execution; its partial answer's text is passed on unwritten."""
-        return cls(
-            query_text,
-            data=execution.data,
-            is_partial=execution.is_partial,
-            partial_query=execution._partial_query,
-            partial_plan=execution.partial_plan,
-            unavailable_sources=execution.unavailable_sources,
-            reports=execution.reports,
-            **fields,
-        )
+    def __post_init__(self) -> None:
+        self._read()
+
+    def _read(self) -> None:
+        """Take a finished run's outcome (a partial answer's text unwritten)
+        and detach the run: the one read, for both entry points.
+
+        A barrier run is finished when the result is built, so the result
+        never holds it.  A live stream stays attached, and so does an
+        *aborted* one (mediator-side error), so re-consumption re-raises
+        instead of presenting the delivered prefix as a complete answer.
+        """
+        run = self.stream
+        if run is None or not run.finished or run.failure is not None:
+            return
+        self.data = run.data
+        self.is_partial = run.is_partial
+        self.partial_query = run.partial_query
+        self.partial_plan = run.partial_plan
+        self.unavailable_sources = run.unavailable_sources
+        self.reports = run.reports
+        self.stream = None
 
     # -- plan text, rendered when read -----------------------------------------------------
     @property
@@ -104,27 +114,9 @@ class QueryResult:
         """
         if self.stream is not None:
             yield from self.stream
-            self._sync_from_stream()
+            self._read()
             return
         yield from self.rows()
-
-    def _sync_from_stream(self) -> None:
-        """Fold the finished stream's outcome into the materialized fields.
-
-        Detaches the stream afterwards, so every later call takes the plain
-        materialized path instead of re-draining the buffer.  An *aborted*
-        stream (mediator-side error) is never folded in -- it stays attached
-        so re-consumption re-raises instead of presenting the delivered
-        prefix as a complete answer.
-        """
-        stream = self.stream
-        if stream is None or not stream.finished or stream.failure is not None:
-            return
-        self.data = Bag(stream.to_list())
-        self.reports = stream.reports
-        self.unavailable_sources = stream.unavailable_sources
-        self.is_partial = stream.is_partial
-        self.stream = None
 
     # -- the materialized surface --------------------------------------------------------
     def answer(self) -> Any:
@@ -161,7 +153,7 @@ class QueryResult:
         """The data as a list (empty for partial answers; drains a stream)."""
         if self.stream is not None:
             rows = self.stream.to_list()
-            self._sync_from_stream()
+            self._read()
             return rows
         if isinstance(self.data, Bag):
             return self.data.to_list()
@@ -180,7 +172,7 @@ class QueryResult:
         """
         if self.stream is not None:
             self.stream.close()
-            self._sync_from_stream()
+            self._read()
 
     def __repr__(self) -> str:
         if self.stream is not None and not self.stream.finished:

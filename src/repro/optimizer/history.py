@@ -30,6 +30,13 @@ DEFAULT_DATA_COST = 1.0
 #: query texts would otherwise keep one deque per text for ever.  The least
 #: recently recorded-or-matched signature goes first.
 MAX_SIGNATURES = 4096
+#: Observations kept per signature (the paper's "fixed number of exactly
+#: matching calls").
+WINDOW = 16
+#: Weight of the newest observation when a signature's window is smoothed.
+SMOOTHING = 0.5
+#: Weight of the newest outcome in an extent's availability EWMA.
+AVAILABILITY_SMOOTHING = 0.3
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ class ExecCallHistory:
     to penalize plans that depend on flaky sources -- a failure is not just
     lost time, it turns the whole answer partial.
 
-    Fixed-size in both directions: ``window`` observations per signature, and
+    Fixed-size in both directions: :data:`WINDOW` observations per signature, and
     :data:`MAX_SIGNATURES` signatures per table, the least recently recorded
     or matched evicted first.  Availability is per extent and never evicted.
 
@@ -100,18 +107,7 @@ class ExecCallHistory:
     for the microseconds of an append or a smoothing pass.
     """
 
-    def __init__(
-        self, window: int = 16, smoothing: float = 0.5, availability_smoothing: float = 0.3
-    ):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        if not 0.0 < availability_smoothing <= 1.0:
-            raise ValueError("availability_smoothing must be in (0, 1]")
-        self.window = window
-        self.smoothing = smoothing
-        self.availability_smoothing = availability_smoothing
+    def __init__(self):
         self._exact: _SignatureTable = OrderedDict()
         self._close: _SignatureTable = OrderedDict()
         #: EWMA of call success per extent; absent means "never observed".
@@ -180,7 +176,7 @@ class ExecCallHistory:
     def _observe_availability(self, extent_name: str, succeeded: bool) -> None:
         # The caller holds ``_lock``.
         previous = self._availability.get(extent_name, 1.0)
-        alpha = self.availability_smoothing
+        alpha = AVAILABILITY_SMOOTHING
         self._availability[extent_name] = (
             alpha * (1.0 if succeeded else 0.0) + (1.0 - alpha) * previous
         )
@@ -199,7 +195,7 @@ class ExecCallHistory:
         if queue is None:
             if len(store) >= MAX_SIGNATURES:
                 store.popitem(last=False)
-            queue = store[key] = deque(maxlen=self.window)
+            queue = store[key] = deque(maxlen=WINDOW)
         else:
             store.move_to_end(key)
         queue.append(observation)
@@ -247,7 +243,7 @@ class ExecCallHistory:
 
         The caller holds ``_lock``: the deque is iterated in place.
         """
-        smoothing = self.smoothing
+        smoothing = SMOOTHING
         oldest_first = iter(observations)
         first = next(oldest_first)
         time_estimate = first.elapsed

@@ -16,7 +16,9 @@ Exec semantics (the fault-isolating exec engine: the per-call state machine
 of :mod:`repro.runtime.streaming`, entered through :meth:`Executor.execute`
 -- every call materialised, then a complete answer or a resubmittable
 partial one -- or :meth:`Executor.execute_stream` -- rows while sources are
-still answering):
+still answering).  Both return the run, a
+:class:`~repro.runtime.streaming.StreamingExecution`: ``execute`` finished,
+its outcome on it, and ``execute_stream`` live.
 
 * every exec call of a plan is submitted to one long-lived thread pool shared
   by all queries of this executor (sized by
@@ -65,13 +67,10 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Mapping
-from typing import Any, MutableMapping
+from typing import TYPE_CHECKING, Any, MutableMapping
 
-from repro.algebra import logical as log
 from repro.algebra import physical as phys
-from repro.algebra.unparser import OQLText, written_when_read
 from repro.datamodel.extent import MetaExtent
-from repro.datamodel.values import Bag
 from repro.errors import QueryExecutionError, TypeConflictError, UnavailableSourceError
 from repro.optimizer.cost import BIND_BATCH_SIZE
 from repro.optimizer.history import ExecCallHistory, signature_pair
@@ -79,6 +78,9 @@ from repro.optimizer.implementation import implement
 from repro.optimizer.plancache import VersionedCache
 from repro.runtime import cancellation, namespace
 from repro.runtime.namespace import NamespacePlan, RuntimeRegistry
+
+if TYPE_CHECKING:
+    from repro.runtime.streaming import StreamingExecution
 
 
 @dataclass(frozen=True, slots=True, weakref_slot=True)
@@ -166,27 +168,6 @@ class ExecReport:
     #: probing to that ship, hash-joined at the mediator.  Always False for
     #: ordinary exec calls.
     replanned: bool = False
-
-
-@written_when_read("partial_query")
-@dataclass
-class ExecutionResult:
-    """The answer to one query execution (``partial_query``: see ``QueryResult``)."""
-
-    data: Bag
-    is_partial: bool = False
-    partial_plan: log.LogicalOp | None = None
-    partial_query: str | OQLText | None = None
-    unavailable_sources: tuple[str, ...] = ()
-    reports: tuple[ExecReport, ...] = ()
-
-    def answer(self) -> Any:
-        """The user-facing answer: data when complete, OQL text when partial."""
-        return self.partial_query if self.is_partial else self.data
-
-    def errors(self) -> dict[str, str]:
-        """Why each unavailable source failed, keyed by extent name."""
-        return collect_errors(self.reports)
 
 
 @dataclass
@@ -326,13 +307,14 @@ class Executor:
         base_env: Mapping[str, Any] | None = None,
         timeout: float | None = None,
         calls: CompiledCalls | None = None,
-    ) -> ExecutionResult:
+    ) -> StreamingExecution:
         """Execute ``plan``; unavailable or failing sources yield a partial answer.
 
         A materialising run of the engine: every exec call is fetched whole,
         in parallel, under one *global* deadline that covers the calls and
         the evaluation alike (probe-join wrapper calls issued during
-        evaluation draw on whatever budget the calls left over).
+        evaluation draw on whatever budget the calls left over).  Returns
+        the run, finished, its outcome on it.
 
         ``calls`` is the compiled-call slot of whoever owns ``plan``
         (``OptimizedPlan.exec_calls``): read, and filled by the first run
@@ -346,7 +328,7 @@ class Executor:
         base_env: Mapping[str, Any] | None = None,
         timeout: float | None = None,
         calls: CompiledCalls | None = None,
-    ):
+    ) -> StreamingExecution:
         """Execute ``plan`` as a stream.
 
         Returns a :class:`~repro.runtime.streaming.StreamingExecution`: an
@@ -469,11 +451,10 @@ class Executor:
             raise QueryExecutionError("no subquery planner configured")
         logical = self._subquery_planner(query)
         physical = implement(logical)
-        run = self._open(physical, env, None, materialise=True, enclosing=enclosing)
-        result = run.materialised()
-        if result.is_partial:
+        run = self._open(physical, env, None, materialise=True, enclosing=enclosing).materialised()
+        if run.is_partial:
             raise UnavailableSourceError(
-                ",".join(result.unavailable_sources),
+                ",".join(run.unavailable_sources),
                 "a nested subquery touched an unavailable data source",
             )
-        return result.data
+        return run.data

@@ -16,8 +16,8 @@ when the deadline, or ``Executor.close()``, gets there first.  Every other
 wrapper round trip is the same loop called on the consumer thread, bounded
 by the query deadline: a mid-stream reopen, and each round trip of a probe
 join (its shapes, key cache and re-plan flip are :mod:`repro.runtime.probe`).
-The two public entry points differ in one internal argument, ``materialise``,
-which fixes two things:
+The two public entry points both return the run, and differ in one internal
+argument, ``materialise``, which fixes two things:
 
 * **where rows are handed off.**  ``Executor.execute`` (``query()``)
   materialises: each worker drains its call into a private list *inside*
@@ -29,6 +29,7 @@ which fixes two things:
   ``{exec -> rows | Unavailable}`` to the
   :class:`~repro.runtime.partial_eval.PartialAnswerBuilder`, which
   composes only what reads no unavailable call, in one pass over the lists.
+  The run is returned finished, its outcome on it.
   ``Executor.execute_stream`` (``query_stream()``) hands rows to
   the caller *while* sources are still answering: a ``mkunion`` interleaves
   its children in exec-completion order (and a call that starts once
@@ -95,7 +96,6 @@ from repro.runtime.executor import (
     CompiledCall,
     CompiledCalls,
     ExecReport,
-    ExecutionResult,
     collect_errors,
 )
 from repro.runtime.partial_eval import PartialAnswerBuilder, Unavailable
@@ -243,11 +243,11 @@ class _ExecState:
 class StreamingExecution:
     """One run of one physical plan (see the module docstring).
 
-    :meth:`Executor.execute_stream` returns it to the caller: iterate it to
-    receive rows; the surrounding :class:`~repro.core.result.QueryResult`
-    (see ``Mediator.query_stream``) exposes it through ``iter_rows()``.
-    :meth:`Executor.execute` builds one with ``materialise`` set and keeps
-    it to itself: :meth:`materialised` is its whole life.
+    :meth:`Executor.execute_stream` returns it live: iterate it to receive
+    rows (``QueryResult.iter_rows()``).  :meth:`Executor.execute` returns it
+    finished by :meth:`materialised`, its whole life.  A finished run holds
+    its outcome: ``data``, ``is_partial``, ``partial_plan``,
+    ``partial_query``, ``unavailable_sources``, ``reports``, ``errors()``.
     """
 
     def __init__(
@@ -283,6 +283,9 @@ class StreamingExecution:
         self._pipeline: Iterator[Any] | None = None
         #: the live exec leaves, closed directly when the run finishes
         self._leaves: weakref.WeakSet = weakref.WeakSet()
+        #: a materialising run's partial answer, and its text (rows unwritten)
+        self.partial_plan: log.LogicalOp | None = None
+        self.partial_query: OQLText | None = None
         #: a stream's call has answered: the calls that start after it give
         #: the consumer a turn first (:meth:`_open_behind_consumer`).
         self._answered = False
@@ -371,6 +374,11 @@ class StreamingExecution:
             self._finish()
         except Exception:
             pass
+
+    @property
+    def data(self) -> Bag:
+        """Every row of the answer, drained first (a partial answer's are in its text)."""
+        return Bag(self._buffer if self._finished and self._failure is None else self.to_list())
 
     @property
     def finished(self) -> bool:
@@ -654,14 +662,15 @@ class StreamingExecution:
             kernels=self._calls,
         )
 
-    def materialised(self) -> ExecutionResult:
+    def materialised(self) -> "StreamingExecution":
         """Settle every call, then compose the answer or embed what arrived.
 
-        The whole life of a materialising run (``Executor.execute``): the
-        answer is complete data, or -- when any call is unavailable, or a
-        probe join's source failed while the pipeline ran -- the partial
-        answer: the plan with the obtained rows embedded, as a query.  Its
-        shape is written as OQL here; its rows are not (``OQLText``).
+        The whole life of a materialising run (``Executor.execute``); the
+        outcome stays on the run: complete data, or -- when any call is
+        unavailable, or a probe join's source failed while the pipeline ran
+        -- the partial answer: the plan with the obtained rows embedded, as
+        a query.  Its shape is written as OQL here; its rows are not
+        (``OQLText``).
         """
         try:
             # Settled one by one, in plan order: a concurrent.futures.wait()
@@ -683,18 +692,13 @@ class StreamingExecution:
             if not self.is_partial:
                 values = list(self._compose(self._plan))
                 if not self.is_partial:  # no probe side failed either
-                    return ExecutionResult(data=Bag(values), reports=self.reports)
+                    self._buffer = values
+                    return self
             # A probe join's exec has no outcome: it stays the submit it implements.
             builder = PartialAnswerBuilder(subquery_evaluator=self.evaluate_subquery)
-            partial_plan = builder.build(self._plan, outcomes, base_env=self._base_env)
-            return ExecutionResult(
-                data=Bag(),
-                is_partial=True,
-                partial_plan=partial_plan,
-                partial_query=OQLText(partial_plan),  # fails here if it cannot render
-                unavailable_sources=self.unavailable_sources,
-                reports=self.reports,
-            )
+            self.partial_plan = builder.build(self._plan, outcomes, base_env=self._base_env)
+            self.partial_query = OQLText(self.partial_plan)  # fails here if it cannot render
+            return self
         finally:
             # On the way out of an abort this writes the surviving calls off,
             # so their workers stop retrying and free the shared pool.
@@ -923,7 +927,6 @@ class StreamingExecution:
             event=state.event,
             remaining=self._remaining,
         )
-        state.started = time.monotonic()
         completed = False
         try:
             yield from ops.probe_join_rows(

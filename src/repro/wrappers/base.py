@@ -195,7 +195,9 @@ class AlgebraEvaluator:
             holds = expression.predicate.compile()
             return (row for row in self.evaluate_stream(expression.child) if holds({variable: row}))
         if isinstance(expression, Limit):
-            return self._limit_stream(expression)
+            from repro.runtime.operators import limit_rows  # local: avoid cycle
+
+            return limit_rows(self.evaluate_stream(expression.child), expression.count)
         if isinstance(expression, GroupBy):
             return self._groupby_stream(expression)
         raise WrapperError(f"cannot evaluate {expression.to_text()} at a data source")
@@ -216,22 +218,3 @@ class AlgebraEvaluator:
         rows = self.evaluate_stream(expression.child)
         yield from group_rows(rows, expression.variable, expression.keys, expression.aggregates)
 
-    def _limit_stream(self, expression: Limit) -> Iterator[Row]:
-        """The pushed-down fetch size: stop the scan after ``count`` rows."""
-        child = self.evaluate_stream(expression.child)
-        if expression.count <= 0:
-            close = getattr(child, "close", None)
-            if close is not None:
-                close()
-            return
-        try:
-            produced = 0
-            for row in child:
-                yield row
-                produced += 1
-                if produced >= expression.count:
-                    return
-        finally:
-            close = getattr(child, "close", None)
-            if close is not None:
-                close()

@@ -11,8 +11,8 @@ pulls, and a consumer that stops early -- a satisfied ``limit`` -- stops the
 scan instead of draining it.
 
 The materialized :meth:`~repro.wrappers.base.Wrapper.submit` path still
-works (it drains the stream), so the wrapper is usable by the barrier
-executor and the baselines unchanged.
+works (it drains the stream), so the wrapper serves a materialising run
+(``Mediator.query``) and the baselines unchanged.
 """
 
 from __future__ import annotations

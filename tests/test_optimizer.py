@@ -68,15 +68,16 @@ class TestExecCallHistory:
         assert estimate.rows == pytest.approx(100)
 
     def test_smoothing_combines_observations(self):
-        history = ExecCallHistory(smoothing=0.5)
+        history = ExecCallHistory()
         history.record("person0", Get("person0"), elapsed=1.0, rows=100)
         history.record("person0", Get("person0"), elapsed=0.0, rows=0)
         estimate = history.estimate("person0", Get("person0"))
         assert 0.0 < estimate.time < 1.0
         assert 0 < estimate.rows < 100
 
-    def test_window_bounds_the_number_of_observations(self):
-        history = ExecCallHistory(window=4)
+    def test_window_bounds_the_number_of_observations(self, monkeypatch):
+        monkeypatch.setattr(history_module, "WINDOW", 4)
+        history = ExecCallHistory()
         for index in range(20):
             history.record("person0", Get("person0"), elapsed=float(index), rows=index)
         estimate = history.estimate("person0", Get("person0"))
@@ -124,12 +125,6 @@ class TestExecCallHistory:
         assert history.recorded_calls() == 1
         history.clear()
         assert history.recorded_calls() == 0
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ExecCallHistory(window=0)
-        with pytest.raises(ValueError):
-            ExecCallHistory(smoothing=0.0)
 
     @pytest.mark.parametrize("outcome", ["record", "record_failure"])
     def test_a_slow_signature_does_not_hold_up_other_workers(self, outcome):

@@ -25,7 +25,7 @@ from repro.algebra.logical import (
     Union,
     submits_in,
 )
-from repro.algebra.unparser import logical_to_oql
+from repro.algebra.unparser import OQLText, logical_to_oql
 from repro.algebra.physical import (
     IMPLEMENTS,
     Exec,
@@ -57,6 +57,7 @@ from repro.runtime.operators import (
     probe_join_rows,
 )
 from repro.runtime.partial_eval import UNAVAILABLE, PartialAnswerBuilder
+from repro.runtime.streaming import StreamingExecution
 from repro.sources import RelationalEngine, SimulatedServer
 from repro.sources.network import NetworkProfile
 from repro.sources.sql import SqlEngine
@@ -755,6 +756,36 @@ class TestPartialAnswerBuilder:
                 assert gc.collect() == 0
             finally:
                 gc.enable()
+
+    def test_both_entry_points_hand_back_the_run(self):
+        """``Executor.execute`` returns its run finished, the outcome on it,
+        and the result of either entry point carries its own run's outcome."""
+        mediator, servers = build_paper_mediator()
+        query = "select x.name from x in person"
+        with mediator:
+            full = mediator.query(query).data
+            servers[0].take_down()
+            run = mediator.executor.execute(mediator.explain(query).optimized.physical)
+            assert isinstance(run, StreamingExecution)
+            assert run.finished and run.is_partial and run.partial_plan is not None
+            assert isinstance(run.partial_query, OQLText) and run.data == Bag()
+            runs = []
+            for entry in ("execute", "execute_stream"):
+
+                def keep(*args, original=getattr(mediator.executor, entry), **kwargs):
+                    runs.append(original(*args, **kwargs))
+                    return runs[-1]
+
+                setattr(mediator.executor, entry, keep)
+            barrier, streamed = mediator.query(query), mediator.query_stream(query)
+            streamed.rows()
+            for result, ran in zip((barrier, streamed), runs):
+                assert result.stream is None and ran.finished
+                assert result.is_partial and result.is_partial == ran.is_partial
+                assert result.reports and result.reports == ran.reports
+                assert result.unavailable_sources == ran.unavailable_sources == ("person0",)
+            servers[0].bring_up()
+            assert mediator.query(str(run.partial_query)).data == full
 
     def test_a_closed_mediator_leaves_no_reference_cycle(self):
         """The planner's capability lookup holds the registry, not the
